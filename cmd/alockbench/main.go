@@ -91,7 +91,7 @@ func main() {
 		queueCap = flag.Int("svc-queue-cap", 0, "open loop: per-shard admission queue capacity (0 = default 64)")
 		rebal    = flag.Bool("svc-rebalance", false, "open loop: move hot keys off overloaded shards before the run")
 
-		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 = serial engine, 1 = sharded-serial, >1 = windowed parallel)")
+		engShards = flag.Int("engine-shards", 0, "per-run engine workers (0 or 1 = serial executor, >1 = windowed parallel executor; configs with TargetOps or wait-die run serial)")
 
 		scenName  = flag.String("scenario", "", "run a named scenario instead of a single config")
 		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
@@ -176,6 +176,7 @@ func main() {
 		EngineShards:   *engShards,
 		Seed:           *seed,
 	}
+	sweep.WithEngineShards([]harness.Config{cfg}, *engShards, os.Stderr) // for the runs-serial notice
 	res, err := harness.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alockbench: %v\n", err)
@@ -199,23 +200,12 @@ func main() {
 	}
 }
 
-// withShards stamps the engine-shard setting onto every expanded config so a
-// whole scenario or figure runs on the selected engine.
-func withShards(cfgs []harness.Config, shards int) []harness.Config {
-	if shards > 0 {
-		for i := range cfgs {
-			cfgs[i].EngineShards = shards
-		}
-	}
-	return cfgs
-}
-
 func runFigureRW(quick bool, seed int64, parallel, shards int, csvPath string) {
 	run := sweep.Runner{Parallel: parallel}.RunMany()
 	groups := harness.FigureRW(
 		scenario.RWFigureGroups(harness.Scale{Quick: quick, Seed: seed}),
 		func(cfgs []harness.Config) []harness.Result {
-			return run(withShards(cfgs, shards))
+			return run(sweep.WithEngineShards(cfgs, shards, os.Stderr))
 		})
 	report.FigureRW(os.Stdout, groups)
 	if csvPath != "" {
@@ -235,7 +225,7 @@ func runScenario(name string, quick bool, seed int64, parallel, shards int, asJS
 		fmt.Fprintf(os.Stderr, "alockbench: unknown scenario %q (try -list-scenarios)\n", name)
 		os.Exit(1)
 	}
-	cfgs := withShards(sc.Configs(harness.Scale{Quick: quick, Seed: seed}), shards)
+	cfgs := sweep.WithEngineShards(sc.Configs(harness.Scale{Quick: quick, Seed: seed}), shards, os.Stderr)
 	results, err := sweep.Runner{Parallel: parallel}.Run(cfgs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alockbench: %v\n", err)

@@ -52,7 +52,7 @@ func main() {
 		scenName  = flag.String("scenario", "", "run a named scenario from the registry instead of the figures")
 		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		progress  = flag.Bool("progress", false, "print per-run completion progress to stderr")
-		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 = serial engine, 1 = sharded-serial, >1 = windowed parallel)")
+		engShards = flag.Int("engine-shards", 0, "per-run engine workers (0 or 1 = serial executor, >1 = windowed parallel executor; configs with TargetOps or wait-die run serial)")
 	)
 	flag.Parse()
 
@@ -66,12 +66,7 @@ func main() {
 	// enumerates; results are bit-identical at any setting, only the
 	// engine's internal concurrency changes.
 	withShards := func(cfgs []harness.Config) []harness.Config {
-		if *engShards > 0 {
-			for i := range cfgs {
-				cfgs[i].EngineShards = *engShards
-			}
-		}
-		return cfgs
+		return sweep.WithEngineShards(cfgs, *engShards, os.Stderr)
 	}
 	runMany := runner.RunMany()
 	run := func(cfgs []harness.Config) []harness.Result {

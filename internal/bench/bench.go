@@ -1,12 +1,12 @@
 // Package bench is the repo's standing performance-measurement layer. It
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
-// scenario family — runs each case N times on three engine variants: the
-// production engine (typed 4-ary event heap, direct-handoff run loop), the
-// container/heap oracle, and the node-sharded engine under the conservative
-// windowed parallel executor. It reports events/sec, ns/event and
-// allocs/event in a stable JSON schema (BENCH_*.json). cmd/bench is the
-// CLI; perf PRs check the next trajectory file in so regressions are
+// scenario family — runs each case N times on up to three engine variants:
+// the production engine (typed 4-ary event heap, direct-handoff run loop),
+// the container/heap oracle, and, for the cases that reach it, the
+// conservative windowed parallel executor. It reports events/sec, ns/event
+// and allocs/event in a stable JSON schema (BENCH_*.json). cmd/bench is
+// the CLI; perf PRs check the next trajectory file in so regressions are
 // diffable in review.
 package bench
 
@@ -30,16 +30,16 @@ const Schema = "alock-bench/v2"
 const (
 	EngineTyped   = "typed"   // typed 4-ary heap, direct handoff
 	EngineOracle  = "oracle"  // container/heap reference, mediated loop
-	EngineSharded = "sharded" // per-node queues, windowed parallel executor
+	EngineSharded = "sharded" // windowed parallel executor
 )
 
-// shardedWorkers is the worker count benchmarked for the sharded variant;
-// the slot budget caps actual concurrency at GOMAXPROCS.
+// shardedWorkers is the windowed-executor worker count benchmarked for the
+// sharded variant; the slot budget caps actual concurrency at GOMAXPROCS.
 var shardedWorkers = 4
 
-// SetShardedWorkers overrides the sharded variant's worker count (the
-// cmd/bench -engine-shards flag). Results are bit-identical at any count;
-// only throughput changes.
+// SetShardedWorkers overrides the sharded variant's windowed worker count
+// (the cmd/bench -engine-shards flag). Results are bit-identical at any
+// count; only throughput changes.
 func SetShardedWorkers(n int) {
 	if n > 0 {
 		shardedWorkers = n
@@ -99,7 +99,9 @@ type Comparison struct {
 	Speedup float64 `json:"speedup"`
 	// ShardedSpeedup is sharded/typed: >1 means the windowed parallel
 	// executor beats the serial hot path (expect ~parity on one core).
-	ShardedSpeedup float64 `json:"sharded_speedup"`
+	// Absent, with ShardedEventsPerSec zero, for cases that cannot reach
+	// the windowed executor (see Case.reachesWindowed).
+	ShardedSpeedup float64 `json:"sharded_speedup,omitempty"`
 }
 
 // Host records where a trajectory file was produced.
@@ -229,6 +231,19 @@ func Suite(name string) ([]Case, error) {
 	return cases, nil
 }
 
+// reachesWindowed reports whether the sharded variant of this case runs the
+// windowed executor. Scenario configs the harness keeps on the serial
+// executor (harness.Config.RunsWindowed) would only time the typed engine a
+// second time under the sharded label, so Run skips the variant for them.
+func (c Case) reachesWindowed() bool {
+	if c.build != nil {
+		return shardedWorkers >= 2
+	}
+	cfg := c.cfg
+	cfg.EngineShards = shardedWorkers
+	return cfg.RunsWindowed()
+}
+
 // runOnce executes one rep and returns (events, ops, wall, mallocs).
 func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, error) {
 	runtime.GC()
@@ -247,8 +262,6 @@ func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, err
 	case EngineOracle:
 		cfg.Oracle = true
 	case EngineSharded:
-		// Scenario configs with TargetOps degrade to sharded-serial inside
-		// the harness; the measurement is still the sharded code path.
 		cfg.EngineShards = shardedWorkers
 	}
 	runtime.ReadMemStats(&before)
@@ -299,8 +312,9 @@ func (c Case) Measure(variant string, reps int) (Measurement, error) {
 // Progress receives one line per finished measurement; nil is silent.
 type Progress func(m Measurement)
 
-// Run executes the whole suite: every case on all three engine variants,
-// paired into comparisons. The report's Created field is left for the
+// Run executes the whole suite: every case on the typed and oracle engines,
+// plus the sharded variant where it reaches the windowed executor, paired
+// into comparisons. The report's Created field is left for the
 // caller to stamp (hermetic callers, like tests, can leave it empty).
 func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
 	cases, err := Suite(suiteName)
@@ -313,6 +327,9 @@ func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
 	for _, c := range cases {
 		var ms [3]Measurement
 		for i, variant := range []string{EngineTyped, EngineOracle, EngineSharded} {
+			if variant == EngineSharded && !c.reachesWindowed() {
+				continue
+			}
 			m, err := c.Measure(variant, reps)
 			if err != nil {
 				return nil, err
@@ -321,9 +338,9 @@ func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
 				progress(m)
 			}
 			ms[i] = m
+			rep.Cases = append(rep.Cases, m)
 		}
 		typed, oracle, sharded := ms[0], ms[1], ms[2]
-		rep.Cases = append(rep.Cases, typed, oracle, sharded)
 		cmp := Comparison{
 			Name:                c.Name,
 			TypedEventsPerSec:   typed.EventsPerSec,

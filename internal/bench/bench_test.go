@@ -79,6 +79,38 @@ func TestMeasureEngineCase(t *testing.T) {
 	}
 }
 
+// TestShardedVariantOnlyWhereWindowed: the sharded label is reserved for
+// runs that execute parallel windows. Raw engine cases and the open-loop
+// service do; a closed-loop scenario config with TargetOps runs the serial
+// executor at any width, and one worker is the serial executor everywhere.
+func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
+	cases, err := Suite("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"engine/contended-rmw":            true,
+		"svc/open-loop@tiny":              true,
+		"paper/fig5-high-contention@tiny": false,
+	}
+	for _, c := range cases {
+		if w, ok := want[c.Name]; ok && c.reachesWindowed() != w {
+			t.Errorf("%s: reachesWindowed = %v, want %v", c.Name, !w, w)
+		}
+		delete(want, c.Name)
+	}
+	if len(want) > 0 {
+		t.Errorf("cases missing from the tiny suite: %v", want)
+	}
+	defer func(n int) { shardedWorkers = n }(shardedWorkers)
+	SetShardedWorkers(1)
+	for _, c := range cases {
+		if c.reachesWindowed() {
+			t.Errorf("%s: reaches the windowed executor with one worker", c.Name)
+		}
+	}
+}
+
 // TestMeasureScenarioCase runs one harness-backed case end to end.
 func TestMeasureScenarioCase(t *testing.T) {
 	if testing.Short() {

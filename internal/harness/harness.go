@@ -151,14 +151,13 @@ type Config struct {
 	// hot path. Schedules are bit-identical either way — the flag exists so
 	// tests can prove it and internal/bench can measure the difference.
 	Oracle bool `json:",omitempty"`
-	// EngineShards, if positive, runs the simulation on the node-sharded
-	// engine: per-node event queues with (at 1) a serial merge scheduler or
-	// (above 1) the conservative windowed parallel executor, capped by the
-	// process execution-slot budget. Schedules are bit-identical to the
-	// serial engine in both cases. Workload features that rely on engine-
-	// serialized cross-thread state (TargetOps early stop, wait-die age
-	// ordering) force the worker count down to 1 — sharded-serial — rather
-	// than racing; combining with Oracle is rejected.
+	// EngineShards is the engine's worker count: 0 or 1 runs the serial
+	// executor, 2 or more the conservative windowed parallel executor
+	// (capped by the process execution-slot budget). Schedules are
+	// bit-identical either way. Configs that rely on engine-serialized
+	// cross-thread state (closed-loop TargetOps early stop, wait-die age
+	// ordering) run serial at any value — RunsWindowed reports the
+	// decision; combining with Oracle is rejected.
 	EngineShards int `json:",omitempty"`
 }
 
@@ -203,6 +202,29 @@ func (c Config) withDefaults() Config {
 // OpenLoop reports whether the config runs the open-loop lock service
 // (internal/cluster) instead of closed-loop workload threads.
 func (c Config) OpenLoop() bool { return c.ArrivalRate > 0 }
+
+// RunsWindowed reports whether Run executes the config on the windowed
+// parallel executor: it asks for at least two engine workers and has no
+// cross-thread state that relies on the engine serializing threads — the
+// shared TargetOps countdown and the wait-die age table would race under
+// parallel windows. Every other config runs the serial executor; the
+// schedule is identical at any width, so only concurrency differs.
+func (c Config) RunsWindowed() bool {
+	waitDie := workload.TxnConfigOf(workload.Spec{TxnLocks: c.TxnLocks, TxnPolicy: c.TxnPolicy}).NeedsAges
+	return c.EngineShards >= 2 && c.TargetOps == 0 && !waitDie
+}
+
+// engineOptions maps the config's engine axes onto sim options.
+func (c Config) engineOptions() []sim.Option {
+	var opts []sim.Option
+	if c.Oracle {
+		opts = append(opts, sim.WithOracle())
+	}
+	if c.RunsWindowed() {
+		opts = append(opts, sim.WithShards(c.EngineShards))
+	}
+	return opts
+}
 
 // Validate rejects configurations the simulator cannot represent.
 func (c Config) Validate() error {
@@ -259,14 +281,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("harness: negative engine shards %d", c.EngineShards)
 	}
 	if c.Oracle && c.EngineShards > 0 {
-		return fmt.Errorf("harness: Oracle is the single-queue serial reference and cannot run sharded (EngineShards=%d)", c.EngineShards)
+		return fmt.Errorf("harness: Oracle is the single-queue serial reference and takes no engine workers (EngineShards=%d)", c.EngineShards)
 	}
 	if c.OpenLoop() {
 		// TargetOps is a global countdown shared across every thread —
-		// cross-shard order-dependent state the sharded engine refuses to
-		// race on. The closed-loop path degrades to sharded-serial for it;
-		// the service layer exists to run wide, so the combination is a
-		// config error, not a silent fallback.
+		// cross-shard order-dependent state the windowed executor refuses
+		// to race on. The closed-loop path runs serial for it; the service
+		// layer exists to run wide, so the combination is a config error,
+		// not a fallback.
 		if c.TargetOps > 0 {
 			return fmt.Errorf("harness: open-loop service runs (ArrivalRate > 0) cannot use TargetOps: " +
 				"the global op countdown is cross-shard order-dependent; bound the run with MeasureNS instead")
@@ -451,23 +473,7 @@ func Run(cfg Config) (Result, error) {
 		ages = workload.NewAgeTable()
 	}
 
-	var simOpts []sim.Option
-	if cfg.Oracle {
-		simOpts = append(simOpts, sim.WithOracle())
-	}
-	if cfg.EngineShards > 0 {
-		workers := cfg.EngineShards
-		// These features mutate cross-thread state (the shared op counter,
-		// the wait-die age table) relying on the engine serializing threads;
-		// under parallel windows that would race. The schedule is identical
-		// at any width, so degrading to the sharded-serial merge scheduler
-		// changes nothing but concurrency.
-		if workers > 1 && (cfg.TargetOps > 0 || txn.NeedsAges) {
-			workers = 1
-		}
-		simOpts = append(simOpts, sim.WithShards(workers))
-	}
-	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, simOpts...)
+	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
 	layout := locktable.RoundRobinHome
 	if cfg.HomeSkewPct > 0 {
 		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)

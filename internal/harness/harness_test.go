@@ -740,37 +740,50 @@ func TestFigure4DriverTiny(t *testing.T) {
 	}
 }
 
-// TestEngineShardsBitIdentical: a harness run on the sharded engine — both
-// the serial merge scheduler and the windowed parallel executor — must be
-// bit-identical to the serial engine, modulo the engine-selection knob
-// itself. The no-TargetOps variant actually executes parallel windows; the
-// TargetOps variant proves the serializing degrade path preserves results.
+// TestEngineShardsBitIdentical: a harness run that asks for engine workers
+// must be bit-identical to the default run, modulo the knob itself. The
+// no-TargetOps variant executes parallel windows; the TargetOps variant
+// runs the serial executor at any width (RunsWindowed says which), and one
+// worker is the serial executor by definition.
 func TestEngineShardsBitIdentical(t *testing.T) {
 	for _, algo := range []string{"alock", "mcs"} {
 		base := quickCfg(algo)
-		variants := []Config{base}
 		free := base
 		free.TargetOps = 0 // eligible for parallel windows
-		variants = append(variants, free)
-		for _, cfg := range variants {
-			want, err := Run(cfg)
+		for _, v := range []struct {
+			cfg      Config
+			shards   []int
+			windowed bool
+		}{
+			{base, []int{1, 4}, false},
+			{free, []int{4}, true},
+		} {
+			want, err := Run(v.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 4} {
-				scfg := cfg
+			for _, shards := range v.shards {
+				scfg := v.cfg
 				scfg.EngineShards = shards
+				if got := scfg.RunsWindowed(); got != (v.windowed && shards >= 2) {
+					t.Errorf("%s (TargetOps=%d, shards=%d): RunsWindowed = %v", algo, v.cfg.TargetOps, shards, got)
+				}
 				got, err := Run(scfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got.Config.EngineShards = 0
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s (TargetOps=%d): result diverged between serial and shards=%d engines",
-						algo, cfg.TargetOps, shards)
+					t.Errorf("%s (TargetOps=%d): result diverged between default and shards=%d engines",
+						algo, v.cfg.TargetOps, shards)
 				}
 			}
 		}
+	}
+	waitDie := diningConfig("mcs", "wait-die")
+	waitDie.EngineShards = 4
+	if waitDie.RunsWindowed() {
+		t.Error("wait-die config reports RunsWindowed; its age table needs the serial executor")
 	}
 }
 

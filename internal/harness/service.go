@@ -78,17 +78,9 @@ func runService(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	var simOpts []sim.Option
-	if cfg.Oracle {
-		simOpts = append(simOpts, sim.WithOracle())
-	}
-	if cfg.EngineShards > 0 {
-		// No feature gating here: the service keeps every piece of
-		// Go-side state shard-local by construction, so open-loop runs
-		// are safe at any worker width.
-		simOpts = append(simOpts, sim.WithShards(cfg.EngineShards))
-	}
-	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, simOpts...)
+	// The service keeps every piece of Go-side state shard-local by
+	// construction, so open-loop runs are safe at any worker width.
+	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
 	layout := locktable.RoundRobinHome
 	if cfg.HomeSkewPct > 0 {
 		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)

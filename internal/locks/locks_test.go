@@ -457,10 +457,10 @@ func TestBestEffortDeadlineReportsLateAcquire(t *testing.T) {
 }
 
 // TestShardedEngineInvariants runs the full mutual-exclusion invariant
-// suite on the sharded engines — the serial merge scheduler (shards=1) and
-// the conservative windowed parallel executor (shards=4) — and pins every
-// observation (ops, counter sum, tramples, per-lock entry order) to the
-// serial engine's, bit for bit.
+// suite on the conservative windowed parallel executor (shards=4) and pins
+// every observation (ops, counter sum, tramples, per-lock entry order) to
+// the serial engine's, bit for bit — as it does for shards=1, which is the
+// serial executor by another name.
 func TestShardedEngineInvariants(t *testing.T) {
 	for _, name := range []string{"spinlock", "mcs", "alock", "rw-queue"} {
 		name := name
@@ -476,10 +476,12 @@ func TestShardedEngineInvariants(t *testing.T) {
 			for _, shards := range []int{1, 4} {
 				scfg := cfg
 				scfg.EngineShards = shards
-				locktest.CheckMutualExclusion(t, prov, scfg)
+				if shards > 1 {
+					locktest.CheckMutualExclusion(t, prov, scfg)
+				}
 				got := locktest.RunMutex(prov, scfg)
 				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("%s: observations diverged between serial and shards=%d engines:\nserial:  %+v\nsharded: %+v",
+					t.Errorf("%s: observations diverged between serial and shards=%d engines:\nserial: %+v\nshards: %+v",
 						name, shards, serial, got)
 				}
 			}
@@ -488,16 +490,14 @@ func TestShardedEngineInvariants(t *testing.T) {
 }
 
 // TestShardedEngineOverlappingHolds repeats the two-locks-held token-API
-// check on both sharded engines.
+// check on the windowed executor.
 func TestShardedEngineOverlappingHolds(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := locktest.DefaultOverlapConfig()
-		cfg.Iters = 30
-		cfg.EngineShards = shards
-		prov, err := locks.ByName("mcs", locks.Options{Threads: cfg.Nodes * cfg.ThreadsPerNode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		locktest.CheckOverlappingHolds(t, prov, cfg)
+	cfg := locktest.DefaultOverlapConfig()
+	cfg.Iters = 30
+	cfg.EngineShards = 4
+	prov, err := locks.ByName("mcs", locks.Options{Threads: cfg.Nodes * cfg.ThreadsPerNode})
+	if err != nil {
+		t.Fatal(err)
 	}
+	locktest.CheckOverlappingHolds(t, prov, cfg)
 }

@@ -38,10 +38,9 @@ type MutexConfig struct {
 	// of the provider's plain handles, proving the same serialization
 	// under the redesigned API.
 	TokenAPI bool
-	// EngineShards, if positive, runs the workload on the node-sharded
-	// engine (1 = serial merge scheduler, >1 = conservative windowed
-	// parallel executor). The schedule — and therefore every observation —
-	// is bit-identical to the serial engine at any setting.
+	// EngineShards is the engine's worker count (0 or 1 = serial executor,
+	// >1 = conservative windowed parallel executor). The schedule — and
+	// therefore every observation — is bit-identical at any setting.
 	EngineShards int
 }
 
@@ -220,7 +219,7 @@ type OverlapConfig struct {
 	Iters          int // two-lock transactions per thread
 	Seed           int64
 	Model          model.Params
-	// EngineShards selects the sharded engine, as in MutexConfig.
+	// EngineShards is the engine's worker count, as in MutexConfig.
 	EngineShards int
 }
 

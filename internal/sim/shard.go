@@ -1,19 +1,16 @@
 // shard.go is the engine's per-node layer and the conservative windowed
 // parallel executor.
 //
-// Every node of the simulated cluster owns a shard: its event queue (one
-// typed 4-ary heap), its sequence counter, its clock, its torn-RMW book,
-// and — through event destinations (event.dest) — its NIC and in-flight
-// congestion counters and its region of cluster memory. In every mode the
-// shards are where sequence numbers are issued and torn state lives; the
-// modes differ only in who pops events:
-//
-//   - serial / oracle: events bypass the shard queues entirely (one global
-//     queue preserves the seed behavior exactly).
-//   - sharded-serial (WithShards(1)): events land on their owning shard's
-//     queue and Run/Step pop the globally least (at, seq) head across
-//     shards — the same total order, bit-identical by construction.
-//   - sharded-parallel (WithShards(n>1)): runWindowed below.
+// Every node of the simulated cluster owns a shard: its sequence counter,
+// its clock, its torn-RMW book, and — through event destinations
+// (event.dest) — its NIC and in-flight congestion counters and its region
+// of cluster memory. Under both executors the shards are where sequence
+// numbers are issued and torn state lives. The shard's event queue (one
+// typed 4-ary heap) belongs to the windowed executor alone: runWindowed
+// scatters the engine's global queue onto the owning shards at entry and
+// returns with every shard queue empty, so outside a windowed Run all
+// pending events are on the global queue (where Step and the serial Run
+// pop them).
 //
 // The windowed executor is classic conservative parallel discrete-event
 // simulation. Nodes interact only through verbs with a hard latency floor
@@ -22,6 +19,7 @@
 // before minHead+lookahead. Everything in [minHead, minHead+lookahead) is
 // therefore safe to execute, per shard, concurrently:
 //
+//	entry:    scatter the global queue onto the owning shards' queues
 //	barrier:  drain cross-shard outboxes into owning shards' queues
 //	window:   wend = min(shard heads) + lookahead
 //	execute:  each shard pops (at, seq) order while head < wend, on up to
@@ -60,12 +58,12 @@ type shard struct {
 	node int
 
 	seqCtr uint64     // local issue counter (low bits of seq)
-	q      eventQueue // this node's pending events (sharded modes)
+	q      eventQueue // this node's pending events (during a windowed Run only)
 
 	// tornHeld tracks words on this node currently mid-tear under a remote
 	// RMW (model.TornRCAS): the responder serializes remote atomics, so
 	// other remote RMWs on the word stall until the write half lands.
-	// Owned by this shard's timeline in every mode.
+	// Owned by this shard's timeline under both executors.
 	tornHeld map[ptr.Ptr]bool
 
 	// tornWrites holds the pending write half of each in-flight torn remote
@@ -247,7 +245,7 @@ func (e *Engine) claimShards() {
 // clearWindowed is runWindowed's deferred exit hook.
 func (e *Engine) clearWindowed() { e.windowed = false }
 
-// runWindowed is Run's sharded-parallel driver. Concurrency is governed by
+// runWindowed is Run's parallel driver. Concurrency is governed by
 // the process-wide execution-slot budget (internal/slots): the Run caller
 // owns one implicit slot, and each helper goroutine beyond it needs an
 // extra slot, capped by the configured worker count and the node count.
@@ -272,6 +270,12 @@ func (e *Engine) runWindowed() {
 	for _, s := range e.shards {
 		s.now = e.now
 		s.events = 0
+	}
+	// Hand the pending events over to their owning shards; the loop below
+	// ends only when every shard queue has drained again.
+	for e.q.len() > 0 {
+		ev := e.q.pop()
+		e.shards[ev.dest()].q.push(ev)
 	}
 
 	pool := newWindowPool(e, extra)

@@ -84,19 +84,72 @@ func runMode(t *testing.T, nodes, tpn int, horizon int64, opts ...Option) string
 	return fingerprint(e, words)
 }
 
-// TestShardedSerialBitIdentical: the sharded engine with the merge
-// scheduler (1 worker) must replay the serial engine's schedule exactly —
-// same clock, same event count, same memory image, same NIC stats.
+// TestShardedSerialBitIdentical: one worker is the serial executor, so
+// WithShards(1) must be the default engine exactly; and the typed serial
+// engine must replay the container/heap oracle's schedule — same clock,
+// same event count, same memory image, same NIC stats.
 func TestShardedSerialBitIdentical(t *testing.T) {
 	const horizon = 300_000
 	serial := runMode(t, 4, 3, horizon)
-	sharded := runMode(t, 4, 3, horizon, WithShards(1))
-	if serial != sharded {
-		t.Errorf("sharded-serial diverged from serial:\n serial:  %s\n sharded: %s", serial, sharded)
+	oneWorker := runMode(t, 4, 3, horizon, WithShards(1))
+	if serial != oneWorker {
+		t.Errorf("WithShards(1) diverged from the default engine:\n default:    %s\n one worker: %s", serial, oneWorker)
 	}
 	oracle := runMode(t, 4, 3, horizon, WithOracle())
 	if serial != oracle {
 		t.Errorf("typed serial diverged from oracle:\n serial: %s\n oracle: %s", serial, oracle)
+	}
+}
+
+// shardQueuesEmpty reports whether every per-shard queue and outbox is
+// empty — the invariant outside a windowed Run.
+func shardQueuesEmpty(e *Engine) bool {
+	for _, s := range e.shards {
+		if s.q.len() > 0 || len(s.outbox) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStepThenWindowedRun: Step advances a WithShards(4) engine serially on
+// the global queue; a following Run must scatter whatever is pending onto
+// the shards, finish on the windowed executor, and land on the serial
+// fingerprint — with the shard queues empty whenever no windowed Run is in
+// progress.
+func TestStepThenWindowedRun(t *testing.T) {
+	const horizon = 300_000
+	serial := runMode(t, 4, 3, horizon)
+
+	e, words := shardedWorkload(4, 3, WithShards(4))
+	windowEvents := 0
+	var mu sync.Mutex
+	e.onWindowEvent = func(*shard, event) {
+		mu.Lock()
+		windowEvents++
+		mu.Unlock()
+	}
+	e.SetHorizon(horizon)
+	for i := 0; i < 2000; i++ {
+		if !e.Step() {
+			t.Fatalf("run drained after %d steps; the hand-over was not exercised", i)
+		}
+		if !shardQueuesEmpty(e) {
+			t.Fatalf("step %d left events on a shard queue outside a windowed Run", i)
+		}
+	}
+	if e.pending() == 0 {
+		t.Fatal("nothing pending on the global queue at the hand-over")
+	}
+	e.Run(horizon)
+	if e.pending() != 0 || !shardQueuesEmpty(e) {
+		t.Errorf("windowed Run left events behind: global=%d, shard queues empty=%v", e.pending(), shardQueuesEmpty(e))
+	}
+	if windowEvents == 0 {
+		t.Error("window hook saw no events — Run did not reach the windowed executor")
+	}
+	if got := fingerprint(e, words); got != serial {
+		t.Errorf("Step-then-Run diverged from serial:\n serial: %s\n got:    %s", serial, got)
 	}
 }
 
@@ -143,7 +196,6 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 		opts []Option
 	}{
 		{"serial", []Option{WithAccessAudit()}},
-		{"sharded-serial", []Option{WithShards(1), WithAccessAudit()}},
 		{"windowed", []Option{WithShards(2), WithAccessAudit()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -10,34 +10,34 @@
 // consistent at event granularity, which is the memory model the paper's
 // algorithms require once the prescribed fences are in place (§5.2).
 //
-// Layering (this file + shard.go): the engine is sharded by node. Each
-// node owns a shard — its event queue, its NIC, its threads' wakeups, its
-// region of memory, the torn-RMW book-keeping for words it homes — and all
-// cross-node interaction is routed as events on the owning shard's
+// Layering (this file + shard.go): the engine is partitioned by node. Each
+// node owns a shard — its sequence counter, its NIC, its threads' wakeups,
+// its region of memory, the torn-RMW book-keeping for words it homes — and
+// all cross-node interaction is routed as events on the owning shard's
 // timeline through the verb protocol (evArrive/evExec/evComplete below).
-// Three run modes share that one event protocol:
+// Two executors share that one event protocol, with one queue
+// representation each:
 //
-//   - serial (default): one global event queue, direct-handoff Run loop —
-//     the reference behavior.
-//   - sharded-serial (WithShards(1)): per-shard queues with a merge
-//     scheduler that always pops the globally least (at, seq) event. The
-//     total order is the same order, so this mode is bit-identical to
-//     serial by construction.
-//   - sharded-parallel (WithShards(n), n > 1): the conservative windowed
-//     executor in shard.go runs each shard's events inside the safe window
-//     [window start, min(shard heads) + lookahead) on its own goroutine,
-//     barriers, repeats. Lookahead is the minimum cross-node verb latency
-//     (model.Params.RemoteWireNS), and every cross-shard event is sent at
-//     least one lookahead ahead of the sender's clock, so no shard can
-//     receive anything that lands inside the window it is executing —
-//     results are bit-identical to serial, in parallel.
+//   - serial (default, and WithShards(1)): one flat event queue (e.q),
+//     direct-handoff Run loop, mediated Step — the reference behavior.
+//   - windowed (WithShards(n), n > 1): the conservative parallel executor
+//     in shard.go. For the duration of a Run it moves the pending events
+//     onto per-shard queues and runs each shard's events inside the safe
+//     window [window start, min(shard heads) + lookahead) on its own
+//     goroutine, barriers, repeats. Lookahead is the minimum cross-node
+//     verb latency (model.Params.RemoteWireNS), and every cross-shard
+//     event is sent at least one lookahead ahead of the sender's clock, so
+//     no shard can receive anything that lands inside the window it is
+//     executing — results are bit-identical to serial, in parallel. The
+//     shard queues are empty whenever no windowed Run is in progress.
 //
 // Determinism: given the same seed, workload and model, every run produces
-// bit-identical schedules, throughputs and latencies in every mode. Ties on
-// the virtual clock are broken by event sequence number; seq is issued
-// per-shard (issuing shard in the high bits, that shard's counter below),
-// so tie order depends only on the issuing shard and its deterministic
-// local push order — never on cross-shard execution interleaving.
+// bit-identical schedules, throughputs and latencies under either executor.
+// Ties on the virtual clock are broken by event sequence number; seq is
+// issued per-shard (issuing shard in the high bits, that shard's counter
+// below), so tie order depends only on the issuing shard and its
+// deterministic local push order — never on cross-shard execution
+// interleaving.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
 // interface boxing, zero allocations per event in steady state — and Run
@@ -153,16 +153,17 @@ type Engine struct {
 	seed  int64
 	rngs  PartitionedRNG
 
-	// q is the serial engine's global event queue; oracle, when non-nil
-	// (WithOracle), replaces it with the container/heap reference. shards
-	// always exist (they own seq issue and torn-RMW state in every mode)
-	// but their per-shard queues are used only when sharded is set.
-	q       eventQueue
-	oracle  *eventHeap
-	shards  []*shard
-	sharded bool
-	// workers is WithShards' executor width: 1 = merge scheduler (sharded-
-	// serial), >1 = the conservative windowed executor for Run. lookahead
+	// q is the global event queue: it holds every pending event except
+	// during a windowed Run, which scatters it onto the shard queues at
+	// entry and leaves it (and them) empty at exit. oracle, when non-nil
+	// (WithOracle), replaces q with the container/heap reference. shards
+	// always exist: they own seq issue and torn-RMW state under both
+	// executors.
+	q      eventQueue
+	oracle *eventHeap
+	shards []*shard
+	// workers is WithShards' executor width: 0 (unset) or 1 = the serial
+	// executor, >1 = the conservative windowed executor for Run. lookahead
 	// is the windowed executor's safety margin: the minimum cross-node verb
 	// latency, below which no shard can affect another.
 	workers   int
@@ -244,24 +245,19 @@ func WithOracle() Option {
 	return func(e *Engine) { e.oracle = &eventHeap{} }
 }
 
-// WithShards routes events through the per-node shard queues. workers is
-// the executor width for Run: 1 selects the merge scheduler (sharded but
-// serial — bit-identical to the default engine by construction, it pops
-// the same global (at, seq) order from per-shard heaps), and workers > 1
-// selects the conservative windowed executor (shard.go), which runs up to
-// that many shards' windows concurrently — still bit-identical, because no
-// event crosses shards with less than one lookahead of slack. Worker
-// counts above the node count or the process's execution-slot budget
-// (internal/slots) are clamped at Run time; results never depend on the
-// effective width.
+// WithShards sets the executor width for Run. One worker is the serial
+// executor (the default engine); workers > 1 selects the conservative
+// windowed executor (shard.go), which runs up to that many shards' windows
+// concurrently — bit-identical to serial, because no event crosses shards
+// with less than one lookahead of slack. Worker counts above the node count
+// or the process's execution-slot budget (internal/slots) are clamped at
+// Run time; results never depend on the effective width. Step always
+// advances serially, at any width.
 func WithShards(workers int) Option {
 	if workers < 1 {
 		panic(fmt.Sprintf("sim: WithShards(%d): need at least one worker", workers))
 	}
-	return func(e *Engine) {
-		e.sharded = true
-		e.workers = workers
-	}
+	return func(e *Engine) { e.workers = workers }
 }
 
 // WithAccessAudit enables the debug access-audit mode: every mem.Space
@@ -306,7 +302,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 	for _, o := range opts {
 		o(e)
 	}
-	if e.oracle != nil && e.sharded {
+	if e.oracle != nil && e.workers > 0 {
 		panic("sim: WithOracle is the single-queue serial reference and cannot be combined with WithShards")
 	}
 	e.curShard.Store(auditIdle)
@@ -403,23 +399,19 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 }
 
 // scheduleEv creates an event on `from`'s timeline (consuming one of its
-// sequence numbers) and routes it to its destination shard's queue — or the
-// single global queue in the unsharded modes. During a parallel window a
-// cross-shard send is deferred to the sender's outbox, which the barrier
-// drains; the conservative contract that makes this safe — nothing may
-// cross shards with less than one lookahead of slack — is asserted here.
+// sequence numbers) and queues it: on the global queue, or — during a
+// windowed Run — on its destination shard's queue. There a cross-shard send
+// is deferred to the sender's outbox, which the barrier drains; the
+// conservative contract that makes this safe — nothing may cross shards
+// with less than one lookahead of slack — is asserted here.
 func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 	ev := event{at: at, seq: from.nextSeq(), th: t, kind: kind, dst: destFor(kind, t)}
-	if !e.sharded {
-		if e.oracle != nil {
-			heap.Push(e.oracle, ev) //lint:allow allocfree oracle mode is the boxed container/heap serial reference, kept for verification, never for performance runs
+	if e.windowed {
+		dst := e.shards[ev.dest()]
+		if dst == from {
+			dst.q.push(ev)
 			return
 		}
-		e.q.push(ev)
-		return
-	}
-	dst := e.shards[ev.dest()]
-	if e.windowed && dst != from {
 		if at < from.now+e.lookahead {
 			panic(fmt.Sprintf(
 				"sim: lookahead violation: shard %d sent a t=%dns event to shard %d at t=%dns (lookahead %dns)",
@@ -428,7 +420,11 @@ func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 		from.outbox = append(from.outbox, ev)
 		return
 	}
-	dst.q.push(ev)
+	if e.oracle != nil {
+		heap.Push(e.oracle, ev) //lint:allow allocfree oracle mode is the boxed container/heap serial reference, kept for verification, never for performance runs
+		return
+	}
+	e.q.push(ev)
 }
 
 // pending reports the number of scheduled events.
@@ -436,38 +432,15 @@ func (e *Engine) pending() int {
 	if e.oracle != nil {
 		return e.oracle.Len()
 	}
-	if !e.sharded {
-		return e.q.len()
-	}
-	n := 0
-	for _, s := range e.shards {
-		n += s.q.len()
-	}
-	return n
+	return e.q.len()
 }
 
 // pop removes and returns the earliest event; the queue must be non-empty.
-// In the sharded modes this is the merge scheduler: the globally least
-// (at, seq) event across all shard heads — the same total order the global
-// queue pops, so sharded-serial is bit-identical to serial by construction.
 func (e *Engine) pop() event {
 	if e.oracle != nil {
 		return heap.Pop(e.oracle).(event)
 	}
-	if !e.sharded {
-		return e.q.pop()
-	}
-	best := -1
-	var bestEv event
-	for i, s := range e.shards {
-		if s.q.len() == 0 {
-			continue
-		}
-		if ev := s.q.min(); best < 0 || eventLess(ev, bestEv) {
-			best, bestEv = i, ev
-		}
-	}
-	return e.shards[best].q.pop()
+	return e.q.pop()
 }
 
 // minAt returns the earliest scheduled time; ok is false on an empty queue.
@@ -478,21 +451,10 @@ func (e *Engine) minAt() (at int64, ok bool) {
 		}
 		return (*e.oracle)[0].at, true
 	}
-	if !e.sharded {
-		if e.q.len() == 0 {
-			return 0, false
-		}
-		return e.q.min().at, true
+	if e.q.len() == 0 {
+		return 0, false
 	}
-	for _, s := range e.shards {
-		if s.q.len() == 0 {
-			continue
-		}
-		if h := s.q.min().at; !ok || h < at {
-			at, ok = h, true
-		}
-	}
-	return at, ok
+	return e.q.min().at, true
 }
 
 // account applies one event dispatch's bookkeeping: clock advance, horizon
@@ -673,7 +635,7 @@ func (e *Engine) Run(stopAt int64) {
 	switch {
 	case e.pending() == 0:
 		// Nothing scheduled: fall through to the exit check.
-	case e.sharded && e.workers > 1:
+	case e.workers > 1:
 		e.runWindowed()
 	case e.oracle != nil:
 		for e.ProcessNextEvent() {

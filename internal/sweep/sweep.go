@@ -12,13 +12,14 @@
 //
 // Concurrency composes through the process-wide execution-slot budget
 // (internal/slots): each worker beyond the first needs an extra slot, so a
-// parallel sweep of configs that themselves run sharded engines
+// parallel sweep of configs that themselves run the windowed executor
 // (Config.EngineShards > 1) multiplies to at most GOMAXPROCS running
 // goroutines — the sweep layer and the engines draw from one pool.
 package sweep
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,28 @@ import (
 	"alock/internal/harness"
 	"alock/internal/slots"
 )
+
+// WithEngineShards stamps the engine worker count onto every config of a
+// sweep, so a whole scenario or figure runs on the selected executor
+// (shards <= 0 leaves the configs alone). Configs that ask for the windowed
+// executor but run serial (harness.Config.RunsWindowed) are counted in one
+// line on warn: results are bit-identical either way, the wall clock is not.
+func WithEngineShards(cfgs []harness.Config, shards int, warn io.Writer) []harness.Config {
+	if shards <= 0 {
+		return cfgs
+	}
+	serial := 0
+	for i := range cfgs {
+		cfgs[i].EngineShards = shards
+		if shards >= 2 && !cfgs[i].RunsWindowed() {
+			serial++
+		}
+	}
+	if serial > 0 {
+		fmt.Fprintf(warn, "engine-shards %d: %d of %d configs run serial: TargetOps / wait-die\n", shards, serial, len(cfgs))
+	}
+	return cfgs
+}
 
 // Progress describes one completed run, delivered to OnResult.
 type Progress struct {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"alock/internal/harness"
@@ -186,7 +187,7 @@ func TestSlotBudgetComposition(t *testing.T) {
 
 	cfgs := testConfigs()
 	for i := range cfgs {
-		// TargetOps forces sharded-serial; drop it so the windowed
+		// TargetOps forces the serial executor; drop it so the windowed
 		// executor actually requests helper slots.
 		cfgs[i].TargetOps = 0
 		cfgs[i].MeasureNS = 150_000
@@ -230,5 +231,41 @@ func TestSweepResultsUnaffectedBySlotStarvation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("slot starvation changed sweep results")
+	}
+}
+
+// TestWithEngineShardsReportsSerialConfigs: the stamp reaches every config,
+// and the one-line notice counts exactly the configs that asked for the
+// windowed executor but run serial — silent when none do, when one worker
+// was asked for, or when nothing was asked for.
+func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
+	mixed := func() []harness.Config {
+		cfgs := testConfigs() // all carry TargetOps
+		cfgs[0].TargetOps = 0
+		return cfgs
+	}
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{
+		{0, ""},
+		{1, ""},
+		{4, "engine-shards 4: 5 of 6 configs run serial: TargetOps / wait-die\n"},
+	} {
+		var warn strings.Builder
+		cfgs := WithEngineShards(mixed(), tc.shards, &warn)
+		for i, c := range cfgs {
+			if c.EngineShards != tc.shards {
+				t.Errorf("shards=%d: config %d stamped %d", tc.shards, i, c.EngineShards)
+			}
+		}
+		if warn.String() != tc.want {
+			t.Errorf("shards=%d: notice %q, want %q", tc.shards, warn.String(), tc.want)
+		}
+	}
+	var warn strings.Builder
+	WithEngineShards(mixed()[:1], 4, &warn)
+	if warn.Len() != 0 {
+		t.Errorf("all-windowed sweep printed a notice: %q", warn.String())
 	}
 }
