@@ -48,58 +48,58 @@ import (
 )
 
 func main() {
+	// Every experiment axis binds straight into the Config the run uses;
+	// harness.Config.Validate, reached through Run, is the only gate.
+	var cfg harness.Config
+	flag.StringVar(&cfg.Algorithm, "algo", "alock", "lock algorithm")
+	flag.IntVar(&cfg.Nodes, "nodes", 5, "cluster nodes (1..16)")
+	flag.IntVar(&cfg.ThreadsPerNode, "threads", 8, "threads per node")
+	flag.IntVar(&cfg.Locks, "locks", 100, "lock table size (paper: 20/100/1000)")
+	flag.IntVar(&cfg.LocalityPct, "locality", 90, "percent of operations on node-local locks")
+	flag.Int64Var(&cfg.LocalBudget, "local-budget", 0, "ALock local budget (0 = paper default 5)")
+	flag.Int64Var(&cfg.RemoteBudget, "remote-budget", 0, "ALock remote budget (0 = paper default 20)")
+	flag.Int64Var(&cfg.ReadBudget, "read-budget", 0, "RW locks: reader admissions per group/phase (0 = default 16)")
+	flag.Int64Var(&cfg.WriteBudget, "write-budget", 0, "RW locks: writer admissions per phase (0 = default 4)")
+	flag.Int64Var(&cfg.TargetOps, "target-ops", 0, "stop after this many recorded ops (0 = run full window)")
+	flag.DurationVar(&cfg.CSWork, "cs", 0, "critical-section body duration")
+	flag.DurationVar(&cfg.Think, "think", 0, "think time between operations")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "deterministic seed")
+	flag.Float64Var(&cfg.ZipfS, "zipf", 0, "Zipf skew s (>1) for hot-key popularity (0 = uniform)")
+	flag.DurationVar(&cfg.BurstOn, "burst-on", 0, "bursty arrivals: on-phase duration (0 = steady)")
+	flag.DurationVar(&cfg.BurstOff, "burst-off", 0, "bursty arrivals: off-phase duration")
+	flag.IntVar(&cfg.HomeSkewPct, "home-skew", 0, "percent of the lock table homed on node 0 (0 = equal partition)")
+	flag.IntVar(&cfg.ReadPct, "read-pct", 0, "percent of operations acquiring shared/read mode (0 = exclusive only)")
+	flag.Float64Var(&cfg.LeaseProb, "lease-prob", 0, "per-op probability of a lease-style long hold (0 = off)")
+	flag.DurationVar(&cfg.LeaseHold, "lease-hold", 0, "duration of a lease hold")
+	flag.DurationVar(&cfg.AcquireTimeout, "acquire-timeout", 0, "give up acquisitions after this engine time (0 = block; switches queued locks to the timed protocol)")
+	flag.Float64Var(&cfg.AbandonProb, "abandon-prob", 0, "per-op probability the holder crashes and is reclaimed by recovery (0 = off; requires -acquire-timeout)")
+	flag.DurationVar(&cfg.AbandonHold, "abandon-hold", 0, "dead time an abandoned hold wedges its lock")
+	flag.Float64Var(&cfg.PairProb, "pair-prob", 0, "per-op probability of an ordered two-lock transaction (0 = off)")
+	flag.IntVar(&cfg.TxnLocks, "txn-locks", 0, "locks per transaction: every op becomes a k-lock transaction (0 = off, k >= 2)")
+	flag.StringVar(&cfg.TxnOrder, "txn-order", "", "transaction acquisition order: ordered|unordered (default: the policy's natural order)")
+	flag.StringVar(&cfg.TxnPolicy, "txn-policy", "", "deadlock policy: ordered|timeout-backoff|wait-die (default ordered)")
+	flag.DurationVar(&cfg.TxnBackoff, "txn-backoff", 0, "base randomized backoff between transaction retries (timeout-backoff default: -acquire-timeout)")
+	flag.BoolVar(&cfg.TxnRing, "txn-ring", false, "dining-philosophers lock selection: thread t takes locks (t+j) mod -locks")
+	flag.Float64Var(&cfg.ArrivalRate, "arrival-rate", 0, "open-loop offered load in ops/s: switch to the sharded lock service driven by Poisson arrivals (0 = closed loop)")
+	flag.Int64Var(&cfg.Clients, "clients", 0, "open loop: logical client population drawn from per arrival (0 = default 1e6)")
+	flag.IntVar(&cfg.SvcShards, "svc-shards", 0, "open loop: lock-table service shards (0 = one per node)")
+	flag.StringVar(&cfg.SvcPlacement, "placement", "", "open loop: key→shard placement, hash|home (default hash)")
+	flag.StringVar(&cfg.SvcAdmission, "admission", "", "open loop: full-queue admission policy, drop-tail|drop-head (default drop-tail)")
+	flag.IntVar(&cfg.SvcQueueCap, "svc-queue-cap", 0, "open loop: per-shard admission queue capacity (0 = default 64)")
+	flag.BoolVar(&cfg.SvcRebalance, "svc-rebalance", false, "open loop: move hot keys off overloaded shards before the run")
+	flag.IntVar(&cfg.EngineShards, "engine-shards", 0, "per-run engine workers (0 or 1 = serial executor, >1 = windowed parallel executor; configs with TargetOps or wait-die run serial)")
+
 	var (
-		algo     = flag.String("algo", "alock", "lock algorithm")
-		nodes    = flag.Int("nodes", 5, "cluster nodes (1..16)")
-		threads  = flag.Int("threads", 8, "threads per node")
-		locks    = flag.Int("locks", 100, "lock table size (paper: 20/100/1000)")
-		locality = flag.Int("locality", 90, "percent of operations on node-local locks")
-		localB   = flag.Int64("local-budget", 0, "ALock local budget (0 = paper default 5)")
-		remoteB  = flag.Int64("remote-budget", 0, "ALock remote budget (0 = paper default 20)")
-		readB    = flag.Int64("read-budget", 0, "RW locks: reader admissions per group/phase (0 = default 16)")
-		writeB   = flag.Int64("write-budget", 0, "RW locks: writer admissions per phase (0 = default 4)")
-		warmup   = flag.Duration("warmup", 400*time.Microsecond, "virtual warmup window")
-		measure  = flag.Duration("measure", 4*time.Millisecond, "virtual measurement window")
-		target   = flag.Int64("target-ops", 0, "stop after this many recorded ops (0 = run full window)")
-		cs       = flag.Duration("cs", 0, "critical-section body duration")
-		think    = flag.Duration("think", 0, "think time between operations")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		cdf      = flag.Bool("cdf", false, "dump the full latency CDF as CSV")
-		asJSON   = flag.Bool("json", false, "emit the full result as JSON instead of text")
-		zipf     = flag.Float64("zipf", 0, "Zipf skew s (>1) for hot-key popularity (0 = uniform)")
-		burstOn  = flag.Duration("burst-on", 0, "bursty arrivals: on-phase duration (0 = steady)")
-		burstOff = flag.Duration("burst-off", 0, "bursty arrivals: off-phase duration")
-		homeSkew = flag.Int("home-skew", 0, "percent of the lock table homed on node 0 (0 = equal partition)")
-		readPct  = flag.Int("read-pct", 0, "percent of operations acquiring shared/read mode (0 = exclusive only)")
-		leaseP   = flag.Float64("lease-prob", 0, "per-op probability of a lease-style long hold (0 = off)")
-		leaseH   = flag.Duration("lease-hold", 0, "duration of a lease hold")
-		acqTO    = flag.Duration("acquire-timeout", 0, "give up acquisitions after this engine time (0 = block; switches queued locks to the timed protocol)")
-		abandonP = flag.Float64("abandon-prob", 0, "per-op probability the holder crashes and is reclaimed by recovery (0 = off; requires -acquire-timeout)")
-		abandonH = flag.Duration("abandon-hold", 0, "dead time an abandoned hold wedges its lock")
-		pairP    = flag.Float64("pair-prob", 0, "per-op probability of an ordered two-lock transaction (0 = off)")
-		txnLocks = flag.Int("txn-locks", 0, "locks per transaction: every op becomes a k-lock transaction (0 = off, k >= 2)")
-		txnOrder = flag.String("txn-order", "", "transaction acquisition order: ordered|unordered (default: the policy's natural order)")
-		txnPol   = flag.String("txn-policy", "", "deadlock policy: ordered|timeout-backoff|wait-die (default ordered)")
-		txnBack  = flag.Duration("txn-backoff", 0, "base randomized backoff between transaction retries (timeout-backoff default: -acquire-timeout)")
-		txnRing  = flag.Bool("txn-ring", false, "dining-philosophers lock selection: thread t takes locks (t+j) mod -locks")
-
-		arrival  = flag.Float64("arrival-rate", 0, "open-loop offered load in ops/s: switch to the sharded lock service driven by Poisson arrivals (0 = closed loop)")
-		clients  = flag.Int64("clients", 0, "open loop: logical client population drawn from per arrival (0 = default 1e6)")
-		svcShard = flag.Int("svc-shards", 0, "open loop: lock-table service shards (0 = one per node)")
-		place    = flag.String("placement", "", "open loop: key→shard placement, hash|home (default hash)")
-		admit    = flag.String("admission", "", "open loop: full-queue admission policy, drop-tail|drop-head (default drop-tail)")
-		queueCap = flag.Int("svc-queue-cap", 0, "open loop: per-shard admission queue capacity (0 = default 64)")
-		rebal    = flag.Bool("svc-rebalance", false, "open loop: move hot keys off overloaded shards before the run")
-
-		engShards = flag.Int("engine-shards", 0, "per-run engine workers (0 or 1 = serial executor, >1 = windowed parallel executor; configs with TargetOps or wait-die run serial)")
-
-		scenName  = flag.String("scenario", "", "run a named scenario instead of a single config")
-		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
-		parallel  = flag.Int("parallel", 0, "concurrent simulations for -scenario (0 = all cores)")
-		quick     = flag.Bool("quick", false, "reduced scenario scale (fewer points)")
-		figRW     = flag.Bool("figure-rw", false, "run the reader/writer + failure figure (rw/*, lease/*, fail/* scenario families)")
-		csvPath   = flag.String("csv-out", "", "with -figure-rw: also write the figure's CSV series to this file")
-
+		warmup     = flag.Duration("warmup", 400*time.Microsecond, "virtual warmup window")
+		measure    = flag.Duration("measure", 4*time.Millisecond, "virtual measurement window")
+		cdf        = flag.Bool("cdf", false, "dump the full latency CDF as CSV")
+		asJSON     = flag.Bool("json", false, "emit the full result as JSON instead of text")
+		scenName   = flag.String("scenario", "", "run a named scenario instead of a single config")
+		listScens  = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
+		parallel   = flag.Int("parallel", 0, "concurrent simulations for -scenario (0 = all cores)")
+		quick      = flag.Bool("quick", false, "reduced scenario scale (fewer points)")
+		figRW      = flag.Bool("figure-rw", false, "run the reader/writer + failure figure (rw/*, lease/*, fail/* scenario families)")
+		csvPath    = flag.String("csv-out", "", "with -figure-rw: also write the figure's CSV series to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run")
 		memprofile = flag.String("memprofile", "", "write a post-run heap profile")
 	)
@@ -126,57 +126,17 @@ func main() {
 	}
 
 	if *figRW {
-		runFigureRW(*quick, *seed, *parallel, *engShards, *csvPath)
+		runFigureRW(*quick, cfg.Seed, *parallel, cfg.EngineShards, *csvPath)
 		return
 	}
 
 	if *scenName != "" {
-		runScenario(*scenName, *quick, *seed, *parallel, *engShards, *asJSON)
+		runScenario(*scenName, *quick, cfg.Seed, *parallel, cfg.EngineShards, *asJSON)
 		return
 	}
 
-	cfg := harness.Config{
-		Algorithm:      *algo,
-		Nodes:          *nodes,
-		ThreadsPerNode: *threads,
-		Locks:          *locks,
-		LocalityPct:    *locality,
-		LocalBudget:    *localB,
-		RemoteBudget:   *remoteB,
-		ReadBudget:     *readB,
-		WriteBudget:    *writeB,
-		WarmupNS:       warmup.Nanoseconds(),
-		MeasureNS:      measure.Nanoseconds(),
-		TargetOps:      *target,
-		CSWork:         *cs,
-		Think:          *think,
-		ZipfS:          *zipf,
-		BurstOn:        *burstOn,
-		BurstOff:       *burstOff,
-		HomeSkewPct:    *homeSkew,
-		ReadPct:        *readPct,
-		LeaseProb:      *leaseP,
-		LeaseHold:      *leaseH,
-		AcquireTimeout: *acqTO,
-		AbandonProb:    *abandonP,
-		AbandonHold:    *abandonH,
-		PairProb:       *pairP,
-		TxnLocks:       *txnLocks,
-		TxnOrder:       *txnOrder,
-		TxnPolicy:      *txnPol,
-		TxnBackoff:     *txnBack,
-		TxnRing:        *txnRing,
-		ArrivalRate:    *arrival,
-		Clients:        *clients,
-		SvcShards:      *svcShard,
-		SvcPlacement:   *place,
-		SvcQueueCap:    *queueCap,
-		SvcAdmission:   *admit,
-		SvcRebalance:   *rebal,
-		EngineShards:   *engShards,
-		Seed:           *seed,
-	}
-	sweep.WithEngineShards([]harness.Config{cfg}, *engShards, os.Stderr) // for the runs-serial notice
+	cfg.WarmupNS, cfg.MeasureNS = warmup.Nanoseconds(), measure.Nanoseconds()
+	sweep.WithEngineShards([]harness.Config{cfg}, cfg.EngineShards, os.Stderr) // for the runs-serial notice
 	res, err := harness.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alockbench: %v\n", err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"alock/internal/api"
+	"alock/internal/cluster"
 	"alock/internal/core"
 	"alock/internal/locks"
 	"alock/internal/locktable"
@@ -20,7 +21,11 @@ import (
 	"alock/internal/workload"
 )
 
-// Config fully describes one experiment run.
+// Config fully describes one experiment run. It is the one place an
+// experiment axis is declared: the field, its doc comment and — through
+// Validate — its rules. The CLIs bind flags straight into it, workloadSpec
+// and serviceSpec hand each axis to the layer that implements it, and that
+// layer's own Validate states the axis's range.
 type Config struct {
 	// Algorithm is a name accepted by locks.ByName.
 	Algorithm string
@@ -106,7 +111,7 @@ type Config struct {
 	// backoff), or "wait-die" (age = first fencing token; younger waiters
 	// self-abort against older holders). The unordered policies need an
 	// algorithm with a native timed path — filter and bakery block through
-	// deadlines and would genuinely deadlock, so Run rejects them.
+	// deadlines and would genuinely deadlock, so Validate rejects them.
 	TxnPolicy string
 	// TxnBackoff is the base backoff window for transaction retries
 	// (required by timeout-backoff; optional die padding for wait-die).
@@ -123,7 +128,9 @@ type Config struct {
 	// admission queues. Open-loop runs support ReadPct, CSWork, ZipfS
 	// (key popularity), BurstOn/Off, AcquireTimeout, HomeSkewPct, Oracle
 	// and EngineShards; the closed-loop-only knobs (TargetOps, Think,
-	// locality, leases, abandonment, pairs, transactions) are rejected.
+	// leases, abandonment, pairs, transactions) are rejected and
+	// LocalityPct is not consulted. A negative or NaN rate is an error,
+	// not a closed-loop run.
 	ArrivalRate float64 `json:",omitempty"`
 	// Clients is the logical client population (arrival events carry a
 	// client ID drawn from it); 0 defaults to one million.
@@ -226,63 +233,122 @@ func (c Config) engineOptions() []sim.Option {
 	return opts
 }
 
-// Validate rejects configurations the simulator cannot represent.
+// Validate is the one configuration gate: it applies the defaults Run
+// applies and resolves the config exactly as Run does, so a nil error
+// guarantees Run fails on nothing the config says. Range rules live with
+// the layer that owns the axis — workload.Spec.Validate (per-operation
+// axes), cluster.Spec.Validate (service deployment), locks.ByName
+// (algorithm and budgets), the placement and admission parsers,
+// model.Params.Validate — and are reached through the same spec builders
+// the run uses; only cluster-shape, window, engine and cross-mode rules
+// are stated here.
 func (c Config) Validate() error {
-	if c.Nodes < 1 || c.Nodes > 16 {
-		return fmt.Errorf("harness: nodes %d out of range 1..16 (4-bit node IDs)", c.Nodes)
+	_, err := c.withDefaults().check()
+	return err
+}
+
+// plan is a checked config resolved into the pieces a run is built from.
+// check is its only producer, which is what keeps Validate and Run in
+// agreement.
+type plan struct {
+	cfg  Config
+	prov locks.Provider
+	work workload.Spec // closed loop: every thread's operation loop
+	svc  cluster.Spec  // open loop: the service deployment
+}
+
+// workloadSpec maps the per-operation axes onto the closed-loop thread
+// spec. Open-loop runs validate through it too: locality, key skew,
+// bursts, read share, hold time and deadlines mean the same thing in both
+// modes, so their range rules are stated once, in workload.Spec.Validate.
+func (c Config) workloadSpec() workload.Spec {
+	return workload.Spec{
+		LocalityPct:      c.LocalityPct,
+		CSWork:           c.CSWork,
+		Think:            c.Think,
+		WarmupNS:         c.WarmupNS,
+		ZipfS:            c.ZipfS,
+		BurstOnNS:        c.BurstOn.Nanoseconds(),
+		BurstOffNS:       c.BurstOff.Nanoseconds(),
+		ReadPct:          c.ReadPct,
+		LeaseProb:        c.LeaseProb,
+		LeaseHoldNS:      c.LeaseHold.Nanoseconds(),
+		AcquireTimeoutNS: c.AcquireTimeout.Nanoseconds(),
+		AbandonProb:      c.AbandonProb,
+		AbandonHoldNS:    c.AbandonHold.Nanoseconds(),
+		PairProb:         c.PairProb,
+		TxnLocks:         c.TxnLocks,
+		TxnOrder:         c.TxnOrder,
+		TxnPolicy:        c.TxnPolicy,
+		TxnBackoffNS:     c.TxnBackoff.Nanoseconds(),
+		TxnRing:          c.TxnRing,
 	}
-	if c.ThreadsPerNode < 1 {
-		return fmt.Errorf("harness: threads per node %d", c.ThreadsPerNode)
+}
+
+// serviceSpec maps the open-loop axes onto the service deployment; the
+// error is an unknown admission policy name.
+func (c Config) serviceSpec() (cluster.Spec, error) {
+	policy, err := cluster.ParsePolicy(c.SvcAdmission)
+	return cluster.Spec{
+		Shards:          c.SvcShards,
+		WorkersPerShard: c.ThreadsPerNode,
+		Clients:         c.Clients,
+		RateOPS:         c.ArrivalRate,
+		QueueCap:        c.SvcQueueCap,
+		Policy:          policy,
+		ReadPct:         c.ReadPct,
+		CSWorkNS:        c.CSWork.Nanoseconds(),
+		TimeoutNS:       c.AcquireTimeout.Nanoseconds(),
+		WarmupNS:        c.WarmupNS,
+		BurstOnNS:       c.BurstOn.Nanoseconds(),
+		BurstOffNS:      c.BurstOff.Nanoseconds(),
+	}, err
+}
+
+// check resolves a config that has its defaults applied, or says why it
+// cannot run.
+func (c Config) check() (plan, error) {
+	fail := func(format string, args ...any) (plan, error) {
+		return plan{}, fmt.Errorf("harness: "+format, args...)
+	}
+	if c.Nodes < 1 || c.Nodes > 16 {
+		return fail("nodes %d out of range 1..16 (4-bit node IDs)", c.Nodes)
 	}
 	if c.Locks < 1 {
-		return fmt.Errorf("harness: lock table size %d", c.Locks)
+		return fail("lock table size %d", c.Locks)
 	}
-	if c.LocalityPct < 0 || c.LocalityPct > 100 {
-		return fmt.Errorf("harness: locality %d%%", c.LocalityPct)
-	}
-	if c.MeasureNS <= 0 || c.WarmupNS < 0 {
-		return fmt.Errorf("harness: bad windows warmup=%d measure=%d", c.WarmupNS, c.MeasureNS)
+	if c.MeasureNS <= 0 {
+		return fail("measurement window %d ns", c.MeasureNS)
 	}
 	if c.HomeSkewPct < 0 || c.HomeSkewPct > 100 {
-		return fmt.Errorf("harness: home skew %d%%", c.HomeSkewPct)
+		return fail("home skew %d%%", c.HomeSkewPct)
 	}
-	if c.BurstOn < 0 || c.BurstOff < 0 || (c.BurstOn > 0) != (c.BurstOff > 0) {
-		return fmt.Errorf("harness: burst phases need both on and off (on=%v off=%v)",
-			c.BurstOn, c.BurstOff)
-	}
-	if c.ReadPct < 0 || c.ReadPct > 100 {
-		return fmt.Errorf("harness: read share %d%%", c.ReadPct)
-	}
-	if c.LeaseProb < 0 || c.LeaseProb > 1 || c.LeaseHold < 0 ||
-		(c.LeaseProb > 0) != (c.LeaseHold > 0) {
-		return fmt.Errorf("harness: lease needs both probability and hold (prob=%v hold=%v)",
-			c.LeaseProb, c.LeaseHold)
-	}
-	if c.AcquireTimeout < 0 {
-		return fmt.Errorf("harness: negative acquire timeout %v", c.AcquireTimeout)
-	}
-	if c.AbandonProb < 0 || c.AbandonProb > 1 || c.AbandonHold < 0 ||
-		(c.AbandonProb > 0) != (c.AbandonHold > 0) {
-		return fmt.Errorf("harness: abandon needs both probability and hold (prob=%v hold=%v)",
-			c.AbandonProb, c.AbandonHold)
+	if c.WordsPerNode < 1 {
+		return fail("words per node %d", c.WordsPerNode)
 	}
 	if c.AbandonProb > 0 && c.AcquireTimeout <= 0 {
 		// A wedged lock with unbounded waiters makes no progress at all;
 		// the timeout is the recovery story's other half.
-		return fmt.Errorf("harness: AbandonProb requires AcquireTimeout so waiters can escape")
-	}
-	if c.PairProb < 0 || c.PairProb > 1 {
-		return fmt.Errorf("harness: pair probability %v out of range", c.PairProb)
+		return fail("AbandonProb requires AcquireTimeout so waiters can escape")
 	}
 	if c.TxnLocks > c.Locks {
-		return fmt.Errorf("harness: TxnLocks %d exceeds the lock table (%d)", c.TxnLocks, c.Locks)
+		return fail("TxnLocks %d exceeds the lock table (%d)", c.TxnLocks, c.Locks)
 	}
 	if c.EngineShards < 0 {
-		return fmt.Errorf("harness: negative engine shards %d", c.EngineShards)
+		return fail("negative engine shards %d", c.EngineShards)
 	}
 	if c.Oracle && c.EngineShards > 0 {
-		return fmt.Errorf("harness: Oracle is the single-queue serial reference and takes no engine workers (EngineShards=%d)", c.EngineShards)
+		return fail("Oracle is the single-queue serial reference and takes no engine workers (EngineShards=%d)", c.EngineShards)
 	}
+	if c.ArrivalRate != 0 && !c.OpenLoop() {
+		// Negative or NaN: not an open-loop rate, and too deliberate to
+		// run as the closed loop it would otherwise select.
+		return fail("arrival rate %v ops/s (want > 0, or 0 for a closed-loop run)", c.ArrivalRate)
+	}
+
+	p := plan{cfg: c, work: c.workloadSpec()}
+	threads := c.Nodes * c.ThreadsPerNode
+	var err error
 	if c.OpenLoop() {
 		// TargetOps is a global countdown shared across every thread —
 		// cross-shard order-dependent state the windowed executor refuses
@@ -290,35 +356,76 @@ func (c Config) Validate() error {
 		// layer exists to run wide, so the combination is a config error,
 		// not a fallback.
 		if c.TargetOps > 0 {
-			return fmt.Errorf("harness: open-loop service runs (ArrivalRate > 0) cannot use TargetOps: " +
+			return fail("open-loop service runs (ArrivalRate > 0) cannot use TargetOps: " +
 				"the global op countdown is cross-shard order-dependent; bound the run with MeasureNS instead")
 		}
 		if c.Think > 0 {
-			return fmt.Errorf("harness: Think is closed-loop pacing; open-loop load is set by ArrivalRate")
+			return fail("Think is closed-loop pacing; open-loop load is set by ArrivalRate")
 		}
 		if c.LeaseProb > 0 || c.AbandonProb > 0 || c.PairProb > 0 || c.TxnLocks > 0 {
-			return fmt.Errorf("harness: open-loop service runs support plain lock/unlock operations only "+
+			return fail("open-loop service runs support plain lock/unlock operations only "+
 				"(lease=%v abandon=%v pair=%v txn=%d)", c.LeaseProb, c.AbandonProb, c.PairProb, c.TxnLocks)
 		}
-		if c.SvcShards < 1 {
-			return fmt.Errorf("harness: service shards %d", c.SvcShards)
+		if p.svc, err = c.serviceSpec(); err != nil {
+			return plan{}, err
 		}
-		if c.SvcQueueCap < 1 {
-			return fmt.Errorf("harness: service queue capacity %d", c.SvcQueueCap)
+		if err = p.svc.Validate(); err != nil {
+			return plan{}, err
 		}
-		if c.Clients < 1 {
-			return fmt.Errorf("harness: client population %d", c.Clients)
+		// The name check only: the placement itself needs the lock table
+		// and is built with it in runService (a hash ring of 64 points per
+		// shard — microseconds against the run it precedes).
+		if _, err = cluster.NewPlacement(c.SvcPlacement, c.SvcShards, nil); err != nil {
+			return plan{}, err
 		}
-	} else if c.Clients != 0 || c.SvcShards != 0 || c.SvcPlacement != "" ||
-		c.SvcQueueCap != 0 || c.SvcAdmission != "" || c.SvcRebalance {
-		return fmt.Errorf("harness: service knobs (clients/shards/placement/queue/admission/rebalance) " +
-			"require an open-loop run: set ArrivalRate > 0")
+		threads = c.SvcShards * c.ThreadsPerNode
+	} else {
+		if c.ThreadsPerNode < 1 {
+			return fail("threads per node %d", c.ThreadsPerNode)
+		}
+		if c.Clients != 0 || c.SvcShards != 0 || c.SvcPlacement != "" ||
+			c.SvcQueueCap != 0 || c.SvcAdmission != "" || c.SvcRebalance {
+			return fail("service knobs (clients/shards/placement/queue/admission/rebalance) " +
+				"require an open-loop run: set ArrivalRate > 0")
+		}
 	}
-	// The transaction knobs themselves (k >= 2, policy/order names, the
-	// policies' deadline and backoff requirements) are validated by
-	// workload.Spec.Validate through the spec Run builds; checking there
-	// keeps one source of truth.
-	return c.Model.Validate()
+	if err = p.work.Validate(); err != nil {
+		return plan{}, err
+	}
+
+	p.prov, err = locks.ByName(c.Algorithm, locks.Options{
+		ALockConfig: core.Config{
+			LocalBudget:  c.LocalBudget,
+			RemoteBudget: c.RemoteBudget,
+		},
+		RW: locks.RWConfig{
+			ReadBudget:  c.ReadBudget,
+			WriteBudget: c.WriteBudget,
+		},
+		Threads: threads,
+		// Deadlines need the abandonment-tolerant handoff protocol; every
+		// other config keeps the paper-exact paths (bit-identical replay).
+		Timed: c.AcquireTimeout > 0,
+	})
+	if err != nil {
+		return plan{}, err
+	}
+	// The unordered deadlock policies recover through real timeouts, so
+	// every participant of a conflict cycle must be able to abandon its
+	// acquire: algorithms whose deadlines are best-effort (filter, bakery
+	// block straight through them) or whose waiters can commit while the
+	// grant still depends on another holder (alock's cohort leaders) would
+	// deadlock — reject them up front instead of wedging the simulation.
+	if workload.TxnConfigOf(p.work).NeedsTimedPath {
+		if _, ok := p.prov.(locks.AbortableTimedProvider); !ok {
+			return fail("txn policy %q needs a fully abortable timed path, which algorithm %q lacks",
+				c.TxnPolicy, c.Algorithm)
+		}
+	}
+	if err = c.Model.Validate(); err != nil {
+		return plan{}, err
+	}
+	return p, nil
 }
 
 // NICTotals aggregates the fabric counters over all nodes.
@@ -399,95 +506,82 @@ type Result struct {
 	Svc *SvcStats `json:",omitempty"`
 }
 
-// Run executes one experiment.
+// Run executes one experiment. The closed loop and the open-loop service
+// share everything except who issues operations: a fixed thread population
+// looping as fast as the locks allow, or per-shard Poisson generators
+// offering a configured load to bounded worker pools (service.go).
 func Run(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.OpenLoop() {
-		return runService(cfg)
-	}
-
-	threads := cfg.Nodes * cfg.ThreadsPerNode
-	prov, err := locks.ByName(cfg.Algorithm, locks.Options{
-		ALockConfig: core.Config{
-			LocalBudget:  cfg.LocalBudget,
-			RemoteBudget: cfg.RemoteBudget,
-		},
-		RW: locks.RWConfig{
-			ReadBudget:  cfg.ReadBudget,
-			WriteBudget: cfg.WriteBudget,
-		},
-		Threads: threads,
-		// Deadlines need the abandonment-tolerant handoff protocol; every
-		// other config keeps the paper-exact paths (bit-identical replay).
-		Timed: cfg.AcquireTimeout > 0,
-	})
+	p, err := cfg.withDefaults().check()
 	if err != nil {
 		return Result{}, err
 	}
+	s := p.prepare()
+	if p.cfg.OpenLoop() {
+		return s.runService()
+	}
+	return s.runClosedLoop(), nil
+}
 
-	spec := workload.Spec{
-		LocalityPct:      cfg.LocalityPct,
-		CSWork:           cfg.CSWork,
-		Think:            cfg.Think,
-		WarmupNS:         cfg.WarmupNS,
-		ZipfS:            cfg.ZipfS,
-		BurstOnNS:        cfg.BurstOn.Nanoseconds(),
-		BurstOffNS:       cfg.BurstOff.Nanoseconds(),
-		ReadPct:          cfg.ReadPct,
-		LeaseProb:        cfg.LeaseProb,
-		LeaseHoldNS:      cfg.LeaseHold.Nanoseconds(),
-		AcquireTimeoutNS: cfg.AcquireTimeout.Nanoseconds(),
-		AbandonProb:      cfg.AbandonProb,
-		AbandonHoldNS:    cfg.AbandonHold.Nanoseconds(),
-		PairProb:         cfg.PairProb,
-		TxnLocks:         cfg.TxnLocks,
-		TxnOrder:         cfg.TxnOrder,
-		TxnPolicy:        cfg.TxnPolicy,
-		TxnBackoffNS:     cfg.TxnBackoff.Nanoseconds(),
-		TxnRing:          cfg.TxnRing,
-	}
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
+// simulation is one prepared run: the engine, the lock table laid out and
+// registered with the provider, and the fencing authority.
+type simulation struct {
+	plan
+	e     *sim.Engine
+	table *locktable.Table
+	// One fencing authority per run: grant order (hence every token) is
+	// part of the deterministic schedule. It lives outside simulated
+	// memory, so the token layer costs no simulated operations.
+	ft *locks.FenceTable
+}
 
-	// Transaction state shared across the run. The unordered deadlock
-	// policies recover through real timeouts, so every participant of a
-	// conflict cycle must be able to abandon its acquire: algorithms whose
-	// deadlines are best-effort (filter, bakery block straight through
-	// them) or whose waiters can commit while the grant still depends on
-	// another holder (alock's cohort leaders) would deadlock — reject them
-	// up front instead of wedging the simulation.
-	txn := workload.TxnConfigOf(spec)
-	if txn.NeedsTimedPath {
-		if _, ok := prov.(locks.AbortableTimedProvider); !ok {
-			return Result{}, fmt.Errorf(
-				"harness: txn policy %q needs a fully abortable timed path, which algorithm %q lacks",
-				cfg.TxnPolicy, cfg.Algorithm)
-		}
-	}
-	var ages *workload.AgeTable
-	if txn.NeedsAges {
-		ages = workload.NewAgeTable()
-	}
-
+func (p plan) prepare() *simulation {
+	cfg := p.cfg
 	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
 	layout := locktable.RoundRobinHome
 	if cfg.HomeSkewPct > 0 {
 		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)
 	}
 	table := locktable.NewWithLayout(e.Space(), cfg.Locks, layout)
-	prov.Prepare(e.Space(), table.All())
+	p.prov.Prepare(e.Space(), table.All())
+	return &simulation{plan: p, e: e, table: table, ft: locks.NewFenceTable()}
+}
 
+// finish fills in what every run reports the same way once res.Ops is
+// known: the echoed config, the recorded span and throughput, the fabric
+// totals and the lock-internal counters.
+func (s *simulation) finish(res *Result, firstRec, lastRec int64, cutShort bool) {
+	res.Config = s.cfg
+	res.Events = s.e.Events()
+	res.SpanNS = recordedSpan(firstRec, lastRec, s.cfg.WarmupNS, cutShort)
+	if res.Ops > 0 {
+		res.Throughput = float64(res.Ops) / (float64(res.SpanNS) / 1e9)
+	}
+	for n := 0; n < s.cfg.Nodes; n++ {
+		st := s.e.NIC(n).Stats()
+		res.NIC.Verbs += st.Verbs
+		res.NIC.QPCMisses += st.QPCMisses
+		res.NIC.Slowdowns += st.Slowdowns
+		res.NIC.DistinctQPs += st.DistinctQPs
+		if st.MaxBacklogNS > res.NIC.MaxBacklogNS {
+			res.NIC.MaxBacklogNS = st.MaxBacklogNS
+		}
+	}
+	if agg, ok := s.prov.(locks.StatsAggregator); ok {
+		res.Lock = agg.AggregateStats()
+	}
+}
+
+// runClosedLoop spawns Nodes x ThreadsPerNode workload threads and merges
+// their per-thread results.
+func (s *simulation) runClosedLoop() Result {
+	cfg, e := s.cfg, s.e
+	txn := workload.TxnConfigOf(s.work)
+	var ages *workload.AgeTable
+	if txn.NeedsAges {
+		ages = workload.NewAgeTable()
+	}
 	prng := sim.NewPartitionedRNG(cfg.Seed)
-
-	// One fencing authority per run: grant order (hence every token) is
-	// part of the deterministic schedule. It lives outside simulated
-	// memory, so the token layer costs no simulated operations.
-	ft := locks.NewFenceTable()
-	results := make([]workload.ThreadResult, threads)
+	results := make([]workload.ThreadResult, cfg.Nodes*cfg.ThreadsPerNode)
 	// The shared op counter exists only for TargetOps early stop; it is
 	// engine-serialized state, so don't even hand it out on runs that never
 	// read it (those are the runs allowed to execute parallel windows).
@@ -503,19 +597,19 @@ func Run(cfg Config) (Result, error) {
 			node := n
 			idx++
 			e.Spawn(node, func(ctx api.Ctx) {
-				h := locks.TokenHandleFor(prov, ctx, ft)
+				h := locks.TokenHandleFor(s.prov, ctx, s.ft)
 				env := workload.Env{Ages: ages}
 				if txn.NeedsBackoff {
 					env.Backoff = prng.Stream(sim.SubsystemBackoff, slot)
 				}
-				results[slot] = workload.RunEnv(ctx, h, table, spec, env,
+				results[slot] = workload.RunEnv(ctx, h, s.table, s.work, env,
 					opsPtr, cfg.TargetOps, e)
 			})
 		}
 	}
 	e.Run(cfg.WarmupNS + cfg.MeasureNS)
 
-	res := Result{Config: cfg, Events: e.Events()}
+	var res Result
 	var hist, readHist, writeHist, timeoutHist stats.Hist
 	var retryHist, commitHist stats.Hist
 	var firstRec, lastRec int64
@@ -547,11 +641,6 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	}
-	res.SpanNS = recordedSpan(firstRec, lastRec, cfg.WarmupNS,
-		cfg.TargetOps > 0 && res.Ops >= cfg.TargetOps)
-	if res.Ops > 0 {
-		res.Throughput = float64(res.Ops) / (float64(res.SpanNS) / 1e9)
-	}
 	res.Latency = hist.Summarize()
 	res.ReadLatency = readHist.Summarize()
 	res.WriteLatency = writeHist.Summarize()
@@ -559,21 +648,8 @@ func Run(cfg Config) (Result, error) {
 	res.TxnRetryHist = retryHist.Summarize()
 	res.CommitLatency = commitHist.Summarize()
 	res.CDF = hist.CDF()
-
-	for n := 0; n < cfg.Nodes; n++ {
-		st := e.NIC(n).Stats()
-		res.NIC.Verbs += st.Verbs
-		res.NIC.QPCMisses += st.QPCMisses
-		res.NIC.Slowdowns += st.Slowdowns
-		res.NIC.DistinctQPs += st.DistinctQPs
-		if st.MaxBacklogNS > res.NIC.MaxBacklogNS {
-			res.NIC.MaxBacklogNS = st.MaxBacklogNS
-		}
-	}
-	if agg, ok := prov.(locks.StatsAggregator); ok {
-		res.Lock = agg.AggregateStats()
-	}
-	return res, nil
+	s.finish(&res, firstRec, lastRec, cfg.TargetOps > 0 && res.Ops >= cfg.TargetOps)
+	return res
 }
 
 // recordedSpan picks the span the throughput is computed over. A run that

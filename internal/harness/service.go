@@ -1,21 +1,13 @@
-// service.go is the harness's open-loop run path: configs with
-// ArrivalRate > 0 are executed by the lock-service layer
-// (internal/cluster) instead of closed-loop workload threads. The two
-// paths share Config, Result, the lock providers, the lock table and the
-// engine; they differ in who issues operations — a fixed thread population
-// looping as fast as the locks allow (closed loop) versus per-shard
-// Poisson arrival generators offering a configured load to bounded worker
-// pools (open loop).
+// service.go is the harness's open-loop operation source: configs with
+// ArrivalRate > 0 are driven by the lock-service layer (internal/cluster)
+// instead of closed-loop workload threads. Everything else — the gate, the
+// prepared simulation, span, fabric and lock statistics — is Run's.
 package harness
 
 import (
 	"fmt"
 
 	"alock/internal/cluster"
-	"alock/internal/core"
-	"alock/internal/locks"
-	"alock/internal/locktable"
-	"alock/internal/sim"
 	"alock/internal/stats"
 )
 
@@ -58,38 +50,13 @@ type SvcStats struct {
 	HoldTime    stats.Summary
 }
 
-// runService executes one open-loop lock-service run. cfg has defaults
-// applied and passed Validate.
-func runService(cfg Config) (Result, error) {
-	workers := cfg.SvcShards * cfg.ThreadsPerNode
-	prov, err := locks.ByName(cfg.Algorithm, locks.Options{
-		ALockConfig: core.Config{
-			LocalBudget:  cfg.LocalBudget,
-			RemoteBudget: cfg.RemoteBudget,
-		},
-		RW: locks.RWConfig{
-			ReadBudget:  cfg.ReadBudget,
-			WriteBudget: cfg.WriteBudget,
-		},
-		Threads: workers,
-		Timed:   cfg.AcquireTimeout > 0,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
+// runService installs the lock service on the prepared simulation, runs
+// it, and reports the service-level outcome next to the common Result.
+func (s *simulation) runService() (Result, error) {
+	cfg := s.cfg
 	// The service keeps every piece of Go-side state shard-local by
 	// construction, so open-loop runs are safe at any worker width.
-	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
-	layout := locktable.RoundRobinHome
-	if cfg.HomeSkewPct > 0 {
-		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)
-	}
-	table := locktable.NewWithLayout(e.Space(), cfg.Locks, layout)
-	prov.Prepare(e.Space(), table.All())
-	ft := locks.NewFenceTable()
-
-	place, err := cluster.NewPlacement(cfg.SvcPlacement, cfg.SvcShards, table)
+	place, err := cluster.NewPlacement(cfg.SvcPlacement, cfg.SvcShards, s.table)
 	if err != nil {
 		return Result{}, err
 	}
@@ -97,29 +64,11 @@ func runService(cfg Config) (Result, error) {
 	if cfg.SvcRebalance {
 		place = cluster.RebalanceHotKeys(place, weights, cfg.SvcShards)
 	}
-	policy, err := cluster.ParsePolicy(cfg.SvcAdmission)
+	cl, err := cluster.Install(s.e, s.table, s.prov, s.ft, place, weights, s.svc)
 	if err != nil {
 		return Result{}, err
 	}
-	spec := cluster.Spec{
-		Shards:          cfg.SvcShards,
-		WorkersPerShard: cfg.ThreadsPerNode,
-		Clients:         cfg.Clients,
-		RateOPS:         cfg.ArrivalRate,
-		QueueCap:        cfg.SvcQueueCap,
-		Policy:          policy,
-		ReadPct:         cfg.ReadPct,
-		CSWorkNS:        cfg.CSWork.Nanoseconds(),
-		TimeoutNS:       cfg.AcquireTimeout.Nanoseconds(),
-		WarmupNS:        cfg.WarmupNS,
-		BurstOnNS:       cfg.BurstOn.Nanoseconds(),
-		BurstOffNS:      cfg.BurstOff.Nanoseconds(),
-	}
-	cl, err := cluster.Install(e, table, prov, ft, place, weights, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	e.Run(cfg.WarmupNS + cfg.MeasureNS)
+	s.e.Run(cfg.WarmupNS + cfg.MeasureNS)
 	m := cl.Metrics()
 	if m.Offered != m.Served+m.Shed {
 		// The conservation invariant is structural; failing it means the
@@ -128,38 +77,21 @@ func runService(cfg Config) (Result, error) {
 			m.Offered, m.Served, m.Shed)
 	}
 
-	res := Result{Config: cfg, Events: e.Events()}
+	var res Result
 	res.Ops = m.RecServed
 	res.ReadOps = m.RecReads
 	res.WriteOps = m.RecWrites
 	res.Timeouts = m.RecTimeouts
-	res.SpanNS = recordedSpan(m.FirstRecNS, m.LastRecNS, cfg.WarmupNS, false)
-	if res.Ops > 0 {
-		res.Throughput = float64(res.Ops) / (float64(res.SpanNS) / 1e9)
-	}
 	res.Latency = m.E2E.Summarize()
 	res.ReadLatency = m.ReadE2E.Summarize()
 	res.WriteLatency = m.WriteE2E.Summarize()
 	res.CDF = m.E2E.CDF()
-
-	for n := 0; n < cfg.Nodes; n++ {
-		st := e.NIC(n).Stats()
-		res.NIC.Verbs += st.Verbs
-		res.NIC.QPCMisses += st.QPCMisses
-		res.NIC.Slowdowns += st.Slowdowns
-		res.NIC.DistinctQPs += st.DistinctQPs
-		if st.MaxBacklogNS > res.NIC.MaxBacklogNS {
-			res.NIC.MaxBacklogNS = st.MaxBacklogNS
-		}
-	}
-	if agg, ok := prov.(locks.StatsAggregator); ok {
-		res.Lock = agg.AggregateStats()
-	}
+	s.finish(&res, m.FirstRecNS, m.LastRecNS, false)
 
 	res.Svc = &SvcStats{
 		Shards:       cfg.SvcShards,
 		Placement:    place.Name(),
-		Policy:       policy.String(),
+		Policy:       s.svc.Policy.String(),
 		QueueCap:     cfg.SvcQueueCap,
 		Clients:      cfg.Clients,
 		Offered:      m.RecOffered,

@@ -229,6 +229,11 @@ func ByName(name string, opts Options) (Provider, error) {
 		def := core.DefaultConfig()
 		def.ForceRemote = cfg.ForceRemote
 		cfg = def
+	} else if err := cfg.Validate(); err != nil {
+		// A half-set pair would otherwise panic the first NewHandle, inside
+		// the simulation; like the RW budgets below it is rejected for
+		// every algorithm, not only the ones that read it.
+		return nil, err
 	}
 	rwCfg := opts.RW
 	if rwCfg == (RWConfig{}) {

@@ -849,11 +849,6 @@ type RWQueueProvider struct {
 	Timed bool
 }
 
-// NewRWQueueProvider returns a provider with the default budgets.
-func NewRWQueueProvider() *RWQueueProvider {
-	return &RWQueueProvider{Cfg: DefaultRWConfig()}
-}
-
 // Name implements Provider.
 func (*RWQueueProvider) Name() string { return "rw-queue" }
 

@@ -1,6 +1,8 @@
 // Package report renders harness results as the rows and series the paper
 // reports: aligned text tables for the terminal and CSV for replotting.
-// One renderer exists per table/figure of the evaluation.
+// One renderer exists per table/figure of the evaluation; the four
+// per-run renderers (Sweep, FigureRW and their CSVs) are views of the one
+// column list in columns.go.
 package report
 
 import (
@@ -11,7 +13,6 @@ import (
 	"unicode/utf8"
 
 	"alock/internal/harness"
-	"alock/internal/stats"
 )
 
 // writeTable renders rows as an aligned text table with a header. Column
@@ -363,140 +364,44 @@ func shardServed(counts []int64) string {
 	return b.String()
 }
 
-// CDFSparkline renders a tiny ASCII CDF for terminal output.
-func CDFSparkline(pts []stats.Point, width int) string {
-	if len(pts) == 0 || width <= 0 {
-		return ""
-	}
-	marks := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	for i := 0; i < width; i++ {
-		q := float64(i+1) / float64(width)
-		// Find first point with F >= q.
-		v := pts[len(pts)-1].F
-		for _, p := range pts {
-			if p.F >= q {
-				v = p.F
-				break
-			}
-		}
-		idx := int(v*float64(len(marks)-1) + 0.5)
-		if idx >= len(marks) {
-			idx = len(marks) - 1
-		}
-		b.WriteRune(marks[idx])
-	}
-	return b.String()
-}
-
 // Sweep renders an arbitrary batch of results — a scenario expansion — as
 // one row per run, with the config knobs that differ between runs spelled
-// out alongside throughput and tail latency.
+// out alongside throughput and tail latency. Per-class latency, outcome,
+// transaction and service columns appear only when some run has them.
 func Sweep(w io.Writer, title string, results []harness.Result) {
-	// Per-class latency columns appear only when some run recorded reads;
-	// outcome columns only when some run recorded non-happy-path outcomes;
-	// transaction columns only when some run ran the transaction layer.
-	hasReads, hasOutcomes, hasTxn, hasSvc := false, false, false, false
-	for _, r := range results {
-		if r.ReadOps > 0 {
-			hasReads = true
-		}
-		if r.Timeouts > 0 || r.Abandons > 0 || r.FencedReleases > 0 || r.LateAcquires > 0 {
-			hasOutcomes = true
-		}
-		if r.Config.TxnLocks >= 2 {
-			hasTxn = true
-		}
-		if r.Svc != nil {
-			hasSvc = true
-		}
-	}
-	var rows [][]string
-	for _, r := range results {
-		c := r.Config
-		row := []string{
-			c.Algorithm,
-			fmt.Sprintf("%dx%d", c.Nodes, c.ThreadsPerNode),
-			fmt.Sprintf("%d", c.Locks),
-			fmt.Sprintf("%d%%", c.LocalityPct),
-			workloadExtras(c),
-			ops(r.Throughput),
-			ns(r.Latency.P50NS),
-			ns(r.Latency.P99NS),
-		}
-		if hasReads {
-			rp99, wp99 := "-", "-"
-			if r.ReadOps > 0 {
-				rp99 = ns(r.ReadLatency.P99NS)
-			}
-			if r.WriteOps > 0 {
-				wp99 = ns(r.WriteLatency.P99NS)
-			}
-			row = append(row, rp99, wp99)
-		}
-		if hasOutcomes {
-			row = append(row,
-				fmt.Sprintf("%d", r.Timeouts),
-				fmt.Sprintf("%d", r.Abandons),
-				fmt.Sprintf("%d", r.FencedReleases),
-				fmt.Sprintf("%d", r.LateAcquires))
-		}
-		if hasTxn {
-			row = append(row, txnCells(r)...)
-		}
-		if hasSvc {
-			row = append(row, svcCells(r)...)
-		}
-		rows = append(rows, row)
-	}
-	header := []string{"algorithm", "cluster", "locks", "locality", "workload", "throughput(ops/s)", "p50", "p99"}
-	if hasReads {
-		header = append(header, "read p99", "write p99")
-	}
-	if hasOutcomes {
-		header = append(header, "timeouts", "abandons", "fenced", "late")
-	}
-	if hasTxn {
-		header = append(header, txnHeader...)
-	}
-	if hasSvc {
-		header = append(header, svcHeader...)
-	}
+	header, rows := sweepView.table(results)
 	writeTable(w, title, header, rows)
 }
 
-// svcHeader / svcCells are the lock-service columns shared by the sweep
-// and Figure RW tables: offered load vs goodput, shed count, and the
-// queue-wait vs hold-time decomposition tails.
-var svcHeader = []string{"offered(ops/s)", "shed", "qwait p99", "hold p99"}
-
-func svcCells(r harness.Result) []string {
-	s := r.Svc
-	if s == nil {
-		return []string{"-", "-", "-", "-"}
-	}
-	return []string{
-		ops(s.OfferedOPS),
-		fmt.Sprintf("%d", s.Shed),
-		ns(s.QueueWait.P99NS),
-		ns(s.HoldTime.P99NS),
+// SweepCSV emits one CSV row per run of a scenario sweep.
+func SweepCSV(w io.Writer, name string, results []harness.Result) {
+	fmt.Fprintln(w, sweepView.csvHeader("scenario"))
+	for _, r := range results {
+		fmt.Fprintln(w, sweepView.csvRow(name, r))
 	}
 }
 
-// txnHeader / txnCells are the transaction-layer columns shared by the
-// sweep and Figure RW tables.
-var txnHeader = []string{"commits", "txn aborts", "retries", "retry p99", "commit p99"}
-
-func txnCells(r harness.Result) []string {
-	if r.Config.TxnLocks < 2 {
-		return []string{"-", "-", "-", "-", "-"}
+// FigureRW renders the reader/writer and failure figure: one table per
+// scenario family, one row per run, with per-class (read vs write) tail
+// latencies next to throughput — the storm's cost shows up in the write
+// tail long before it shows in aggregate throughput. Families whose runs
+// produce acquisition outcomes beyond the happy path (timeouts, abandons,
+// fenced releases) grow the outcome columns.
+func FigureRW(w io.Writer, groups []harness.FigRWGroup) {
+	for _, g := range groups {
+		header, rows := figRWView.table(g.Results)
+		writeTable(w, "Figure RW: "+g.Name, header, rows)
 	}
-	return []string{
-		fmt.Sprintf("%d", r.TxnCommits),
-		fmt.Sprintf("%d", r.TxnAborts),
-		fmt.Sprintf("%d", r.TxnRetries),
-		fmt.Sprintf("%d", r.TxnRetryHist.P99NS),
-		ns(r.CommitLatency.P99NS),
+}
+
+// FigureRWCSV emits one CSV row per run of the reader/writer figure, with
+// per-algorithm read and write percentile columns for replotting.
+func FigureRWCSV(w io.Writer, groups []harness.FigRWGroup) {
+	fmt.Fprintln(w, figRWView.csvHeader("figure,scenario"))
+	for _, g := range groups {
+		for _, r := range g.Results {
+			fmt.Fprintln(w, figRWView.csvRow("figrw,"+g.Name, r))
+		}
 	}
 }
 
@@ -564,148 +469,6 @@ func txnPolicyName(c harness.Config) string {
 		return "ordered"
 	}
 	return c.TxnPolicy
-}
-
-// FigureRW renders the reader/writer and failure figure: one table per
-// scenario family, one row per run, with per-class (read vs write) tail
-// latencies next to throughput — the storm's cost shows up in the write
-// tail long before it shows in aggregate throughput. Families whose runs
-// produce acquisition outcomes beyond the happy path (timeouts, abandons,
-// fenced releases) grow the outcome columns.
-func FigureRW(w io.Writer, groups []harness.FigRWGroup) {
-	for _, g := range groups {
-		hasOutcomes, hasTxn, hasSvc := false, false, false
-		for _, r := range g.Results {
-			if r.Timeouts > 0 || r.Abandons > 0 || r.FencedReleases > 0 || r.LateAcquires > 0 {
-				hasOutcomes = true
-			}
-			if r.Config.TxnLocks >= 2 {
-				hasTxn = true
-			}
-			if r.Svc != nil {
-				hasSvc = true
-			}
-		}
-		var rows [][]string
-		for _, r := range g.Results {
-			c := r.Config
-			rp50, rp99 := "-", "-"
-			if r.ReadOps > 0 {
-				rp50, rp99 = ns(r.ReadLatency.P50NS), ns(r.ReadLatency.P99NS)
-			}
-			wp50, wp99 := "-", "-"
-			if r.WriteOps > 0 {
-				wp50, wp99 = ns(r.WriteLatency.P50NS), ns(r.WriteLatency.P99NS)
-			}
-			row := []string{
-				c.Algorithm,
-				fmt.Sprintf("%dx%d", c.Nodes, c.ThreadsPerNode),
-				fmt.Sprintf("%d", c.Locks),
-				workloadExtras(c),
-				ops(r.Throughput),
-				rp50, rp99, wp50, wp99,
-			}
-			if hasOutcomes {
-				giveUp := "-"
-				if r.Timeouts > 0 {
-					giveUp = ns(r.TimeoutLatency.P99NS)
-				}
-				row = append(row,
-					fmt.Sprintf("%d", r.Timeouts), giveUp,
-					fmt.Sprintf("%d", r.Abandons),
-					fmt.Sprintf("%d", r.FencedReleases),
-					fmt.Sprintf("%d", r.LateAcquires))
-			}
-			if hasTxn {
-				row = append(row, txnCells(r)...)
-			}
-			if hasSvc {
-				row = append(row, svcCells(r)...)
-			}
-			rows = append(rows, row)
-		}
-		header := []string{"algorithm", "cluster", "locks", "workload",
-			"throughput(ops/s)", "read p50", "read p99", "write p50", "write p99"}
-		if hasOutcomes {
-			header = append(header, "timeouts", "give-up p99", "abandons", "fenced", "late")
-		}
-		if hasTxn {
-			header = append(header, txnHeader...)
-		}
-		if hasSvc {
-			header = append(header, svcHeader...)
-		}
-		writeTable(w, "Figure RW: "+g.Name, header, rows)
-	}
-}
-
-// FigureRWCSV emits one CSV row per run of the reader/writer figure, with
-// per-algorithm read and write percentile columns for replotting.
-func FigureRWCSV(w io.Writer, groups []harness.FigRWGroup) {
-	fmt.Fprintln(w, "figure,scenario,algorithm,nodes,threads_per_node,locks,locality_pct,read_pct,lease_prob,lease_hold_ns,jitter_prob,jitter_ns,acquire_timeout_ns,abandon_prob,pair_prob,txn_locks,txn_order,txn_policy,txn_backoff_ns,throughput_ops,read_p50_ns,read_p99_ns,write_p50_ns,write_p99_ns,ops,read_ops,write_ops,timeouts,giveup_p50_ns,giveup_p99_ns,abandons,fenced_releases,late_acquires,pair_ops,txn_commits,txn_aborts,txn_retries,retry_p99,commit_p50_ns,commit_p99_ns,"+svcCSVHeader)
-	for _, g := range groups {
-		for _, r := range g.Results {
-			c := r.Config
-			fmt.Fprintf(w, "figrw,%s,%s,%d,%d,%d,%d,%d,%.4f,%d,%.4f,%d,%d,%.4f,%.4f,%d,%s,%s,%d,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
-				g.Name, c.Algorithm, c.Nodes, c.ThreadsPerNode, c.Locks, c.LocalityPct,
-				c.ReadPct, c.LeaseProb, c.LeaseHold.Nanoseconds(),
-				c.Model.JitterProb, c.Model.JitterNS,
-				c.AcquireTimeout.Nanoseconds(), c.AbandonProb, c.PairProb,
-				c.TxnLocks, c.TxnOrder, c.TxnPolicy, c.TxnBackoff.Nanoseconds(),
-				r.Throughput,
-				r.ReadLatency.P50NS, r.ReadLatency.P99NS,
-				r.WriteLatency.P50NS, r.WriteLatency.P99NS,
-				r.Ops, r.ReadOps, r.WriteOps,
-				r.Timeouts, r.TimeoutLatency.P50NS, r.TimeoutLatency.P99NS,
-				r.Abandons, r.FencedReleases, r.LateAcquires, r.PairOps,
-				r.TxnCommits, r.TxnAborts, r.TxnRetries,
-				r.TxnRetryHist.P99NS, r.CommitLatency.P50NS, r.CommitLatency.P99NS,
-				svcCSVCells(r))
-		}
-	}
-}
-
-// svcCSVHeader / svcCSVCells are the lock-service columns appended to the
-// sweep and Figure RW CSVs; closed-loop rows carry zeros.
-const svcCSVHeader = "arrival_rate_ops,clients,svc_shards,svc_placement,svc_queue_cap,svc_admission,svc_rebalance,offered_ops,goodput_ops,svc_shed,svc_timeouts,max_queue_len,qwait_p50_ns,qwait_p99_ns,qwait_p999_ns,acqwait_p50_ns,acqwait_p99_ns,hold_p50_ns,hold_p99_ns"
-
-func svcCSVCells(r harness.Result) string {
-	s := r.Svc
-	if s == nil {
-		return "0,0,0,,0,,0,0,0,0,0,0,0,0,0,0,0,0,0"
-	}
-	reb := 0
-	if r.Config.SvcRebalance {
-		reb = 1
-	}
-	return fmt.Sprintf("%.1f,%d,%d,%s,%d,%s,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
-		r.Config.ArrivalRate, s.Clients, s.Shards, s.Placement, s.QueueCap, s.Policy, reb,
-		s.OfferedOPS, s.GoodputOPS, s.Shed, s.Timeouts, s.MaxQueueLen,
-		s.QueueWait.P50NS, s.QueueWait.P99NS, s.QueueWait.P999NS,
-		s.AcquireWait.P50NS, s.AcquireWait.P99NS,
-		s.HoldTime.P50NS, s.HoldTime.P99NS)
-}
-
-// SweepCSV emits one CSV row per run of a scenario sweep.
-func SweepCSV(w io.Writer, name string, results []harness.Result) {
-	fmt.Fprintln(w, "scenario,algorithm,nodes,threads_per_node,locks,locality_pct,zipf_s,burst_on_ns,burst_off_ns,home_skew_pct,read_pct,lease_prob,lease_hold_ns,jitter_prob,jitter_ns,acquire_timeout_ns,abandon_prob,pair_prob,txn_locks,txn_order,txn_policy,txn_backoff_ns,throughput_ops,p50_ns,p99_ns,read_p99_ns,write_p99_ns,ops,read_ops,write_ops,timeouts,abandons,fenced_releases,late_acquires,pair_ops,txn_commits,txn_aborts,txn_retries,retry_p99,commit_p50_ns,commit_p99_ns,"+svcCSVHeader)
-	for _, r := range results {
-		c := r.Config
-		fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%.2f,%d,%d,%d,%d,%.4f,%d,%.4f,%d,%d,%.4f,%.4f,%d,%s,%s,%d,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
-			name, c.Algorithm, c.Nodes, c.ThreadsPerNode, c.Locks, c.LocalityPct,
-			c.ZipfS, c.BurstOn.Nanoseconds(), c.BurstOff.Nanoseconds(), c.HomeSkewPct,
-			c.ReadPct, c.LeaseProb, c.LeaseHold.Nanoseconds(),
-			c.Model.JitterProb, c.Model.JitterNS,
-			c.AcquireTimeout.Nanoseconds(), c.AbandonProb, c.PairProb,
-			c.TxnLocks, c.TxnOrder, c.TxnPolicy, c.TxnBackoff.Nanoseconds(),
-			r.Throughput, r.Latency.P50NS, r.Latency.P99NS,
-			r.ReadLatency.P99NS, r.WriteLatency.P99NS,
-			r.Ops, r.ReadOps, r.WriteOps,
-			r.Timeouts, r.Abandons, r.FencedReleases, r.LateAcquires, r.PairOps,
-			r.TxnCommits, r.TxnAborts, r.TxnRetries,
-			r.TxnRetryHist.P99NS, r.CommitLatency.P50NS, r.CommitLatency.P99NS,
-			svcCSVCells(r))
-	}
 }
 
 // QPThrashing renders the QP context-cache sweep (Section 2 extension).

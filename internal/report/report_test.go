@@ -284,14 +284,3 @@ func TestUnitFormatting(t *testing.T) {
 		t.Errorf("ns(1.5ms) = %q", got)
 	}
 }
-
-func TestCDFSparkline(t *testing.T) {
-	pts := []stats.Point{{ValueNS: 1, F: 0.2}, {ValueNS: 2, F: 0.6}, {ValueNS: 3, F: 1.0}}
-	s := CDFSparkline(pts, 8)
-	if len([]rune(s)) != 8 {
-		t.Fatalf("sparkline width = %d", len([]rune(s)))
-	}
-	if CDFSparkline(nil, 8) != "" {
-		t.Fatal("nil points should render empty")
-	}
-}

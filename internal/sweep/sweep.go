@@ -71,11 +71,6 @@ type Runner struct {
 	// under an internal lock (callbacks never race). Completion order is
 	// nondeterministic; use Progress.Index to correlate.
 	OnResult func(Progress)
-	// Stop, when non-nil, is consulted after each completed run (under the
-	// same lock as OnResult); returning true prevents any not-yet-started
-	// run from being dispatched. Already-running configs finish normally.
-	// Skipped entries keep zero Results.
-	Stop func(Progress) bool
 }
 
 // workers resolves the effective worker count for n jobs.
@@ -106,18 +101,17 @@ func (r Runner) Run(cfgs []harness.Config) ([]harness.Result, error) {
 	}
 
 	var (
-		next    atomic.Int64 // next job index to claim
-		stopped atomic.Bool
-		done    int
-		cbMu    sync.Mutex // serializes OnResult/Stop and `done`
-		wg      sync.WaitGroup
+		next atomic.Int64 // next job index to claim
+		done int
+		cbMu sync.Mutex // serializes OnResult and `done`
+		wg   sync.WaitGroup
 	)
 
 	worker := func() {
 		defer wg.Done()
 		for {
 			i := int(next.Add(1) - 1)
-			if i >= len(cfgs) || stopped.Load() {
+			if i >= len(cfgs) {
 				return
 			}
 			res, err := harness.Run(cfgs[i])
@@ -131,9 +125,6 @@ func (r Runner) Run(cfgs []harness.Config) ([]harness.Result, error) {
 			}
 			if r.OnResult != nil {
 				r.OnResult(p)
-			}
-			if r.Stop != nil && r.Stop(p) {
-				stopped.Store(true)
 			}
 			cbMu.Unlock()
 		}

@@ -127,28 +127,6 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-func TestEarlyStop(t *testing.T) {
-	cfgs := testConfigs()
-	stopAfter := 2
-	r := Runner{
-		Parallel: 1, // serial so the stop point is deterministic
-		Stop:     func(p Progress) bool { return p.Done >= stopAfter },
-	}
-	results, err := r.Run(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var completed int
-	for _, res := range results {
-		if res.Ops > 0 {
-			completed++
-		}
-	}
-	if completed != stopAfter {
-		t.Fatalf("completed %d runs, want %d (early stop)", completed, stopAfter)
-	}
-}
-
 func TestBadConfigSurfacesError(t *testing.T) {
 	cfgs := testConfigs()
 	cfgs[1].Nodes = 99 // invalid: 4-bit node IDs

@@ -238,13 +238,15 @@ func releaseTxn(res *ThreadResult, h api.TokenLocker, env Env, spec Spec,
 
 // runTxnLoop is the transaction-mode operation loop: every operation is
 // one k-lock exclusive transaction driven to commit (or to the horizon)
-// under the spec's deadlock policy. It mirrors the single-lock loop's
-// bookkeeping: bursts, think time, warmup gating, TargetOps/MaxOps stops.
+// under the spec's deadlock policy. Bursts and warmup gating follow the
+// single-lock loop; a commit closes through the same opTail.
 func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
 	spec Spec, env Env, opsDone *int64, targetOps int64,
 	stopper StopRequester) ThreadResult {
 
 	var res ThreadResult
+	tail := opTail{ctx: ctx, res: &res, think: spec.Think,
+		opsDone: opsDone, targetOps: targetOps, stopper: stopper}
 	rng := ctx.Rand()
 	skew := table.NewSkew(rng, ctx.NodeID(), spec.ZipfS)
 	policy := spec.txnPolicy()
@@ -386,31 +388,16 @@ func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
 		}
 		end := ctx.Now()
 
-		res.TotalOps++
-		if start >= spec.WarmupNS {
+		recorded := start >= spec.WarmupNS
+		if recorded {
 			res.Ops++
 			res.WriteOps++
 			res.WriteLatency.Add(end - start)
 			res.TxnCommits++
 			res.TxnRetryHist.Add(retries)
 			res.CommitLatency.Add(end - start)
-			if res.FirstRecNS == 0 {
-				res.FirstRecNS = end
-			}
-			res.LastRecNS = end
-			if opsDone != nil {
-				*opsDone++ // engine-serialized: sim runs one thread at a time
-				if stopper != nil && targetOps > 0 && *opsDone >= targetOps {
-					stopper.RequestStop()
-				}
-			}
-			if spec.MaxOps > 0 && res.Ops >= spec.MaxOps {
-				break
-			}
 		}
-		if spec.Think > 0 {
-			ctx.Work(spec.Think)
-		}
+		tail.done(end, recorded)
 	}
 	res.Latency.Merge(&res.ReadLatency)
 	res.Latency.Merge(&res.WriteLatency)

@@ -26,10 +26,6 @@ type Spec struct {
 	// WarmupNS: operations completing before this engine time are executed
 	// but not recorded.
 	WarmupNS int64
-	// MaxOps, if positive, bounds the recorded operations of this thread;
-	// combined with Collector.RequestStop it lets the harness cut runs
-	// short once enough samples exist.
-	MaxOps int64
 	// ZipfS, when > 1, skews lock popularity within each locality class
 	// with a Zipf(s) rank distribution (hot-key extension; the paper's
 	// workloads are uniform).
@@ -160,10 +156,10 @@ func (s Spec) Validate() error {
 	if s.LocalityPct < 0 || s.LocalityPct > 100 {
 		return fmt.Errorf("workload: locality %d%% out of range", s.LocalityPct)
 	}
-	if s.CSWork < 0 || s.Think < 0 {
+	if s.CSWork < 0 || s.Think < 0 || s.WarmupNS < 0 {
 		return fmt.Errorf("workload: negative durations")
 	}
-	if s.ZipfS != 0 && s.ZipfS <= 1 {
+	if s.ZipfS != 0 && !(s.ZipfS > 1) { // also rejects NaN
 		return fmt.Errorf("workload: ZipfS must be > 1 (got %v)", s.ZipfS)
 	}
 	if s.BurstOnNS < 0 || s.BurstOffNS < 0 {
@@ -330,6 +326,8 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 		return runTxnLoop(ctx, h, table, spec, env, opsDone, targetOps, stopper)
 	}
 	var res ThreadResult
+	tail := opTail{ctx: ctx, res: &res, think: spec.Think,
+		opsDone: opsDone, targetOps: targetOps, stopper: stopper}
 	rng := ctx.Rand()
 	skew := table.NewSkew(rng, ctx.NodeID(), spec.ZipfS)
 	// Bursty arrivals: phaseEnd is the engine time the current on-phase
@@ -390,10 +388,7 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 		g, out := h.Acquire(l, mode, opt)
 		if out == api.TimedOut {
 			res.recordTimeout(spec, start, ctx.Now())
-			res.TotalOps++
-			if spec.Think > 0 {
-				ctx.Work(spec.Think)
-			}
+			tail.done(0, false)
 			continue
 		}
 		if out == api.AcquiredLate && start >= spec.WarmupNS {
@@ -407,10 +402,7 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 				// lock and record the whole operation as a timeout.
 				h.Release(g)
 				res.recordTimeout(spec, start, ctx.Now())
-				res.TotalOps++
-				if spec.Think > 0 {
-					ctx.Work(spec.Think)
-				}
+				tail.done(0, false)
 				continue
 			}
 			if out == api.AcquiredLate && start >= spec.WarmupNS {
@@ -432,10 +424,7 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 			if start >= spec.WarmupNS {
 				res.Abandons++
 			}
-			res.TotalOps++
-			if spec.Think > 0 {
-				ctx.Work(spec.Think)
-			}
+			tail.done(0, false)
 			continue
 		}
 
@@ -452,8 +441,8 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 		}
 		end := ctx.Now()
 
-		res.TotalOps++
-		if start >= spec.WarmupNS {
+		recorded := start >= spec.WarmupNS
+		if recorded {
 			res.Ops++
 			if pairIdx >= 0 {
 				res.PairOps++
@@ -465,23 +454,8 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 				res.WriteOps++
 				res.WriteLatency.Add(end - start)
 			}
-			if res.FirstRecNS == 0 {
-				res.FirstRecNS = end
-			}
-			res.LastRecNS = end
-			if opsDone != nil {
-				*opsDone++ // engine-serialized: sim runs one thread at a time
-				if stopper != nil && targetOps > 0 && *opsDone >= targetOps {
-					stopper.RequestStop()
-				}
-			}
-			if spec.MaxOps > 0 && res.Ops >= spec.MaxOps {
-				break
-			}
 		}
-		if spec.Think > 0 {
-			ctx.Work(spec.Think)
-		}
+		tail.done(end, recorded)
 	}
 	// The combined hist is the union of the two class hists (they
 	// partition the samples), so it is assembled once here instead of
@@ -489,6 +463,41 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 	res.Latency.Merge(&res.ReadLatency)
 	res.Latency.Merge(&res.WriteLatency)
 	return res
+}
+
+// opTail is the bookkeeping every operation of either loop ends with,
+// whatever it did in between.
+type opTail struct {
+	ctx   api.Ctx
+	res   *ThreadResult
+	think time.Duration
+	// The shared TargetOps countdown (nil on runs without a target).
+	opsDone   *int64
+	targetOps int64
+	stopper   StopRequester
+}
+
+// done closes one operation: it counts toward TotalOps; a recorded
+// completion at engine time end also moves the thread's recorded span and
+// the run-wide countdown, requesting the stop when the target is reached;
+// then the thread thinks.
+func (t *opTail) done(end int64, recorded bool) {
+	t.res.TotalOps++
+	if recorded {
+		if t.res.FirstRecNS == 0 {
+			t.res.FirstRecNS = end
+		}
+		t.res.LastRecNS = end
+		if t.opsDone != nil {
+			*t.opsDone++ // engine-serialized: sim runs one thread at a time
+			if t.stopper != nil && t.targetOps > 0 && *t.opsDone >= t.targetOps {
+				t.stopper.RequestStop()
+			}
+		}
+	}
+	if t.think > 0 {
+		t.ctx.Work(t.think)
+	}
 }
 
 // recordTimeout books one timed-out acquisition (post-warmup only, like

@@ -361,13 +361,6 @@ func TestFeatureFreeSpecIgnoresTokenKnobs(t *testing.T) {
 	}
 }
 
-func TestMaxOpsBounds(t *testing.T) {
-	res := runLoop(t, Spec{LocalityPct: 100, MaxOps: 7}, 1<<40)
-	if res.Ops != 7 {
-		t.Fatalf("MaxOps=7 recorded %d", res.Ops)
-	}
-}
-
 func TestSharedCounterStopsRun(t *testing.T) {
 	e := sim.New(2, 1<<18, model.Uniform(10), 1)
 	table := locktable.New(e.Space(), 10)
