@@ -37,6 +37,12 @@
 //	})
 //	c.Wait()
 //
+// Every lock algorithm in the repository implements one contract,
+// api.Handle (a timed, mode-aware acquire returning the acquisition's state
+// by value, and the matching release). NewTokenHandle layers explicit
+// outcomes and fencing tokens on it; NewHandle wraps it in the blocking
+// Lock/Unlock shape shown above. There is no other path to a lock.
+//
 // # Reproducing the paper
 //
 // Experiments run on the deterministic discrete-event engine instead of
@@ -71,8 +77,8 @@ const Null = ptr.Null
 // RCAS), fences, allocation, timing and a deterministic random stream.
 type Ctx = api.Ctx
 
-// Locker is a per-thread lock handle: Lock and Unlock bracket a critical
-// section on the lock object at the given pointer.
+// Locker is the blocking lock shape: Lock and Unlock bracket a critical
+// section on the lock object at the given pointer. NewHandle returns one.
 type Locker = api.Locker
 
 // RWLocker is a Locker with an additional shared (read) acquire mode:
@@ -85,9 +91,7 @@ type RWLocker = api.RWLocker
 // values (Guards) carrying a fencing token minted at grant time, acquire
 // attempts can carry deadlines and report explicit outcomes, and releases
 // are validated against the fence so a crashed holder's late unlock is
-// rejected instead of corrupting the lock. Lock/Unlock call sites migrate
-// by wrapping a TokenLocker in api.Blocking (or keep using the classic
-// handles, which are built on the same per-acquisition paths).
+// rejected instead of corrupting the lock.
 
 // Mode selects the acquisition class (Exclusive or Shared).
 type Mode = api.Mode
@@ -160,10 +164,13 @@ type Config = core.Config
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewHandle allocates a thread's ALock descriptors on its own node and
-// returns its lock handle. The handle may be used with any number of
-// ALocks (a thread waits on at most one at a time); it is not safe for
-// concurrent use by multiple threads.
-func NewHandle(ctx Ctx, cfg Config) *core.Handle { return core.NewHandle(ctx, cfg) }
+// returns its blocking lock handle (api.Blocking over the ALock's
+// api.Handle). The handle may be used with any number of ALocks, several
+// held at once (a thread waits on at most one at a time); it is not safe
+// for concurrent use by multiple threads.
+func NewHandle(ctx Ctx, cfg Config) *api.Blocking {
+	return api.NewBlocking(core.NewHandle(ctx, cfg))
+}
 
 // AllocLock allocates one zeroed, 64-byte ALock on the given node of a
 // cluster. The zero state is an unlocked ALock.

@@ -42,7 +42,7 @@ func run(cfg core.Config) []int {
 	for node := 0; node < 2; node++ {
 		for t := 0; t < threadsPerCohort; t++ {
 			e.Spawn(node, func(ctx api.Ctx) {
-				h := core.NewHandle(ctx, cfg)
+				h := api.NewBlocking(core.NewHandle(ctx, cfg))
 				cohort := int(api.Classify(ctx.NodeID(), lock))
 				for i := 0; i < itersPerThread; i++ {
 					h.Lock(lock)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"alock"
+	"alock/internal/api"
 	"alock/internal/locks"
 )
 
@@ -48,7 +49,7 @@ func run(algorithm string) (opsPerSec float64) {
 				case "alock":
 					h = alock.NewHandle(ctx, alock.DefaultConfig())
 				case "mcs":
-					h = locks.NewMCSHandle(ctx)
+					h = api.NewBlocking(locks.NewMCSHandle(ctx))
 				}
 				for !ctx.Stopped() {
 					idx := table.Pick(ctx.Rand(), ctx.NodeID(), localityPct)

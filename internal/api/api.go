@@ -129,9 +129,10 @@ type Ctx interface {
 	Rand() *rand.Rand
 }
 
-// Locker is a per-thread handle to one lock algorithm. Lock and Unlock
-// bracket a critical section on the lock object at l; an operation in the
-// paper's evaluation is exactly one Lock followed by one Unlock.
+// Locker is the blocking lock shape of the paper's evaluation: Lock and
+// Unlock bracket a critical section on the lock object at l, and an
+// operation is exactly one Lock followed by one Unlock. Blocking is its
+// only implementation.
 type Locker interface {
 	Lock(l ptr.Ptr)
 	Unlock(l ptr.Ptr)
@@ -149,16 +150,18 @@ type RWLocker interface {
 	RUnlock(l ptr.Ptr)
 }
 
-// --- Acquisition-token API ---
+// --- Acquisition API ---
 //
 // Lock and Unlock model the paper's evaluation exactly: one blocking
 // acquire, one implicit outstanding acquisition per handle. Everything the
 // paper does not evaluate — timeouts, crashed holders, overlapping holds of
-// several locks — needs acquisitions to be first-class values. TokenLocker
-// is that redesign: every acquisition attempt returns an explicit Outcome,
-// every grant returns a Guard carrying a fencing token minted at grant
-// time, and Release validates the token so a stale holder's late release
-// is rejected instead of corrupting the lock.
+// several locks — needs acquisitions to be first-class values. Handle is
+// the one contract every algorithm implements: a timed, mode-aware acquire
+// returning the acquisition's state, and the matching release. TokenLocker
+// layers fencing on top: every attempt returns an explicit Outcome, every
+// grant a Guard carrying a token minted at grant time, and Release
+// validates the token so a stale holder's late release is rejected instead
+// of corrupting the lock.
 
 // Mode selects the acquisition class of one lock operation.
 type Mode uint8
@@ -177,6 +180,34 @@ func (m Mode) String() string {
 		return "shared"
 	}
 	return "exclusive"
+}
+
+// AcqState is one acquisition's algorithm-private bookkeeping, produced by
+// Handle.AcquireTimed and handed back to ReleaseAcq. It is a plain value —
+// no allocation per grant — and opaque to callers; each algorithm uses the
+// fields it needs (the spinlock none of them).
+type AcqState struct {
+	// Desc is the acquisition's queue descriptor (Null when none was taken).
+	Desc ptr.Ptr
+	// Word is one state word, typically the lock word the acquire installed
+	// or last observed — the optimistic seed of the release's first CAS.
+	Word uint64
+	// Flags are algorithm-defined bits.
+	Flags uint8
+}
+
+// Handle is the per-thread contract of every lock algorithm: a mode-aware
+// acquire bounded by an engine-time deadline (0 = block until granted), and
+// the matching release. Algorithms without native shared mode treat Shared
+// as Exclusive (correct, but readers serialize); algorithms without a
+// native timed path block through the deadline and still acquire. A Handle
+// belongs to one thread and may hold several locks at once.
+type Handle interface {
+	// AcquireTimed reports false iff the deadline passed first, in which
+	// case nothing is held.
+	AcquireTimed(l ptr.Ptr, mode Mode, deadlineNS int64) (AcqState, bool)
+	// ReleaseAcq ends the acquisition of l that returned st.
+	ReleaseAcq(l ptr.Ptr, mode Mode, st AcqState)
 }
 
 // Outcome is the result of one acquisition attempt.
@@ -240,9 +271,9 @@ type Guard struct {
 	// monotonically across the cluster, so of any two grants the later one
 	// carries the larger token — the classic fencing-token contract.
 	Token uint64
-	// State is the algorithm's per-acquisition bookkeeping (its queue
-	// descriptor, the installed state word); opaque to callers.
-	State any
+	// State is the algorithm's per-acquisition bookkeeping; opaque to
+	// callers.
+	State AcqState
 }
 
 // TokenLocker is the acquisition-token lock API. One TokenLocker belongs to
@@ -262,32 +293,37 @@ type TokenLocker interface {
 	Abandon(g Guard)
 }
 
-// Blocking adapts a TokenLocker back to the blocking RWLocker shape, so
-// call sites written against Lock/Unlock keep working unchanged on top of
-// the token API (the migration adapter). It tracks one outstanding guard
-// per lock; overlapping holds of distinct locks are fine.
+// Blocking is the blocking Lock/Unlock shape over any algorithm's Handle —
+// what the examples, the real-goroutine tests and the public alock.NewHandle
+// hand out. It parks each acquisition's state on a held list keyed by lock
+// and mode, so overlapping holds of distinct locks are fine. There is no
+// fencing here: a blocking caller releases exactly what it acquired.
 type Blocking struct {
-	T    TokenLocker
-	held []Guard
+	h    Handle
+	held []heldAcq
+}
+
+type heldAcq struct {
+	lock ptr.Ptr
+	mode Mode
+	st   AcqState
 }
 
 var _ RWLocker = (*Blocking)(nil)
 
-// NewBlocking wraps a TokenLocker in the blocking adapter.
-func NewBlocking(t TokenLocker) *Blocking { return &Blocking{T: t} }
+// NewBlocking wraps an algorithm handle in the blocking shape.
+func NewBlocking(h Handle) *Blocking { return &Blocking{h: h} }
 
 func (b *Blocking) acquire(l ptr.Ptr, mode Mode) {
-	//lint:allow guardcheck no deadline: Acquire blocks until granted, so the outcome is always Acquired
-	g, _ := b.T.Acquire(l, mode, AcquireOpts{})
-	b.held = append(b.held, g)
+	st, _ := b.h.AcquireTimed(l, mode, 0) // no deadline: always acquires
+	b.held = append(b.held, heldAcq{lock: l, mode: mode, st: st})
 }
 
 func (b *Blocking) release(l ptr.Ptr, mode Mode) {
 	for i := len(b.held) - 1; i >= 0; i-- {
-		if b.held[i].Lock == l && b.held[i].Mode == mode {
-			g := b.held[i]
+		if a := b.held[i]; a.lock == l && a.mode == mode {
 			b.held = append(b.held[:i], b.held[i+1:]...)
-			b.T.Release(g)
+			b.h.ReleaseAcq(l, mode, a.st)
 			return
 		}
 	}
@@ -305,22 +341,3 @@ func (b *Blocking) RLock(l ptr.Ptr) { b.acquire(l, Shared) }
 
 // RUnlock implements RWLocker.
 func (b *Blocking) RUnlock(l ptr.Ptr) { b.release(l, Shared) }
-
-// ExclusiveRW adapts any Locker to RWLocker by degrading shared acquires
-// to exclusive ones. It lets every exclusive-only algorithm run reader/
-// writer workloads as a baseline: correct, but readers serialize.
-type ExclusiveRW struct{ L Locker }
-
-var _ RWLocker = ExclusiveRW{}
-
-// Lock implements RWLocker.
-func (x ExclusiveRW) Lock(l ptr.Ptr) { x.L.Lock(l) }
-
-// Unlock implements RWLocker.
-func (x ExclusiveRW) Unlock(l ptr.Ptr) { x.L.Unlock(l) }
-
-// RLock implements RWLocker: a shared acquire degrades to exclusive.
-func (x ExclusiveRW) RLock(l ptr.Ptr) { x.L.Lock(l) }
-
-// RUnlock implements RWLocker.
-func (x ExclusiveRW) RUnlock(l ptr.Ptr) { x.L.Unlock(l) }

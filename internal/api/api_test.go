@@ -73,3 +73,48 @@ func TestQuickOtherInvolution(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fakeHandle hands out a distinct state per acquisition and records what
+// comes back on release.
+type fakeHandle struct {
+	next     uint64
+	released []AcqState
+}
+
+func (f *fakeHandle) AcquireTimed(ptr.Ptr, Mode, int64) (AcqState, bool) {
+	f.next++
+	return AcqState{Word: f.next}, true
+}
+
+func (f *fakeHandle) ReleaseAcq(_ ptr.Ptr, _ Mode, st AcqState) {
+	f.released = append(f.released, st)
+}
+
+// Blocking must hand each release the state of the matching acquisition —
+// matched by lock and mode, most recent first — across overlapping holds.
+func TestBlockingThreadsStatePerLockAndMode(t *testing.T) {
+	f := &fakeHandle{}
+	b := NewBlocking(f)
+	l1, l2 := ptr.Pack(0, 64), ptr.Pack(1, 64)
+	b.Lock(l1)  // state 1
+	b.RLock(l2) // state 2
+	b.RLock(l1) // state 3: same lock as 1, other mode
+	b.Unlock(l1)
+	b.RUnlock(l1)
+	b.RUnlock(l2)
+	want := []uint64{1, 3, 2}
+	for i, st := range f.released {
+		if st.Word != want[i] {
+			t.Fatalf("release %d got state %d, want %d", i, st.Word, want[i])
+		}
+	}
+	if len(f.released) != len(want) {
+		t.Fatalf("%d releases reached the handle, want %d", len(f.released), len(want))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("release without a matching acquire did not panic")
+		}
+	}()
+	b.Unlock(l1)
+}

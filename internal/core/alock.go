@@ -30,6 +30,11 @@
 //	byte 0x00: budget   (8B signed integer; -1 = waiting)
 //	byte 0x08: next     (8B rdma_ptr to successor's descriptor)
 //	padded to 64 bytes.
+//
+// Handle implements api.Handle, the one per-algorithm contract: the
+// acquisition's descriptor travels in api.AcqState.Desc from AcquireTimed to
+// ReleaseAcq. The token layer (internal/locks) and the blocking shape
+// (api.Blocking) are built on that and nothing else.
 package core
 
 import (
@@ -135,34 +140,25 @@ type Stats struct {
 	RemoteOps  int64 // acquisitions classified remote
 }
 
-// heldAcq records one outstanding acquisition for the blocking Lock/Unlock
-// facade (the token API threads the descriptor through the Guard instead).
-type heldAcq struct {
-	lock ptr.Ptr
-	desc ptr.Ptr
-}
-
 // Handle is one thread's capability to acquire ALocks. Descriptors are
-// allocated per acquisition from a per-cohort free list (the paper's
-// one-descriptor-per-thread layout is the free list's steady state when a
-// thread holds one lock at a time), so a thread may hold several ALocks
-// concurrently. Descriptors abandoned on timeout park on a zombie list
-// until the granter that bypassed them marks them skipped, at which point
-// they are recycled.
+// allocated per acquisition from a per-cohort pool (the paper's
+// one-descriptor-per-thread layout is the pool's steady state when a thread
+// holds one lock at a time), so a thread may hold several ALocks
+// concurrently. Descriptors abandoned on timeout park as zombies until the
+// granter that bypassed them marks them skipped, at which point they are
+// recycled.
 //
 // A Handle is not safe for concurrent use — it belongs to exactly one
 // thread, like the paper's per-thread metadata.
 type Handle struct {
-	ctx     api.Ctx
-	cfg     Config
-	seed    [2]ptr.Ptr   // first descriptor of each cohort (for tests)
-	free    [2][]ptr.Ptr // recyclable descriptors, indexed by api.Cohort
-	zombies [2][]ptr.Ptr // abandoned descriptors awaiting the skip mark
-	held    []heldAcq    // outstanding Lock/Unlock-facade acquisitions
-	stats   Stats
+	ctx   api.Ctx
+	cfg   Config
+	seed  [2]ptr.Ptr      // first descriptor of each cohort (for tests)
+	pool  [2]api.DescPool // indexed by api.Cohort
+	stats Stats
 }
 
-var _ api.Locker = (*Handle)(nil)
+var _ api.Handle = (*Handle)(nil)
 
 // NewHandle allocates the thread's initial per-cohort descriptors on ctx's
 // node and returns a handle using the given budget configuration. Further
@@ -177,7 +173,8 @@ func NewHandle(ctx api.Ctx, cfg Config) *Handle {
 		ctx.Write(d.Add(descBudget), waiting)
 		ctx.Write(d.Add(descNext), ptr.Null.Word())
 		h.seed[co] = d
-		h.free[co] = append(h.free[co], d)
+		h.pool[co] = api.DescPool{Ctx: ctx, Words: DescWords, Spin: descBudget, Skip: skipped}
+		h.pool[co].Push(d)
 	}
 	return h
 }
@@ -188,55 +185,20 @@ func (h *Handle) Stats() Stats { return h.stats }
 // Descriptor exposes the cohort's seed descriptor pointer (for tests).
 func (h *Handle) Descriptor(co api.Cohort) ptr.Ptr { return h.seed[co] }
 
-// sweepZombies recycles the cohort's zombies whose granter has marked them
-// skipped. It runs on both acquire and release: sweeping only on acquire
-// would let a thread that stops acquiring keep its skipped descriptors
-// parked forever.
-func (h *Handle) sweepZombies(co api.Cohort) {
-	zs := h.zombies[co]
-	if len(zs) == 0 {
-		return
-	}
-	kept := zs[:0]
-	for _, z := range zs {
-		// Our own descriptor on our own node: a shared-memory read is
-		// atomic with the granter's skip mark in either class.
-		if h.ctx.Read(z.Add(descBudget)) == skipped {
-			h.free[co] = append(h.free[co], z)
-		} else {
-			kept = append(kept, z)
-		}
-	}
-	h.zombies[co] = kept
-}
-
-// getDesc pops a free descriptor for the cohort, first recycling any
-// zombies whose granter has marked them skipped, allocating fresh memory
-// only when every descriptor is in use or still awaiting its skip mark.
-func (h *Handle) getDesc(co api.Cohort) ptr.Ptr {
-	h.sweepZombies(co)
-	if n := len(h.free[co]); n > 0 {
-		d := h.free[co][n-1]
-		h.free[co] = h.free[co][:n-1]
-		return d
-	}
-	return h.ctx.Alloc(DescWords, DescWords)
-}
-
-// putDesc returns a released descriptor and sweeps BOTH cohorts' zombies:
-// a release is the last pool interaction a winding-down thread performs,
-// and its final releases may all be on the other cohort than the zombie
-// (a remote-lock timeout followed by local-only work), so sweeping only
-// the released cohort would still leak the abandoned descriptor.
+// putDesc returns a released descriptor and sweeps BOTH cohorts' zombies,
+// local first: a release is the last pool interaction a winding-down thread
+// performs, and its final releases may all be on the other cohort than the
+// zombie (a remote-lock timeout followed by local-only work), so sweeping
+// only the released cohort would still leak the abandoned descriptor.
 func (h *Handle) putDesc(co api.Cohort, d ptr.Ptr) {
-	h.free[co] = append(h.free[co], d)
-	h.sweepZombies(api.CohortLocal)
-	h.sweepZombies(api.CohortRemote)
+	h.pool[co].Push(d)
+	h.pool[api.CohortLocal].Sweep()
+	h.pool[api.CohortRemote].Sweep()
 }
 
 // Zombies reports how many abandoned descriptors are still parked awaiting
 // their skip mark (drain-recycle assertions in locktest).
-func (h *Handle) Zombies() int { return len(h.zombies[0]) + len(h.zombies[1]) }
+func (h *Handle) Zombies() int { return h.pool[0].Zombies() + h.pool[1].Zombies() }
 
 // TailPtr returns the pointer to the given cohort's MCS tail word within
 // the lock line at l.
@@ -282,35 +244,14 @@ func (v view) cas(p ptr.Ptr, old, new uint64) uint64 {
 	return v.ctx.CAS(p, old, new)
 }
 
-// Lock acquires the ALock at l (Algorithm 2). The access class is
-// determined by the node ID embedded in the pointer: threads on the lock's
-// home node take the local path with shared-memory operations only (no
-// loopback), everyone else takes the remote path with RDMA verbs.
-//
-// Lock is the blocking facade over AcquireTimed; the descriptor is parked
-// on an internal held list so the matching Unlock(l) finds it.
-func (h *Handle) Lock(l ptr.Ptr) {
-	d, _ := h.AcquireTimed(l, 0) // no deadline: always acquires
-	h.held = append(h.held, heldAcq{lock: l, desc: d})
-}
-
-// Unlock releases the ALock at l (Algorithm 2 line 5-6).
-func (h *Handle) Unlock(l ptr.Ptr) {
-	for i := len(h.held) - 1; i >= 0; i-- {
-		if h.held[i].lock == l {
-			d := h.held[i].desc
-			h.held = append(h.held[:i], h.held[i+1:]...)
-			h.ReleaseDesc(l, d)
-			return
-		}
-	}
-	panic("core: Unlock without matching Lock")
-}
-
-// AcquireTimed acquires the ALock at l, giving up once engine time reaches
-// deadlineNS (0 = block until granted; deadlines require Config.Timed).
-// On success it returns the acquisition's descriptor, which the caller
-// must hand back through ReleaseDesc. On timeout nothing is held.
+// AcquireTimed acquires the ALock at l (Algorithm 2), giving up once engine
+// time reaches deadlineNS (0 = block until granted; deadlines require
+// Config.Timed). The access class is determined by the node ID embedded in
+// the pointer: threads on the lock's home node take the local path with
+// shared-memory operations only (no loopback), everyone else takes the
+// remote path with RDMA verbs. ALock has no shared mode: Shared degrades to
+// Exclusive. On success the returned state carries the acquisition's
+// descriptor; on timeout nothing is held.
 //
 // The timeout window covers the queue wait: a waiter whose deadline passes
 // while spinning on its descriptor CASes the budget word from waiting to
@@ -318,14 +259,14 @@ func (h *Handle) Unlock(l ptr.Ptr) {
 // descriptor). A thread that has become cohort leader is committed — the
 // Peterson wait is bounded by the other cohort's budget, so it finishes
 // the acquisition even past the deadline and reports it as acquired.
-func (h *Handle) AcquireTimed(l ptr.Ptr, deadlineNS int64) (ptr.Ptr, bool) {
+func (h *Handle) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (api.AcqState, bool) {
 	co := h.classify(l)
 	if !h.cfg.Timed {
 		deadlineNS = 0 // granters don't speak the abandon protocol
 	}
 	d, passed, ok := h.qLock(l, co, deadlineNS)
 	if !ok {
-		return ptr.Null, false
+		return api.AcqState{}, false
 	}
 	// Cohort classification is counted per successful acquisition, with
 	// Acquires — a timed-out attempt would otherwise break the
@@ -344,16 +285,16 @@ func (h *Handle) AcquireTimed(l ptr.Ptr, deadlineNS int64) (ptr.Ptr, bool) {
 	// Fence after locking (§5.2).
 	h.ctx.Fence()
 	h.stats.Acquires++
-	return d, true
+	return api.AcqState{Desc: d}, true
 }
 
-// ReleaseDesc releases an acquisition made by AcquireTimed.
-func (h *Handle) ReleaseDesc(l ptr.Ptr, d ptr.Ptr) {
+// ReleaseAcq releases the ALock at l (Algorithm 2 line 5-6).
+func (h *Handle) ReleaseAcq(l ptr.Ptr, _ api.Mode, st api.AcqState) {
 	co := h.classify(l)
 	// Fence before unlocking (§5.2).
 	h.ctx.Fence()
-	h.qUnlock(l, co, d)
-	h.putDesc(co, d)
+	h.qUnlock(l, co, st.Desc)
+	h.putDesc(co, st.Desc)
 }
 
 // classify determines the cohort for an access to l, honoring the
@@ -373,7 +314,7 @@ func (h *Handle) classify(l ptr.Ptr) api.Cohort {
 // descriptor has been abandoned in place and nothing is held.
 func (h *Handle) qLock(l ptr.Ptr, co api.Cohort, deadlineNS int64) (d ptr.Ptr, passed, ok bool) {
 	v := view{ctx: h.ctx, remote: co == api.CohortRemote}
-	d = h.getDesc(co)
+	d = h.pool[co].Get()
 	tail := TailPtr(l, co)
 
 	if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
@@ -418,7 +359,7 @@ func (h *Handle) qLock(l ptr.Ptr, co api.Cohort, deadlineNS int64) (d ptr.Ptr, p
 			// the granter's handoff CAS share the cohort's access class,
 			// so exactly one of them wins.
 			if v.cas(d.Add(descBudget), waiting, abandoned) == waiting {
-				h.zombies[co] = append(h.zombies[co], d)
+				h.pool[co].Park(d)
 				return ptr.Null, false, false
 			}
 			break // the grant raced the timeout and won: we hold the lock

@@ -68,14 +68,15 @@ func TestUncontendedLocalAcquire(t *testing.T) {
 	l := e.Space().AllocLine(0)
 	e.Spawn(0, func(ctx api.Ctx) {
 		h := core.NewHandle(ctx, core.DefaultConfig())
-		h.Lock(l)
+		b := api.NewBlocking(h)
+		b.Lock(l)
 		if !core.IsLocked(ctx, l, api.CohortLocal) {
 			t.Error("local tail should be set while held")
 		}
 		if core.IsLocked(ctx, l, api.CohortRemote) {
 			t.Error("remote tail should be clear")
 		}
-		h.Unlock(l)
+		b.Unlock(l)
 		if core.IsLocked(ctx, l, api.CohortLocal) {
 			t.Error("local tail should clear after unlock")
 		}
@@ -95,8 +96,9 @@ func TestUncontendedRemoteAcquire(t *testing.T) {
 	l := e.Space().AllocLine(0)
 	e.Spawn(1, func(ctx api.Ctx) {
 		h := core.NewHandle(ctx, core.DefaultConfig())
-		h.Lock(l)
-		h.Unlock(l)
+		b := api.NewBlocking(h)
+		b.Lock(l)
+		b.Unlock(l)
 		st := h.Stats()
 		if st.RemoteOps != 1 || st.LocalOps != 0 {
 			t.Errorf("stats = %+v", st)
@@ -137,9 +139,9 @@ func TestMutualExclusionSmallBudgets(t *testing.T) {
 	// Budget 1 forces a Peterson reacquire on nearly every pass — the
 	// fairness machinery is exercised constantly.
 	cfg := locktest.DefaultMutexConfig()
-	prov := locks.NewTrackedALockProvider(core.Config{LocalBudget: 1, RemoteBudget: 1})
+	prov := &locks.ALockProvider{Cfg: core.Config{LocalBudget: 1, RemoteBudget: 1}}
 	locktest.CheckMutualExclusion(t, prov, cfg)
-	if agg := prov.(locks.StatsAggregator).AggregateStats(); agg.Reacquires == 0 {
+	if agg := prov.AggregateStats(); agg.Reacquires == 0 {
 		t.Error("budget-1 run should have reacquired at least once")
 	}
 }
@@ -166,10 +168,10 @@ func TestNoBudgetAblationStillMutex(t *testing.T) {
 // budget, then passes budget-1 ... 0; the recipient of 0 must yield).
 func TestCohortRunLengthBounded(t *testing.T) {
 	const localBudget, remoteBudget = 3, 4
-	prov := locks.NewTrackedALockProvider(core.Config{
+	prov := &locks.ALockProvider{Cfg: core.Config{
 		LocalBudget:  localBudget,
 		RemoteBudget: remoteBudget,
-	})
+	}}
 	cfg := locktest.DefaultMutexConfig()
 	cfg.Nodes = 2
 	cfg.ThreadsPerNode = 3
@@ -238,7 +240,7 @@ func TestPassingDominatesUnderContention(t *testing.T) {
 	// With many same-cohort threads on one lock, most acquisitions should
 	// arrive via the MCS pass path (Section 6.2 credits ALock's
 	// high-contention throughput to lock passing).
-	prov := locks.NewTrackedALockProvider(core.DefaultConfig())
+	prov := locks.NewALockProvider()
 	cfg := locktest.DefaultMutexConfig()
 	cfg.Nodes = 1
 	cfg.ThreadsPerNode = 6
@@ -246,7 +248,7 @@ func TestPassingDominatesUnderContention(t *testing.T) {
 	cfg.LocalityPct = 100
 	cfg.Iters = 200
 	locktest.CheckMutualExclusion(t, prov, cfg)
-	agg := prov.(locks.StatsAggregator).AggregateStats()
+	agg := prov.AggregateStats()
 	if agg.Passes*2 < agg.Acquires {
 		t.Errorf("passes=%d of acquires=%d; expected passing to dominate",
 			agg.Passes, agg.Acquires)
@@ -259,11 +261,12 @@ func TestHandleReuseAcrossLocks(t *testing.T) {
 	l1 := e.Space().AllocLine(1)
 	e.Spawn(0, func(ctx api.Ctx) {
 		h := core.NewHandle(ctx, core.DefaultConfig())
+		b := api.NewBlocking(h)
 		for i := 0; i < 10; i++ {
-			h.Lock(l0) // local
-			h.Unlock(l0)
-			h.Lock(l1) // remote
-			h.Unlock(l1)
+			b.Lock(l0) // local
+			b.Unlock(l0)
+			b.Lock(l1) // remote
+			b.Unlock(l1)
 		}
 		st := h.Stats()
 		if st.LocalOps != 10 || st.RemoteOps != 10 {
@@ -297,10 +300,10 @@ func TestQuickMutualExclusion(t *testing.T) {
 		cfg.Seed = seed
 		cfg.LocalityPct = int(rawLoc % 101)
 		cfg.Iters = 60
-		prov := locks.NewTrackedALockProvider(core.Config{
+		prov := &locks.ALockProvider{Cfg: core.Config{
 			LocalBudget:  int64(rawLB%6) + 1,
 			RemoteBudget: int64(rawRB%12) + 1,
-		})
+		}}
 		res := locktest.RunMutex(prov, cfg)
 		want := int64(cfg.Nodes * cfg.ThreadsPerNode * cfg.Iters)
 		return res.TotalOps == want && res.CounterSum == want && res.OwnerTramples == 0

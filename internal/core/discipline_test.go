@@ -89,7 +89,7 @@ func TestOperationDisciplineInvariant(t *testing.T) {
 			e.Spawn(node, func(inner api.Ctx) {
 				rec := newRecordingCtx(inner)
 				recs = append(recs, rec)
-				h := core.NewHandle(rec, core.Config{LocalBudget: 2, RemoteBudget: 3})
+				h := api.NewBlocking(core.NewHandle(rec, core.Config{LocalBudget: 2, RemoteBudget: 3}))
 				rng := rand.New(rand.NewSource(int64(inner.ThreadID())))
 				for i := 0; i < 60; i++ {
 					l := lockPtrs[rng.Intn(nLocks)]
@@ -187,10 +187,11 @@ func TestDescriptorAccessPattern(t *testing.T) {
 		slot := k
 		e.Spawn(1, func(inner api.Ctx) {
 			rec := newRecordingCtx(inner)
-			h := core.NewHandle(rec, core.DefaultConfig())
+			ch := core.NewHandle(rec, core.DefaultConfig())
+			h := api.NewBlocking(ch)
 			if slot == 1 {
 				remoteRec = rec
-				remoteDesc = h.Descriptor(api.CohortRemote)
+				remoteDesc = ch.Descriptor(api.CohortRemote)
 			}
 			for i := 0; i < 30; i++ {
 				h.Lock(l)

@@ -63,6 +63,7 @@ func TestValidateIsTheGate(t *testing.T) {
 			c.AbandonProb, c.AbandonHold = 0.1, time.Microsecond
 		}, "harness: AbandonProb requires AcquireTimeout"},
 		{"txn wider than the table", txn, func(c *Config) { c.TxnLocks = 9 }, "harness: TxnLocks"},
+		{"pair on a one-lock table (was: silently never paired)", closed, func(c *Config) { c.PairProb, c.Locks = 0.5, 1 }, "harness: PairProb needs at least 2 locks"},
 		{"negative engine shards", closed, func(c *Config) { c.EngineShards = -1 }, "harness: negative engine shards"},
 		{"oracle with engine shards", closed, func(c *Config) { c.Oracle, c.EngineShards = true, 2 }, "harness: Oracle"},
 		{"negative arrival rate (was: silent closed loop)", closed, func(c *Config) { c.ArrivalRate = -5 }, "harness: arrival rate"},

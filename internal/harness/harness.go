@@ -334,6 +334,11 @@ func (c Config) check() (plan, error) {
 	if c.TxnLocks > c.Locks {
 		return fail("TxnLocks %d exceeds the lock table (%d)", c.TxnLocks, c.Locks)
 	}
+	if c.PairProb > 0 && c.Locks < 2 {
+		// A one-lock table has no second lock to pair with: the run would
+		// echo pair=N% and never pair.
+		return fail("PairProb needs at least 2 locks (got %d)", c.Locks)
+	}
 	if c.EngineShards < 0 {
 		return fail("negative engine shards %d", c.EngineShards)
 	}

@@ -58,7 +58,7 @@ func (p *BakeryProvider) Prepare(space *mem.Space, locks []ptr.Ptr) {
 }
 
 // NewHandle implements Provider.
-func (p *BakeryProvider) NewHandle(ctx api.Ctx) api.Locker {
+func (p *BakeryProvider) NewHandle(ctx api.Ctx) api.Handle {
 	if ctx.ThreadID() >= p.nThreads {
 		panic(fmt.Sprintf("locks: thread %d >= bakery capacity %d", ctx.ThreadID(), p.nThreads))
 	}
@@ -80,9 +80,11 @@ type bakeryHandle struct {
 	ctx api.Ctx
 }
 
-var _ api.Locker = (*bakeryHandle)(nil)
+var _ api.Handle = (*bakeryHandle)(nil)
 
-func (h *bakeryHandle) Lock(l ptr.Ptr) {
+// AcquireTimed has no timed path and no shared mode: it blocks through any
+// deadline and always acquires exclusively.
+func (h *bakeryHandle) AcquireTimed(l ptr.Ptr, _ api.Mode, _ int64) (api.AcqState, bool) {
 	st := h.p.lookup(l)
 	ctx := h.ctx
 	me := uint64(ctx.ThreadID())
@@ -115,9 +117,10 @@ func (h *bakeryHandle) Lock(l ptr.Ptr) {
 		}
 	}
 	ctx.Fence()
+	return api.AcqState{}, true
 }
 
-func (h *bakeryHandle) Unlock(l ptr.Ptr) {
+func (h *bakeryHandle) ReleaseAcq(l ptr.Ptr, _ api.Mode, _ api.AcqState) {
 	st := h.p.lookup(l)
 	h.ctx.Fence()
 	h.ctx.RWrite(st.number.Add(uint64(h.ctx.ThreadID())), 0)

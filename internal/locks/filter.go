@@ -59,7 +59,7 @@ func (p *FilterProvider) Prepare(space *mem.Space, locks []ptr.Ptr) {
 }
 
 // NewHandle implements Provider.
-func (p *FilterProvider) NewHandle(ctx api.Ctx) api.Locker {
+func (p *FilterProvider) NewHandle(ctx api.Ctx) api.Handle {
 	if ctx.ThreadID() >= p.nThreads {
 		panic(fmt.Sprintf("locks: thread %d >= filter capacity %d", ctx.ThreadID(), p.nThreads))
 	}
@@ -81,9 +81,11 @@ type filterHandle struct {
 	ctx api.Ctx
 }
 
-var _ api.Locker = (*filterHandle)(nil)
+var _ api.Handle = (*filterHandle)(nil)
 
-func (h *filterHandle) Lock(l ptr.Ptr) {
+// AcquireTimed has no timed path and no shared mode: it blocks through any
+// deadline and always acquires exclusively.
+func (h *filterHandle) AcquireTimed(l ptr.Ptr, _ api.Mode, _ int64) (api.AcqState, bool) {
 	st := h.p.lookup(l)
 	ctx := h.ctx
 	me := uint64(ctx.ThreadID())
@@ -112,9 +114,10 @@ func (h *filterHandle) Lock(l ptr.Ptr) {
 		}
 	}
 	ctx.Fence()
+	return api.AcqState{}, true
 }
 
-func (h *filterHandle) Unlock(l ptr.Ptr) {
+func (h *filterHandle) ReleaseAcq(l ptr.Ptr, _ api.Mode, _ api.AcqState) {
 	st := h.p.lookup(l)
 	h.ctx.Fence()
 	h.ctx.RWrite(st.level.Add(uint64(h.ctx.ThreadID())), 0)

@@ -156,14 +156,11 @@ type rwStats struct {
 	Violations        int64 // writer overlapping anyone, or reader overlapping a writer
 }
 
-// runRW drives readers and writers against one RW lock on node 0 and
-// checks the shared/exclusive invariants from inside the critical sections.
+// runRW drives readers and writers against one RW lock on node 0 through
+// the blocking shape (api.Blocking over the algorithm's handle) and checks
+// the shared/exclusive invariants from inside the critical sections.
 func runRW(t *testing.T, prov locks.Provider, readers, writers int, csNS int64, horizon int64) rwStats {
 	t.Helper()
-	rwp, ok := prov.(locks.RWProvider)
-	if !ok {
-		t.Fatalf("%s does not implement RWProvider", prov.Name())
-	}
 	m := model.Uniform(7)
 	m.TornRCAS = true
 	m.TornGapNS = 90
@@ -176,7 +173,7 @@ func runRW(t *testing.T, prov locks.Provider, readers, writers int, csNS int64, 
 	for i := 0; i < readers; i++ {
 		node := i % 2
 		e.Spawn(node, func(ctx api.Ctx) {
-			h := rwp.NewRWHandle(ctx)
+			h := api.NewBlocking(prov.NewHandle(ctx))
 			for !ctx.Stopped() {
 				h.RLock(l)
 				readersIn++
@@ -196,7 +193,7 @@ func runRW(t *testing.T, prov locks.Provider, readers, writers int, csNS int64, 
 	for i := 0; i < writers; i++ {
 		node := i % 2
 		e.Spawn(node, func(ctx api.Ctx) {
-			h := rwp.NewRWHandle(ctx)
+			h := api.NewBlocking(prov.NewHandle(ctx))
 			for !ctx.Stopped() {
 				h.Lock(l)
 				writersIn++
@@ -269,12 +266,11 @@ func TestRWUncontendedWriteSingleCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rwp := prov.(locks.RWProvider)
 			e := sim.New(2, 1<<18, model.Uniform(7), 1)
 			l := e.Space().AllocLine(0)
 			prov.Prepare(e.Space(), []ptr.Ptr{l})
 			e.Spawn(1, func(ctx api.Ctx) { // remote thread, idle lock
-				h := rwp.NewRWHandle(ctx)
+				h := api.NewBlocking(prov.NewHandle(ctx))
 				h.Lock(l)
 				h.Unlock(l)
 			})
@@ -332,14 +328,11 @@ func TestRWQueueTinyBudgetStillAdmitsReaders(t *testing.T) {
 }
 
 func TestRWExclusiveDegradationAdapter(t *testing.T) {
-	// Algorithms without native shared mode run RW workloads through the
-	// ExclusiveRW adapter: still mutually exclusive, readers never overlap.
+	// Algorithms without native shared mode treat Shared as Exclusive:
+	// still mutually exclusive, readers never overlap.
 	prov, err := locks.ByName("mcs", locks.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := prov.(locks.RWProvider); ok {
-		t.Fatal("mcs unexpectedly native-RW; test needs a degrading algorithm")
 	}
 	m := model.Uniform(7)
 	e := sim.New(2, 1<<18, m, 1)
@@ -350,7 +343,7 @@ func TestRWExclusiveDegradationAdapter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		node := i % 2
 		e.Spawn(node, func(ctx api.Ctx) {
-			h := locks.RWHandleFor(prov, ctx)
+			h := api.NewBlocking(prov.NewHandle(ctx))
 			for !ctx.Stopped() {
 				h.RLock(l)
 				readersIn++
@@ -374,8 +367,11 @@ func TestRWExclusiveDegradationAdapter(t *testing.T) {
 }
 
 func TestAllCorrectAlgorithmsUnderOneConfig(t *testing.T) {
-	// Every non-broken algorithm passes the same mid-contention check.
+	// Every non-broken algorithm passes the same single-lock check: all
+	// nine threads on one lock, the highest contention the config reaches
+	// (TestMutualExclusionUnderTokenAPI covers the two-lock mix).
 	cfg := locktest.DefaultMutexConfig()
+	cfg.Locks = 1
 	cfg.Iters = 40
 	threads := cfg.Nodes * cfg.ThreadsPerNode
 	for _, name := range locks.Names() {

@@ -49,73 +49,39 @@ type MCSHandle struct {
 	// abandoning descriptors on deadline; it is a run-wide mode (granters
 	// and waiters must agree). Off, the lock is the paper's byte-for-byte.
 	timed bool
-	pool  descPool
-	held  []mcsHeld // outstanding Lock/Unlock-facade acquisitions
+	pool  api.DescPool
 }
 
-type mcsHeld struct {
-	lock ptr.Ptr
-	desc ptr.Ptr
-}
-
-var _ api.Locker = (*MCSHandle)(nil)
+var _ api.Handle = (*MCSHandle)(nil)
 
 // NewMCSHandle allocates the thread's first queue descriptor on its own
 // node; further descriptors are allocated only for overlapping holds.
 func NewMCSHandle(ctx api.Ctx) *MCSHandle {
-	h := &MCSHandle{ctx: ctx, pool: descPool{
-		ctx: ctx, words: MCSDescWords, spin: mcsLocked, skip: mcsSkipped,
+	h := &MCSHandle{ctx: ctx, pool: api.DescPool{
+		Ctx: ctx, Words: MCSDescWords, Spin: mcsLocked, Skip: mcsSkipped,
 	}}
-	h.pool.put(ctx.Alloc(MCSDescWords, MCSDescWords))
-	return h
-}
-
-// NewTimedMCSHandle returns a handle speaking the timed handoff protocol.
-func NewTimedMCSHandle(ctx api.Ctx) *MCSHandle {
-	h := NewMCSHandle(ctx)
-	h.timed = true
+	h.pool.Put(ctx.Alloc(MCSDescWords, MCSDescWords))
 	return h
 }
 
 // Zombies reports abandoned descriptors still awaiting their skip mark.
-func (h *MCSHandle) Zombies() int { return h.pool.zombies() }
+func (h *MCSHandle) Zombies() int { return h.pool.Zombies() }
 
-// Lock enqueues onto the lock's tail word and waits to reach the head.
-func (h *MCSHandle) Lock(l ptr.Ptr) {
-	d, _ := h.AcquireTimedDesc(l, 0)
-	h.held = append(h.held, mcsHeld{lock: l, desc: d})
-}
-
-// Unlock dequeues: if no successor is queued the tail is CASed back to
-// NULL; otherwise we wait for the successor's link and pass the lock by
-// clearing its spin flag.
-func (h *MCSHandle) Unlock(l ptr.Ptr) {
-	for i := len(h.held) - 1; i >= 0; i-- {
-		if h.held[i].lock == l {
-			d := h.held[i].desc
-			h.held = append(h.held[:i], h.held[i+1:]...)
-			h.ReleaseDesc(l, d)
-			return
-		}
-	}
-	panic("locks: MCS Unlock without matching Lock")
-}
-
-// AcquireTimedDesc enqueues onto the lock's tail and waits to reach the
-// head, giving up once engine time reaches deadlineNS (0 = block; deadlines
-// require the timed protocol). On success it returns the acquisition's
-// descriptor for ReleaseDesc; on timeout the descriptor has been CAS-marked
-// abandoned in place — the granter patches the queue around it — and
-// nothing is held.
-func (h *MCSHandle) AcquireTimedDesc(l ptr.Ptr, deadlineNS int64) (ptr.Ptr, bool) {
+// AcquireTimed enqueues onto the lock's tail and waits to reach the head,
+// giving up once engine time reaches deadlineNS (0 = block; deadlines
+// require the timed protocol). Shared degrades to Exclusive. On success the
+// returned state carries the acquisition's descriptor; on timeout the
+// descriptor has been CAS-marked abandoned in place — the granter patches
+// the queue around it — and nothing is held.
+func (h *MCSHandle) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (api.AcqState, bool) {
 	ctx := h.ctx
 	if !h.timed {
 		deadlineNS = 0
 	}
-	d := h.pool.get()
+	d := h.pool.Get()
 	if deadlineNS > 0 && ctx.Now() >= deadlineNS {
-		h.pool.put(d)
-		return ptr.Null, false
+		h.pool.Put(d)
+		return api.AcqState{}, false
 	}
 
 	// Reset the descriptor with shared-memory writes: the descriptor is
@@ -137,7 +103,7 @@ func (h *MCSHandle) AcquireTimedDesc(l ptr.Ptr, deadlineNS int64) (ptr.Ptr, bool
 	}
 	if expected == ptr.Null.Word() {
 		ctx.Fence()
-		return d, true // queue was empty: lock acquired
+		return api.AcqState{Desc: d}, true // queue was empty: lock acquired
 	}
 
 	// Link behind the predecessor, then spin on our own descriptor via
@@ -151,23 +117,25 @@ func (h *MCSHandle) AcquireTimedDesc(l ptr.Ptr, deadlineNS int64) (ptr.Ptr, bool
 			// races the timeout and wins (both transitions are rCAS, so
 			// exactly one wins).
 			if ctx.RCAS(d.Add(mcsLocked), mcsWaiting, mcsAbandoned) == mcsWaiting {
-				h.pool.zombie(d)
-				return ptr.Null, false
+				h.pool.Park(d)
+				return api.AcqState{}, false
 			}
 			break // granted just in time
 		}
 	}
 	ctx.Fence()
-	return d, true
+	return api.AcqState{Desc: d}, true
 }
 
-// ReleaseDesc releases an acquisition made by AcquireTimedDesc.
-func (h *MCSHandle) ReleaseDesc(l ptr.Ptr, d ptr.Ptr) {
-	ctx := h.ctx
+// ReleaseAcq dequeues: if no successor is queued the tail is CASed back to
+// NULL; otherwise we wait for the successor's link and pass the lock by
+// clearing its spin flag.
+func (h *MCSHandle) ReleaseAcq(l ptr.Ptr, _ api.Mode, st api.AcqState) {
+	ctx, d := h.ctx, st.Desc
 	ctx.Fence()
 
 	if ctx.RCAS(l, d.Word(), ptr.Null.Word()) == d.Word() {
-		h.pool.put(d)
+		h.pool.Put(d)
 		return
 	}
 	for ctx.RRead(d.Add(mcsNext)) == ptr.Null.Word() {
@@ -175,7 +143,7 @@ func (h *MCSHandle) ReleaseDesc(l ptr.Ptr, d ptr.Ptr) {
 	succ := ptr.FromWord(ctx.RRead(d.Add(mcsNext)))
 	if !h.timed {
 		ctx.RWrite(succ.Add(mcsLocked), mcsGranted)
-		h.pool.put(d)
+		h.pool.Put(d)
 		return
 	}
 	for {
@@ -190,7 +158,7 @@ func (h *MCSHandle) ReleaseDesc(l ptr.Ptr, d ptr.Ptr) {
 		if next == ptr.Null.Word() {
 			if ctx.RCAS(l, succ.Word(), ptr.Null.Word()) == succ.Word() {
 				ctx.RWrite(succ.Add(mcsLocked), mcsSkipped)
-				h.pool.put(d)
+				h.pool.Put(d)
 				return // queue drained; lock released
 			}
 			for next == ptr.Null.Word() {
@@ -200,5 +168,5 @@ func (h *MCSHandle) ReleaseDesc(l ptr.Ptr, d ptr.Ptr) {
 		ctx.RWrite(succ.Add(mcsLocked), mcsSkipped)
 		succ = ptr.FromWord(next)
 	}
-	h.pool.put(d)
+	h.pool.Put(d)
 }

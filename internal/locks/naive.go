@@ -30,7 +30,7 @@ func (NaiveMixedProvider) Name() string { return "naive-mixed" }
 func (NaiveMixedProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
-func (NaiveMixedProvider) NewHandle(ctx api.Ctx) api.Locker {
+func (NaiveMixedProvider) NewHandle(ctx api.Ctx) api.Handle {
 	return &naiveHandle{ctx: ctx, tag: uint64(ctx.ThreadID()) + 1}
 }
 
@@ -39,9 +39,9 @@ type naiveHandle struct {
 	tag uint64
 }
 
-var _ api.Locker = (*naiveHandle)(nil)
+var _ api.Handle = (*naiveHandle)(nil)
 
-func (h *naiveHandle) Lock(l ptr.Ptr) {
+func (h *naiveHandle) AcquireTimed(l ptr.Ptr, _ api.Mode, _ int64) (api.AcqState, bool) {
 	if api.Classify(h.ctx.NodeID(), l) == api.CohortLocal {
 		i := 0
 		for h.ctx.CAS(l, 0, h.tag) != 0 {
@@ -53,9 +53,10 @@ func (h *naiveHandle) Lock(l ptr.Ptr) {
 		}
 	}
 	h.ctx.Fence()
+	return api.AcqState{}, true
 }
 
-func (h *naiveHandle) Unlock(l ptr.Ptr) {
+func (h *naiveHandle) ReleaseAcq(l ptr.Ptr, _ api.Mode, _ api.AcqState) {
 	h.ctx.Fence()
 	if api.Classify(h.ctx.NodeID(), l) == api.CohortLocal {
 		h.ctx.Write(l, 0)

@@ -1,3 +1,7 @@
+// registry.go is the algorithm registry: the Provider contract, the ALock,
+// spinlock and MCS providers, and the one ordered table (algorithms) that
+// Names and ByName are driven from. Adding an algorithm is one api.Handle
+// implementation plus one row in that table.
 package locks
 
 import (
@@ -21,13 +25,18 @@ import (
 type Provider interface {
 	Name() string
 	Prepare(space *mem.Space, locks []ptr.Ptr)
-	NewHandle(ctx api.Ctx) api.Locker
+	NewHandle(ctx api.Ctx) api.Handle
 }
 
 // ALockProvider supplies the paper's ALock under a given budget
-// configuration.
+// configuration. It retains every handle it creates (O(threads) appends) so
+// the algorithm's counters can be harvested after a run (StatsAggregator).
 type ALockProvider struct {
-	Cfg core.Config
+	Cfg  core.Config
+	name string // registry name of an ablation variant; empty means "alock"
+
+	mu      sync.Mutex
+	handles []*core.Handle
 }
 
 // NewALockProvider returns a provider with the paper's default budgets
@@ -36,10 +45,10 @@ func NewALockProvider() *ALockProvider { return &ALockProvider{Cfg: core.Default
 
 // Name implements Provider.
 func (p *ALockProvider) Name() string {
-	if p.Cfg.ForceRemote {
-		return "alock-symmetric"
+	if p.name == "" {
+		return "alock"
 	}
-	return "alock"
+	return p.name
 }
 
 // Prepare implements Provider (no shared per-lock state: an ALock is fully
@@ -47,85 +56,7 @@ func (p *ALockProvider) Name() string {
 func (p *ALockProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
-func (p *ALockProvider) NewHandle(ctx api.Ctx) api.Locker {
-	return core.NewHandle(ctx, p.Cfg)
-}
-
-// NewTimedHandle implements TimedProvider.
-func (p *ALockProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return alockTimed{h: core.NewHandle(ctx, p.Cfg)}
-}
-
-// SpinProvider supplies the RDMA spinlock competitor.
-type SpinProvider struct{}
-
-// Name implements Provider.
-func (SpinProvider) Name() string { return "spinlock" }
-
-// Prepare implements Provider.
-func (SpinProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
-// NewHandle implements Provider.
-func (SpinProvider) NewHandle(ctx api.Ctx) api.Locker { return NewSpinHandle(ctx) }
-
-// NewTimedHandle implements TimedProvider.
-func (SpinProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return spinTimed{h: NewSpinHandle(ctx)}
-}
-
-// AbortableTimed implements AbortableTimedProvider: the spinlock's timed
-// acquire is a bounded poll that holds no waiter state at all.
-func (SpinProvider) AbortableTimed() {}
-
-// MCSProvider supplies the RDMA MCS queue lock competitor. Timed selects
-// the abandonment-tolerant handoff protocol (run-wide mode).
-type MCSProvider struct{ Timed bool }
-
-// Name implements Provider.
-func (MCSProvider) Name() string { return "mcs" }
-
-// Prepare implements Provider.
-func (MCSProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
-// NewHandle implements Provider.
-func (p MCSProvider) NewHandle(ctx api.Ctx) api.Locker { return p.newHandle(ctx) }
-
-// NewTimedHandle implements TimedProvider.
-func (p MCSProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return mcsTimed{h: p.newHandle(ctx)}
-}
-
-// AbortableTimed implements AbortableTimedProvider: an MCS waiter's
-// abandon CAS loses only to a grant already in flight from a releasing
-// holder, never to one gated on a third party.
-func (MCSProvider) AbortableTimed() {}
-
-func (p MCSProvider) newHandle(ctx api.Ctx) *MCSHandle {
-	if p.Timed {
-		return NewTimedMCSHandle(ctx)
-	}
-	return NewMCSHandle(ctx)
-}
-
-// trackedProvider wraps ALockProvider to retain handles for stats
-// harvesting after a run.
-type trackedALockProvider struct {
-	*ALockProvider
-	mu      sync.Mutex
-	handles []*core.Handle
-}
-
-func (p *trackedALockProvider) NewHandle(ctx api.Ctx) api.Locker {
-	return p.newTracked(ctx)
-}
-
-// NewTimedHandle implements TimedProvider (the tracked handle keeps
-// feeding AggregateStats).
-func (p *trackedALockProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return alockTimed{h: p.newTracked(ctx)}
-}
-
-func (p *trackedALockProvider) newTracked(ctx api.Ctx) *core.Handle {
+func (p *ALockProvider) NewHandle(ctx api.Ctx) api.Handle {
 	h := core.NewHandle(ctx, p.Cfg)
 	p.mu.Lock()
 	p.handles = append(p.handles, h)
@@ -133,8 +64,9 @@ func (p *trackedALockProvider) newTracked(ctx api.Ctx) *core.Handle {
 	return h
 }
 
-// AggregateStats sums the core stats over all handles created so far.
-func (p *trackedALockProvider) AggregateStats() core.Stats {
+// AggregateStats implements StatsAggregator: the core stats summed over
+// all handles created so far.
+func (p *ALockProvider) AggregateStats() core.Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s core.Stats
@@ -155,29 +87,43 @@ type StatsAggregator interface {
 	AggregateStats() core.Stats
 }
 
-// RWProvider is implemented by providers whose algorithm supports shared
-// (read) acquisitions natively. Providers without it still run reader/
-// writer workloads through RWHandleFor's exclusive degradation.
-type RWProvider interface {
-	Provider
-	NewRWHandle(ctx api.Ctx) api.RWLocker
+// SpinProvider supplies the RDMA spinlock competitor.
+type SpinProvider struct{}
+
+// Name implements Provider.
+func (SpinProvider) Name() string { return "spinlock" }
+
+// Prepare implements Provider.
+func (SpinProvider) Prepare(*mem.Space, []ptr.Ptr) {}
+
+// NewHandle implements Provider.
+func (SpinProvider) NewHandle(ctx api.Ctx) api.Handle { return NewSpinHandle(ctx) }
+
+// AbortableTimed implements AbortableTimedProvider: the spinlock's timed
+// acquire is a bounded poll that holds no waiter state at all.
+func (SpinProvider) AbortableTimed() {}
+
+// MCSProvider supplies the RDMA MCS queue lock competitor. Timed selects
+// the abandonment-tolerant handoff protocol (run-wide mode).
+type MCSProvider struct{ Timed bool }
+
+// Name implements Provider.
+func (MCSProvider) Name() string { return "mcs" }
+
+// Prepare implements Provider.
+func (MCSProvider) Prepare(*mem.Space, []ptr.Ptr) {}
+
+// NewHandle implements Provider.
+func (p MCSProvider) NewHandle(ctx api.Ctx) api.Handle {
+	h := NewMCSHandle(ctx)
+	h.timed = p.Timed
+	return h
 }
 
-// RWHandleFor returns a reader/writer handle for any provider: the native
-// one when the algorithm supports shared mode, otherwise the exclusive
-// degradation (RLock behaves as Lock — correct, but readers serialize).
-func RWHandleFor(p Provider, ctx api.Ctx) api.RWLocker {
-	if rw, ok := p.(RWProvider); ok {
-		return rw.NewRWHandle(ctx)
-	}
-	return api.ExclusiveRW{L: p.NewHandle(ctx)}
-}
-
-// NewTrackedALockProvider returns an ALock provider that also satisfies
-// StatsAggregator.
-func NewTrackedALockProvider(cfg core.Config) Provider {
-	return &trackedALockProvider{ALockProvider: &ALockProvider{Cfg: cfg}}
-}
+// AbortableTimed implements AbortableTimedProvider: an MCS waiter's
+// abandon CAS loses only to a grant already in flight from a releasing
+// holder, never to one gated on a third party.
+func (MCSProvider) AbortableTimed() {}
 
 // Options parameterizes ByName.
 type Options struct {
@@ -199,30 +145,57 @@ type Options struct {
 	Timed bool
 }
 
+// algorithms is the registry, in documentation order. needsThreads marks
+// the O(threads)-state baselines that require Options.Threads; build
+// receives the options with defaults applied and budgets validated
+// (ALockConfig.Timed already mirrors Timed).
+var algorithms = []struct {
+	name, doc    string
+	needsThreads bool
+	build        func(o Options) Provider
+}{
+	{name: "alock", doc: "the paper's ALock (budgets from opts, default 5/20)",
+		build: func(o Options) Provider { return &ALockProvider{Cfg: o.ALockConfig} }},
+	{name: "alock-nobudget", doc: "ablation: effectively unbounded budgets",
+		build: func(o Options) Provider {
+			// Budgets so large they never reach zero within any experiment:
+			// passing continues indefinitely, removing the fairness mechanism.
+			o.ALockConfig.LocalBudget, o.ALockConfig.RemoteBudget = 1<<40, 1<<40
+			return &ALockProvider{Cfg: o.ALockConfig, name: "alock-nobudget"}
+		}},
+	{name: "alock-symmetric", doc: "ablation: every access forced into the remote cohort",
+		build: func(o Options) Provider {
+			o.ALockConfig.ForceRemote = true
+			return &ALockProvider{Cfg: o.ALockConfig, name: "alock-symmetric"}
+		}},
+	{name: "spinlock", doc: "competitor: repeat rCAS (all RDMA, loopback included)",
+		build: func(Options) Provider { return SpinProvider{} }},
+	{name: "mcs", doc: "competitor: RDMA MCS queue lock (all RDMA)",
+		build: func(o Options) Provider { return MCSProvider{Timed: o.Timed} }},
+	{name: "filter", doc: "related work: n-thread Peterson filter over RDMA", needsThreads: true,
+		build: func(o Options) Provider { return NewFilterProvider(o.Threads) }},
+	{name: "bakery", doc: "related work: Lamport's bakery over RDMA", needsThreads: true,
+		build: func(o Options) Provider { return NewBakeryProvider(o.Threads) }},
+	{name: "rw-budget", doc: "reader/writer lock with ALock-style phase budgets",
+		build: func(o Options) Provider { return &RWBudgetProvider{Cfg: o.RW} }},
+	{name: "rw-wpref", doc: "reader/writer lock, writer-preference baseline",
+		build: func(Options) Provider { return RWPrefProvider{} }},
+	{name: "rw-queue", doc: "MCS-style queued reader/writer lock (per-thread descriptors, reader groups, budget-bounded barging)",
+		build: func(o Options) Provider { return &RWQueueProvider{Cfg: o.RW, Timed: o.Timed} }},
+}
+
 // Names lists every constructible algorithm, sorted.
 func Names() []string {
-	names := []string{
-		"alock", "alock-nobudget", "alock-symmetric",
-		"spinlock", "mcs", "filter", "bakery",
-		"rw-budget", "rw-wpref", "rw-queue",
+	names := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		names[i] = a.name
 	}
 	sort.Strings(names)
 	return names
 }
 
-// ByName constructs the named algorithm's provider.
-//
-//	alock           — the paper's ALock (budgets from opts, default 5/20)
-//	alock-nobudget  — ablation: effectively unbounded budgets
-//	alock-symmetric — ablation: every access forced into the remote cohort
-//	spinlock        — competitor: repeat rCAS (all RDMA, loopback included)
-//	mcs             — competitor: RDMA MCS queue lock (all RDMA)
-//	filter          — related work: n-thread Peterson filter over RDMA
-//	bakery          — related work: Lamport's bakery over RDMA
-//	rw-budget       — reader/writer lock with ALock-style phase budgets
-//	rw-wpref        — reader/writer lock, writer-preference baseline
-//	rw-queue        — MCS-style queued reader/writer lock (per-thread
-//	                  descriptors, reader groups, budget-bounded barging)
+// ByName constructs the named algorithm's provider; the algorithms table
+// lists the names and what each one is.
 func ByName(name string, opts Options) (Provider, error) {
 	cfg := opts.ALockConfig
 	if cfg.LocalBudget == 0 && cfg.RemoteBudget == 0 {
@@ -235,63 +208,25 @@ func ByName(name string, opts Options) (Provider, error) {
 		// every algorithm, not only the ones that read it.
 		return nil, err
 	}
-	rwCfg := opts.RW
-	if rwCfg == (RWConfig{}) {
-		rwCfg = DefaultRWConfig()
-	} else if err := rwCfg.Validate(); err != nil {
+	cfg.Timed = opts.Timed
+	opts.ALockConfig = cfg
+	if opts.RW == (RWConfig{}) {
+		opts.RW = DefaultRWConfig()
+	} else if err := opts.RW.Validate(); err != nil {
 		// Validated for every algorithm, not just the two that consume the
 		// budgets: a half-set pair is a mistake wherever it appears, and
 		// accepting it for rw-wpref while rejecting it for rw-budget would
 		// make the same flags behave differently across -algo values.
 		return nil, err
 	}
-	cfg.Timed = opts.Timed
-	switch name {
-	case "alock":
-		return NewTrackedALockProvider(cfg), nil
-	case "alock-nobudget":
-		nb := cfg
-		// Budgets so large they never reach zero within any experiment:
-		// passing continues indefinitely, removing the fairness mechanism.
-		nb.LocalBudget = 1 << 40
-		nb.RemoteBudget = 1 << 40
-		return &nobudgetProvider{NewTrackedALockProvider(nb).(*trackedALockProvider)}, nil
-	case "alock-symmetric":
-		sym := cfg
-		sym.ForceRemote = true
-		return &symmetricProvider{NewTrackedALockProvider(sym).(*trackedALockProvider)}, nil
-	case "spinlock":
-		return SpinProvider{}, nil
-	case "mcs":
-		return MCSProvider{Timed: opts.Timed}, nil
-	case "rw-budget":
-		return &RWBudgetProvider{Cfg: rwCfg}, nil
-	case "rw-wpref":
-		return RWPrefProvider{}, nil
-	case "rw-queue":
-		return &RWQueueProvider{Cfg: rwCfg, Timed: opts.Timed}, nil
-	case "filter":
-		if opts.Threads < 1 {
+	for _, a := range algorithms {
+		if a.name != name {
+			continue
+		}
+		if a.needsThreads && opts.Threads < 1 {
 			return nil, fmt.Errorf("locks: %q requires Options.Threads", name)
 		}
-		return NewFilterProvider(opts.Threads), nil
-	case "bakery":
-		if opts.Threads < 1 {
-			return nil, fmt.Errorf("locks: %q requires Options.Threads", name)
-		}
-		return NewBakeryProvider(opts.Threads), nil
-	default:
-		return nil, fmt.Errorf("locks: unknown algorithm %q (have %v)", name, Names())
+		return a.build(opts), nil
 	}
+	return nil, fmt.Errorf("locks: unknown algorithm %q (have %v)", name, Names())
 }
-
-// nobudgetProvider / symmetricProvider rename wrapped ALock providers
-// (the concrete embed keeps the TimedProvider and StatsAggregator methods
-// promoted).
-type nobudgetProvider struct{ *trackedALockProvider }
-
-func (nobudgetProvider) Name() string { return "alock-nobudget" }
-
-type symmetricProvider struct{ *trackedALockProvider }
-
-func (symmetricProvider) Name() string { return "alock-symmetric" }

@@ -87,14 +87,9 @@ type RWHandle struct {
 	ctx      api.Ctx
 	budgeted bool
 	cfg      RWConfig
-	// held is the state word this handle installed by its last exclusive
-	// acquire — the optimistic expected value for Unlock's first rCAS. A
-	// stale value only costs one failed CAS (the retry loop reseeds from
-	// the returned previous value), never correctness.
-	held uint64
 }
 
-var _ api.RWLocker = (*RWHandle)(nil)
+var _ api.Handle = (*RWHandle)(nil)
 
 // NewRWBudgetHandle returns a per-thread handle of the budgeted
 // phase-fair lock.
@@ -200,14 +195,31 @@ func (h *RWHandle) writerEnter(s uint64) uint64 {
 // release is exactly one verb. Fresh polls (cheap shared-memory reads on
 // the home node) happen only between Pause back-offs while waiting.
 
-// RLock implements api.RWLocker: shared acquire.
-func (h *RWHandle) RLock(l ptr.Ptr) { h.AcquireSharedTimed(l, 0) }
+// AcquireTimed implements api.Handle. An exclusive acquisition's state is
+// the word it installed — the optimistic seed of its release's first rCAS;
+// a shared one carries nothing.
+func (h *RWHandle) AcquireTimed(l ptr.Ptr, mode api.Mode, deadlineNS int64) (api.AcqState, bool) {
+	if mode == api.Shared {
+		return api.AcqState{}, h.acquireShared(l, deadlineNS)
+	}
+	held, ok := h.acquireExcl(l, deadlineNS)
+	return api.AcqState{Word: held}, ok
+}
 
-// AcquireSharedTimed is RLock with a deadline (0 = block). The single-word
-// timeout path is a bounded poll followed by a CAS retraction: a waiter
-// that registered in rdWait takes itself back out before giving up, so
-// writer admissions stop consuming budget on behalf of a goner.
-func (h *RWHandle) AcquireSharedTimed(l ptr.Ptr, deadlineNS int64) bool {
+// ReleaseAcq implements api.Handle.
+func (h *RWHandle) ReleaseAcq(l ptr.Ptr, mode api.Mode, st api.AcqState) {
+	if mode == api.Shared {
+		h.releaseShared(l)
+		return
+	}
+	h.releaseExcl(l, st.Word)
+}
+
+// acquireShared is the shared acquire with a deadline (0 = block). The
+// single-word timeout path is a bounded poll followed by a CAS retraction:
+// a waiter that registered in rdWait takes itself back out before giving
+// up, so writer admissions stop consuming budget on behalf of a goner.
+func (h *RWHandle) acquireShared(l ptr.Ptr, deadlineNS int64) bool {
 	// Optimistic: a pristine idle lock is entered with a single rCAS.
 	s := h.ctx.RCAS(l, 0, h.readerEnter(0, false))
 	if s == 0 {
@@ -255,8 +267,8 @@ func (h *RWHandle) AcquireSharedTimed(l ptr.Ptr, deadlineNS int64) bool {
 	}
 }
 
-// RUnlock implements api.RWLocker: shared release.
-func (h *RWHandle) RUnlock(l ptr.Ptr) {
+// releaseShared is the shared release.
+func (h *RWHandle) releaseShared(l ptr.Ptr) {
 	h.ctx.Fence()
 	s := h.poll(l)
 	for {
@@ -268,21 +280,17 @@ func (h *RWHandle) RUnlock(l ptr.Ptr) {
 	}
 }
 
-// Lock implements api.Locker: exclusive (write) acquire.
-func (h *RWHandle) Lock(l ptr.Ptr) { h.AcquireExclTimed(l, 0) }
-
-// AcquireExclTimed is Lock with a deadline (0 = block). On success the
-// returned word is the state the acquire installed — the optimistic seed
-// its matching release should use. On timeout the registration in wrWait
-// is retracted by CAS and nothing is held.
-func (h *RWHandle) AcquireExclTimed(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
+// acquireExcl is the exclusive (write) acquire with a deadline (0 = block).
+// On success the returned word is the state the acquire installed — the
+// optimistic seed its matching release should use. On timeout the
+// registration in wrWait is retracted by CAS and nothing is held.
+func (h *RWHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
 	// Optimistic: a pristine idle lock is claimed with a single rCAS,
 	// skipping the registration round trip the slow path pays.
 	s := h.ctx.RCAS(l, 0, uint64(1)<<rwWrActiveBit)
 	if s == 0 {
-		h.held = 1 << rwWrActiveBit
 		h.ctx.Fence()
-		return h.held, true
+		return 1 << rwWrActiveBit, true
 	}
 	// Idle but with residual phase/grants bits: still a single-CAS claim.
 	if rwRdActive(s) == 0 && !rwWrActive(s) && rwWrWait(s) == 0 && rwRdWait(s) == 0 {
@@ -291,9 +299,8 @@ func (h *RWHandle) AcquireExclTimed(l ptr.Ptr, deadlineNS int64) (uint64, bool) 
 			ns &^= uint64(rwGrantsMask) << rwGrantsShift // end of episode
 		}
 		if prev := h.ctx.RCAS(l, s, ns); prev == s {
-			h.held = ns
 			h.ctx.Fence()
-			return h.held, true
+			return ns, true
 		}
 	}
 	// Register first — registration doubles as the "writer interested"
@@ -313,9 +320,8 @@ func (h *RWHandle) AcquireExclTimed(l ptr.Ptr, deadlineNS int64) (uint64, bool) 
 			ns := h.writerEnter(s)
 			prev := h.ctx.RCAS(l, s, ns)
 			if prev == s {
-				h.held = ns
 				h.ctx.Fence()
-				return h.held, true
+				return ns, true
 			}
 			s = prev
 			continue
@@ -335,13 +341,11 @@ func (h *RWHandle) AcquireExclTimed(l ptr.Ptr, deadlineNS int64) (uint64, bool) 
 	}
 }
 
-// Unlock implements api.Locker: exclusive release.
-func (h *RWHandle) Unlock(l ptr.Ptr) { h.ReleaseExcl(l, h.held) }
-
-// ReleaseExcl releases an exclusive acquisition, seeded with the state
-// word that acquisition installed (per-acquisition state, so overlapping
-// exclusive holds of different locks release correctly).
-func (h *RWHandle) ReleaseExcl(l ptr.Ptr, held uint64) {
+// releaseExcl releases an exclusive acquisition, seeded with the state
+// word that acquisition installed. A stale seed (waiters registered since)
+// only costs one failed CAS — the retry loop reseeds from the returned
+// previous value — never correctness.
+func (h *RWHandle) releaseExcl(l ptr.Ptr, held uint64) {
 	h.ctx.Fence()
 	s := held // expected state from the acquire: usually still exact
 	for {
@@ -370,18 +374,8 @@ func (*RWBudgetProvider) Name() string { return "rw-budget" }
 func (*RWBudgetProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
-func (p *RWBudgetProvider) NewHandle(ctx api.Ctx) api.Locker {
-	return p.NewRWHandle(ctx)
-}
-
-// NewRWHandle implements RWProvider.
-func (p *RWBudgetProvider) NewRWHandle(ctx api.Ctx) api.RWLocker {
+func (p *RWBudgetProvider) NewHandle(ctx api.Ctx) api.Handle {
 	return NewRWBudgetHandle(ctx, p.Cfg)
-}
-
-// NewTimedHandle implements TimedProvider.
-func (p *RWBudgetProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return rwTimed{h: NewRWBudgetHandle(ctx, p.Cfg)}
 }
 
 // AbortableTimed implements AbortableTimedProvider: single-word waiters
@@ -398,15 +392,7 @@ func (RWPrefProvider) Name() string { return "rw-wpref" }
 func (RWPrefProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
-func (p RWPrefProvider) NewHandle(ctx api.Ctx) api.Locker { return p.NewRWHandle(ctx) }
-
-// NewRWHandle implements RWProvider.
-func (RWPrefProvider) NewRWHandle(ctx api.Ctx) api.RWLocker { return NewRWPrefHandle(ctx) }
-
-// NewTimedHandle implements TimedProvider.
-func (RWPrefProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return rwTimed{h: NewRWPrefHandle(ctx)}
-}
+func (RWPrefProvider) NewHandle(ctx api.Ctx) api.Handle { return NewRWPrefHandle(ctx) }
 
 // AbortableTimed implements AbortableTimedProvider: single-word waiters
 // retract their wait registration with one CAS on timeout.

@@ -63,10 +63,11 @@ func TestEnterClearsStaleGrants(t *testing.T) {
 	}
 }
 
-// A handle that acquires lock A, then lock B, then unlocks A carries B's
-// installed state in held when Unlock(A) runs: the optimistic first rCAS
-// uses a stale expected value, fails, and must recover through the retry
-// path (rwlock.go's Unlock loop) without corrupting either lock.
+// An exclusive release seeded with a stale state word — here B's installed
+// state handed to A's release, as any waiter registering between acquire
+// and release would make it — fails its optimistic first rCAS and must
+// recover through the retry path (rwlock.go's releaseExcl loop) without
+// corrupting either lock.
 func TestUnlockStaleHeldRetries(t *testing.T) {
 	// Observations are collected inside the simulated thread and asserted
 	// after e.Run: a t.Fatalf inside a spawned thread would skip the
@@ -81,15 +82,15 @@ func TestUnlockStaleHeldRetries(t *testing.T) {
 		// behind) so B's acquire installs a state word different from A's.
 		ctx.RCAS(b, 0, 1<<rwPhaseBit)
 
-		h.Lock(a)
-		heldA = h.held
-		h.Lock(b)
-		heldB = h.held
+		stA, _ := h.AcquireTimed(a, api.Exclusive, 0)
+		heldA = stA.Word
+		stB, _ := h.AcquireTimed(b, api.Exclusive, 0)
+		heldB = stB.Word
 
-		h.Unlock(a) // first rCAS expects B's state: stale, must retry
+		h.ReleaseAcq(a, api.Exclusive, stB) // first rCAS expects B's state: stale, must retry
 		aAfterUnlockA = ctx.Read(a)
 		bAfterUnlockA = ctx.Read(b)
-		h.Unlock(b)
+		h.ReleaseAcq(b, api.Exclusive, stB)
 		bAfterUnlockB = ctx.Read(b)
 	})
 	e.Run(1 << 40)

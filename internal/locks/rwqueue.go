@@ -115,23 +115,27 @@ func rwqWrWaiting(s uint64) bool  { return s&(1<<rwqWrWaitBit) != 0 }
 func rwqGrants(s uint64) uint64   { return (s >> rwqGrantsShift) & rwqGrantsMask }
 func rwqWClaims(s uint64) uint64  { return (s >> rwqWClaimShift) & rwqGrantsMask }
 
-// rwqAcq is one acquisition's state, created by the acquire path and
-// consumed by the matching release (the token API threads it through the
-// Guard; the blocking facade parks it on a held list).
-type rwqAcq struct {
-	desc   ptr.Ptr // queue descriptor; Null for fast-path acquisitions
-	tagged uint64  // desc.Word() | class tag (0 when desc is Null)
-	// queuedRead marks a shared acquisition that went through the queue
-	// (not the fast path); succDone marks that its queue successor was
-	// already admitted/registered at grant time.
-	queuedRead bool
-	succDone   bool
-	// seen is the last group word this acquisition observed or installed —
-	// the optimistic expected value for the release path's first rCAS. A
-	// stale value only costs one failed CAS (the retry loop reseeds from
-	// the returned previous value), never correctness.
-	seen uint64
-}
+// writerOwns is the group word every queue-mediated writer grant installs:
+// exactly the writer bit, both budget counts reset.
+const writerOwns = 1 << rwqWrActiveBit
+
+// One acquisition's state travels in an api.AcqState from the acquire path
+// to the matching release:
+//
+//   - Desc is the queue descriptor, Null for fast-path acquisitions. The
+//     word queued on the tail is Desc.Word() for a reader and
+//     Desc.Word()|rwqWriterTag for a writer.
+//   - Word is the last group word this acquisition observed or installed —
+//     the optimistic expected value for the release path's first rCAS. A
+//     stale value only costs one failed CAS (the retry loop reseeds from
+//     the returned previous value), never correctness.
+//   - Flags: rwqQueuedRead marks a shared acquisition that went through the
+//     queue (not the fast path); rwqSuccDone marks that its queue successor
+//     was already admitted/registered at grant time.
+const (
+	rwqQueuedRead = 1 << iota
+	rwqSuccDone
+)
 
 // spinDescTimed outcomes.
 const (
@@ -150,17 +154,10 @@ type RWQueueHandle struct {
 	// abandonment on deadline; it is a run-wide mode (granters and waiters
 	// must agree). Off, handoff is the plain-write protocol.
 	timed bool
-	pool  descPool
-	held  []rwqHeld // outstanding Lock/Unlock-facade acquisitions
+	pool  api.DescPool
 }
 
-type rwqHeld struct {
-	lock ptr.Ptr
-	mode api.Mode
-	a    *rwqAcq
-}
-
-var _ api.RWLocker = (*RWQueueHandle)(nil)
+var _ api.Handle = (*RWQueueHandle)(nil)
 
 // NewRWQueueHandle allocates the thread's first queue descriptor on its
 // own node; more are allocated only for overlapping holds.
@@ -168,22 +165,15 @@ func NewRWQueueHandle(ctx api.Ctx, cfg RWConfig) *RWQueueHandle {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &RWQueueHandle{ctx: ctx, cfg: cfg, pool: descPool{
-		ctx: ctx, words: RWQDescWords, spin: rwqSpin, skip: rwqSpinSkip,
+	h := &RWQueueHandle{ctx: ctx, cfg: cfg, pool: api.DescPool{
+		Ctx: ctx, Words: RWQDescWords, Spin: rwqSpin, Skip: rwqSpinSkip,
 	}}
-	h.pool.put(ctx.Alloc(RWQDescWords, RWQDescWords))
-	return h
-}
-
-// NewTimedRWQueueHandle returns a handle speaking the timed protocol.
-func NewTimedRWQueueHandle(ctx api.Ctx, cfg RWConfig) *RWQueueHandle {
-	h := NewRWQueueHandle(ctx, cfg)
-	h.timed = true
+	h.pool.Put(ctx.Alloc(RWQDescWords, RWQDescWords))
 	return h
 }
 
 // Zombies reports abandoned descriptors still awaiting their skip mark.
-func (h *RWQueueHandle) Zombies() int { return h.pool.zombies() }
+func (h *RWQueueHandle) Zombies() int { return h.pool.Zombies() }
 
 // poll reads a lock-line word with the cheapest atomic class available:
 // shared-memory on the lock's home node, a verb elsewhere.
@@ -291,12 +281,13 @@ func (h *RWQueueHandle) claimNext(l ptr.Ptr, next uint64) (uint64, bool) {
 // the group word: either the queue ends at it (tail CAS back to NULL) or
 // the next live waiter inherits the head position through the head wake
 // value. The descriptor was never granted, so it is immediately reusable.
-func (h *RWQueueHandle) abandonHead(l ptr.Ptr, a *rwqAcq) {
-	d := a.desc
+// own is the waiter's queued word (descriptor plus class tag).
+func (h *RWQueueHandle) abandonHead(l ptr.Ptr, own uint64) {
+	d := ptr.FromWord(own &^ rwqWriterTag)
 	next := h.ctx.Read(d.Add(rwqNext))
 	if next == ptr.Null.Word() {
-		if h.ctx.RCAS(l.Add(rwqTail), a.tagged, ptr.Null.Word()) == a.tagged {
-			h.pool.put(d)
+		if h.ctx.RCAS(l.Add(rwqTail), own, ptr.Null.Word()) == own {
+			h.pool.Put(d)
 			return
 		}
 		iter := 0
@@ -310,7 +301,7 @@ func (h *RWQueueHandle) abandonHead(l ptr.Ptr, a *rwqAcq) {
 		succ := ptr.FromWord(tagged &^ rwqWriterTag)
 		h.write(succ.Add(rwqSpin), rwqSpinHead)
 	}
-	h.pool.put(d)
+	h.pool.Put(d)
 }
 
 // --- Reader side ---
@@ -364,33 +355,21 @@ func rwqGroupJoin(s uint64) uint64 {
 	return ns
 }
 
-// RLock implements api.RWLocker: shared acquire (blocking facade).
-func (h *RWQueueHandle) RLock(l ptr.Ptr) {
-	a, _ := h.acquireShared(l, 0)
-	h.held = append(h.held, rwqHeld{lock: l, mode: api.Shared, a: a})
-}
-
-// RUnlock implements api.RWLocker: shared release (blocking facade).
-func (h *RWQueueHandle) RUnlock(l ptr.Ptr) { h.releaseShared(l, h.popHeld(l, api.Shared)) }
-
-// Lock implements api.Locker: exclusive acquire (blocking facade).
-func (h *RWQueueHandle) Lock(l ptr.Ptr) {
-	a, _ := h.acquireExcl(l, 0)
-	h.held = append(h.held, rwqHeld{lock: l, mode: api.Exclusive, a: a})
-}
-
-// Unlock implements api.Locker: exclusive release (blocking facade).
-func (h *RWQueueHandle) Unlock(l ptr.Ptr) { h.releaseExcl(l, h.popHeld(l, api.Exclusive)) }
-
-func (h *RWQueueHandle) popHeld(l ptr.Ptr, mode api.Mode) *rwqAcq {
-	for i := len(h.held) - 1; i >= 0; i-- {
-		if h.held[i].lock == l && h.held[i].mode == mode {
-			a := h.held[i].a
-			h.held = append(h.held[:i], h.held[i+1:]...)
-			return a
-		}
+// AcquireTimed implements api.Handle.
+func (h *RWQueueHandle) AcquireTimed(l ptr.Ptr, mode api.Mode, deadlineNS int64) (api.AcqState, bool) {
+	if mode == api.Shared {
+		return h.acquireShared(l, deadlineNS)
 	}
-	panic("locks: rw-queue release without matching acquire")
+	return h.acquireExcl(l, deadlineNS)
+}
+
+// ReleaseAcq implements api.Handle.
+func (h *RWQueueHandle) ReleaseAcq(l ptr.Ptr, mode api.Mode, st api.AcqState) {
+	if mode == api.Shared {
+		h.releaseShared(l, &st)
+		return
+	}
+	h.releaseExcl(l, st)
 }
 
 // acquireShared acquires in shared mode, giving up at deadlineNS (0 =
@@ -398,7 +377,7 @@ func (h *RWQueueHandle) popHeld(l ptr.Ptr, mode api.Mode) *rwqAcq {
 // locks, the acquire is verb-frugal: the first rCAS is seeded
 // optimistically (a pristine idle lock costs exactly one verb) and every
 // failed rCAS returns the current word, which seeds the next attempt.
-func (h *RWQueueHandle) acquireShared(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool) {
+func (h *RWQueueHandle) acquireShared(l ptr.Ptr, deadlineNS int64) (api.AcqState, bool) {
 	if !h.timed {
 		deadlineNS = 0
 	}
@@ -407,13 +386,13 @@ func (h *RWQueueHandle) acquireShared(l ptr.Ptr, deadlineNS int64) (*rwqAcq, boo
 	s := uint64(0)
 	for h.readerFastEligible(s) {
 		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			return nil, false // gave up holding nothing
+			return api.AcqState{}, false // gave up holding nothing
 		}
 		ns := h.readerFastEnter(s)
 		prev := h.ctx.RCAS(group, s, ns)
 		if prev == s {
 			h.ctx.Fence()
-			return &rwqAcq{seen: ns}, true
+			return api.AcqState{Word: ns}, true
 		}
 		s = prev
 	}
@@ -423,19 +402,19 @@ func (h *RWQueueHandle) acquireShared(l ptr.Ptr, deadlineNS int64) (*rwqAcq, boo
 // rlockQueued is the reader slow path: enqueue, wait for admission, then
 // chain-admit a reader successor (or register a writer successor for the
 // drain wake) so the group keeps its concurrency.
-func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool) {
-	d := h.pool.get()
+func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (api.AcqState, bool) {
+	d := h.pool.Get()
 	if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-		h.pool.put(d)
-		return nil, false
+		h.pool.Put(d)
+		return api.AcqState{}, false
 	}
 	h.resetDesc(d)
-	a := &rwqAcq{desc: d, tagged: d.Word()} // reader class: tag bit clear
+	a := &api.AcqState{Desc: d}
 
-	pred := h.swapTail(l, a.tagged)
+	pred := h.swapTail(l, d.Word()) // reader class: tag bit clear
 	if pred == ptr.Null.Word() {
 		if !h.readerHeadLoop(l, a, deadlineNS) {
-			return nil, false
+			return api.AcqState{}, false
 		}
 	} else {
 		// Link behind the predecessor and spin on our own descriptor; the
@@ -443,24 +422,26 @@ func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool)
 		// flag. We did not observe the group word, so guess the smallest
 		// consistent state for the release path's optimistic rCAS.
 		p := ptr.FromWord(pred &^ rwqWriterTag)
-		h.write(p.Add(rwqNext), a.tagged)
+		h.write(p.Add(rwqNext), d.Word())
 		switch h.spinDescTimed(d, deadlineNS) {
 		case rwqSpinOutTimeout:
-			h.pool.zombie(d)
-			return nil, false
+			h.pool.Park(d)
+			return api.AcqState{}, false
 		case rwqSpinOutHead:
 			if !h.readerHeadLoop(l, a, deadlineNS) {
-				return nil, false
+				return api.AcqState{}, false
 			}
 		default:
-			a.seen = 1<<rwqRdActiveShift + 1<<rwqGrantsShift
+			a.Word = 1<<rwqRdActiveShift + 1<<rwqGrantsShift
 		}
 	}
 
-	a.queuedRead = true
-	a.succDone = h.handleSuccessor(l, a, h.ctx.Read(d.Add(rwqNext)))
+	a.Flags = rwqQueuedRead
+	if h.handleSuccessor(l, a, h.ctx.Read(d.Add(rwqNext))) {
+		a.Flags |= rwqSuccDone
+	}
 	h.ctx.Fence()
-	return a, true
+	return *a, true
 }
 
 // readerHeadLoop is the queue-head reader's wait: admit ourselves as soon
@@ -468,7 +449,7 @@ func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool)
 // writer is still queued, so a queue-head reader only ever sees the narrow
 // window where a departing writer has dequeued but not yet cleared
 // wrActive.) On deadline the head position is passed on via abandonHead.
-func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) bool {
+func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *api.AcqState, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
 	s := h.poll(group)
 	iter := 0
@@ -482,14 +463,14 @@ func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) b
 			}
 			prev := h.ctx.RCAS(group, s, ns)
 			if prev == s {
-				a.seen = ns
+				a.Word = ns
 				return true
 			}
 			s = prev
 			continue
 		}
 		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			h.abandonHead(l, a)
+			h.abandonHead(l, a.Desc.Word())
 			return false
 		}
 		h.ctx.Pause(iter)
@@ -507,7 +488,7 @@ func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) b
 // waiter (a claimed writer stays claimed until the drain wake grants it).
 // It reports whether the duty is done (a successor was handled, or the
 // queue drained while bypassing the dead tail).
-func (h *RWQueueHandle) handleSuccessor(l ptr.Ptr, a *rwqAcq, next uint64) bool {
+func (h *RWQueueHandle) handleSuccessor(l ptr.Ptr, a *api.AcqState, next uint64) bool {
 	if next == ptr.Null.Word() {
 		return false
 	}
@@ -524,11 +505,11 @@ func (h *RWQueueHandle) handleSuccessor(l ptr.Ptr, a *rwqAcq, next uint64) bool 
 		// Writer successor: it is woken by whichever reader drains the
 		// group last, via the wake pointer.
 		h.write(l.Add(rwqWake), succ.Word())
-		s := a.seen
+		s := a.Word
 		for {
 			prev := h.ctx.RCAS(group, s, s|1<<rwqWrWaitBit)
 			if prev == s {
-				a.seen = s | 1<<rwqWrWaitBit
+				a.Word = s | 1<<rwqWrWaitBit
 				return true
 			}
 			s = prev
@@ -536,12 +517,12 @@ func (h *RWQueueHandle) handleSuccessor(l ptr.Ptr, a *rwqAcq, next uint64) bool 
 	}
 	// Reader successor: chain admission — count it into the group, then
 	// one write to its descriptor. It will chain its own successor.
-	s := a.seen
+	s := a.Word
 	for {
 		ns := rwqGroupJoin(s)
 		prev := h.ctx.RCAS(group, s, ns)
 		if prev == s {
-			a.seen = ns
+			a.Word = ns
 			break
 		}
 		s = prev
@@ -550,25 +531,26 @@ func (h *RWQueueHandle) handleSuccessor(l ptr.Ptr, a *rwqAcq, next uint64) bool 
 	return true
 }
 
-// releaseShared releases a shared acquisition.
-func (h *RWQueueHandle) releaseShared(l ptr.Ptr, a *rwqAcq) {
+// releaseShared releases a shared acquisition (a is the caller's copy: the
+// late successor duty updates its group-word seed for the drain exit).
+func (h *RWQueueHandle) releaseShared(l ptr.Ptr, a *api.AcqState) {
 	h.ctx.Fence()
-	if a.queuedRead && !a.succDone {
+	if a.Flags&(rwqQueuedRead|rwqSuccDone) == rwqQueuedRead {
 		h.readerDequeue(l, a)
 	}
-	h.drainExit(l, a)
-	h.pool.put(a.desc)
+	h.drainExit(l, a.Word)
+	h.pool.Put(a.Desc)
 }
 
 // readerDequeue removes a queued reader whose successor was not handled at
 // grant time: either the queue still ends at us (CAS the tail back to
 // NULL), or a successor is linking right now — wait for the link and do the
 // grant-time duty late.
-func (h *RWQueueHandle) readerDequeue(l ptr.Ptr, a *rwqAcq) {
-	d := a.desc
+func (h *RWQueueHandle) readerDequeue(l ptr.Ptr, a *api.AcqState) {
+	d := a.Desc
 	next := h.ctx.Read(d.Add(rwqNext))
 	if next == ptr.Null.Word() {
-		if h.ctx.RCAS(l.Add(rwqTail), a.tagged, ptr.Null.Word()) == a.tagged {
+		if h.ctx.RCAS(l.Add(rwqTail), d.Word(), ptr.Null.Word()) == d.Word() {
 			return
 		}
 		iter := 0
@@ -584,9 +566,9 @@ func (h *RWQueueHandle) readerDequeue(l ptr.Ptr, a *rwqAcq) {
 // drainExit decrements the active-reader count; the reader that drains the
 // group with a writer registered transfers the lock in the same rCAS and
 // wakes the writer with one descriptor write.
-func (h *RWQueueHandle) drainExit(l ptr.Ptr, a *rwqAcq) {
+func (h *RWQueueHandle) drainExit(l ptr.Ptr, seen uint64) {
 	group := l.Add(rwqGroup)
-	s := a.seen
+	s := seen
 	for {
 		transfer := rwqRdActive(s) == 1 && rwqWrWaiting(s)
 		var ns uint64
@@ -632,7 +614,7 @@ func writerFastEnter(s uint64) uint64 {
 
 // acquireExcl acquires in exclusive mode, giving up at deadlineNS (0 =
 // block; deadlines require the timed protocol).
-func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool) {
+func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (api.AcqState, bool) {
 	if !h.timed {
 		deadlineNS = 0
 	}
@@ -644,46 +626,45 @@ func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool)
 	s := uint64(0)
 	for h.writerFastEligible(s) {
 		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			return nil, false
+			return api.AcqState{}, false
 		}
 		ns := writerFastEnter(s)
 		prev := h.ctx.RCAS(group, s, ns)
 		if prev == s {
 			h.ctx.Fence()
-			return &rwqAcq{seen: ns}, true // not enqueued: release has no queue duty
+			return api.AcqState{Word: ns}, true // not enqueued: release has no queue duty
 		}
 		s = prev
 	}
 
-	d := h.pool.get()
+	d := h.pool.Get()
 	if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-		h.pool.put(d)
-		return nil, false
+		h.pool.Put(d)
+		return api.AcqState{}, false
 	}
 	h.resetDesc(d)
-	a := &rwqAcq{desc: d, tagged: d.Word() | rwqWriterTag}
-	pred := h.swapTail(l, a.tagged)
+	tagged := d.Word() | rwqWriterTag
+	pred := h.swapTail(l, tagged)
 	if pred != ptr.Null.Word() {
 		// Link behind the predecessor and spin on our own descriptor. The
 		// handoff that wakes us leaves wrActive set for us.
 		p := ptr.FromWord(pred &^ rwqWriterTag)
-		h.write(p.Add(rwqNext), a.tagged)
+		h.write(p.Add(rwqNext), tagged)
 		switch h.spinDescTimed(d, deadlineNS) {
 		case rwqSpinOutTimeout:
-			h.pool.zombie(d)
-			return nil, false
+			h.pool.Park(d)
+			return api.AcqState{}, false
 		case rwqSpinOutGranted:
-			a.seen = 1 << rwqWrActiveBit // exact after every queue-mediated grant
 			h.ctx.Fence()
-			return a, true
+			return api.AcqState{Desc: d, Word: writerOwns}, true
 		}
 		// Inherited the queue head: fall through to the head loop.
 	}
-	if !h.writerHeadLoop(l, a, deadlineNS) {
-		return nil, false
+	if !h.writerHeadLoop(l, d, deadlineNS) {
+		return api.AcqState{}, false
 	}
 	h.ctx.Fence()
-	return a, true
+	return api.AcqState{Desc: d, Word: writerOwns}, true
 }
 
 // writerHeadLoop is the queue-head writer's wait: claim directly once
@@ -691,9 +672,8 @@ func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (*rwqAcq, bool)
 // flag) and spin on our own descriptor. Registration commits the writer —
 // under the timed protocol its spin word moves to claimed first, so its
 // own deadline CAS can no longer win and the drain wake always lands.
-func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) bool {
+func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, d ptr.Ptr, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
-	d := a.desc
 	s := h.poll(group)
 	iter := 0
 	for {
@@ -701,9 +681,8 @@ func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) b
 			if rwqRdActive(s) == 0 && !rwqWrWaiting(s) {
 				// Queue-mediated claim: the word resets to exactly the
 				// writer bit, restarting the optimistic-claim window.
-				prev := h.ctx.RCAS(group, s, 1<<rwqWrActiveBit)
+				prev := h.ctx.RCAS(group, s, writerOwns)
 				if prev == s {
-					a.seen = 1 << rwqWrActiveBit
 					return true
 				}
 				s = prev
@@ -716,8 +695,7 @@ func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) b
 				h.write(l.Add(rwqWake), d.Word())
 				prev := h.ctx.RCAS(group, s, s|1<<rwqWrWaitBit)
 				if prev == s {
-					h.spinDescWait(d)
-					a.seen = 1 << rwqWrActiveBit // the drain transfer installs this
+					h.spinDescWait(d) // the drain transfer installs writerOwns
 					return true
 				}
 				s = prev
@@ -725,7 +703,7 @@ func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, a *rwqAcq, deadlineNS int64) b
 			}
 		}
 		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			h.abandonHead(l, a)
+			h.abandonHead(l, d.Word()|rwqWriterTag)
 			return false
 		}
 		// A departing writer is between its dequeue and clearing wrActive
@@ -764,26 +742,27 @@ func (h *RWQueueHandle) releaseIdle(group ptr.Ptr, seed uint64) {
 }
 
 // releaseExcl releases an exclusive acquisition.
-func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a *rwqAcq) {
+func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a api.AcqState) {
 	h.ctx.Fence()
 	group := l.Add(rwqGroup)
 
-	if a.desc == ptr.Null {
+	if a.Desc == ptr.Null {
 		// Optimistic claim: not in the queue, so release is just the idle
 		// transition (plus the release-side zombie sweep every release
 		// performs — a thread that stops acquiring must still recycle its
 		// abandoned descriptors once their skip marks land).
-		h.releaseIdle(group, a.seen)
-		h.pool.sweep()
+		h.releaseIdle(group, a.Word)
+		h.pool.Sweep()
 		return
 	}
 
-	d := a.desc
+	d := a.Desc
 	next := h.ctx.Read(d.Add(rwqNext))
 	if next == ptr.Null.Word() {
-		if h.ctx.RCAS(l.Add(rwqTail), a.tagged, ptr.Null.Word()) == a.tagged {
-			h.releaseIdle(group, a.seen) // queue empty: no successor to hand to
-			h.pool.put(d)
+		tagged := d.Word() | rwqWriterTag
+		if h.ctx.RCAS(l.Add(rwqTail), tagged, ptr.Null.Word()) == tagged {
+			h.releaseIdle(group, a.Word) // queue empty: no successor to hand to
+			h.pool.Put(d)
 			return
 		}
 		iter := 0
@@ -798,8 +777,8 @@ func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a *rwqAcq) {
 		var ok bool
 		next, ok = h.claimNext(l, next)
 		if !ok {
-			h.releaseIdle(group, a.seen) // queue drained while bypassing
-			h.pool.put(d)
+			h.releaseIdle(group, a.Word) // queue drained while bypassing
+			h.pool.Put(d)
 			return
 		}
 	}
@@ -814,7 +793,7 @@ func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a *rwqAcq) {
 		// word, mis-counting the next episode's fast-claim budget. Grant
 		// paths that already installed a bare writer bit leave the count
 		// zero, so the common chain link still costs one descriptor write.
-		for s := a.seen; rwqWClaims(s) != 0; {
+		for s := a.Word; rwqWClaims(s) != 0; {
 			prev := h.ctx.RCAS(group, s, s&^(uint64(rwqGrantsMask)<<rwqWClaimShift))
 			if prev == s {
 				break
@@ -822,13 +801,13 @@ func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a *rwqAcq) {
 			s = prev
 		}
 		h.write(succ.Add(rwqSpin), rwqSpinGranted)
-		h.pool.put(d)
+		h.pool.Put(d)
 		return
 	}
 	// Writer-to-reader handoff: open a fresh group containing the
 	// successor (one rCAS), then wake it (one descriptor write). The
 	// successor chain-admits any reader queued behind it.
-	s := a.seen
+	s := a.Word
 	for {
 		ns := uint64(1)<<rwqRdActiveShift | uint64(1)<<rwqGrantsShift
 		prev := h.ctx.RCAS(group, s, ns)
@@ -838,7 +817,7 @@ func (h *RWQueueHandle) releaseExcl(l ptr.Ptr, a *rwqAcq) {
 		s = prev
 	}
 	h.write(succ.Add(rwqSpin), rwqSpinGranted)
-	h.pool.put(d)
+	h.pool.Put(d)
 }
 
 // RWQueueProvider supplies the queued reader/writer lock.
@@ -853,22 +832,14 @@ type RWQueueProvider struct {
 func (*RWQueueProvider) Name() string { return "rw-queue" }
 
 // Prepare implements Provider (lock state fits the lock line; descriptors
-// are per-thread and allocated by NewRWHandle on each thread's own node).
+// are per-thread and allocated by NewHandle on each thread's own node).
 func (*RWQueueProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
-func (p *RWQueueProvider) NewHandle(ctx api.Ctx) api.Locker {
-	return p.newHandle(ctx)
-}
-
-// NewRWHandle implements RWProvider.
-func (p *RWQueueProvider) NewRWHandle(ctx api.Ctx) api.RWLocker {
-	return p.newHandle(ctx)
-}
-
-// NewTimedHandle implements TimedProvider.
-func (p *RWQueueProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
-	return rwqTimed{h: p.newHandle(ctx)}
+func (p *RWQueueProvider) NewHandle(ctx api.Ctx) api.Handle {
+	h := NewRWQueueHandle(ctx, p.Cfg)
+	h.timed = p.Timed
+	return h
 }
 
 // AbortableTimed implements AbortableTimedProvider for exclusive-mode
@@ -877,10 +848,3 @@ func (p *RWQueueProvider) NewTimedHandle(ctx api.Ctx) TimedHandle {
 // against an active reader group, which exclusive-only transaction runs
 // never form.
 func (*RWQueueProvider) AbortableTimed() {}
-
-func (p *RWQueueProvider) newHandle(ctx api.Ctx) *RWQueueHandle {
-	if p.Timed {
-		return NewTimedRWQueueHandle(ctx, p.Cfg)
-	}
-	return NewRWQueueHandle(ctx, p.Cfg)
-}

@@ -207,11 +207,11 @@ func TestWriterChainResetsClaimCount(t *testing.T) {
 		ctx.Work(5 * time.Microsecond)
 		h := NewRWQueueHandle(ctx, cfg)
 		a, _ := h.acquireExcl(l, 0)
-		if a.desc == ptr.Null {
+		if a.Desc == ptr.Null {
 			t.Error("W1 took the fast path; the schedule needs it queued")
 		}
 		ctx.Write(group, planted)
-		a.seen = planted
+		a.Word = planted
 		ctx.Work(5 * time.Microsecond)
 		h.releaseExcl(l, a)
 	})
@@ -221,7 +221,7 @@ func TestWriterChainResetsClaimCount(t *testing.T) {
 		ctx.Work(10 * time.Microsecond)
 		h := NewRWQueueHandle(ctx, cfg)
 		a, _ := h.acquireExcl(l, 0)
-		if a.desc == ptr.Null {
+		if a.Desc == ptr.Null {
 			t.Error("W2 took the fast path; the schedule needs it queued")
 		}
 		ctx.Work(2 * time.Microsecond)
@@ -234,7 +234,7 @@ func TestWriterChainResetsClaimCount(t *testing.T) {
 		afterChain = ctx.Read(group)
 		h := NewRWQueueHandle(ctx, cfg)
 		a, _ := h.acquireExcl(l, 0)
-		fastDesc = a.desc
+		fastDesc = a.Desc
 		h.releaseExcl(l, a)
 	})
 	e.Run(1 << 40)

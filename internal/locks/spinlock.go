@@ -30,35 +30,31 @@ type SpinHandle struct {
 	tag uint64 // this thread's non-zero owner tag
 }
 
-var _ api.Locker = (*SpinHandle)(nil)
+var _ api.Handle = (*SpinHandle)(nil)
 
 // NewSpinHandle returns a per-thread spinlock handle.
 func NewSpinHandle(ctx api.Ctx) *SpinHandle {
 	return &SpinHandle{ctx: ctx, tag: uint64(ctx.ThreadID()) + 1}
 }
 
-// Lock repeats rCAS(word, 0, tag) until it succeeds. There is no back-off:
-// the paper's spinlock "simply repeats RDMA rCAS until it succeeds", with
-// each retry paced only by the verb's own round-trip time.
-func (h *SpinHandle) Lock(l ptr.Ptr) {
-	h.AcquireTimedWord(l, 0)
-}
-
-// AcquireTimedWord is Lock with a deadline (0 = block): the poll is bounded
-// by engine time, and a failed rCAS holds nothing, so giving up needs no
-// retraction — the single-word lock's trivial timeout path.
-func (h *SpinHandle) AcquireTimedWord(l ptr.Ptr, deadlineNS int64) bool {
+// AcquireTimed repeats rCAS(word, 0, tag) until it succeeds or the deadline
+// passes (0 = block). There is no back-off: the paper's spinlock "simply
+// repeats RDMA rCAS until it succeeds", with each retry paced only by the
+// verb's own round-trip time. The poll is bounded by engine time, and a
+// failed rCAS holds nothing, so giving up needs no retraction — the
+// single-word lock's trivial timeout path. Shared degrades to Exclusive.
+func (h *SpinHandle) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (api.AcqState, bool) {
 	for h.ctx.RCAS(l, 0, h.tag) != 0 {
 		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			return false
+			return api.AcqState{}, false
 		}
 	}
 	h.ctx.Fence()
-	return true
+	return api.AcqState{}, true
 }
 
-// Unlock releases with a single rWrite of zero.
-func (h *SpinHandle) Unlock(l ptr.Ptr) {
+// ReleaseAcq releases with a single rWrite of zero.
+func (h *SpinHandle) ReleaseAcq(l ptr.Ptr, _ api.Mode, _ api.AcqState) {
 	h.ctx.Fence()
 	h.ctx.RWrite(l, 0)
 }

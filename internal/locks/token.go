@@ -1,21 +1,22 @@
-// token.go is the acquisition-token layer: it turns the per-algorithm
-// timed acquire/release primitives into the api.TokenLocker contract —
-// explicit outcomes, per-acquisition descriptors threaded through Guards,
-// and fencing tokens minted at grant time and validated at release.
+// token.go is the acquisition-token layer, the middle of the handle stack
+// (algorithm api.Handle -> token layer -> optional api.Blocking): it turns
+// any algorithm's api.Handle into the api.TokenLocker contract — explicit
+// outcomes, per-acquisition state threaded through Guards by value, and
+// fencing tokens minted at grant time and validated at release. Every
+// workload, the lock service and the public alock.NewTokenHandle go through
+// it; one tokenHandle serves all algorithms.
 //
 // The fencing authority (FenceTable) is deliberately *outside* simulated
 // memory: it models the lock service's grant log, the thing a real system
 // keeps in its lease manager or its storage heads, not in the lock word.
-// It costs no simulated operations, so routing a workload through the
-// token layer leaves feature-off schedules bit-identical to the blocking
-// Lock/Unlock paths.
+// It costs no simulated operations, so the token layer adds nothing to an
+// algorithm's schedule.
 package locks
 
 import (
 	"sync"
 
 	"alock/internal/api"
-	"alock/internal/core"
 	"alock/internal/ptr"
 )
 
@@ -68,26 +69,7 @@ func (t *FenceTable) Retire(l ptr.Ptr, token uint64) bool {
 	return true
 }
 
-// TimedHandle is the per-thread algorithm contract the token layer builds
-// on: a mode-aware acquire bounded by an engine-time deadline (0 = block)
-// returning opaque per-acquisition state, and the matching release.
-// Algorithms without native shared mode treat Shared as Exclusive;
-// algorithms without a native timed path may overshoot the deadline and
-// still acquire.
-type TimedHandle interface {
-	AcquireTimed(l ptr.Ptr, mode api.Mode, deadlineNS int64) (state any, acquired bool)
-	ReleaseAcq(l ptr.Ptr, mode api.Mode, state any)
-}
-
-// TimedProvider is implemented by providers whose algorithm has a native
-// timed acquire path (bounded poll + CAS retraction for the single-word
-// locks, descriptor abandonment + successor patching for the queued ones).
-type TimedProvider interface {
-	Provider
-	NewTimedHandle(ctx api.Ctx) TimedHandle
-}
-
-// AbortableTimedProvider marks TimedProviders whose exclusive-mode timed
+// AbortableTimedProvider marks providers whose exclusive-mode timed
 // acquires can ALWAYS abandon before grant: no waiter state is committed
 // while the grant still depends on another holder's release. This is the
 // capability the unordered transaction policies (timeout-backoff,
@@ -99,27 +81,26 @@ type TimedProvider interface {
 // cohort leader is committed while the lock's current holder still holds,
 // so two leaders in an AB-BA cycle overshoot their deadlines forever.
 type AbortableTimedProvider interface {
-	TimedProvider
+	Provider
 	// AbortableTimed is a marker method; implementations are empty.
 	AbortableTimed()
 }
 
-// ZombieCounter is implemented by handles (and their TimedHandle adapters)
-// whose algorithm parks abandoned descriptors on a zombie list until the
-// granter's skip mark lands. Zombies reports how many are still parked —
-// after a drain (every skip mark landed, then one release-side sweep) it
-// must be zero, or the pool leaks descriptors from threads that stop
-// acquiring.
+// ZombieCounter is implemented by handles whose algorithm parks abandoned
+// descriptors on a zombie list until the granter's skip mark lands. Zombies
+// reports how many are still parked — after a drain (every skip mark
+// landed, then one release-side sweep) it must be zero, or the pool leaks
+// descriptors from threads that stop acquiring.
 type ZombieCounter interface {
 	Zombies() int
 }
 
-// tokenHandle implements api.TokenLocker over a TimedHandle and the run's
-// fencing authority.
+// tokenHandle implements api.TokenLocker over an algorithm's api.Handle and
+// the run's fencing authority.
 type tokenHandle struct {
 	ft  *FenceTable
 	ctx api.Ctx
-	alg TimedHandle
+	alg api.Handle
 }
 
 var _ api.TokenLocker = (*tokenHandle)(nil)
@@ -131,8 +112,8 @@ func (h *tokenHandle) Acquire(l ptr.Ptr, mode api.Mode, opt api.AcquireOpts) (ap
 	}
 	out := api.Acquired
 	if opt.DeadlineNS > 0 && h.ctx.Now() > opt.DeadlineNS {
-		// The grant landed past the deadline: the blocking fallback
-		// (filter, bakery) blocked straight through it, or a committed
+		// The grant landed past the deadline: an algorithm without a timed
+		// path (filter, bakery) blocked straight through it, or a committed
 		// waiter's grant won the timeout race late. Report the overshoot
 		// instead of pretending the deadline was honored.
 		out = api.AcquiredLate
@@ -156,132 +137,10 @@ func (h *tokenHandle) Abandon(g api.Guard) {
 	}
 }
 
-// TokenHandleFor returns a token-API handle for any provider: the native
-// timed handle when the algorithm has one, otherwise the blocking fallback
-// (deadlines overshoot — the acquire blocks until granted and reports
-// AcquiredLate — but fencing-token semantics hold in full).
+// TokenHandleFor returns a token-API handle for any provider. Deadlines are
+// honored as far as the algorithm's own timed path goes: filter and bakery
+// block through them and report AcquiredLate, but fencing-token semantics
+// hold in full for every algorithm.
 func TokenHandleFor(p Provider, ctx api.Ctx, ft *FenceTable) api.TokenLocker {
-	if tp, ok := p.(TimedProvider); ok {
-		return &tokenHandle{ft: ft, ctx: ctx, alg: tp.NewTimedHandle(ctx)}
-	}
-	return &tokenHandle{ft: ft, ctx: ctx, alg: blockingTimed{rw: RWHandleFor(p, ctx)}}
-}
-
-// --- TimedHandle adapters, one per algorithm family ---
-
-// spinTimed: the RDMA spinlock — bounded poll, no retraction needed.
-type spinTimed struct{ h *SpinHandle }
-
-func (a spinTimed) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (any, bool) {
-	return nil, a.h.AcquireTimedWord(l, deadlineNS) // shared degrades to exclusive
-}
-
-func (a spinTimed) ReleaseAcq(l ptr.Ptr, _ api.Mode, _ any) { a.h.Unlock(l) }
-
-// mcsTimed: the RDMA MCS lock — per-acquisition descriptor as state.
-type mcsTimed struct{ h *MCSHandle }
-
-func (a mcsTimed) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (any, bool) {
-	d, ok := a.h.AcquireTimedDesc(l, deadlineNS)
-	if !ok {
-		return nil, false
-	}
-	return d, true
-}
-
-func (a mcsTimed) ReleaseAcq(l ptr.Ptr, _ api.Mode, st any) {
-	a.h.ReleaseDesc(l, st.(ptr.Ptr))
-}
-
-// Zombies implements ZombieCounter.
-func (a mcsTimed) Zombies() int { return a.h.Zombies() }
-
-// alockTimed: the paper's ALock — per-acquisition cohort descriptor.
-type alockTimed struct{ h *core.Handle }
-
-func (a alockTimed) AcquireTimed(l ptr.Ptr, _ api.Mode, deadlineNS int64) (any, bool) {
-	d, ok := a.h.AcquireTimed(l, deadlineNS)
-	if !ok {
-		return nil, false
-	}
-	return d, true
-}
-
-func (a alockTimed) ReleaseAcq(l ptr.Ptr, _ api.Mode, st any) {
-	a.h.ReleaseDesc(l, st.(ptr.Ptr))
-}
-
-// Zombies implements ZombieCounter.
-func (a alockTimed) Zombies() int { return a.h.Zombies() }
-
-// rwTimed: the single-word reader/writer locks — the exclusive side's
-// installed state word as state, nothing for the shared side.
-type rwTimed struct{ h *RWHandle }
-
-func (a rwTimed) AcquireTimed(l ptr.Ptr, mode api.Mode, deadlineNS int64) (any, bool) {
-	if mode == api.Shared {
-		return nil, a.h.AcquireSharedTimed(l, deadlineNS)
-	}
-	held, ok := a.h.AcquireExclTimed(l, deadlineNS)
-	if !ok {
-		return nil, false
-	}
-	return held, true
-}
-
-func (a rwTimed) ReleaseAcq(l ptr.Ptr, mode api.Mode, st any) {
-	if mode == api.Shared {
-		a.h.RUnlock(l)
-		return
-	}
-	a.h.ReleaseExcl(l, st.(uint64))
-}
-
-// rwqTimed: the queued reader/writer lock — the full acquisition record.
-type rwqTimed struct{ h *RWQueueHandle }
-
-func (a rwqTimed) AcquireTimed(l ptr.Ptr, mode api.Mode, deadlineNS int64) (any, bool) {
-	var acq *rwqAcq
-	var ok bool
-	if mode == api.Shared {
-		acq, ok = a.h.acquireShared(l, deadlineNS)
-	} else {
-		acq, ok = a.h.acquireExcl(l, deadlineNS)
-	}
-	if !ok {
-		return nil, false
-	}
-	return acq, true
-}
-
-func (a rwqTimed) ReleaseAcq(l ptr.Ptr, mode api.Mode, st any) {
-	if mode == api.Shared {
-		a.h.releaseShared(l, st.(*rwqAcq))
-		return
-	}
-	a.h.releaseExcl(l, st.(*rwqAcq))
-}
-
-// Zombies implements ZombieCounter.
-func (a rwqTimed) Zombies() int { return a.h.Zombies() }
-
-// blockingTimed is the fallback for algorithms without a native timed path
-// (filter, bakery): acquires block past any deadline and always succeed.
-type blockingTimed struct{ rw api.RWLocker }
-
-func (a blockingTimed) AcquireTimed(l ptr.Ptr, mode api.Mode, _ int64) (any, bool) {
-	if mode == api.Shared {
-		a.rw.RLock(l)
-	} else {
-		a.rw.Lock(l)
-	}
-	return nil, true
-}
-
-func (a blockingTimed) ReleaseAcq(l ptr.Ptr, mode api.Mode, _ any) {
-	if mode == api.Shared {
-		a.rw.RUnlock(l)
-		return
-	}
-	a.rw.Unlock(l)
+	return &tokenHandle{ft: ft, ctx: ctx, alg: p.NewHandle(ctx)}
 }

@@ -66,13 +66,12 @@ func TestOverlappingHoldsTimedProtocol(t *testing.T) {
 }
 
 // TestMutualExclusionUnderTokenAPI runs the classic serialization check
-// for every registered algorithm with all acquisitions routed through the
-// acquisition-token layer.
+// for every registered algorithm (locktest routes all acquisitions through
+// the acquisition-token layer).
 func TestMutualExclusionUnderTokenAPI(t *testing.T) {
 	for _, name := range locks.Names() {
 		t.Run(name, func(t *testing.T) {
 			cfg := locktest.DefaultMutexConfig()
-			cfg.TokenAPI = true
 			if name == "filter" || name == "bakery" {
 				cfg.Nodes = 2
 				cfg.ThreadsPerNode = 2
@@ -92,7 +91,6 @@ func TestMutualExclusionTimedProtocol(t *testing.T) {
 	for _, name := range queuedAlgos {
 		t.Run(name, func(t *testing.T) {
 			cfg := locktest.DefaultMutexConfig()
-			cfg.TokenAPI = true
 			prov := providerFor(t, name, true, cfg.Nodes*cfg.ThreadsPerNode)
 			locktest.CheckMutualExclusion(t, prov, cfg)
 		})

@@ -6,8 +6,9 @@
 // perform a deliberately non-atomic read-modify-write on a counter plus an
 // ownership handshake. Any interleaving of two critical sections loses an
 // increment or trips the ownership check, so a correct run proves the lock
-// serialized every critical section under that schedule.
-// CheckOverlappingHolds extends the same idea to two locks held at once
+// serialized every critical section under that schedule. Acquisitions go
+// through the token layer (locks.TokenHandleFor), the path every workload
+// uses. CheckOverlappingHolds extends the same idea to two locks held at once
 // through the acquisition-token API, proving descriptor-per-acquisition
 // correctness and fencing-token acceptance of every valid release.
 package locktest
@@ -33,11 +34,6 @@ type MutexConfig struct {
 	LocalityPct    int // percentage of operations targeting the own node
 	Seed           int64
 	Model          model.Params
-	// TokenAPI routes every acquisition through the acquisition-token
-	// layer (locks.TokenHandleFor behind the api.Blocking adapter) instead
-	// of the provider's plain handles, proving the same serialization
-	// under the redesigned API.
-	TokenAPI bool
 	// EngineShards is the engine's worker count (0 or 1 = serial executor,
 	// >1 = conservative windowed parallel executor). The schedule — and
 	// therefore every observation — is bit-identical at any setting.
@@ -119,17 +115,15 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 			slot++
 			e.Spawn(node, func(ctx api.Ctx) {
 				tl.entries = make([][]mutexEntry, cfg.Locks)
-				var h api.Locker
-				if cfg.TokenAPI {
-					h = api.NewBlocking(locks.TokenHandleFor(prov, ctx, ft))
-				} else {
-					h = prov.NewHandle(ctx)
-				}
+				h := locks.TokenHandleFor(prov, ctx, ft)
 				rw := rwFor(ctx)
 				for it := 0; it < cfg.Iters; it++ {
 					li := pickLock(ctx, cfg, lockPtrs)
-					l := lockPtrs[li]
-					h.Lock(l)
+					g, out := h.Acquire(lockPtrs[li], api.Exclusive, api.AcquireOpts{})
+					if !out.Granted() {
+						tl.tramples++ // a blocking acquire must not time out
+						continue
+					}
 					// Critical section: ownership handshake plus a torn
 					// counter increment. Data accesses use the thread's
 					// own access class, like real protected data would.
@@ -146,7 +140,9 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 					rw.write(ctx, ownerPtrs[li], 0)
 					tl.entries[li] = append(tl.entries[li],
 						mutexEntry{at: ctx.Now(), tid: ctx.ThreadID()})
-					h.Unlock(l)
+					if h.Release(g) != api.Released {
+						tl.tramples++ // a live guard's release must not be fenced
+					}
 					tl.ops++
 				}
 			})
@@ -381,10 +377,6 @@ func CheckOverlappingHolds(t *testing.T, prov locks.Provider, cfg OverlapConfig)
 // stopped acquiring leaked every skipped descriptor until the run ended.
 func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 	t.Helper()
-	tp, ok := prov.(locks.TimedProvider)
-	if !ok {
-		t.Fatalf("%s: CheckZombieDrain needs a native timed path", prov.Name())
-	}
 	e := sim.New(2, 1<<20, model.Uniform(7), 1)
 	space := e.Space()
 	// A is local to the threads, B is remote: for cohort-partitioned pools
@@ -406,7 +398,7 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 	// The holder: wedges B long enough for the short-deadline attempt to
 	// abandon, then releases (which lets the patient waiter in).
 	e.Spawn(0, func(ctx api.Ctx) {
-		h := tp.NewTimedHandle(ctx)
+		h := prov.NewHandle(ctx)
 		st, ok := h.AcquireTimed(lockB, api.Exclusive, 0)
 		if !ok {
 			t.Errorf("%s: holder failed a blocking acquire", prov.Name())
@@ -420,7 +412,7 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 	// abandoned descriptor, landing the skip mark.
 	e.Spawn(0, func(ctx api.Ctx) {
 		ctx.Work(2 * time.Microsecond)
-		h := tp.NewTimedHandle(ctx)
+		h := prov.NewHandle(ctx)
 		st, ok := h.AcquireTimed(lockB, api.Exclusive, ctx.Now()+4*holdNS)
 		if !ok {
 			t.Errorf("%s: patient waiter timed out", prov.Name())
@@ -433,13 +425,13 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 	// to recycle the abandoned descriptor.
 	e.Spawn(0, func(ctx api.Ctx) {
 		ctx.Work(5 * time.Microsecond)
-		h := tp.NewTimedHandle(ctx)
+		h := prov.NewHandle(ctx)
 		zc, ok := h.(locks.ZombieCounter)
 		if !ok {
 			// Errorf, not Fatalf: Fatalf's Goexit on a sim-thread goroutine
 			// would strand the scheduler's yield handshake and hang the
 			// run. The missing-attempt check after e.Run fails the test.
-			t.Errorf("%s: timed handle does not count zombies", prov.Name())
+			t.Errorf("%s: handle does not count zombies", prov.Name())
 			return
 		}
 		stA, okA := h.AcquireTimed(lockA, api.Exclusive, 0)

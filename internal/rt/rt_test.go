@@ -172,7 +172,7 @@ func mutexRun(t *testing.T, prov locks.Provider, nodes, threadsPerNode, iters in
 	for n := 0; n < nodes; n++ {
 		for k := 0; k < threadsPerNode; k++ {
 			e.Spawn(n, func(ctx api.Ctx) {
-				h := prov.NewHandle(ctx)
+				h := api.NewBlocking(prov.NewHandle(ctx))
 				for i := 0; i < iters; i++ {
 					h.Lock(lockP)
 					counter++
@@ -196,7 +196,7 @@ func TestALockRealParallelismSingleNode(t *testing.T) {
 }
 
 func TestALockRealParallelismTinyBudgets(t *testing.T) {
-	prov := locks.NewTrackedALockProvider(core.Config{LocalBudget: 1, RemoteBudget: 1})
+	prov := &locks.ALockProvider{Cfg: core.Config{LocalBudget: 1, RemoteBudget: 1}}
 	mutexRun(t, prov, 2, 3, 500)
 }
 
@@ -298,7 +298,7 @@ func TestALockManyLocksRealParallelism(t *testing.T) {
 	const threads, iters = 8, 600
 	for i := 0; i < threads; i++ {
 		e.Spawn(i%2, func(ctx api.Ctx) {
-			h := prov.NewHandle(ctx)
+			h := api.NewBlocking(prov.NewHandle(ctx))
 			for k := 0; k < iters; k++ {
 				li := ctx.Rand().Intn(nLocks)
 				h.Lock(lockPs[li])

@@ -354,7 +354,7 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 			isRead = false // a lease is ownership: always a write-side hold
 		}
 		pairIdx := -1
-		if spec.PairProb > 0 && rng.Float64() < spec.PairProb && table.Len() > 1 {
+		if spec.PairProb > 0 && rng.Float64() < spec.PairProb {
 			// Second lock, uniform over the rest of the table; the pair is
 			// ordered ascending so no two transactions deadlock.
 			j := rng.Intn(table.Len() - 1)
