@@ -1,10 +1,9 @@
 // Command bench runs the repo's standing performance suite and writes a
-// BENCH_*.json trajectory file: every case measured on the production
-// engine (typed event heap, direct handoff) and the container/heap oracle,
-// and — where the case reaches it — on the windowed parallel executor
-// ("sharded"), with events/sec, ns/event and allocs/event per case plus
-// typed-vs-oracle and sharded-vs-typed speedups. Perf PRs check the next
-// trajectory file in (see the README's Benchmarking section), so the
+// BENCH_*.json trajectory file: every case measured on the serial executor
+// (typed event heap, direct handoff) and — where the case reaches it — on
+// the windowed parallel executor, with events/sec, ns/event and
+// allocs/event per case plus the windowed-vs-serial speedup. Perf PRs check
+// the next trajectory file in (see the README's Benchmarking section), so the
 // sequence BENCH_0001.json, BENCH_0002.json, ... records the engine's
 // performance history alongside the code that produced it.
 //
@@ -33,10 +32,8 @@ func main() {
 	list := flag.Bool("list", false, "list the suite's case names and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile")
-	engShards := flag.Int("engine-shards", 0, "windowed workers for the sharded variant (0 = default 4; 1 skips the variant: one worker is the serial executor)")
+	engShards := flag.Int("engine-shards", 0, "windowed workers for the windowed variant (0 = default 4; 1 skips the variant: one worker is the serial executor)")
 	flag.Parse()
-
-	bench.SetShardedWorkers(*engShards)
 
 	if *list {
 		cases, err := bench.Suite(*suite)
@@ -58,8 +55,8 @@ func main() {
 	if *out != "" {
 		id = strings.TrimSuffix(filepath.Base(*out), ".json")
 	}
-	rep, err := bench.Run(*suite, id, *reps, func(m bench.Measurement) {
-		fmt.Fprintf(os.Stderr, "%-32s %-7s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev\n",
+	rep, err := bench.Run(*suite, id, *reps, *engShards, func(m bench.Measurement) {
+		fmt.Fprintf(os.Stderr, "%-32s %-8s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev\n",
 			m.Name, m.Engine, m.EventsPerSec, m.NSPerEvent, m.AllocsPerEvent)
 	})
 	if err != nil {
@@ -72,17 +69,14 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr)
-	fmt.Fprintf(os.Stderr, "%-32s %12s %12s %12s %8s %8s\n",
-		"case", "typed ev/s", "oracle ev/s", "shard ev/s", "vs orcl", "vs shard")
+	fmt.Fprintf(os.Stderr, "%-32s %12s %13s %10s\n", "case", "serial ev/s", "windowed ev/s", "vs serial")
 	for _, c := range rep.Comparisons {
-		if c.ShardedEventsPerSec == 0 { // the case never reaches the windowed executor
-			fmt.Fprintf(os.Stderr, "%-32s %12.0f %12.0f %12s %7.2fx %8s\n",
-				c.Name, c.TypedEventsPerSec, c.OracleEventsPerSec, "-", c.Speedup, "-")
+		if c.WindowedEventsPerSec == 0 { // the case never reaches the windowed executor
+			fmt.Fprintf(os.Stderr, "%-32s %12.0f %13s %10s\n", c.Name, c.SerialEventsPerSec, "-", "-")
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%-32s %12.0f %12.0f %12.0f %7.2fx %7.2fx\n",
-			c.Name, c.TypedEventsPerSec, c.OracleEventsPerSec, c.ShardedEventsPerSec,
-			c.Speedup, c.ShardedSpeedup)
+		fmt.Fprintf(os.Stderr, "%-32s %12.0f %13.0f %9.2fx\n",
+			c.Name, c.SerialEventsPerSec, c.WindowedEventsPerSec, c.WindowedSpeedup)
 	}
 
 	b, err := json.MarshalIndent(rep, "", "  ")

@@ -1,13 +1,12 @@
 // Package bench is the repo's standing performance-measurement layer. It
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
-// scenario family — runs each case N times on up to three engine variants:
-// the production engine (typed 4-ary event heap, direct-handoff run loop),
-// the container/heap oracle, and, for the cases that reach it, the
-// conservative windowed parallel executor. It reports events/sec, ns/event
-// and allocs/event in a stable JSON schema (BENCH_*.json). cmd/bench is
-// the CLI; perf PRs check the next trajectory file in so regressions are
-// diffable in review.
+// scenario family — runs each case N times on the engine's two executors:
+// serial (typed 4-ary event heap, direct-handoff run loop) and, for the
+// cases that reach it, the conservative windowed parallel executor. It
+// reports events/sec, ns/event and allocs/event in a stable JSON schema
+// (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
+// file in so regressions are diffable in review.
 package bench
 
 import (
@@ -23,39 +22,31 @@ import (
 )
 
 // Schema identifies the report layout; bump on incompatible change.
-// v2 added the "sharded" engine variant and its comparison columns.
-const Schema = "alock-bench/v2"
+// v2 files carry three engine variants; v3 measures the two executors only
+// and names the variants after them (serial, windowed).
+const Schema = "alock-bench/v3"
 
-// Engine variant names.
+// Engine variant names: the two executors.
 const (
-	EngineTyped   = "typed"   // typed 4-ary heap, direct handoff
-	EngineOracle  = "oracle"  // container/heap reference, mediated loop
-	EngineSharded = "sharded" // windowed parallel executor
+	EngineSerial   = "serial"   // typed 4-ary heap, direct handoff
+	EngineWindowed = "windowed" // conservative parallel windows
 )
 
-// shardedWorkers is the windowed-executor worker count benchmarked for the
-// sharded variant; the slot budget caps actual concurrency at GOMAXPROCS.
-var shardedWorkers = 4
+// defaultWorkers is the windowed variant's worker count when the caller
+// passes 0; the slot budget caps actual concurrency at GOMAXPROCS. Results
+// are bit-identical at any count; only throughput changes.
+const defaultWorkers = 4
 
-// SetShardedWorkers overrides the sharded variant's windowed worker count
-// (the cmd/bench -engine-shards flag). Results are bit-identical at any
-// count; only throughput changes.
-func SetShardedWorkers(n int) {
-	if n > 0 {
-		shardedWorkers = n
+// engineShards is the executor width a variant runs at: 0 (the serial
+// executor) for EngineSerial, the requested workers for EngineWindowed.
+func engineShards(variant string, workers int) int {
+	if variant != EngineWindowed {
+		return 0
 	}
-}
-
-// variantOpts translates an engine variant into simulator options.
-func variantOpts(variant string) []sim.Option {
-	switch variant {
-	case EngineOracle:
-		return []sim.Option{sim.WithOracle()}
-	case EngineSharded:
-		return []sim.Option{sim.WithShards(shardedWorkers)}
-	default:
-		return nil
+	if workers == 0 {
+		return defaultWorkers
 	}
+	return workers
 }
 
 // Case is one benchmark workload. Exactly one of engine/config drives it:
@@ -78,7 +69,7 @@ type Case struct {
 // smallest rep (steady state).
 type Measurement struct {
 	Name           string  `json:"name"`
-	Engine         string  `json:"engine"` // "typed" | "oracle" | "sharded"
+	Engine         string  `json:"engine"` // "serial" | "windowed"
 	Reps           int     `json:"reps"`
 	Events         uint64  `json:"events"`
 	Ops            int64   `json:"ops,omitempty"`
@@ -88,20 +79,16 @@ type Measurement struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
-// Comparison pairs the engine variants of one case.
+// Comparison pairs the two executors' rates for one case.
 type Comparison struct {
-	Name                string  `json:"name"`
-	TypedEventsPerSec   float64 `json:"typed_events_per_sec"`
-	OracleEventsPerSec  float64 `json:"oracle_events_per_sec"`
-	ShardedEventsPerSec float64 `json:"sharded_events_per_sec"`
-	// Speedup is typed/oracle wall-clock rate: >1 means the typed engine
-	// is faster.
-	Speedup float64 `json:"speedup"`
-	// ShardedSpeedup is sharded/typed: >1 means the windowed parallel
+	Name                 string  `json:"name"`
+	SerialEventsPerSec   float64 `json:"serial_events_per_sec"`
+	WindowedEventsPerSec float64 `json:"windowed_events_per_sec"`
+	// WindowedSpeedup is windowed/serial: >1 means the windowed parallel
 	// executor beats the serial hot path (expect ~parity on one core).
-	// Absent, with ShardedEventsPerSec zero, for cases that cannot reach
+	// Absent, with WindowedEventsPerSec zero, for cases that cannot reach
 	// the windowed executor (see Case.reachesWindowed).
-	ShardedSpeedup float64 `json:"sharded_speedup,omitempty"`
+	WindowedSpeedup float64 `json:"windowed_speedup,omitempty"`
 }
 
 // Host records where a trajectory file was produced.
@@ -231,25 +218,32 @@ func Suite(name string) ([]Case, error) {
 	return cases, nil
 }
 
-// reachesWindowed reports whether the sharded variant of this case runs the
-// windowed executor. Scenario configs the harness keeps on the serial
-// executor (harness.Config.RunsWindowed) would only time the typed engine a
-// second time under the sharded label, so Run skips the variant for them.
-func (c Case) reachesWindowed() bool {
+// reachesWindowed reports whether the windowed variant of this case, at
+// `workers` workers, runs the windowed executor. One worker is the serial
+// executor, and scenario configs the harness keeps serial
+// (harness.Config.RunsWindowed) would only time the serial executor a second
+// time under the windowed label, so Run skips the variant for them.
+func (c Case) reachesWindowed(workers int) bool {
+	shards := engineShards(EngineWindowed, workers)
 	if c.build != nil {
-		return shardedWorkers >= 2
+		return shards >= 2
 	}
 	cfg := c.cfg
-	cfg.EngineShards = shardedWorkers
+	cfg.EngineShards = shards
 	return cfg.RunsWindowed()
 }
 
-// runOnce executes one rep and returns (events, ops, wall, mallocs).
-func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, error) {
+// runOnce executes one rep at the given executor width (0 = serial) and
+// returns (events, ops, wall, mallocs).
+func (c Case) runOnce(shards int) (uint64, int64, time.Duration, uint64, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	if c.build != nil {
-		e := c.build(variantOpts(variant)...)
+		var opts []sim.Option
+		if shards > 0 {
+			opts = append(opts, sim.WithShards(shards))
+		}
+		e := c.build(opts...)
 		runtime.ReadMemStats(&before)
 		t0 := time.Now() //lint:allow detrand benchmark harness: measuring real wall time is its job
 		e.Run(c.horizon)
@@ -258,12 +252,7 @@ func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, err
 		return e.Events(), 0, wall, after.Mallocs - before.Mallocs, nil
 	}
 	cfg := c.cfg
-	switch variant {
-	case EngineOracle:
-		cfg.Oracle = true
-	case EngineSharded:
-		cfg.EngineShards = shardedWorkers
-	}
+	cfg.EngineShards = shards
 	runtime.ReadMemStats(&before)
 	t0 := time.Now() //lint:allow detrand benchmark harness: measuring real wall time is its job
 	res, err := harness.Run(cfg)
@@ -275,19 +264,21 @@ func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, err
 	return res.Events, res.Ops, wall, after.Mallocs - before.Mallocs, nil
 }
 
-// Measure runs the case `reps` times on one engine variant. Rates come
-// from the fastest rep; the allocation figure from the rep with the
-// fewest mallocs (later reps run with warmed allocator state, so the
-// minimum is the steady-state answer).
-func (c Case) Measure(variant string, reps int) (Measurement, error) {
+// Measure runs the case `reps` times on one engine variant; workers is the
+// windowed variant's worker count (0 = defaultWorkers; ignored by the serial
+// variant). Rates come from the fastest rep; the allocation figure from the
+// rep with the fewest mallocs (later reps run with warmed allocator state,
+// so the minimum is the steady-state answer).
+func (c Case) Measure(variant string, reps, workers int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	m := Measurement{Name: c.Name, Engine: variant, Reps: reps}
+	shards := engineShards(variant, workers)
 	var bestWall time.Duration
 	var minAllocs uint64
 	for r := 0; r < reps; r++ {
-		events, ops, wall, allocs, err := c.runOnce(variant)
+		events, ops, wall, allocs, err := c.runOnce(shards)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -312,11 +303,18 @@ func (c Case) Measure(variant string, reps int) (Measurement, error) {
 // Progress receives one line per finished measurement; nil is silent.
 type Progress func(m Measurement)
 
-// Run executes the whole suite: every case on the typed and oracle engines,
-// plus the sharded variant where it reaches the windowed executor, paired
-// into comparisons. The report's Created field is left for the
-// caller to stamp (hermetic callers, like tests, can leave it empty).
-func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
+// Run executes the whole suite: every case on the serial executor, plus the
+// windowed variant (at `workers` workers, 0 = defaultWorkers) where the case
+// reaches the windowed executor, paired into comparisons. reps < 1 and
+// workers < 0 are errors. The report's Created field is left for the caller
+// to stamp (hermetic callers, like tests, can leave it empty).
+func Run(suiteName, id string, reps, workers int, progress Progress) (*Report, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("bench: reps %d (want at least 1)", reps)
+	}
+	if workers < 0 {
+		return nil, fmt.Errorf("bench: negative windowed workers %d (want 0 for the default %d, or a count)", workers, defaultWorkers)
+	}
 	cases, err := Suite(suiteName)
 	if err != nil {
 		return nil, err
@@ -325,12 +323,12 @@ func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
 		Schema: Schema, ID: id, Suite: suiteName, Reps: reps, Host: hostInfo(),
 	}
 	for _, c := range cases {
-		var ms [3]Measurement
-		for i, variant := range []string{EngineTyped, EngineOracle, EngineSharded} {
-			if variant == EngineSharded && !c.reachesWindowed() {
+		var ms [2]Measurement
+		for i, variant := range []string{EngineSerial, EngineWindowed} {
+			if variant == EngineWindowed && !c.reachesWindowed(workers) {
 				continue
 			}
-			m, err := c.Measure(variant, reps)
+			m, err := c.Measure(variant, reps, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -340,18 +338,14 @@ func Run(suiteName, id string, reps int, progress Progress) (*Report, error) {
 			ms[i] = m
 			rep.Cases = append(rep.Cases, m)
 		}
-		typed, oracle, sharded := ms[0], ms[1], ms[2]
+		serial, windowed := ms[0], ms[1]
 		cmp := Comparison{
-			Name:                c.Name,
-			TypedEventsPerSec:   typed.EventsPerSec,
-			OracleEventsPerSec:  oracle.EventsPerSec,
-			ShardedEventsPerSec: sharded.EventsPerSec,
+			Name:                 c.Name,
+			SerialEventsPerSec:   serial.EventsPerSec,
+			WindowedEventsPerSec: windowed.EventsPerSec,
 		}
-		if oracle.EventsPerSec > 0 {
-			cmp.Speedup = typed.EventsPerSec / oracle.EventsPerSec
-		}
-		if typed.EventsPerSec > 0 {
-			cmp.ShardedSpeedup = sharded.EventsPerSec / typed.EventsPerSec
+		if serial.EventsPerSec > 0 {
+			cmp.WindowedSpeedup = windowed.EventsPerSec / serial.EventsPerSec
 		}
 		rep.Comparisons = append(rep.Comparisons, cmp)
 	}

@@ -41,11 +41,11 @@ func TestSuiteExpands(t *testing.T) {
 	}
 }
 
-// TestMeasureEngineCase runs the event-dense microbenchmark once per
-// engine and sanity-checks the metrics that BENCH_*.json reports: both
+// TestMeasureEngineCase runs the scheduler-churn microbenchmark once per
+// executor and sanity-checks the metrics that BENCH_*.json reports: both
 // variants process the identical schedule (same event count — the
 // bit-identity guarantee shows up even in the bench layer), rates are
-// populated, and the typed engine's steady-state allocation rate is
+// populated, and the serial executor's steady-state allocation rate is
 // near zero.
 func TestMeasureEngineCase(t *testing.T) {
 	cases, err := Suite("tiny")
@@ -53,33 +53,37 @@ func TestMeasureEngineCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cases[0] // engine/work-loop
-	typed, err := c.Measure(EngineTyped, 1)
+	serial, err := c.Measure(EngineSerial, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := c.Measure(EngineOracle, 1)
+	windowed, err := c.Measure(EngineWindowed, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := c.Measure(EngineSharded, 1)
-	if err != nil {
-		t.Fatal(err)
+	if serial.Events == 0 || serial.EventsPerSec <= 0 || serial.NSPerEvent <= 0 {
+		t.Fatalf("serial measurement not populated: %+v", serial)
 	}
-	if typed.Events == 0 || typed.EventsPerSec <= 0 || typed.NSPerEvent <= 0 {
-		t.Fatalf("typed measurement not populated: %+v", typed)
+	if serial.Events != windowed.Events {
+		t.Fatalf("executors diverged: serial %d events, windowed %d", serial.Events, windowed.Events)
 	}
-	if typed.Events != oracle.Events {
-		t.Fatalf("engines diverged: typed %d events, oracle %d", typed.Events, oracle.Events)
-	}
-	if typed.Events != sharded.Events {
-		t.Fatalf("engines diverged: typed %d events, sharded %d", typed.Events, sharded.Events)
-	}
-	if typed.AllocsPerEvent > 0.01 {
-		t.Errorf("typed engine allocates %.4f/event in steady state, want ~0", typed.AllocsPerEvent)
+	if serial.AllocsPerEvent > 0.01 {
+		t.Errorf("serial executor allocates %.4f/event in steady state, want ~0", serial.AllocsPerEvent)
 	}
 }
 
-// TestShardedVariantOnlyWhereWindowed: the sharded label is reserved for
+// TestRunRejectsBadInput: the report header records reps and the windowed
+// width as given, so values Measure would have to reinterpret are errors.
+func TestRunRejectsBadInput(t *testing.T) {
+	if _, err := Run("tiny", "x", 0, 0, nil); err == nil {
+		t.Error("reps 0 accepted")
+	}
+	if _, err := Run("tiny", "x", 1, -2, nil); err == nil {
+		t.Error("negative windowed workers accepted")
+	}
+}
+
+// TestShardedVariantOnlyWhereWindowed: the windowed label is reserved for
 // runs that execute parallel windows. Raw engine cases and the open-loop
 // service do; a closed-loop scenario config with TargetOps runs the serial
 // executor at any width, and one worker is the serial executor everywhere.
@@ -94,7 +98,7 @@ func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
 		"paper/fig5-high-contention@tiny": false,
 	}
 	for _, c := range cases {
-		if w, ok := want[c.Name]; ok && c.reachesWindowed() != w {
+		if w, ok := want[c.Name]; ok && c.reachesWindowed(0) != w {
 			t.Errorf("%s: reachesWindowed = %v, want %v", c.Name, !w, w)
 		}
 		delete(want, c.Name)
@@ -102,10 +106,8 @@ func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
 	if len(want) > 0 {
 		t.Errorf("cases missing from the tiny suite: %v", want)
 	}
-	defer func(n int) { shardedWorkers = n }(shardedWorkers)
-	SetShardedWorkers(1)
 	for _, c := range cases {
-		if c.reachesWindowed() {
+		if c.reachesWindowed(1) {
 			t.Errorf("%s: reaches the windowed executor with one worker", c.Name)
 		}
 	}
@@ -124,7 +126,7 @@ func TestMeasureScenarioCase(t *testing.T) {
 		if c.build != nil {
 			continue
 		}
-		m, err := c.Measure(EngineTyped, 1)
+		m, err := c.Measure(EngineSerial, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +140,8 @@ func TestMeasureScenarioCase(t *testing.T) {
 
 func TestReportMarshals(t *testing.T) {
 	rep := &Report{Schema: Schema, ID: "BENCH_TEST", Suite: "tiny", Reps: 1, Host: hostInfo()}
-	rep.Cases = append(rep.Cases, Measurement{Name: "x", Engine: "typed", Events: 10})
-	rep.Comparisons = append(rep.Comparisons, Comparison{Name: "x", Speedup: 1.5})
+	rep.Cases = append(rep.Cases, Measurement{Name: "x", Engine: EngineSerial, Events: 10})
+	rep.Comparisons = append(rep.Comparisons, Comparison{Name: "x", WindowedSpeedup: 1.5})
 	b, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +150,7 @@ func TestReportMarshals(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != Schema || back.Cases[0].Name != "x" || back.Comparisons[0].Speedup != 1.5 {
+	if back.Schema != Schema || back.Cases[0].Name != "x" || back.Comparisons[0].WindowedSpeedup != 1.5 {
 		t.Fatalf("round trip mangled the report: %+v", back)
 	}
 }

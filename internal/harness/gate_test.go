@@ -65,7 +65,6 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"txn wider than the table", txn, func(c *Config) { c.TxnLocks = 9 }, "harness: TxnLocks"},
 		{"pair on a one-lock table (was: silently never paired)", closed, func(c *Config) { c.PairProb, c.Locks = 0.5, 1 }, "harness: PairProb needs at least 2 locks"},
 		{"negative engine shards", closed, func(c *Config) { c.EngineShards = -1 }, "harness: negative engine shards"},
-		{"oracle with engine shards", closed, func(c *Config) { c.Oracle, c.EngineShards = true, 2 }, "harness: Oracle"},
 		{"negative arrival rate (was: silent closed loop)", closed, func(c *Config) { c.ArrivalRate = -5 }, "harness: arrival rate"},
 		{"NaN arrival rate (was: silent closed loop)", closed, func(c *Config) { c.ArrivalRate = math.NaN() }, "harness: arrival rate"},
 		{"service knob on a closed loop", closed, func(c *Config) { c.SvcShards = 2 }, "harness: service knobs"},

@@ -126,8 +126,8 @@ type Config struct {
 	// generators offer this many operations per second in aggregate, and
 	// per-shard worker pools (ThreadsPerNode workers each) drain bounded
 	// admission queues. Open-loop runs support ReadPct, CSWork, ZipfS
-	// (key popularity), BurstOn/Off, AcquireTimeout, HomeSkewPct, Oracle
-	// and EngineShards; the closed-loop-only knobs (TargetOps, Think,
+	// (key popularity), BurstOn/Off, AcquireTimeout, HomeSkewPct and
+	// EngineShards; the closed-loop-only knobs (TargetOps, Think,
 	// leases, abandonment, pairs, transactions) are rejected and
 	// LocalityPct is not consulted. A negative or NaN rate is an error,
 	// not a closed-loop run.
@@ -153,18 +153,13 @@ type Config struct {
 	Seed int64
 	// WordsPerNode sizes each node's memory region (0 = 1Mi words = 8 MiB).
 	WordsPerNode int
-	// Oracle runs the simulation on the reference engine (container/heap
-	// event queue, scheduler-mediated run loop) instead of the flattened
-	// hot path. Schedules are bit-identical either way — the flag exists so
-	// tests can prove it and internal/bench can measure the difference.
-	Oracle bool `json:",omitempty"`
 	// EngineShards is the engine's worker count: 0 or 1 runs the serial
 	// executor, 2 or more the conservative windowed parallel executor
 	// (capped by the process execution-slot budget). Schedules are
 	// bit-identical either way. Configs that rely on engine-serialized
 	// cross-thread state (closed-loop TargetOps early stop, wait-die age
 	// ordering) run serial at any value — RunsWindowed reports the
-	// decision; combining with Oracle is rejected.
+	// decision.
 	EngineShards int `json:",omitempty"`
 }
 
@@ -223,14 +218,10 @@ func (c Config) RunsWindowed() bool {
 
 // engineOptions maps the config's engine axes onto sim options.
 func (c Config) engineOptions() []sim.Option {
-	var opts []sim.Option
-	if c.Oracle {
-		opts = append(opts, sim.WithOracle())
-	}
 	if c.RunsWindowed() {
-		opts = append(opts, sim.WithShards(c.EngineShards))
+		return []sim.Option{sim.WithShards(c.EngineShards)}
 	}
-	return opts
+	return nil
 }
 
 // Validate is the one configuration gate: it applies the defaults Run
@@ -341,9 +332,6 @@ func (c Config) check() (plan, error) {
 	}
 	if c.EngineShards < 0 {
 		return fail("negative engine shards %d", c.EngineShards)
-	}
-	if c.Oracle && c.EngineShards > 0 {
-		return fail("Oracle is the single-queue serial reference and takes no engine workers (EngineShards=%d)", c.EngineShards)
 	}
 	if c.ArrivalRate != 0 && !c.OpenLoop() {
 		// Negative or NaN: not an open-loop rate, and too deliberate to

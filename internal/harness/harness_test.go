@@ -786,19 +786,3 @@ func TestEngineShardsBitIdentical(t *testing.T) {
 		t.Error("wait-die config reports RunsWindowed; its age table needs the serial executor")
 	}
 }
-
-// TestOracleRejectsEngineShards: the two engine-selection knobs are
-// mutually exclusive and must fail validation, not race to pick one.
-func TestOracleRejectsEngineShards(t *testing.T) {
-	cfg := quickCfg("mcs")
-	cfg.Oracle = true
-	cfg.EngineShards = 2
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Oracle+EngineShards accepted")
-	}
-	cfg.EngineShards = -1
-	cfg.Oracle = false
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative EngineShards accepted")
-	}
-}

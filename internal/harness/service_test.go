@@ -92,7 +92,7 @@ func TestServiceDecomposition(t *testing.T) {
 // TestServiceBitIdentity is the dedicated determinism diff for the svc
 // path: one config, replayed across sweep parallelism 1 vs 8 and engine
 // shards 1 vs 4, must produce byte-for-byte identical results. (The
-// scenario oracle test covers the whole svc/ family; this pins the exact
+// scenario executor test covers the whole svc/ family; this pins the exact
 // widths the CI steps drive.)
 func TestServiceBitIdentity(t *testing.T) {
 	cfg := svcBase()
@@ -114,16 +114,6 @@ func TestServiceBitIdentity(t *testing.T) {
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("EngineShards=%d diverged from serial run", shards)
 		}
-	}
-	o := cfg
-	o.Oracle = true
-	got, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Config.Oracle = false
-	if !reflect.DeepEqual(base, got) {
-		t.Error("oracle engine diverged from serial run")
 	}
 }
 

@@ -9,18 +9,23 @@ import (
 	"alock/internal/sweep"
 )
 
-// TestTypedEngineMatchesOracleEveryScenario is the engine-swap acceptance
-// gate: every registered scenario, expanded at smoke scale, must produce
-// bit-identical results on every engine configuration — the production
-// engine (typed 4-ary event heap, direct-handoff run loop), the reference
-// engine (container/heap, scheduler-mediated loop) and the conservative
-// windowed parallel executor (EngineShards=4). Closed-loop scenarios carry
-// TargetOps, which runs serial at any width, so the windowed-closed-loop
-// variant clears it — on the reference side too — to drive the windowed
-// executor with closed-loop traffic. The typed runs go through the parallel
-// sweep runner and the oracle runs serially, so the comparison also
-// re-proves sweep determinism at any -parallel setting against independent
-// engine implementations.
+// TestTypedEngineMatchesOracleEveryScenario is the executor acceptance gate:
+// every registered scenario, expanded at smoke scale, must produce
+// bit-identical results on both executors — serial (typed 4-ary event heap,
+// direct-handoff run loop) and the conservative windowed parallel executor
+// (EngineShards=4). Closed-loop scenarios carry TargetOps, which runs serial
+// at any width, so the windowed-closed-loop variant clears it — on the
+// serial side too — to drive the windowed executor with closed-loop traffic.
+// The serial and windowed sweeps run at different -parallel settings, so the
+// comparison also re-proves sweep determinism.
+//
+// The oracle in the name is testdata/digests.golden: it was recorded at this
+// same scale while the container/heap engine still ran as a third variant
+// here and agreed, so it is that engine's answer for every scenario, checked
+// in. TestScenarioDigests holds the serial executor to it, this test holds
+// the windowed executor to the serial one, and internal/sim's reference
+// replay checks the queue order itself against container/heap. (The test
+// keeps its pre-PR-15 name because the per-scenario subtest ids are pinned.)
 func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -31,12 +36,11 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 		name     string
 		parallel int
 		// rebase, when non-nil, first rewrites the scenario's configs (the
-		// typed reference is re-run on the result); it drops a config by
+		// serial baseline is re-run on the result); it drops a config by
 		// returning false.
 		rebase func(*harness.Config) bool
 		mutate func(*harness.Config)
 	}{
-		{"oracle", 1, nil, func(c *harness.Config) { c.Oracle = true }},
 		{"windowed", 2, nil, windowed},
 		{"windowed-closed-loop", 2, func(c *harness.Config) bool {
 			if c.TargetOps == 0 {
@@ -54,12 +58,12 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfgs := sc.Configs(s)
-			typed, err := sweep.Runner{Parallel: 4}.Run(cfgs)
+			serial, err := sweep.Runner{Parallel: 4}.Run(cfgs)
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
 			for _, v := range variants {
-				base, want := cfgs, typed
+				base, want := cfgs, serial
 				if v.rebase != nil {
 					base = nil
 					for _, c := range cfgs {
@@ -68,7 +72,7 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 						}
 					}
 					if want, err = (sweep.Runner{Parallel: 4}).Run(base); err != nil {
-						t.Fatalf("%s (%s reference): %v", sc.Name, v.name, err)
+						t.Fatalf("%s (%s baseline): %v", sc.Name, v.name, err)
 					}
 				}
 				vcfgs := make([]harness.Config, len(base))
@@ -81,13 +85,12 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 					t.Fatalf("%s (%s): %v", sc.Name, v.name, err)
 				}
 				for i := range want {
-					// The engine-selection knobs are the one legitimate
-					// difference; everything else must match bit for bit.
+					// The executor width is the one legitimate difference;
+					// everything else must match bit for bit.
 					g := got[i]
-					g.Config.Oracle = false
 					g.Config.EngineShards = 0
 					if !reflect.DeepEqual(want[i], g) {
-						t.Errorf("%s: config %d (%s) diverged between typed and %s engines",
+						t.Errorf("%s: config %d (%s) diverged between the serial and %s executors",
 							sc.Name, i, base[i].Algorithm, v.name)
 					}
 				}

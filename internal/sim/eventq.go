@@ -1,9 +1,9 @@
 // eventq.go is the engine's event priority queue: a hand-inlined typed
 // 4-ary min-heap over []event. The previous implementation went through
-// container/heap, which costs an interface conversion (one heap allocation
-// boxing the event struct) on every Push and Pop plus dynamic dispatch for
-// every comparison — per scheduled event, on the hottest path the engine
-// has. The typed queue allocates only when the backing slice grows, so a
+// the standard library's heap.Interface, which costs an interface
+// conversion (one heap allocation boxing the event struct) on every Push and
+// Pop plus dynamic dispatch for every comparison — per scheduled event, on
+// the hottest path the engine has. The typed queue allocates only when the backing slice grows, so a
 // steady-state simulation schedules and pops with zero heap allocations,
 // and the slice is reused across re-arms of the same engine.
 //
@@ -14,7 +14,7 @@
 //
 // Ordering is the engine's total event order — (at, seq) with seq unique —
 // so pop order is independent of heap shape and bit-identical to the
-// container/heap oracle kept in sim.go for verification.
+// standard-library heap the tests replay it against (reference_test.go).
 package sim
 
 // eventQueue is a 4-ary min-heap ordered by (at, seq).

@@ -11,8 +11,8 @@ import (
 )
 
 // TestEventQueueMatchesOracle drives 10k random (at, seq) schedules through
-// the typed 4-ary heap and the container/heap oracle with interleaved pops
-// and asserts identical pop order. (at, seq) is a total order, so any
+// the typed 4-ary heap and the container/heap reference (reference_test.go)
+// with interleaved pops and asserts identical pop order. (at, seq) is a total order, so any
 // divergence is a queue bug, not tie-break slack.
 func TestEventQueueMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -92,26 +92,6 @@ func contendedEngine(opts ...Option) (*Engine, func() uint64) {
 		return v
 	}
 	return e, read
-}
-
-// TestDirectRunMatchesOracleEngine runs the same contended workload on the
-// production engine (typed heap, direct handoff) and the oracle engine
-// (container/heap, mediated scheduler) and asserts bit-identical outcomes:
-// same final clock, same event count, same memory effects.
-func TestDirectRunMatchesOracleEngine(t *testing.T) {
-	typed, readTyped := contendedEngine()
-	oracle, readOracle := contendedEngine(WithOracle())
-	typed.Run(300_000)
-	oracle.Run(300_000)
-	if typed.Now() != oracle.Now() {
-		t.Errorf("final clock diverged: typed %d, oracle %d", typed.Now(), oracle.Now())
-	}
-	if typed.Events() != oracle.Events() {
-		t.Errorf("event count diverged: typed %d, oracle %d", typed.Events(), oracle.Events())
-	}
-	if g, w := readTyped(), readOracle(); g != w {
-		t.Errorf("memory effects diverged: typed %d, oracle %d", g, w)
-	}
 }
 
 // TestMaxEventsGuardDirect is TestMaxEventsGuard's cross-thread variant:

@@ -85,19 +85,15 @@ func runMode(t *testing.T, nodes, tpn int, horizon int64, opts ...Option) string
 }
 
 // TestShardedSerialBitIdentical: one worker is the serial executor, so
-// WithShards(1) must be the default engine exactly; and the typed serial
-// engine must replay the container/heap oracle's schedule — same clock,
-// same event count, same memory image, same NIC stats.
+// WithShards(1) must be the default engine exactly — same clock, same event
+// count, same memory image, same NIC stats. (That the serial engine replays
+// the container/heap schedule is TestReferenceReplaySharded.)
 func TestShardedSerialBitIdentical(t *testing.T) {
 	const horizon = 300_000
 	serial := runMode(t, 4, 3, horizon)
 	oneWorker := runMode(t, 4, 3, horizon, WithShards(1))
 	if serial != oneWorker {
 		t.Errorf("WithShards(1) diverged from the default engine:\n default:    %s\n one worker: %s", serial, oneWorker)
-	}
-	oracle := runMode(t, 4, 3, horizon, WithOracle())
-	if serial != oracle {
-		t.Errorf("typed serial diverged from oracle:\n serial: %s\n oracle: %s", serial, oracle)
 	}
 }
 
@@ -218,22 +214,6 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 	}
 }
 
-// TestOracleRejectsShards: WithOracle is the single-queue serial
-// reference; combining it with WithShards must fail loudly, not silently
-// ignore one of the two.
-func TestOracleRejectsShards(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("New accepted WithOracle+WithShards")
-		}
-		if !strings.Contains(fmt.Sprint(r), "WithOracle") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	New(2, 1024, model.CX3(), 1, WithOracle(), WithShards(2))
-}
-
 // TestWithShardsRejectsZeroWorkers: worker counts below 1 are a
 // configuration error.
 func TestWithShardsRejectsZeroWorkers(t *testing.T) {
@@ -334,7 +314,9 @@ func TestWindowedEventsCounterMatchesSerial(t *testing.T) {
 	if w := builds(WithShards(2)); w != serial {
 		t.Errorf("windowed events %d != serial %d", w, serial)
 	}
-	if o := builds(WithOracle()); o != serial {
-		t.Errorf("oracle events %d != serial %d", o, serial)
+	ref, _ := shardedWorkload(2, 2)
+	runReference(t, ref, horizon)
+	if ref.Events() != serial {
+		t.Errorf("reference replay events %d != serial %d", ref.Events(), serial)
 	}
 }

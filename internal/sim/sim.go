@@ -44,9 +44,8 @@
 // transfers control directly from the blocking thread to the next event's
 // thread. The step primitives (ProcessNextEvent/Step) keep the
 // scheduler-mediated two-handoff protocol so callers can interleave logic
-// between events. WithOracle selects the original container/heap queue
-// plus the mediated Run loop as a bit-exact reference; it is incompatible
-// with WithShards (the oracle IS the single-queue serial path).
+// between events; the package's tests replay that loop against the
+// standard-library heap as the bit-exact reference (reference_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -68,7 +67,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -119,26 +117,6 @@ func destFor(kind uint8, t *Thread) int16 {
 	}
 }
 
-// eventHeap is the original container/heap event queue, kept verbatim as
-// the bit-exact oracle behind WithOracle. The production queue is the typed
-// 4-ary heap in eventq.go; both implement the same total order, so pop
-// sequences are identical and the oracle exists purely to prove it.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return eventLess(h[i], h[j])
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
-}
-
 // curShard sentinels for the access auditor.
 const (
 	auditIdle     int32 = -1 // no run in progress: setup/teardown may touch anything
@@ -155,12 +133,9 @@ type Engine struct {
 
 	// q is the global event queue: it holds every pending event except
 	// during a windowed Run, which scatters it onto the shard queues at
-	// entry and leaves it (and them) empty at exit. oracle, when non-nil
-	// (WithOracle), replaces q with the container/heap reference. shards
-	// always exist: they own seq issue and torn-RMW state under both
-	// executors.
+	// entry and leaves it (and them) empty at exit. shards always exist:
+	// they own seq issue and torn-RMW state under both executors.
 	q      eventQueue
-	oracle *eventHeap
 	shards []*shard
 	// workers is WithShards' executor width: 0 (unset) or 1 = the serial
 	// executor, >1 = the conservative windowed executor for Run. lookahead
@@ -234,17 +209,6 @@ func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
 
-// WithOracle switches the engine to the reference implementation: the
-// container/heap event queue and the scheduler-mediated Run loop. Event
-// order is a total order on (at, seq), so the oracle replays bit-identical
-// schedules — it exists to verify the typed-heap/direct-handoff engine
-// (and to measure what the flattened hot path buys; see internal/bench).
-// The oracle IS the single-queue serial path: combining it with WithShards
-// is a configuration error and New panics on it.
-func WithOracle() Option {
-	return func(e *Engine) { e.oracle = &eventHeap{} }
-}
-
 // WithShards sets the executor width for Run. One worker is the serial
 // executor (the default engine); workers > 1 selects the conservative
 // windowed executor (shard.go), which runs up to that many shards' windows
@@ -301,9 +265,6 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 	}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.oracle != nil && e.workers > 0 {
-		panic("sim: WithOracle is the single-queue serial reference and cannot be combined with WithShards")
 	}
 	e.curShard.Store(auditIdle)
 	if e.audit {
@@ -420,37 +381,17 @@ func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 		from.outbox = append(from.outbox, ev)
 		return
 	}
-	if e.oracle != nil {
-		heap.Push(e.oracle, ev) //lint:allow allocfree oracle mode is the boxed container/heap serial reference, kept for verification, never for performance runs
-		return
-	}
 	e.q.push(ev)
 }
 
 // pending reports the number of scheduled events.
-func (e *Engine) pending() int {
-	if e.oracle != nil {
-		return e.oracle.Len()
-	}
-	return e.q.len()
-}
+func (e *Engine) pending() int { return e.q.len() }
 
 // pop removes and returns the earliest event; the queue must be non-empty.
-func (e *Engine) pop() event {
-	if e.oracle != nil {
-		return heap.Pop(e.oracle).(event)
-	}
-	return e.q.pop()
-}
+func (e *Engine) pop() event { return e.q.pop() }
 
 // minAt returns the earliest scheduled time; ok is false on an empty queue.
 func (e *Engine) minAt() (at int64, ok bool) {
-	if e.oracle != nil {
-		if e.oracle.Len() == 0 {
-			return 0, false
-		}
-		return (*e.oracle)[0].at, true
-	}
 	if e.q.len() == 0 {
 		return 0, false
 	}
@@ -614,12 +555,11 @@ func (e *Engine) Step() bool {
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
 //
-// Serial modes use direct handoff: the blocking thread pops the next event
-// and resumes its thread itself (protocol events it executes inline), so
-// each event costs one channel transfer instead of the step primitives'
-// two (thread -> scheduler -> thread). The oracle engine keeps the
-// mediated loop — it IS the reference behavior. WithShards(n > 1) engages
-// the conservative windowed executor in shard.go. Semantics are identical
+// The serial executor uses direct handoff: the blocking thread pops the next
+// event and resumes its thread itself (protocol events it executes inline),
+// so each event costs one channel transfer instead of the step primitives'
+// two (thread -> scheduler -> thread). WithShards(n > 1) engages the
+// conservative windowed executor in shard.go. Semantics are identical
 // in every mode: event order, the events counter and all memory effects
 // come from the same total order. A dispatch failure (time regression,
 // event-budget livelock) panics on the caller's goroutine in all modes;
@@ -637,9 +577,6 @@ func (e *Engine) Run(stopAt int64) {
 		// Nothing scheduled: fall through to the exit check.
 	case e.workers > 1:
 		e.runWindowed()
-	case e.oracle != nil:
-		for e.ProcessNextEvent() {
-		}
 	default:
 		e.runDirect()
 	}
@@ -690,7 +627,7 @@ func (e *Engine) runDirect() {
 // caller itself — it just keeps running, no handoff at all — or is handed
 // its thread. On a dispatch failure the engine traps: the error goes to the
 // Run caller and this goroutine parks forever, exactly as threads do when a
-// mediated Run panics mid-schedule.
+// mediated step panics mid-schedule.
 func (e *Engine) dispatchNext(self *Thread) (keepRunning bool) {
 	for {
 		if e.launched < len(e.threads) {

@@ -29,12 +29,13 @@ import (
 )
 
 // WithEngineShards stamps the engine worker count onto every config of a
-// sweep, so a whole scenario or figure runs on the selected executor
-// (shards <= 0 leaves the configs alone). Configs that ask for the windowed
+// sweep, so a whole scenario or figure runs on the selected executor (0
+// leaves the configs alone; a negative count is stamped like any other, for
+// harness.Config.Validate to reject). Configs that ask for the windowed
 // executor but run serial (harness.Config.RunsWindowed) are counted in one
 // line on warn: results are bit-identical either way, the wall clock is not.
 func WithEngineShards(cfgs []harness.Config, shards int, warn io.Writer) []harness.Config {
-	if shards <= 0 {
+	if shards == 0 {
 		return cfgs
 	}
 	serial := 0

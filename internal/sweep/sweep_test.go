@@ -215,7 +215,8 @@ func TestSweepResultsUnaffectedBySlotStarvation(t *testing.T) {
 // TestWithEngineShardsReportsSerialConfigs: the stamp reaches every config,
 // and the one-line notice counts exactly the configs that asked for the
 // windowed executor but run serial — silent when none do, when one worker
-// was asked for, or when nothing was asked for.
+// was asked for, or when nothing was asked for. A negative count is not
+// "nothing": it reaches every config, where the gate rejects it.
 func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
 	mixed := func() []harness.Config {
 		cfgs := testConfigs() // all carry TargetOps
@@ -226,6 +227,7 @@ func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
 		shards int
 		want   string
 	}{
+		{-3, ""},
 		{0, ""},
 		{1, ""},
 		{4, "engine-shards 4: 5 of 6 configs run serial: TargetOps / wait-die\n"},
@@ -235,6 +237,9 @@ func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
 		for i, c := range cfgs {
 			if c.EngineShards != tc.shards {
 				t.Errorf("shards=%d: config %d stamped %d", tc.shards, i, c.EngineShards)
+			}
+			if err := c.Validate(); (err != nil) != (tc.shards < 0) {
+				t.Errorf("shards=%d: config %d: Validate says %v", tc.shards, i, err)
 			}
 		}
 		if warn.String() != tc.want {
