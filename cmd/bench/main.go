@@ -1,6 +1,6 @@
 // Command bench runs the repo's standing performance suite and writes a
 // BENCH_*.json trajectory file: every case measured on the serial executor
-// (typed event heap, direct handoff) and — where the case reaches it — on
+// (typed event heap, ProcessNextEvent loop) and — where the case reaches it — on
 // the windowed parallel executor, with events/sec, ns/event and
 // allocs/event per case plus the windowed-vs-serial speedup. Perf PRs check
 // the next trajectory file in (see the README's Benchmarking section), so the

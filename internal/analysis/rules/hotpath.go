@@ -3,23 +3,32 @@ package rules
 // HotPathRoots declares the functions whose transitive callees must stay
 // allocation-free. This is the checked-in twin of what alloc_test.go
 // probes dynamically (`testing.AllocsPerRun` over ProcessNextEvent, the
-// Mallocs bound over direct runs): the steady-state event loop of both
+// Mallocs bound over whole runs): the steady-state event loop of both
 // executors, from scheduling through dispatch. Perf PRs that add a new
 // dispatch entry point extend this list; the allocfree analyzer reports a
 // finding if a root name stops resolving, so renames can't silently
 // shrink the proved surface.
 //
 // Names use the callgraph format: "pkgpath.Func" or
-// "pkgpath.(*Recv).Method". `go` edges are not followed — goroutine
-// startup (per-thread launch) is priced separately from the per-event
-// loop — so thread bodies hand control back via channels, not calls, and
-// workload code stays out of the proved set.
+// "pkgpath.(*Recv).Method". A thread switch is a pair of ordinary calls —
+// the executor's Thread.resume and the thread's Thread.suspend — joined by
+// the coroutine functions iter.Pull hands out, which the callgraph cannot
+// see through. Both sides are therefore rooted explicitly: the executor
+// loops below, and the suspend side every blocking api.Ctx call funnels
+// into. Workload code (the thread bodies behind iter.Pull) stays out of
+// the proved set; `go` edges are not followed — the windowed pool's helper
+// startup is per Run, priced separately from the per-event loop.
 var HotPathRoots = []string{
-	// Serial executor: public stepping API and the direct-handoff loop.
+	// Serial executor: the stepping API; Run is a loop over it.
 	"alock/internal/sim.(*Engine).Step",
 	"alock/internal/sim.(*Engine).ProcessNextEvent",
-	"alock/internal/sim.(*Engine).runDirect",
-	"alock/internal/sim.(*Engine).dispatchNext",
+
+	// Thread switch: the executor's resume, and the suspend side that
+	// runs on the thread's coroutine.
+	"alock/internal/sim.(*Thread).resume",
+	"alock/internal/sim.(*Thread).suspend",
+	"alock/internal/sim.(*Thread).block",
+	"alock/internal/sim.(*shard).blockThread",
 
 	// Event queue: the typed 4-ary heap's steady-state operations.
 	"alock/internal/sim.(*eventQueue).push",

@@ -2,7 +2,7 @@
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
 // scenario family — runs each case N times on the engine's two executors:
-// serial (typed 4-ary event heap, direct-handoff run loop) and, for the
+// serial (typed 4-ary event heap, ProcessNextEvent loop) and, for the
 // cases that reach it, the conservative windowed parallel executor. It
 // reports events/sec, ns/event and allocs/event in a stable JSON schema
 // (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
@@ -28,7 +28,7 @@ const Schema = "alock-bench/v3"
 
 // Engine variant names: the two executors.
 const (
-	EngineSerial   = "serial"   // typed 4-ary heap, direct handoff
+	EngineSerial   = "serial"   // typed 4-ary heap, ProcessNextEvent loop
 	EngineWindowed = "windowed" // conservative parallel windows
 )
 
@@ -125,7 +125,7 @@ func hostInfo() Host {
 
 // contendedEngine builds the event-dense microbenchmark workload: threads
 // on two nodes hammer one word with remote CAS retry loops, so the run is
-// almost pure event-queue and handoff traffic.
+// almost pure event-queue and thread-switch traffic.
 func contendedEngine(threads int, opts ...sim.Option) *sim.Engine {
 	e := sim.New(2, 1024, model.CX3(), 99, opts...)
 	w := e.Space().AllocLine(0)
@@ -147,8 +147,8 @@ func contendedEngine(threads int, opts ...sim.Option) *sim.Engine {
 }
 
 // workLoopEngine is the pure scheduler-churn workload: compute-only
-// threads whose every step is one schedule/pop/handoff cycle — the
-// cleanest measurement of the event queue itself.
+// threads whose every step is one schedule/pop/resume/suspend cycle — the
+// cleanest measurement of the event queue and the thread switch.
 func workLoopEngine(threads int, opts ...sim.Option) *sim.Engine {
 	e := sim.New(1, 1024, model.Uniform(10), 7, opts...)
 	for i := 0; i < threads; i++ {

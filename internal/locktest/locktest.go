@@ -428,9 +428,9 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 		h := prov.NewHandle(ctx)
 		zc, ok := h.(locks.ZombieCounter)
 		if !ok {
-			// Errorf, not Fatalf: Fatalf's Goexit on a sim-thread goroutine
-			// would strand the scheduler's yield handshake and hang the
-			// run. The missing-attempt check after e.Run fails the test.
+			// Errorf, not Fatalf: FailNow must be called on the test's own
+			// goroutine, and a sim thread's body runs on its coroutine.
+			// The missing-attempt check after e.Run fails the test.
 			t.Errorf("%s: handle does not count zombies", prov.Name())
 			return
 		}

@@ -27,6 +27,13 @@
 //	          buffer in the sender's outbox
 //	repeat    until no events remain
 //
+// Threads switch exactly as they do under the serial executor: the worker
+// that claimed a shard for this window is the resumer (Thread.resume) of
+// that shard's coroutines, and a blocking thread suspends back to it
+// (Thread.suspend). Which worker that is changes from window to window;
+// a coroutine may be resumed from any goroutine, one at a time, and the
+// barrier orders one window's resumes before the next's.
+//
 // Cross-shard sends are asserted (panic) to be at least one lookahead
 // ahead of the sending shard's clock, so no shard ever receives an event
 // inside a window it already executed — time never regresses, and the
@@ -78,15 +85,14 @@ type shard struct {
 	// via Ctx.Now while windowed); wend is the current window's exclusive
 	// end; events counts dispatches since Run began, folded into the
 	// engine counter at the final barrier. outbox buffers cross-shard
-	// sends until the next barrier. yield is the running-thread -> shard
-	// worker handoff. active marks the shard as executing the current
-	// window, for the access auditor. trap carries a dispatch failure to
-	// the barrier, which re-panics it on the Run caller.
+	// sends until the next barrier. active marks the shard as executing the
+	// current window, for the access auditor. trap carries a dispatch
+	// failure or a thread body's panic to the barrier, which re-panics it
+	// on the Run caller.
 	now    int64
 	wend   int64
 	events uint64
 	outbox []event
-	yield  chan struct{}
 	active atomic.Bool
 	trap   error
 }
@@ -105,7 +111,6 @@ func newShard(e *Engine, node int) *shard {
 		node:       node,
 		tornHeld:   make(map[ptr.Ptr]bool),
 		tornWrites: make(map[*Thread]tornWrite),
-		yield:      make(chan struct{}),
 	}
 }
 
@@ -120,9 +125,10 @@ func (s *shard) nextSeq() uint64 {
 // `at` during a parallel window. Fast path: if `at` is inside the safe
 // window and no own-shard event could run first, advance the shard clock
 // and keep the thread running — no other shard can affect this one before
-// wend, by the lookahead contract. Otherwise schedule the wake-up and hand
-// control back to the shard worker; the wake pops in this or a later
-// window. One event is counted either way, matching the serial engine.
+// wend, by the lookahead contract. Otherwise schedule the wake-up and
+// suspend back to the worker running this shard's window; the wake pops in
+// this or a later window. One event is counted either way, matching the
+// serial engine.
 func (s *shard) blockThread(t *Thread, at int64) {
 	if at < s.now {
 		at = s.now
@@ -133,16 +139,15 @@ func (s *shard) blockThread(t *Thread, at int64) {
 		return
 	}
 	s.e.scheduleEv(s, at, evWake, t)
-	s.yield <- struct{}{}
-	<-t.resume
+	t.suspend()
 }
 
 // runWindow executes this shard's events with at < s.wend in (at, seq)
-// order: wake-ups and completions resume their thread until it blocks
-// again or exits; protocol events execute inline. A time regression or a
-// blown event budget traps (recorded in s.trap, re-panicked at the
-// barrier) — both indicate an engine bug or a livelocked workload, and the
-// engine is unusable afterwards.
+// order, on whichever worker claimed the shard this window: wake-ups and
+// completions resume their thread until it suspends again or exits;
+// protocol events execute inline. A time regression, a blown event budget
+// or a thread body's panic traps (recorded in s.trap; the barrier
+// re-panics it) — the engine is unusable afterwards.
 func (s *shard) runWindow() {
 	defer s.active.Store(false)
 	for s.q.len() > 0 {
@@ -165,9 +170,7 @@ func (s *shard) runWindow() {
 			hook(s, ev)
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
-			ev.th.resume <- struct{}{}
-			<-s.yield
-			if s.trap != nil {
+			if s.trap = ev.th.resume(); s.trap != nil {
 				return
 			}
 			continue
@@ -308,6 +311,7 @@ func (e *Engine) runWindowed() {
 		}
 		if total > e.maxEvents {
 			e.foldShards()
+			e.stopThreads()
 			panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now))
 		}
 		// The safe window: nothing can cross shards before minHead+lookahead.
@@ -324,6 +328,7 @@ func (e *Engine) runWindowed() {
 		for _, s := range e.shards {
 			if s.trap != nil {
 				e.foldShards()
+				e.stopThreads()
 				panic(s.trap)
 			}
 		}

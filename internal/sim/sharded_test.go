@@ -280,9 +280,9 @@ func TestWindowedStopAndHorizon(t *testing.T) {
 	_ = words
 }
 
-// TestWindowedDeadlockDetected: threads that block forever under the
-// windowed executor must still be reported as a deadlock when the event
-// queues drain.
+// TestWindowedDeadlockDetected (the name is pinned; what it checks is the
+// opposite outcome): a poller nobody ever satisfies must wind down at the
+// horizon under the windowed executor, not trip Run's closing check.
 func TestWindowedDeadlockDetected(t *testing.T) {
 	e := New(2, 1024, model.CX3(), 1, WithShards(2))
 	w := e.Space().AllocLine(0)
@@ -292,8 +292,10 @@ func TestWindowedDeadlockDetected(t *testing.T) {
 		}
 	})
 	// No writer: the poller winds down at the horizon; this run must NOT
-	// deadlock. (The deadlock panic path is exercised by the serial tests;
-	// here we pin that windowed wind-down terminates.)
+	// deadlock — here we pin that windowed wind-down terminates. (No test
+	// exercises Run's "blocked forever" panic, under either executor, and no
+	// api.Ctx call can reach it: every suspend has its wake-up or completion
+	// already scheduled. It is an internal invariant of the engine.)
 	e.Run(50_000)
 	if !e.Stopped() {
 		t.Error("windowed run did not stop")

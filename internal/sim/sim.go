@@ -1,11 +1,11 @@
 // Package sim is a deterministic discrete-event simulation engine for the
 // RDMA cluster.
 //
-// Simulated threads are ordinary goroutines running ordinary blocking Go
-// code against the api.Ctx interface. Under the serial engine exactly one
-// of them executes at a time: every memory operation suspends the thread
-// until its completion event fires on the virtual clock, and the scheduler
-// hands control back in strict (time, sequence) order. Memory effects
+// Simulated threads are pull coroutines (iter.Pull) running ordinary
+// blocking Go code against the api.Ctx interface. Under the serial engine
+// exactly one of them executes at a time: every memory operation suspends
+// the thread until its completion event fires on the virtual clock, and the
+// executor resumes threads in strict (time, sequence) order. Memory effects
 // therefore apply in a single global order — the engine is sequentially
 // consistent at event granularity, which is the memory model the paper's
 // algorithms require once the prescribed fences are in place (§5.2).
@@ -19,17 +19,19 @@
 // representation each:
 //
 //   - serial (default, and WithShards(1)): one flat event queue (e.q),
-//     direct-handoff Run loop, mediated Step — the reference behavior.
+//     drained by ProcessNextEvent on the caller's goroutine — Run is that
+//     loop, Step is one turn of it.
 //   - windowed (WithShards(n), n > 1): the conservative parallel executor
 //     in shard.go. For the duration of a Run it moves the pending events
 //     onto per-shard queues and runs each shard's events inside the safe
-//     window [window start, min(shard heads) + lookahead) on its own
-//     goroutine, barriers, repeats. Lookahead is the minimum cross-node
-//     verb latency (model.Params.RemoteWireNS), and every cross-shard
-//     event is sent at least one lookahead ahead of the sender's clock, so
-//     no shard can receive anything that lands inside the window it is
-//     executing — results are bit-identical to serial, in parallel. The
-//     shard queues are empty whenever no windowed Run is in progress.
+//     window [window start, min(shard heads) + lookahead) on whichever pool
+//     worker claims the shard, barriers, repeats. Lookahead is the minimum
+//     cross-node verb latency (model.Params.RemoteWireNS), and every
+//     cross-shard event is sent at least one lookahead ahead of the
+//     sender's clock, so no shard can receive anything that lands inside
+//     the window it is executing — results are bit-identical to serial, in
+//     parallel. The shard queues are empty whenever no windowed Run is in
+//     progress.
 //
 // Determinism: given the same seed, workload and model, every run produces
 // bit-identical schedules, throughputs and latencies under either executor.
@@ -40,12 +42,15 @@
 // interleaving.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
-// interface boxing, zero allocations per event in steady state — and Run
-// transfers control directly from the blocking thread to the next event's
-// thread. The step primitives (ProcessNextEvent/Step) keep the
-// scheduler-mediated two-handoff protocol so callers can interleave logic
-// between events; the package's tests replay that loop against the
-// standard-library heap as the bit-exact reference (reference_test.go).
+// interface boxing, zero allocations per event in steady state — and there
+// is one thread-switch primitive. The executor (ProcessNextEvent, or
+// shard.runWindow on the claiming worker) is always the resumer: it pops an
+// event and, for a wake-up or completion, calls Thread.resume, which runs
+// the thread's coroutine until Thread.suspend yields back. A coroutine
+// switch is a direct goroutine-to-goroutine transfer inside the runtime —
+// no channel, no scheduler pass. The package's tests replay the
+// ProcessNextEvent loop against the standard-library heap as the bit-exact
+// reference (reference_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -68,6 +73,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"sync/atomic"
@@ -160,20 +166,10 @@ type Engine struct {
 	stopped       bool
 	stopRequested atomic.Bool
 
-	threads  []*Thread
-	launched int           // threads[:launched] have running goroutines
-	yield    chan struct{} // running thread -> scheduler handoff (step mode)
-	// direct marks a serial Run in progress: blocking threads dispatch the
-	// next event themselves and hand control straight to its thread,
-	// returning to the Run caller (via wake) only when the queue drains or
-	// the engine traps. windowed marks a parallel Run in progress: threads
-	// hand off to their shard's worker instead (shard.go). trap carries a
-	// dispatch failure (time regression, event-budget livelock) from a
-	// thread goroutine to Run, which re-panics it on the caller's goroutine.
-	direct   bool
+	threads []*Thread
+	// windowed marks a parallel Run in progress: events queue on the shards
+	// and threads read their shard's clock (shard.go).
 	windowed bool
-	wake     chan struct{}
-	trap     error
 
 	// loopInFlight / remoteInFlight count the operations of each class
 	// currently occupying each node's NIC; the congestion model inflates
@@ -196,7 +192,7 @@ type Engine struct {
 	curShard atomic.Int32
 
 	// onWindowEvent, when non-nil, observes every event the windowed
-	// executor dispatches, on the dispatching shard's goroutine. Test hook
+	// executor dispatches, on the worker running that shard's window. Test hook
 	// (the safe-window property test); nil in production.
 	onWindowEvent func(s *shard, ev event)
 }
@@ -248,8 +244,6 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:           make([]*nic.NIC, nodes),
 		seed:           seed,
 		rngs:           NewPartitionedRNG(seed),
-		yield:          make(chan struct{}),
-		wake:           make(chan struct{}),
 		loopInFlight:   make([]int, nodes),
 		remoteInFlight: make([]int, nodes),
 		stopAt:         1<<63 - 1,
@@ -349,11 +343,11 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 		shard:  e.shards[node],
 		id:     id,
 		node:   node,
-		resume: make(chan struct{}),
 		rng:    e.rngs.Stream(SubsystemThread, id),
 		fabric: e.rngs.Stream(SubsystemFabric, id),
 		fn:     fn,
 	}
+	t.next, t.stop = iter.Pull(t.run)
 	e.threads = append(e.threads, t)
 	e.scheduleEv(t.shard, e.now, evWake, t) // start at the current virtual time
 	return t
@@ -399,13 +393,12 @@ func (e *Engine) minAt() (at int64, ok bool) {
 }
 
 // account applies one event dispatch's bookkeeping: clock advance, horizon
-// check, event counting and the runaway guard. It returns an error rather
-// than panicking so direct-handoff dispatch on a thread goroutine can trap
-// the failure back to the Run caller; mediated callers panic on it
-// directly.
-func (e *Engine) account(at int64) error {
+// check, event counting and the runaway guard. It runs on the driving
+// goroutine only, so its failures panic right there.
+func (e *Engine) account(at int64) {
 	if at < e.now {
-		return fmt.Errorf("sim: time went backwards (%dns after %dns)", at, e.now) //lint:allow allocfree trap path: the run is over once this fires
+		e.stopThreads()
+		panic(fmt.Errorf("sim: time went backwards (%dns after %dns)", at, e.now))
 	}
 	e.now = at
 	if e.now >= e.stopAt {
@@ -413,9 +406,19 @@ func (e *Engine) account(at int64) error {
 	}
 	e.events++
 	if e.events > e.maxEvents {
-		return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now) //lint:allow allocfree trap path: the run is over once this fires
+		e.stopThreads()
+		panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now))
 	}
-	return nil
+}
+
+// stopThreads unwinds every unfinished thread: its pending suspend panics
+// with threadStopped, which runs the body's defers and is swallowed by
+// Thread.run. Every trap path calls it before panicking on the goroutine
+// driving the engine, so no coroutine outlives a poisoned engine.
+func (e *Engine) stopThreads() {
+	for _, t := range e.threads {
+		t.stop()
+	}
 }
 
 // SetHorizon (re)arms the measurement horizon: Stopped() returns true from
@@ -435,17 +438,6 @@ func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
 // without processing it; ok is false when no event is pending.
 func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
 	return e.minAt()
-}
-
-// launchPending starts the goroutine of every spawned-but-not-yet-started
-// thread; each waits for its first resume. Threads are only ever appended,
-// so a high-water index keeps this O(new threads) on the event hot path.
-// (Threads may be added to an already-finished engine, e.g. to inspect
-// final memory state.)
-func (e *Engine) launchPending() {
-	for ; e.launched < len(e.threads); e.launched++ {
-		go e.threads[e.launched].main() //lint:allow allocfree one goroutine per spawned thread, O(threads) at startup, not O(events)
-	}
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -515,26 +507,23 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 }
 
 // ProcessNextEvent pops the earliest pending event, advances the virtual
-// clock to it, and processes it: a thread wake-up or verb completion runs
-// its thread until that thread blocks again or exits; a verb-protocol event
-// executes inline on the scheduler. It reports whether an event was
-// processed (false means the heap is empty). Panics on time regression or
-// when the event budget is exceeded, which indicates a livelock in the
-// simulated system.
+// clock to it, and processes it on the calling goroutine: a thread wake-up
+// or verb completion resumes its thread until that thread suspends again or
+// exits; a verb-protocol event executes inline. It reports whether an event
+// was processed (false means the queue is empty). Panics on time regression,
+// when the event budget is exceeded (a livelock in the simulated system),
+// or when the resumed thread's body panicked; the engine is unusable
+// afterwards.
 func (e *Engine) ProcessNextEvent() bool {
 	if e.pending() == 0 {
 		return false
 	}
-	e.launchPending()
 	ev := e.pop()
-	if err := e.account(ev.at); err != nil {
-		panic(err)
-	}
+	e.account(ev.at)
 	e.setCurShard(ev)
 	if ev.kind == evWake || ev.kind == evComplete {
-		ev.th.resume <- struct{}{}
-		<-e.yield // wait until the thread blocks again or exits
-		if err := e.trap; err != nil {
+		if err := ev.th.resume(); err != nil {
+			e.stopThreads()
 			panic(err)
 		}
 		return true
@@ -555,18 +544,20 @@ func (e *Engine) Step() bool {
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
 //
-// The serial executor uses direct handoff: the blocking thread pops the next
-// event and resumes its thread itself (protocol events it executes inline),
-// so each event costs one channel transfer instead of the step primitives'
-// two (thread -> scheduler -> thread). WithShards(n > 1) engages the
-// conservative windowed executor in shard.go. Semantics are identical
-// in every mode: event order, the events counter and all memory effects
-// come from the same total order. A dispatch failure (time regression,
-// event-budget livelock) panics on the caller's goroutine in all modes;
-// the engine is unusable afterwards.
+// The serial executor is the ProcessNextEvent loop, nothing more;
+// WithShards(n > 1) engages the conservative windowed executor in shard.go.
+// Semantics are identical in every mode: event order, the events counter
+// and all memory effects come from the same total order. A dispatch failure
+// (time regression, event-budget livelock) or a panic in a thread's body
+// panics on the caller's goroutine in all modes, after every other thread
+// has been unwound; the engine is unusable afterwards.
+//
+// The closing "blocked forever" check is an internal invariant of the
+// engine, not a workload-reachable outcome: every api.Ctx call that
+// suspends a thread has its wake-up or completion already scheduled, so the
+// queues cannot drain around a live thread unless the engine lost an event.
 func (e *Engine) Run(stopAt int64) {
 	e.SetHorizon(stopAt)
-	e.launchPending()
 	if e.audit {
 		// Post-run inspection (fingerprints, stats readers) is setup/teardown
 		// as far as the auditor is concerned.
@@ -578,90 +569,15 @@ func (e *Engine) Run(stopAt int64) {
 	case e.workers > 1:
 		e.runWindowed()
 	default:
-		e.runDirect()
+		for e.ProcessNextEvent() {
+		}
 	}
-	// All events drained: every thread must have exited.
 	for _, t := range e.threads {
 		if !t.exited {
+			e.stopThreads()
 			panic(fmt.Sprintf("sim: thread %d blocked forever (deadlock)", t.id))
 		}
 	}
-}
-
-// runDirect is the serial direct-handoff loop: seed the chain from the
-// caller's goroutine (executing any protocol events that precede the first
-// thread wake-up inline), hand control to the first thread, and wait for
-// the queue to drain or a trap.
-func (e *Engine) runDirect() {
-	e.direct = true
-	seeded := false
-	for e.pending() > 0 {
-		ev := e.pop()
-		if err := e.account(ev.at); err != nil {
-			e.direct = false
-			panic(err)
-		}
-		e.setCurShard(ev)
-		if ev.kind == evWake || ev.kind == evComplete {
-			ev.th.resume <- struct{}{}
-			seeded = true
-			break
-		}
-		e.execProtocol(e.shards[ev.dest()], ev)
-	}
-	if !seeded {
-		e.direct = false
-		return
-	}
-	<-e.wake // the queue drained (or a thread trapped)
-	e.direct = false
-	if err := e.trap; err != nil {
-		panic(err)
-	}
-}
-
-// dispatchNext (direct mode, called on a thread goroutine that is
-// suspending or exiting) pops events and transfers control onward. Verb-
-// protocol events execute inline on the calling goroutine; the loop ends at
-// the first thread wake-up or completion, which either belongs to the
-// caller itself — it just keeps running, no handoff at all — or is handed
-// its thread. On a dispatch failure the engine traps: the error goes to the
-// Run caller and this goroutine parks forever, exactly as threads do when a
-// mediated step panics mid-schedule.
-func (e *Engine) dispatchNext(self *Thread) (keepRunning bool) {
-	for {
-		if e.launched < len(e.threads) {
-			e.launchPending()
-		}
-		ev := e.pop()
-		if err := e.account(ev.at); err != nil {
-			e.trapOut(err)
-		}
-		e.setCurShard(ev)
-		if ev.kind == evWake || ev.kind == evComplete {
-			if ev.th == self {
-				return true
-			}
-			ev.th.resume <- struct{}{}
-			return false
-		}
-		e.execProtocol(e.shards[ev.dest()], ev)
-		if e.pending() == 0 {
-			// The protocol chain drained with no thread left to wake:
-			// every remaining thread is blocked forever; Run reports the
-			// deadlock.
-			e.wake <- struct{}{}
-			select {}
-		}
-	}
-}
-
-// trapOut hands a dispatch failure to the Run caller and parks the calling
-// goroutine forever (the engine is poisoned).
-func (e *Engine) trapOut(err error) {
-	e.trap = err
-	e.wake <- struct{}{}
-	select {}
 }
 
 // Remote verb operations, stored on the Thread while in flight (one
@@ -685,11 +601,16 @@ type verbState struct {
 
 // Thread is one simulated thread; it implements api.Ctx.
 type Thread struct {
-	e      *Engine
-	shard  *shard // the thread's node's shard: its timeline authority
-	id     int
-	node   int
-	resume chan struct{}
+	e     *Engine
+	shard *shard // the thread's node's shard: its timeline authority
+	id    int
+	node  int
+	// The thread's coroutine (iter.Pull over run): next switches to the
+	// body until it calls yield or returns, stop unwinds a body that has not
+	// finished. Only the executor calls next, only stopThreads calls stop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 	// rng is the thread's workload stream (api.Ctx.Rand); fabric feeds the
 	// wire-jitter failure injection. Separate PartitionedRNG streams, so
 	// algorithm-side draws never shift the fabric's failure schedule.
@@ -697,62 +618,49 @@ type Thread struct {
 	fabric *rand.Rand
 	fn     func(api.Ctx)
 	exited bool
+	err    error // the body's panic, for the executor to raise on the driver
 	verb   verbState
 }
 
 var _ api.Ctx = (*Thread)(nil)
 
-func (t *Thread) main() {
-	<-t.resume // initial event at t=0
-	e := t.e
-	if err := t.runUser(); err != nil {
-		// The simulated thread panicked (workload bug, audit violation).
-		// Deliver it to whichever goroutine drives the engine — it
-		// re-panics there, on the Run/Step caller — and let this
-		// goroutine exit. The engine is poisoned afterwards.
-		switch {
-		case e.windowed:
-			t.shard.trap = err
-			t.shard.yield <- struct{}{}
-		case e.direct:
-			e.trap = err
-			e.wake <- struct{}{}
-		default:
-			e.trap = err
-			e.yield <- struct{}{}
-		}
-		return
-	}
-	t.exited = true
-	if e.windowed {
-		// Windowed mode: hand control back to the shard's worker.
-		t.shard.yield <- struct{}{}
-		return
-	}
-	if !e.direct {
-		e.yield <- struct{}{}
-		return
-	}
-	// Direct mode: pass control onward — to the next event's thread, or
-	// back to Run when this exit drained the simulation. An exited thread
-	// has no pending wake-up, so dispatchNext can never pick t itself.
-	if e.pending() == 0 {
-		e.wake <- struct{}{}
-		return
-	}
-	e.dispatchNext(nil)
-}
+// threadStopped is what suspend panics with once stopThreads has stopped
+// the thread: it unwinds the body (running its defers) and run swallows it.
+type threadStopped struct{}
 
-// runUser executes the thread's body, converting a panic into an error for
-// the engine to re-raise on the driving goroutine.
-func (t *Thread) runUser() (err error) {
+// run is the coroutine body: the first resume enters it, and it returns —
+// ending the coroutine — when the thread's function does. A panic in the
+// function (workload bug, audit violation) is recorded for the executor,
+// which re-raises it on the goroutine driving the engine.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
+		switch r := recover().(type) {
+		case nil, threadStopped:
+		default:
+			t.err = fmt.Errorf("sim: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
 		}
 	}()
 	t.fn(t)
-	return nil
+	t.exited = true
+}
+
+// resume runs the thread on the calling goroutine's time until it suspends
+// again or exits, and returns the body's panic, if it raised one. The
+// executor — ProcessNextEvent, or shard.runWindow on the worker that claimed
+// the thread's shard — is the only caller.
+func (t *Thread) resume() error {
+	t.next()
+	return t.err
+}
+
+// suspend hands control back to the executor until a wake-up or completion
+// event resumes the thread. It schedules nothing itself: callers have the
+// event that ends the wait queued already.
+func (t *Thread) suspend() {
+	if !t.yield(struct{}{}) {
+		panic(threadStopped{})
+	}
 }
 
 // now is the thread's view of the virtual clock: its shard's clock under
@@ -770,9 +678,9 @@ func (t *Thread) now() int64 {
 // scheduled — on the global queue in the serial modes; on the thread's own
 // shard, within the safe window, in windowed mode (no other shard can
 // affect this one inside the window by the lookahead contract) — the
-// running thread advances the clock itself and keeps going without a
-// scheduler handoff. Exactly one event is counted per block either way, so
-// the events counter is mode-independent.
+// running thread advances the clock itself and keeps going without
+// suspending. Exactly one event is counted per block either way, so the
+// events counter is mode-independent.
 func (t *Thread) block(at int64) {
 	e := t.e
 	if e.windowed {
@@ -791,39 +699,7 @@ func (t *Thread) block(at int64) {
 		return
 	}
 	e.scheduleEv(t.shard, at, evWake, t)
-	if e.direct {
-		// Hand control straight to the next event's thread (or keep it, if
-		// that event is our own wake-up) and wait for our turn.
-		if e.dispatchNext(t) {
-			return
-		}
-		<-t.resume
-		return
-	}
-	e.yield <- struct{}{}
-	<-t.resume
-}
-
-// awaitVerb suspends the thread until its in-flight remote verb's
-// completion event resumes it. Unlike block it schedules nothing: the
-// completion is already threaded through the verb protocol.
-func (t *Thread) awaitVerb() {
-	e := t.e
-	if e.windowed {
-		t.shard.yield <- struct{}{}
-		<-t.resume
-		return
-	}
-	if e.direct {
-		// Drive the dispatch chain ourselves until our own completion pops.
-		if e.dispatchNext(t) {
-			return
-		}
-		<-t.resume
-		return
-	}
-	e.yield <- struct{}{}
-	<-t.resume
+	t.suspend()
 }
 
 // NodeID implements api.Ctx.
@@ -971,7 +847,7 @@ func (t *Thread) remoteVerb(p ptr.Ptr, op uint8, old, val uint64) uint64 {
 	txDone := e.nics[t.node].Submit(t.now(), qp, false, e.remoteInFlight[t.node])
 	t.verb = verbState{p: p, op: op, old: old, val: val, wire: wire}
 	e.scheduleEv(t.shard, txDone+wire, evArrive, t)
-	t.awaitVerb()
+	t.suspend() // until evComplete, already threaded through the verb protocol
 	e.remoteInFlight[t.node]--
 	return t.verb.result
 }

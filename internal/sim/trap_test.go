@@ -1,0 +1,158 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"alock/internal/api"
+	"alock/internal/model"
+	"alock/internal/slots"
+)
+
+// trapDrivers are the three ways a caller drives an engine; every trap must
+// surface the same way through each.
+var trapDrivers = []struct {
+	name  string
+	opts  []Option
+	drive func(e *Engine)
+}{
+	{"serial-run", nil, func(e *Engine) { e.Run(1 << 40) }},
+	{"step", nil, func(e *Engine) {
+		e.SetHorizon(1 << 40)
+		for e.Step() {
+		}
+	}},
+	{"windowed-run", []Option{WithShards(2)}, func(e *Engine) { e.Run(1 << 40) }},
+}
+
+// recovered runs drive on the calling goroutine and returns what it
+// panicked with. The recover sits on this goroutine, so a non-nil result
+// proves the panic was raised on the goroutine driving the engine.
+func recovered(drive func()) (r any) {
+	defer func() { r = recover() }()
+	drive()
+	return nil
+}
+
+// spinners spawns one thread per node that polls forever, each with a
+// deferred counter bump so the test can see its body unwound.
+func spinners(e *Engine, nodes int, unwound *int) {
+	for n := 0; n < nodes; n++ {
+		e.Spawn(n, func(ctx api.Ctx) {
+			defer func() { *unwound++ }()
+			for {
+				ctx.Pause(1)
+			}
+		})
+	}
+}
+
+// TestThreadPanicSurfacesOnDriver: a panic in a thread's body is re-raised
+// on the goroutine that drives the engine, names the thread and carries the
+// original value — under serial Run, the step primitives and windowed Run.
+func TestThreadPanicSurfacesOnDriver(t *testing.T) {
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			e := New(2, 1024, model.CX3(), 1, d.opts...)
+			w := e.Space().AllocLine(0)
+			e.Spawn(0, func(ctx api.Ctx) {
+				for !ctx.Stopped() {
+					ctx.Read(w)
+				}
+			})
+			e.Spawn(1, func(ctx api.Ctx) { // thread 1
+				for i := 0; i < 20; i++ {
+					ctx.RRead(w)
+				}
+				panic("boom-4242")
+			})
+			r := recovered(func() { d.drive(e) })
+			if r == nil {
+				t.Fatal("body panic did not reach the driving goroutine")
+			}
+			msg := fmt.Sprint(r)
+			if !strings.Contains(msg, "thread 1 panicked") || !strings.Contains(msg, "boom-4242") {
+				t.Fatalf("panic does not name the thread and its value: %.200s", msg)
+			}
+		})
+	}
+}
+
+// settleGoroutines waits for the goroutine count to drop to want: a
+// windowed Run's pool helpers retire asynchronously once their start
+// channel closes.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestTrapStopsThreadGoroutines: a trapped engine used to park every other
+// thread's goroutine forever. Every trap path now unwinds the unfinished
+// threads (their defers run) before panicking on the driver, so the
+// goroutine count returns to what it was before New.
+func TestTrapStopsThreadGoroutines(t *testing.T) {
+	restore := slots.SetCapacity(8) // windowed runs get real helper goroutines
+	defer restore()
+	for _, d := range trapDrivers {
+		t.Run(d.name+"/event-budget", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(2, 1024, model.Uniform(10), 1, append([]Option{WithMaxEvents(200)}, d.opts...)...)
+			unwound := 0
+			spinners(e, 2, &unwound)
+			r := recovered(func() { d.drive(e) })
+			if r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+				t.Fatalf("runaway simulation did not trap: %v", r)
+			}
+			if unwound != 2 {
+				t.Errorf("%d of 2 spinning bodies were unwound", unwound)
+			}
+			if after := settleGoroutines(before); after > before {
+				t.Errorf("goroutines leaked across an event-budget trap: %d before New, %d after", before, after)
+			}
+		})
+		t.Run(d.name+"/body-panic", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(3, 1024, model.Uniform(10), 1, d.opts...)
+			unwound := 0
+			spinners(e, 2, &unwound)
+			e.Spawn(2, func(ctx api.Ctx) {
+				ctx.Work(time.Microsecond)
+				panic("boom")
+			})
+			if r := recovered(func() { d.drive(e) }); r == nil {
+				t.Fatal("body panic did not trap")
+			}
+			if unwound != 2 {
+				t.Errorf("%d of 2 spinning bodies were unwound", unwound)
+			}
+			if after := settleGoroutines(before); after > before {
+				t.Errorf("goroutines leaked across a body panic: %d before New, %d after", before, after)
+			}
+		})
+		t.Run(d.name+"/panic-before-others-start", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(2, 1024, model.Uniform(10), 1, d.opts...)
+			e.Spawn(0, func(ctx api.Ctx) { panic("boom") }) // first event of the run
+			started := 0
+			for i := 0; i < 3; i++ {
+				e.Spawn(0, func(ctx api.Ctx) { started++ })
+			}
+			if r := recovered(func() { d.drive(e) }); r == nil {
+				t.Fatal("body panic did not trap")
+			}
+			if started != 0 {
+				t.Errorf("%d threads ran after the engine trapped", started)
+			}
+			if after := settleGoroutines(before); after > before {
+				t.Errorf("never-resumed threads leaked: %d goroutines before New, %d after", before, after)
+			}
+		})
+	}
+}
