@@ -28,7 +28,11 @@ var HotPathRoots = []string{
 	"alock/internal/sim.(*Thread).resume",
 	"alock/internal/sim.(*Thread).suspend",
 	"alock/internal/sim.(*Thread).block",
-	"alock/internal/sim.(*shard).blockThread",
+
+	// SpinWhile's poll loop: entered on the coroutine, then stepped by the
+	// executors between resumes.
+	"alock/internal/sim.(*Thread).SpinWhile",
+	"alock/internal/sim.(*Thread).stepSpin",
 
 	// Event queue: the typed 4-ary heap's steady-state operations.
 	"alock/internal/sim.(*eventQueue).push",

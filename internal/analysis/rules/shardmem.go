@@ -19,8 +19,9 @@ var ShardmemScopes = []string{"alock/internal/sim", "alock/internal/locks"}
 
 // ShardmemSanctioned is the accessor set allowed to resolve memory words
 // through (*mem.Space).WordAddr / (*mem.Space).Region: the engine's verb
-// executors and the Thread local/remote operation methods, which are
-// exactly the sites the runtime access audit (sim.WithAccessAudit)
+// executors, the Thread local/remote operation methods and the SpinWhile
+// poll stepper (the local Read of a spin loop, run by the executor), which
+// are exactly the sites the runtime access audit (sim.WithAccessAudit)
 // instruments. Names are receiver-qualified but package-agnostic so the
 // golden fixtures can model the shape.
 var ShardmemSanctioned = map[string]bool{
@@ -28,6 +29,7 @@ var ShardmemSanctioned = map[string]bool{
 	"(*Thread).Read":         true,
 	"(*Thread).Write":        true,
 	"(*Thread).CAS":          true,
+	"(*Thread).stepSpin":     true,
 	"(*Thread).RRead":        true,
 	"(*Thread).RWrite":       true,
 	"(*Thread).RCAS":         true,

@@ -106,6 +106,25 @@ type Ctx interface {
 	// polls so far. Engines translate it into bounded exponential delay.
 	Pause(iter int)
 
+	// SpinWhile polls the word at p with Read and the Pause back-off while
+	// it holds v. It is defined as the loop
+	//
+	//	for iter := 0; ; iter++ {
+	//		if got := Read(p); got != v { return got }
+	//		if deadlineNS > 0 && Now() >= deadlineNS { return v }
+	//		Pause(iter)
+	//	}
+	//
+	// and costs exactly what that loop costs; engines may run it without
+	// returning to the caller between polls. p must be a word on the
+	// caller's own node — the poll is a local Read; remote and loopback
+	// (RRead) spins keep their loops. The result is the first value read
+	// that differs from v. A result of v means no poll saw the word change
+	// and the last one found deadlineNS (> 0) already passed: the word may
+	// change at any moment after, so a caller that gives up must retract
+	// its wait with a CAS against v. deadlineNS <= 0 spins without bound.
+	SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64
+
 	// Work burns d of engine time, modeling a critical-section body or
 	// think time between operations.
 	Work(d time.Duration)

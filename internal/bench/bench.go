@@ -17,6 +17,7 @@ import (
 	"alock/internal/api"
 	"alock/internal/harness"
 	"alock/internal/model"
+	"alock/internal/ptr"
 	"alock/internal/scenario"
 	"alock/internal/sim"
 )
@@ -161,6 +162,40 @@ func workLoopEngine(threads int, opts ...sim.Option) *sim.Engine {
 	return e
 }
 
+// spinPollEngine is the local-spin layer case: on every node, `waiters`
+// threads each wait on a word of their own with SpinWhile while one releaser
+// bumps all of them every 20 us — ALock's passed-lock wait (Algorithm 3)
+// with nothing else around it. Nearly every event is a poll that does not
+// end its wait, so ns/event here prices the engine's poll stepping the way
+// engine/work-loop prices a full thread switch.
+func spinPollEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
+	e := sim.New(nodes, 1024, model.CX3(), 11, opts...)
+	for n := 0; n < nodes; n++ {
+		words := make([]ptr.Ptr, waiters)
+		for i := range words {
+			w := e.Space().AllocLine(n)
+			words[i] = w
+			e.Spawn(n, func(ctx api.Ctx) {
+				for v := uint64(0); !ctx.Stopped(); {
+					v = ctx.SpinWhile(w, v, 0)
+				}
+			})
+		}
+		e.Spawn(n, func(ctx api.Ctx) {
+			// One more round after the horizon: every waiter sees a fresh
+			// value, then Stopped, and exits.
+			for v, last := uint64(1), false; !last; v++ {
+				last = ctx.Stopped()
+				ctx.Work(20 * time.Microsecond)
+				for _, w := range words {
+					ctx.Write(w, v)
+				}
+			}
+		})
+	}
+	return e
+}
+
 // familyReps maps each scenario family to its representative member; the
 // suite runs the first config of each expansion.
 var familyReps = []string{
@@ -187,6 +222,8 @@ func Suite(name string) ([]Case, error) {
 		cases = append(cases,
 			Case{Name: "engine/work-loop", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(4, o...) }},
+			Case{Name: "engine/spin-poll", Suite: "tiny", horizon: 2_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(2, 4, o...) }},
 			Case{Name: "engine/contended-rmw", Suite: "tiny", horizon: 4_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(4, o...) }},
 		)
@@ -203,6 +240,8 @@ func Suite(name string) ([]Case, error) {
 		cases = append(cases,
 			Case{Name: "engine/work-loop@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(8, o...) }},
+			Case{Name: "engine/spin-poll@paper", Suite: "paper", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(4, 8, o...) }},
 			Case{Name: "engine/contended-rmw@paper", Suite: "paper", horizon: 40_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(8, o...) }},
 		)

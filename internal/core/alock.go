@@ -352,20 +352,15 @@ func (h *Handle) qLock(l ptr.Ptr, co api.Cohort, deadlineNS int64) (d ptr.Ptr, p
 	prev := ptr.FromWord(expected)
 	v.write(prev.Add(descNext), d.Word())
 
-	iter := 0
-	for h.ctx.Read(d.Add(descBudget)) == waiting {
-		if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-			// Deadline passed: try to abandon the descriptor. The CAS and
-			// the granter's handoff CAS share the cohort's access class,
-			// so exactly one of them wins.
-			if v.cas(d.Add(descBudget), waiting, abandoned) == waiting {
-				h.pool[co].Park(d)
-				return ptr.Null, false, false
-			}
-			break // the grant raced the timeout and won: we hold the lock
+	if h.ctx.SpinWhile(d.Add(descBudget), waiting, deadlineNS) == waiting {
+		// Deadline passed: try to abandon the descriptor. The CAS and the
+		// granter's handoff CAS share the cohort's access class, so exactly
+		// one of them wins.
+		if v.cas(d.Add(descBudget), waiting, abandoned) == waiting {
+			h.pool[co].Park(d)
+			return ptr.Null, false, false
 		}
-		h.ctx.Pause(iter)
-		iter++
+		// The grant raced the timeout and won: we hold the lock.
 	}
 	h.stats.Passes++
 
@@ -396,11 +391,7 @@ func (h *Handle) qUnlock(l ptr.Ptr, co api.Cohort, d ptr.Ptr) {
 
 	// A successor swapped in behind us; wait for it to link itself
 	// (our own next word: shared-memory spin).
-	iter := 0
-	for h.ctx.Read(d.Add(descNext)) == ptr.Null.Word() {
-		h.ctx.Pause(iter)
-		iter++
-	}
+	h.ctx.SpinWhile(d.Add(descNext), ptr.Null.Word(), 0)
 	succ := ptr.FromWord(h.ctx.Read(d.Add(descNext)))
 	myBudget := int64(h.ctx.Read(d.Add(descBudget)))
 	pass := uint64(myBudget - 1)

@@ -40,6 +40,13 @@ func (r *recordingCtx) Read(p ptr.Ptr) uint64 {
 	return r.Ctx.Read(p)
 }
 
+// SpinWhile records the local read every one of its polls is; without the
+// override the embedded Ctx would run the polls unrecorded.
+func (r *recordingCtx) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
+	r.note(p, "read")
+	return r.Ctx.SpinWhile(p, v, deadlineNS)
+}
+
 func (r *recordingCtx) Write(p ptr.Ptr, v uint64) {
 	r.note(p, "write")
 	r.Ctx.Write(p, v)

@@ -182,6 +182,20 @@ func (t *thread) Pause(iter int) {
 	}
 }
 
+// SpinWhile is the loop api.Ctx defines it as: there is no executor here to
+// hand the polls to.
+func (t *thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
+	for iter := 0; ; iter++ {
+		if got := t.Read(p); got != v {
+			return got
+		}
+		if deadlineNS > 0 && t.Now() >= deadlineNS {
+			return v
+		}
+		t.Pause(iter)
+	}
+}
+
 func (t *thread) Work(d time.Duration) {
 	if d <= 0 {
 		return

@@ -12,7 +12,7 @@ import (
 // TestTypedEngineMatchesOracleEveryScenario is the executor acceptance gate:
 // every registered scenario, expanded at smoke scale, must produce
 // bit-identical results on both executors — serial (typed 4-ary event heap,
-// direct-handoff run loop) and the conservative windowed parallel executor
+// the ProcessNextEvent loop) and the conservative windowed parallel executor
 // (EngineShards=4). Closed-loop scenarios carry TargetOps, which runs serial
 // at any width, so the windowed-closed-loop variant clears it — on the
 // serial side too — to drive the windowed executor with closed-loop traffic.

@@ -11,7 +11,7 @@ import (
 
 // TestScheduleStepZeroAllocs is the allocation guard on the engine's
 // schedule/pop hot path: once the event slice has grown to its working
-// size, processing an event — heap pop, accounting, the goroutine handoff
+// size, processing an event — heap pop, accounting, the coroutine switch
 // and the re-schedule on the next block — must not allocate. The old
 // container/heap queue boxed every event into an interface{} on push and
 // pop, one heap allocation per scheduled event; this test keeps it gone.
@@ -42,7 +42,7 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDirectRunNearZeroAllocs bounds the direct-handoff Run loop: a
+// TestDirectRunNearZeroAllocs bounds Run, the ProcessNextEvent loop: a
 // contended run processing tens of thousands of events may allocate only
 // its fixed setup (goroutine launches) — not per event.
 func TestDirectRunNearZeroAllocs(t *testing.T) {

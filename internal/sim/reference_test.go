@@ -29,10 +29,10 @@ func (h *eventHeap) Pop() any {
 }
 
 // runReference is Run on the reference semantics: it drives e to completion
-// on the scheduler-mediated step primitives while replaying every push and
-// pop of the production queue through a container/heap mirror, and fails on
-// the first pop that is not the mirror's minimum. In the mediated loop the
-// queue is popped once per ProcessNextEvent and pushed to in between, so
+// with the same ProcessNextEvent loop while replaying every push and pop of
+// the production queue through a container/heap mirror, and fails on the
+// first pop that is not the mirror's minimum. The queue is popped once per
+// ProcessNextEvent and pushed to in between, so
 // the events that appeared since the last step are exactly the pushes. It
 // returns the number of pops verified.
 func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
@@ -68,8 +68,8 @@ func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 }
 
 // TestReferenceReplayContended runs the contended RMW workload on the
-// production Run (typed heap, direct handoff) and under runReference
-// (container/heap order, mediated scheduler) and asserts bit-identical
+// production Run (typed heap) and under runReference (the same loop,
+// checked pop by pop against container/heap order) and asserts bit-identical
 // outcomes: same final clock, same event count, same memory effects.
 func TestReferenceReplayContended(t *testing.T) {
 	typed, readTyped := contendedEngine()

@@ -121,27 +121,6 @@ func (s *shard) nextSeq() uint64 {
 	return seq
 }
 
-// blockThread suspends t (a thread homed on this shard) until virtual time
-// `at` during a parallel window. Fast path: if `at` is inside the safe
-// window and no own-shard event could run first, advance the shard clock
-// and keep the thread running — no other shard can affect this one before
-// wend, by the lookahead contract. Otherwise schedule the wake-up and
-// suspend back to the worker running this shard's window; the wake pops in
-// this or a later window. One event is counted either way, matching the
-// serial engine.
-func (s *shard) blockThread(t *Thread, at int64) {
-	if at < s.now {
-		at = s.now
-	}
-	if at < s.wend && (s.q.len() == 0 || s.q.min().at > at) && s.events <= s.e.maxEvents {
-		s.now = at
-		s.events++
-		return
-	}
-	s.e.scheduleEv(s, at, evWake, t)
-	t.suspend()
-}
-
 // runWindow executes this shard's events with at < s.wend in (at, seq)
 // order, on whichever worker claimed the shard this window: wake-ups and
 // completions resume their thread until it suspends again or exits;
@@ -170,6 +149,9 @@ func (s *shard) runWindow() {
 			hook(s, ev)
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
+			if ev.th.spin.on && !ev.th.stepSpin() {
+				continue // a poll that did not end the wait: the thread stays parked
+			}
 			if s.trap = ev.th.resume(); s.trap != nil {
 				return
 			}

@@ -48,9 +48,17 @@
 // event and, for a wake-up or completion, calls Thread.resume, which runs
 // the thread's coroutine until Thread.suspend yields back. A coroutine
 // switch is a direct goroutine-to-goroutine transfer inside the runtime —
-// no channel, no scheduler pass. The package's tests replay the
-// ProcessNextEvent loop against the standard-library heap as the bit-exact
-// reference (reference_test.go).
+// no channel, no scheduler pass. The one wait that does not switch per event
+// is api.Ctx.SpinWhile, the local poll loop `for Read(p) == v { Pause(i) }`
+// that ALock's waiters sit in: the thread parks the loop's registers
+// (Thread.spin) and the executor steps the loop itself (Thread.stepSpin) each
+// time it pops that thread's wake-up — same events, same instants, same push
+// order as the loop written out — and resumes the coroutine only when the
+// wait is over. block and stepSpin share tryAdvance, the test for whether a
+// wait can advance the clock in place instead of scheduling. The package's
+// tests replay the ProcessNextEvent loop against the standard-library heap
+// as the bit-exact reference (reference_test.go), and SpinWhile against the
+// loop it is defined as (spin_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -522,6 +530,9 @@ func (e *Engine) ProcessNextEvent() bool {
 	e.account(ev.at)
 	e.setCurShard(ev)
 	if ev.kind == evWake || ev.kind == evComplete {
+		if ev.th.spin.on && !ev.th.stepSpin() {
+			return true // a poll that did not end the wait: the thread stays parked
+		}
 		if err := ev.th.resume(); err != nil {
 			e.stopThreads()
 			panic(err)
@@ -620,6 +631,25 @@ type Thread struct {
 	exited bool
 	err    error // the body's panic, for the executor to raise on the driver
 	verb   verbState
+	spin   spinState
+	// resumes counts coroutine switches into the thread (tests assert that a
+	// parked spin costs none).
+	resumes uint64
+}
+
+// spinState is a SpinWhile loop's registers, parked on the Thread so the
+// executor can step the loop (stepSpin) without switching to the coroutine.
+// on marks the loop as in progress — the thread's next evWake belongs to it;
+// read tells which of the loop's two blocks elapsed last: the poll's read
+// latency (true: the word is read next) or the Pause after a failed poll,
+// which is also where the loop starts (false: the next read is issued).
+type spinState struct {
+	p        ptr.Ptr
+	v        uint64
+	deadline int64
+	iter     int
+	on, read bool
+	result   uint64
 }
 
 var _ api.Ctx = (*Thread)(nil)
@@ -648,8 +678,11 @@ func (t *Thread) run(yield func(struct{}) bool) {
 // resume runs the thread on the calling goroutine's time until it suspends
 // again or exits, and returns the body's panic, if it raised one. The
 // executor — ProcessNextEvent, or shard.runWindow on the worker that claimed
-// the thread's shard — is the only caller.
+// the thread's shard — is the only caller, and for a thread parked inside
+// SpinWhile it calls stepSpin first and resume only once that ended the wait.
+// (Small enough to inline into both pop loops; keep it so.)
 func (t *Thread) resume() error {
+	t.resumes++
 	t.next()
 	return t.err
 }
@@ -672,34 +705,51 @@ func (t *Thread) now() int64 {
 	return t.e.now
 }
 
-// block suspends the thread until virtual time `at`.
-//
-// Fast path: if no event that could observably run before `at` is
-// scheduled — on the global queue in the serial modes; on the thread's own
-// shard, within the safe window, in windowed mode (no other shard can
-// affect this one inside the window by the lookahead contract) — the
-// running thread advances the clock itself and keeps going without
-// suspending. Exactly one event is counted per block either way, so the
-// events counter is mode-independent.
+// block suspends the thread until virtual time `at`, unless tryAdvance could
+// take it there without a switch.
 func (t *Thread) block(at int64) {
+	if !t.tryAdvance(at) {
+		t.suspend()
+	}
+}
+
+// tryAdvance moves the thread to virtual time `at` (clamped to the clock). It
+// reports true when the move is complete: no event that could observably run
+// before `at` is scheduled — on the global queue under the serial executor;
+// on the thread's own shard, within the safe window, under the windowed one
+// (no other shard can affect this one inside the window, by the lookahead
+// contract) — so the clock advanced in place. Otherwise it has scheduled the
+// thread's evWake at `at` and reports false: the caller parks (block, on the
+// coroutine) or returns to its pop loop (stepSpin, on the executor). Exactly
+// one event is counted either way, so the events counter is mode-independent;
+// a blown budget always takes the scheduled path, where the pop traps it.
+func (t *Thread) tryAdvance(at int64) bool {
 	e := t.e
 	if e.windowed {
-		t.shard.blockThread(t, at)
-		return
-	}
-	if at < e.now {
-		at = e.now
-	}
-	if min, ok := e.minAt(); (!ok || min > at) && e.events <= e.maxEvents {
-		e.now = at
-		if e.now >= e.stopAt {
-			e.stopped = true
+		s := t.shard
+		if at < s.now {
+			at = s.now
 		}
-		e.events++
-		return
+		if at < s.wend && (s.q.len() == 0 || s.q.min().at > at) && s.events <= e.maxEvents {
+			s.now = at
+			s.events++
+			return true
+		}
+	} else {
+		if at < e.now {
+			at = e.now
+		}
+		if min, ok := e.minAt(); (!ok || min > at) && e.events <= e.maxEvents {
+			e.now = at
+			if e.now >= e.stopAt {
+				e.stopped = true
+			}
+			e.events++
+			return true
+		}
 	}
 	e.scheduleEv(t.shard, at, evWake, t)
-	t.suspend()
+	return false
 }
 
 // NodeID implements api.Ctx.
@@ -779,16 +829,71 @@ func (t *Thread) Fence() {
 	t.block(t.now() + t.e.p.FenceNS)
 }
 
-// Pause implements api.Ctx: bounded exponential spin back-off.
-func (t *Thread) Pause(iter int) {
-	d := t.e.p.SpinPollMinNS
-	for i := 0; i < iter && d < t.e.p.SpinPollMaxNS; i++ {
+// spinBackoff is Pause's delay after iter failed polls: SpinPollMinNS
+// doubled per failed poll, capped at SpinPollMaxNS.
+func (e *Engine) spinBackoff(iter int) int64 {
+	d := e.p.SpinPollMinNS
+	for i := 0; i < iter && d < e.p.SpinPollMaxNS; i++ {
 		d <<= 1
 	}
-	if d > t.e.p.SpinPollMaxNS {
-		d = t.e.p.SpinPollMaxNS
+	if d > e.p.SpinPollMaxNS {
+		d = e.p.SpinPollMaxNS
 	}
-	t.block(t.now() + d)
+	return d
+}
+
+// Pause implements api.Ctx: bounded exponential spin back-off.
+func (t *Thread) Pause(iter int) {
+	t.block(t.now() + t.e.spinBackoff(iter))
+}
+
+// SpinWhile implements api.Ctx. It is event-for-event the loop
+//
+//	for iter := 0; ; iter++ {
+//		if got := t.Read(p); got != v { return got }
+//		if deadlineNS > 0 && t.Now() >= deadlineNS { return v }
+//		t.Pause(iter)
+//	}
+//
+// but the coroutine runs only the part of it that needs no wake-up: once a
+// block has to be scheduled the thread parks with the loop's registers in
+// t.spin, and the executor that pops each evWake steps the loop itself
+// (stepSpin), switching to the coroutine only when the wait is over.
+func (t *Thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
+	t.auditLocal(p)
+	t.spin = spinState{p: p, v: v, deadline: deadlineNS, on: true}
+	if !t.stepSpin() {
+		t.suspend()
+	}
+	return t.spin.result
+}
+
+// stepSpin runs t's SpinWhile loop from the point where its pending block
+// has elapsed, on whichever side of the thread switch is executing: the
+// coroutine for the inline head of the loop, then ProcessNextEvent or
+// shard.runWindow each time they pop the loop's evWake. It reports true when
+// the loop has ended (t.spin.result is set and t.spin.on cleared), false when
+// it scheduled the next evWake. Each block goes through tryAdvance exactly as
+// Read's and Pause's do, so the events counted, the sequence numbers consumed
+// and the push order on the shard are those of the loop written out.
+func (t *Thread) stepSpin() bool {
+	e, sp := t.e, &t.spin
+	for {
+		d := e.p.LocalReadNS
+		if sp.read {
+			got := *e.space.WordAddr(sp.p)
+			if got != sp.v || (sp.deadline > 0 && t.now() >= sp.deadline) {
+				sp.result, sp.on = got, false
+				return true
+			}
+			d = e.spinBackoff(sp.iter)
+			sp.iter++
+		}
+		sp.read = !sp.read
+		if !t.tryAdvance(t.now() + d) {
+			return false
+		}
+	}
 }
 
 // Work implements api.Ctx.

@@ -117,6 +117,41 @@ func TestTrapStopsThreadGoroutines(t *testing.T) {
 				t.Errorf("goroutines leaked across an event-budget trap: %d before New, %d after", before, after)
 			}
 		})
+		t.Run(d.name+"/parked-mid-spin", func(t *testing.T) {
+			// The spinners are inside SpinWhile with the executor stepping
+			// their loops: stopThreads reaches them through the same suspend.
+			before := runtime.NumGoroutine()
+			e := New(2, 1024, model.Uniform(10), 1, append([]Option{WithMaxEvents(200)}, d.opts...)...)
+			unwound := 0
+			var parked []*Thread
+			for n := 0; n < 2; n++ {
+				w := e.Space().AllocLine(n)
+				parked = append(parked, e.Spawn(n, func(ctx api.Ctx) {
+					defer func() { unwound++ }()
+					ctx.SpinWhile(w, 0, 0)
+				}))
+				e.Spawn(n, func(ctx api.Ctx) { // keeps the spinner's blocks off the inline path
+					for {
+						ctx.Work(5)
+					}
+				})
+			}
+			r := recovered(func() { d.drive(e) })
+			if r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+				t.Fatalf("runaway simulation did not trap: %v", r)
+			}
+			for _, th := range parked {
+				if !th.spin.on || th.resumes != 1 {
+					t.Errorf("thread %d was not parked mid-spin at the trap (spin.on=%v, %d resumes)", th.id, th.spin.on, th.resumes)
+				}
+			}
+			if unwound != 2 {
+				t.Errorf("%d of 2 parked spinners were unwound", unwound)
+			}
+			if after := settleGoroutines(before); after > before {
+				t.Errorf("goroutines leaked across a trap with threads parked mid-spin: %d before New, %d after", before, after)
+			}
+		})
 		t.Run(d.name+"/body-panic", func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			e := New(3, 1024, model.Uniform(10), 1, d.opts...)
