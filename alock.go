@@ -185,8 +185,11 @@ type ClusterConfig struct {
 	// Nodes is the number of simulated machines (1..16; the pointer
 	// format's 4-bit node ID is the paper's own limit).
 	Nodes int
-	// WordsPerNode sizes each node's RDMA-accessible region in 8-byte
-	// words (default 1Mi words = 8 MiB).
+	// WordsPerNode is the capacity of each node's RDMA-accessible region
+	// in 8-byte words (default 1 Mi words). It is an allocation limit, not
+	// a footprint: backing memory is materialised a 32 KiB page at a time
+	// as words are first touched, so the default does not cost 8 MiB of
+	// resident memory per node.
 	WordsPerNode int
 	// Seed drives the per-thread random streams (default 1).
 	Seed int64

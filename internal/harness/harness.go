@@ -151,7 +151,10 @@ type Config struct {
 	SvcRebalance bool `json:",omitempty"`
 	// Seed makes the run reproducible.
 	Seed int64
-	// WordsPerNode sizes each node's memory region (0 = 1Mi words = 8 MiB).
+	// WordsPerNode is the capacity of each node's memory region in 8-byte
+	// words (0 = 1 Mi words). It bounds what a run may allocate, not what
+	// it costs: regions are demand-paged (internal/mem), so the host pays
+	// for the 32 KiB pages a run touches, not 8 MiB per node.
 	WordsPerNode int
 	// EngineShards is the engine's worker count: 0 or 1 runs the serial
 	// executor, 2 or more the conservative windowed parallel executor

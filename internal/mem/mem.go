@@ -15,11 +15,21 @@
 // Allocation is 64-byte aligned by default, matching the paper's padding of
 // every piece of lock metadata to a cache line to prevent false sharing
 // (Figure 3).
+//
+// A region's size is a capacity — the range of valid offsets — not a
+// footprint. Backing memory is demand-paged: a region starts as a page
+// table only, and a fixed-size zeroed page comes into existence the first
+// time any word on it is addressed. A run therefore pays, in host memory
+// and in zeroing time, for the pages it touches (one per node for a lock
+// table of a few hundred lines) and not for the 1 Mi words per node that
+// experiments provision by default. Nothing simulated depends on which
+// pages are resident: an untouched in-range word reads zero either way.
 package mem
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"alock/internal/ptr"
 )
@@ -28,15 +38,38 @@ import (
 // the alignment unit for all lock metadata in the paper.
 const WordsPerCacheLine = 8
 
-// Region is one node's RDMA-accessible memory: a fixed array of 8-byte
-// words plus a thread-safe allocator over it.
+// pageWords is the unit of demand paging: 4 Ki words (32 KiB), large enough
+// that a lock table's lines share one page, small enough that a touched
+// page costs microseconds to zero.
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
+
+type page [pageWords]uint64
+
+// Region is one node's RDMA-accessible memory: `Size()` addressable 8-byte
+// words plus a thread-safe allocator over them.
+//
+// The words are backed by demand-paged memory. Size is the capacity; only
+// pages that have been addressed are resident. A page is materialised
+// zeroed on the first WordAddr that falls on it and then never moves or
+// goes away, so an address obtained from WordAddr stays valid — and keeps
+// naming the same word — across any later Alloc, Free or WordAddr; the
+// real-goroutine engine (internal/rt) holds such addresses while other
+// goroutines allocate. Its goroutines also race to the first touch of a
+// page, so the page table is published with an atomic compare-and-swap:
+// exactly one page wins, every racer returns an address on the winner, and
+// no store is lost to a discarded page.
 //
 // Word 0 of every region is reserved at construction so that no object is
 // ever placed at offset 0; this keeps ptr.Null (node 0, offset 0)
 // unambiguous everywhere.
 type Region struct {
 	node  int
-	words []uint64
+	size  uint64                 // capacity in words
+	pages []atomic.Pointer[page] // page table; nil = untouched, reads as zero
 
 	mu   sync.Mutex
 	next uint64           // bump pointer (in words)
@@ -45,14 +78,16 @@ type Region struct {
 }
 
 // NewRegion creates a region of `words` 8-byte words owned by `node`.
-// The minimum size is one cache line; word 0 is reserved.
+// The minimum size is one cache line; word 0 is reserved. Only the page
+// table is allocated here.
 func NewRegion(node, words int) *Region {
 	if words < WordsPerCacheLine {
 		words = WordsPerCacheLine
 	}
 	return &Region{
 		node:  node,
-		words: make([]uint64, words),
+		size:  uint64(words),
+		pages: make([]atomic.Pointer[page], (words+pageMask)>>pageShift),
 		next:  WordsPerCacheLine, // burn line 0: keeps offset 0 unallocated
 		free:  make(map[int][]uint64),
 		used:  make(map[uint64]int),
@@ -62,19 +97,34 @@ func NewRegion(node, words int) *Region {
 // Node returns the ID of the node owning this region.
 func (r *Region) Node() int { return r.node }
 
-// Size returns the region capacity in words.
-func (r *Region) Size() int { return len(r.words) }
+// Size returns the region capacity in words (not the resident footprint).
+func (r *Region) Size() int { return int(r.size) }
 
 // WordAddr returns the address of the word at `offset`, for direct atomic
-// access by an engine. It panics if offset is out of range — an out-of-range
-// RDMA access is a programming error in this system, not a runtime
-// condition to be handled.
+// access by an engine. The address is stable for the life of the region.
+// It panics if offset is out of range — an out-of-range RDMA access is a
+// programming error in this system, not a runtime condition to be handled.
 func (r *Region) WordAddr(offset uint64) *uint64 {
-	if offset >= uint64(len(r.words)) {
+	if offset >= r.size {
 		panic(fmt.Sprintf("mem: node %d offset %#x out of range (region %d words)",
-			r.node, offset, len(r.words)))
+			r.node, offset, r.size))
 	}
-	return &r.words[offset]
+	slot := &r.pages[offset>>pageShift]
+	pg := slot.Load()
+	if pg == nil {
+		pg = firstTouch(slot)
+	}
+	return &pg[offset&pageMask]
+}
+
+// firstTouch materialises the page behind slot. Racing callers each bring a
+// fresh page; the compare-and-swap keeps one and the losers adopt it.
+func firstTouch(slot *atomic.Pointer[page]) *page {
+	pg := new(page) //lint:allow allocfree first touch of a page: once per page per run, never in steady state
+	if slot.CompareAndSwap(nil, pg) {
+		return pg
+	}
+	return slot.Load()
 }
 
 // roundUp rounds n up to a multiple of align (align must be a power of two).
@@ -83,10 +133,10 @@ func roundUp(n, align uint64) uint64 {
 }
 
 // Alloc allocates `words` words aligned to `alignWords` and returns a Ptr
-// to the first word. Freed blocks of the same rounded size are reused.
-// The block is zeroed. Alloc panics if the region is exhausted: the
-// simulated cluster is provisioned up front and exhaustion means the
-// experiment configuration is wrong.
+// to the first word. A freed block of the same rounded size is reused when
+// its offset satisfies the requested alignment. The block is zeroed. Alloc
+// panics if the region is exhausted: the simulated cluster is provisioned up
+// front and exhaustion means the experiment configuration is wrong.
 func (r *Region) Alloc(words, alignWords int) ptr.Ptr {
 	if words <= 0 {
 		panic("mem: Alloc of non-positive size")
@@ -104,18 +154,24 @@ func (r *Region) Alloc(words, alignWords int) ptr.Ptr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	if list := r.free[size]; len(list) > 0 {
-		off := list[len(list)-1]
-		r.free[size] = list[:len(list)-1]
+	// A size class is shared by every alignment that rounds to it, so take
+	// the newest freed block whose offset this request can use.
+	list := r.free[size]
+	for i := len(list) - 1; i >= 0; i-- {
+		off := list[i]
+		if off&uint64(alignWords-1) != 0 {
+			continue
+		}
+		r.free[size] = append(list[:i], list[i+1:]...)
 		r.used[off] = size
 		r.zeroLocked(off, size)
 		return ptr.Pack(r.node, off)
 	}
 
 	off := roundUp(r.next, uint64(alignWords))
-	if off+uint64(size) > uint64(len(r.words)) {
+	if off+uint64(size) > r.size {
 		panic(fmt.Sprintf("mem: node %d region exhausted (want %d words at %#x, cap %d)",
-			r.node, size, off, len(r.words)))
+			r.node, size, off, r.size))
 	}
 	r.next = off + uint64(size)
 	r.used[off] = size
@@ -153,10 +209,15 @@ func (r *Region) LiveBlocks() int {
 	return len(r.used)
 }
 
-// zeroLocked zeroes size words at off. Caller holds r.mu.
+// zeroLocked zeroes size words at off, page by page. An untouched page is
+// zero already and stays unmaterialised. Caller holds r.mu.
 func (r *Region) zeroLocked(off uint64, size int) {
-	for i := uint64(0); i < uint64(size); i++ {
-		r.words[off+i] = 0
+	for end := off + uint64(size); off < end; {
+		n := min(end-off, pageWords-off&pageMask)
+		if pg := r.pages[off>>pageShift].Load(); pg != nil {
+			clear(pg[off&pageMask:][:n])
+		}
+		off += n
 	}
 }
 

@@ -15,7 +15,20 @@
 // Ordering is the engine's total event order — (at, seq) with seq unique —
 // so pop order is independent of heap shape and bit-identical to the
 // standard-library heap the tests replay it against (reference_test.go).
+// eventLess is that order's definition.
+//
+// Sift-down picks the smallest of a full group of four children with a
+// branch-free tournament over lessBit, eventLess's 0/1 form. The heap is
+// shallow and cache-resident (192 entries are 6 KiB), so what a pop costs is
+// not depth or misses but mispredicted compares: which of four siblings is
+// earliest is close to a coin toss per level, and a two-field compare inside
+// a pick-the-minimum loop is two such branches per sibling. The tournament
+// turns them into index arithmetic and keeps one branch per level — "does ev
+// stop here" — which is almost always "no". lessBit is tested equal to
+// eventLess on the adversarial pairs (eventq_test.go).
 package sim
+
+import "math/bits"
 
 // eventQueue is a 4-ary min-heap ordered by (at, seq).
 type eventQueue struct {
@@ -66,6 +79,18 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// lessBit is eventLess as 0 or 1, computed without a branch: the final
+// borrow of the 128-bit subtraction (a.at : a.seq) - (b.at : b.seq), with
+// at's sign bit flipped so that the unsigned borrow chain orders it as the
+// signed value it is (a past-dated event must still sort first, so that it
+// pops and trips the time-regression trap).
+func lessBit(a, b *event) int {
+	const signBit = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^signBit, uint64(b.at)^signBit, borrow)
+	return int(borrow)
+}
+
 // siftDown places ev (logically at the root) at its heap position.
 func (q *eventQueue) siftDown(ev event) {
 	n := len(q.ev)
@@ -77,13 +102,18 @@ func (q *eventQueue) siftDown(ev event) {
 		}
 		// Pick the smallest of up to four children.
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLess(q.ev[c], q.ev[best]) {
-				best = c
+		if first+4 <= n {
+			// A full group: two semifinals and a final, each a 0/1 index
+			// step instead of a branch on which event is earlier.
+			c := (*[4]event)(q.ev[first : first+4])
+			a := lessBit(&c[1], &c[0])
+			b := 2 + lessBit(&c[3], &c[2])
+			best += a + (b-a)*lessBit(&c[b&3], &c[a&3])
+		} else {
+			for c := first + 1; c < n; c++ {
+				if eventLess(q.ev[c], q.ev[best]) {
+					best = c
+				}
 			}
 		}
 		if !eventLess(q.ev[best], ev) {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,39 +12,154 @@ import (
 	"alock/internal/model"
 )
 
-// TestEventQueueMatchesOracle drives 10k random (at, seq) schedules through
-// the typed 4-ary heap and the container/heap reference (reference_test.go)
+// TestEventQueueMatchesOracle drives random (at, seq) schedules through the
+// typed 4-ary heap and the container/heap reference (reference_test.go)
 // with interleaved pops and asserts identical pop order. (at, seq) is a total order, so any
-// divergence is a queue bug, not tie-break slack.
+// divergence is a queue bug, not tie-break slack. Besides the 10k-event
+// run, the queue is held at every size in 1..9 and 4k..4k+4 (k = 4, 16, 48):
+// with n entries a sift-down scans a full group of four where 4i+5 <= n and
+// a partial one at the seam, so neighbouring sizes cross from the
+// tournament to the loop and back. seq carries a shard tag in its high
+// bits as the windowed executor's does, node 128 and up setting bit 63.
 func TestEventQueueMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	var q eventQueue
-	var o eventHeap
-	var seq uint64
-	pending := 0
-	pushed := 0
-	for pushed < 10_000 || pending > 0 {
-		// Bias toward pushes until the target, then drain.
-		push := pushed < 10_000 && (pending == 0 || rng.Intn(3) != 0)
-		if push {
-			seq++
-			// Clustered times force plenty of exact ties broken by seq.
-			ev := event{at: int64(rng.Intn(64)), seq: seq}
-			q.push(ev)
-			heap.Push(&o, ev)
-			pushed++
-			pending++
-			continue
-		}
-		got, want := q.pop(), heap.Pop(&o).(event)
-		if got != want {
-			t.Fatalf("pop %d diverged: typed (at=%d seq=%d), oracle (at=%d seq=%d)",
-				pushed-pending, got.at, got.seq, want.at, want.seq)
-		}
-		pending--
+	holds := []int{0} // 0: no hold, the 10k random walk
+	for n := 1; n <= 9; n++ {
+		holds = append(holds, n)
 	}
-	if q.len() != 0 || o.Len() != 0 {
-		t.Fatalf("queues not drained: typed %d, oracle %d", q.len(), o.Len())
+	for _, k := range []int{4, 16, 48} {
+		for d := 0; d <= 4; d++ {
+			holds = append(holds, 4*k+d)
+		}
+	}
+	for _, hold := range holds {
+		target := 10_000
+		if hold > 0 {
+			target = 40 * hold
+		}
+		rng := rand.New(rand.NewSource(20260808 + int64(hold)))
+		var q eventQueue
+		var o eventHeap
+		var ctr uint64
+		pending := 0
+		pushed := 0
+		for pushed < target || pending > 0 {
+			// Bias toward pushes until the target, then drain; a held queue
+			// pops only at its size, so every pop sifts through that shape.
+			push := pushed < target && (pending == 0 || rng.Intn(3) != 0)
+			if hold > 0 {
+				push = pushed < target && pending < hold
+			}
+			if push {
+				ctr++
+				shard := uint64(rng.Intn(4)) * 85 // 0, 85, 170, 255
+				// Clustered times force plenty of exact ties broken by seq.
+				ev := event{at: int64(rng.Intn(64)), seq: shard<<seqShardShift | ctr}
+				q.push(ev)
+				heap.Push(&o, ev)
+				pushed++
+				pending++
+				continue
+			}
+			got, want := q.pop(), heap.Pop(&o).(event)
+			if got != want {
+				t.Fatalf("hold %d: pop %d diverged: typed (at=%d seq=%d), oracle (at=%d seq=%d)",
+					hold, pushed-pending, got.at, got.seq, want.at, want.seq)
+			}
+			pending--
+		}
+		if q.len() != 0 || o.Len() != 0 {
+			t.Fatalf("hold %d: queues not drained: typed %d, oracle %d", hold, q.len(), o.Len())
+		}
+	}
+}
+
+// TestLessBitEqualsEventLess holds the branch-free comparison to its
+// definition on the pairs where an unsigned borrow chain could go wrong:
+// equal at (seq decides), seq with shard bits up to and past bit 63, at
+// negative (a past-dated event must sort first so that it pops and trips
+// the time-regression trap), zero and MaxInt64.
+func TestLessBitEqualsEventLess(t *testing.T) {
+	ats := []int64{math.MinInt64, -1 << 40, -1, 0, 1, 780, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 2, 1<<seqShardShift - 1, 1 << seqShardShift, 1<<seqShardShift | 1,
+		127<<seqShardShift | 5, 1 << 63, 128<<seqShardShift | 5, 255<<seqShardShift | 1, math.MaxUint64}
+	var evs []event
+	for _, at := range ats {
+		for _, seq := range seqs {
+			evs = append(evs, event{at: at, seq: seq})
+		}
+	}
+	for i := range evs {
+		for j := range evs {
+			a, b := evs[i], evs[j]
+			want := 0
+			if eventLess(a, b) {
+				want = 1
+			}
+			if got := lessBit(&a, &b); got != want {
+				t.Fatalf("lessBit((at=%d seq=%#x), (at=%d seq=%#x)) = %d, eventLess says %d",
+					a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
+	}
+}
+
+// TestPastDatedEventPopsFirst: behind a full group of future events, an
+// event dated before the clock is still the next pop — which is what lets
+// ProcessNextEvent see it and trap.
+func TestPastDatedEventPopsFirst(t *testing.T) {
+	var q eventQueue
+	for i := 0; i < 21; i++ {
+		q.push(event{at: int64(1000 + i), seq: uint64(i + 1)})
+	}
+	q.pop() // re-seat the last entry through full groups
+	q.push(event{at: -5, seq: 3<<seqShardShift | 99})
+	if got := q.pop(); got.at != -5 {
+		t.Fatalf("popped at=%d before the past-dated event", got.at)
+	}
+	// Sift a large last entry down past a negative child.
+	q.push(event{at: -7, seq: 200<<seqShardShift | 1})
+	q.push(event{at: -6, seq: 100})
+	if a, b := q.pop(), q.pop(); a.at != -7 || b.at != -6 {
+		t.Fatalf("negative times popped as %d, %d; want -7, -6", a.at, b.at)
+	}
+}
+
+// BenchmarkEventQueueHold is the event-queue layer case: the classic hold
+// model at the queue depths the engine runs at (16 threads, the 192 of a
+// fig5 config, the ~600 pending events of the open-loop service). One op
+// pops the minimum and pushes it back at its time plus a delay drawn from
+// the CX3 cost mix — mostly local accesses and spin polls, some NIC and
+// wire hops — with a fresh seq, as a simulated thread's next block does.
+func BenchmarkEventQueueHold(b *testing.B) {
+	p := model.CX3()
+	mix := []int64{
+		p.LocalReadNS, p.LocalReadNS, p.LocalWriteNS, p.LocalCASNS, p.FenceNS,
+		p.SpinPollMinNS, 2 * p.SpinPollMinNS, 8 * p.SpinPollMinNS, p.SpinPollMaxNS,
+		p.NICServiceNS, p.NICServiceNS, p.TornGapNS, p.LoopbackWireNS, p.RemoteWireNS, p.RemoteWireNS,
+		p.QPCMissPenaltyNS,
+	}
+	for _, depth := range []int{16, 192, 600} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(depth)))
+			delays := make([]int64, 1<<12)
+			for i := range delays {
+				delays[i] = mix[rng.Intn(len(mix))]
+			}
+			var q eventQueue
+			var seq uint64
+			for i := 0; i < depth; i++ {
+				seq++
+				q.push(event{at: delays[i], seq: seq})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop()
+				seq++
+				ev.at += delays[i&(len(delays)-1)]
+				ev.seq = seq
+				q.push(ev)
+			}
+		})
 	}
 }
 
