@@ -29,10 +29,12 @@ var HotPathRoots = []string{
 	"alock/internal/sim.(*Thread).suspend",
 	"alock/internal/sim.(*Thread).block",
 
-	// SpinWhile's poll loop: entered on the coroutine, then stepped by the
-	// executors between resumes.
+	// Local operations: posted on the coroutine (SpinWhile is one of them),
+	// then completed and started one after another by the executors' step
+	// between resumes.
+	"alock/internal/sim.(*Thread).post",
 	"alock/internal/sim.(*Thread).SpinWhile",
-	"alock/internal/sim.(*Thread).stepSpin",
+	"alock/internal/sim.(*Thread).step",
 
 	// Event queue: the typed 4-ary heap's steady-state operations.
 	"alock/internal/sim.(*eventQueue).push",

@@ -19,19 +19,14 @@ var ShardmemScopes = []string{"alock/internal/sim", "alock/internal/locks"}
 
 // ShardmemSanctioned is the accessor set allowed to resolve memory words
 // through (*mem.Space).WordAddr / (*mem.Space).Region: the engine's verb
-// executors, the Thread local/remote operation methods and the SpinWhile
-// poll stepper (the local Read of a spin loop, run by the executor), which
-// are exactly the sites the runtime access audit (sim.WithAccessAudit)
-// instruments. Names are receiver-qualified but package-agnostic so the
+// executor, the step function that applies a thread's posted local
+// operations (Read, Write, CAS, SpinWhile's polls and the untorn loopback
+// verbs, run by the executor) and the torn loopback RCAS, which are exactly
+// the sites the runtime access audit (sim.WithAccessAudit) instruments. Names are receiver-qualified but package-agnostic so the
 // golden fixtures can model the shape.
 var ShardmemSanctioned = map[string]bool{
 	"(*Engine).execProtocol": true,
-	"(*Thread).Read":         true,
-	"(*Thread).Write":        true,
-	"(*Thread).CAS":          true,
-	"(*Thread).stepSpin":     true,
-	"(*Thread).RRead":        true,
-	"(*Thread).RWrite":       true,
+	"(*Thread).step":         true,
 	"(*Thread).RCAS":         true,
 }
 

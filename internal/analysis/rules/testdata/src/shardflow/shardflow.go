@@ -26,8 +26,11 @@ func (e *Engine) execProtocol(p ptr.Ptr) uint64 {
 	return *e.space.WordAddr(p) // sanctioned accessor: no finding
 }
 
-// Read is the sanctioned thread-local verb.
-func (t *Thread) Read(p ptr.Ptr) uint64 {
+// Read is a thread-local operation: it resolves nothing itself.
+func (t *Thread) Read(p ptr.Ptr) uint64 { return t.step(p) }
+
+// step applies the thread's local operations: the sanctioned accessor.
+func (t *Thread) step(p ptr.Ptr) uint64 {
 	return *t.e.space.WordAddr(p) // sanctioned accessor: no finding
 }
 

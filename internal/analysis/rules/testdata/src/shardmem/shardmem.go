@@ -28,11 +28,12 @@ func (e *Engine) regionPeek(p ptr.Ptr) uint64 {
 	return *r.WordAddr(p.Offset())  // want `bypasses the Space access audit`
 }
 
-// Thread models the engine thread: Read is in the sanctioned set.
+// Thread models the engine thread: step, which applies its local
+// operations, is in the sanctioned set.
 type Thread struct{ e *Engine }
 
-// Read is sanctioned.
-func (t *Thread) Read(p ptr.Ptr) uint64 { return *t.e.space.WordAddr(p) }
+// step is sanctioned.
+func (t *Thread) step(p ptr.Ptr) uint64 { return *t.e.space.WordAddr(p) }
 
 // helper extends the accessor set explicitly via suppression.
 func (t *Thread) helper(p ptr.Ptr) uint64 {

@@ -75,6 +75,20 @@ func Classify(threadNode int, p ptr.Ptr) Cohort {
 // the caller's own node is legal and models the loopback mechanism (it
 // passes through the local RNIC, with all the congestion that implies) —
 // that is precisely what the paper's spinlock and MCS competitors do.
+//
+// Completion. Write, Fence and Pause return no value and may return before
+// they complete (internal/sim posts them and lets the caller run on). They
+// still complete in program order, at the engine instants they always did,
+// and before any later call on the same Ctx returns a value or the time
+// (Read, CAS, SpinWhile, Now, Stopped, and the remote class), issues a verb,
+// allocates or frees, or starts Work; a thread's function returning waits
+// for them too. To the simulated cluster nothing changed: the definition is
+// "the same program with Now() called after every operation". What callers
+// must not do is order Go state shared between threads (a counter, a flag, an
+// engine-level call such as a stop request) by a bare Write, Fence or Pause
+// returning — put one of the completing calls, or Now(), in front of it.
+// Completing every operation before it returns, as internal/rt does, is a
+// legal implementation.
 type Ctx interface {
 	// NodeID returns the node this thread executes on.
 	NodeID() int
@@ -83,7 +97,8 @@ type Ctx interface {
 
 	// Read performs a local (shared-memory) 8-byte load.
 	Read(p ptr.Ptr) uint64
-	// Write performs a local (shared-memory) 8-byte store.
+	// Write performs a local (shared-memory) 8-byte store. It may return
+	// before the store lands (see Completion above).
 	Write(p ptr.Ptr, v uint64)
 	// CAS performs a local compare-and-swap and returns the previous value
 	// (the swap succeeded iff the return value equals old).
@@ -99,11 +114,13 @@ type Ctx interface {
 	RCAS(p ptr.Ptr, old, new uint64) uint64
 
 	// Fence issues the atomic thread fence the algorithm requires after
-	// locking and before unlocking (§5.2).
+	// locking and before unlocking (§5.2). It may return before its cost has
+	// elapsed (see Completion above).
 	Fence()
 
 	// Pause backs off inside a spin loop; iter is the number of failed
-	// polls so far. Engines translate it into bounded exponential delay.
+	// polls so far. Engines translate it into bounded exponential delay,
+	// which may still be elapsing when Pause returns (see Completion above).
 	Pause(iter int)
 
 	// SpinWhile polls the word at p with Read and the Pause back-off while
@@ -126,7 +143,9 @@ type Ctx interface {
 	SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64
 
 	// Work burns d of engine time, modeling a critical-section body or
-	// think time between operations.
+	// think time between operations. It returns when the time is burnt:
+	// callers bracket it with Go-side bookkeeping (readers++; Work; readers--)
+	// that other threads check.
 	Work(d time.Duration)
 
 	// Now returns nanoseconds of engine time since the run began

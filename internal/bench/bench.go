@@ -196,6 +196,30 @@ func spinPollEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
 	return e
 }
 
+// localChainEngine is the local-op layer case: on every node, `threads`
+// threads run `Write, Write, CAS, Fence` on a line of their own — an
+// uncontended local-cohort acquire and release with nothing around it. All
+// four steps are scheduled events (the node's other threads keep its queue
+// ahead of each of them), but only the CAS returns a value, so ns/event here
+// prices the executor's completing one posted op and starting the next.
+func localChainEngine(nodes, threads int, opts ...sim.Option) *sim.Engine {
+	e := sim.New(nodes, 1024, model.CX3(), 13, opts...)
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < threads; i++ {
+			w := e.Space().AllocLine(n)
+			e.Spawn(n, func(ctx api.Ctx) {
+				for v := uint64(0); !ctx.Stopped(); v++ {
+					ctx.Write(w.Add(1), v)
+					ctx.Write(w.Add(2), v)
+					ctx.CAS(w, v, v+1)
+					ctx.Fence()
+				}
+			})
+		}
+	}
+	return e
+}
+
 // familyReps maps each scenario family to its representative member; the
 // suite runs the first config of each expansion.
 var familyReps = []string{
@@ -224,6 +248,8 @@ func Suite(name string) ([]Case, error) {
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(4, o...) }},
 			Case{Name: "engine/spin-poll", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(2, 4, o...) }},
+			Case{Name: "engine/local-chain", Suite: "tiny", horizon: 2_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(2, 4, o...) }},
 			Case{Name: "engine/contended-rmw", Suite: "tiny", horizon: 4_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(4, o...) }},
 		)
@@ -242,6 +268,8 @@ func Suite(name string) ([]Case, error) {
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(8, o...) }},
 			Case{Name: "engine/spin-poll@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(4, 8, o...) }},
+			Case{Name: "engine/local-chain@paper", Suite: "paper", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(4, 8, o...) }},
 			Case{Name: "engine/contended-rmw@paper", Suite: "paper", horizon: 40_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(8, o...) }},
 		)

@@ -118,6 +118,10 @@ func (h *tokenHandle) Acquire(l ptr.Ptr, mode api.Mode, opt api.AcquireOpts) (ap
 		// instead of pretending the deadline was honored.
 		out = api.AcquiredLate
 	}
+	// The grant is logged as soon as the lock is held: with no deadline (no
+	// Now() above) that can be while the acquire's closing Fence is still
+	// elapsing on the simulator (api.Ctx, Completion). Tokens of one lock
+	// stay ordered by its hand-offs either way.
 	return api.Guard{Lock: l, Mode: mode, Token: h.ft.Grant(l), State: st}, out
 }
 

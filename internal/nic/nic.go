@@ -106,17 +106,18 @@ func (n *NIC) Submit(now int64, qp QP, loopback bool, inFlight int) int64 {
 		n.stats.Slowdowns++
 	}
 
-	// QP context lookup: a miss stalls the verb for a PCIe fetch.
+	// QP context lookup: a miss stalls the verb for a PCIe fetch. Only a
+	// miss can be a connection's first verb — a cached context was seen when
+	// it was fetched — so the hit path pays one map lookup, not two.
 	if n.qpc.access(qp) {
 		n.stats.QPCHits++
 	} else {
 		n.stats.QPCMisses++
 		service += n.p.QPCMissPenaltyNS
-	}
-
-	if _, ok := n.seen[qp]; !ok {
-		n.seen[qp] = struct{}{}
-		n.stats.DistinctQPs++
+		if _, ok := n.seen[qp]; !ok {
+			n.seen[qp] = struct{}{}
+			n.stats.DistinctQPs++
+		}
 	}
 	n.freeAt = start + service
 	n.stats.Verbs++

@@ -82,6 +82,11 @@ func TestQPThrashing(t *testing.T) {
 	if n.QPCOccupancy() != 8 {
 		t.Fatalf("cache occupancy %d, want capacity 8", n.QPCOccupancy())
 	}
+	// Sixty misses, twelve connections: a context fetched again after an
+	// eviction is not a new connection.
+	if st.QPCMisses != 60 || st.DistinctQPs != 12 {
+		t.Fatalf("QPCMisses = %d, DistinctQPs = %d, want 60 and 12", st.QPCMisses, st.DistinctQPs)
+	}
 }
 
 func TestWorkingSetWithinCapacityAllHits(t *testing.T) {
@@ -96,6 +101,9 @@ func TestWorkingSetWithinCapacityAllHits(t *testing.T) {
 	for _, qp := range qps { // cold pass
 		now = n.Submit(now, qp, false, 0) + 1
 	}
+	if got := n.Stats().DistinctQPs; got != 8 {
+		t.Fatalf("DistinctQPs = %d after the cold pass, want 8", got)
+	}
 	n.ResetStats()
 	for round := 0; round < 10; round++ {
 		for _, qp := range qps {
@@ -108,6 +116,9 @@ func TestWorkingSetWithinCapacityAllHits(t *testing.T) {
 	}
 	if st.QPCHits != 80 {
 		t.Fatalf("QPCHits = %d, want 80", st.QPCHits)
+	}
+	if st.DistinctQPs != 0 {
+		t.Fatalf("DistinctQPs = %d on the warm passes, want 0 (hits are never first verbs)", st.DistinctQPs)
 	}
 }
 

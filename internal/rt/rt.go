@@ -154,6 +154,10 @@ func casWord(addr *uint64, old, new uint64) uint64 {
 }
 
 // --- Local class ---
+//
+// Write, Fence and Pause complete before they return: the synchronous
+// implementation of api.Ctx's completion contract (internal/sim is the one
+// that lets them return early).
 
 func (t *thread) Read(p ptr.Ptr) uint64     { return atomic.LoadUint64(t.addr(p)) }
 func (t *thread) Write(p ptr.Ptr, v uint64) { atomic.StoreUint64(t.addr(p), v) }

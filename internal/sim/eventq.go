@@ -17,6 +17,22 @@
 // standard-library heap the tests replay it against (reference_test.go).
 // eventLess is that order's definition.
 //
+// The root may be open. Nearly every event the engine pops pushes its own
+// successor a few instructions later — a poll's next poll, a resumed thread's
+// next operation, a verb's next protocol step — which is the classic hold.
+// Moving the last entry to the root and sifting it to the bottom, only for
+// the new event to be sifted up from the bottom again, does that in two
+// passes over the heap; so pop just takes the root and leaves the hole, and
+// the push that follows drops the new event into it and sifts down, stopping
+// as soon as the event is in place — one pass, usually a level or two, since
+// the successor is rarely far in the future. A pop that finds the hole still
+// open (the event pushed nothing here: a thread exit, a cross-shard send)
+// closes it the classic way first. len discounts the hole; min under an open
+// root is the smallest of the root's children, one tournament whose answer is
+// remembered (child) so that the fill or the close starts from it — that is
+// the test tryAdvance makes before almost every push. Pop order does not
+// depend on any of this: (at, seq) is total.
+//
 // Sift-down picks the smallest of a full group of four children with a
 // branch-free tournament over lessBit, eventLess's 0/1 form. The heap is
 // shallow and cache-resident (192 entries are 6 KiB), so what a pop costs is
@@ -24,15 +40,23 @@
 // earliest is close to a coin toss per level, and a two-field compare inside
 // a pick-the-minimum loop is two such branches per sibling. The tournament
 // turns them into index arithmetic and keeps one branch per level — "does ev
-// stop here" — which is almost always "no". lessBit is tested equal to
-// eventLess on the adversarial pairs (eventq_test.go).
+// stop here". lessBit is tested equal to eventLess on the adversarial pairs
+// (eventq_test.go).
 package sim
 
 import "math/bits"
 
-// eventQueue is a 4-ary min-heap ordered by (at, seq).
+// eventQueue is a 4-ary min-heap ordered by (at, seq) whose root may be open.
 type eventQueue struct {
 	ev []event
+	// open marks ev[0] as a hole: pop took the root and nothing has been
+	// seated there yet. The next push fills it from the top; a pop that
+	// comes first closes it with the last entry.
+	open bool
+	// child, while the root is open, is the index of the smallest of the
+	// root's children once min has looked (0: not yet). Nothing moves under an
+	// open root, so the push or pop that ends it starts from that answer.
+	child int
 }
 
 // eventLess is the engine's total event order: virtual time, then insertion
@@ -44,14 +68,42 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
+func (q *eventQueue) len() int {
+	if q.open {
+		return len(q.ev) - 1
+	}
+	return len(q.ev)
+}
 
-// min returns the earliest event without removing it. It must not be called
-// on an empty queue.
-func (q *eventQueue) min() event { return q.ev[0] }
+// min returns the earliest event without removing it (a pointer for reading,
+// good until the next push or pop). It must not be called on an empty queue.
+// (The closed-root case is small enough to inline; keep it so.)
+func (q *eventQueue) min() *event {
+	if q.open {
+		return q.minUnderHole()
+	}
+	return &q.ev[0]
+}
 
-// push inserts ev, sifting it up to its heap position.
+// minUnderHole is min under an open root: the smallest of the root's
+// children, looked for once per hole. (Out of line so that min inlines.)
+//
+//go:noinline
+func (q *eventQueue) minUnderHole() *event {
+	if q.child == 0 {
+		q.child = q.minChild(1)
+	}
+	return &q.ev[q.child]
+}
+
+// push inserts ev: into the open root and down to its heap position if pop
+// left one, else at the bottom and up.
 func (q *eventQueue) push(ev event) {
+	if q.open {
+		q.open = false
+		q.siftDown(ev)
+		return
+	}
 	q.ev = append(q.ev, ev)
 	i := len(q.ev) - 1
 	for i > 0 {
@@ -65,18 +117,23 @@ func (q *eventQueue) push(ev event) {
 	q.ev[i] = ev
 }
 
-// pop removes and returns the earliest event. It must not be called on an
-// empty queue. The backing slice is retained for reuse.
+// pop removes and returns the earliest event, leaving the root open. It must
+// not be called on an empty queue. The backing slice is retained for reuse.
 func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	last := q.ev[n]
-	q.ev[n] = event{} // drop the *Thread reference for the GC
-	q.ev = q.ev[:n]
-	if n > 0 {
+	if q.open {
+		// Nothing was pushed since the last pop: close its hole with the
+		// last entry before opening the next.
+		n := len(q.ev) - 1
+		last := q.ev[n]
+		q.ev[n] = event{} // drop the *Thread reference for the GC
+		q.ev = q.ev[:n]
+		if q.child == n {
+			q.child = 0 // the remembered child was that last entry
+		}
 		q.siftDown(last)
 	}
-	return top
+	q.open = true
+	return q.ev[0]
 }
 
 // lessBit is eventLess as 0 or 1, computed without a branch: the final
@@ -91,36 +148,54 @@ func lessBit(a, b *event) int {
 	return int(borrow)
 }
 
-// siftDown places ev (logically at the root) at its heap position.
+// minChild returns the index of the smallest entry of the sibling group that
+// starts at first, which must exist. (siftDown's loop carries its own copy of
+// the full-group case: the function is past the inlining budget, and a call
+// per level shows.)
+func (q *eventQueue) minChild(first int) int {
+	n := len(q.ev)
+	if first+4 <= n {
+		c := (*[4]event)(q.ev[first : first+4])
+		a := lessBit(&c[1], &c[0])
+		b := 2 + lessBit(&c[3], &c[2])
+		return first + a + (b-a)*lessBit(&c[b&3], &c[a&3])
+	}
+	best := first
+	for c := first + 1; c < n; c++ {
+		if eventLess(q.ev[c], q.ev[best]) {
+			best = c
+		}
+	}
+	return best
+}
+
+// siftDown seats ev in the hole at the root, moving the hole down past every
+// child earlier than ev.
 func (q *eventQueue) siftDown(ev event) {
 	n := len(q.ev)
-	i := 0
+	i, best := 0, q.child
+	q.child = 0
 	for {
-		first := i<<2 + 1 // leftmost child
-		if first >= n {
-			break
-		}
-		// Pick the smallest of up to four children.
-		best := first
-		if first+4 <= n {
-			// A full group: two semifinals and a final, each a 0/1 index
-			// step instead of a branch on which event is earlier.
-			c := (*[4]event)(q.ev[first : first+4])
-			a := lessBit(&c[1], &c[0])
-			b := 2 + lessBit(&c[3], &c[2])
-			best += a + (b-a)*lessBit(&c[b&3], &c[a&3])
-		} else {
-			for c := first + 1; c < n; c++ {
-				if eventLess(q.ev[c], q.ev[best]) {
-					best = c
-				}
+		if best == 0 {
+			first := i<<2 + 1 // leftmost child
+			if first+4 <= n {
+				// A full group: two semifinals and a final, each a 0/1 index
+				// step instead of a branch on which event is earlier.
+				c := (*[4]event)(q.ev[first : first+4])
+				a := lessBit(&c[1], &c[0])
+				b := 2 + lessBit(&c[3], &c[2])
+				best = first + a + (b-a)*lessBit(&c[b&3], &c[a&3])
+			} else if first < n {
+				best = q.minChild(first)
+			} else {
+				break
 			}
 		}
 		if !eventLess(q.ev[best], ev) {
 			break
 		}
 		q.ev[i] = q.ev[best]
-		i = best
+		i, best = best, 0
 	}
 	q.ev[i] = ev
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,14 +15,27 @@ import (
 
 // TestEventQueueMatchesOracle drives random (at, seq) schedules through the
 // typed 4-ary heap and the container/heap reference (reference_test.go)
-// with interleaved pops and asserts identical pop order. (at, seq) is a total order, so any
-// divergence is a queue bug, not tie-break slack. Besides the 10k-event
-// run, the queue is held at every size in 1..9 and 4k..4k+4 (k = 4, 16, 48):
-// with n entries a sift-down scans a full group of four where 4i+5 <= n and
-// a partial one at the seam, so neighbouring sizes cross from the
-// tournament to the loop and back. seq carries a shard tag in its high
-// bits as the windowed executor's does, node 128 and up setting bit 63.
+// and asserts identical pop order, min and len. (at, seq) is a total order,
+// so any divergence is a queue bug, not tie-break slack. Besides the
+// 10k-event random walk, the queue is held at every size in 1..9 and
+// 4k..4k+4 (k = 4, 16, 48): with n entries a sift-down scans a full group of
+// four where 4i+5 <= n and a partial one at the seam, so neighbouring sizes
+// cross from the tournament to the loop and back, and the small ones put the
+// last entry among the root's children. At each size it runs op scripts that
+// cross every state of the open root — filled by the next push, closed by the
+// next pop, looked under by min (whose answer the fill or the close then
+// starts from) and len, emptied, refilled from empty, and scattered onto a
+// second queue as runWindowed does. seq carries a shard tag in its high bits
+// as the windowed executor's does, node 128 and up setting bit 63.
 func TestEventQueueMatchesOracle(t *testing.T) {
+	// o pops, u pushes, m and l compare min and len; every script is balanced.
+	// D drains to empty and refills; S scatters onto the spare queue, which
+	// becomes the queue (the old one is left with its root open, and takes
+	// the next scatter).
+	scripts := []string{
+		"ou", "oouu", "ouuo", "omlu", "omu", "olu", "omolmuu", "omomomuuu",
+		"oolmuu", "ouomuou", "D", "ou", "S", "omlu", "oouu", "S", "D", "S", "mlou",
+	}
 	holds := []int{0} // 0: no hold, the 10k random walk
 	for n := 1; n <= 9; n++ {
 		holds = append(holds, n)
@@ -32,44 +46,106 @@ func TestEventQueueMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, hold := range holds {
-		target := 10_000
-		if hold > 0 {
-			target = 40 * hold
-		}
 		rng := rand.New(rand.NewSource(20260808 + int64(hold)))
-		var q eventQueue
+		q, spare := new(eventQueue), new(eventQueue)
 		var o eventHeap
 		var ctr uint64
-		pending := 0
-		pushed := 0
-		for pushed < target || pending > 0 {
-			// Bias toward pushes until the target, then drain; a held queue
-			// pops only at its size, so every pop sifts through that shape.
-			push := pushed < target && (pending == 0 || rng.Intn(3) != 0)
-			if hold > 0 {
-				push = pushed < target && pending < hold
-			}
-			if push {
-				ctr++
-				shard := uint64(rng.Intn(4)) * 85 // 0, 85, 170, 255
-				// Clustered times force plenty of exact ties broken by seq.
-				ev := event{at: int64(rng.Intn(64)), seq: shard<<seqShardShift | ctr}
-				q.push(ev)
-				heap.Push(&o, ev)
-				pushed++
-				pending++
-				continue
-			}
-			got, want := q.pop(), heap.Pop(&o).(event)
+		pops := 0
+		push := func() {
+			ctr++
+			shard := uint64(rng.Intn(4)) * 85 // 0, 85, 170, 255
+			// Clustered times force plenty of exact ties broken by seq.
+			ev := event{at: int64(rng.Intn(64)), seq: shard<<seqShardShift | ctr}
+			q.push(ev)
+			heap.Push(&o, ev)
+		}
+		pop := func(from *eventQueue) event {
+			got, want := from.pop(), heap.Pop(&o).(event)
 			if got != want {
 				t.Fatalf("hold %d: pop %d diverged: typed (at=%d seq=%d), oracle (at=%d seq=%d)",
-					hold, pushed-pending, got.at, got.seq, want.at, want.seq)
+					hold, pops, got.at, got.seq, want.at, want.seq)
 			}
-			pending--
+			pops++
+			return got
 		}
-		if q.len() != 0 || o.Len() != 0 {
-			t.Fatalf("hold %d: queues not drained: typed %d, oracle %d", hold, q.len(), o.Len())
+		peek := func(min, length bool) {
+			if length && q.len() != o.Len() {
+				t.Fatalf("hold %d: after %d pops len() = %d, oracle holds %d", hold, pops, q.len(), o.Len())
+			}
+			if min && o.Len() > 0 && *q.min() != o[0] {
+				t.Fatalf("hold %d: after %d pops min() = (at=%d seq=%d), oracle (at=%d seq=%d)",
+					hold, pops, q.min().at, q.min().seq, o[0].at, o[0].seq)
+			}
 		}
+		if hold == 0 {
+			for pushed := 0; pushed < 10_000 || o.Len() > 0; {
+				// Bias toward pushes until the target, then drain; look under
+				// the root after a third of the ops.
+				if pushed < 10_000 && (o.Len() == 0 || rng.Intn(3) != 0) {
+					push()
+					pushed++
+				} else {
+					pop(q)
+				}
+				if rng.Intn(3) == 0 {
+					peek(rng.Intn(2) == 0, rng.Intn(2) == 0)
+				}
+			}
+			peek(false, true)
+			continue
+		}
+		for o.Len() < hold {
+			push()
+		}
+		for round := 0; round < 12; round++ {
+			for _, script := range scripts {
+				if hold < strings.Count(script, "o") {
+					continue // would pop an empty queue
+				}
+				for _, op := range script {
+					switch op {
+					case 'o':
+						pop(q)
+					case 'u':
+						push()
+					case 'm':
+						peek(true, false)
+					case 'l':
+						peek(false, true)
+					case 'D':
+						for o.Len() > 0 {
+							pop(q)
+						}
+						peek(false, true)
+						for o.Len() < hold {
+							push()
+						}
+					case 'S':
+						var moved []event
+						for q.len() > 0 {
+							ev := q.pop()
+							spare.push(ev)
+							moved = append(moved, ev)
+						}
+						for i := 1; i < len(moved); i++ {
+							if !eventLess(moved[i-1], moved[i]) {
+								t.Fatalf("hold %d: scatter popped (at=%d seq=%d) before (at=%d seq=%d)", hold,
+									moved[i-1].at, moved[i-1].seq, moved[i].at, moved[i].seq)
+							}
+						}
+						q, spare = spare, q
+					}
+				}
+				if o.Len() != hold {
+					t.Fatalf("script %q is not balanced", script)
+				}
+				peek(false, true)
+			}
+		}
+		for o.Len() > 0 {
+			pop(q)
+		}
+		peek(false, true)
 	}
 }
 
@@ -158,6 +234,37 @@ func BenchmarkEventQueueHold(b *testing.B) {
 				ev.at += delays[i&(len(delays)-1)]
 				ev.seq = seq
 				q.push(ev)
+			}
+		})
+	}
+	// The same model two events at a time — pop, pop, push, push — which is
+	// what the queue sees when an event pushes nothing (a thread exit, a
+	// cross-shard send, a torn write half) or the executor looks at the next
+	// head first: the second pop closes the first one's hole with the last
+	// entry, the classic way. One op is still one hold.
+	for _, depth := range []int{16, 192, 600} {
+		b.Run("unfused/"+strconv.Itoa(depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(depth)))
+			delays := make([]int64, 1<<12)
+			for i := range delays {
+				delays[i] = mix[rng.Intn(len(mix))]
+			}
+			var q eventQueue
+			var seq uint64
+			for i := 0; i < depth; i++ {
+				seq++
+				q.push(event{at: delays[i], seq: seq})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i += 2 {
+				ev1, ev2 := q.pop(), q.pop()
+				seq += 2
+				ev1.at += delays[i&(len(delays)-1)]
+				ev1.seq = seq - 1
+				ev2.at += delays[(i+1)&(len(delays)-1)]
+				ev2.seq = seq
+				q.push(ev1)
+				q.push(ev2)
 			}
 		})
 	}

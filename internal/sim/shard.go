@@ -130,11 +130,10 @@ func (s *shard) nextSeq() uint64 {
 func (s *shard) runWindow() {
 	defer s.active.Store(false)
 	for s.q.len() > 0 {
-		ev := s.q.min()
-		if ev.at >= s.wend {
+		if s.q.min().at >= s.wend {
 			return
 		}
-		s.q.pop()
+		ev := s.q.pop()
 		if ev.at < s.now {
 			s.trap = fmt.Errorf("sim: shard %d: time went backwards (%dns after %dns)", s.node, ev.at, s.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
 			return
@@ -149,8 +148,8 @@ func (s *shard) runWindow() {
 			hook(s, ev)
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
-			if ev.th.spin.on && !ev.th.stepSpin() {
-				continue // a poll that did not end the wait: the thread stays parked
+			if ev.th.nops != 0 && !ev.th.step() {
+				continue // the thread's next local op is under way: it stays parked
 			}
 			if s.trap = ev.th.resume(); s.trap != nil {
 				return

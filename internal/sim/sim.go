@@ -3,12 +3,13 @@
 //
 // Simulated threads are pull coroutines (iter.Pull) running ordinary
 // blocking Go code against the api.Ctx interface. Under the serial engine
-// exactly one of them executes at a time: every memory operation suspends
-// the thread until its completion event fires on the virtual clock, and the
-// executor resumes threads in strict (time, sequence) order. Memory effects
-// therefore apply in a single global order — the engine is sequentially
-// consistent at event granularity, which is the memory model the paper's
-// algorithms require once the prescribed fences are in place (§5.2).
+// exactly one of them executes at a time: every memory operation takes effect
+// when its completion event fires on the virtual clock, in strict (time,
+// sequence) order, and a thread that needs an operation's result is suspended
+// until then. Memory effects therefore apply in a single global order — the
+// engine is sequentially consistent at event granularity, which is the memory
+// model the paper's algorithms require once the prescribed fences are in
+// place (§5.2).
 //
 // Layering (this file + shard.go): the engine is partitioned by node. Each
 // node owns a shard — its sequence counter, its NIC, its threads' wakeups,
@@ -42,23 +43,36 @@
 // interleaving.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
-// interface boxing, zero allocations per event in steady state — and there
-// is one thread-switch primitive. The executor (ProcessNextEvent, or
-// shard.runWindow on the claiming worker) is always the resumer: it pops an
-// event and, for a wake-up or completion, calls Thread.resume, which runs
-// the thread's coroutine until Thread.suspend yields back. A coroutine
-// switch is a direct goroutine-to-goroutine transfer inside the runtime —
-// no channel, no scheduler pass. The one wait that does not switch per event
-// is api.Ctx.SpinWhile, the local poll loop `for Read(p) == v { Pause(i) }`
-// that ALock's waiters sit in: the thread parks the loop's registers
-// (Thread.spin) and the executor steps the loop itself (Thread.stepSpin) each
-// time it pops that thread's wake-up — same events, same instants, same push
-// order as the loop written out — and resumes the coroutine only when the
-// wait is over. block and stepSpin share tryAdvance, the test for whether a
-// wait can advance the clock in place instead of scheduling. The package's
-// tests replay the ProcessNextEvent loop against the standard-library heap
-// as the bit-exact reference (reference_test.go), and SpinWhile against the
-// loop it is defined as (spin_test.go).
+// interface boxing, zero allocations per event in steady state, and a pop
+// that leaves the root open for the popped event's own successor to fill —
+// and there is one thread-switch primitive. The executor (ProcessNextEvent,
+// or shard.runWindow on the claiming worker) is always the resumer: it pops
+// an event and, for a wake-up or completion, calls Thread.resume, which runs
+// the thread's coroutine until Thread.suspend yields back. A coroutine switch
+// is a direct goroutine-to-goroutine transfer inside the runtime — no
+// channel, no scheduler pass — and still the dearest thing an event can do,
+// so an event pays for one only when the thread's code has something to
+// learn from it. Local operations (and the two legs of an untorn loopback
+// verb) are posted: the call appends the operation to a small per-thread
+// FIFO (Thread.post) and Write, Fence and Pause, which return nothing, return
+// at once. The executor that pops the head operation's wake-up completes it —
+// applies the store, reads the word — and starts the next one itself
+// (Thread.step), exactly as the resumed thread would have: same event, same
+// instant, same seq, same place in the shard's push order, because between
+// two api.Ctx calls a thread can schedule nothing. The coroutine is resumed
+// when the FIFO is empty, which is when a call that returns a value or the
+// time, touches a NIC or the allocator, or burns Work has what it waited for
+// (Thread.drain); `Write; Write; CAS` is three events and one resume, and
+// api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one
+// FIFO entry however many polls it takes. post and step share tryAdvance, the
+// test for whether an operation can advance the clock in place instead of
+// scheduling. api.Ctx states the contract this puts on callers (Go state
+// shared between threads is ordered by a completing call, never by a bare
+// Write returning). The package's tests replay the ProcessNextEvent loop
+// against the standard-library heap as the bit-exact reference
+// (reference_test.go), SpinWhile against the loop it is defined as
+// (spin_test.go) and posted operations against the same programs with every
+// operation completed before the next is issued (posted_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -530,8 +544,8 @@ func (e *Engine) ProcessNextEvent() bool {
 	e.account(ev.at)
 	e.setCurShard(ev)
 	if ev.kind == evWake || ev.kind == evComplete {
-		if ev.th.spin.on && !ev.th.stepSpin() {
-			return true // a poll that did not end the wait: the thread stays parked
+		if ev.th.nops != 0 && !ev.th.step() {
+			return true // the thread's next local op is under way: it stays parked
 		}
 		if err := ev.th.resume(); err != nil {
 			e.stopThreads()
@@ -616,40 +630,68 @@ type Thread struct {
 	shard *shard // the thread's node's shard: its timeline authority
 	id    int
 	node  int
+	// head, nops and ops (below) are the FIFO of the thread's issued local
+	// operations: nops of them have been posted since it was last empty, and
+	// ops[head] is the one whose latency is elapsing (its evWake is
+	// scheduled). The thread appends (post); the executor that pops each evWake
+	// completes the head and starts the next (step), and resumes the coroutine
+	// only once the FIFO is empty. The two never interleave — the thread runs
+	// only while the executor does not, and one that waits on its FIFO waits
+	// for all of it — so the FIFO fills from slot 0 and never wraps. result is
+	// what the last Read, CAS or SpinWhile to complete returns to its caller.
+	// (The cursors share the struct's first cache line with what every event
+	// reads anyway: under the windowed executor a shard's threads move between
+	// cores from window to window, line by line.)
+	head, nops int
+	result     uint64
+	// resumes counts coroutine switches into the thread (tests assert that
+	// what the executor completes costs none).
+	resumes uint64
 	// The thread's coroutine (iter.Pull over run): next switches to the
 	// body until it calls yield or returns, stop unwinds a body that has not
 	// finished. Only the executor calls next, only stopThreads calls stop.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	stop  func()
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+	exited bool
+	err    error // the body's panic, for the executor to raise on the driver
+	ops    [8]localOp
 	// rng is the thread's workload stream (api.Ctx.Rand); fabric feeds the
 	// wire-jitter failure injection. Separate PartitionedRNG streams, so
 	// algorithm-side draws never shift the fabric's failure schedule.
 	rng    *rand.Rand
 	fabric *rand.Rand
 	fn     func(api.Ctx)
-	exited bool
-	err    error // the body's panic, for the executor to raise on the driver
 	verb   verbState
-	spin   spinState
-	// resumes counts coroutine switches into the thread (tests assert that a
-	// parked spin costs none).
-	resumes uint64
 }
 
-// spinState is a SpinWhile loop's registers, parked on the Thread so the
-// executor can step the loop (stepSpin) without switching to the coroutine.
-// on marks the loop as in progress — the thread's next evWake belongs to it;
-// read tells which of the loop's two blocks elapsed last: the poll's read
-// latency (true: the word is read next) or the Pause after a failed poll,
-// which is also where the loop starts (false: the next read is issued).
-type spinState struct {
+// Local operation kinds: what step does when a FIFO entry's latency has
+// elapsed.
+const (
+	opWait     uint8 = iota // nothing: Fence, Pause, Work, a timed leg of a torn loopback RCAS
+	opWrite                 // store val to p
+	opRead                  // result = the word at p
+	opCAS                   // result = the word at p, which becomes val if it was old
+	opSpin                  // one block of a SpinWhile loop, see step
+	opLoopDone              // a loopback verb's completion: retire its NIC occupancy
+)
+
+// localOp is one entry of a thread's FIFO: an operation on the thread's own
+// node that costs d of virtual time from the moment the entry before it
+// completed (or from its issue, on an empty FIFO) and takes effect when that
+// has elapsed. An opSpin entry holds the SpinWhile loop's registers: old is
+// the value waited on, iter the failed polls so far, and read tells which of
+// the loop's two blocks is elapsing — the poll's read latency (true: the word
+// is read next) or the Pause after a failed poll (false: the next read is
+// issued).
+type localOp struct {
+	kind     uint8
+	read     bool
+	iter     int32
 	p        ptr.Ptr
-	v        uint64
+	old, val uint64
+	d        int64
 	deadline int64
-	iter     int
-	on, read bool
-	result   uint64
 }
 
 var _ api.Ctx = (*Thread)(nil)
@@ -672,14 +714,15 @@ func (t *Thread) run(yield func(struct{}) bool) {
 		}
 	}()
 	t.fn(t)
+	t.drain() // what the body left posted still lands, at its instants
 	t.exited = true
 }
 
 // resume runs the thread on the calling goroutine's time until it suspends
 // again or exits, and returns the body's panic, if it raised one. The
 // executor — ProcessNextEvent, or shard.runWindow on the worker that claimed
-// the thread's shard — is the only caller, and for a thread parked inside
-// SpinWhile it calls stepSpin first and resume only once that ended the wait.
+// the thread's shard — is the only caller, and for a thread with local ops
+// posted it calls step first and resume only once that emptied the FIFO.
 // (Small enough to inline into both pop loops; keep it so.)
 func (t *Thread) resume() error {
 	t.resumes++
@@ -705,12 +748,100 @@ func (t *Thread) now() int64 {
 	return t.e.now
 }
 
-// block suspends the thread until virtual time `at`, unless tryAdvance could
-// take it there without a switch.
-func (t *Thread) block(at int64) {
-	if !t.tryAdvance(at) {
-		t.suspend()
+// post issues a local operation: it appends op to the thread's FIFO (waiting
+// for the FIFO to drain first if it is full) and returns. An op that is alone
+// in the FIFO starts now — through tryAdvance, so it may also complete now;
+// one behind others is started by step when its predecessor completes. The
+// thread's code runs on either way: between two api.Ctx calls a thread can
+// schedule nothing, so whether it or the executor starts the next op, the same
+// event takes the same seq at the same point of the shard's push order.
+func (t *Thread) post(op localOp) {
+	if t.nops == len(t.ops) {
+		t.drain()
 	}
+	t.ops[t.nops] = op
+	t.nops++
+	if t.nops == 1 && t.tryAdvance(t.now()+op.d) {
+		t.step()
+	}
+}
+
+// drain returns once every posted operation has completed. Every api.Ctx call
+// that returns a value or the time, touches a NIC or the allocator, or burns
+// Work comes through here, and so does thread exit.
+func (t *Thread) drain() {
+	if t.nops != 0 {
+		t.suspend() // step's caller resumes the thread when the FIFO is empty
+	}
+}
+
+// step runs the thread's FIFO from the moment its head's latency has elapsed:
+// it completes the head, starts the entry behind it and carries on for as long
+// as tryAdvance moves the clock in place. It reports true when the FIFO is
+// empty — the executor then resumes the coroutine — and false when it has
+// scheduled the evWake of the entry now at the head. It runs on whichever side
+// of the thread switch got there: the coroutine for an op that completes at
+// issue, ProcessNextEvent or shard.runWindow when they pop the thread's evWake.
+//
+// A SpinWhile entry is the loop
+//
+//	for iter := 0; ; iter++ {
+//		if got := Read(p); got != old { return got }
+//		if deadline > 0 && Now() >= deadline { return old }
+//		Pause(iter)
+//	}
+//
+// taken one block at a time: it stays at the head until a poll ends the loop.
+// Every block of every kind goes through tryAdvance exactly as it would with
+// the thread resumed in between, so the events counted, the sequence numbers
+// consumed and the push order on the shard are those of that program.
+func (t *Thread) step() bool {
+	e := t.e
+	for {
+		op := &t.ops[t.head]
+		more := false // an opSpin with another block to run
+		switch op.kind {
+		case opWrite:
+			*e.space.WordAddr(op.p) = op.val
+		case opRead:
+			t.result = *e.space.WordAddr(op.p)
+		case opCAS:
+			// A local CAS deliberately ignores any in-flight torn remote RMW on
+			// the same word: local RMW is not atomic with remote RMW (Table 1),
+			// and modeling that is the point.
+			addr := e.space.WordAddr(op.p)
+			t.result = *addr
+			if t.result == op.old {
+				*addr = op.val
+			}
+		case opSpin:
+			if !op.read { // the Pause has elapsed: issue the next poll
+				op.read, op.d, more = true, e.p.LocalReadNS, true
+			} else if t.result = *e.space.WordAddr(op.p); t.result == op.old &&
+				(op.deadline <= 0 || t.now() < op.deadline) { // a failed poll: back off
+				op.read, op.d, more = false, e.spinBackoff(int(op.iter)), true
+				op.iter++
+			}
+		case opLoopDone:
+			e.loopInFlight[t.node]--
+		}
+		if !more {
+			if t.head++; t.head == t.nops {
+				t.head, t.nops = 0, 0
+				return true
+			}
+			op = &t.ops[t.head]
+		}
+		if !t.tryAdvance(t.now() + op.d) {
+			return false
+		}
+	}
+}
+
+// block suspends the thread until virtual time `at`: a posted wait, drained.
+func (t *Thread) block(at int64) {
+	t.post(localOp{d: at - t.now()})
+	t.drain()
 }
 
 // tryAdvance moves the thread to virtual time `at` (clamped to the clock). It
@@ -719,10 +850,11 @@ func (t *Thread) block(at int64) {
 // on the thread's own shard, within the safe window, under the windowed one
 // (no other shard can affect this one inside the window, by the lookahead
 // contract) — so the clock advanced in place. Otherwise it has scheduled the
-// thread's evWake at `at` and reports false: the caller parks (block, on the
-// coroutine) or returns to its pop loop (stepSpin, on the executor). Exactly
-// one event is counted either way, so the events counter is mode-independent;
-// a blown budget always takes the scheduled path, where the pop traps it.
+// thread's evWake at `at` and reports false: the caller carries on with the
+// thread's code (post, on the coroutine) or returns to its pop loop (step, on
+// the executor). Exactly one event is counted either way, so the events
+// counter is mode-independent; a blown budget always takes the scheduled path,
+// where the pop traps it.
 func (t *Thread) tryAdvance(at int64) bool {
 	e := t.e
 	if e.windowed {
@@ -759,10 +891,14 @@ func (t *Thread) NodeID() int { return t.node }
 func (t *Thread) ThreadID() int { return t.id }
 
 // Now implements api.Ctx.
-func (t *Thread) Now() int64 { return t.now() }
+func (t *Thread) Now() int64 {
+	t.drain()
+	return t.now()
+}
 
 // Stopped implements api.Ctx.
 func (t *Thread) Stopped() bool {
+	t.drain()
 	e := t.e
 	if e.windowed {
 		return e.stopRequested.Load() || t.shard.now >= e.stopAt
@@ -775,11 +911,15 @@ func (t *Thread) Rand() *rand.Rand { return t.rng }
 
 // Alloc implements api.Ctx: allocation lands on the thread's own node.
 func (t *Thread) Alloc(words, align int) ptr.Ptr {
+	t.drain() // the allocator is shared: allocations keep their event order
 	return t.e.space.Alloc(t.node, words, align)
 }
 
 // Free implements api.Ctx.
-func (t *Thread) Free(p ptr.Ptr) { t.e.space.Free(p) }
+func (t *Thread) Free(p ptr.Ptr) {
+	t.drain()
+	t.e.space.Free(p)
+}
 
 // auditLocal rejects shared-memory operations on another node's words when
 // the access audit is on: a thread's local loads and stores reach only its
@@ -794,39 +934,36 @@ func (t *Thread) auditLocal(p ptr.Ptr) {
 }
 
 // --- Local (shared-memory) operations ---
+//
+// Write, Fence and Pause return once posted; Read, CAS, SpinWhile and Work
+// post and wait, so a run of them costs one resume, not one each.
 
 // Read implements api.Ctx.
 func (t *Thread) Read(p ptr.Ptr) uint64 {
 	t.auditLocal(p)
-	t.block(t.now() + t.e.p.LocalReadNS)
-	return *t.e.space.WordAddr(p)
+	t.post(localOp{kind: opRead, p: p, d: t.e.p.LocalReadNS})
+	t.drain()
+	return t.result
 }
 
 // Write implements api.Ctx.
 func (t *Thread) Write(p ptr.Ptr, v uint64) {
 	t.auditLocal(p)
-	t.block(t.now() + t.e.p.LocalWriteNS)
-	*t.e.space.WordAddr(p) = v
+	t.post(localOp{kind: opWrite, p: p, val: v, d: t.e.p.LocalWriteNS})
 }
 
-// CAS implements api.Ctx. Note that a local CAS deliberately ignores any
-// in-flight torn remote RMW on the same word: local RMW is not atomic with
-// remote RMW (Table 1), and modeling that is the point.
+// CAS implements api.Ctx.
 func (t *Thread) CAS(p ptr.Ptr, old, new uint64) uint64 {
 	t.auditLocal(p)
-	t.block(t.now() + t.e.p.LocalCASNS)
-	addr := t.e.space.WordAddr(p)
-	prev := *addr
-	if prev == old {
-		*addr = new
-	}
-	return prev
+	t.post(localOp{kind: opCAS, p: p, old: old, val: new, d: t.e.p.LocalCASNS})
+	t.drain()
+	return t.result
 }
 
 // Fence implements api.Ctx. The engine is sequentially consistent at event
 // granularity, so the fence only costs time.
 func (t *Thread) Fence() {
-	t.block(t.now() + t.e.p.FenceNS)
+	t.post(localOp{d: t.e.p.FenceNS})
 }
 
 // spinBackoff is Pause's delay after iter failed polls: SpinPollMinNS
@@ -844,64 +981,27 @@ func (e *Engine) spinBackoff(iter int) int64 {
 
 // Pause implements api.Ctx: bounded exponential spin back-off.
 func (t *Thread) Pause(iter int) {
-	t.block(t.now() + t.e.spinBackoff(iter))
+	t.post(localOp{d: t.e.spinBackoff(iter)})
 }
 
-// SpinWhile implements api.Ctx. It is event-for-event the loop
-//
-//	for iter := 0; ; iter++ {
-//		if got := t.Read(p); got != v { return got }
-//		if deadlineNS > 0 && t.Now() >= deadlineNS { return v }
-//		t.Pause(iter)
-//	}
-//
-// but the coroutine runs only the part of it that needs no wake-up: once a
-// block has to be scheduled the thread parks with the loop's registers in
-// t.spin, and the executor that pops each evWake steps the loop itself
-// (stepSpin), switching to the coroutine only when the wait is over.
+// SpinWhile implements api.Ctx: the loop in step's comment, as one FIFO entry
+// that the executor takes block by block, switching to the coroutine only
+// when the wait is over.
 func (t *Thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 	t.auditLocal(p)
-	t.spin = spinState{p: p, v: v, deadline: deadlineNS, on: true}
-	if !t.stepSpin() {
-		t.suspend()
-	}
-	return t.spin.result
+	t.post(localOp{kind: opSpin, read: true, p: p, old: v, d: t.e.p.LocalReadNS, deadline: deadlineNS})
+	t.drain()
+	return t.result
 }
 
-// stepSpin runs t's SpinWhile loop from the point where its pending block
-// has elapsed, on whichever side of the thread switch is executing: the
-// coroutine for the inline head of the loop, then ProcessNextEvent or
-// shard.runWindow each time they pop the loop's evWake. It reports true when
-// the loop has ended (t.spin.result is set and t.spin.on cleared), false when
-// it scheduled the next evWake. Each block goes through tryAdvance exactly as
-// Read's and Pause's do, so the events counted, the sequence numbers consumed
-// and the push order on the shard are those of the loop written out.
-func (t *Thread) stepSpin() bool {
-	e, sp := t.e, &t.spin
-	for {
-		d := e.p.LocalReadNS
-		if sp.read {
-			got := *e.space.WordAddr(sp.p)
-			if got != sp.v || (sp.deadline > 0 && t.now() >= sp.deadline) {
-				sp.result, sp.on = got, false
-				return true
-			}
-			d = e.spinBackoff(sp.iter)
-			sp.iter++
-		}
-		sp.read = !sp.read
-		if !t.tryAdvance(t.now() + d) {
-			return false
-		}
-	}
-}
-
-// Work implements api.Ctx.
+// Work implements api.Ctx. It returns when the time has been burnt: callers
+// bracket it with Go-side bookkeeping (a critical section's entry and exit)
+// that other threads read.
 func (t *Thread) Work(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		t.post(localOp{d: d.Nanoseconds()})
 	}
-	t.block(t.now() + d.Nanoseconds())
+	t.drain()
 }
 
 // --- Remote (RDMA one-sided) operations ---
@@ -922,10 +1022,13 @@ func (t *Thread) verbWire() int64 {
 // node's memory through its own RNIC): both verb halves occupy the own
 // NIC, the only wire is PCIe, and both halves count as PCIe-hungry
 // loopback traffic for the congestion model. Everything it touches is
-// own-shard state, so the loopback path stays synchronous in every mode.
-// The caller decrements loopInFlight when the verb completes.
+// own-shard state, so the loopback path stays on the thread's own timeline in
+// every mode. The caller retires loopInFlight when the verb completes. Like
+// remoteVerb it reserves NIC service at the issue instant, so both first wait
+// for the thread's posted local ops.
 func (t *Thread) loopVerbTimes(p ptr.Ptr) (execAt, doneAt int64) {
 	e := t.e
+	t.drain()
 	t.verbWire() // consume the fabric draw; loopback rides PCIe regardless
 	qp := nic.QP{SrcNode: t.node, SrcThread: t.id, DstNode: t.node}
 	wire := e.p.LoopbackWireNS
@@ -946,6 +1049,7 @@ func (t *Thread) loopVerbTimes(p ptr.Ptr) (execAt, doneAt int64) {
 // which is exactly what lets the windowed executor run shards in parallel.
 func (t *Thread) remoteVerb(p ptr.Ptr, op uint8, old, val uint64) uint64 {
 	e := t.e
+	t.drain()
 	wire := t.verbWire()
 	e.remoteInFlight[t.node]++
 	qp := nic.QP{SrcNode: t.node, SrcThread: t.id, DstNode: p.NodeID()}
@@ -957,15 +1061,22 @@ func (t *Thread) remoteVerb(p ptr.Ptr, op uint8, old, val uint64) uint64 {
 	return t.verb.result
 }
 
+// loopVerb runs an untorn loopback verb as two FIFO entries — op takes effect
+// when the verb executes, the completion retires it one PCIe hop later — so
+// the executor carries it from one to the other and the thread resumes once.
+func (t *Thread) loopVerb(op localOp) uint64 {
+	execAt, doneAt := t.loopVerbTimes(op.p)
+	op.d = execAt - t.now()
+	t.post(op)
+	t.post(localOp{kind: opLoopDone, d: doneAt - execAt})
+	t.drain()
+	return t.result
+}
+
 // RRead implements api.Ctx.
 func (t *Thread) RRead(p ptr.Ptr) uint64 {
 	if p.NodeID() == t.node {
-		execAt, doneAt := t.loopVerbTimes(p)
-		t.block(execAt)
-		v := *t.e.space.WordAddr(p)
-		t.block(doneAt)
-		t.e.loopInFlight[t.node]--
-		return v
+		return t.loopVerb(localOp{kind: opRead, p: p})
 	}
 	return t.remoteVerb(p, verbRead, 0, 0)
 }
@@ -973,11 +1084,7 @@ func (t *Thread) RRead(p ptr.Ptr) uint64 {
 // RWrite implements api.Ctx.
 func (t *Thread) RWrite(p ptr.Ptr, v uint64) {
 	if p.NodeID() == t.node {
-		execAt, doneAt := t.loopVerbTimes(p)
-		t.block(execAt)
-		*t.e.space.WordAddr(p) = v
-		t.block(doneAt)
-		t.e.loopInFlight[t.node]--
+		t.loopVerb(localOp{kind: opWrite, p: p, val: v})
 		return
 	}
 	t.remoteVerb(p, verbWrite, 0, v)
@@ -997,18 +1104,11 @@ func (t *Thread) RCAS(p ptr.Ptr, old, new uint64) uint64 {
 	if p.NodeID() != t.node {
 		return t.remoteVerb(p, verbCAS, old, new)
 	}
+	if !t.e.p.TornRCAS {
+		return t.loopVerb(localOp{kind: opCAS, p: p, old: old, val: new})
+	}
 	execAt, doneAt := t.loopVerbTimes(p)
 	t.block(execAt)
-	if !t.e.p.TornRCAS {
-		addr := t.e.space.WordAddr(p)
-		prev := *addr
-		if prev == old {
-			*addr = new
-		}
-		t.block(doneAt)
-		t.e.loopInFlight[t.node]--
-		return prev
-	}
 	// Torn path: wait until no other remote RMW holds the word.
 	for t.shard.tornHeld[p] {
 		t.block(t.now() + t.e.p.SpinPollMinNS)

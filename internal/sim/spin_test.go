@@ -314,21 +314,35 @@ func TestSpinWhileStaysInExecutor(t *testing.T) {
 	defer restore()
 	for _, d := range trapDrivers {
 		t.Run(d.name, func(t *testing.T) {
-			e := New(2, 1024, model.CX3(), 1, d.opts...)
-			w := e.Space().AllocLine(0)
-			waiter := e.Spawn(0, func(ctx api.Ctx) { ctx.SpinWhile(w, 0, 0) })
-			e.Spawn(0, func(ctx api.Ctx) {
-				for ctx.Now() < 500_000 {
-					ctx.Work(5)
+			world := func(spin spinFn) (*Engine, *Thread) {
+				e := New(2, 1024, model.CX3(), 1, d.opts...)
+				w := e.Space().AllocLine(0)
+				waiter := e.Spawn(0, func(ctx api.Ctx) { spin(ctx, w, 0, 0) })
+				e.Spawn(0, func(ctx api.Ctx) {
+					for ctx.Now() < 500_000 {
+						ctx.Work(5)
+					}
+					ctx.Write(w, 1)
+				})
+				d.drive(e)
+				return e, waiter
+			}
+			polls := 0
+			loop, _ := world(func(ctx api.Ctx, p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
+				for ; ; polls++ {
+					if got := ctx.Read(p); got != v {
+						return got
+					}
+					ctx.Pause(polls)
 				}
-				ctx.Write(w, 1)
 			})
-			d.drive(e)
-			if polls := waiter.spin.iter; polls < 1000 {
+			if polls < 1000 {
 				t.Fatalf("wait ended after %d failed polls; the test needs 1000", polls)
 			}
+			method, waiter := world(spinMethod)
+			sameOutcome(t, loop, method)
 			if waiter.resumes > 2 {
-				t.Errorf("a %d-poll wait resumed its coroutine %d times, want <= 2", waiter.spin.iter, waiter.resumes)
+				t.Errorf("a %d-poll wait resumed its coroutine %d times, want <= 2", polls, waiter.resumes)
 			}
 		})
 	}

@@ -141,8 +141,8 @@ func TestTrapStopsThreadGoroutines(t *testing.T) {
 				t.Fatalf("runaway simulation did not trap: %v", r)
 			}
 			for _, th := range parked {
-				if !th.spin.on || th.resumes != 1 {
-					t.Errorf("thread %d was not parked mid-spin at the trap (spin.on=%v, %d resumes)", th.id, th.spin.on, th.resumes)
+				if mid := th.nops == 1 && th.ops[th.head].kind == opSpin; !mid || th.resumes != 1 {
+					t.Errorf("thread %d was not parked mid-spin at the trap (mid-spin=%v, %d resumes)", th.id, mid, th.resumes)
 				}
 			}
 			if unwound != 2 {
@@ -187,6 +187,77 @@ func TestTrapStopsThreadGoroutines(t *testing.T) {
 			}
 			if after := settleGoroutines(before); after > before {
 				t.Errorf("never-resumed threads leaked: %d goroutines before New, %d after", before, after)
+			}
+		})
+	}
+}
+
+// TestTrapWithOpsPosted: the event budget runs out, and a body panics, while
+// threads have Write/Fence posted and their code has run ahead of them — every
+// thread is unwound, no goroutine is left, and the driver gets the message, at
+// the event count, it gets when every op completes before the next is issued.
+func TestTrapWithOpsPosted(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			trapped := func(wrap ctxWrap, boom bool) (*Engine, string) {
+				before := runtime.NumGoroutine()
+				e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(600)}, d.opts...)...)
+				unwound := 0
+				for n := 0; n < 2; n++ {
+					w := e.Space().AllocLine(n)
+					e.Spawn(n, func(raw api.Ctx) {
+						defer func() { unwound++ }()
+						ctx := wrap(raw)
+						for {
+							ctx.Write(w, 1)
+							ctx.Fence()
+						}
+					})
+					e.Spawn(n, func(ctx api.Ctx) { // keeps the loop's ops off the inline path
+						for {
+							ctx.Work(5)
+						}
+					})
+				}
+				if boom {
+					w := e.Space().AllocLine(1)
+					e.Spawn(1, func(raw api.Ctx) { // thread 4
+						ctx := wrap(raw)
+						ctx.Work(900)
+						ctx.Write(w, 1)
+						ctx.Fence()
+						ctx.Now()
+						ctx.Write(w.Add(1), 2)
+						panic("boom-77")
+					})
+				}
+				msg := fmt.Sprint(recovered(func() { d.drive(e) }))
+				if i := strings.IndexByte(msg, '\n'); i >= 0 {
+					msg = msg[:i] // drop the body's stack
+				}
+				if unwound != 2 {
+					t.Errorf("%d of 2 looping bodies were unwound", unwound)
+				}
+				if after := settleGoroutines(before); after > before {
+					t.Errorf("goroutines leaked across the trap: %d before New, %d after", before, after)
+				}
+				return e, msg
+			}
+			post, got := trapped(posted, false)
+			sync, want := trapped(synchronous, false)
+			if got != want || !strings.Contains(got, "livelock") {
+				t.Errorf("event-budget trap: posted %q, synchronous %q", got, want)
+			}
+			sameOutcome(t, sync, post)
+			if p, s := resumesOf(post), resumesOf(sync); p >= s {
+				t.Errorf("the loops were not running ahead of their ops: %d resumes posted, %d synchronous", p, s)
+			}
+			_, got = trapped(posted, true)
+			_, want = trapped(synchronous, true)
+			if got != want || got != "sim: thread 4 panicked: boom-77" {
+				t.Errorf("body panic: posted %q, synchronous %q", got, want)
 			}
 		})
 	}

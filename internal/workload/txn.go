@@ -365,10 +365,14 @@ func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
 		}
 
 		if !committed {
+			// Stopped() first: it has the releases above completed (api.Ctx,
+			// Completion) before the age registry — Go state the other
+			// threads read — changes.
+			stopped := ctx.Stopped()
 			if env.Ages != nil && age != 0 {
 				env.Ages.TxnEnd(age)
 			}
-			if abandoned && ctx.Stopped() {
+			if abandoned && stopped {
 				break // horizon: the attempt is abandoned, nothing recorded
 			}
 			// Ordered-policy timeout: fall through to think time like the
@@ -383,10 +387,10 @@ func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
 			ctx.Work(spec.CSWork)
 		}
 		held = releaseTxn(&res, h, env, spec, held, age, start)
+		end := ctx.Now() // before TxnEnd, for the same reason as above
 		if env.Ages != nil && age != 0 {
 			env.Ages.TxnEnd(age)
 		}
-		end := ctx.Now()
 
 		recorded := start >= spec.WarmupNS
 		if recorded {

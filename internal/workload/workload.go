@@ -480,7 +480,10 @@ type opTail struct {
 // done closes one operation: it counts toward TotalOps; a recorded
 // completion at engine time end also moves the thread's recorded span and
 // the run-wide countdown, requesting the stop when the target is reached;
-// then the thread thinks.
+// then the thread thinks. end must come from a ctx.Now() the caller made after
+// the operation's last call: RequestStop goes to the engine, not through ctx,
+// so it is that Now() which has the thread's posted Write/Fence of the release
+// completed (api.Ctx, Completion) and the stop land at the event it always did.
 func (t *opTail) done(end int64, recorded bool) {
 	t.res.TotalOps++
 	if recorded {
