@@ -78,6 +78,12 @@ type Measurement struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 	NSPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
+	// Window telemetry of the fastest rep (sim.WindowStats), on the windowed
+	// rows of raw-engine cases: safe windows executed, mean events per window,
+	// and how often a helper's spin budget ran out and it parked.
+	Windows         uint64  `json:"windows,omitempty"`
+	EventsPerWindow float64 `json:"events_per_window,omitempty"`
+	Parks           uint64  `json:"parks,omitempty"`
 }
 
 // Comparison pairs the two executors' rates for one case.
@@ -300,9 +306,19 @@ func (c Case) reachesWindowed(workers int) bool {
 	return cfg.RunsWindowed()
 }
 
-// runOnce executes one rep at the given executor width (0 = serial) and
-// returns (events, ops, wall, mallocs).
-func (c Case) runOnce(shards int) (uint64, int64, time.Duration, uint64, error) {
+// rep is what one repetition measured. win is the window telemetry of an
+// engine case on the windowed executor, zero when the rep ran serial or
+// through the harness.
+type rep struct {
+	events  uint64
+	ops     int64
+	wall    time.Duration
+	mallocs uint64
+	win     sim.WindowStats
+}
+
+// runOnce executes one rep at the given executor width (0 = serial).
+func (c Case) runOnce(shards int) (rep, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	if c.build != nil {
@@ -316,7 +332,7 @@ func (c Case) runOnce(shards int) (uint64, int64, time.Duration, uint64, error) 
 		e.Run(c.horizon)
 		wall := time.Since(t0) //lint:allow detrand benchmark harness: measuring real wall time is its job
 		runtime.ReadMemStats(&after)
-		return e.Events(), 0, wall, after.Mallocs - before.Mallocs, nil
+		return rep{events: e.Events(), wall: wall, mallocs: after.Mallocs - before.Mallocs, win: e.WindowStats()}, nil
 	}
 	cfg := c.cfg
 	cfg.EngineShards = shards
@@ -326,9 +342,9 @@ func (c Case) runOnce(shards int) (uint64, int64, time.Duration, uint64, error) 
 	wall := time.Since(t0) //lint:allow detrand benchmark harness: measuring real wall time is its job
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("bench: %s: %w", c.Name, err)
+		return rep{}, fmt.Errorf("bench: %s: %w", c.Name, err)
 	}
-	return res.Events, res.Ops, wall, after.Mallocs - before.Mallocs, nil
+	return rep{events: res.Events, ops: res.Ops, wall: wall, mallocs: after.Mallocs - before.Mallocs}, nil
 }
 
 // Measure runs the case `reps` times on one engine variant; workers is the
@@ -345,16 +361,20 @@ func (c Case) Measure(variant string, reps, workers int) (Measurement, error) {
 	var bestWall time.Duration
 	var minAllocs uint64
 	for r := 0; r < reps; r++ {
-		events, ops, wall, allocs, err := c.runOnce(shards)
+		got, err := c.runOnce(shards)
 		if err != nil {
 			return Measurement{}, err
 		}
-		if r == 0 || wall < bestWall {
-			bestWall = wall
-			m.Events, m.Ops, m.WallNS = events, ops, wall.Nanoseconds()
+		if r == 0 || got.wall < bestWall {
+			bestWall = got.wall
+			m.Events, m.Ops, m.WallNS = got.events, got.ops, got.wall.Nanoseconds()
+			m.Windows, m.Parks, m.EventsPerWindow = got.win.Windows, got.win.Parks, 0
+			if got.win.Windows > 0 {
+				m.EventsPerWindow = float64(got.win.Events) / float64(got.win.Windows)
+			}
 		}
-		if r == 0 || allocs < minAllocs {
-			minAllocs = allocs
+		if r == 0 || got.mallocs < minAllocs {
+			minAllocs = got.mallocs
 		}
 	}
 	if m.WallNS > 0 && m.Events > 0 {

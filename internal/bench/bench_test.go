@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -69,6 +70,17 @@ func TestMeasureEngineCase(t *testing.T) {
 	}
 	if serial.AllocsPerEvent > 0.01 {
 		t.Errorf("serial executor allocates %.4f/event in steady state, want ~0", serial.AllocsPerEvent)
+	}
+	// The windowed row carries the executor's telemetry; the serial row has
+	// none, and its JSON does not grow.
+	if windowed.Windows == 0 || windowed.EventsPerWindow <= 0 {
+		t.Errorf("windowed row has no window telemetry: %+v", windowed)
+	}
+	if serial.Windows != 0 || serial.EventsPerWindow != 0 || serial.Parks != 0 {
+		t.Errorf("serial row carries window telemetry: %+v", serial)
+	}
+	if js, _ := json.Marshal(serial); strings.Contains(string(js), "window") || strings.Contains(string(js), "parks") {
+		t.Errorf("serial row's JSON names the window fields: %s", js)
 	}
 }
 

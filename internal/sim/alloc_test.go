@@ -66,17 +66,21 @@ func TestDirectRunNearZeroAllocs(t *testing.T) {
 }
 
 // TestWindowPoolDispatchZeroAllocs guards the windowed executor's
-// per-window cost: the old driver spawned fresh helper goroutines and a
-// capturing closure for every window; the pool parks persistent helpers
-// between windows, so dispatching a window must not allocate. The helper
-// count is explicit — the test does not depend on the slot budget.
+// per-window cost: handing every shard to its owner, publishing the window
+// to two helpers and collecting their done words must not allocate. The
+// helper count is explicit — the test does not depend on the slot budget.
 func TestWindowPoolDispatchZeroAllocs(t *testing.T) {
 	e := New(4, 64, model.Uniform(10), 1)
-	e.winActive = append(e.winActive[:0], e.shards...) // queues empty: dispatch cost only
 	pool := newWindowPool(e, 2)
 	defer pool.close()
-	pool.runWindow() // warm: helpers reach their parked state
-	avg := testing.AllocsPerRun(2000, func() { pool.runWindow() })
+	window := func() {
+		for _, s := range e.shards { // queues empty: dispatch cost only
+			pool.activate(s, 0)
+		}
+		pool.runWindow()
+	}
+	window() // warm: helpers are up and have made their wake channels
+	avg := testing.AllocsPerRun(2000, window)
 	if avg != 0 {
 		t.Fatalf("window dispatch allocates %.3f allocs/window, want 0", avg)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -162,12 +163,189 @@ func TestWindowedBitIdentical(t *testing.T) {
 			t.Errorf("windowed (workers=%d) diverged from serial:\n serial:   %s\n windowed: %s", workers, got, serial)
 		}
 	}
-	// With extra slots available, helper goroutines actually run.
-	restore := slots.SetCapacity(8)
+	// With extra slots available, helper goroutines actually run: every
+	// width from one worker to one per node, and one above the node count
+	// (clamped), owns the shards differently and must land on the same clock,
+	// event count, memory image and NIC stats.
+	restore := slots.SetCapacity(32)
 	defer restore()
 	got := runMode(t, 4, 3, horizon, WithShards(4))
 	if got != serial {
-		t.Errorf("windowed (4 workers, 8 slots) diverged from serial:\n serial:   %s\n windowed: %s", got, serial)
+		t.Errorf("windowed (4 workers, 32 slots) diverged from serial:\n serial:   %s\n windowed: %s", got, serial)
+	}
+	const wideHorizon = 100_000
+	wide := runMode(t, 16, 2, wideHorizon)
+	for _, workers := range []int{1, 2, 3, 4, 16, 20} {
+		e, words := shardedWorkload(16, 2, WithShards(workers))
+		e.Run(wideHorizon)
+		if got := fingerprint(e, words); got != wide {
+			t.Errorf("16 nodes, %d workers diverged from serial:\n serial:   %s\n windowed: %s", workers, wide, got)
+		}
+		want := workers
+		if want > 16 {
+			want = 16
+		}
+		if ws := e.WindowStats(); workers > 1 && ws.Width != want {
+			t.Errorf("16 nodes, WithShards(%d) ran on %d workers, want %d", workers, ws.Width, want)
+		}
+	}
+}
+
+// goroutineID is the calling goroutine's number, from its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestWindowedFixedOwnership: for the whole of a windowed Run every event of
+// shard n is dispatched on one goroutine, shards share a goroutine exactly
+// when they have the same node % width, and residue 0 is the Run caller.
+func TestWindowedFixedOwnership(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, width := range []int{2, 3, 4} {
+		const nodes = 8
+		e, _ := shardedWorkload(nodes, 2, WithShards(width))
+		var mu sync.Mutex
+		ran := make([]map[string]int, nodes) // per shard: goroutine -> events
+		for i := range ran {
+			ran[i] = map[string]int{}
+		}
+		e.onWindowEvent = func(s *shard, _ event) {
+			id := goroutineID()
+			mu.Lock()
+			ran[s.node][id]++
+			mu.Unlock()
+		}
+		e.Run(60_000)
+		if ws := e.WindowStats(); ws.Width != width {
+			t.Fatalf("width %d: ran on %d workers", width, ws.Width)
+		}
+		owner := map[int]string{} // residue -> goroutine
+		for n, gs := range ran {
+			if len(gs) != 1 {
+				t.Errorf("width %d: shard %d ran on %d goroutines: %v", width, n, len(gs), gs)
+				continue
+			}
+			for id := range gs {
+				if prev, ok := owner[n%width]; ok && prev != id {
+					t.Errorf("width %d: shard %d ran on goroutine %s, shard %d of the same residue on %s", width, n, id, n%width, prev)
+				}
+				owner[n%width] = id
+			}
+		}
+		seen := map[string]int{}
+		for r, id := range owner {
+			if prev, ok := seen[id]; ok {
+				t.Errorf("width %d: residues %d and %d share goroutine %s", width, prev, r, id)
+			}
+			seen[id] = r
+		}
+		if owner[0] != goroutineID() {
+			t.Errorf("width %d: residue 0 ran on goroutine %s, the Run caller is %s", width, owner[0], goroutineID())
+		}
+	}
+}
+
+// TestWindowedParkPath: a coordinator that is slower at the barrier than the
+// helpers' spin budget makes them park on their wake channels; the run still
+// completes, bit-identical, and the telemetry shows the parks and the
+// wake-ups that ended them. Without the delay, on two workers that each have
+// a core, a busy run parks in a small fraction of its windows.
+func TestWindowedParkPath(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const horizon = 200_000
+	serial := runMode(t, 4, 3, horizon)
+	for _, width := range []int{2, 4} {
+		e, words := shardedWorkload(4, 3, WithShards(width))
+		barriers := 0
+		e.onBarrier = func() {
+			if barriers++; barriers%16 == 0 {
+				time.Sleep(2 * spinBudget)
+			}
+		}
+		e.Run(horizon)
+		if got := fingerprint(e, words); got != serial {
+			t.Errorf("width %d with a slow coordinator diverged from serial:\n serial:   %s\n windowed: %s", width, serial, got)
+		}
+		ws := e.WindowStats()
+		if ws.Width != width || ws.Parks == 0 || ws.Wakes == 0 || ws.Wakes > ws.Parks {
+			t.Errorf("width %d: %d workers, %d helper parks, %d wake-ups over %d windows — the park path did not run",
+				width, ws.Width, ws.Parks, ws.Wakes, ws.Windows)
+		}
+	}
+
+	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
+		t.Skip("one core: two workers never spin, every wait parks")
+	}
+	// On an idle host a pool whose budget holds parks in well under 1 % of its
+	// windows (the log line). The bound only has to tell that from a pool
+	// that parks in most of them, and has to do so beside other test binaries
+	// competing for the same two cores (a third of the windows park under
+	// `go test -race` of four packages at once): the best of three runs.
+	var ws WindowStats
+	for try := 0; try < 3; try++ {
+		e, _ := shardedWorkload(4, 3, WithShards(2))
+		e.Run(3_000_000)
+		ws = e.WindowStats()
+		t.Logf("two workers, no delay: %d windows, %d helper parks, %d coordinator parks", ws.Windows, ws.Parks, ws.CoordParks)
+		if ws.Windows < 1000 {
+			t.Fatalf("%d windows: the run is too short to tell", ws.Windows)
+		}
+		if ws.Parks*2 < ws.Windows && ws.CoordParks*2 < ws.Windows {
+			return
+		}
+	}
+	t.Errorf("%d helper parks and %d coordinator parks in %d windows, three times over: the spin budget is not holding", ws.Parks, ws.CoordParks, ws.Windows)
+}
+
+// TestWindowStatsAccounting: the telemetry is exact — every event of a
+// windowed Run is in some window, every window in the histogram, every
+// shard-window on its owner's count — and a Run on one worker publishes
+// nothing and parks nobody.
+func TestWindowStatsAccounting(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, width := range []int{2, 3} {
+		e, _ := shardedWorkload(6, 2, WithShards(width))
+		shardWindows := make([]uint64, 6) // windows in which the shard dispatched something
+		lastWend := make([]int64, 6)
+		var mu sync.Mutex
+		e.onWindowEvent = func(s *shard, _ event) {
+			mu.Lock()
+			if s.wend != lastWend[s.node] {
+				lastWend[s.node] = s.wend
+				shardWindows[s.node]++
+			}
+			mu.Unlock()
+		}
+		e.Run(100_000)
+		ws := e.WindowStats()
+		if ws.Events != e.Events() {
+			t.Errorf("width %d: windows dispatched %d events, the engine counted %d", width, ws.Events, e.Events())
+		}
+		var hist uint64
+		for _, n := range ws.EventsLog2 {
+			hist += n
+		}
+		if ws.Windows == 0 || hist != ws.Windows {
+			t.Errorf("width %d: %d windows, %d in the histogram", width, ws.Windows, hist)
+		}
+		want := make([]uint64, width)
+		for n, k := range shardWindows {
+			want[n%width] += k
+		}
+		if fmt.Sprint(ws.ShardWindows) != fmt.Sprint(want) {
+			t.Errorf("width %d: shard-windows per worker %v, the hook saw %v", width, ws.ShardWindows, want)
+		}
+	}
+	restore()
+	restore = slots.SetCapacity(1)
+	e, _ := shardedWorkload(4, 2, WithShards(4))
+	e.Run(50_000)
+	if ws := e.WindowStats(); ws.Width != 1 || ws.Windows == 0 || ws.Parks+ws.Wakes+ws.CoordParks != 0 || len(ws.ShardWindows) != 1 {
+		t.Errorf("no slots granted: %+v", ws)
 	}
 }
 

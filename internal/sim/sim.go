@@ -25,9 +25,9 @@
 //   - windowed (WithShards(n), n > 1): the conservative parallel executor
 //     in shard.go. For the duration of a Run it moves the pending events
 //     onto per-shard queues and runs each shard's events inside the safe
-//     window [window start, min(shard heads) + lookahead) on whichever pool
-//     worker claims the shard, barriers, repeats. Lookahead is the minimum
-//     cross-node verb latency (model.Params.RemoteWireNS), and every
+//     window [window start, min(shard heads) + lookahead) on the pool worker
+//     that owns the shard for the Run, barriers, repeats. Lookahead is the
+//     minimum cross-node verb latency (model.Params.RemoteWireNS), and every
 //     cross-shard event is sent at least one lookahead ahead of the
 //     sender's clock, so no shard can receive anything that lands inside
 //     the window it is executing — results are bit-identical to serial, in
@@ -46,7 +46,7 @@
 // interface boxing, zero allocations per event in steady state, and a pop
 // that leaves the root open for the popped event's own successor to fill —
 // and there is one thread-switch primitive. The executor (ProcessNextEvent,
-// or shard.runWindow on the claiming worker) is always the resumer: it pops
+// or shard.runWindow on the shard's worker) is always the resumer: it pops
 // an event and, for a wake-up or completion, calls Thread.resume, which runs
 // the thread's coroutine until Thread.suspend yields back. A coroutine switch
 // is a direct goroutine-to-goroutine transfer inside the runtime — no
@@ -172,12 +172,9 @@ type Engine struct {
 	workers   int
 	lookahead int64
 
-	// winActive is the set of shards with events inside the current safe
-	// window, rebuilt (in place, reusing the backing array) each window by
-	// runWindowed; winClaim is the shared claim counter the coordinator and
-	// the pool helpers take shard indices from (claimShards).
-	winActive []*shard
-	winClaim  atomic.Int64
+	// winStats is the telemetry of the last windowed Run, closed into the
+	// engine when that Run's worker pool is (WindowStats).
+	winStats WindowStats
 
 	now    int64
 	stopAt int64
@@ -193,15 +190,6 @@ type Engine struct {
 	// and threads read their shard's clock (shard.go).
 	windowed bool
 
-	// loopInFlight / remoteInFlight count the operations of each class
-	// currently occupying each node's NIC; the congestion model inflates
-	// verb service with these (each in-flight op is a concurrent DMA
-	// stream competing for the host's PCIe link). Slot n is touched only
-	// from shard n's timeline: the source's share from issue to completion,
-	// the responder's from request arrival to execution.
-	loopInFlight   []int
-	remoteInFlight []int
-
 	events    uint64
 	maxEvents uint64
 
@@ -214,9 +202,13 @@ type Engine struct {
 	curShard atomic.Int32
 
 	// onWindowEvent, when non-nil, observes every event the windowed
-	// executor dispatches, on the worker running that shard's window. Test hook
-	// (the safe-window property test); nil in production.
+	// executor dispatches, on the worker that owns the shard. Test hook (the
+	// safe-window and ownership tests); nil in production.
 	onWindowEvent func(s *shard, ev event)
+	// onBarrier, when non-nil, runs on the coordinator at every barrier of a
+	// windowed Run, before the window is handed out. Test hook (a coordinator
+	// slower than the helpers' spin budget); nil in production.
+	onBarrier func()
 }
 
 // Option configures a new Engine.
@@ -261,16 +253,14 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		panic(fmt.Sprintf("sim: invalid model: %v", err))
 	}
 	e := &Engine{
-		space:          mem.NewSpace(nodes, wordsPerNode),
-		p:              p,
-		nics:           make([]*nic.NIC, nodes),
-		seed:           seed,
-		rngs:           NewPartitionedRNG(seed),
-		loopInFlight:   make([]int, nodes),
-		remoteInFlight: make([]int, nodes),
-		stopAt:         1<<63 - 1,
-		maxEvents:      1 << 33,
-		lookahead:      p.RemoteWireNS,
+		space:     mem.NewSpace(nodes, wordsPerNode),
+		p:         p,
+		nics:      make([]*nic.NIC, nodes),
+		seed:      seed,
+		rngs:      NewPartitionedRNG(seed),
+		stopAt:    1<<63 - 1,
+		maxEvents: 1 << 33,
+		lookahead: p.RemoteWireNS,
 	}
 	e.shards = make([]*shard, nodes)
 	for i := range e.shards {
@@ -474,9 +464,9 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 		// The request reaches the responder: it starts occupying the
 		// responder NIC now (not acausally at issue time), and service is
 		// scheduled under the congestion the responder actually sees.
-		e.remoteInFlight[s.node]++
+		s.remoteInFlight++
 		qp := nic.QP{SrcNode: t.node, SrcThread: t.id, DstNode: s.node}
-		rxDone := e.nics[s.node].Submit(ev.at, qp, false, e.remoteInFlight[s.node])
+		rxDone := e.nics[s.node].Submit(ev.at, qp, false, s.remoteInFlight)
 		e.scheduleEv(s, rxDone, evExec, t)
 	case evExec:
 		if v.op == verbCAS && e.p.TornRCAS {
@@ -513,7 +503,7 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 			}
 			v.result = prev
 		}
-		e.remoteInFlight[s.node]--
+		s.remoteInFlight--
 		e.scheduleEv(s, ev.at+v.wire, evComplete, t)
 	case evTornWrite:
 		// Write half: blind from local memory's perspective (Table 1).
@@ -524,7 +514,7 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 			*e.space.WordAddr(tw.p) = tw.val
 		}
 		delete(s.tornHeld, tw.p)
-		e.remoteInFlight[s.node]--
+		s.remoteInFlight--
 	}
 }
 
@@ -640,8 +630,8 @@ type Thread struct {
 	// for all of it — so the FIFO fills from slot 0 and never wraps. result is
 	// what the last Read, CAS or SpinWhile to complete returns to its caller.
 	// (The cursors share the struct's first cache line with what every event
-	// reads anyway: under the windowed executor a shard's threads move between
-	// cores from window to window, line by line.)
+	// reads anyway. Under the windowed executor a shard's threads are run by
+	// one worker for the whole Run, so the line stays where it is.)
 	head, nops int
 	result     uint64
 	// resumes counts coroutine switches into the thread (tests assert that
@@ -720,7 +710,7 @@ func (t *Thread) run(yield func(struct{}) bool) {
 
 // resume runs the thread on the calling goroutine's time until it suspends
 // again or exits, and returns the body's panic, if it raised one. The
-// executor — ProcessNextEvent, or shard.runWindow on the worker that claimed
+// executor — ProcessNextEvent, or shard.runWindow on the worker that owns
 // the thread's shard — is the only caller, and for a thread with local ops
 // posted it calls step first and resume only once that emptied the FIFO.
 // (Small enough to inline into both pop loops; keep it so.)
@@ -823,7 +813,7 @@ func (t *Thread) step() bool {
 				op.iter++
 			}
 		case opLoopDone:
-			e.loopInFlight[t.node]--
+			t.shard.loopInFlight--
 		}
 		if !more {
 			if t.head++; t.head == t.nops {
@@ -1032,10 +1022,10 @@ func (t *Thread) loopVerbTimes(p ptr.Ptr) (execAt, doneAt int64) {
 	t.verbWire() // consume the fabric draw; loopback rides PCIe regardless
 	qp := nic.QP{SrcNode: t.node, SrcThread: t.id, DstNode: t.node}
 	wire := e.p.LoopbackWireNS
-	e.loopInFlight[t.node]++
-	txDone := e.nics[t.node].Submit(t.now(), qp, true, e.loopInFlight[t.node])
+	t.shard.loopInFlight++
+	txDone := e.nics[t.node].Submit(t.now(), qp, true, t.shard.loopInFlight)
 	arrive := txDone + wire
-	rxDone := e.nics[t.node].Submit(arrive, qp, true, e.loopInFlight[t.node])
+	rxDone := e.nics[t.node].Submit(arrive, qp, true, t.shard.loopInFlight)
 	return rxDone, rxDone + wire
 }
 
@@ -1051,13 +1041,13 @@ func (t *Thread) remoteVerb(p ptr.Ptr, op uint8, old, val uint64) uint64 {
 	e := t.e
 	t.drain()
 	wire := t.verbWire()
-	e.remoteInFlight[t.node]++
+	t.shard.remoteInFlight++
 	qp := nic.QP{SrcNode: t.node, SrcThread: t.id, DstNode: p.NodeID()}
-	txDone := e.nics[t.node].Submit(t.now(), qp, false, e.remoteInFlight[t.node])
+	txDone := e.nics[t.node].Submit(t.now(), qp, false, t.shard.remoteInFlight)
 	t.verb = verbState{p: p, op: op, old: old, val: val, wire: wire}
 	e.scheduleEv(t.shard, txDone+wire, evArrive, t)
 	t.suspend() // until evComplete, already threaded through the verb protocol
-	e.remoteInFlight[t.node]--
+	t.shard.remoteInFlight--
 	return t.verb.result
 }
 
@@ -1125,6 +1115,6 @@ func (t *Thread) RCAS(p ptr.Ptr, old, new uint64) uint64 {
 		doneAt = t.now()
 	}
 	t.block(doneAt)
-	t.e.loopInFlight[t.node]--
+	t.shard.loopInFlight--
 	return prev
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,9 +82,10 @@ func TestThreadPanicSurfacesOnDriver(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to drop to want: a
-// windowed Run's pool helpers retire asynchronously once their start
-// channel closes.
+// settleGoroutines waits for the goroutine count to drop to want. A windowed
+// Run joins its pool helpers before it returns or panics, but a goroutine
+// that has passed its last statement is still counted until the runtime has
+// recycled it.
 func settleGoroutines(want int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 200 && n > want; i++ {
@@ -260,5 +262,81 @@ func TestTrapWithOpsPosted(t *testing.T) {
 				t.Errorf("body panic: posted %q, synchronous %q", got, want)
 			}
 		})
+	}
+}
+
+// TestWindowedTrapJoinsHelpers: the windowed executor's pool is joined on
+// every way out of Run — normal return, a trap on a shard a helper owns, a
+// trap on one the coordinator owns, a thread body's panic, the event budget —
+// at two and at four workers: the helpers really ran (WindowStats), none is
+// left spinning or parked, every thread is unwound and the goroutine count is
+// back to its value before New.
+func TestWindowedTrapJoinsHelpers(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const nodes = 4
+	cases := []struct {
+		name string
+		opts []Option
+		// boom is the node whose thread panics after a while, -1 for none.
+		boom int
+		want string
+	}{
+		{"returns", nil, -1, ""},
+		{"body-panic-on-coordinator-shard", nil, 0, "boom-on-0"},
+		{"body-panic-on-helper-shard", nil, 1, "boom-on-1"},
+		{"body-panic-on-last-shard", nil, 3, "boom-on-3"},
+		{"event-budget", []Option{WithMaxEvents(3000)}, -1, "livelock"},
+	}
+	for _, width := range []int{2, 4} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("width-%d/%s", width, c.name), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				e := New(nodes, 1024, model.CX3(), 1, append([]Option{WithShards(width)}, c.opts...)...)
+				w := e.Space().AllocLine(0)
+				var unwound atomic.Int32 // bodies that end at the horizon do so inside parallel windows
+				for n := 0; n < nodes; n++ {
+					node := n
+					e.Spawn(node, func(ctx api.Ctx) { // cross-shard traffic: every window has work for every worker
+						defer unwound.Add(1)
+						for !ctx.Stopped() {
+							ctx.RRead(w)
+							ctx.Pause(1)
+						}
+					})
+					if node == c.boom {
+						e.Spawn(node, func(ctx api.Ctx) {
+							for i := 0; i < 50; i++ {
+								ctx.RRead(w)
+							}
+							panic(fmt.Sprintf("boom-on-%d", node))
+						})
+					}
+				}
+				r := recovered(func() { e.Run(400_000) })
+				after := settleGoroutines(before)
+				switch {
+				case c.want == "" && r != nil:
+					t.Fatalf("Run panicked: %v", r)
+				case c.want != "" && (r == nil || !strings.Contains(fmt.Sprint(r), c.want)):
+					t.Fatalf("Run did not trap with %q: %.200v", c.want, r)
+				}
+				ws := e.WindowStats()
+				if ws.Width != width || ws.Windows == 0 {
+					t.Errorf("ran %d windows on %d workers, want %d workers", ws.Windows, ws.Width, width)
+				}
+				for wk, n := range ws.ShardWindows {
+					if n == 0 {
+						t.Errorf("worker %d ran no shard-window before the Run ended: %v", wk, ws.ShardWindows)
+					}
+				}
+				if unwound.Load() != nodes {
+					t.Errorf("%d of %d polling bodies ended or were unwound", unwound.Load(), nodes)
+				}
+				if after > before {
+					t.Errorf("%d goroutines before New, %d after Run: a helper or a thread outlived it", before, after)
+				}
+			})
+		}
 	}
 }
