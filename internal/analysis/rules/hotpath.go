@@ -29,11 +29,14 @@ var HotPathRoots = []string{
 	"alock/internal/sim.(*Thread).suspend",
 	"alock/internal/sim.(*Thread).block",
 
-	// Local operations: posted on the coroutine (SpinWhile is one of them),
-	// then completed and started one after another by the executors' step
-	// between resumes.
+	// Local operations: posted on the coroutine (SpinWhile and WorkLoop are
+	// two of them), then completed and started one after another by the
+	// executors' step between resumes. step runs the functions handed to
+	// WorkLoop, so those are in the proved set with it: api.Ctx forbids them
+	// to allocate.
 	"alock/internal/sim.(*Thread).post",
 	"alock/internal/sim.(*Thread).SpinWhile",
+	"alock/internal/sim.(*Thread).WorkLoop",
 	"alock/internal/sim.(*Thread).step",
 
 	// Event queue: the typed 4-ary heap's steady-state operations.

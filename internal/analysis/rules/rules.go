@@ -52,6 +52,20 @@ func namedRecv(sel *types.Selection) *types.Named {
 	return n
 }
 
+// methodCall resolves a call of the form x.M(...) where M is a method: its
+// selector and selection, nil for any other call.
+func methodCall(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, *types.Selection) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	selection := info.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal {
+		return nil, nil
+	}
+	return sel, selection
+}
+
 // isPkgType reports whether n is the named type pkgPath.name.
 func isPkgType(n *types.Named, pkgPath, name string) bool {
 	if n == nil {

@@ -32,6 +32,14 @@ var ShardflowRoots = []string{
 // ownership at runtime. Everything else that touches
 // (*mem.Space).WordAddr / Region or (*mem.Region).WordAddr on a dispatch
 // path is a finding. Test files are skipped.
+//
+// Functions handed to a WorkLoop method (api.Ctx.WorkLoop) are thread code the
+// engine runs between events, on the executor, bound to the calling thread's
+// node. They are dispatch roots like thread bodies, and they answer to one
+// more rule: nothing reachable from them may call a method of a thread
+// context (any type with a WorkLoop method — the function does not run on the
+// thread's coroutine) or of the engine that owns the dispatch roots (engine
+// state belongs to every node; the function may touch only its own node's).
 var Shardflow = NewShardflow(ShardflowRoots)
 
 // NewShardflow builds the analyzer for an explicit root set; fixtures use
@@ -71,8 +79,10 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 			rootPkgs[n.Pkg.ImportPath] = true
 		}
 	}
-	rootNodes = append(rootNodes, spawnBodies(mp, g, rootPkgs)...)
-	reached := reachableSharded(rootNodes)
+	rootNodes = append(rootNodes, threadCode(mp, g, "Spawn", 1, rootPkgs)...)
+	loops := threadCode(mp, g, "WorkLoop", 0, nil)
+	rootNodes = append(rootNodes, loops...)
+	reached, inLoop := reachableSharded(rootNodes), reachableSharded(loops)
 	for _, n := range g.Nodes() {
 		if !reached[n] || n.Body() == nil || n.Pkg == nil {
 			continue
@@ -84,17 +94,21 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 			continue
 		}
 		scanSubstrateAccess(mp, n)
+		if inLoop[n] {
+			scanLoopCalls(mp, n, rootPkgs)
+		}
 	}
 	return nil
 }
 
-// spawnBodies resolves the function values handed to a Spawn method of
-// the engine package that owns the dispatch roots, outside test files:
-// thread bodies resume inside shard windows through channels the call
-// graph cannot see, so they are roots in their own right. Spawn methods
-// of other runtimes (the wall-clock Cluster) schedule no shard windows
-// and are ignored.
-func spawnBodies(mp *analysis.ModulePass, g *callgraph.Graph, rootPkgs map[string]bool) []*callgraph.Node {
+// threadCode resolves the function values handed, as argument arg, to the
+// methods called `method`, outside test files: thread bodies (Spawn) resume
+// inside shard windows through coroutine switches, and WorkLoop functions are
+// called from the engine's sanctioned step, neither of which the call graph
+// follows, so they are roots in their own right. With pkgs set, only methods
+// of types those packages declare count: Spawn methods of other runtimes (the
+// wall-clock Cluster) schedule no shard windows and are ignored.
+func threadCode(mp *analysis.ModulePass, g *callgraph.Graph, method string, arg int, pkgs map[string]bool) []*callgraph.Node {
 	var out []*callgraph.Node
 	for _, pkg := range mp.Pkgs {
 		info := pkg.TypesInfo
@@ -104,22 +118,18 @@ func spawnBodies(mp *analysis.ModulePass, g *callgraph.Graph, rootPkgs map[strin
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) < 2 {
+				if !ok || len(call.Args) <= arg {
 					return true
 				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Spawn" {
-					return true
-				}
-				selection := info.Selections[sel]
-				if selection == nil || selection.Kind() != types.MethodVal {
+				sel, selection := methodCall(info, call)
+				if sel == nil || sel.Sel.Name != method {
 					return true
 				}
 				recv := namedRecv(selection)
-				if recv == nil || recv.Obj().Pkg() == nil || !rootPkgs[recv.Obj().Pkg().Path()] {
+				if pkgs != nil && (recv == nil || recv.Obj().Pkg() == nil || !pkgs[recv.Obj().Pkg().Path()]) {
 					return true
 				}
-				out = append(out, g.ValuesOf(pkg, call.Args[1])...)
+				out = append(out, g.ValuesOf(pkg, call.Args[arg])...)
 				return true
 			})
 		}
@@ -189,6 +199,67 @@ func scanSubstrateAccess(mp *analysis.ModulePass, n *callgraph.Node) {
 			mp.Reportf(sel.Pos(),
 				"mem.Space.%s reachable from per-shard dispatch (in %s): cross-shard words must go through the verb protocol",
 				method, n.Name())
+		}
+	})
+}
+
+// hasMethod reports whether values of the named type (or pointers to them)
+// have a method called name.
+func hasMethod(n *types.Named, name string) bool {
+	var t types.Type = n
+	if !types.IsInterface(n) {
+		t = types.NewPointer(n)
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, n.Obj().Pkg(), name)
+	_, ok := obj.(*types.Func)
+	return ok
+}
+
+// offLimits says why a WorkLoop function must not call a method of recv, ""
+// if it may: thread contexts (the types with a WorkLoop method) belong to the
+// coroutine the function does not run on, and the engine of the dispatch-root
+// packages (the type with Spawn) holds every node's state.
+func offLimits(recv *types.Named, rootPkgs map[string]bool) string {
+	switch {
+	case recv == nil || recv.Obj().Pkg() == nil:
+		return ""
+	case hasMethod(recv, "WorkLoop"):
+		return "it runs on the executor, off the thread's coroutine, and may touch Go state only"
+	case rootPkgs[recv.Obj().Pkg().Path()] && hasMethod(recv, "Spawn"):
+		return "engine state belongs to every node, and the function is bound to its caller's"
+	}
+	return ""
+}
+
+// scanLoopCalls reports, inside one node reachable from a WorkLoop function,
+// the method calls such a function must not make (offLimits). The off-limits
+// methods' own bodies are not scanned: the call into them is the finding.
+func scanLoopCalls(mp *analysis.ModulePass, n *callgraph.Node, rootPkgs map[string]bool) {
+	if n.Fn != nil {
+		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if named, _ := t.(*types.Named); offLimits(named, rootPkgs) != "" {
+				return
+			}
+		}
+	}
+	info := n.Pkg.TypesInfo
+	shallowInspect(n.Body(), func(node ast.Node) {
+		call, ok := node.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		sel, selection := methodCall(info, call)
+		if sel == nil {
+			return
+		}
+		recv := namedRecv(selection)
+		if why := offLimits(recv, rootPkgs); why != "" {
+			mp.Reportf(sel.Pos(), "%s.%s called from a WorkLoop function (in %s): %s",
+				recv.Obj().Name(), sel.Sel.Name, n.Name(), why)
 		}
 	})
 }

@@ -38,7 +38,10 @@ var ShardmemSanctioned = map[string]bool{
 // (*mem.Region).WordAddr is flagged unconditionally in these packages —
 // region-level access bypasses the Space audit hook entirely — and
 // (*mem.Space).WordAddr / (*mem.Space).Region are flagged outside the
-// sanctioned set.
+// sanctioned set. A function literal handed to a WorkLoop method is thread
+// code whatever declaration encloses it — the engine runs it between events,
+// bound to the calling thread's node, and api.Ctx lets it touch Go state only
+// — so it is never inside the sanctioned set.
 var Shardmem = &analysis.Analyzer{
 	Name: "shardmem",
 	Doc:  "restrict direct memory-word resolution in sim/locks to the sanctioned accessor set",
@@ -61,31 +64,60 @@ func runShardmem(pass *analysis.Pass) error {
 			continue
 		}
 		analysis.EnclosingFuncs(f, func(name string, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				selection := pass.TypesInfo.Selections[sel]
-				if selection == nil || selection.Kind() != types.MethodVal {
-					return true
-				}
-				recv := namedRecv(selection)
-				method := selection.Obj().Name()
-				switch {
-				case isPkgType(recv, memPkgPath, "Region") && method == "WordAddr":
-					pass.Reportf(sel.Pos(),
-						"(*mem.Region).WordAddr bypasses the Space access audit: resolve through mem.Space in a sanctioned accessor")
-				case isPkgType(recv, memPkgPath, "Space") && (method == "WordAddr" || method == "Region"):
-					if !ShardmemSanctioned[name] {
-						pass.Reportf(sel.Pos(),
-							"mem.Space.%s outside the sanctioned accessor set (%s): cross-shard words must go through the verb protocol",
-							method, name)
-					}
-				}
-				return true
-			})
+			scanShardmem(pass, name, body)
 		})
 	}
 	return nil
+}
+
+// loopFuncName is the name shardmem gives a function literal passed to a
+// WorkLoop method; it is in no sanctioned set.
+const loopFuncName = "a WorkLoop function"
+
+// isLoopCall reports whether call invokes a method named WorkLoop: the
+// api.Ctx entry point that takes thread code to run between events.
+func isLoopCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, _ := methodCall(info, call)
+	return sel != nil && sel.Sel.Name == "WorkLoop"
+}
+
+// scanShardmem reports the direct word resolutions under node, attributing
+// them to the function called name; literals passed to WorkLoop are scanned
+// under loopFuncName instead.
+func scanShardmem(pass *analysis.Pass, name string, node ast.Node) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isLoopCall(pass.TypesInfo, call) {
+			scanShardmem(pass, name, call.Fun)
+			for _, arg := range call.Args {
+				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+					scanShardmem(pass, loopFuncName, lit.Body)
+				} else {
+					scanShardmem(pass, name, arg)
+				}
+			}
+			return false
+		}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		selection := pass.TypesInfo.Selections[sel]
+		if selection == nil || selection.Kind() != types.MethodVal {
+			return true
+		}
+		recv := namedRecv(selection)
+		method := selection.Obj().Name()
+		switch {
+		case isPkgType(recv, memPkgPath, "Region") && method == "WordAddr":
+			pass.Reportf(sel.Pos(),
+				"(*mem.Region).WordAddr bypasses the Space access audit: resolve through mem.Space in a sanctioned accessor")
+		case isPkgType(recv, memPkgPath, "Space") && (method == "WordAddr" || method == "Region"):
+			if !ShardmemSanctioned[name] {
+				pass.Reportf(sel.Pos(),
+					"mem.Space.%s outside the sanctioned accessor set (%s): cross-shard words must go through the verb protocol",
+					method, name)
+			}
+		}
+		return true
+	})
 }

@@ -12,9 +12,19 @@ import (
 type Engine struct {
 	space  *mem.Space
 	bodies []func(t *Thread)
+	nodes  []*node
 }
 
-type Thread struct{ e *Engine }
+// Node hands out any node's Go state: an engine-level call.
+func (e *Engine) Node(i int) *node { return e.nodes[i] }
+
+type Thread struct {
+	e    *Engine
+	loop func() bool
+}
+
+// node is one node's Go-side state: its threads may share it freely.
+type node struct{ queued int }
 
 // Spawn registers a thread body, like the real engine.
 func (e *Engine) Spawn(node int, fn func(t *Thread)) {
@@ -29,10 +39,19 @@ func (e *Engine) execProtocol(p ptr.Ptr) uint64 {
 // Read is a thread-local operation: it resolves nothing itself.
 func (t *Thread) Read(p ptr.Ptr) uint64 { return t.step(p) }
 
-// step applies the thread's local operations: the sanctioned accessor.
+// step applies the thread's local operations, a parked WorkLoop function's
+// next look among them: the sanctioned accessor.
 func (t *Thread) step(p ptr.Ptr) uint64 {
+	if t.loop != nil && !t.loop() {
+		t.loop = nil
+	}
 	return *t.e.space.WordAddr(p) // sanctioned accessor: no finding
 }
+
+// WorkLoop models api.Ctx.WorkLoop as the engine implements it: the
+// function is parked on the thread and called by the sanctioned step, so no
+// call edge the analyzer follows leads to it.
+func (t *Thread) WorkLoop(f func() bool) { t.loop = f }
 
 // runWindow is the fixture's dispatch root.
 func (e *Engine) runWindow(p ptr.Ptr) {
@@ -68,6 +87,32 @@ func setup(e *Engine) {
 		_ = t.Read(p)
 		_ = snoop(t)
 	})
+}
+
+// serve is a thread body that idles in WorkLoop. Its functions are thread
+// code bound to the thread's node: they may look at that node's Go state
+// (mine), and must not resolve words, call the thread's own context, or reach
+// through the engine for another node's state.
+func serve(e *Engine) {
+	e.Spawn(0, func(t *Thread) {
+		mine := t.e.Node(0) // the body may ask the engine; the function may not
+		t.WorkLoop(func() bool { return mine.queued == 0 })
+		t.WorkLoop(func() bool { return peekQueue(t) == 0 })
+		t.WorkLoop(func() bool {
+			var p ptr.Ptr
+			return t.Read(p) == 0 // want `Thread\.Read called from a WorkLoop function`
+		})
+		idle := func() bool {
+			return t.e.Node(1).queued == 0 // want `Engine\.Node called from a WorkLoop function`
+		}
+		t.WorkLoop(idle)
+	})
+}
+
+// peekQueue is reachable only from a WorkLoop function.
+func peekQueue(t *Thread) uint64 {
+	var p ptr.Ptr
+	return *t.e.space.WordAddr(p) // want `reachable from per-shard dispatch`
 }
 
 // snoop is reachable only through the spawned thread body.

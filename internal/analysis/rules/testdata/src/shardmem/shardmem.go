@@ -35,6 +35,31 @@ type Thread struct{ e *Engine }
 // step is sanctioned.
 func (t *Thread) step(p ptr.Ptr) uint64 { return *t.e.space.WordAddr(p) }
 
+// WorkLoop models api.Ctx.WorkLoop: the engine calls f between events, on
+// the thread's node, in place of the thread.
+func (t *Thread) WorkLoop(f func() bool) {
+	for f() {
+	}
+}
+
+// stepThenIdle is not sanctioned, and neither is the function it hands to
+// WorkLoop.
+func (t *Thread) stepThenIdle(p ptr.Ptr) {
+	t.WorkLoop(func() bool {
+		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
+	})
+}
+
+// RCAS is sanctioned for its own body only: a function it hands to WorkLoop
+// is thread code, which waits on Go state and resolves no words.
+func (t *Thread) RCAS(p ptr.Ptr, ready *bool) uint64 {
+	t.WorkLoop(func() bool { return !*ready })
+	t.WorkLoop(func() bool {
+		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
+	})
+	return *t.e.space.WordAddr(p)
+}
+
 // helper extends the accessor set explicitly via suppression.
 func (t *Thread) helper(p ptr.Ptr) uint64 {
 	return *t.e.space.WordAddr(p) //lint:allow shardmem fixture: accepted suppression extends the accessor set

@@ -81,7 +81,7 @@ func Classify(threadNode int, p ptr.Ptr) Cohort {
 // still complete in program order, at the engine instants they always did,
 // and before any later call on the same Ctx returns a value or the time
 // (Read, CAS, SpinWhile, Now, Stopped, and the remote class), issues a verb,
-// allocates or frees, or starts Work; a thread's function returning waits
+// allocates or frees, or starts Work or WorkLoop; a thread's function returning waits
 // for them too. To the simulated cluster nothing changed: the definition is
 // "the same program with Now() called after every operation". What callers
 // must not do is order Go state shared between threads (a counter, a flag, an
@@ -147,6 +147,28 @@ type Ctx interface {
 	// callers bracket it with Go-side bookkeeping (readers++; Work; readers--)
 	// that other threads check.
 	Work(d time.Duration)
+
+	// WorkLoop waits on Go state by looking at it every so often. It is
+	// defined as the loop
+	//
+	//	for {
+	//		d, again := f(Now(), Stopped())
+	//		if !again { return }
+	//		Work(d)
+	//	}
+	//
+	// and costs exactly what that loop costs (a d <= 0 burns nothing and f is
+	// called again at once); engines may run it without returning to the
+	// caller between turns, so f may be called off the caller's goroutine.
+	// f is the caller's own code all the same, bound to the caller's node: it
+	// may read and write only Go state that node's threads own (an idle
+	// worker's queue, an arrival generator's next gap), must not call any
+	// method of this Ctx or of the engine, and must not allocate. Every call
+	// of f, and WorkLoop's return, is a completing call in the sense above:
+	// Go state f wrote is ordered before whatever the caller does next, and
+	// before later calls of f on the same node. A panic in f is the caller's
+	// panic. Loops that wait on a memory word use SpinWhile.
+	WorkLoop(f func(now int64, stopped bool) (d time.Duration, again bool))
 
 	// Now returns nanoseconds of engine time since the run began
 	// (virtual time under internal/sim, wall time under internal/rt).

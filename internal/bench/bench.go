@@ -168,6 +168,38 @@ func workLoopEngine(threads int, opts ...sim.Option) *sim.Engine {
 	return e
 }
 
+// idleLoopEngine is the Go-state wait case: on every node, `idlers` threads
+// wait in api.Ctx.WorkLoop, looking every 500 ns at a counter of their node
+// that one more thread bumps every 20 us — the lock service's idle worker with
+// no service around it. Nearly every event is a look that does not end the
+// wait, so ns/event here prices the engine's running such a look without a
+// thread switch, against engine/work-loop's full switch per event.
+func idleLoopEngine(nodes, idlers int, opts ...sim.Option) *sim.Engine {
+	e := sim.New(nodes, 1024, model.CX3(), 17, opts...)
+	for n := 0; n < nodes; n++ {
+		flips := new(uint64)
+		for i := 0; i < idlers; i++ {
+			e.Spawn(n, func(ctx api.Ctx) {
+				seen := uint64(0)
+				wait := func(_ int64, stopped bool) (time.Duration, bool) {
+					return 500 * time.Nanosecond, !stopped && *flips == seen
+				}
+				for !ctx.Stopped() {
+					ctx.WorkLoop(wait)
+					seen = *flips
+				}
+			})
+		}
+		e.Spawn(n, func(ctx api.Ctx) {
+			for !ctx.Stopped() {
+				ctx.Work(20 * time.Microsecond)
+				*flips++
+			}
+		})
+	}
+	return e
+}
+
 // spinPollEngine is the local-spin layer case: on every node, `waiters`
 // threads each wait on a word of their own with SpinWhile while one releaser
 // bumps all of them every 20 us — ALock's passed-lock wait (Algorithm 3)
@@ -252,6 +284,8 @@ func Suite(name string) ([]Case, error) {
 		cases = append(cases,
 			Case{Name: "engine/work-loop", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(4, o...) }},
+			Case{Name: "engine/idle-loop", Suite: "tiny", horizon: 2_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(2, 4, o...) }},
 			Case{Name: "engine/spin-poll", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(2, 4, o...) }},
 			Case{Name: "engine/local-chain", Suite: "tiny", horizon: 2_000_000,
@@ -272,6 +306,8 @@ func Suite(name string) ([]Case, error) {
 		cases = append(cases,
 			Case{Name: "engine/work-loop@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(8, o...) }},
+			Case{Name: "engine/idle-loop@paper", Suite: "paper", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(4, 8, o...) }},
 			Case{Name: "engine/spin-poll@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(4, 8, o...) }},
 			Case{Name: "engine/local-chain@paper", Suite: "paper", horizon: 20_000_000,

@@ -263,10 +263,24 @@ func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 	return c, nil
 }
 
+// Generator states: what the arrival process is waiting for between two calls
+// of its WorkLoop function.
+const (
+	genStart uint8 = iota // nothing yet
+	genGap                // an interarrival gap: the next call is the arrival
+	genOff                // a burst off-phase
+)
+
 // generate is one shard's open-loop arrival process: exponential gaps at
 // the shard's thinned rate, each arrival carrying a fresh client ID, a
 // key from the shard's conditional popularity and an acquire mode. All
 // randomness comes from the shard's own SubsystemArrival stream.
+//
+// The process only ever waits and then touches the shard's Go state, so it is
+// one api.Ctx.WorkLoop: each call of the function below finishes the wait that
+// has just elapsed and starts the next, and the generator's thread runs again
+// only when the run stops. The draws keep the order of the loop written out:
+// gap, then client, key and mode once the gap has elapsed.
 func (c *Cluster) generate(ctx api.Ctx, sh *shard, rng *rand.Rand) {
 	spec := c.spec
 	var phaseEnd int64
@@ -275,26 +289,32 @@ func (c *Cluster) generate(ctx api.Ctx, sh *shard, rng *rand.Rand) {
 		// as the closed-loop workload staggers threads.
 		phaseEnd = ctx.Now() + 1 + rng.Int63n(spec.BurstOnNS)
 	}
-	for !ctx.Stopped() {
-		if spec.BurstOnNS > 0 && ctx.Now() >= phaseEnd {
-			ctx.Work(time.Duration(spec.BurstOffNS))
-			phaseEnd = ctx.Now() + spec.BurstOnNS
-			continue
+	waiting := genStart
+	ctx.WorkLoop(func(now int64, stopped bool) (time.Duration, bool) {
+		if stopped {
+			return 0, false
 		}
-		ctx.Work(time.Duration(stats.ExpGapNS(rng, sh.meanGapNS)))
-		if ctx.Stopped() {
-			return
+		switch waiting {
+		case genOff:
+			phaseEnd = now + spec.BurstOnNS
+		case genGap:
+			r := request{
+				client:   rng.Int63n(spec.Clients),
+				key:      sh.keys[sh.pick.Pick(rng)],
+				arriveNS: now,
+			}
+			if spec.ReadPct > 0 && rng.Intn(100) < spec.ReadPct {
+				r.mode = api.Shared
+			}
+			c.admit(sh, r)
 		}
-		r := request{
-			client:   rng.Int63n(spec.Clients),
-			key:      sh.keys[sh.pick.Pick(rng)],
-			arriveNS: ctx.Now(),
+		if spec.BurstOnNS > 0 && now >= phaseEnd {
+			waiting = genOff
+			return time.Duration(spec.BurstOffNS), true
 		}
-		if spec.ReadPct > 0 && rng.Intn(100) < spec.ReadPct {
-			r.mode = api.Shared
-		}
-		c.admit(sh, r)
-	}
+		waiting = genGap
+		return time.Duration(stats.ExpGapNS(rng, sh.meanGapNS)), true
+	})
 }
 
 // admit applies the shard's admission control to one arrival.
@@ -329,12 +349,18 @@ func (c *Cluster) serve(ctx api.Ctx, sh *shard, prov locks.Provider, ft *locks.F
 	spec := c.spec
 	h := locks.TokenHandleFor(prov, ctx, ft)
 	cs := time.Duration(spec.CSWorkNS)
-	for !ctx.Stopped() {
-		r, ok := sh.pop()
-		if !ok {
-			ctx.Work(pollNS * time.Nanosecond)
-			continue
+	// An idle worker looks at the queue every pollNS; the look is Go state
+	// only, so the wait is one WorkLoop and costs the worker's thread nothing
+	// until there is a request to take or the run stops.
+	idle := func(_ int64, stopped bool) (time.Duration, bool) {
+		return pollNS * time.Nanosecond, !stopped && sh.qlen() == 0
+	}
+	for {
+		ctx.WorkLoop(idle)
+		if ctx.Stopped() {
+			return
 		}
+		r, _ := sh.pop() // idle ended on a non-empty queue, and nothing ran since
 		deqNS := ctx.Now()
 		var opt api.AcquireOpts
 		if spec.TimeoutNS > 0 {

@@ -3,8 +3,12 @@ package cluster
 import (
 	"testing"
 
+	"alock/internal/locks"
 	"alock/internal/locktable"
 	"alock/internal/mem"
+	"alock/internal/model"
+	"alock/internal/sim"
+	"alock/internal/slots"
 )
 
 func testTable(t *testing.T, nodes, locks int) *locktable.Table {
@@ -219,5 +223,79 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("lifo"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// tinyService installs a two-shard service over an eight-lock ALock table on
+// a two-node engine, runs it to the horizon and returns the engine and the
+// service's metrics.
+func tinyService(t *testing.T, horizonNS int64, spec Spec, opts ...sim.Option) (*sim.Engine, Metrics) {
+	t.Helper()
+	e := sim.New(2, 1<<16, model.CX3(), 1, opts...)
+	table := locktable.New(e.Space(), 8)
+	prov := locks.NewALockProvider()
+	prov.Prepare(e.Space(), table.All())
+	place, err := NewPlacement("home", 2, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Shards, spec.Clients = 2, 1000
+	c, err := Install(e, table, prov, locks.NewFenceTable(), place, KeyWeights(8, 0), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(horizonNS)
+	m := c.Metrics()
+	if m.Offered != m.Served+m.Shed {
+		t.Fatalf("conservation violated: offered %d != served %d + shed %d", m.Offered, m.Served, m.Shed)
+	}
+	return e, m
+}
+
+// TestWaitingServiceCostsNoResumes: what the service's threads do while they
+// wait is Go state only, so it must not cost a thread switch. Idle workers (no
+// arrival ever comes) poll their queues three times as often over three times
+// the horizon and are switched to exactly as often; generators whose arrivals
+// all find the workers busy admit and shed hundreds of requests between their
+// two switches, to start and to stop. Under both executors, with conservation
+// exact.
+func TestWaitingServiceCostsNoResumes(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const horizon = 1_000_000
+	for _, exec := range []struct {
+		name string
+		opts []sim.Option
+	}{{"serial", nil}, {"windowed", []sim.Option{sim.WithShards(2)}}} {
+		t.Run(exec.name, func(t *testing.T) {
+			// One arrival a second: none within milliseconds.
+			idle := Spec{WorkersPerShard: 3, RateOPS: 1, QueueCap: 4, CSWorkNS: 100}
+			short, m := tinyService(t, horizon, idle, exec.opts...)
+			long, _ := tinyService(t, 3*horizon, idle, exec.opts...)
+			if m.Offered != 0 || short.Events() < 10_000 || long.Events() < 3*short.Events()-100 {
+				t.Fatalf("idle service: %d offered, %d events to the horizon, %d to three times it; want none, and polls in proportion",
+					m.Offered, short.Events(), long.Events())
+			}
+			if short.Resumes() != long.Resumes() || short.Resumes() > 4*8 {
+				t.Errorf("idle service: %d resumes to the horizon, %d to three times it; want the same handful (8 threads start and stop)",
+					short.Resumes(), long.Resumes())
+			}
+
+			// Each shard's one worker takes the first request and holds its lock
+			// past the horizon: every later arrival is queued or shed by the
+			// generator alone.
+			busy := Spec{WorkersPerShard: 1, RateOPS: 4e5, QueueCap: 1, CSWorkNS: 2 * horizon}
+			e, m := tinyService(t, horizon, busy, exec.opts...)
+			if m.Offered < 200 || m.Served != 2 || m.Shed != m.Offered-2 {
+				t.Fatalf("busy service: offered %d served %d shed %d; want hundreds, 2, the rest", m.Offered, m.Served, m.Shed)
+			}
+			// Two generators at two resumes; two workers at a start, a stop and
+			// one served request each (an uncontended acquire, the hold, the release).
+			if got := e.Resumes(); got > 4+2*16 {
+				t.Errorf("busy service: %d arrivals cost %d resumes; the generators' share must not grow with arrivals", m.Offered, got)
+			}
+			t.Logf("idle: %d events, %d resumes; busy: %d arrivals, %d events, %d resumes",
+				long.Events(), long.Resumes(), m.Offered, e.Events(), e.Resumes())
+		})
 	}
 }

@@ -211,6 +211,17 @@ func (t *thread) Work(d time.Duration) {
 	time.Sleep(d)
 }
 
+// WorkLoop is the loop api.Ctx defines it as.
+func (t *thread) WorkLoop(f func(now int64, stopped bool) (time.Duration, bool)) {
+	for {
+		d, again := f(t.Now(), t.Stopped())
+		if !again {
+			return
+		}
+		t.Work(d)
+	}
+}
+
 // spinFor busy-waits for approximately d without yielding the P, which is
 // the right model for a short critical-section body.
 func spinFor(d time.Duration) {

@@ -42,6 +42,38 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkLoopTickZeroAllocs: a turn of a WorkLoop — pop, the function's look
+// on the executor, the re-arm — allocates nothing and switches to no thread.
+func TestWorkLoopTickZeroAllocs(t *testing.T) {
+	e := New(1, 1024, model.Uniform(10), 1)
+	for i := 0; i < 4; i++ {
+		e.Spawn(0, func(ctx api.Ctx) {
+			ctx.WorkLoop(func(_ int64, stopped bool) (time.Duration, bool) {
+				return 10 * time.Nanosecond, !stopped
+			})
+		})
+	}
+	e.SetHorizon(1 << 40)
+	for i := 0; i < 256; i++ {
+		e.Step()
+	}
+	resumes := e.Resumes()
+	avg := testing.AllocsPerRun(2000, func() {
+		if !e.ProcessNextEvent() {
+			t.Fatal("engine drained mid-measurement")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a WorkLoop turn allocates %.3f allocs/event, want 0", avg)
+	}
+	if got := e.Resumes(); got != resumes {
+		t.Fatalf("2000 turns resumed coroutines %d times, want 0", got-resumes)
+	}
+	e.RequestStop()
+	for e.Step() {
+	}
+}
+
 // TestDirectRunNearZeroAllocs bounds Run, the ProcessNextEvent loop: a
 // contended run processing tens of thousands of events may allocate only
 // its fixed setup (goroutine launches) — not per event.

@@ -108,14 +108,6 @@ func postedWorld(seed int64, wrap ctxWrap, opts ...Option) (*Engine, []ptr.Ptr, 
 	return e, words, log
 }
 
-// resumesOf totals the coroutine switches of a finished run.
-func resumesOf(e *Engine) (n uint64) {
-	for _, t := range e.threads {
-		n += t.resumes
-	}
-	return n
-}
-
 // TestPostedOpsMatchSynchronous: random programs with posted local ops
 // against the same programs completing every op before the next — final
 // clock, Events, memory image, NIC stats and every thread's (value, time)
@@ -144,7 +136,7 @@ func TestPostedOpsMatchSynchronous(t *testing.T) {
 				if !reflect.DeepEqual(wantLog, gotLog) {
 					t.Fatalf("seed %d: threads observed different values or times", seed)
 				}
-				if w, g := resumesOf(want), resumesOf(got); g >= w {
+				if w, g := want.Resumes(), got.Resumes(); g >= w {
 					t.Fatalf("seed %d: posted ops resumed coroutines %d times, synchronous %d", seed, g, w)
 				}
 			}

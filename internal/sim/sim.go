@@ -64,15 +64,22 @@
 // time, touches a NIC or the allocator, or burns Work has what it waited for
 // (Thread.drain); `Write; Write; CAS` is three events and one resume, and
 // api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one
-// FIFO entry however many polls it takes. post and step share tryAdvance, the
-// test for whether an operation can advance the clock in place instead of
-// scheduling. api.Ctx states the contract this puts on callers (Go state
-// shared between threads is ordered by a completing call, never by a bare
-// Write returning). The package's tests replay the ProcessNextEvent loop
+// FIFO entry however many polls it takes. So is api.Ctx.WorkLoop, the loop
+// that waits on Go state (`look; Work(d); look again`: the lock service's idle
+// workers and arrival generators): when a turn's Work has elapsed, step calls
+// the loop's function on the executor (Thread.tick) and re-arms the entry, and
+// the coroutine runs again only when the function ends the loop. The function
+// is thread code that happens to run off the coroutine — bound to the thread's
+// node, Go state only, its panic the thread's panic. post and step share
+// tryAdvance, the test for whether an operation can advance the clock in place
+// instead of scheduling. api.Ctx states the contract this puts on callers (Go
+// state shared between threads is ordered by a completing call, never by a
+// bare Write returning). The package's tests replay the ProcessNextEvent loop
 // against the standard-library heap as the bit-exact reference
-// (reference_test.go), SpinWhile against the loop it is defined as
-// (spin_test.go) and posted operations against the same programs with every
-// operation completed before the next is issued (posted_test.go).
+// (reference_test.go), SpinWhile and WorkLoop against the loops they are
+// defined as (spin_test.go, workloop_test.go) and posted operations against
+// the same programs with every operation completed before the next is issued
+// (posted_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -338,6 +345,16 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // Events returns the number of events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
+
+// Resumes returns how many times the executor has switched into a simulated
+// thread's coroutine so far: the events that cost a thread switch, out of
+// Events(). Like Events it is for use between Steps or after Run.
+func (e *Engine) Resumes() (n uint64) {
+	for _, t := range e.threads {
+		n += t.resumes
+	}
+	return n
+}
 
 // RNG exposes the engine's partitioned randomness so setup code can derive
 // streams for its own subsystems without touching the thread streams.
@@ -634,8 +651,8 @@ type Thread struct {
 	// one worker for the whole Run, so the line stays where it is.)
 	head, nops int
 	result     uint64
-	// resumes counts coroutine switches into the thread (tests assert that
-	// what the executor completes costs none).
+	// resumes counts coroutine switches into the thread (Engine.Resumes; tests
+	// assert that what the executor completes costs none).
 	resumes uint64
 	// The thread's coroutine (iter.Pull over run): next switches to the
 	// body until it calls yield or returns, stop unwinds a body that has not
@@ -653,6 +670,11 @@ type Thread struct {
 	fabric *rand.Rand
 	fn     func(api.Ctx)
 	verb   verbState
+	// loop is the function of the thread's WorkLoop call (the FIFO's opLoop
+	// entry runs it, see tick) and loopPanic what it panicked with, for
+	// WorkLoop to raise from the thread's body.
+	loop      func(now int64, stopped bool) (time.Duration, bool)
+	loopPanic any
 }
 
 // Local operation kinds: what step does when a FIFO entry's latency has
@@ -663,6 +685,7 @@ const (
 	opRead                  // result = the word at p
 	opCAS                   // result = the word at p, which becomes val if it was old
 	opSpin                  // one block of a SpinWhile loop, see step
+	opLoop                  // one Work of a WorkLoop loop, see tick
 	opLoopDone              // a loopback verb's completion: retire its NIC occupancy
 )
 
@@ -782,6 +805,9 @@ func (t *Thread) drain() {
 //	}
 //
 // taken one block at a time: it stays at the head until a poll ends the loop.
+// A WorkLoop entry stays at the head the same way, one Work of its loop after
+// another, until its function ends the loop (tick).
+//
 // Every block of every kind goes through tryAdvance exactly as it would with
 // the thread resumed in between, so the events counted, the sequence numbers
 // consumed and the push order on the shard are those of that program.
@@ -789,7 +815,7 @@ func (t *Thread) step() bool {
 	e := t.e
 	for {
 		op := &t.ops[t.head]
-		more := false // an opSpin with another block to run
+		more := false // an opSpin or opLoop with another block to run
 		switch op.kind {
 		case opWrite:
 			*e.space.WordAddr(op.p) = op.val
@@ -811,6 +837,10 @@ func (t *Thread) step() bool {
 				(op.deadline <= 0 || t.now() < op.deadline) { // a failed poll: back off
 				op.read, op.d, more = false, e.spinBackoff(int(op.iter)), true
 				op.iter++
+			}
+		case opLoop:
+			if d := t.tick(); d > 0 { // the loop goes on: its next Work
+				op.d, more = d, true
 			}
 		case opLoopDone:
 			t.shard.loopInFlight--
@@ -889,6 +919,13 @@ func (t *Thread) Now() int64 {
 // Stopped implements api.Ctx.
 func (t *Thread) Stopped() bool {
 	t.drain()
+	return t.stopped()
+}
+
+// stopped is the thread's view of the stop: an explicit request or its shard's
+// clock reaching the horizon under the windowed executor, the engine's flag
+// otherwise.
+func (t *Thread) stopped() bool {
 	e := t.e
 	if e.windowed {
 		return e.stopRequested.Load() || t.shard.now >= e.stopAt
@@ -925,8 +962,8 @@ func (t *Thread) auditLocal(p ptr.Ptr) {
 
 // --- Local (shared-memory) operations ---
 //
-// Write, Fence and Pause return once posted; Read, CAS, SpinWhile and Work
-// post and wait, so a run of them costs one resume, not one each.
+// Write, Fence and Pause return once posted; Read, CAS, SpinWhile, Work and
+// WorkLoop post and wait, so a run of them costs one resume, not one each.
 
 // Read implements api.Ctx.
 func (t *Thread) Read(p ptr.Ptr) uint64 {
@@ -992,6 +1029,57 @@ func (t *Thread) Work(d time.Duration) {
 		t.post(localOp{d: d.Nanoseconds()})
 	}
 	t.drain()
+}
+
+// WorkLoop implements api.Ctx: the loop
+//
+//	for {
+//		d, again := f(Now(), Stopped())
+//		if !again { return }
+//		Work(d)
+//	}
+//
+// as one FIFO entry that stays at the head, one Work after another, until f
+// ends the loop. Whoever finds a Work elapsed calls f for the next — the
+// coroutine for one that advances the clock in place, the executor when it
+// pops the Work's evWake — so the thread is switched to once, when the loop is
+// over, however many turns it took.
+func (t *Thread) WorkLoop(f func(now int64, stopped bool) (time.Duration, bool)) {
+	t.drain() // Now() and Stopped() complete what is posted
+	t.loop = f
+	if d := t.tick(); d > 0 {
+		t.post(localOp{kind: opLoop, d: d})
+		t.drain()
+	}
+	if t.loopPanic != nil {
+		panic(fmt.Sprintf("%v (in the function passed to WorkLoop)", t.loopPanic))
+	}
+}
+
+// tick runs the WorkLoop loop from the top of a turn to its next Work that
+// takes time, and returns that Work's length: 0 means f ended the loop (a
+// Work(0) schedules nothing, so f is simply called again). f is thread code,
+// and its panic must unwind the thread's body, not the executor: tick ends the
+// loop and leaves the value for WorkLoop to raise on the coroutine.
+func (t *Thread) tick() int64 {
+	defer t.trapLoop()
+	for {
+		d, again := t.loop(t.now(), t.stopped())
+		if !again {
+			return 0
+		}
+		if d > 0 {
+			return d.Nanoseconds()
+		}
+	}
+}
+
+// trapLoop is tick's deferred recover: a method, not a closure, so that the
+// executor's path through tick stays provably allocation-free.
+func (t *Thread) trapLoop() {
+	if r := recover(); r != nil {
+		t.loopPanic = r
+	}
 }
 
 // --- Remote (RDMA one-sided) operations ---

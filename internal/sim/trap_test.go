@@ -173,6 +173,48 @@ func TestTrapStopsThreadGoroutines(t *testing.T) {
 				t.Errorf("goroutines leaked across a body panic: %d before New, %d after", before, after)
 			}
 		})
+		for _, at := range []int{0, 5} {
+			// A WorkLoop function panics: on its first look, which the thread
+			// itself takes, and on a later one, taken by the executor (under
+			// windowed-run, by the helper that owns node 1). Either way it is
+			// thread 2's panic: raised in its body, reported on the driver.
+			t.Run(fmt.Sprintf("%s/loop-func-panic-at-turn-%d", d.name, at), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				e := New(2, 1024, model.Uniform(10), 1, d.opts...)
+				unwound, deferred := 0, false
+				spinners(e, 1, &unwound)
+				e.Spawn(1, func(ctx api.Ctx) { // keeps the loop's turns off the inline path
+					defer func() { unwound++ }()
+					for {
+						ctx.Work(7)
+					}
+				})
+				looper := e.Spawn(1, func(ctx api.Ctx) { // thread 2
+					defer func() { deferred = true }()
+					turn := 0
+					ctx.WorkLoop(func(int64, bool) (time.Duration, bool) {
+						if turn == at {
+							panic("boom-in-f")
+						}
+						turn++
+						return 30, true
+					})
+				})
+				msg := fmt.Sprint(recovered(func() { d.drive(e) }))
+				if !strings.Contains(msg, "thread 2 panicked") || !strings.Contains(msg, "boom-in-f") {
+					t.Fatalf("the function's panic did not reach the driver as thread 2's: %.200s", msg)
+				}
+				if want := uint64(1 + min(at, 1)); looper.resumes != want {
+					t.Errorf("the looping thread was resumed %d times, want %d", looper.resumes, want)
+				}
+				if !deferred || unwound != 2 {
+					t.Errorf("looping body unwound=%v, %d of 2 other bodies unwound", deferred, unwound)
+				}
+				if after := settleGoroutines(before); after > before {
+					t.Errorf("goroutines leaked across a WorkLoop function's panic: %d before New, %d after", before, after)
+				}
+			})
+		}
 		t.Run(d.name+"/panic-before-others-start", func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			e := New(2, 1024, model.Uniform(10), 1, d.opts...)
@@ -253,7 +295,7 @@ func TestTrapWithOpsPosted(t *testing.T) {
 				t.Errorf("event-budget trap: posted %q, synchronous %q", got, want)
 			}
 			sameOutcome(t, sync, post)
-			if p, s := resumesOf(post), resumesOf(sync); p >= s {
+			if p, s := post.Resumes(), sync.Resumes(); p >= s {
 				t.Errorf("the loops were not running ahead of their ops: %d resumes posted, %d synchronous", p, s)
 			}
 			_, got = trapped(posted, true)

@@ -10,7 +10,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // ExpGapNS draws one exponential interarrival gap with the given mean, in
@@ -94,8 +93,18 @@ func (w *Weighted) Pick(rng *rand.Rand) int {
 	// Index i owns the half-open interval [cum[i-1], cum[i]), so a
 	// zero-weight index (an empty interval) is never picked and u == 0
 	// lands on the first positive-weight index. Float round-off on the
-	// final cumulative sum could leave u >= cum[last]; clamp.
-	i := sort.Search(len(w.cum), func(i int) bool { return w.cum[i] > u })
+	// final cumulative sum could leave u >= cum[last]; clamp. (The binary
+	// search is spelled out — sort.Search's predicate would be a capturing
+	// closure, and arrival generators pick from their executor-run loop
+	// function, which allocfree holds to zero allocations.)
+	i, end := 0, len(w.cum)
+	for i < end {
+		if mid := int(uint(i+end) >> 1); w.cum[mid] > u {
+			end = mid
+		} else {
+			i = mid + 1
+		}
+	}
 	if i >= len(w.cum) {
 		i = len(w.cum) - 1
 	}
