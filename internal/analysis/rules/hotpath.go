@@ -27,15 +27,15 @@ var HotPathRoots = []string{
 	// runs on the thread's coroutine.
 	"alock/internal/sim.(*Thread).resume",
 	"alock/internal/sim.(*Thread).suspend",
-	"alock/internal/sim.(*Thread).block",
 
-	// Local operations: posted on the coroutine (SpinWhile and WorkLoop are
-	// two of them), then completed and started one after another by the
-	// executors' step between resumes. step runs the functions handed to
-	// WorkLoop, so those are in the proved set with it: api.Ctx forbids them
-	// to allocate.
+	// Local operations: posted on the coroutine (SpinWhile, SpinUntil and
+	// WorkLoop are three of them), then completed and started one after
+	// another by the executors' step between resumes. step runs the functions
+	// handed to WorkLoop and SpinUntil, so those are in the proved set with
+	// it: api.Ctx forbids them to allocate.
 	"alock/internal/sim.(*Thread).post",
 	"alock/internal/sim.(*Thread).SpinWhile",
+	"alock/internal/sim.(*Thread).SpinUntil",
 	"alock/internal/sim.(*Thread).WorkLoop",
 	"alock/internal/sim.(*Thread).step",
 

@@ -33,14 +33,25 @@ var ShardflowRoots = []string{
 // (*mem.Space).WordAddr / Region or (*mem.Region).WordAddr on a dispatch
 // path is a finding. Test files are skipped.
 //
-// Functions handed to a WorkLoop method (api.Ctx.WorkLoop) are thread code the
-// engine runs between events, on the executor, bound to the calling thread's
-// node. They are dispatch roots like thread bodies, and they answer to one
-// more rule: nothing reachable from them may call a method of a thread
-// context (any type with a WorkLoop method — the function does not run on the
-// thread's coroutine) or of the engine that owns the dispatch roots (engine
+// Functions handed to a WorkLoop or SpinUntil method (ExecutorFuncs) are thread
+// code the engine runs between events, on the executor, bound to the calling
+// thread's node. They are dispatch roots like thread bodies, and they answer
+// to one more rule: nothing reachable from them may call a method of a thread
+// context (any type with one of those methods — the function does not run on
+// the thread's coroutine) or of the engine that owns the dispatch roots (engine
 // state belongs to every node; the function may touch only its own node's).
 var Shardflow = NewShardflow(ShardflowRoots)
+
+// ExecutorFuncs lists the api.Ctx methods that take thread code for the engine
+// to run off the thread's coroutine, with the position of that argument:
+// WorkLoop's f and SpinUntil's done. shardflow and shardmem both read it.
+var ExecutorFuncs = []struct {
+	Method string
+	Arg    int
+}{
+	{"WorkLoop", 0},
+	{"SpinUntil", 2},
+}
 
 // NewShardflow builds the analyzer for an explicit root set; fixtures use
 // it to model the dispatch shape under a test import path.
@@ -80,9 +91,13 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 		}
 	}
 	rootNodes = append(rootNodes, threadCode(mp, g, "Spawn", 1, rootPkgs)...)
-	loops := threadCode(mp, g, "WorkLoop", 0, nil)
-	rootNodes = append(rootNodes, loops...)
-	reached, inLoop := reachableSharded(rootNodes), reachableSharded(loops)
+	ranBy := make([]map[*callgraph.Node]bool, len(ExecutorFuncs)) // per method: what its functions reach
+	for i, m := range ExecutorFuncs {
+		fns := threadCode(mp, g, m.Method, m.Arg, nil)
+		rootNodes = append(rootNodes, fns...)
+		ranBy[i] = reachableSharded(fns)
+	}
+	reached := reachableSharded(rootNodes)
 	for _, n := range g.Nodes() {
 		if !reached[n] || n.Body() == nil || n.Pkg == nil {
 			continue
@@ -94,8 +109,11 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 			continue
 		}
 		scanSubstrateAccess(mp, n)
-		if inLoop[n] {
-			scanLoopCalls(mp, n, rootPkgs)
+		for i, m := range ExecutorFuncs {
+			if ranBy[i][n] {
+				scanLoopCalls(mp, n, rootPkgs, m.Method)
+				break
+			}
 		}
 	}
 	return nil
@@ -103,9 +121,9 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 
 // threadCode resolves the function values handed, as argument arg, to the
 // methods called `method`, outside test files: thread bodies (Spawn) resume
-// inside shard windows through coroutine switches, and WorkLoop functions are
-// called from the engine's sanctioned step, neither of which the call graph
-// follows, so they are roots in their own right. With pkgs set, only methods
+// inside shard windows through coroutine switches, and WorkLoop and SpinUntil
+// functions are called from the engine's sanctioned step, neither of which
+// the call graph follows, so they are roots in their own right. With pkgs set, only methods
 // of types those packages declare count: Spawn methods of other runtimes (the
 // wall-clock Cluster) schedule no shard windows and are ignored.
 func threadCode(mp *analysis.ModulePass, g *callgraph.Graph, method string, arg int, pkgs map[string]bool) []*callgraph.Node {
@@ -215,15 +233,26 @@ func hasMethod(n *types.Named, name string) bool {
 	return ok
 }
 
-// offLimits says why a WorkLoop function must not call a method of recv, ""
-// if it may: thread contexts (the types with a WorkLoop method) belong to the
-// coroutine the function does not run on, and the engine of the dispatch-root
-// packages (the type with Spawn) holds every node's state.
+// isThreadCtx reports whether recv is a thread context: a type with one of
+// the ExecutorFuncs methods.
+func isThreadCtx(recv *types.Named) bool {
+	for _, m := range ExecutorFuncs {
+		if hasMethod(recv, m.Method) {
+			return true
+		}
+	}
+	return false
+}
+
+// offLimits says why an executor-run function must not call a method of recv,
+// "" if it may: thread contexts belong to the coroutine the function does not
+// run on, and the engine of the dispatch-root packages (the type with Spawn)
+// holds every node's state.
 func offLimits(recv *types.Named, rootPkgs map[string]bool) string {
 	switch {
 	case recv == nil || recv.Obj().Pkg() == nil:
 		return ""
-	case hasMethod(recv, "WorkLoop"):
+	case isThreadCtx(recv):
 		return "it runs on the executor, off the thread's coroutine, and may touch Go state only"
 	case rootPkgs[recv.Obj().Pkg().Path()] && hasMethod(recv, "Spawn"):
 		return "engine state belongs to every node, and the function is bound to its caller's"
@@ -231,10 +260,11 @@ func offLimits(recv *types.Named, rootPkgs map[string]bool) string {
 	return ""
 }
 
-// scanLoopCalls reports, inside one node reachable from a WorkLoop function,
-// the method calls such a function must not make (offLimits). The off-limits
-// methods' own bodies are not scanned: the call into them is the finding.
-func scanLoopCalls(mp *analysis.ModulePass, n *callgraph.Node, rootPkgs map[string]bool) {
+// scanLoopCalls reports, inside one node reachable from a function handed to
+// `method` (one of ExecutorFuncs), the method calls such a function must not
+// make (offLimits). The off-limits methods' own bodies are not scanned: the
+// call into them is the finding.
+func scanLoopCalls(mp *analysis.ModulePass, n *callgraph.Node, rootPkgs map[string]bool, method string) {
 	if n.Fn != nil {
 		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
 			t := recv.Type()
@@ -258,8 +288,8 @@ func scanLoopCalls(mp *analysis.ModulePass, n *callgraph.Node, rootPkgs map[stri
 		}
 		recv := namedRecv(selection)
 		if why := offLimits(recv, rootPkgs); why != "" {
-			mp.Reportf(sel.Pos(), "%s.%s called from a WorkLoop function (in %s): %s",
-				recv.Obj().Name(), sel.Sel.Name, n.Name(), why)
+			mp.Reportf(sel.Pos(), "%s.%s called from a %s function (in %s): %s",
+				recv.Obj().Name(), sel.Sel.Name, method, n.Name(), why)
 		}
 	})
 }

@@ -19,15 +19,15 @@ var ShardmemScopes = []string{"alock/internal/sim", "alock/internal/locks"}
 
 // ShardmemSanctioned is the accessor set allowed to resolve memory words
 // through (*mem.Space).WordAddr / (*mem.Space).Region: the engine's verb
-// executor, the step function that applies a thread's posted local
-// operations (Read, Write, CAS, SpinWhile's polls and the untorn loopback
-// verbs, run by the executor) and the torn loopback RCAS, which are exactly
-// the sites the runtime access audit (sim.WithAccessAudit) instruments. Names are receiver-qualified but package-agnostic so the
-// golden fixtures can model the shape.
+// executor and the step function that applies a thread's posted local
+// operations (Read, Write, CAS, SpinWhile's and SpinUntil's polls and the
+// loopback verbs, torn RCAS included, run by the executor), which are exactly
+// the sites the runtime access audit (sim.WithAccessAudit) instruments. Names
+// are receiver-qualified but package-agnostic so the golden fixtures can model
+// the shape.
 var ShardmemSanctioned = map[string]bool{
 	"(*Engine).execProtocol": true,
 	"(*Thread).step":         true,
-	"(*Thread).RCAS":         true,
 }
 
 // Shardmem is the static complement of the internal/mem runtime access
@@ -38,10 +38,11 @@ var ShardmemSanctioned = map[string]bool{
 // (*mem.Region).WordAddr is flagged unconditionally in these packages —
 // region-level access bypasses the Space audit hook entirely — and
 // (*mem.Space).WordAddr / (*mem.Space).Region are flagged outside the
-// sanctioned set. A function literal handed to a WorkLoop method is thread
-// code whatever declaration encloses it — the engine runs it between events,
-// bound to the calling thread's node, and api.Ctx lets it touch Go state only
-// — so it is never inside the sanctioned set.
+// sanctioned set. A function literal handed to a WorkLoop or SpinUntil method
+// (ExecutorFuncs) is thread code whatever declaration encloses it — the
+// engine runs it between events, bound to the calling thread's node, and
+// api.Ctx lets it touch Go state only — so it is never inside the sanctioned
+// set.
 var Shardmem = &analysis.Analyzer{
 	Name: "shardmem",
 	Doc:  "restrict direct memory-word resolution in sim/locks to the sanctioned accessor set",
@@ -70,32 +71,40 @@ func runShardmem(pass *analysis.Pass) error {
 	return nil
 }
 
-// loopFuncName is the name shardmem gives a function literal passed to a
-// WorkLoop method; it is in no sanctioned set.
-const loopFuncName = "a WorkLoop function"
-
-// isLoopCall reports whether call invokes a method named WorkLoop: the
-// api.Ctx entry point that takes thread code to run between events.
-func isLoopCall(info *types.Info, call *ast.CallExpr) bool {
+// executorFuncArg reports whether call invokes one of the ExecutorFuncs — the
+// api.Ctx entry points that take thread code to run between events — and if so
+// the index of the argument that is that code and the name shardmem gives a
+// literal found there, which is in no sanctioned set.
+func executorFuncArg(info *types.Info, call *ast.CallExpr) (arg int, name string, ok bool) {
 	sel, _ := methodCall(info, call)
-	return sel != nil && sel.Sel.Name == "WorkLoop"
+	if sel == nil {
+		return 0, "", false
+	}
+	for _, m := range ExecutorFuncs {
+		if sel.Sel.Name == m.Method {
+			return m.Arg, "a " + m.Method + " function", true
+		}
+	}
+	return 0, "", false
 }
 
 // scanShardmem reports the direct word resolutions under node, attributing
-// them to the function called name; literals passed to WorkLoop are scanned
-// under loopFuncName instead.
+// them to the function called name; a literal passed to WorkLoop or SpinUntil
+// as the code to run is scanned under that method's name instead.
 func scanShardmem(pass *analysis.Pass, name string, node ast.Node) {
 	ast.Inspect(node, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isLoopCall(pass.TypesInfo, call) {
-			scanShardmem(pass, name, call.Fun)
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					scanShardmem(pass, loopFuncName, lit.Body)
-				} else {
-					scanShardmem(pass, name, arg)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if at, handed, ok := executorFuncArg(pass.TypesInfo, call); ok {
+				scanShardmem(pass, name, call.Fun)
+				for i, arg := range call.Args {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && i == at {
+						scanShardmem(pass, handed, lit.Body)
+					} else {
+						scanShardmem(pass, name, arg)
+					}
 				}
+				return false
 			}
-			return false
 		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {

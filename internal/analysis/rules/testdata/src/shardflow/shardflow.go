@@ -19,9 +19,13 @@ type Engine struct {
 func (e *Engine) Node(i int) *node { return e.nodes[i] }
 
 type Thread struct {
-	e    *Engine
-	loop func() bool
+	e     *Engine
+	loop  func() bool
+	until func(v uint64, now int64) bool
 }
+
+// Now is a thread-context call: it completes what the thread has posted.
+func (t *Thread) Now() int64 { return 0 }
 
 // node is one node's Go-side state: its threads may share it freely.
 type node struct{ queued int }
@@ -40,12 +44,23 @@ func (e *Engine) execProtocol(p ptr.Ptr) uint64 {
 func (t *Thread) Read(p ptr.Ptr) uint64 { return t.step(p) }
 
 // step applies the thread's local operations, a parked WorkLoop function's
-// next look among them: the sanctioned accessor.
+// next look and a SpinUntil call's next poll among them: the sanctioned
+// accessor.
 func (t *Thread) step(p ptr.Ptr) uint64 {
 	if t.loop != nil && !t.loop() {
 		t.loop = nil
 	}
-	return *t.e.space.WordAddr(p) // sanctioned accessor: no finding
+	v := *t.e.space.WordAddr(p) // sanctioned accessor: no finding
+	if t.until != nil && t.until(v, 0) {
+		t.until = nil
+	}
+	return v
+}
+
+// SpinUntil models api.Ctx.SpinUntil as the engine implements it: done is
+// parked on the thread and asked by the sanctioned step.
+func (t *Thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) {
+	t.until = done
 }
 
 // WorkLoop models api.Ctx.WorkLoop as the engine implements it: the
@@ -109,7 +124,49 @@ func serve(e *Engine) {
 	})
 }
 
-// peekQueue is reachable only from a WorkLoop function.
+// handle is a lock handle in the shape the rw locks use: the wait's deadline
+// travels in a field, and done is a method value bound once, in the
+// constructor, so the analyzer has to follow it through the field.
+type handle struct {
+	t        *Thread
+	deadline int64
+	done     func(v uint64, now int64) bool
+	lateDone func(v uint64, now int64) bool
+}
+
+func newHandle(t *Thread) *handle {
+	h := &handle{t: t}
+	h.done, h.lateDone = h.resolved, h.resolvedLate
+	return h
+}
+
+// resolved reads the value it is handed, the time it is handed and its own
+// handle's field: clean.
+func (h *handle) resolved(v uint64, now int64) bool {
+	return v != 0 || h.deadline > 0 && now >= h.deadline
+}
+
+// resolvedLate asks the thread for the time instead of using the one it was
+// handed: a call into the coroutine it does not run on.
+func (h *handle) resolvedLate(v uint64, _ int64) bool {
+	return v != 0 || h.t.Now() >= h.deadline // want `Thread\.Now called from a SpinUntil function`
+}
+
+// wait is a thread body that waits on a word through both.
+func wait(e *Engine) {
+	e.Spawn(0, func(t *Thread) {
+		h := newHandle(t)
+		var p ptr.Ptr
+		h.deadline = t.Now() + 100 // the body may ask; done may not
+		t.SpinUntil(p, 0, h.done)
+		t.SpinUntil(p, 0, h.lateDone)
+		t.SpinUntil(p, 0, func(v uint64, _ int64) bool {
+			return v == peekQueue(t)
+		})
+	})
+}
+
+// peekQueue is reachable only from a WorkLoop function and a SpinUntil one.
 func peekQueue(t *Thread) uint64 {
 	var p ptr.Ptr
 	return *t.e.space.WordAddr(p) // want `reachable from per-shard dispatch`

@@ -32,9 +32,6 @@ func (e *Engine) regionPeek(p ptr.Ptr) uint64 {
 // operations, is in the sanctioned set.
 type Thread struct{ e *Engine }
 
-// step is sanctioned.
-func (t *Thread) step(p ptr.Ptr) uint64 { return *t.e.space.WordAddr(p) }
-
 // WorkLoop models api.Ctx.WorkLoop: the engine calls f between events, on
 // the thread's node, in place of the thread.
 func (t *Thread) WorkLoop(f func() bool) {
@@ -42,20 +39,34 @@ func (t *Thread) WorkLoop(f func() bool) {
 	}
 }
 
-// stepThenIdle is not sanctioned, and neither is the function it hands to
-// WorkLoop.
+// SpinUntil models api.Ctx.SpinUntil: the engine polls p and asks done.
+func (t *Thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64) bool) {
+	for !done(0) {
+	}
+}
+
+// stepThenIdle is not sanctioned, and neither are the functions it hands to
+// WorkLoop and SpinUntil.
 func (t *Thread) stepThenIdle(p ptr.Ptr) {
 	t.WorkLoop(func() bool {
 		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
 	})
+	t.SpinUntil(p, 0, func(v uint64) bool {
+		return v == *t.e.space.WordAddr(p.Add(1)) // want `outside the sanctioned accessor set \(a SpinUntil function\)`
+	})
 }
 
-// RCAS is sanctioned for its own body only: a function it hands to WorkLoop
-// is thread code, which waits on Go state and resolves no words.
-func (t *Thread) RCAS(p ptr.Ptr, ready *bool) uint64 {
+// step is sanctioned for its own body only: a function it hands to WorkLoop
+// or SpinUntil is thread code, which looks at Go state and the value it is
+// given and resolves no words.
+func (t *Thread) step(p ptr.Ptr, ready *bool) uint64 {
 	t.WorkLoop(func() bool { return !*ready })
 	t.WorkLoop(func() bool {
 		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
+	})
+	t.SpinUntil(p, 0, func(v uint64) bool { return v != 0 || *ready })
+	t.SpinUntil(p, 0, func(v uint64) bool {
+		return v == *t.e.space.WordAddr(p.Add(1)) // want `outside the sanctioned accessor set \(a SpinUntil function\)`
 	})
 	return *t.e.space.WordAddr(p)
 }

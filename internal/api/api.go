@@ -80,9 +80,9 @@ func Classify(threadNode int, p ptr.Ptr) Cohort {
 // they complete (internal/sim posts them and lets the caller run on). They
 // still complete in program order, at the engine instants they always did,
 // and before any later call on the same Ctx returns a value or the time
-// (Read, CAS, SpinWhile, Now, Stopped, and the remote class), issues a verb,
-// allocates or frees, or starts Work or WorkLoop; a thread's function returning waits
-// for them too. To the simulated cluster nothing changed: the definition is
+// (Read, CAS, SpinWhile, SpinUntil, Now, Stopped, and the remote class), issues
+// a verb, allocates or frees, or starts Work or WorkLoop; a thread's function
+// returning waits for them too. To the simulated cluster nothing changed: the definition is
 // "the same program with Now() called after every operation". What callers
 // must not do is order Go state shared between threads (a counter, a flag, an
 // engine-level call such as a stop request) by a bare Write, Fence or Pause
@@ -142,6 +142,32 @@ type Ctx interface {
 	// its wait with a CAS against v. deadlineNS <= 0 spins without bound.
 	SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64
 
+	// SpinUntil is the poll loop for waits SpinWhile's compare cannot state: a
+	// word with several resolved values, a masked field, a deadline that
+	// applies in some states only. It is defined as the loop
+	//
+	//	for {
+	//		v := Read(p)
+	//		if done(v, Now()) { return v, iter }
+	//		Pause(iter)
+	//		iter++
+	//	}
+	//
+	// and costs exactly what that loop costs; engines may run it without
+	// returning to the caller between polls, so done may be called off the
+	// caller's goroutine. p must be a word on the caller's own node, as for
+	// SpinWhile. iter is the back-off to resume from and comes back as the
+	// loop left it: a caller that re-enters the wait (after a retraction CAS
+	// that lost, say) keeps its back-off, and a pause-first loop — `Pause(i);
+	// i++; v = Read(p)` — is Pause(i) followed by SpinUntil(p, i+1, done).
+	// done answers to WorkLoop's rules for f: it is the caller's own code,
+	// it sees the value just read and the time of that read and may read Go
+	// state its thread owns (a deadline kept in the lock handle), and it must
+	// not call any method of this Ctx or of the engine, touch memory words, or
+	// allocate — bind it once (a method value made with the handle), never per
+	// call. A panic in done is the caller's panic.
+	SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (v uint64, iterOut int)
+
 	// Work burns d of engine time, modeling a critical-section body or
 	// think time between operations. It returns when the time is burnt:
 	// callers bracket it with Go-side bookkeeping (readers++; Work; readers--)
@@ -167,7 +193,7 @@ type Ctx interface {
 	// of f, and WorkLoop's return, is a completing call in the sense above:
 	// Go state f wrote is ordered before whatever the caller does next, and
 	// before later calls of f on the same node. A panic in f is the caller's
-	// panic. Loops that wait on a memory word use SpinWhile.
+	// panic. Loops that wait on a memory word use SpinWhile or SpinUntil.
 	WorkLoop(f func(now int64, stopped bool) (d time.Duration, again bool))
 
 	// Now returns nanoseconds of engine time since the run began

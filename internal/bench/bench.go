@@ -234,6 +234,75 @@ func spinPollEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
 	return e
 }
 
+// descWaiter is one engine/desc-wait thread's wait: over at a value it has not
+// consumed whose low bits say granted (0) or promoted (2), never at claimed
+// (1). The state travels in the struct and done is bound once, as
+// api.Ctx.SpinUntil asks of lock handles.
+type descWaiter struct {
+	seen uint64
+	done func(v uint64, now int64) bool
+}
+
+func (w *descWaiter) resolved(v uint64, _ int64) bool { return v != w.seen && v%3 != 1 }
+
+// descWaitEngine is the multi-state local-spin case: on every node, `waiters`
+// threads each wait on a word of their own with SpinUntil while one granter
+// steps all of them through claimed, granted, promoted every 20 us — the
+// rw-queue descriptor wait with nothing else around it. Nearly every event is
+// a poll whose done says "not yet", so ns/event here prices the executor's
+// asking a caller's predicate, against engine/spin-poll's built-in compare.
+func descWaitEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
+	e := sim.New(nodes, 1024, model.CX3(), 19, opts...)
+	for n := 0; n < nodes; n++ {
+		words := make([]ptr.Ptr, waiters)
+		for i := range words {
+			w := e.Space().AllocLine(n)
+			words[i] = w
+			e.Spawn(n, func(ctx api.Ctx) {
+				wait := &descWaiter{}
+				wait.done = wait.resolved
+				for !ctx.Stopped() {
+					wait.seen, _ = ctx.SpinUntil(w, 0, wait.done)
+				}
+			})
+		}
+		e.Spawn(n, func(ctx api.Ctx) {
+			// Rounds go on past the horizon until one ends every wait (a value
+			// that is not claimed): the waiters then see Stopped and exit.
+			for v, last := uint64(1), false; !last; v++ {
+				last = ctx.Stopped() && v%3 != 1
+				ctx.Work(20 * time.Microsecond)
+				for _, w := range words {
+					ctx.Write(w, v)
+				}
+			}
+		})
+	}
+	return e
+}
+
+// tornLoopbackEngine is the loopback-RMW case: on every node, `threads`
+// threads bump a word of their own with RCAS through their own NIC, torn
+// (model.CX3) — the RDMA spinlock's and MCS's acquire on a home-node lock with
+// nothing around it. Each verb is three scheduled legs (execution and read
+// half, write half, completion) of which only the last has anything to tell
+// the thread, so ns/event here prices the executor's carrying a verb from leg
+// to leg, the NIC model included.
+func tornLoopbackEngine(nodes, threads int, opts ...sim.Option) *sim.Engine {
+	e := sim.New(nodes, 1024, model.CX3(), 23, opts...)
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < threads; i++ {
+			w := e.Space().AllocLine(n)
+			e.Spawn(n, func(ctx api.Ctx) {
+				for v := uint64(0); !ctx.Stopped(); v++ {
+					ctx.RCAS(w, v, v+1)
+				}
+			})
+		}
+	}
+	return e
+}
+
 // localChainEngine is the local-op layer case: on every node, `threads`
 // threads run `Write, Write, CAS, Fence` on a line of their own — an
 // uncontended local-cohort acquire and release with nothing around it. All
@@ -288,8 +357,12 @@ func Suite(name string) ([]Case, error) {
 				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(2, 4, o...) }},
 			Case{Name: "engine/spin-poll", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(2, 4, o...) }},
+			Case{Name: "engine/desc-wait", Suite: "tiny", horizon: 2_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return descWaitEngine(2, 4, o...) }},
 			Case{Name: "engine/local-chain", Suite: "tiny", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(2, 4, o...) }},
+			Case{Name: "engine/torn-loopback", Suite: "tiny", horizon: 2_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return tornLoopbackEngine(2, 4, o...) }},
 			Case{Name: "engine/contended-rmw", Suite: "tiny", horizon: 4_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(4, o...) }},
 		)
@@ -310,8 +383,12 @@ func Suite(name string) ([]Case, error) {
 				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(4, 8, o...) }},
 			Case{Name: "engine/spin-poll@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(4, 8, o...) }},
+			Case{Name: "engine/desc-wait@paper", Suite: "paper", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return descWaitEngine(4, 8, o...) }},
 			Case{Name: "engine/local-chain@paper", Suite: "paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(4, 8, o...) }},
+			Case{Name: "engine/torn-loopback@paper", Suite: "paper", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return tornLoopbackEngine(4, 8, o...) }},
 			Case{Name: "engine/contended-rmw@paper", Suite: "paper", horizon: 40_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(8, o...) }},
 		)

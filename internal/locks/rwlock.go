@@ -87,6 +87,12 @@ type RWHandle struct {
 	ctx      api.Ctx
 	budgeted bool
 	cfg      RWConfig
+	// deadline is the deadline of the acquisition in progress, where the two
+	// waits' done functions find it (0 = none). They are method values bound
+	// once by newRWHandle: api.Ctx.SpinUntil may call them off the thread, and
+	// wants no closure made per wait.
+	deadline             int64
+	sharedDone, exclDone func(s uint64, now int64) bool
 }
 
 var _ api.Handle = (*RWHandle)(nil)
@@ -97,13 +103,19 @@ func NewRWBudgetHandle(ctx api.Ctx, cfg RWConfig) *RWHandle {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &RWHandle{ctx: ctx, budgeted: true, cfg: cfg}
+	return newRWHandle(ctx, true, cfg)
 }
 
 // NewRWPrefHandle returns a per-thread handle of the writer-preference
 // baseline.
 func NewRWPrefHandle(ctx api.Ctx) *RWHandle {
-	return &RWHandle{ctx: ctx}
+	return newRWHandle(ctx, false, RWConfig{})
+}
+
+func newRWHandle(ctx api.Ctx, budgeted bool, cfg RWConfig) *RWHandle {
+	h := &RWHandle{ctx: ctx, budgeted: budgeted, cfg: cfg}
+	h.sharedDone, h.exclDone = h.readerOpen, h.writerOpen
+	return h
 }
 
 // poll reads the state word with the cheapest atomic class available:
@@ -114,6 +126,35 @@ func (h *RWHandle) poll(l ptr.Ptr) uint64 {
 		return h.ctx.Read(l)
 	}
 	return h.ctx.RRead(l)
+}
+
+// repoll is the back-off and next look of a wait on the state word. On the
+// lock's home node the look is a shared-memory spin that returns once done
+// says there is something to act on (api.Ctx.SpinUntil: the polls in between
+// never reach the caller); elsewhere it is one verb, and the caller's loop
+// comes round again.
+func (h *RWHandle) repoll(l ptr.Ptr, iter int, done func(s uint64, now int64) bool) (uint64, int) {
+	h.ctx.Pause(iter)
+	if l.NodeID() == h.ctx.NodeID() {
+		return h.ctx.SpinUntil(l, iter+1, done)
+	}
+	return h.ctx.RRead(l), iter + 1
+}
+
+// expired reports whether the acquisition in progress has a deadline and now
+// is past it.
+func (h *RWHandle) expired(now int64) bool {
+	return h.deadline > 0 && now >= h.deadline
+}
+
+// readerOpen is a registered reader's wait: over when it may enter, or at the
+// deadline. writerOpen is the writer's.
+func (h *RWHandle) readerOpen(s uint64, now int64) bool {
+	return h.readerEligible(s) || h.expired(now)
+}
+
+func (h *RWHandle) writerOpen(s uint64, now int64) bool {
+	return h.writerEligible(s) || h.expired(now)
 }
 
 // readerEligible reports whether a reader may enter under state s.
@@ -226,6 +267,7 @@ func (h *RWHandle) acquireShared(l ptr.Ptr, deadlineNS int64) bool {
 		h.ctx.Fence()
 		return true
 	}
+	h.deadline = deadlineNS
 	registered := false
 	iter := 0
 	for {
@@ -261,9 +303,7 @@ func (h *RWHandle) acquireShared(l ptr.Ptr, deadlineNS int64) bool {
 			}
 			continue
 		}
-		h.ctx.Pause(iter)
-		iter++
-		s = h.poll(l)
+		s, iter = h.repoll(l, iter, h.sharedDone)
 	}
 }
 
@@ -314,6 +354,7 @@ func (h *RWHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
 		}
 		s = prev
 	}
+	h.deadline = deadlineNS
 	iter := 0
 	for {
 		if h.writerEligible(s) {
@@ -335,9 +376,7 @@ func (h *RWHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
 				s = prev
 			}
 		}
-		h.ctx.Pause(iter)
-		iter++
-		s = h.poll(l)
+		s, iter = h.repoll(l, iter, h.exclDone)
 	}
 }
 

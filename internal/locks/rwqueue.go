@@ -155,6 +155,12 @@ type RWQueueHandle struct {
 	// must agree). Off, handoff is the plain-write protocol.
 	timed bool
 	pool  api.DescPool
+	// deadline is the deadline of the acquisition in progress, where the
+	// waits' done functions below find it (0 = none). They are method values
+	// bound once here: api.Ctx.SpinUntil may call them off the thread, and
+	// wants no closure made per wait.
+	deadline                       int64
+	descDone, grantDone, groupDone func(v uint64, now int64) bool
 }
 
 var _ api.Handle = (*RWQueueHandle)(nil)
@@ -168,6 +174,7 @@ func NewRWQueueHandle(ctx api.Ctx, cfg RWConfig) *RWQueueHandle {
 	h := &RWQueueHandle{ctx: ctx, cfg: cfg, pool: api.DescPool{
 		Ctx: ctx, Words: RWQDescWords, Spin: rwqSpin, Skip: rwqSpinSkip,
 	}}
+	h.descDone, h.grantDone, h.groupDone = h.descResolved, h.descGranted, h.groupOpen
 	h.pool.Put(ctx.Alloc(RWQDescWords, RWQDescWords))
 	return h
 }
@@ -194,6 +201,40 @@ func (h *RWQueueHandle) write(p ptr.Ptr, v uint64) {
 	h.ctx.RWrite(p, v)
 }
 
+// expired reports whether the acquisition in progress has a deadline and now
+// is past it.
+func (h *RWQueueHandle) expired(now int64) bool {
+	return h.deadline > 0 && now >= h.deadline
+}
+
+// repoll is the back-off and next look of a wait on the group word at p. On
+// the lock's home node the look is a shared-memory spin that returns once
+// groupDone says there is something to act on (api.Ctx.SpinUntil: the polls
+// in between never reach the caller); elsewhere it is one verb, and the
+// caller's loop comes round again.
+func (h *RWQueueHandle) repoll(p ptr.Ptr, iter int) (uint64, int) {
+	h.ctx.Pause(iter)
+	if p.NodeID() == h.ctx.NodeID() {
+		return h.ctx.SpinUntil(p, iter+1, h.groupDone)
+	}
+	return h.ctx.RRead(p), iter + 1
+}
+
+// groupOpen is the queue head's wait on the group word: over when no writer
+// holds the lock or awaits the drain, or at the deadline.
+func (h *RWQueueHandle) groupOpen(s uint64, now int64) bool {
+	return !rwqWrActive(s) && !rwqWrWaiting(s) || h.expired(now)
+}
+
+// descResolved is spinDescTimed's wait: over when a granter has resolved the
+// descriptor, or at the deadline if it is still merely waiting.
+func (h *RWQueueHandle) descResolved(v uint64, now int64) bool {
+	return v == rwqSpinGranted || v == rwqSpinHead || v == rwqSpinWait && h.expired(now)
+}
+
+// descGranted is spinDescWait's wait.
+func (h *RWQueueHandle) descGranted(v uint64, _ int64) bool { return v == rwqSpinGranted }
+
 // spinDescTimed waits on the acquisition's own descriptor — a shared-memory
 // spin, the MCS property that keeps waiting off the fabric entirely — until
 // a granter resolves it: granted, promoted to queue head, or (past the
@@ -202,25 +243,21 @@ func (h *RWQueueHandle) write(p ptr.Ptr, v uint64) {
 // applies and the only exits are granted or head.
 func (h *RWQueueHandle) spinDescTimed(d ptr.Ptr, deadlineNS int64) int {
 	spin := d.Add(rwqSpin)
-	iter := 0
+	h.deadline = deadlineNS
+	v, iter := uint64(0), 0
 	for {
-		switch h.ctx.Read(spin) {
+		switch v, iter = h.ctx.SpinUntil(spin, iter, h.descDone); v {
 		case rwqSpinGranted:
 			return rwqSpinOutGranted
 		case rwqSpinHead:
 			return rwqSpinOutHead
-		case rwqSpinWait:
-			if deadlineNS > 0 && h.ctx.Now() >= deadlineNS {
-				// The abandon CAS and the granter's claim/grant CAS share
-				// the remote RMW class, so exactly one wins.
-				if h.ctx.RCAS(spin, rwqSpinWait, rwqSpinAband) == rwqSpinWait {
-					return rwqSpinOutTimeout
-				}
-				continue // a grant raced the timeout and won: re-read
-			}
 		}
-		h.ctx.Pause(iter)
-		iter++
+		// Still waiting, past the deadline. The abandon CAS and the granter's
+		// claim/grant CAS share the remote RMW class, so exactly one wins.
+		if h.ctx.RCAS(spin, rwqSpinWait, rwqSpinAband) == rwqSpinWait {
+			return rwqSpinOutTimeout
+		}
+		// A grant raced the timeout and won: re-read, back-off kept.
 	}
 }
 
@@ -451,6 +488,7 @@ func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (api.AcqState, 
 // wrActive.) On deadline the head position is passed on via abandonHead.
 func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *api.AcqState, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
+	h.deadline = deadlineNS
 	s := h.poll(group)
 	iter := 0
 	for {
@@ -473,9 +511,7 @@ func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *api.AcqState, deadlineNS in
 			h.abandonHead(l, a.Desc.Word())
 			return false
 		}
-		h.ctx.Pause(iter)
-		iter++
-		s = h.poll(group)
+		s, iter = h.repoll(group, iter)
 	}
 }
 
@@ -674,6 +710,7 @@ func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (api.AcqState, 
 // own deadline CAS can no longer win and the drain wake always lands.
 func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, d ptr.Ptr, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
+	h.deadline = deadlineNS
 	s := h.poll(group)
 	iter := 0
 	for {
@@ -708,21 +745,14 @@ func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, d ptr.Ptr, deadlineNS int64) b
 		}
 		// A departing writer is between its dequeue and clearing wrActive
 		// (narrow race window): back off and re-poll.
-		h.ctx.Pause(iter)
-		iter++
-		s = h.poll(group)
+		s, iter = h.repoll(group, iter)
 	}
 }
 
 // spinDescWait waits for the granted value on a committed descriptor (the
 // registered drain-wake target: no timeout can apply).
 func (h *RWQueueHandle) spinDescWait(d ptr.Ptr) {
-	spin := d.Add(rwqSpin)
-	iter := 0
-	for h.ctx.Read(spin) != rwqSpinGranted {
-		h.ctx.Pause(iter)
-		iter++
-	}
+	h.ctx.SpinUntil(d.Add(rwqSpin), 0, h.grantDone)
 }
 
 // releaseIdle is the writer's release-to-idle transition: one rCAS

@@ -32,6 +32,17 @@ type QP struct {
 	DstNode   int
 }
 
+// key packs the triple into the one word the NIC's maps are keyed by, so
+// that the per-verb context lookup hashes eight bytes, not a 24-byte struct:
+// node IDs in 16 bits each (an RDMA pointer has room for far fewer nodes),
+// the cluster-wide thread ID in 32.
+func (q QP) key() uint64 {
+	if uint64(q.SrcNode)|uint64(q.DstNode) > 0xffff || uint64(q.SrcThread) > 0xffffffff {
+		panic(fmt.Sprintf("nic: connection %+v does not fit the packed QP key", q))
+	}
+	return uint64(q.SrcNode)<<48 | uint64(q.DstNode)<<32 | uint64(q.SrcThread)
+}
+
 // Stats aggregates per-NIC counters for reporting and tests.
 type Stats struct {
 	Verbs        int64 // verbs serviced (TX and RX sides both count)
@@ -49,13 +60,13 @@ type NIC struct {
 	p      model.Params
 	freeAt int64 // virtual time at which the verb server becomes idle
 	qpc    *lru
-	seen   map[QP]struct{} // every connection ever serviced
+	seen   map[uint64]struct{} // every connection ever serviced, by QP.key
 	stats  Stats
 }
 
 // New creates the NIC for node `node` under cost model p.
 func New(node int, p model.Params) *NIC {
-	return &NIC{node: node, p: p, qpc: newLRU(p.QPCCacheCap), seen: make(map[QP]struct{})}
+	return &NIC{node: node, p: p, qpc: newLRU(p.QPCCacheCap), seen: make(map[uint64]struct{})}
 }
 
 // Node returns the node this NIC belongs to.
@@ -109,13 +120,13 @@ func (n *NIC) Submit(now int64, qp QP, loopback bool, inFlight int) int64 {
 	// QP context lookup: a miss stalls the verb for a PCIe fetch. Only a
 	// miss can be a connection's first verb — a cached context was seen when
 	// it was fetched — so the hit path pays one map lookup, not two.
-	if n.qpc.access(qp) {
+	if key := qp.key(); n.qpc.access(key) {
 		n.stats.QPCHits++
 	} else {
 		n.stats.QPCMisses++
 		service += n.p.QPCMissPenaltyNS
-		if _, ok := n.seen[qp]; !ok {
-			n.seen[qp] = struct{}{}
+		if _, ok := n.seen[key]; !ok {
+			n.seen[key] = struct{}{}
 			n.stats.DistinctQPs++
 		}
 	}
@@ -145,11 +156,12 @@ func (n *NIC) String() string {
 // --- LRU cache of QP contexts ---
 
 type lruNode struct {
-	key        QP
+	key        uint64 // QP.key
 	prev, next *lruNode
 }
 
-// lru is a fixed-capacity least-recently-used set of QPs. Implemented with
+// lru is a fixed-capacity least-recently-used set of QPs, held by their
+// packed keys (QP.key). Implemented with
 // an intrusive doubly-linked list plus a map, both O(1) per access. Nodes
 // come from a free list grown in doubling slabs (the frictionless model's
 // cap of 1<<20 makes eager full preallocation too expensive), so once the
@@ -157,7 +169,7 @@ type lruNode struct {
 // allocates nothing — QPC checks sit on the verb hot path.
 type lru struct {
 	cap   int
-	items map[QP]*lruNode
+	items map[uint64]*lruNode
 	head  *lruNode // most recently used
 	tail  *lruNode // least recently used
 	free  *lruNode // spare nodes, chained on next
@@ -168,7 +180,7 @@ func newLRU(capacity int) *lru {
 	if capacity <= 0 {
 		panic("nic: QPC cache capacity must be positive")
 	}
-	return &lru{cap: capacity, items: make(map[QP]*lruNode)}
+	return &lru{cap: capacity, items: make(map[uint64]*lruNode)}
 }
 
 // grow links a fresh slab of nodes into the free list, doubling the pool
@@ -194,7 +206,7 @@ func (c *lru) len() int { return len(c.items) }
 
 // access touches key, returning true on hit. On miss the key is inserted,
 // evicting the least-recently-used entry if the cache is full.
-func (c *lru) access(key QP) bool {
+func (c *lru) access(key uint64) bool {
 	if n, ok := c.items[key]; ok {
 		c.moveToFront(n)
 		return true

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -240,7 +241,7 @@ func TestQuickLRU(t *testing.T) {
 		capacity := int(rawCap%16) + 1
 		c := newLRU(capacity)
 		for _, k := range keys {
-			qp := QP{0, int(k % 32), 1}
+			qp := QP{0, int(k % 32), 1}.key()
 			c.access(qp)
 			if c.len() > capacity {
 				return false
@@ -262,9 +263,9 @@ func TestQuickLRU(t *testing.T) {
 // hot path and the allocfree analyzer assumes this.
 func TestLRUSteadyStateMissesAllocationFree(t *testing.T) {
 	c := newLRU(8)
-	keys := make([]QP, 16) // working set 2x capacity: every access misses
+	keys := make([]uint64, 16) // working set 2x capacity: every access misses
 	for i := range keys {
-		keys[i] = QP{0, i, 1}
+		keys[i] = QP{0, i, 1}.key()
 	}
 	for _, k := range keys { // warm the pool to full occupancy
 		c.access(k)
@@ -281,7 +282,7 @@ func TestLRUSteadyStateMissesAllocationFree(t *testing.T) {
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	c := newLRU(2)
-	a, b, d := QP{0, 1, 0}, QP{0, 2, 0}, QP{0, 3, 0}
+	a, b, d := QP{0, 1, 0}.key(), QP{0, 2, 0}.key(), QP{0, 3, 0}.key()
 	c.access(a)
 	c.access(b)
 	c.access(a) // a most recent
@@ -291,5 +292,91 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	}
 	if c.access(b) {
 		t.Error("b should have been evicted")
+	}
+}
+
+// structLRU is the QPC cache as it was keyed before the packed key: the
+// recency list over QP structs themselves, most recent first. The reference
+// TestPackedKeyLRUMatchesStructKeyed holds lru to.
+type structLRU struct {
+	cap   int
+	order []QP
+}
+
+// access touches qp and reports a hit; on a miss into a full cache, evicted is
+// the least recently used connection it displaced.
+func (c *structLRU) access(qp QP) (hit bool, evicted *QP) {
+	for i, have := range c.order {
+		if have == qp {
+			copy(c.order[1:i+1], c.order[:i])
+			c.order[0] = qp
+			return true, nil
+		}
+	}
+	if len(c.order) == c.cap {
+		last := c.order[len(c.order)-1]
+		evicted, c.order = &last, c.order[:len(c.order)-1]
+	}
+	c.order = append([]QP{qp}, c.order...)
+	return false, evicted
+}
+
+// TestPackedKeyLRUMatchesStructKeyed drives the packed-key cache and the
+// struct-keyed reference with one random access script over connections that
+// differ in each field of the triple (and collide in the others): the same
+// hit/miss sequence, the same victim at every eviction, the same occupancy.
+func TestPackedKeyLRUMatchesStructKeyed(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(24)
+		got, want := newLRU(capacity), &structLRU{cap: capacity}
+		hits, evictions := 0, 0
+		for i := 0; i < 4000; i++ {
+			qp := QP{SrcNode: rng.Intn(4), SrcThread: rng.Intn(12), DstNode: rng.Intn(4)}
+			if rng.Intn(8) == 0 { // the far corners of the key's fields
+				qp = QP{SrcNode: 0xffff - rng.Intn(2), SrcThread: 0xffffffff - rng.Intn(2), DstNode: 0xffff - rng.Intn(2)}
+			}
+			var victim uint64
+			if tail := got.tail; tail != nil {
+				victim = tail.key
+			}
+			wantHit, evicted := want.access(qp)
+			if hit := got.access(qp.key()); hit != wantHit {
+				t.Fatalf("seed %d access %d (%+v): packed hit=%v, struct-keyed hit=%v", seed, i, qp, hit, wantHit)
+			}
+			if evicted != nil {
+				evictions++
+				if victim != evicted.key() {
+					t.Fatalf("seed %d access %d: packed evicted key %#x, struct-keyed %+v (%#x)", seed, i, victim, *evicted, evicted.key())
+				}
+				if _, still := got.items[victim]; still {
+					t.Fatalf("seed %d access %d: %+v is still cached after its eviction", seed, i, *evicted)
+				}
+			}
+			if got.len() != len(want.order) {
+				t.Fatalf("seed %d access %d: occupancy %d, struct-keyed %d", seed, i, got.len(), len(want.order))
+			}
+			if wantHit {
+				hits++
+			}
+		}
+		if hits == 0 || evictions == 0 {
+			t.Fatalf("seed %d: %d hits and %d evictions: the script exercised nothing", seed, hits, evictions)
+		}
+	}
+}
+
+// TestQPKeyRejectsWhatItCannotHold: a connection outside the packed key's
+// fields must not alias another one.
+func TestQPKeyRejectsWhatItCannotHold(t *testing.T) {
+	for _, qp := range []QP{{1 << 16, 0, 0}, {0, 1 << 32, 0}, {0, 0, 1 << 16}, {-1, 0, 0}, {0, -1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v packed without complaint", qp)
+				}
+			}()
+			qp.key()
+		}()
 	}
 }

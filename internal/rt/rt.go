@@ -200,6 +200,18 @@ func (t *thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 	}
 }
 
+// SpinUntil is the loop api.Ctx defines it as.
+func (t *thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (uint64, int) {
+	for {
+		v := t.Read(p)
+		if done(v, t.Now()) {
+			return v, iter
+		}
+		t.Pause(iter)
+		iter++
+	}
+}
+
 func (t *thread) Work(d time.Duration) {
 	if d <= 0 {
 		return

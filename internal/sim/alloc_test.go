@@ -7,6 +7,7 @@ import (
 
 	"alock/internal/api"
 	"alock/internal/model"
+	"alock/internal/ptr"
 )
 
 // TestScheduleStepZeroAllocs is the allocation guard on the engine's
@@ -70,6 +71,42 @@ func TestWorkLoopTickZeroAllocs(t *testing.T) {
 		t.Fatalf("2000 turns resumed coroutines %d times, want 0", got-resumes)
 	}
 	e.RequestStop()
+	for e.Step() {
+	}
+}
+
+// TestSpinUntilPollZeroAllocs: a failed SpinUntil poll — pop, the read, done's
+// look on the executor, the back-off's re-arm, its pop, the next read's —
+// allocates nothing and switches to no thread.
+func TestSpinUntilPollZeroAllocs(t *testing.T) {
+	e := New(1, 1024, model.Uniform(10), 1)
+	var words []ptr.Ptr
+	for i := 0; i < 4; i++ {
+		w := e.Space().AllocLine(0)
+		words = append(words, w)
+		e.Spawn(0, func(ctx api.Ctx) {
+			ctx.SpinUntil(w, 0, func(v uint64, _ int64) bool { return v != 0 })
+		})
+	}
+	e.SetHorizon(1 << 40)
+	for i := 0; i < 256; i++ {
+		e.Step()
+	}
+	resumes := e.Resumes()
+	avg := testing.AllocsPerRun(2000, func() {
+		if !e.ProcessNextEvent() {
+			t.Fatal("engine drained mid-measurement")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a SpinUntil poll allocates %.3f allocs/event, want 0", avg)
+	}
+	if got := e.Resumes(); got != resumes {
+		t.Fatalf("2000 poll events resumed coroutines %d times, want 0", got-resumes)
+	}
+	for _, w := range words { // between Steps the memory is the driver's: end the waits
+		*e.Space().WordAddr(w) = 1
+	}
 	for e.Step() {
 	}
 }

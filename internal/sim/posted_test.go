@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,5 +355,257 @@ func TestPostedCrossNodeWritePanicsAtIssue(t *testing.T) {
 				t.Errorf("the audited Write reached node 1's word: %d", got)
 			}
 		})
+	}
+}
+
+// rcasFn is one way to run an own-node RCAS under model.TornRCAS: the api.Ctx
+// method, whose three legs the executor carries, or the same legs with the
+// thread resumed after each.
+type rcasFn func(ctx api.Ctx, p ptr.Ptr, old, new uint64) uint64
+
+func rcasMethod(ctx api.Ctx, p ptr.Ptr, old, new uint64) uint64 { return ctx.RCAS(p, old, new) }
+
+// rcasByLegs returns the torn loopback RCAS written out as the thread's own
+// program, one completed wait per leg: to the verb's execution, where the read
+// half waits SpinPollMinNS at a time for any other remote RMW to let go of the
+// word (counted in rearms); across the tear to the write half; to the verb's
+// completion. RCAS is held to it event for event.
+func rcasByLegs(rearms *atomic.Int64) rcasFn {
+	return func(ctx api.Ctx, p ptr.Ptr, old, new uint64) uint64 {
+		t := ctx.(*Thread)
+		wait := func(at int64) {
+			t.post(localOp{d: at - t.now()})
+			t.drain()
+		}
+		execAt, doneAt := t.loopVerbTimes(p)
+		wait(execAt)
+		for !t.shard.holdTorn(p) {
+			rearms.Add(1) // threads of several shards count here, in parallel windows
+			wait(t.now() + t.e.p.SpinPollMinNS)
+		}
+		addr := t.e.space.WordAddr(p)
+		prev := *addr
+		wait(t.now() + t.e.p.TornGapNS)
+		if prev == old {
+			*addr = new
+		}
+		t.shard.releaseTorn(p)
+		wait(max(doneAt, t.now()))
+		t.shard.loopInFlight--
+		return prev
+	}
+}
+
+// tornWorld spawns seeded threads that hammer a few words per node with
+// loopback RCASes — several threads per word, so read halves find the word
+// held — interleaved with the local Read, Write and CAS that slide into a
+// tear, other nodes' RCASes on the same words (the cross-node torn path shares
+// the node's book of held words) and Work. Values stay in 0..2 so compares
+// hit. Every returned value is recorded with the time it returned. CX3's tear
+// (180 ns) is barely longer than one NIC service slot (130 ns, more under
+// load), so back-to-back verbs seldom overlap; odd seeds stretch it to 700 ns,
+// past the verb's completion, so that read halves queue up behind held words
+// and write halves land after doneAt. Two worlds built from one seed differ
+// only in rcas.
+func tornWorld(seed int64, rcas rcasFn, opts ...Option) (*Engine, []ptr.Ptr, [][]seen) {
+	setup := rand.New(rand.NewSource(seed))
+	nodes := 2 + setup.Intn(3)
+	p := model.CX3()
+	if seed%2 == 1 {
+		p.TornGapNS = 700
+	}
+	// A world is some ten thousand events; the budget turns a word that is
+	// never released into a trap instead of a read half that polls for ever.
+	e := New(nodes, 1<<12, p, seed, append([]Option{WithMaxEvents(1 << 20)}, opts...)...)
+	words := make([]ptr.Ptr, nodes)
+	for n := range words {
+		words[n] = e.Space().AllocLine(n)
+	}
+	var log [][]seen
+	for n := 0; n < nodes; n++ {
+		for k, tpn := 0, 3+setup.Intn(3); k < tpn; k++ {
+			node, id := n, int64(len(log))
+			log = append(log, nil)
+			e.Spawn(node, func(ctx api.Ctx) {
+				rng := rand.New(rand.NewSource(seed<<8 + id))
+				own := func() ptr.Ptr { return words[node].Add(uint64(rng.Intn(2))) }
+				val := func() uint64 { return uint64(rng.Intn(3)) }
+				see := func(v uint64) { log[id] = append(log[id], seen{v, ctx.Now()}) }
+				for step := 0; step < 80; step++ {
+					switch rng.Intn(10) {
+					case 0, 1, 2, 3:
+						see(rcas(ctx, own(), val(), val()))
+					case 4:
+						see(ctx.CAS(own(), val(), val()))
+					case 5:
+						ctx.Write(own(), val())
+					case 6:
+						see(ctx.Read(own()))
+					case 7:
+						see(ctx.RCAS(words[(node+1)%nodes].Add(uint64(rng.Intn(2))), val(), val()))
+					default:
+						ctx.Work(time.Duration(rng.Intn(400)))
+					}
+				}
+			})
+		}
+	}
+	return e, words, log
+}
+
+// TestTornLoopbackRCASMatchesLegs: the torn loopback RCAS the executor carries
+// against the same verb with the thread resumed after every leg — final clock,
+// Events, memory image, NIC stats, every event popped and every thread's
+// (value, time) observations equal, under both executors and the audit, with
+// fewer resumes; and the worlds do make read halves wait for a held word.
+func TestTornLoopbackRCASMatchesLegs(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	drivers := []struct {
+		name string
+		opts []Option
+	}{
+		{"serial", nil},
+		{"windowed-2", []Option{WithShards(2)}},
+		{"windowed-4", []Option{WithShards(4)}},
+		{"audit-windowed", []Option{WithAccessAudit(), WithShards(2)}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var rearms atomic.Int64
+			for seed := int64(1); seed <= 60; seed++ {
+				want, words, wantLog := tornWorld(seed, rcasByLegs(&rearms), d.opts...)
+				got, _, gotLog := tornWorld(seed, rcasMethod, d.opts...)
+				wantPops := drivePops(want, 1<<40)
+				gotPops := drivePops(got, 1<<40)
+				if w, g := fingerprint(want, words), fingerprint(got, words); w != g {
+					t.Fatalf("seed %d: runs ended differently\nby legs: %s\nRCAS:    %s", seed, w, g)
+				}
+				if !reflect.DeepEqual(wantLog, gotLog) {
+					t.Fatalf("seed %d: threads observed different values or times", seed)
+				}
+				if !reflect.DeepEqual(wantPops, gotPops) {
+					t.Fatalf("seed %d: the engines popped different events", seed)
+				}
+				if w, g := want.Resumes(), got.Resumes(); g >= w {
+					t.Fatalf("seed %d: RCAS resumed coroutines %d times, its legs %d", seed, g, w)
+				}
+			}
+			if n := rearms.Load(); n < 500 {
+				t.Fatalf("read halves found their word held %d times: too few to mean anything", n)
+			}
+		})
+	}
+}
+
+// TestTornLoopbackRCASResumesOnce is the test that the legs ride the FIFO at
+// all: with every leg a scheduled event, a torn loopback RCAS switches into its
+// thread once, with the result, where the legs written out do three times.
+func TestTornLoopbackRCASResumesOnce(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			world := func(rcas rcasFn) (*Engine, *Thread) {
+				e := New(2, 1024, model.CX3(), 1, d.opts...)
+				w := e.Space().AllocLine(0)
+				busy(e, 20_000)
+				th := e.Spawn(0, func(ctx api.Ctx) {
+					for i := uint64(0); i < 10; i++ {
+						if got := rcas(ctx, w, i, i+1); got != i {
+							panic(fmt.Sprintf("RCAS %d read %d", i, got))
+						}
+					}
+				})
+				d.drive(e)
+				return e, th
+			}
+			legs, slow := world(rcasByLegs(new(atomic.Int64)))
+			method, fast := world(rcasMethod)
+			sameOutcome(t, legs, method)
+			if slow.resumes != 31 || fast.resumes != 11 {
+				t.Errorf("ten torn loopback RCASes resumed %d times by legs and %d as one entry, want 31 and 11", slow.resumes, fast.resumes)
+			}
+		})
+	}
+}
+
+// TestTornLoopbackRCASContention: two threads aim a loopback RCAS(w, 0, mine)
+// at one word. Remote RMWs are atomic with each other (Table 1): the second
+// read half finds the word held, looks again after the first's write half, and
+// reads its value — exactly one of them wins. A read half that ignored the
+// held word would read 0 inside the first one's tear and both would succeed.
+func TestTornLoopbackRCASContention(t *testing.T) {
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			long := model.CX3()
+			long.TornGapNS = 1000 // the first tear is still open when the second verb executes, at every stagger
+			for stagger := 0; stagger <= 400; stagger += 20 {
+				var rearms atomic.Int64
+				var got [2][2]seen
+				for twin, rcas := range []rcasFn{rcasMethod, rcasByLegs(&rearms)} {
+					e := New(1, 1024, long, 1, d.opts...)
+					w := e.Space().AllocLine(0)
+					for k := 0; k < 2; k++ {
+						out, delay, mine := &got[twin][k], time.Duration(k*stagger), uint64(k+1)
+						e.Spawn(0, func(ctx api.Ctx) {
+							ctx.RRead(w.Add(mine)) // fetch the connection's QP context: a miss would keep the two verbs 850 ns apart
+							ctx.Work(time.Duration(10_000-ctx.Now()) + delay)
+							out.got = rcas(ctx, w, 0, mine)
+							out.at = ctx.Now()
+						})
+					}
+					d.drive(e)
+					first, second := got[twin][0].got, got[twin][1].got
+					if first != 0 || second != 1 || *e.Space().WordAddr(w) != 1 {
+						t.Fatalf("stagger %d: the RCASes read %d and %d and left %d, want 0, 1 and 1", stagger, first, second, *e.Space().WordAddr(w))
+					}
+				}
+				if got[0] != got[1] {
+					t.Fatalf("stagger %d: RCAS returned %v, its legs %v", stagger, got[0], got[1])
+				}
+				if rearms.Load() == 0 {
+					t.Fatalf("stagger %d: the second read half never found the word held", stagger)
+				}
+			}
+		})
+	}
+}
+
+// TestTornLoopbackRCASTearsAgainstLocalCAS keeps Table 1 observable: a local
+// CAS that lands between the halves of a loopback RCAS succeeds, and the write
+// half then overwrites it — both report success, one update is lost. The local
+// CAS is swept across the verb a nanosecond at a time; the instants at which it
+// is lost must exist, span the tear, and be those of the legs written out.
+func TestTornLoopbackRCASTearsAgainstLocalCAS(t *testing.T) {
+	var lost [2][]int
+	for twin, rcas := range []rcasFn{rcasMethod, rcasByLegs(new(atomic.Int64))} {
+		for delay := 1000; delay <= 1800; delay++ {
+			e := New(1, 1024, model.CX3(), 1)
+			w := e.Space().AllocLine(0)
+			var remote, local uint64
+			e.Spawn(0, func(ctx api.Ctx) { remote = rcas(ctx, w, 0, 1) })
+			e.Spawn(0, func(ctx api.Ctx) {
+				ctx.Work(time.Duration(delay))
+				local = ctx.CAS(w, 0, 7)
+			})
+			e.Run(1 << 40)
+			final := *e.Space().WordAddr(w)
+			switch {
+			case remote == 0 && local == 0 && final == 1:
+				lost[twin] = append(lost[twin], delay)
+			case remote == 0 && local == 1 && final == 1: // the CAS came after the write half
+			case remote == 7 && local == 0 && final == 7: // the CAS came before the read half
+			default:
+				t.Fatalf("delay %d: RCAS read %d, CAS read %d, word left %d", delay, remote, local, final)
+			}
+		}
+	}
+	gap := int(model.CX3().TornGapNS)
+	if n := len(lost[0]); n != gap || lost[0][n-1]-lost[0][0] != gap-1 {
+		t.Fatalf("the local CAS was lost at %d instants, want the %d of the tear: %v", n, gap, lost[0])
+	}
+	if !reflect.DeepEqual(lost[0], lost[1]) {
+		t.Fatalf("the tear is open at different instants\nRCAS:    %v\nby legs: %v", lost[0], lost[1])
 	}
 }

@@ -86,19 +86,13 @@ type shard struct {
 	loopInFlight   int
 	remoteInFlight int
 
-	// tornHeld tracks words on this node currently mid-tear under a remote
+	// tornHeld lists the words on this node currently mid-tear under a remote
 	// RMW (model.TornRCAS): the responder serializes remote atomics, so
-	// other remote RMWs on the word stall until the write half lands.
-	// Owned by this shard's timeline under both executors.
-	tornHeld map[ptr.Ptr]bool
-
-	// tornWrites holds the pending write half of each in-flight torn remote
-	// CAS on this node, snapshotted at read-half time. The snapshot keeps
-	// evTornWrite self-contained: the requester thread may resume (its
-	// completion is up to one lookahead ahead of the write half, so in a
-	// parallel window the resume can run first on its own shard) and reuse
-	// its verb state before the write half executes here.
-	tornWrites map[*Thread]tornWrite
+	// other remote RMWs on the word stall until the write half lands. A tear
+	// lasts TornGapNS, so a handful of words at most are in it at once and a
+	// linear scan beats hashing the pointer (holdTorn, releaseTorn). Owned by
+	// this shard's timeline under both executors.
+	tornHeld []ptr.Ptr
 
 	// Windowed-executor state. now is the shard clock (threads observe it
 	// via Ctx.Now while windowed); wend is the current window's exclusive
@@ -117,7 +111,7 @@ type shard struct {
 }
 
 // tornWrite is the write half of a torn remote CAS, captured at read-half
-// time on the responder shard (see shard.tornWrites).
+// time on the responder shard (see Thread.torn).
 type tornWrite struct {
 	p        ptr.Ptr
 	old, val uint64
@@ -125,11 +119,31 @@ type tornWrite struct {
 }
 
 func newShard(e *Engine, node int) *shard {
-	return &shard{
-		e:          e,
-		node:       node,
-		tornHeld:   make(map[ptr.Ptr]bool),
-		tornWrites: make(map[*Thread]tornWrite),
+	return &shard{e: e, node: node}
+}
+
+// holdTorn marks the word at p as mid-tear for the remote RMW whose read half
+// is executing, and reports whether it could: false means another remote RMW
+// holds the word and the caller must look again later.
+func (s *shard) holdTorn(p ptr.Ptr) bool {
+	for _, held := range s.tornHeld {
+		if held == p {
+			return false
+		}
+	}
+	s.tornHeld = append(s.tornHeld, p)
+	return true
+}
+
+// releaseTorn ends the tear holdTorn began on p: its write half has landed.
+func (s *shard) releaseTorn(p ptr.Ptr) {
+	for i, held := range s.tornHeld {
+		if held == p {
+			last := len(s.tornHeld) - 1
+			s.tornHeld[i] = s.tornHeld[last]
+			s.tornHeld = s.tornHeld[:last]
+			return
+		}
 	}
 }
 

@@ -42,44 +42,48 @@
 // deterministic local push order — never on cross-shard execution
 // interleaving.
 //
-// Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
-// interface boxing, zero allocations per event in steady state, and a pop
-// that leaves the root open for the popped event's own successor to fill —
-// and there is one thread-switch primitive. The executor (ProcessNextEvent,
-// or shard.runWindow on the shard's worker) is always the resumer: it pops
-// an event and, for a wake-up or completion, calls Thread.resume, which runs
-// the thread's coroutine until Thread.suspend yields back. A coroutine switch
-// is a direct goroutine-to-goroutine transfer inside the runtime — no
-// channel, no scheduler pass — and still the dearest thing an event can do,
-// so an event pays for one only when the thread's code has something to
-// learn from it. Local operations (and the two legs of an untorn loopback
-// verb) are posted: the call appends the operation to a small per-thread
+// Hot path: events live in a typed 4-ary min-heap (eventq.go) — no interface
+// boxing, zero allocations per event in steady state, and a pop that leaves
+// the root open for the popped event's own successor to fill — and there is
+// one thread-switch primitive. The executor (ProcessNextEvent, or
+// shard.runWindow on the shard's worker) is always the resumer: it pops an
+// event and, for a wake-up or completion, calls Thread.resume, which runs the
+// thread's coroutine until Thread.suspend yields back. A coroutine switch is a
+// direct goroutine-to-goroutine transfer inside the runtime — no channel, no
+// scheduler pass — and still the dearest thing an event can do, so an event
+// pays for one only when the thread's code has something to learn from it.
+// Local operations (and the legs of a loopback verb, the three of a torn RCAS
+// included) are posted: the call appends the operation to a small per-thread
 // FIFO (Thread.post) and Write, Fence and Pause, which return nothing, return
 // at once. The executor that pops the head operation's wake-up completes it —
 // applies the store, reads the word — and starts the next one itself
 // (Thread.step), exactly as the resumed thread would have: same event, same
-// instant, same seq, same place in the shard's push order, because between
-// two api.Ctx calls a thread can schedule nothing. The coroutine is resumed
-// when the FIFO is empty, which is when a call that returns a value or the
-// time, touches a NIC or the allocator, or burns Work has what it waited for
+// instant, same seq, same place in the shard's push order, because between two
+// api.Ctx calls a thread can schedule nothing. The coroutine is resumed when
+// the FIFO is empty, which is when a call that returns a value or the time,
+// touches a NIC or the allocator, or burns Work has what it waited for
 // (Thread.drain); `Write; Write; CAS` is three events and one resume, and
-// api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one
-// FIFO entry however many polls it takes. So is api.Ctx.WorkLoop, the loop
-// that waits on Go state (`look; Work(d); look again`: the lock service's idle
-// workers and arrival generators): when a turn's Work has elapsed, step calls
-// the loop's function on the executor (Thread.tick) and re-arms the entry, and
-// the coroutine runs again only when the function ends the loop. The function
-// is thread code that happens to run off the coroutine — bound to the thread's
+// api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one FIFO
+// entry however many polls it takes, and so is api.Ctx.SpinUntil, the same
+// loop with the caller's predicate over the polled value and the time in place
+// of the compare (the rw locks' descriptor, group-word and state-word waits).
+// So is api.Ctx.WorkLoop, the loop that waits on Go state (`look; Work(d);
+// look again`: the lock service's idle workers and arrival generators): when a
+// turn's Work has elapsed, step calls the loop's function on the executor
+// (Thread.tick) and re-arms the entry, and the coroutine runs again only when
+// the function ends the loop. That function and SpinUntil's predicate are
+// thread code that happens to run off the coroutine — bound to the thread's
 // node, Go state only, its panic the thread's panic. post and step share
 // tryAdvance, the test for whether an operation can advance the clock in place
 // instead of scheduling. api.Ctx states the contract this puts on callers (Go
 // state shared between threads is ordered by a completing call, never by a
 // bare Write returning). The package's tests replay the ProcessNextEvent loop
 // against the standard-library heap as the bit-exact reference
-// (reference_test.go), SpinWhile and WorkLoop against the loops they are
-// defined as (spin_test.go, workloop_test.go) and posted operations against
-// the same programs with every operation completed before the next is issued
-// (posted_test.go).
+// (reference_test.go), SpinWhile, SpinUntil and WorkLoop against the loops
+// they are defined as (spin_test.go, spinuntil_test.go, workloop_test.go) and
+// posted operations against the same programs with every operation completed
+// before the next is issued, the torn loopback RCAS against its legs with the
+// thread resumed after each (posted_test.go).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -487,18 +491,17 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 		e.scheduleEv(s, rxDone, evExec, t)
 	case evExec:
 		if v.op == verbCAS && e.p.TornRCAS {
-			if s.tornHeld[v.p] {
+			if !s.holdTorn(v.p) {
 				// The responder serializes remote atomics: another remote
 				// RMW holds the word mid-tear, so this one re-polls.
 				e.scheduleEv(s, ev.at+e.p.SpinPollMinNS, evExec, t)
 				return
 			}
-			s.tornHeld[v.p] = true
 			v.result = *e.space.WordAddr(v.p) // read half
 			// Snapshot the write half: by the time it executes, the
 			// requester may have resumed (completion below) and re-armed
 			// t.verb for its next operation.
-			s.tornWrites[t] = tornWrite{p: v.p, old: v.old, val: v.val, read: v.result}
+			t.torn = tornWrite{p: v.p, old: v.old, val: v.val, read: v.result}
 			e.scheduleEv(s, ev.at+e.p.TornGapNS, evTornWrite, t)
 			done := ev.at + v.wire
 			if gapDone := ev.at + e.p.TornGapNS; gapDone > done {
@@ -525,12 +528,11 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 	case evTornWrite:
 		// Write half: blind from local memory's perspective (Table 1).
 		// Uses the read-half snapshot, not t.verb — see evExec above.
-		tw := s.tornWrites[t]
-		delete(s.tornWrites, t)
+		tw := t.torn
 		if tw.read == tw.old {
 			*e.space.WordAddr(tw.p) = tw.val
 		}
-		delete(s.tornHeld, tw.p)
+		s.releaseTorn(tw.p)
 		s.remoteInFlight--
 	}
 }
@@ -670,23 +672,41 @@ type Thread struct {
 	fabric *rand.Rand
 	fn     func(api.Ctx)
 	verb   verbState
+	// torn is the pending write half of the thread's torn cross-node RCAS,
+	// snapshotted at read-half time by the responder's shard, which is also the
+	// one that reads it back (evTornWrite): the requester may resume — its
+	// completion is up to one lookahead ahead of the write half, so in a
+	// parallel window the resume can run first on its own shard — and re-arm
+	// verb before the write half executes. A thread has one verb in flight, and
+	// its next evExec, on whatever shard, comes at least one wire — one
+	// lookahead — after this write half (completion >= write half; issue, TX and
+	// the request's wire follow the completion), so the two shards' accesses
+	// are always separated by a window barrier.
+	torn tornWrite
 	// loop is the function of the thread's WorkLoop call (the FIFO's opLoop
-	// entry runs it, see tick) and loopPanic what it panicked with, for
-	// WorkLoop to raise from the thread's body.
+	// entry runs it, see tick) and until the done of its SpinUntil call (the
+	// opUntil entry asks it, see unresolved), with spinIter that loop's iter;
+	// loopPanic is what either panicked with, for the call to raise from the
+	// thread's body.
 	loop      func(now int64, stopped bool) (time.Duration, bool)
+	until     func(v uint64, now int64) bool
+	spinIter  int
 	loopPanic any
 }
 
 // Local operation kinds: what step does when a FIFO entry's latency has
 // elapsed.
 const (
-	opWait     uint8 = iota // nothing: Fence, Pause, Work, a timed leg of a torn loopback RCAS
-	opWrite                 // store val to p
-	opRead                  // result = the word at p
-	opCAS                   // result = the word at p, which becomes val if it was old
-	opSpin                  // one block of a SpinWhile loop, see step
-	opLoop                  // one Work of a WorkLoop loop, see tick
-	opLoopDone              // a loopback verb's completion: retire its NIC occupancy
+	opWait      uint8 = iota // nothing: Fence, Pause, Work
+	opWrite                  // store val to p
+	opRead                   // result = the word at p
+	opCAS                    // result = the word at p, which becomes val if it was old
+	opSpin                   // one block of a SpinWhile loop, see step
+	opUntil                  // one block of a SpinUntil loop, see step
+	opLoop                   // one Work of a WorkLoop loop, see tick
+	opTornRead               // a torn loopback RCAS reaches the word: its read half, see step
+	opTornWrite              // the write half, TornGapNS later
+	opLoopDone               // a loopback verb's completion: retire its NIC occupancy
 )
 
 // localOp is one entry of a thread's FIFO: an operation on the thread's own
@@ -696,7 +716,10 @@ const (
 // the value waited on, iter the failed polls so far, and read tells which of
 // the loop's two blocks is elapsing — the poll's read latency (true: the word
 // is read next) or the Pause after a failed poll (false: the next read is
-// issued).
+// issued). An opUntil entry uses read the same way; its iter is the caller's
+// and lives in Thread.spinIter. A torn loopback RCAS is one entry that moves
+// through opTornRead, opTornWrite and opLoopDone, deadline holding the verb's
+// completion time.
 type localOp struct {
 	kind     uint8
 	read     bool
@@ -805,8 +828,19 @@ func (t *Thread) drain() {
 //	}
 //
 // taken one block at a time: it stays at the head until a poll ends the loop.
-// A WorkLoop entry stays at the head the same way, one Work of its loop after
-// another, until its function ends the loop (tick).
+// A SpinUntil entry is the same two blocks with the caller's done(got, Now())
+// as the test and the caller's iter as the back-off (unresolved). A WorkLoop
+// entry stays at the head the same way, one Work of its loop after another,
+// until its function ends the loop (tick).
+//
+// A torn loopback RCAS is one entry, three legs, each a wait the thread used
+// to be resumed from: to the verb's execution, where the read half finds the
+// word free of other remote RMWs (or looks again SpinPollMinNS on), marks it
+// held and reads it; TornGapNS on to the write half, which stores if the read
+// half matched and frees the word — local operations land in between, Table 1;
+// and to the verb's completion, or no time at all if contention pushed the
+// write half past it. The delay of each leg is set when the one before it
+// lands, so starting an entry stays `now + d` for every kind.
 //
 // Every block of every kind goes through tryAdvance exactly as it would with
 // the thread resumed in between, so the events counted, the sequence numbers
@@ -815,7 +849,7 @@ func (t *Thread) step() bool {
 	e := t.e
 	for {
 		op := &t.ops[t.head]
-		more := false // an opSpin or opLoop with another block to run
+		more := false // the entry stays at the head: it has another block or leg to run
 		switch op.kind {
 		case opWrite:
 			*e.space.WordAddr(op.p) = op.val
@@ -838,10 +872,32 @@ func (t *Thread) step() bool {
 				op.read, op.d, more = false, e.spinBackoff(int(op.iter)), true
 				op.iter++
 			}
+		case opUntil:
+			if !op.read {
+				op.read, op.d, more = true, e.p.LocalReadNS, true
+			} else if t.result = *e.space.WordAddr(op.p); t.unresolved(t.result) {
+				op.read, op.d, more = false, e.spinBackoff(t.spinIter), true
+				t.spinIter++
+			}
 		case opLoop:
 			if d := t.tick(); d > 0 { // the loop goes on: its next Work
 				op.d, more = d, true
 			}
+		case opTornRead:
+			if t.shard.holdTorn(op.p) {
+				t.result = *e.space.WordAddr(op.p)
+				op.kind, op.d, more = opTornWrite, e.p.TornGapNS, true
+			} else { // another remote RMW holds the word mid-tear: look again
+				op.d, more = e.p.SpinPollMinNS, true
+			}
+		case opTornWrite:
+			// Blind from local memory's perspective: whatever a local Write or
+			// CAS stored since the read half is overwritten.
+			if t.result == op.old {
+				*e.space.WordAddr(op.p) = op.val
+			}
+			t.shard.releaseTorn(op.p)
+			op.kind, op.d, more = opLoopDone, max(op.deadline-t.now(), 0), true
 		case opLoopDone:
 			t.shard.loopInFlight--
 		}
@@ -856,12 +912,6 @@ func (t *Thread) step() bool {
 			return false
 		}
 	}
-}
-
-// block suspends the thread until virtual time `at`: a posted wait, drained.
-func (t *Thread) block(at int64) {
-	t.post(localOp{d: at - t.now()})
-	t.drain()
 }
 
 // tryAdvance moves the thread to virtual time `at` (clamped to the clock). It
@@ -963,7 +1013,8 @@ func (t *Thread) auditLocal(p ptr.Ptr) {
 // --- Local (shared-memory) operations ---
 //
 // Write, Fence and Pause return once posted; Read, CAS, SpinWhile, Work and
-// WorkLoop post and wait, so a run of them costs one resume, not one each.
+// SpinUntil, Work and WorkLoop post and wait, so a run of them costs one
+// resume, not one each.
 
 // Read implements api.Ctx.
 func (t *Thread) Read(p ptr.Ptr) uint64 {
@@ -1021,6 +1072,37 @@ func (t *Thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 	return t.result
 }
 
+// SpinUntil implements api.Ctx: the loop
+//
+//	for {
+//		v := Read(p)
+//		if done(v, Now()) { return v, iter }
+//		Pause(iter)
+//		iter++
+//	}
+//
+// as one FIFO entry, stepped like SpinWhile's. Whoever finds a poll's read
+// elapsed calls done — the coroutine for one that advances the clock in place,
+// the executor when it pops the read's evWake — so the thread is switched to
+// once, when done says the wait is over.
+func (t *Thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (uint64, int) {
+	t.auditLocal(p)
+	t.until, t.spinIter = done, iter
+	t.post(localOp{kind: opUntil, read: true, p: p, d: t.e.p.LocalReadNS})
+	t.drain()
+	t.raise("SpinUntil")
+	return t.result, t.spinIter
+}
+
+// unresolved asks the SpinUntil call's done about the value a poll read and
+// reports whether the loop goes on. done is thread code, and its panic must
+// unwind the thread's body, not the executor: like tick, unresolved ends the
+// loop and leaves the value for SpinUntil to raise on the coroutine.
+func (t *Thread) unresolved(v uint64) (again bool) {
+	defer t.trapLoop()
+	return !t.until(v, t.now())
+}
+
 // Work implements api.Ctx. It returns when the time has been burnt: callers
 // bracket it with Go-side bookkeeping (a critical section's entry and exit)
 // that other threads read.
@@ -1051,8 +1133,14 @@ func (t *Thread) WorkLoop(f func(now int64, stopped bool) (time.Duration, bool))
 		t.post(localOp{kind: opLoop, d: d})
 		t.drain()
 	}
+	t.raise("WorkLoop")
+}
+
+// raise re-panics, on the coroutine, what the function handed to the named
+// call panicked with wherever the engine happened to run it.
+func (t *Thread) raise(call string) {
 	if t.loopPanic != nil {
-		panic(fmt.Sprintf("%v (in the function passed to WorkLoop)", t.loopPanic))
+		panic(fmt.Sprintf("%v (in the function passed to %s)", t.loopPanic, call))
 	}
 }
 
@@ -1074,8 +1162,9 @@ func (t *Thread) tick() int64 {
 	}
 }
 
-// trapLoop is tick's deferred recover: a method, not a closure, so that the
-// executor's path through tick stays provably allocation-free.
+// trapLoop is tick's and unresolved's deferred recover: a method, not a
+// closure, so that the executor's path through them stays provably
+// allocation-free.
 func (t *Thread) trapLoop() {
 	if r := recover(); r != nil {
 		t.loopPanic = r
@@ -1177,7 +1266,8 @@ func (t *Thread) RWrite(p ptr.Ptr, v uint64) {
 // local operations slide right into the window — reproducing Table 1's
 // "remote CAS is not atomic with local Write/RMW". The cross-node torn
 // path lives in execProtocol on the word's owning shard; the loopback path
-// below mirrors it synchronously on the thread's own shard.
+// mirrors it on the thread's own shard as one FIFO entry the executor takes
+// through its three legs (step), so the thread resumes once, with the result.
 func (t *Thread) RCAS(p ptr.Ptr, old, new uint64) uint64 {
 	if p.NodeID() != t.node {
 		return t.remoteVerb(p, verbCAS, old, new)
@@ -1186,23 +1276,7 @@ func (t *Thread) RCAS(p ptr.Ptr, old, new uint64) uint64 {
 		return t.loopVerb(localOp{kind: opCAS, p: p, old: old, val: new})
 	}
 	execAt, doneAt := t.loopVerbTimes(p)
-	t.block(execAt)
-	// Torn path: wait until no other remote RMW holds the word.
-	for t.shard.tornHeld[p] {
-		t.block(t.now() + t.e.p.SpinPollMinNS)
-	}
-	t.shard.tornHeld[p] = true
-	addr := t.e.space.WordAddr(p)
-	prev := *addr // read half
-	t.block(t.now() + t.e.p.TornGapNS)
-	if prev == old { // write half: blind from local memory's perspective
-		*addr = new
-	}
-	delete(t.shard.tornHeld, p)
-	if doneAt < t.now() {
-		doneAt = t.now()
-	}
-	t.block(doneAt)
-	t.shard.loopInFlight--
-	return prev
+	t.post(localOp{kind: opTornRead, p: p, old: old, val: new, d: execAt - t.now(), deadline: doneAt})
+	t.drain()
+	return t.result
 }
