@@ -87,7 +87,7 @@ func main() {
 	flag.StringVar(&cfg.SvcAdmission, "admission", "", "open loop: full-queue admission policy, drop-tail|drop-head (default drop-tail)")
 	flag.IntVar(&cfg.SvcQueueCap, "svc-queue-cap", 0, "open loop: per-shard admission queue capacity (0 = default 64)")
 	flag.BoolVar(&cfg.SvcRebalance, "svc-rebalance", false, "open loop: move hot keys off overloaded shards before the run")
-	flag.IntVar(&cfg.EngineShards, "engine-shards", 0, "per-run engine workers (0 or 1 = serial executor, >1 = windowed parallel executor; configs with TargetOps or wait-die run serial)")
+	flag.IntVar(&cfg.EngineShards, "engine-shards", 0, "per-run workers of the windowed executor (0 or 1 = the calling goroutine alone, >1 = parallel windows; wait-die configs run serial, and a TargetOps run finishes its last window's worth of ops serially)")
 
 	var (
 		warmup     = flag.Duration("warmup", 400*time.Microsecond, "virtual warmup window")

@@ -1,11 +1,13 @@
 // Command bench runs the repo's standing performance suite and writes a
-// BENCH_*.json trajectory file: every case measured on the serial executor
-// (typed event heap, ProcessNextEvent loop) and — where the case reaches it — on
-// the windowed parallel executor, with events/sec, ns/event and
-// allocs/event per case plus the windowed-vs-serial speedup. Perf PRs check
-// the next trajectory file in (see the README's Benchmarking section), so the
-// sequence BENCH_0001.json, BENCH_0002.json, ... records the engine's
-// performance history alongside the code that produced it.
+// BENCH_*.json trajectory file: every raw-engine case measured on the serial
+// executor (typed event heap, ProcessNextEvent loop) and on the windowed one
+// at one worker and at -engine-shards workers, every harness case at the
+// widths its config reaches, each row labelled by the executor it ran on,
+// with events/sec, ns/event and allocs/event per row plus the one-worker vs
+// serial and wide vs one-worker speedups. Perf PRs check the next trajectory
+// file in (see the README's Benchmarking section), so the sequence
+// BENCH_0001.json, BENCH_0002.json, ... records the engine's performance
+// history alongside the code that produced it.
 //
 // Usage:
 //
@@ -32,7 +34,7 @@ func main() {
 	list := flag.Bool("list", false, "list the suite's case names and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile")
-	engShards := flag.Int("engine-shards", 0, "windowed workers for the windowed variant (0 = default 4; 1 skips the variant: one worker is the serial executor)")
+	engShards := flag.Int("engine-shards", 0, "windowed workers for the wide windowed row (0 = default 2; 1 leaves only the one-worker row)")
 	flag.Parse()
 
 	if *list {
@@ -69,14 +71,11 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr)
-	fmt.Fprintf(os.Stderr, "%-32s %12s %13s %10s\n", "case", "serial ev/s", "windowed ev/s", "vs serial")
+	fmt.Fprintf(os.Stderr, "%-32s %12s %12s %12s %10s %10s\n", "case", "serial ev/s", "w1 ev/s", "wide ev/s", "w1/serial", "wide/w1")
 	for _, c := range rep.Comparisons {
-		if c.WindowedEventsPerSec == 0 { // the case never reaches the windowed executor
-			fmt.Fprintf(os.Stderr, "%-32s %12.0f %13s %10s\n", c.Name, c.SerialEventsPerSec, "-", "-")
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "%-32s %12.0f %13.0f %9.2fx\n",
-			c.Name, c.SerialEventsPerSec, c.WindowedEventsPerSec, c.WindowedSpeedup)
+		fmt.Fprintf(os.Stderr, "%-32s %12s %12s %12s %10s %10s\n", c.Name,
+			cell(c.SerialEventsPerSec, "%.0f"), cell(c.OneWorkerEventsPerSec, "%.0f"), cell(c.WindowedEventsPerSec, "%.0f"),
+			cell(c.OneWorkerSpeedup, "%.2fx"), cell(c.WindowedSpeedup, "%.2fx"))
 	}
 
 	b, err := json.MarshalIndent(rep, "", "  ")
@@ -93,6 +92,14 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "\nwrote %s (%d cases, %d comparisons)\n",
 		*out, len(rep.Cases), len(rep.Comparisons))
+}
+
+// cell formats a comparison entry, "-" where the case has no such row.
+func cell(v float64, format string) string {
+	if v == 0 {
+		return "-"
+	}
+	return fmt.Sprintf(format, v)
 }
 
 func fatal(err error) {

@@ -1,10 +1,10 @@
 // Package bench is the repo's standing performance-measurement layer. It
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
-// scenario family — runs each case N times on the engine's two executors:
-// serial (typed 4-ary event heap, ProcessNextEvent loop) and, for the
-// cases that reach it, the conservative windowed parallel executor. It
-// reports events/sec, ns/event and allocs/event in a stable JSON schema
+// scenario family — runs each case N times on the engine's executors: the
+// serial one (typed 4-ary event heap, ProcessNextEvent loop) and the
+// conservative windowed one on one worker and on several. It reports
+// events/sec, ns/event and allocs/event in a stable JSON schema
 // (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
 // file in so regressions are diffable in review.
 package bench
@@ -23,32 +23,22 @@ import (
 )
 
 // Schema identifies the report layout; bump on incompatible change.
-// v2 files carry three engine variants; v3 measures the two executors only
-// and names the variants after them (serial, windowed).
-const Schema = "alock-bench/v3"
+// v2 files carry three engine variants; v3 measures the two executors and
+// names the rows after them (serial, windowed); v4 measures the windowed
+// executor at one worker and at several too, labels each row by the executor
+// and width it reached (serial, windowed-1, windowed-N), and compares the
+// windowed widths with each other.
+const Schema = "alock-bench/v4"
 
-// Engine variant names: the two executors.
-const (
-	EngineSerial   = "serial"   // typed 4-ary heap, ProcessNextEvent loop
-	EngineWindowed = "windowed" // conservative parallel windows
-)
+// EngineSerial labels rows run on the serial executor (typed 4-ary heap,
+// ProcessNextEvent loop); a row on the windowed executor is labelled
+// windowed-N, N its worker count (Case.label).
+const EngineSerial = "serial"
 
-// defaultWorkers is the windowed variant's worker count when the caller
+// defaultWorkers is the wide windowed row's worker count when the caller
 // passes 0; the slot budget caps actual concurrency at GOMAXPROCS. Results
 // are bit-identical at any count; only throughput changes.
-const defaultWorkers = 4
-
-// engineShards is the executor width a variant runs at: 0 (the serial
-// executor) for EngineSerial, the requested workers for EngineWindowed.
-func engineShards(variant string, workers int) int {
-	if variant != EngineWindowed {
-		return 0
-	}
-	if workers == 0 {
-		return defaultWorkers
-	}
-	return workers
-}
+const defaultWorkers = 2
 
 // Case is one benchmark workload. Exactly one of engine/config drives it:
 // an engine case builds a raw simulator and runs it to Horizon; a scenario
@@ -70,7 +60,7 @@ type Case struct {
 // smallest rep (steady state).
 type Measurement struct {
 	Name           string  `json:"name"`
-	Engine         string  `json:"engine"` // "serial" | "windowed"
+	Engine         string  `json:"engine"` // the executor the row reached: Case.label
 	Reps           int     `json:"reps"`
 	Events         uint64  `json:"events"`
 	Ops            int64   `json:"ops,omitempty"`
@@ -86,16 +76,22 @@ type Measurement struct {
 	Parks           uint64  `json:"parks,omitempty"`
 }
 
-// Comparison pairs the two executors' rates for one case.
+// Comparison sets one case's executors side by side. A rate is absent when
+// the case has no such row: harness cases cannot reach the serial executor
+// (every config but wait-die runs windowed), and wait-die ones reach nothing
+// else.
 type Comparison struct {
-	Name                 string  `json:"name"`
-	SerialEventsPerSec   float64 `json:"serial_events_per_sec"`
-	WindowedEventsPerSec float64 `json:"windowed_events_per_sec"`
-	// WindowedSpeedup is windowed/serial: >1 means the windowed parallel
-	// executor beats the serial hot path (expect ~parity on one core).
-	// Absent, with WindowedEventsPerSec zero, for cases that cannot reach
-	// the windowed executor (see Case.reachesWindowed).
-	WindowedSpeedup float64 `json:"windowed_speedup,omitempty"`
+	Name                  string  `json:"name"`
+	SerialEventsPerSec    float64 `json:"serial_events_per_sec,omitempty"`
+	OneWorkerEventsPerSec float64 `json:"one_worker_events_per_sec,omitempty"`
+	WindowedEventsPerSec  float64 `json:"windowed_events_per_sec,omitempty"`
+	// Width is the wide windowed row's worker count.
+	Width int `json:"width,omitempty"`
+	// OneWorkerSpeedup is windowed-1 over serial: what the lookahead buys on
+	// one core. WindowedSpeedup is windowed-Width over windowed-1: what the
+	// further workers buy. Each is absent when either side is.
+	OneWorkerSpeedup float64 `json:"one_worker_speedup,omitempty"`
+	WindowedSpeedup  float64 `json:"windowed_speedup,omitempty"`
 }
 
 // Host records where a trajectory file was produced.
@@ -404,19 +400,25 @@ func Suite(name string) ([]Case, error) {
 	return cases, nil
 }
 
-// reachesWindowed reports whether the windowed variant of this case, at
-// `workers` workers, runs the windowed executor. One worker is the serial
-// executor, and scenario configs the harness keeps serial
-// (harness.Config.RunsWindowed) would only time the serial executor a second
-// time under the windowed label, so Run skips the variant for them.
-func (c Case) reachesWindowed(workers int) bool {
-	shards := engineShards(EngineWindowed, workers)
-	if c.build != nil {
-		return shards >= 2
+// widths lists the executor widths Run measures the case at, each once:
+// engine cases on the serial executor, on one windowed worker and on
+// `workers`; harness cases on EngineShards 1 and `workers` — the serial
+// executor is not a config value — unless the harness keeps the config serial
+// (harness.Config.RunsWindowed), when the one row is the serial executor's.
+func (c Case) widths(workers int) []int {
+	if workers == 0 {
+		workers = defaultWorkers
 	}
-	cfg := c.cfg
-	cfg.EngineShards = shards
-	return cfg.RunsWindowed()
+	ws := []int{1}
+	if c.build != nil {
+		ws = []int{0, 1}
+	} else if !c.cfg.RunsWindowed() {
+		return []int{0}
+	}
+	if workers > 1 {
+		ws = append(ws, workers)
+	}
+	return ws
 }
 
 // rep is what one repetition measured. win is the window telemetry of an
@@ -430,7 +432,25 @@ type rep struct {
 	win     sim.WindowStats
 }
 
-// runOnce executes one rep at the given executor width (0 = serial).
+// label names the executor a run of the case at this width reaches: width 0
+// is the serial executor for an engine case, n >= 1 the windowed one on n
+// workers; a harness config runs windowed at max(1, width) workers — or
+// serial at any width, if the harness keeps it so.
+func (c Case) label(width int) string {
+	if c.build == nil {
+		if !c.cfg.RunsWindowed() {
+			return EngineSerial
+		}
+		width = max(1, width)
+	}
+	if width == 0 {
+		return EngineSerial
+	}
+	return fmt.Sprintf("windowed-%d", width)
+}
+
+// runOnce executes one rep at the given executor width (0 = serial; for a
+// harness case, the config's EngineShards).
 func (c Case) runOnce(shards int) (rep, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -460,17 +480,17 @@ func (c Case) runOnce(shards int) (rep, error) {
 	return rep{events: res.Events, ops: res.Ops, wall: wall, mallocs: after.Mallocs - before.Mallocs}, nil
 }
 
-// Measure runs the case `reps` times on one engine variant; workers is the
-// windowed variant's worker count (0 = defaultWorkers; ignored by the serial
-// variant). Rates come from the fastest rep; the allocation figure from the
-// rep with the fewest mallocs (later reps run with warmed allocator state,
-// so the minimum is the steady-state answer).
-func (c Case) Measure(variant string, reps, workers int) (Measurement, error) {
+// Measure runs the case `reps` times at one executor width, one of
+// c.widths: 0 is the serial executor, n >= 1 the windowed one on n workers.
+// The row is labelled by the executor the run reached. Rates come from the
+// fastest rep; the allocation figure from the rep with the fewest mallocs
+// (later reps run with warmed allocator state, so the minimum is the
+// steady-state answer).
+func (c Case) Measure(shards, reps int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	m := Measurement{Name: c.Name, Engine: variant, Reps: reps}
-	shards := engineShards(variant, workers)
+	m := Measurement{Name: c.Name, Engine: c.label(shards), Reps: reps}
 	var bestWall time.Duration
 	var minAllocs uint64
 	for r := 0; r < reps; r++ {
@@ -503,11 +523,11 @@ func (c Case) Measure(variant string, reps, workers int) (Measurement, error) {
 // Progress receives one line per finished measurement; nil is silent.
 type Progress func(m Measurement)
 
-// Run executes the whole suite: every case on the serial executor, plus the
-// windowed variant (at `workers` workers, 0 = defaultWorkers) where the case
-// reaches the windowed executor, paired into comparisons. reps < 1 and
-// workers < 0 are errors. The report's Created field is left for the caller
-// to stamp (hermetic callers, like tests, can leave it empty).
+// Run executes the whole suite: every case at each of its widths (the
+// serial executor, one windowed worker, `workers` of them, 0 =
+// defaultWorkers), set side by side in comparisons. reps < 1 and workers < 0
+// are errors. The report's Created field is left for the caller to stamp
+// (hermetic callers, like tests, can leave it empty).
 func Run(suiteName, id string, reps, workers int, progress Progress) (*Report, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("bench: reps %d (want at least 1)", reps)
@@ -523,31 +543,36 @@ func Run(suiteName, id string, reps, workers int, progress Progress) (*Report, e
 		Schema: Schema, ID: id, Suite: suiteName, Reps: reps, Host: hostInfo(),
 	}
 	for _, c := range cases {
-		var ms [2]Measurement
-		for i, variant := range []string{EngineSerial, EngineWindowed} {
-			if variant == EngineWindowed && !c.reachesWindowed(workers) {
-				continue
-			}
-			m, err := c.Measure(variant, reps, workers)
+		cmp := Comparison{Name: c.Name}
+		for _, width := range c.widths(workers) {
+			m, err := c.Measure(width, reps)
 			if err != nil {
 				return nil, err
 			}
 			if progress != nil {
 				progress(m)
 			}
-			ms[i] = m
 			rep.Cases = append(rep.Cases, m)
+			switch width {
+			case 0:
+				cmp.SerialEventsPerSec = m.EventsPerSec
+			case 1:
+				cmp.OneWorkerEventsPerSec = m.EventsPerSec
+			default:
+				cmp.Width, cmp.WindowedEventsPerSec = width, m.EventsPerSec
+			}
 		}
-		serial, windowed := ms[0], ms[1]
-		cmp := Comparison{
-			Name:                 c.Name,
-			SerialEventsPerSec:   serial.EventsPerSec,
-			WindowedEventsPerSec: windowed.EventsPerSec,
-		}
-		if serial.EventsPerSec > 0 {
-			cmp.WindowedSpeedup = windowed.EventsPerSec / serial.EventsPerSec
-		}
+		cmp.OneWorkerSpeedup = ratio(cmp.OneWorkerEventsPerSec, cmp.SerialEventsPerSec)
+		cmp.WindowedSpeedup = ratio(cmp.WindowedEventsPerSec, cmp.OneWorkerEventsPerSec)
 		rep.Comparisons = append(rep.Comparisons, cmp)
 	}
 	return rep, nil
+}
+
+// ratio is a/b, or 0 (absent) when either rate is.
+func ratio(a, b float64) float64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return a / b
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,38 +44,40 @@ func TestSuiteExpands(t *testing.T) {
 }
 
 // TestMeasureEngineCase runs the scheduler-churn microbenchmark once per
-// executor and sanity-checks the metrics that BENCH_*.json reports: both
-// variants process the identical schedule (same event count — the
+// executor width and sanity-checks the metrics that BENCH_*.json reports:
+// every row processes the identical schedule (same event count — the
 // bit-identity guarantee shows up even in the bench layer), rates are
-// populated, and the serial executor's steady-state allocation rate is
-// near zero.
+// populated and labelled, and the serial executor's steady-state allocation
+// rate is near zero.
 func TestMeasureEngineCase(t *testing.T) {
 	cases, err := Suite("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cases[0] // engine/work-loop
-	serial, err := c.Measure(EngineSerial, 1, 0)
+	serial, err := c.Measure(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed, err := c.Measure(EngineWindowed, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Events == 0 || serial.EventsPerSec <= 0 || serial.NSPerEvent <= 0 {
+	if serial.Events == 0 || serial.EventsPerSec <= 0 || serial.NSPerEvent <= 0 || serial.Engine != EngineSerial {
 		t.Fatalf("serial measurement not populated: %+v", serial)
-	}
-	if serial.Events != windowed.Events {
-		t.Fatalf("executors diverged: serial %d events, windowed %d", serial.Events, windowed.Events)
 	}
 	if serial.AllocsPerEvent > 0.01 {
 		t.Errorf("serial executor allocates %.4f/event in steady state, want ~0", serial.AllocsPerEvent)
 	}
-	// The windowed row carries the executor's telemetry; the serial row has
-	// none, and its JSON does not grow.
-	if windowed.Windows == 0 || windowed.EventsPerWindow <= 0 {
-		t.Errorf("windowed row has no window telemetry: %+v", windowed)
+	for _, width := range []int{1, 2} {
+		windowed, err := c.Measure(width, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Events != windowed.Events || windowed.Engine != fmt.Sprintf("windowed-%d", width) {
+			t.Fatalf("%s: %d events, serial %d", windowed.Engine, windowed.Events, serial.Events)
+		}
+		// The windowed rows carry the executor's telemetry; the serial row
+		// has none, and its JSON does not grow.
+		if windowed.Windows == 0 || windowed.EventsPerWindow <= 0 {
+			t.Errorf("%s row has no window telemetry: %+v", windowed.Engine, windowed)
+		}
 	}
 	if serial.Windows != 0 || serial.EventsPerWindow != 0 || serial.Parks != 0 {
 		t.Errorf("serial row carries window telemetry: %+v", serial)
@@ -95,23 +98,29 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestShardedVariantOnlyWhereWindowed: the windowed label is reserved for
-// runs that execute parallel windows. Raw engine cases and the open-loop
-// service do; a closed-loop scenario config with TargetOps runs the serial
-// executor at any width, and one worker is the serial executor everywhere.
+// TestShardedVariantOnlyWhereWindowed: a row is labelled by the executor it
+// reaches. Raw engine cases run serial, on one windowed worker and on the
+// wide width; harness cases cannot reach the serial executor — a closed-loop
+// config with TargetOps runs windowed until its stop guard hands over, the
+// open-loop service runs windowed throughout — except wait-die ones, which
+// reach nothing else and get one serial row. A one-worker wide width adds no
+// row.
 func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
 	cases, err := Suite("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{
-		"engine/contended-rmw":            true,
-		"svc/open-loop@tiny":              true,
-		"paper/fig5-high-contention@tiny": false,
+	want := map[string][2][]int{ // widths at the default wide width, and with -engine-shards 1
+		"engine/contended-rmw":            {{0, 1, 2}, {0, 1}},
+		"svc/open-loop@tiny":              {{1, 2}, {1}},
+		"paper/fig5-high-contention@tiny": {{1, 2}, {1}},
+		"deadlock/dining@tiny":            {{0}, {0}},
 	}
 	for _, c := range cases {
-		if w, ok := want[c.Name]; ok && c.reachesWindowed(0) != w {
-			t.Errorf("%s: reachesWindowed = %v, want %v", c.Name, !w, w)
+		if w, ok := want[c.Name]; ok {
+			if got := [2][]int{c.widths(0), c.widths(1)}; fmt.Sprint(got) != fmt.Sprint(w) {
+				t.Errorf("%s: widths %v, want %v", c.Name, got, w)
+			}
 		}
 		delete(want, c.Name)
 	}
@@ -119,8 +128,15 @@ func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
 		t.Errorf("cases missing from the tiny suite: %v", want)
 	}
 	for _, c := range cases {
-		if c.reachesWindowed(1) {
-			t.Errorf("%s: reaches the windowed executor with one worker", c.Name)
+		if c.build != nil {
+			continue
+		}
+		for _, width := range c.widths(0) {
+			cfg := c.cfg
+			cfg.EngineShards = width
+			if (c.label(width) == EngineSerial) == cfg.RunsWindowed() {
+				t.Errorf("%s at width %d: labelled %s, but RunsWindowed = %v", c.Name, width, c.label(width), cfg.RunsWindowed())
+			}
 		}
 	}
 }
@@ -138,11 +154,11 @@ func TestMeasureScenarioCase(t *testing.T) {
 		if c.build != nil {
 			continue
 		}
-		m, err := c.Measure(EngineSerial, 1, 0)
+		m, err := c.Measure(1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Events == 0 || m.Ops == 0 {
+		if m.Events == 0 || m.Ops == 0 || m.Engine != "windowed-1" {
 			t.Fatalf("%s: empty measurement %+v", c.Name, m)
 		}
 		return // one scenario case keeps the test cheap

@@ -13,10 +13,12 @@ import (
 // full-scale measurement window, events and sim.Engine.Resumes summed over the
 // configs. Run with -v to read the census; the assertion pins that a service
 // whose threads mostly wait — idle workers polling their queue, generators
-// between arrivals — switches to a thread on well under a quarter of its
-// events. (Over the full window the grid is 20.74 M events and 2.83 M resumes,
-// 0.14 per event; before the waits moved into api.Ctx.WorkLoop it was 9.05 M,
-// 0.44.)
+// between arrivals — switches to a thread on under 0.11 of its events. (Over
+// the full window the grid is 20.74 M events and 2.83 M resumes, 0.14 per
+// event, on the serial executor; before the waits moved into api.Ctx.WorkLoop
+// it was 9.05 M, 0.44. This reduced grid reads 0.136 on the serial executor
+// and 0.103 on the windowed one, where a thread's next operation advances in
+// place whenever its own node has nothing earlier.)
 func TestServiceResumeCensus(t *testing.T) {
 	scale := Scale{TestTiny: testing.Short()}
 	warm, meas := scale.Windows()
@@ -46,7 +48,8 @@ func TestServiceResumeCensus(t *testing.T) {
 		}
 	}
 	t.Logf("svc/open-loop: %d events, %d resumes (%.3f per event)", events, resumes, float64(resumes)/float64(events))
-	if resumes*4 > events {
+	// The bound is the reduced grid's: -short's tiny one reads more.
+	if !testing.Short() && resumes*100 > events*11 {
 		t.Errorf("%d resumes over %d events: the service's waits are switching threads again", resumes, events)
 	}
 }
@@ -59,9 +62,11 @@ func TestServiceResumeCensus(t *testing.T) {
 // operation target, events and sim.Engine.Resumes summed over the configs. Run
 // with -v to read the census. The assertion pins that waiters on a local word
 // — a queue descriptor, the group or state word on its home node — stay in the
-// executor (api.Ctx.SpinUntil) and torn loopback RCASes resume their thread
-// once: under 0.30 resumes per event. (The same grid, this file copied into
-// the tree before those waits moved: 0.50; see CHANGES.md for both censuses.)
+// executor (api.Ctx.SpinUntil), torn loopback RCASes resume their thread once,
+// and the run executes on the windowed executor until its stop guard hands
+// over: under 0.20 resumes per event. (The same grid, this file copied into
+// the tree before those waits moved: 0.50; on the serial executor: 0.27; see
+// CHANGES.md for the censuses.)
 func TestTimedRWResumeCensus(t *testing.T) {
 	scale := Scale{TestTiny: testing.Short()}
 	warm, meas := scale.Windows()
@@ -101,7 +106,8 @@ func TestTimedRWResumeCensus(t *testing.T) {
 		resumes += s.e.Resumes()
 	}
 	t.Logf("reduced rw/storm-tails + fail/timeout-recovery: %d events, %d resumes (%.3f per event)", events, resumes, float64(resumes)/float64(events))
-	if resumes*100 >= events*30 {
+	// The bound is the reduced grid's: -short's tiny targets hand over at once.
+	if !testing.Short() && resumes*100 >= events*20 {
 		t.Errorf("%d resumes over %d events: waits on local words are switching threads again", resumes, events)
 	}
 }

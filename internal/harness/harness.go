@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"alock/internal/api"
@@ -156,13 +157,13 @@ type Config struct {
 	// it costs: regions are demand-paged (internal/mem), so the host pays
 	// for the 32 KiB pages a run touches, not 8 MiB per node.
 	WordsPerNode int
-	// EngineShards is the engine's worker count: 0 or 1 runs the serial
-	// executor, 2 or more the conservative windowed parallel executor
-	// (capped by the process execution-slot budget). Schedules are
-	// bit-identical either way. Configs that rely on engine-serialized
-	// cross-thread state (closed-loop TargetOps early stop, wait-die age
-	// ordering) run serial at any value — RunsWindowed reports the
-	// decision.
+	// EngineShards is the engine's worker count for the conservative
+	// windowed executor: 0 and 1 both run it on the Run caller alone, 2 or
+	// more on that many workers (capped by the process execution-slot
+	// budget). Schedules are bit-identical at any value. Wait-die configs,
+	// whose age table is cross-thread Go state, run the serial executor at
+	// any value — RunsWindowed reports the decision; a TargetOps run hands
+	// over to the serial executor for the windows its stop could land in.
 	EngineShards int `json:",omitempty"`
 }
 
@@ -209,23 +210,27 @@ func (c Config) withDefaults() Config {
 func (c Config) OpenLoop() bool { return c.ArrivalRate > 0 }
 
 // RunsWindowed reports whether Run executes the config on the windowed
-// parallel executor: it asks for at least two engine workers and has no
-// cross-thread state that relies on the engine serializing threads — the
-// shared TargetOps countdown and the wait-die age table would race under
-// parallel windows. Every other config runs the serial executor; the
-// schedule is identical at any width, so only concurrency differs.
+// executor: every config but wait-die, whose age table is cross-thread Go
+// state the engine must serialize. A TargetOps config runs windowed until
+// its stop guard hands the last windows' worth of operations to the serial
+// executor. The schedule is identical either way; only host time differs.
 func (c Config) RunsWindowed() bool {
-	waitDie := workload.TxnConfigOf(workload.Spec{TxnLocks: c.TxnLocks, TxnPolicy: c.TxnPolicy}).NeedsAges
-	return c.EngineShards >= 2 && c.TargetOps == 0 && !waitDie
+	return !workload.TxnConfigOf(workload.Spec{TxnLocks: c.TxnLocks, TxnPolicy: c.TxnPolicy}).NeedsAges
 }
 
 // engineOptions maps the config's engine axes onto sim options.
 func (c Config) engineOptions() []sim.Option {
-	if c.RunsWindowed() {
-		return []sim.Option{sim.WithShards(c.EngineShards)}
+	if !c.RunsWindowed() {
+		return nil
 	}
-	return nil
+	return []sim.Option{sim.WithShards(max(1, c.EngineShards))}
 }
+
+// newEngine builds every run's engine. It is a variable for tests alone:
+// they swap it to build the serial executor — the plain ProcessNextEvent
+// loop, which no config value selects — or to keep the engines a sweep ran
+// and read what Result does not carry.
+var newEngine = sim.New
 
 // Validate is the one configuration gate: it applies the defaults Run
 // applies and resolves the config exactly as Run does, so a nil error
@@ -346,9 +351,9 @@ func (c Config) check() (plan, error) {
 	threads := c.Nodes * c.ThreadsPerNode
 	var err error
 	if c.OpenLoop() {
-		// TargetOps is a global countdown shared across every thread —
-		// cross-shard order-dependent state the windowed executor refuses
-		// to race on. The closed-loop path runs serial for it; the service
+		// TargetOps is a global countdown shared across every thread, and
+		// its stop must land in the global order: the closed loop hands its
+		// last windows to the serial executor for it, while the service
 		// layer exists to run wide, so the combination is a config error,
 		// not a fallback.
 		if c.TargetOps > 0 {
@@ -532,7 +537,7 @@ type simulation struct {
 
 func (p plan) prepare() *simulation {
 	cfg := p.cfg
-	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
+	e := newEngine(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
 	layout := locktable.RoundRobinHome
 	if cfg.HomeSkewPct > 0 {
 		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)
@@ -578,13 +583,13 @@ func (s *simulation) runClosedLoop() Result {
 	}
 	prng := sim.NewPartitionedRNG(cfg.Seed)
 	results := make([]workload.ThreadResult, cfg.Nodes*cfg.ThreadsPerNode)
-	// The shared op counter exists only for TargetOps early stop; it is
-	// engine-serialized state, so don't even hand it out on runs that never
-	// read it (those are the runs allowed to execute parallel windows).
-	var opsDone int64
-	var opsPtr *int64
+	// The shared op counter exists only for TargetOps early stop, so runs
+	// that never read it are not handed it.
+	var opsDone atomic.Int64
+	var opsPtr *atomic.Int64
 	if cfg.TargetOps > 0 {
 		opsPtr = &opsDone
+		e.SetStopGuard(stopGuard(cfg, &opsDone))
 	}
 	idx := 0
 	for n := 0; n < cfg.Nodes; n++ {
@@ -646,6 +651,23 @@ func (s *simulation) runClosedLoop() Result {
 	res.CDF = hist.CDF()
 	s.finish(&res, firstRec, lastRec, cfg.TargetOps > 0 && res.Ops >= cfg.TargetOps)
 	return res
+}
+
+// stopGuard keeps a TargetOps run's stop out of parallel windows: asked at a
+// window barrier, it says whether the countdown could reach the target inside
+// a window of the given length. Every recorded operation issues at least one
+// memory operation between the two Now() readings it is timed by, so one
+// thread's recorded ends are at least Model.MinOpNS apart and it ends at most
+// window/MinOpNS + 1 of them in the window; while more than that many per
+// thread remain, no stop can land there. The first window that could take the
+// stop goes to the serial executor with the rest of the run — on the fig5
+// sweep, 5 % of its events.
+func stopGuard(cfg Config, opsDone *atomic.Int64) func(window int64) bool {
+	threads := int64(cfg.Nodes * cfg.ThreadsPerNode)
+	minOp := cfg.Model.MinOpNS()
+	return func(window int64) bool {
+		return cfg.TargetOps-opsDone.Load() <= threads*(window/minOp+1)
+	}
 }
 
 // recordedSpan picks the span the throughput is computed over. A run that

@@ -740,33 +740,24 @@ func TestFigure4DriverTiny(t *testing.T) {
 	}
 }
 
-// TestEngineShardsBitIdentical: a harness run that asks for engine workers
-// must be bit-identical to the default run, modulo the knob itself. The
-// no-TargetOps variant executes parallel windows; the TargetOps variant
-// runs the serial executor at any width (RunsWindowed says which), and one
-// worker is the serial executor by definition.
+// TestEngineShardsBitIdentical: a harness run must be bit-identical to the
+// serial executor's at every engine width, modulo the knob itself. Every
+// config but wait-die runs the windowed executor (RunsWindowed) — on the Run
+// caller alone at 0 and 1 — and the TargetOps variant hands its last windows
+// to the serial loop; a wait-die config runs the serial executor at any width.
 func TestEngineShardsBitIdentical(t *testing.T) {
 	for _, algo := range []string{"alock", "mcs"} {
 		base := quickCfg(algo)
 		free := base
-		free.TargetOps = 0 // eligible for parallel windows
-		for _, v := range []struct {
-			cfg      Config
-			shards   []int
-			windowed bool
-		}{
-			{base, []int{1, 4}, false},
-			{free, []int{4}, true},
-		} {
-			want, err := Run(v.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range v.shards {
-				scfg := v.cfg
+		free.TargetOps = 0 // windowed to the end
+		for _, cfg := range []Config{base, free} {
+			var want Result
+			onSerialExecutor(func() { want = MustRun(cfg) })
+			for _, shards := range []int{0, 1, 4} {
+				scfg := cfg
 				scfg.EngineShards = shards
-				if got := scfg.RunsWindowed(); got != (v.windowed && shards >= 2) {
-					t.Errorf("%s (TargetOps=%d, shards=%d): RunsWindowed = %v", algo, v.cfg.TargetOps, shards, got)
+				if !scfg.RunsWindowed() {
+					t.Errorf("%s (TargetOps=%d, shards=%d): RunsWindowed = false", algo, cfg.TargetOps, shards)
 				}
 				got, err := Run(scfg)
 				if err != nil {
@@ -774,8 +765,8 @@ func TestEngineShardsBitIdentical(t *testing.T) {
 				}
 				got.Config.EngineShards = 0
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s (TargetOps=%d): result diverged between default and shards=%d engines",
-						algo, v.cfg.TargetOps, shards)
+					t.Errorf("%s (TargetOps=%d): result diverged between the serial executor and shards=%d",
+						algo, cfg.TargetOps, shards)
 				}
 			}
 		}

@@ -453,10 +453,10 @@ func TestBestEffortDeadlineReportsLateAcquire(t *testing.T) {
 }
 
 // TestShardedEngineInvariants runs the full mutual-exclusion invariant
-// suite on the conservative windowed parallel executor (shards=4) and pins
-// every observation (ops, counter sum, tramples, per-lock entry order) to
-// the serial engine's, bit for bit — as it does for shards=1, which is the
-// serial executor by another name.
+// suite on the conservative windowed executor (shards=4) and pins every
+// observation (ops, counter sum, tramples, per-lock entry order) to the
+// serial engine's, bit for bit — as it does for shards=1, the windowed
+// executor on one worker.
 func TestShardedEngineInvariants(t *testing.T) {
 	for _, name := range []string{"spinlock", "mcs", "alock", "rw-queue"} {
 		name := name

@@ -34,8 +34,8 @@ type MutexConfig struct {
 	LocalityPct    int // percentage of operations targeting the own node
 	Seed           int64
 	Model          model.Params
-	// EngineShards is the engine's worker count (0 or 1 = serial executor,
-	// >1 = conservative windowed parallel executor). The schedule — and
+	// EngineShards is the engine's worker count (0 = serial executor, n >= 1
+	// = conservative windowed executor on n workers). The schedule — and
 	// therefore every observation — is bit-identical at any setting.
 	EngineShards int
 }

@@ -203,6 +203,16 @@ func (p Params) Validate() error {
 	return errors.Join(errs...)
 }
 
+// MinOpNS is the smallest latency in which any memory operation can complete
+// under the model: a local load, store or CAS costs its own latency, and every
+// verb pays at least one wire, loopback or remote. An operation that issues a
+// memory operation between two clock readings spans at least this much, which
+// is what bounds how many such operations a thread can end in a window of
+// virtual time.
+func (p Params) MinOpNS() int64 {
+	return min(p.LocalReadNS, p.LocalWriteNS, p.LocalCASNS, p.LoopbackWireNS, p.RemoteWireNS)
+}
+
 // String gives a compact one-line rendering for experiment logs.
 func (p Params) String() string {
 	return fmt.Sprintf(

@@ -81,6 +81,44 @@ func TestValidateCatchesEachField(t *testing.T) {
 	}
 }
 
+// TestMinOpNS: the floor is CX3's local load and store (10 ns: one thread ends
+// at most 780/10 + 1 = 79 operations in a 780 ns lookahead window), follows
+// whichever memory-operation latency is
+// lowest, and is positive on every valid model — it divides the stop guard's
+// window. Costs that are not memory operations (fence, pause, NIC service)
+// never lower it.
+func TestMinOpNS(t *testing.T) {
+	if got := CX3().MinOpNS(); got != 10 {
+		t.Errorf("CX3 MinOpNS = %d, want 10", got)
+	}
+	if got := Uniform(7).MinOpNS(); got != 7 {
+		t.Errorf("Uniform(7) MinOpNS = %d, want 7", got)
+	}
+	for _, m := range []struct {
+		name string
+		mut  func(*Params)
+		want int64
+	}{
+		{"read", func(p *Params) { p.LocalReadNS = 3 }, 3},
+		{"write", func(p *Params) { p.LocalWriteNS = 4 }, 4},
+		{"cas", func(p *Params) { p.LocalCASNS = 5 }, 5},
+		{"loopback wire", func(p *Params) { p.LoopbackWireNS = 6 }, 6},
+		{"remote wire", func(p *Params) { p.RemoteWireNS = 2 }, 2},
+		{"fence", func(p *Params) { p.FenceNS = 0 }, 10},
+		{"pause", func(p *Params) { p.SpinPollMinNS = 1 }, 10},
+		{"nic", func(p *Params) { p.NICServiceNS = 1 }, 10},
+	} {
+		p := CX3()
+		m.mut(&p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if got := p.MinOpNS(); got != m.want {
+			t.Errorf("%s: MinOpNS = %d, want %d", m.name, got, m.want)
+		}
+	}
+}
+
 func TestValidateJoinsMultipleErrors(t *testing.T) {
 	p := CX3()
 	p.LocalReadNS = 0

@@ -8,9 +8,10 @@
 // numbers are issued and torn state lives. The shard's event queue (one
 // typed 4-ary heap) belongs to the windowed executor alone: runWindowed
 // scatters the engine's global queue onto the owning shards at entry and
-// returns with every shard queue empty, so outside a windowed Run all
-// pending events are on the global queue (where Step and the serial Run
-// pop them).
+// returns with every shard queue empty — drained, or handed back to the
+// global queue when the stop guard ends the windows early — so outside a
+// windowed Run all pending events are on the global queue (where Step and
+// the serial Run pop them).
 //
 // The windowed executor is classic conservative parallel discrete-event
 // simulation. Nodes interact only through verbs with a hard latency floor
@@ -22,6 +23,9 @@
 //	entry:    scatter the global queue onto the owning shards' queues
 //	barrier:  drain cross-shard outboxes into owning shards' queues
 //	window:   wend = min(shard heads) + lookahead
+//	guard:    if the stop guard says a stop could land in the window, move
+//	          every shard queue back to the global queue and return: Run
+//	          finishes on the serial loop
 //	execute:  each shard pops (at, seq) order while head < wend, on the
 //	          worker that owns it — one of up to `workers` goroutines (slots
 //	          permitting); cross-shard sends buffer in the sender's outbox
@@ -36,10 +40,15 @@
 // exit, and stay in one core's cache; two Runs of one engine may give a shard
 // different owners, and the join at the end of the first orders them.
 //
-// On the 2-CPU host the repo is measured on, two workers run the paper-scale
-// corner (16 nodes x 8 or 12 threads, ~1 000 events and 16 active shards per
-// window) 1.67x faster than the serial executor does; see windowPool for
-// what that took, and WindowStats for how to read a Run's windows.
+// The windows pay before any second core does. Inside one a node's threads
+// run ahead of every other node's events, so a local op is popped from a
+// heap of its own node's events only, and is more often advanced in place
+// (Thread.tryAdvance) with no event queued at all: at GOMAXPROCS=1 on the
+// 2-CPU host the repo is measured on, the paper-scale corner (16 nodes x 12
+// threads, ~1 000 events and 16 active shards per window) costs about 112
+// host ns per event on one worker against 151 on the serial executor. A
+// second worker on a second core splits each window further; see windowPool
+// for what that took, and WindowStats for how to read a Run's windows.
 //
 // Cross-shard sends are asserted (panic) to be at least one lookahead
 // ahead of the sending shard's clock, so no shard ever receives an event
@@ -515,6 +524,12 @@ type WindowStats struct {
 	Parks      uint64
 	Wakes      uint64
 	CoordParks uint64
+	// HandoffAt is the virtual time at which the stop guard handed the Run to
+	// the serial loop — the head of the window it did not run — and 0 if it
+	// never did; SerialEvents is the number of events the serial loop then
+	// dispatched. Events + SerialEvents is everything the Run dispatched.
+	HandoffAt    int64
+	SerialEvents uint64
 }
 
 // WindowStats returns the telemetry of the engine's last windowed Run (the
@@ -524,14 +539,16 @@ func (e *Engine) WindowStats() WindowStats { return e.winStats }
 // clearWindowed is runWindowed's deferred exit hook.
 func (e *Engine) clearWindowed() { e.windowed = false }
 
-// runWindowed is Run's parallel driver. Concurrency is governed by
+// runWindowed is Run's windowed driver. Concurrency is governed by
 // the process-wide execution-slot budget (internal/slots): the Run caller
 // owns one implicit slot, and each helper goroutine beyond it needs an
 // extra slot, capped by the configured worker count and the node count —
 // which is what entitles a helper to spin: a slot is a P nobody else was
-// promised. Zero granted extras still runs the windowed executor — the
-// coordinator just owns every shard. The window structure (and therefore
-// every result) is identical at any width; only wall-clock time changes.
+// promised. One worker, asked for or all the budget granted, is the
+// coordinator owning every shard. The window structure (and therefore every
+// result) is identical at any width; only wall-clock time changes. It
+// returns with every event dispatched, or at the barrier where the stop
+// guard asked for the serial loop, with the rest of them on the global queue.
 func (e *Engine) runWindowed() {
 	want := e.workers
 	if n := len(e.shards); want > n {
@@ -590,6 +607,11 @@ func (e *Engine) runWindowed() {
 		if hook := e.onBarrier; hook != nil {
 			hook()
 		}
+		if guard := e.stopGuard; guard != nil && guard(e.lookahead) {
+			pool.stats.HandoffAt = minHead
+			e.handOff()
+			return
+		}
 		// The safe window: nothing can cross shards before minHead+lookahead.
 		wend := minHead + e.lookahead
 		for _, s := range e.shards {
@@ -613,6 +635,20 @@ func (e *Engine) runWindowed() {
 	e.foldShards()
 }
 
+// handOff ends a windowed Run at a barrier with events still pending: it moves
+// every shard queue back onto the global queue and folds the shards, leaving
+// the engine as the serial executor would have it at the same point — every
+// pending event lies at or after the last window's end, so nothing the serial
+// loop pops next is behind the folded clock.
+func (e *Engine) handOff() {
+	for _, s := range e.shards {
+		for s.q.len() > 0 {
+			e.q.push(s.q.pop())
+		}
+	}
+	e.foldShards()
+}
+
 // foldShards commits the windowed run's per-shard state back to the
 // engine: the clock advances to the latest shard clock, the per-shard
 // event counts fold into the engine counter, and the stop flag is
@@ -625,7 +661,7 @@ func (e *Engine) foldShards() {
 		e.events += s.events
 		s.events = 0
 	}
-	if e.stopRequested.Load() || e.now >= e.stopAt {
+	if e.stopRequested || e.now >= e.stopAt {
 		e.stopped = true
 	}
 }

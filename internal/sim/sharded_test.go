@@ -85,16 +85,22 @@ func runMode(t *testing.T, nodes, tpn int, horizon int64, opts ...Option) string
 	return fingerprint(e, words)
 }
 
-// TestShardedSerialBitIdentical: one worker is the serial executor, so
-// WithShards(1) must be the default engine exactly — same clock, same event
-// count, same memory image, same NIC stats. (That the serial engine replays
-// the container/heap schedule is TestReferenceReplaySharded.)
+// TestShardedSerialBitIdentical: WithShards(1) is the windowed executor on
+// the Run caller alone, and must land exactly where the default engine's
+// serial loop does — same clock, same event count, same memory image, same
+// NIC stats — having run every event inside a window, on one worker. (That
+// the serial engine replays the container/heap schedule is
+// TestReferenceReplaySharded.)
 func TestShardedSerialBitIdentical(t *testing.T) {
 	const horizon = 300_000
 	serial := runMode(t, 4, 3, horizon)
-	oneWorker := runMode(t, 4, 3, horizon, WithShards(1))
-	if serial != oneWorker {
+	e, words := shardedWorkload(4, 3, WithShards(1))
+	e.Run(horizon)
+	if oneWorker := fingerprint(e, words); serial != oneWorker {
 		t.Errorf("WithShards(1) diverged from the default engine:\n default:    %s\n one worker: %s", serial, oneWorker)
+	}
+	if ws := e.WindowStats(); ws.Width != 1 || ws.Windows == 0 || ws.Events != e.Events() || ws.SerialEvents != 0 || ws.Parks+ws.Wakes+ws.CoordParks != 0 {
+		t.Errorf("WithShards(1) did not run every event in a window on the caller alone: %+v", ws)
 	}
 }
 
@@ -185,7 +191,7 @@ func TestWindowedBitIdentical(t *testing.T) {
 		if want > 16 {
 			want = 16
 		}
-		if ws := e.WindowStats(); workers > 1 && ws.Width != want {
+		if ws := e.WindowStats(); ws.Width != want {
 			t.Errorf("16 nodes, WithShards(%d) ran on %d workers, want %d", workers, ws.Width, want)
 		}
 	}

@@ -19,20 +19,24 @@
 // Two executors share that one event protocol, with one queue
 // representation each:
 //
-//   - serial (default, and WithShards(1)): one flat event queue (e.q),
-//     drained by ProcessNextEvent on the caller's goroutine — Run is that
-//     loop, Step is one turn of it.
-//   - windowed (WithShards(n), n > 1): the conservative parallel executor
-//     in shard.go. For the duration of a Run it moves the pending events
-//     onto per-shard queues and runs each shard's events inside the safe
-//     window [window start, min(shard heads) + lookahead) on the pool worker
-//     that owns the shard for the Run, barriers, repeats. Lookahead is the
+//   - serial (an engine built without WithShards): one flat event queue
+//     (e.q), drained by ProcessNextEvent on the caller's goroutine — Run is
+//     that loop, Step is one turn of it at any width.
+//   - windowed (WithShards(n), n >= 1): the conservative executor in
+//     shard.go. For the duration of a Run it moves the pending events onto
+//     per-shard queues and runs each shard's events inside the safe window
+//     [window start, min(shard heads) + lookahead) on the pool worker that
+//     owns the shard for the Run, barriers, repeats. Lookahead is the
 //     minimum cross-node verb latency (model.Params.RemoteWireNS), and every
 //     cross-shard event is sent at least one lookahead ahead of the
 //     sender's clock, so no shard can receive anything that lands inside
-//     the window it is executing — results are bit-identical to serial, in
-//     parallel. The shard queues are empty whenever no windowed Run is in
-//     progress.
+//     the window it is executing — results are bit-identical to serial. One
+//     worker is the coordinator alone: no helper, no barrier wait, and a
+//     node's threads run through a window without popping past any other
+//     node's events, which is what the lookahead buys on one core. A stop
+//     guard (SetStopGuard) can hand a Run back to the serial loop at a
+//     barrier, with every pending event on e.q again. The shard queues are
+//     empty whenever no windowed Run is in progress.
 //
 // Determinism: given the same seed, workload and model, every run produces
 // bit-identical schedules, throughputs and latencies under either executor.
@@ -98,10 +102,13 @@
 // extend the horizon — extending it un-stops a run that had merely crossed
 // the previous horizon — but an explicit RequestStop is sticky: once
 // requested, no later SetHorizon call makes Stopped() return false again.
-// Workload loops rely on this to wind down exactly once. Under the
-// windowed executor a mid-run RequestStop is observed by other shards
-// without a deterministic cross-shard order — harnesses that stop mid-run
-// (TargetOps) therefore force the serial path.
+// Workload loops rely on this to wind down exactly once. Inside a window a
+// RequestStop would be observed by other shards without a deterministic
+// cross-shard order, so a caller that stops mid-run (the harness's TargetOps
+// countdown) sets a stop guard: at every barrier the guard says whether a
+// stop could land inside the next window, and the first "yes" hands the rest
+// of the Run to the serial loop, where the stop lands in the global order. A
+// RequestStop inside a window panics.
 package sim
 
 import (
@@ -176,12 +183,16 @@ type Engine struct {
 	// they own seq issue and torn-RMW state under both executors.
 	q      eventQueue
 	shards []*shard
-	// workers is WithShards' executor width: 0 (unset) or 1 = the serial
-	// executor, >1 = the conservative windowed executor for Run. lookahead
-	// is the windowed executor's safety margin: the minimum cross-node verb
-	// latency, below which no shard can affect another.
+	// workers is WithShards' executor width: 0 (unset) = the serial
+	// executor, n >= 1 = the conservative windowed executor on n workers for
+	// Run. lookahead is the windowed executor's safety margin: the minimum
+	// cross-node verb latency, below which no shard can affect another.
 	workers   int
 	lookahead int64
+	// stopGuard, when set (SetStopGuard), is asked at every barrier of a
+	// windowed Run whether a RequestStop could land inside a window of the
+	// given length; the first true hands the Run to the serial loop.
+	stopGuard func(window int64) bool
 
 	// winStats is the telemetry of the last windowed Run, closed into the
 	// engine when that Run's worker pool is (WindowStats).
@@ -191,10 +202,11 @@ type Engine struct {
 	stopAt int64
 	// stopped is what Thread.Stopped reports on the serial paths; it is
 	// raised by the clock crossing stopAt or by RequestStop. stopRequested
-	// records an explicit RequestStop (atomically, so threads on parallel
-	// shards observe it too) so a later SetHorizon cannot un-stop the run.
+	// records an explicit RequestStop so a later SetHorizon cannot un-stop
+	// the run. RequestStop never runs inside a window, so threads on parallel
+	// shards read it with the window barrier ordering them after the write.
 	stopped       bool
-	stopRequested atomic.Bool
+	stopRequested bool
 
 	threads []*Thread
 	// windowed marks a parallel Run in progress: events queue on the shards
@@ -230,14 +242,17 @@ func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
 
-// WithShards sets the executor width for Run. One worker is the serial
-// executor (the default engine); workers > 1 selects the conservative
-// windowed executor (shard.go), which runs up to that many shards' windows
-// concurrently — bit-identical to serial, because no event crosses shards
-// with less than one lookahead of slack. Worker counts above the node count
-// or the process's execution-slot budget (internal/slots) are clamped at
-// Run time; results never depend on the effective width. Step always
-// advances serially, at any width.
+// WithShards makes Run execute on the conservative windowed executor
+// (shard.go) with that many workers — bit-identical to the serial executor
+// of an engine built without the option, because no event crosses shards
+// with less than one lookahead of slack. One worker is the Run caller alone,
+// with no helper goroutine and no execution slot: windows still pay on one
+// core, since a node's local events run without being ordered against every
+// other node's. More workers run up to that many shards' windows
+// concurrently. Worker counts above the node count or the process's
+// execution-slot budget (internal/slots) are clamped at Run time; results
+// never depend on the effective width. Step always advances serially, at any
+// width.
 func WithShards(workers int) Option {
 	if workers < 1 {
 		panic(fmt.Sprintf("sim: WithShards(%d): need at least one worker", workers))
@@ -333,15 +348,27 @@ func (e *Engine) Now() int64 { return e.now }
 // of the time horizon. It may be called from inside a simulated thread
 // (e.g. by a measurement harness once it has collected enough operations).
 // An explicit stop is sticky: no subsequent SetHorizon re-arms the run.
-// Under the windowed executor other shards observe the stop without a
-// deterministic cross-shard order; mid-run stoppers needing determinism
-// must run the serial path (the harness forces this for TargetOps).
+// Inside a window other shards would observe the stop without a
+// deterministic cross-shard order, so a thread that may stop a windowed Run
+// needs a stop guard (SetStopGuard) that hands the Run to the serial loop
+// first; a RequestStop inside a window panics — no guard, or one whose bound
+// is unsound.
 func (e *Engine) RequestStop() {
-	e.stopRequested.Store(true)
-	if !e.windowed {
-		e.stopped = true
+	if e.windowed {
+		panic("sim: RequestStop inside a window: the stop guard is missing or its bound is unsound")
 	}
+	e.stopRequested = true
+	e.stopped = true
 }
+
+// SetStopGuard installs the windowed executor's stop guard: at every barrier
+// of a windowed Run, before a window of `window` ns is handed out, guard is
+// asked whether a RequestStop could land inside it, and the first true hands
+// the rest of the Run to the serial ProcessNextEvent loop — the global order a
+// mid-run stop needs. guard runs on the Run caller with no thread running; it
+// must answer from state the threads leave behind at a barrier. Set it before
+// Run.
+func (e *Engine) SetStopGuard(guard func(window int64) bool) { e.stopGuard = guard }
 
 // Stopped reports whether threads currently observe Stopped() == true —
 // either the clock passed the horizon or RequestStop was called.
@@ -461,7 +488,7 @@ func (e *Engine) stopThreads() {
 // RequestStop — an explicit stop is sticky.
 func (e *Engine) SetHorizon(stopAt int64) {
 	e.stopAt = stopAt
-	e.stopped = e.stopRequested.Load() || e.now >= stopAt
+	e.stopped = e.stopRequested || e.now >= stopAt
 }
 
 // HasPendingEvents reports whether any event remains scheduled.
@@ -579,12 +606,15 @@ func (e *Engine) Step() bool {
 // to wind down (finishing in-flight critical sections so queues drain).
 //
 // The serial executor is the ProcessNextEvent loop, nothing more;
-// WithShards(n > 1) engages the conservative windowed executor in shard.go.
-// Semantics are identical in every mode: event order, the events counter
-// and all memory effects come from the same total order. A dispatch failure
-// (time regression, event-budget livelock) or a panic in a thread's body
-// panics on the caller's goroutine in all modes, after every other thread
-// has been unwound; the engine is unusable afterwards.
+// WithShards engages the conservative windowed executor in shard.go, which
+// returns with every event dispatched — or, when its stop guard says a stop
+// could land in the next window, with the rest of them back on the global
+// queue for the same loop to finish. Semantics are identical in every mode:
+// event order, the events counter and all memory effects come from the same
+// total order. A dispatch failure (time regression, event-budget livelock)
+// or a panic in a thread's body panics on the caller's goroutine in all
+// modes, after every other thread has been unwound; the engine is unusable
+// afterwards.
 //
 // The closing "blocked forever" check is an internal invariant of the
 // engine, not a workload-reachable outcome: every api.Ctx call that
@@ -597,14 +627,15 @@ func (e *Engine) Run(stopAt int64) {
 		// as far as the auditor is concerned.
 		defer e.curShard.Store(auditIdle)
 	}
-	switch {
-	case e.pending() == 0:
-		// Nothing scheduled: fall through to the exit check.
-	case e.workers > 1:
+	windowed := e.workers > 0 && e.pending() > 0
+	if windowed {
 		e.runWindowed()
-	default:
-		for e.ProcessNextEvent() {
-		}
+	}
+	handoff := e.events
+	for e.ProcessNextEvent() {
+	}
+	if windowed {
+		e.winStats.SerialEvents = e.events - handoff
 	}
 	for _, t := range e.threads {
 		if !t.exited {
@@ -978,7 +1009,7 @@ func (t *Thread) Stopped() bool {
 func (t *Thread) stopped() bool {
 	e := t.e
 	if e.windowed {
-		return e.stopRequested.Load() || t.shard.now >= e.stopAt
+		return e.stopRequested || t.shard.now >= e.stopAt
 	}
 	return e.stopped
 }

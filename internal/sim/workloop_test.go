@@ -147,7 +147,7 @@ type popSeen struct {
 // per shard under the windowed executor (a shard's events are popped by the
 // one worker that owns it) and as one sequence under the serial one.
 func drivePops(e *Engine, horizon int64) [][]popSeen {
-	if e.workers > 1 {
+	if e.workers > 0 {
 		pops := make([][]popSeen, len(e.shards))
 		e.onWindowEvent = func(s *shard, ev event) {
 			pops[s.node] = append(pops[s.node], popSeen{ev.at, ev.seq, ev.th.id, ev.kind})

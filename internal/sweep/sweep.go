@@ -29,11 +29,12 @@ import (
 )
 
 // WithEngineShards stamps the engine worker count onto every config of a
-// sweep, so a whole scenario or figure runs on the selected executor (0
-// leaves the configs alone; a negative count is stamped like any other, for
-// harness.Config.Validate to reject). Configs that ask for the windowed
-// executor but run serial (harness.Config.RunsWindowed) are counted in one
-// line on warn: results are bit-identical either way, the wall clock is not.
+// sweep, so a whole scenario or figure runs the windowed executor on that
+// many workers (0 leaves the configs alone, at one worker; a negative count
+// is stamped like any other, for harness.Config.Validate to reject). Configs
+// that ask for more than one worker but run serial (wait-die;
+// harness.Config.RunsWindowed) are counted in one line on warn: results are
+// bit-identical either way, the wall clock is not.
 func WithEngineShards(cfgs []harness.Config, shards int, warn io.Writer) []harness.Config {
 	if shards == 0 {
 		return cfgs
@@ -46,7 +47,7 @@ func WithEngineShards(cfgs []harness.Config, shards int, warn io.Writer) []harne
 		}
 	}
 	if serial > 0 {
-		fmt.Fprintf(warn, "engine-shards %d: %d of %d configs run serial: TargetOps / wait-die\n", shards, serial, len(cfgs))
+		fmt.Fprintf(warn, "engine-shards %d: %d of %d configs run serial: wait-die\n", shards, serial, len(cfgs))
 	}
 	return cfgs
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"alock/internal/harness"
 	"alock/internal/slots"
@@ -165,8 +166,8 @@ func TestSlotBudgetComposition(t *testing.T) {
 
 	cfgs := testConfigs()
 	for i := range cfgs {
-		// TargetOps forces the serial executor; drop it so the windowed
-		// executor actually requests helper slots.
+		// Without TargetOps no stop guard hands the run to the serial
+		// executor, so helpers hold their slots to the end.
 		cfgs[i].TargetOps = 0
 		cfgs[i].MeasureNS = 150_000
 		cfgs[i].EngineShards = 4
@@ -213,14 +214,18 @@ func TestSweepResultsUnaffectedBySlotStarvation(t *testing.T) {
 }
 
 // TestWithEngineShardsReportsSerialConfigs: the stamp reaches every config,
-// and the one-line notice counts exactly the configs that asked for the
-// windowed executor but run serial — silent when none do, when one worker
+// and the one-line notice counts exactly the configs that asked for windowed
+// workers but run serial — the wait-die ones; TargetOps configs run windowed
+// until their stop guard hands over — silent when none do, when one worker
 // was asked for, or when nothing was asked for. A negative count is not
 // "nothing": it reaches every config, where the gate rejects it.
 func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
 	mixed := func() []harness.Config {
 		cfgs := testConfigs() // all carry TargetOps
 		cfgs[0].TargetOps = 0
+		for i := 2; i < len(cfgs); i++ { // spinlock and mcs: abortable, as wait-die needs
+			cfgs[i].TxnLocks, cfgs[i].TxnPolicy, cfgs[i].AcquireTimeout = 2, "wait-die", 15*time.Microsecond
+		}
 		return cfgs
 	}
 	for _, tc := range []struct {
@@ -230,7 +235,7 @@ func TestWithEngineShardsReportsSerialConfigs(t *testing.T) {
 		{-3, ""},
 		{0, ""},
 		{1, ""},
-		{4, "engine-shards 4: 5 of 6 configs run serial: TargetOps / wait-die\n"},
+		{4, "engine-shards 4: 4 of 6 configs run serial: wait-die\n"},
 	} {
 		var warn strings.Builder
 		cfgs := WithEngineShards(mixed(), tc.shards, &warn)

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alock/internal/api"
@@ -241,7 +242,7 @@ func releaseTxn(res *ThreadResult, h api.TokenLocker, env Env, spec Spec,
 // under the spec's deadlock policy. Bursts and warmup gating follow the
 // single-lock loop; a commit closes through the same opTail.
 func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
-	spec Spec, env Env, opsDone *int64, targetOps int64,
+	spec Spec, env Env, opsDone *atomic.Int64, targetOps int64,
 	stopper StopRequester) ThreadResult {
 
 	var res ThreadResult

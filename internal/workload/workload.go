@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"alock/internal/api"
@@ -307,7 +308,7 @@ type StopRequester interface{ RequestStop() }
 // targetOps, the run is cut short — throughput remains unbiased because it
 // is computed from recorded spans, not from the nominal horizon.
 func Run(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
-	opsDone *int64, targetOps int64, stopper StopRequester) ThreadResult {
+	opsDone *atomic.Int64, targetOps int64, stopper StopRequester) ThreadResult {
 	return RunEnv(ctx, h, table, spec, Env{}, opsDone, targetOps, stopper)
 }
 
@@ -316,7 +317,7 @@ func Run(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 // transaction loop; everything else runs the single-lock loop and ignores
 // env.
 func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
-	env Env, opsDone *int64, targetOps int64, stopper StopRequester) ThreadResult {
+	env Env, opsDone *atomic.Int64, targetOps int64, stopper StopRequester) ThreadResult {
 
 	if err := spec.Validate(); err != nil {
 		panic(err)
@@ -472,7 +473,7 @@ type opTail struct {
 	res   *ThreadResult
 	think time.Duration
 	// The shared TargetOps countdown (nil on runs without a target).
-	opsDone   *int64
+	opsDone   *atomic.Int64
 	targetOps int64
 	stopper   StopRequester
 }
@@ -491,9 +492,11 @@ func (t *opTail) done(end int64, recorded bool) {
 			t.res.FirstRecNS = end
 		}
 		t.res.LastRecNS = end
+		// Atomic: threads of different nodes end operations concurrently in
+		// parallel windows. The count at a window barrier is exact either way,
+		// and the engine's stop guard keeps the target out of every window.
 		if t.opsDone != nil {
-			*t.opsDone++ // engine-serialized: sim runs one thread at a time
-			if t.stopper != nil && t.targetOps > 0 && *t.opsDone >= t.targetOps {
+			if n := t.opsDone.Add(1); t.stopper != nil && t.targetOps > 0 && n >= t.targetOps {
 				t.stopper.RequestStop()
 			}
 		}

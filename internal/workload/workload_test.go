@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,7 +366,7 @@ func TestSharedCounterStopsRun(t *testing.T) {
 	e := sim.New(2, 1<<18, model.Uniform(10), 1)
 	table := locktable.New(e.Space(), 10)
 	prov := locks.NewALockProvider()
-	var opsDone int64
+	var opsDone atomic.Int64
 	ft := locks.NewFenceTable()
 	results := make([]ThreadResult, 4)
 	for i := 0; i < 4; i++ {
