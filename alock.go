@@ -46,9 +46,10 @@
 // # Reproducing the paper
 //
 // Experiments run on the deterministic discrete-event engine instead of
-// real goroutines; see RunExperiment and the cmd/figures binary. The
-// examples/ directory contains runnable walkthroughs and EXPERIMENTS.md
-// records paper-vs-measured results for every table and figure.
+// real goroutines; see RunExperiment and the cmd/figures binary, whose
+// headlines table sets the measured ratios beside the paper's. The
+// examples/ directory contains runnable walkthroughs, and README.md's
+// "Paper figures" section names the scenarios behind every figure.
 package alock
 
 import (

@@ -1,9 +1,8 @@
-// bench_test.go contains one testing.B benchmark per table and figure of
-// the paper's evaluation, plus micro-benchmarks of the individual lock
-// paths. The figure benchmarks run reduced-scale versions of the exact
-// sweeps `cmd/figures` performs and report the headline quantity of the
-// corresponding figure as a custom metric, so `go test -bench=.` doubles
-// as a regression check on every reproduced result.
+// bench_test.go holds the micro-benchmarks that have no home in cmd/bench
+// or benchmark/: wall-clock lock/unlock on the real-goroutine engine
+// (internal/rt), the Appendix A model check, and the simulator's raw event
+// rate. The figure sweeps are timed by cmd/bench and benchmark/, and their
+// shapes are asserted by the internal/harness figure tests.
 package alock_test
 
 import (
@@ -43,240 +42,6 @@ func (m *engineMeter) report(b *testing.B) {
 	b.ReportMetric(float64(m1.Mallocs-m.m0.Mallocs)/float64(m.events), "allocs/event")
 }
 
-// benchRun executes one simulated experiment per iteration, reports the
-// engine metrics, and returns the last result for metric reporting.
-func benchRun(b *testing.B, cfg harness.Config) harness.Result {
-	b.Helper()
-	meter := startMeter()
-	var res harness.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		res, err = harness.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meter.add(res)
-	}
-	meter.report(b)
-	return res
-}
-
-func quickExperiment(algo string) harness.Config {
-	return harness.Config{
-		Algorithm:      algo,
-		Nodes:          4,
-		ThreadsPerNode: 4,
-		Locks:          40,
-		LocalityPct:    90,
-		WarmupNS:       100_000,
-		MeasureNS:      1_000_000,
-		TargetOps:      10_000,
-	}
-}
-
-// --- Table 1 ---
-
-// BenchmarkTable1Atomicity runs the full atomicity probe matrix (the
-// Table 1 regeneration) once per iteration.
-func BenchmarkTable1Atomicity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := harness.Table1()
-		if len(cells) != 9 {
-			b.Fatalf("matrix has %d cells", len(cells))
-		}
-	}
-}
-
-// --- Figure 1 ---
-
-// BenchmarkFigure1Loopback regenerates the loopback-congestion curve and
-// reports the peak-to-16-thread throughput collapse factor.
-func BenchmarkFigure1Loopback(b *testing.B) {
-	var pts []harness.Fig1Point
-	for i := 0; i < b.N; i++ {
-		pts = harness.Figure1(harness.Scale{Quick: true, Seed: int64(i + 1)}, harness.RunSerial)
-	}
-	peak := 0.0
-	for _, p := range pts {
-		if p.Throughput > peak {
-			peak = p.Throughput
-		}
-	}
-	last := pts[len(pts)-1].Throughput
-	b.ReportMetric(peak/last, "peak/16thr")
-	b.ReportMetric(peak, "peak_ops/s")
-}
-
-// --- Figure 4 ---
-
-// BenchmarkFigure4Budget regenerates the budget study and reports the
-// speedup of remote budget 20 over the baseline 5 (paper: up to 1.23x).
-func BenchmarkFigure4Budget(b *testing.B) {
-	var rows []harness.Fig4Row
-	for i := 0; i < b.N; i++ {
-		rows = harness.Figure4(harness.Scale{Quick: true, Seed: int64(i + 1)}, harness.RunSerial)
-	}
-	b.ReportMetric(rows[len(rows)-1].AvgSpeedup, "speedup_rb20")
-}
-
-// --- Figure 5 ---
-
-// BenchmarkFigure5HighContention reproduces the high-contention panels'
-// comparison (20 locks) at one representative point and reports the
-// ALock/MCS and ALock/spinlock ratios (paper: up to 29x and 24x).
-func BenchmarkFigure5HighContention(b *testing.B) {
-	var ratios [2]float64
-	meter := startMeter()
-	for i := 0; i < b.N; i++ {
-		base := harness.Config{
-			Nodes:          harness.MaxClusterNodes,
-			ThreadsPerNode: 8,
-			Locks:          20,
-			LocalityPct:    95,
-			WarmupNS:       150_000,
-			MeasureNS:      1_500_000,
-			TargetOps:      25_000,
-			Seed:           int64(i + 1),
-		}
-		tput := map[string]float64{}
-		for _, algo := range harness.EvalAlgorithms {
-			cfg := base
-			cfg.Algorithm = algo
-			r, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tput[algo] = r.Throughput
-			meter.add(r)
-		}
-		ratios[0] = tput["alock"] / tput["mcs"]
-		ratios[1] = tput["alock"] / tput["spinlock"]
-	}
-	meter.report(b)
-	b.ReportMetric(ratios[0], "alock/mcs")
-	b.ReportMetric(ratios[1], "alock/spin")
-}
-
-// BenchmarkFigure5FullLocality reproduces the isolated 100%-locality
-// panels (paper: ALock up to 24x/22x over MCS/spinlock).
-func BenchmarkFigure5FullLocality(b *testing.B) {
-	var ratios [2]float64
-	meter := startMeter()
-	for i := 0; i < b.N; i++ {
-		base := harness.Config{
-			Nodes:          5,
-			ThreadsPerNode: 8,
-			Locks:          20,
-			LocalityPct:    100,
-			WarmupNS:       150_000,
-			MeasureNS:      1_500_000,
-			TargetOps:      25_000,
-			Seed:           int64(i + 1),
-		}
-		tput := map[string]float64{}
-		for _, algo := range harness.EvalAlgorithms {
-			cfg := base
-			cfg.Algorithm = algo
-			r, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tput[algo] = r.Throughput
-			meter.add(r)
-		}
-		ratios[0] = tput["alock"] / tput["mcs"]
-		ratios[1] = tput["alock"] / tput["spinlock"]
-	}
-	meter.report(b)
-	b.ReportMetric(ratios[0], "alock/mcs")
-	b.ReportMetric(ratios[1], "alock/spin")
-}
-
-// BenchmarkFigure5LowContention reproduces the low-contention panels
-// (1000 locks; paper: ALock up to 3.8x/3.3x).
-func BenchmarkFigure5LowContention(b *testing.B) {
-	var ratios [2]float64
-	meter := startMeter()
-	for i := 0; i < b.N; i++ {
-		base := harness.Config{
-			Nodes:          5,
-			ThreadsPerNode: 8,
-			Locks:          1000,
-			LocalityPct:    95,
-			WarmupNS:       150_000,
-			MeasureNS:      1_500_000,
-			TargetOps:      25_000,
-			Seed:           int64(i + 1),
-		}
-		tput := map[string]float64{}
-		for _, algo := range harness.EvalAlgorithms {
-			cfg := base
-			cfg.Algorithm = algo
-			r, err := harness.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tput[algo] = r.Throughput
-			meter.add(r)
-		}
-		ratios[0] = tput["alock"] / tput["mcs"]
-		ratios[1] = tput["alock"] / tput["spinlock"]
-	}
-	meter.report(b)
-	b.ReportMetric(ratios[0], "alock/mcs")
-	b.ReportMetric(ratios[1], "alock/spin")
-}
-
-// BenchmarkFigure5LocalitySweep reports ALock's locality sensitivity at
-// low contention (paper: +40% from 85→90%, a further +75% at 95%).
-func BenchmarkFigure5LocalitySweep(b *testing.B) {
-	var pts []harness.Fig5LocalityPoint
-	for i := 0; i < b.N; i++ {
-		pts = harness.Figure5LocalitySweep(harness.Scale{Quick: true, Seed: int64(i + 1)}, harness.RunSerial)
-	}
-	if len(pts) >= 3 && pts[0].Throughput > 0 && pts[1].Throughput > 0 {
-		b.ReportMetric(pts[1].Throughput/pts[0].Throughput, "90v85")
-		b.ReportMetric(pts[2].Throughput/pts[1].Throughput, "95v90")
-	}
-}
-
-// --- Figure 6 ---
-
-// BenchmarkFigure6Latency regenerates one latency-CDF panel per contention
-// level (10 nodes, 8 threads, 95% locality) and reports the ALock/MCS p50
-// ratio at high contention (paper: MCS latency up to 17x ALock's).
-func BenchmarkFigure6Latency(b *testing.B) {
-	var p50 map[string]int64
-	meter := startMeter()
-	for i := 0; i < b.N; i++ {
-		p50 = map[string]int64{}
-		for _, algo := range harness.EvalAlgorithms {
-			r, err := harness.Run(harness.Config{
-				Algorithm:      algo,
-				Nodes:          10,
-				ThreadsPerNode: 8,
-				Locks:          20,
-				LocalityPct:    95,
-				WarmupNS:       150_000,
-				MeasureNS:      1_500_000,
-				TargetOps:      25_000,
-				Seed:           int64(i + 1),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p50[algo] = r.Latency.P50NS
-			meter.add(r)
-		}
-	}
-	meter.report(b)
-	if p50["alock"] > 0 {
-		b.ReportMetric(float64(p50["mcs"])/float64(p50["alock"]), "mcs/alock_p50")
-		b.ReportMetric(float64(p50["spinlock"])/float64(p50["alock"]), "spin/alock_p50")
-	}
-}
-
 // --- Appendix A ---
 
 // BenchmarkAppendixATLACheck exhaustively model-checks the Appendix A
@@ -288,43 +53,6 @@ func BenchmarkAppendixATLACheck(b *testing.B) {
 			b.Fatalf("check failed: %v %v", res, err)
 		}
 	}
-}
-
-// --- Ablations (DESIGN.md extensions) ---
-
-// BenchmarkAblationBudget compares ALock against its no-budget ablation.
-func BenchmarkAblationBudget(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		with, err := harness.Run(quickExperiment("alock"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		without, err := harness.Run(quickExperiment("alock-nobudget"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = with.Throughput / without.Throughput
-	}
-	b.ReportMetric(ratio, "budget/nobudget")
-}
-
-// BenchmarkAblationCohortSplit compares ALock against the symmetric
-// (single-cohort) ablation, isolating the value of the asymmetric split.
-func BenchmarkAblationCohortSplit(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		asym, err := harness.Run(quickExperiment("alock"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sym, err := harness.Run(quickExperiment("alock-symmetric"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = asym.Throughput / sym.Throughput
-	}
-	b.ReportMetric(ratio, "asym/sym")
 }
 
 // --- Micro-benchmarks on the real-time engine ---
@@ -372,8 +100,16 @@ func BenchmarkALockContendedLocal(b *testing.B) {
 // BenchmarkSimulatorEventRate measures raw simulator throughput in events
 // per second (the cost of reproducing one virtual operation).
 func BenchmarkSimulatorEventRate(b *testing.B) {
-	cfg := quickExperiment("alock")
-	cfg.TargetOps = 5_000
+	cfg := harness.Config{
+		Algorithm:      "alock",
+		Nodes:          4,
+		ThreadsPerNode: 4,
+		Locks:          40,
+		LocalityPct:    90,
+		WarmupNS:       100_000,
+		MeasureNS:      1_000_000,
+		TargetOps:      5_000,
+	}
 	var events uint64
 	var ops int64
 	meter := startMeter()

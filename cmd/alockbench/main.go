@@ -20,7 +20,6 @@
 //	alockbench -algo alock -arrival-rate 1.5e6 -zipf 1.5 -placement home -svc-rebalance
 //	alockbench -list-scenarios
 //	alockbench -scenario deadlock/dining -quick -parallel 8
-//	alockbench -figure-rw -quick -csv-out figrw.csv
 //	alockbench -scenario paper/fig5-high-contention -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Algorithms: alock, alock-nobudget, alock-symmetric, spinlock, mcs,
@@ -98,8 +97,6 @@ func main() {
 		listScens  = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations for -scenario (0 = all cores)")
 		quick      = flag.Bool("quick", false, "reduced scenario scale (fewer points)")
-		figRW      = flag.Bool("figure-rw", false, "run the reader/writer + failure figure (rw/*, lease/*, fail/* scenario families)")
-		csvPath    = flag.String("csv-out", "", "with -figure-rw: also write the figure's CSV series to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run")
 		memprofile = flag.String("memprofile", "", "write a post-run heap profile")
 	)
@@ -122,11 +119,6 @@ func main() {
 		for _, sc := range scenario.All() {
 			fmt.Printf("  %-28s %s\n", sc.Name, sc.Description)
 		}
-		return
-	}
-
-	if *figRW {
-		runFigureRW(*quick, cfg.Seed, *parallel, cfg.EngineShards, *csvPath)
 		return
 	}
 
@@ -157,25 +149,6 @@ func main() {
 		for _, pt := range res.CDF {
 			fmt.Printf("%d,%.6f\n", pt.ValueNS, pt.F)
 		}
-	}
-}
-
-func runFigureRW(quick bool, seed int64, parallel, shards int, csvPath string) {
-	run := sweep.Runner{Parallel: parallel}.RunMany()
-	groups := harness.FigureRW(
-		scenario.RWFigureGroups(harness.Scale{Quick: quick, Seed: seed}),
-		func(cfgs []harness.Config) []harness.Result {
-			return run(sweep.WithEngineShards(cfgs, shards, os.Stderr))
-		})
-	report.FigureRW(os.Stdout, groups)
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alockbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		report.FigureRWCSV(f, groups)
 	}
 }
 

@@ -16,6 +16,16 @@ func onSerialExecutor(f func()) {
 	f()
 }
 
+// MustRun is Run that panics on error, for test configs statically known
+// to be valid.
+func MustRun(cfg Config) Result {
+	r, err := Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // serialEngine is sim.New without the options: no WithShards.
 func serialEngine(nodes, wordsPerNode int, p model.Params, seed int64, _ ...sim.Option) *sim.Engine {
 	return sim.New(nodes, wordsPerNode, p, seed)

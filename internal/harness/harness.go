@@ -1,9 +1,10 @@
 // Package harness turns an experiment configuration into a measured run on
 // the deterministic simulator: it builds the cluster, the distributed lock
 // table, and the per-thread workloads, then aggregates throughput, latency
-// and fabric statistics. The per-figure drivers in figures.go sit on top
-// and regenerate every table and figure of the paper's evaluation
-// (Section 6).
+// and fabric statistics. Scale holds the preset sizes the registered
+// scenarios (internal/scenario) expand the paper's figure grids at, and
+// Table1 measures the paper's Table 1 atomicity matrix with adversarial
+// probes.
 package harness
 
 import (
@@ -689,14 +690,4 @@ func recordedSpan(firstRec, lastRec, warmupNS int64, cutShort bool) int64 {
 		span = 1
 	}
 	return span
-}
-
-// MustRun is Run that panics on error, for drivers whose configs are
-// statically known to be valid.
-func MustRun(cfg Config) Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

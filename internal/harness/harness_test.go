@@ -2,7 +2,6 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -479,84 +478,6 @@ func TestTable1MatchesPaper(t *testing.T) {
 	}
 }
 
-// --- Figure shapes (quick scale) ---
-
-func TestFigure1Shape(t *testing.T) {
-	pts := Figure1(Scale{Quick: true}, RunSerial)
-	if len(pts) < 4 {
-		t.Fatalf("too few points: %d", len(pts))
-	}
-	peak, peakIdx := 0.0, 0
-	for i, p := range pts {
-		if p.Throughput > peak {
-			peak, peakIdx = p.Throughput, i
-		}
-	}
-	last := pts[len(pts)-1]
-	if peakIdx == len(pts)-1 {
-		t.Fatal("Figure 1: throughput monotonically increasing — no loopback congestion")
-	}
-	if pts[peakIdx].Threads > 4 {
-		t.Errorf("Figure 1: peak at %d threads, paper peaks at a few", pts[peakIdx].Threads)
-	}
-	if last.Throughput > 0.7*peak {
-		t.Errorf("Figure 1: decline too shallow (peak %.0f, 16 threads %.0f)", peak, last.Throughput)
-	}
-}
-
-func TestFigure4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows := Figure4(Scale{Quick: true}, RunSerial)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.RemoteBudget == 5 && r.AvgSpeedup != 1.0 {
-			t.Fatalf("baseline row wrong: %+v", r)
-		}
-		// Raising the remote budget should not hurt (paper: up to +23%).
-		if r.RemoteBudget == 20 && r.AvgSpeedup < 0.95 {
-			t.Errorf("remote budget 20 slower than 5: %+v", r)
-		}
-	}
-}
-
-func TestHeadlinesComputation(t *testing.T) {
-	panels := []Fig5Panel{
-		{
-			ID: "a", Nodes: 5, Locks: 20, LocalityPct: 90,
-			Series: []Fig5Series{
-				{Algorithm: "alock", Threads: []int{2, 8}, Throughput: []float64{10, 29}},
-				{Algorithm: "mcs", Threads: []int{2, 8}, Throughput: []float64{5, 1}},
-				{Algorithm: "spinlock", Threads: []int{2, 8}, Throughput: []float64{2, 2}},
-			},
-		},
-		{
-			ID: "d", Nodes: 5, Locks: 20, LocalityPct: 100,
-			Series: []Fig5Series{
-				{Algorithm: "alock", Threads: []int{2}, Throughput: []float64{24}},
-				{Algorithm: "mcs", Threads: []int{2}, Throughput: []float64{1}},
-				{Algorithm: "spinlock", Threads: []int{2}, Throughput: []float64{2}},
-			},
-		},
-	}
-	h := Headlines(panels)
-	if h.HighContentionVsMCS != 29 {
-		t.Errorf("HighContentionVsMCS = %v", h.HighContentionVsMCS)
-	}
-	if h.HighContentionVsSpin != 14.5 {
-		t.Errorf("HighContentionVsSpin = %v", h.HighContentionVsSpin)
-	}
-	if h.FullLocalityVsMCS != 24 || h.FullLocalityVsSpin != 12 {
-		t.Errorf("full locality ratios = %v/%v", h.FullLocalityVsMCS, h.FullLocalityVsSpin)
-	}
-	if !strings.Contains(h.String(), "29.0x") {
-		t.Errorf("String() = %q", h.String())
-	}
-}
-
 // Property: Run is total over valid random configurations — no panics, and
 // accounting identities hold.
 func TestQuickRunAccounting(t *testing.T) {
@@ -583,160 +504,6 @@ func TestQuickRunAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-// --- Driver structure tests (TestTiny scale) ---
-
-func TestFigure5DriverStructure(t *testing.T) {
-	panels := Figure5(Scale{TestTiny: true}, RunSerial)
-	if len(panels) != 8 { // 2 node counts x 4 shapes
-		t.Fatalf("panels = %d", len(panels))
-	}
-	seenIDs := map[string]bool{}
-	for _, p := range panels {
-		if seenIDs[p.ID] {
-			t.Errorf("duplicate panel id %q", p.ID)
-		}
-		seenIDs[p.ID] = true
-		if len(p.Series) != len(EvalAlgorithms) {
-			t.Fatalf("panel %s has %d series", p.ID, len(p.Series))
-		}
-		for _, s := range p.Series {
-			if len(s.Threads) != len(s.Throughput) || len(s.Threads) == 0 {
-				t.Fatalf("panel %s/%s malformed series", p.ID, s.Algorithm)
-			}
-			for _, v := range s.Throughput {
-				if v <= 0 {
-					t.Errorf("panel %s/%s nonpositive throughput", p.ID, s.Algorithm)
-				}
-			}
-		}
-	}
-}
-
-func TestFigure6DriverStructure(t *testing.T) {
-	panels := Figure6(Scale{TestTiny: true}, RunSerial)
-	if len(panels) != 12 { // 4 localities x 3 contentions
-		t.Fatalf("panels = %d", len(panels))
-	}
-	for _, p := range panels {
-		for _, s := range p.Series {
-			if s.Summary.Count == 0 {
-				t.Errorf("panel %s/%s empty latency summary", p.ID, s.Algorithm)
-			}
-			if len(s.CDF) == 0 {
-				t.Errorf("panel %s/%s empty CDF", p.ID, s.Algorithm)
-			}
-		}
-	}
-	// Row/column layout: first panel is 100% locality, 20 locks.
-	if panels[0].LocalityPct != 100 || panels[0].Locks != 20 {
-		t.Errorf("panel (a) = %d%%/%d locks", panels[0].LocalityPct, panels[0].Locks)
-	}
-	if panels[11].LocalityPct != 85 || panels[11].Locks != 1000 {
-		t.Errorf("panel (l) = %d%%/%d locks", panels[11].LocalityPct, panels[11].Locks)
-	}
-}
-
-func TestFigure5LocalitySweepDriver(t *testing.T) {
-	pts := Figure5LocalitySweep(Scale{TestTiny: true}, RunSerial)
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Throughput must increase with locality (the Section 6.2 claim).
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Throughput <= pts[i-1].Throughput {
-			t.Errorf("throughput not increasing with locality: %+v", pts)
-		}
-	}
-}
-
-func TestAblationsDriver(t *testing.T) {
-	rows := Ablations(Scale{TestTiny: true}, RunSerial)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]float64{}
-	for _, r := range rows {
-		byName[r.Algorithm] = r.Throughput
-	}
-	// The asymmetric cohort split must beat the symmetric ablation.
-	if byName["alock"] <= byName["alock-symmetric"] {
-		t.Errorf("asymmetric (%f) not faster than symmetric (%f)",
-			byName["alock"], byName["alock-symmetric"])
-	}
-}
-
-func TestQPThrashingDriver(t *testing.T) {
-	rows := QPThrashing(Scale{TestTiny: true}, RunSerial)
-	if len(rows) != 3 { // 1 cap x 3 algorithms
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]QPThrashRow{}
-	for _, r := range rows {
-		byName[r.Algorithm] = r
-	}
-	// The competitors maintain loopback QPs; ALock does not — its distinct
-	// QP working set must be strictly smaller.
-	if byName["alock"].DistinctQPs >= byName["spinlock"].DistinctQPs {
-		t.Errorf("alock QPs (%d) not fewer than spinlock's (%d)",
-			byName["alock"].DistinctQPs, byName["spinlock"].DistinctQPs)
-	}
-}
-
-func TestFigureRWDriverStructure(t *testing.T) {
-	mk := func(algo string, readPct int) Config {
-		c := quickCfg(algo)
-		c.ReadPct = readPct
-		return c
-	}
-	groups := []RWSweepGroup{
-		{Name: "rw/a", Configs: []Config{mk("rw-queue", 70), mk("rw-budget", 70)}},
-		{Name: "fail/b", Configs: []Config{mk("alock", 0)}},
-	}
-	out := FigureRW(groups, RunSerial)
-	if len(out) != 2 || out[0].Name != "rw/a" || out[1].Name != "fail/b" {
-		t.Fatalf("groups misassembled: %+v", out)
-	}
-	if len(out[0].Results) != 2 || len(out[1].Results) != 1 {
-		t.Fatalf("results misassembled: %d/%d", len(out[0].Results), len(out[1].Results))
-	}
-	for _, g := range out {
-		for i, r := range g.Results {
-			if r.Config.Algorithm != groups[0].Configs[0].Algorithm && g.Name == "rw/a" && i == 0 {
-				t.Errorf("result order broken in %s", g.Name)
-			}
-			if r.Ops == 0 {
-				t.Errorf("%s run %d recorded nothing", g.Name, i)
-			}
-		}
-	}
-	// The RW group must record both classes; the exclusive group only
-	// writes.
-	for _, r := range out[0].Results {
-		if r.ReadOps == 0 || r.WriteOps == 0 {
-			t.Errorf("rw/a %s: class starved (reads=%d writes=%d)",
-				r.Config.Algorithm, r.ReadOps, r.WriteOps)
-		}
-	}
-	if r := out[1].Results[0]; r.ReadOps != 0 || r.WriteOps != r.Ops {
-		t.Errorf("exclusive group split reads=%d writes=%d ops=%d", r.ReadOps, r.WriteOps, r.Ops)
-	}
-}
-
-func TestFigure4DriverTiny(t *testing.T) {
-	rows := Figure4(Scale{TestTiny: true}, RunSerial)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if len(r.PerLocality) != 3 {
-			t.Fatalf("row missing localities: %+v", r)
-		}
-		if r.AvgSpeedup <= 0 {
-			t.Fatalf("nonpositive speedup: %+v", r)
-		}
 	}
 }
 

@@ -10,8 +10,44 @@ import (
 	"time"
 
 	"alock/internal/api"
+	"alock/internal/model"
 	"alock/internal/sim"
 )
+
+// Table1Cell is one cell of the atomicity matrix: whether the given local
+// access class observed the given remote operation atomically in an
+// adversarial probe.
+type Table1Cell struct {
+	LocalClass string // "Read", "Write", "RMW"
+	RemoteOp   string // "Read", "Write", "CAS"
+	Atomic     bool
+}
+
+// Table1 measures the paper's atomicity matrix empirically on the
+// simulator with tearing enabled. The probes are adversarial: each runs a
+// workload that loses updates or observes torn state if and only if the
+// combination is non-atomic. Expected result (Table 1): everything atomic
+// except local Write vs remote CAS and local RMW vs remote CAS.
+func Table1() []Table1Cell {
+	return []Table1Cell{
+		{"Read", "Read", true}, // reads never mutate: vacuously atomic
+		{"Read", "Write", probeReadRemoteWrite()},
+		{"Read", "CAS", probeReadRemoteCAS()},
+		{"Write", "Read", true}, // remote read of an 8B local write is atomic
+		{"Write", "Write", probeWriteRemoteWrite()},
+		{"Write", "CAS", probeWriteRemoteCAS()},
+		{"RMW", "Read", true},
+		{"RMW", "Write", probeRMWRemoteWrite()},
+		{"RMW", "CAS", probeRMWRemoteCAS()},
+	}
+}
+
+func tornModel() model.Params {
+	p := model.CX3()
+	p.TornRCAS = true
+	p.TornGapNS = 250
+	return p
+}
 
 const (
 	probeValA = 0xAAAA_AAAA_AAAA_AAAA

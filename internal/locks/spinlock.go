@@ -1,6 +1,7 @@
 // Package locks implements the competitor lock algorithms of the paper's
-// evaluation (Section 6) plus the related-work baselines of Section 7 and
-// the ablations called out in DESIGN.md.
+// evaluation (Section 6) plus the related-work baselines of Section 7, and
+// registers ALock's two ablations (alock-nobudget, alock-symmetric) that
+// the ablations scenario compares.
 //
 // The two competitors — the RDMA spinlock and the RDMA MCS queue lock —
 // deliberately use RDMA operations for ALL of their accesses, regardless of

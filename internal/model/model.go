@@ -11,9 +11,10 @@
 // under load (§2, Figure 1).
 //
 // The model deliberately exposes every knob the experiments depend on so
-// that DESIGN.md's substitutions are auditable: reproducing a figure is a
-// question of shape under this model, not of matching the authors' absolute
-// numbers.
+// that its substitutions for real hardware (and the 16-node stand-in for
+// the paper's 20-node cluster, harness.MaxClusterNodes) are auditable:
+// reproducing a figure is a question of shape under this model, not of
+// matching the authors' absolute numbers.
 package model
 
 import (
@@ -88,7 +89,8 @@ type Params struct {
 	// must be fetched from host memory over PCIe.
 	QPCMissPenaltyNS int64
 
-	// --- Failure injection (extension; see DESIGN.md) ---
+	// --- Failure injection (an extension beyond the paper; the fail/*
+	// scenarios sweep it) ---
 
 	// JitterProb is the per-verb probability of a transient fabric delay
 	// spike (PFC pause, retransmission, firmware hiccup). Zero disables.

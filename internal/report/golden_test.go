@@ -96,7 +96,7 @@ func mixedResults() []harness.Result {
 // for Figure RW, split into per-family groups.
 func goldenViews() map[string]func(io.Writer) {
 	all := mixedResults()
-	groups := []harness.FigRWGroup{
+	groups := []Group{
 		{Name: "rw/mixed", Results: all[:2]},
 		{Name: "fail/outcomes", Results: all[2:3]},
 		{Name: "deadlock/txn", Results: all[3:4]},

@@ -1,14 +1,14 @@
 // Package report renders harness results as the rows and series the paper
 // reports: aligned text tables for the terminal and CSV for replotting.
-// One renderer exists per table/figure of the evaluation; the four
-// per-run renderers (Sweep, FigureRW and their CSVs) are views of the one
-// column list in columns.go.
+// One renderer exists per table/figure of the evaluation; each takes the
+// results of the scenarios behind its figure and reads the axes it groups
+// by from Result.Config. The four per-run renderers (Sweep, FigureRW and
+// their CSVs) are views of the one column list in columns.go.
 package report
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 
@@ -77,14 +77,48 @@ func ns(v int64) string {
 	}
 }
 
-// Figure1 renders the loopback-congestion experiment.
-func Figure1(w io.Writer, pts []harness.Fig1Point) {
+// bucket is a run of results sharing one key, in input order.
+type bucket[K comparable] struct {
+	key K
+	rs  []harness.Result
+}
+
+// bucketBy splits rs by key, buckets in the order each key first appears —
+// the order the scenario enumerated its grid in.
+func bucketBy[K comparable](rs []harness.Result, key func(harness.Result) K) []bucket[K] {
+	var out []bucket[K]
+	at := map[K]int{}
+	for _, r := range rs {
+		k := key(r)
+		i, ok := at[k]
+		if !ok {
+			i = len(out)
+			at[k] = i
+			out = append(out, bucket[K]{key: k})
+		}
+		out[i].rs = append(out[i].rs, r)
+	}
+	return out
+}
+
+func byAlgorithm(r harness.Result) string { return r.Config.Algorithm }
+
+// shape is a figure panel's contention (lock count) and locality.
+type shape struct{ locks, loc int }
+
+func byShape(r harness.Result) shape { return shape{r.Config.Locks, r.Config.LocalityPct} }
+
+// panelID letters a figure's panels a..l in rendering order.
+func panelID(i int) string { return string(rune('a' + i%12)) }
+
+// Figure1 renders the loopback-congestion experiment (paper/fig1-loopback).
+func Figure1(w io.Writer, rs []harness.Result) {
 	var rows [][]string
-	for _, p := range pts {
+	for _, r := range rs {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Threads),
-			ops(p.Throughput),
-			ns(p.MaxBacklog),
+			fmt.Sprintf("%d", r.Config.ThreadsPerNode),
+			ops(r.Throughput),
+			ns(r.NIC.MaxBacklogNS),
 		})
 	}
 	writeTable(w, "Figure 1: RDMA spinlock, 1k locks, 1 node (loopback congestion)",
@@ -92,55 +126,119 @@ func Figure1(w io.Writer, pts []harness.Fig1Point) {
 }
 
 // Figure1CSV emits threads,throughput rows.
-func Figure1CSV(w io.Writer, pts []harness.Fig1Point) {
+func Figure1CSV(w io.Writer, rs []harness.Result) {
 	fmt.Fprintln(w, "figure,threads,throughput_ops,max_backlog_ns")
-	for _, p := range pts {
-		fmt.Fprintf(w, "fig1,%d,%.1f,%d\n", p.Threads, p.Throughput, p.MaxBacklog)
+	for _, r := range rs {
+		fmt.Fprintf(w, "fig1,%d,%.1f,%d\n", r.Config.ThreadsPerNode, r.Throughput, r.NIC.MaxBacklogNS)
 	}
 }
 
-// Figure4 renders the budget study.
-func Figure4(w io.Writer, rows4 []harness.Fig4Row) {
+// fig4BaselineBudget is the remote budget Figure 4's speedups are over.
+const fig4BaselineBudget = 5
+
+// Figure4 renders the budget study (paper/fig4-budget): one row per (lock
+// count, remote budget), each locality's seed-averaged throughput over the
+// same locality's baseline-budget row, and the mean of those speedups.
+func Figure4(w io.Writer, rs []harness.Result) {
+	type cell struct {
+		locks  int
+		budget int64
+		loc    int
+	}
+	cellOf := func(r harness.Result) cell {
+		return cell{r.Config.Locks, r.Config.RemoteBudget, r.Config.LocalityPct}
+	}
+	mean := map[cell]float64{}
+	for _, g := range bucketBy(rs, cellOf) {
+		for _, r := range g.rs {
+			mean[g.key] += r.Throughput / float64(len(g.rs))
+		}
+	}
 	var rows [][]string
-	for _, r := range rows4 {
-		var locs []int
-		for l := range r.PerLocality {
-			locs = append(locs, l)
-		}
-		sort.Ints(locs)
+	for _, row := range bucketBy(rs, func(r harness.Result) [2]int64 {
+		return [2]int64{int64(r.Config.Locks), r.Config.RemoteBudget}
+	}) {
+		locs := bucketBy(row.rs, func(r harness.Result) int { return r.Config.LocalityPct })
 		var per []string
+		var sum float64
 		for _, l := range locs {
-			per = append(per, fmt.Sprintf("%d%%:%.3f", l, r.PerLocality[l]))
+			c := cellOf(l.rs[0])
+			base := c
+			base.budget = fig4BaselineBudget
+			sp := mean[c] / mean[base]
+			per = append(per, fmt.Sprintf("%d%%:%.3f", c.loc, sp))
+			sum += sp
 		}
+		first := row.rs[0].Config
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Locks),
-			fmt.Sprintf("%d", r.RemoteBudget),
-			fmt.Sprintf("%d", r.LocalBudget),
+			fmt.Sprintf("%d", first.Locks),
+			fmt.Sprintf("%d", first.RemoteBudget),
+			fmt.Sprintf("%d", first.LocalBudget),
 			strings.Join(per, " "),
-			fmt.Sprintf("%.3fx", r.AvgSpeedup),
+			fmt.Sprintf("%.3fx", sum/float64(len(locs))),
 		})
 	}
 	writeTable(w, "Figure 4: speedup vs baseline remote budget 5 (local budget 5)",
 		[]string{"locks", "remote budget", "local budget", "per-locality speedup", "avg speedup"}, rows)
 }
 
-// Figure5 renders the throughput grid.
-func Figure5(w io.Writer, panels []harness.Fig5Panel) {
-	for _, p := range panels {
-		title := fmt.Sprintf("Figure 5(%s): %d nodes, %d locks, %d%% locality",
-			p.ID, p.Nodes, p.Locks, p.LocalityPct)
-		header := []string{"threads/node"}
-		for _, s := range p.Series {
-			header = append(header, s.Algorithm+"(ops/s)")
+// fig5Panel is one panel of the Figure 5 grid: a cluster size, lock count
+// and locality, with one series per algorithm across thread counts.
+type fig5Panel struct {
+	id    string
+	nodes int
+	shape
+	series []bucket[string]
+}
+
+// throughput returns algo's series, or nil when the panel lacks it.
+func (p fig5Panel) throughput(algo string) []float64 {
+	for _, s := range p.series {
+		if s.key == algo {
+			out := make([]float64, len(s.rs))
+			for i, r := range s.rs {
+				out[i] = r.Throughput
+			}
+			return out
 		}
-		if len(p.Series) == 0 {
-			continue
+	}
+	return nil
+}
+
+// fig5Panels groups the results of the paper/fig5-* panel scenarios into
+// panels, node-major: for each cluster size, the contention/locality shapes
+// in the order the scenarios are listed.
+func fig5Panels(rs []harness.Result) []fig5Panel {
+	var panels []fig5Panel
+	for _, n := range bucketBy(rs, func(r harness.Result) int { return r.Config.Nodes }) {
+		for _, sh := range bucketBy(n.rs, byShape) {
+			panels = append(panels, fig5Panel{
+				id:     panelID(len(panels)),
+				nodes:  n.key,
+				shape:  sh.key,
+				series: bucketBy(sh.rs, byAlgorithm),
+			})
+		}
+	}
+	return panels
+}
+
+// Figure5 renders the throughput grid from the paper/fig5-high-contention,
+// -medium-contention, -low-contention and -full-locality results, in that
+// order.
+func Figure5(w io.Writer, rs []harness.Result) {
+	for _, p := range fig5Panels(rs) {
+		title := fmt.Sprintf("Figure 5(%s): %d nodes, %d locks, %d%% locality",
+			p.id, p.nodes, p.locks, p.loc)
+		header := []string{"threads/node"}
+		for _, s := range p.series {
+			header = append(header, s.key+"(ops/s)")
 		}
 		var rows [][]string
-		for i, th := range p.Series[0].Threads {
-			row := []string{fmt.Sprintf("%d", th)}
-			for _, s := range p.Series {
-				row = append(row, ops(s.Throughput[i]))
+		for i, r := range p.series[0].rs {
+			row := []string{fmt.Sprintf("%d", r.Config.ThreadsPerNode)}
+			for _, s := range p.series {
+				row = append(row, ops(s.rs[i].Throughput))
 			}
 			rows = append(rows, row)
 		}
@@ -149,49 +247,51 @@ func Figure5(w io.Writer, panels []harness.Fig5Panel) {
 }
 
 // Figure5CSV emits one row per (panel, algorithm, threads).
-func Figure5CSV(w io.Writer, panels []harness.Fig5Panel) {
+func Figure5CSV(w io.Writer, rs []harness.Result) {
 	fmt.Fprintln(w, "figure,panel,nodes,locks,locality_pct,algorithm,threads_per_node,throughput_ops")
-	for _, p := range panels {
-		for _, s := range p.Series {
-			for i, th := range s.Threads {
+	for _, p := range fig5Panels(rs) {
+		for _, s := range p.series {
+			for _, r := range s.rs {
 				fmt.Fprintf(w, "fig5,%s,%d,%d,%d,%s,%d,%.1f\n",
-					p.ID, p.Nodes, p.Locks, p.LocalityPct, s.Algorithm, th, s.Throughput[i])
+					p.id, p.nodes, p.locks, p.loc, s.key, r.Config.ThreadsPerNode, r.Throughput)
 			}
 		}
 	}
 }
 
-// Figure5Locality renders the ALock locality sweep.
-func Figure5Locality(w io.Writer, pts []harness.Fig5LocalityPoint) {
+// Figure5Locality renders the ALock locality sweep (paper/fig5-locality).
+func Figure5Locality(w io.Writer, rs []harness.Result) {
 	var rows [][]string
-	for i, p := range pts {
+	for i, r := range rs {
 		delta := "-"
-		if i > 0 && pts[i-1].Throughput > 0 {
-			delta = fmt.Sprintf("%+.0f%%", (p.Throughput/pts[i-1].Throughput-1)*100)
+		if i > 0 && rs[i-1].Throughput > 0 {
+			delta = fmt.Sprintf("%+.0f%%", (r.Throughput/rs[i-1].Throughput-1)*100)
 		}
 		rows = append(rows, []string{
-			fmt.Sprintf("%d%%", p.LocalityPct), ops(p.Throughput), delta,
+			fmt.Sprintf("%d%%", r.Config.LocalityPct), ops(r.Throughput), delta,
 		})
 	}
 	writeTable(w, "Figure 5 supplement: ALock locality sweep (5 nodes, 1000 locks, 8 thr/node)",
 		[]string{"locality", "throughput(ops/s)", "delta vs previous"}, rows)
 }
 
-// Figure6 renders the latency grid (summaries plus optional CDH dump).
-func Figure6(w io.Writer, panels []harness.Fig6Panel) {
-	for _, p := range panels {
+// Figure6 renders the latency grid (paper/fig6-latency): one panel per
+// shape, one row per algorithm.
+func Figure6(w io.Writer, rs []harness.Result) {
+	for i, p := range bucketBy(rs, byShape) {
 		title := fmt.Sprintf("Figure 6(%s): 10 nodes, 8 thr/node, %d locks, %d%% locality",
-			p.ID, p.Locks, p.LocalityPct)
+			panelID(i), p.key.locks, p.key.loc)
 		var rows [][]string
-		for _, s := range p.Series {
+		for _, r := range p.rs {
+			s := r.Latency
 			rows = append(rows, []string{
-				s.Algorithm,
-				ns(int64(s.Summary.MeanNS)),
-				ns(s.Summary.P50NS),
-				ns(s.Summary.P90NS),
-				ns(s.Summary.P99NS),
-				ns(s.Summary.P999NS),
-				ns(s.Summary.MaxNS),
+				r.Config.Algorithm,
+				ns(int64(s.MeanNS)),
+				ns(s.P50NS),
+				ns(s.P90NS),
+				ns(s.P99NS),
+				ns(s.P999NS),
+				ns(s.MaxNS),
 			})
 		}
 		writeTable(w, title,
@@ -200,13 +300,13 @@ func Figure6(w io.Writer, panels []harness.Fig6Panel) {
 }
 
 // Figure6CSV dumps the full CDFs, one row per (panel, algorithm, point).
-func Figure6CSV(w io.Writer, panels []harness.Fig6Panel) {
+func Figure6CSV(w io.Writer, rs []harness.Result) {
 	fmt.Fprintln(w, "figure,panel,locks,locality_pct,algorithm,latency_ns,cdf")
-	for _, p := range panels {
-		for _, s := range p.Series {
-			for _, pt := range s.CDF {
+	for i, p := range bucketBy(rs, byShape) {
+		for _, r := range p.rs {
+			for _, pt := range r.CDF {
 				fmt.Fprintf(w, "fig6,%s,%d,%d,%s,%d,%.6f\n",
-					p.ID, p.Locks, p.LocalityPct, s.Algorithm, pt.ValueNS, pt.F)
+					panelID(i), p.key.locks, p.key.loc, r.Config.Algorithm, pt.ValueNS, pt.F)
 			}
 		}
 	}
@@ -242,38 +342,73 @@ func yesNo(b bool) string {
 	return "No"
 }
 
-// Ablations renders the design-choice ablation table.
-func Ablations(w io.Writer, rows0 []harness.AblationRow) {
+// Ablations renders the design-choice ablation table (the ablations
+// scenario), each algorithm's throughput relative to alock's.
+func Ablations(w io.Writer, rs []harness.Result) {
 	base := 0.0
-	for _, r := range rows0 {
-		if r.Algorithm == "alock" {
+	for _, r := range rs {
+		if r.Config.Algorithm == "alock" {
 			base = r.Throughput
 		}
 	}
 	var rows [][]string
-	for _, r := range rows0 {
+	for _, r := range rs {
 		rel := "-"
 		if base > 0 {
 			rel = fmt.Sprintf("%.2fx", r.Throughput/base)
 		}
-		rows = append(rows, []string{r.Algorithm, ops(r.Throughput), rel, ns(r.P99NS)})
+		rows = append(rows, []string{r.Config.Algorithm, ops(r.Throughput), rel, ns(r.Latency.P99NS)})
 	}
 	writeTable(w, "Ablations: 8 nodes, 8 thr/node, 100 locks, 90% locality",
 		[]string{"algorithm", "throughput(ops/s)", "vs alock", "p99 latency"}, rows)
 }
 
-// Headlines renders the paper-vs-measured headline ratios.
-func Headlines(w io.Writer, h harness.HeadlineRatios) {
+// Headlines renders the paper's headline ratios next to the measured ones:
+// the largest same-thread-count ALock/MCS and ALock/spinlock throughput
+// ratios over the Figure 5 panels (the results Figure5 takes) at high
+// contention, at 100% locality and at low contention.
+func Headlines(w io.Writer, fig5 []harness.Result) {
+	var high, full, low [2]float64 // vs MCS, vs spinlock
+	for _, p := range fig5Panels(fig5) {
+		var dst *[2]float64
+		switch {
+		case p.loc == 100:
+			dst = &full
+		case p.locks <= 20:
+			dst = &high
+		case p.locks >= 1000:
+			dst = &low
+		default:
+			continue
+		}
+		al := p.throughput("alock")
+		for i, rival := range []string{"mcs", "spinlock"} {
+			dst[i] = max(dst[i], maxRatio(al, p.throughput(rival)))
+		}
+	}
+	x := func(v float64) string { return fmt.Sprintf("%.1fx", v) }
 	rows := [][]string{
-		{"high contention, ALock vs MCS", "up to 29x", fmt.Sprintf("%.1fx", h.HighContentionVsMCS)},
-		{"high contention, ALock vs spinlock", "up to 24x", fmt.Sprintf("%.1fx", h.HighContentionVsSpin)},
-		{"100% locality, ALock vs MCS", "up to 24x", fmt.Sprintf("%.1fx", h.FullLocalityVsMCS)},
-		{"100% locality, ALock vs spinlock", "up to 22x", fmt.Sprintf("%.1fx", h.FullLocalityVsSpin)},
-		{"low contention, ALock vs MCS", "up to 3.8x", fmt.Sprintf("%.1fx", h.LowContentionVsMCS)},
-		{"low contention, ALock vs spinlock", "up to 3.3x", fmt.Sprintf("%.1fx", h.LowContentionVsSpin)},
+		{"high contention, ALock vs MCS", "up to 29x", x(high[0])},
+		{"high contention, ALock vs spinlock", "up to 24x", x(high[1])},
+		{"100% locality, ALock vs MCS", "up to 24x", x(full[0])},
+		{"100% locality, ALock vs spinlock", "up to 22x", x(full[1])},
+		{"low contention, ALock vs MCS", "up to 3.8x", x(low[0])},
+		{"low contention, ALock vs spinlock", "up to 3.3x", x(low[1])},
 	}
 	writeTable(w, "Headline ratios: paper vs this reproduction",
 		[]string{"claim", "paper", "measured"}, rows)
+}
+
+// maxRatio is the largest a[i]/b[i] over the thread counts both series
+// have, skipping zero denominators.
+func maxRatio(a, b []float64) float64 {
+	var m float64
+	for i := range a {
+		if i < len(b) && b[i] > 0 {
+			m = max(m, a[i]/b[i])
+		}
+	}
+	return m
 }
 
 // Summary pretty-prints a one-off harness result (cmd/alockbench).
@@ -381,13 +516,19 @@ func SweepCSV(w io.Writer, name string, results []harness.Result) {
 	}
 }
 
+// Group is one named scenario's results, in config order.
+type Group struct {
+	Name    string
+	Results []harness.Result
+}
+
 // FigureRW renders the reader/writer and failure figure: one table per
 // scenario family, one row per run, with per-class (read vs write) tail
 // latencies next to throughput — the storm's cost shows up in the write
 // tail long before it shows in aggregate throughput. Families whose runs
 // produce acquisition outcomes beyond the happy path (timeouts, abandons,
 // fenced releases) grow the outcome columns.
-func FigureRW(w io.Writer, groups []harness.FigRWGroup) {
+func FigureRW(w io.Writer, groups []Group) {
 	for _, g := range groups {
 		header, rows := figRWView.table(g.Results)
 		writeTable(w, "Figure RW: "+g.Name, header, rows)
@@ -396,7 +537,7 @@ func FigureRW(w io.Writer, groups []harness.FigRWGroup) {
 
 // FigureRWCSV emits one CSV row per run of the reader/writer figure, with
 // per-algorithm read and write percentile columns for replotting.
-func FigureRWCSV(w io.Writer, groups []harness.FigRWGroup) {
+func FigureRWCSV(w io.Writer, groups []Group) {
 	fmt.Fprintln(w, figRWView.csvHeader("figure,scenario"))
 	for _, g := range groups {
 		for _, r := range g.Results {
@@ -471,16 +612,22 @@ func txnPolicyName(c harness.Config) string {
 	return c.TxnPolicy
 }
 
-// QPThrashing renders the QP context-cache sweep (Section 2 extension).
-func QPThrashing(w io.Writer, rows0 []harness.QPThrashRow) {
+// QPThrashing renders the QP context-cache sweep (the qp-thrashing
+// scenario, a Section 2 extension): QPC misses per verb across all NICs,
+// and the cluster-wide QP working set each algorithm created.
+func QPThrashing(w io.Writer, rs []harness.Result) {
 	var rows [][]string
-	for _, r := range rows0 {
+	for _, r := range rs {
+		missRate := 0.0
+		if r.NIC.Verbs > 0 {
+			missRate = float64(r.NIC.QPCMisses) / float64(r.NIC.Verbs)
+		}
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.CacheCap),
-			r.Algorithm,
+			fmt.Sprintf("%d", r.Config.Model.QPCCacheCap),
+			r.Config.Algorithm,
 			ops(r.Throughput),
-			fmt.Sprintf("%.1f%%", r.MissRate*100),
-			fmt.Sprintf("%d", r.DistinctQPs),
+			fmt.Sprintf("%.1f%%", missRate*100),
+			fmt.Sprintf("%d", r.NIC.DistinctQPs),
 		})
 	}
 	writeTable(w, "QP thrashing: QPC cache capacity sweep (16 nodes, 1000 locks, 90% locality)",

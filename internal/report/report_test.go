@@ -8,12 +8,21 @@ import (
 	"alock/internal/stats"
 )
 
+// point is one closed-loop run of a figure grid: only the axes the figure
+// renderers group by and the throughput they plot.
+func point(algo string, nodes, threads, locks, loc int, tput float64) harness.Result {
+	return harness.Result{
+		Config: harness.Config{Algorithm: algo, Nodes: nodes, ThreadsPerNode: threads,
+			Locks: locks, LocalityPct: loc},
+		Throughput: tput,
+	}
+}
+
 func TestFigure1Render(t *testing.T) {
 	var b strings.Builder
-	Figure1(&b, []harness.Fig1Point{
-		{Threads: 1, Throughput: 500_000, MaxBacklog: 0},
-		{Threads: 8, Throughput: 1_200_000, MaxBacklog: 12_000},
-	})
+	slow := point("spinlock", 1, 8, 1000, 100, 1_200_000)
+	slow.NIC.MaxBacklogNS = 12_000
+	Figure1(&b, []harness.Result{point("spinlock", 1, 1, 1000, 100, 500_000), slow})
 	out := b.String()
 	for _, frag := range []string{"Figure 1", "threads", "500.0k", "1.20M", "12.00us"} {
 		if !strings.Contains(out, frag) {
@@ -24,7 +33,9 @@ func TestFigure1Render(t *testing.T) {
 
 func TestFigure1CSV(t *testing.T) {
 	var b strings.Builder
-	Figure1CSV(&b, []harness.Fig1Point{{Threads: 2, Throughput: 10, MaxBacklog: 3}})
+	r := point("spinlock", 1, 2, 1000, 100, 10)
+	r.NIC.MaxBacklogNS = 3
+	Figure1CSV(&b, []harness.Result{r})
 	if !strings.Contains(b.String(), "fig1,2,10.0,3") {
 		t.Errorf("csv = %q", b.String())
 	}
@@ -34,15 +45,26 @@ func TestFigure1CSV(t *testing.T) {
 }
 
 func TestFigure4Render(t *testing.T) {
+	budget := func(rb int64, loc int, seed int64, tput float64) harness.Result {
+		r := point("alock", 16, 12, 100, loc, tput)
+		r.Config.LocalBudget, r.Config.RemoteBudget, r.Config.Seed = 5, rb, seed
+		return r
+	}
+	// Two seeds per point: the speedup is over the seed means.
+	var rs []harness.Result
+	for _, rb := range []int64{5, 20} {
+		for li, loc := range []int{85, 90, 95} {
+			base := 100.0
+			if rb == 20 {
+				base = 100 * []float64{1.1, 1.2, 1.3}[li]
+			}
+			rs = append(rs, budget(rb, loc, 1, base-10), budget(rb, loc, 2, base+10))
+		}
+	}
 	var b strings.Builder
-	Figure4(&b, []harness.Fig4Row{
-		{RemoteBudget: 5, LocalBudget: 5, Locks: 100,
-			PerLocality: map[int]float64{85: 1, 90: 1, 95: 1}, AvgSpeedup: 1},
-		{RemoteBudget: 20, LocalBudget: 5, Locks: 100,
-			PerLocality: map[int]float64{85: 1.1, 90: 1.2, 95: 1.3}, AvgSpeedup: 1.2},
-	})
+	Figure4(&b, rs)
 	out := b.String()
-	for _, frag := range []string{"Figure 4", "1.200x", "85%:1.100"} {
+	for _, frag := range []string{"Figure 4", "1.200x", "85%:1.100", "85%:1.000 90%:1.000 95%:1.000  1.000x"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in:\n%s", frag, out)
 		}
@@ -50,24 +72,24 @@ func TestFigure4Render(t *testing.T) {
 }
 
 func TestFigure5RenderAndCSV(t *testing.T) {
-	panels := []harness.Fig5Panel{{
-		ID: "a", Nodes: 5, Locks: 20, LocalityPct: 90,
-		Series: []harness.Fig5Series{
-			{Algorithm: "alock", Threads: []int{1, 2}, Throughput: []float64{1e6, 2e6}},
-			{Algorithm: "mcs", Threads: []int{1, 2}, Throughput: []float64{5e5, 4e5}},
-		},
-	}}
+	rs := []harness.Result{
+		point("alock", 5, 1, 20, 90, 1e6), point("alock", 5, 2, 20, 90, 2e6),
+		point("mcs", 5, 1, 20, 90, 5e5), point("mcs", 5, 2, 20, 90, 4e5),
+		point("alock", 5, 1, 20, 100, 3e6), point("mcs", 5, 1, 20, 100, 1e5),
+	}
 	var b strings.Builder
-	Figure5(&b, panels)
+	Figure5(&b, rs)
 	out := b.String()
-	for _, frag := range []string{"Figure 5(a)", "alock(ops/s)", "2.00M", "400.0k"} {
+	for _, frag := range []string{"Figure 5(a)", "Figure 5(b): 5 nodes, 20 locks, 100% locality",
+		"alock(ops/s)", "2.00M", "400.0k"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in:\n%s", frag, out)
 		}
 	}
 	b.Reset()
-	Figure5CSV(&b, panels)
-	if !strings.Contains(b.String(), "fig5,a,5,20,90,mcs,2,400000.0") {
+	Figure5CSV(&b, rs)
+	if !strings.Contains(b.String(), "fig5,a,5,20,90,mcs,2,400000.0") ||
+		!strings.Contains(b.String(), "fig5,b,5,20,100,alock,1,3000000.0") {
 		t.Errorf("csv = %q", b.String())
 	}
 }
@@ -99,7 +121,7 @@ func TestWriteTableRunePadding(t *testing.T) {
 }
 
 func TestFigureRWRenderAndCSV(t *testing.T) {
-	groups := []harness.FigRWGroup{{
+	groups := []Group{{
 		Name: "rw/storm-tails",
 		Results: []harness.Result{{
 			Config: harness.Config{Algorithm: "rw-queue", Nodes: 16, ThreadsPerNode: 8,
@@ -137,24 +159,20 @@ func TestFigureRWRenderAndCSV(t *testing.T) {
 }
 
 func TestFigure6Render(t *testing.T) {
-	panels := []harness.Fig6Panel{{
-		ID: "a", Locks: 20, LocalityPct: 100,
-		Series: []harness.Fig6Series{{
-			Algorithm: "alock",
-			Summary:   stats.Summary{Count: 10, MeanNS: 150, P50NS: 100, P90NS: 300, P99NS: 900, P999NS: 1500, MaxNS: 2000},
-			CDF:       []stats.Point{{ValueNS: 100, F: 0.5}, {ValueNS: 2000, F: 1}},
-		}},
-	}}
+	r := point("alock", 10, 8, 20, 100, 0)
+	r.Latency = stats.Summary{Count: 10, MeanNS: 150, P50NS: 100, P90NS: 300, P99NS: 900, P999NS: 1500, MaxNS: 2000}
+	r.CDF = []stats.Point{{ValueNS: 100, F: 0.5}, {ValueNS: 2000, F: 1}}
+	rs := []harness.Result{r, point("mcs", 10, 8, 20, 100, 0), point("alock", 10, 8, 100, 100, 0)}
 	var b strings.Builder
-	Figure6(&b, panels)
+	Figure6(&b, rs)
 	out := b.String()
-	for _, frag := range []string{"Figure 6(a)", "p99.9", "1.50us", "2.00us"} {
+	for _, frag := range []string{"Figure 6(a)", "Figure 6(b): 10 nodes, 8 thr/node, 100 locks", "p99.9", "1.50us", "2.00us"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in:\n%s", frag, out)
 		}
 	}
 	b.Reset()
-	Figure6CSV(&b, panels)
+	Figure6CSV(&b, rs)
 	if !strings.Contains(b.String(), "fig6,a,20,100,alock,100,0.500000") {
 		t.Errorf("csv = %q", b.String())
 	}
@@ -173,20 +191,21 @@ func TestTable1RenderVerdicts(t *testing.T) {
 }
 
 func TestAblationsRender(t *testing.T) {
+	alock, mcs := point("alock", 8, 8, 100, 90, 2e6), point("mcs", 8, 8, 100, 90, 1e6)
+	alock.Latency.P99NS, mcs.Latency.P99NS = 1000, 9000
 	var b strings.Builder
-	Ablations(&b, []harness.AblationRow{
-		{Algorithm: "alock", Throughput: 2e6, P99NS: 1000},
-		{Algorithm: "mcs", Throughput: 1e6, P99NS: 9000},
-	})
+	Ablations(&b, []harness.Result{alock, mcs})
 	out := b.String()
-	if !strings.Contains(out, "0.50x") {
-		t.Errorf("relative column missing:\n%s", out)
+	if !strings.Contains(out, "0.50x") || !strings.Contains(out, "9.00us") {
+		t.Errorf("relative or p99 column missing:\n%s", out)
 	}
 }
 
 func TestHeadlinesRender(t *testing.T) {
 	var b strings.Builder
-	Headlines(&b, harness.HeadlineRatios{HighContentionVsMCS: 12.5})
+	Headlines(&b, []harness.Result{
+		point("alock", 5, 2, 20, 90, 25), point("mcs", 5, 2, 20, 90, 2),
+	})
 	out := b.String()
 	if !strings.Contains(out, "up to 29x") || !strings.Contains(out, "12.5x") {
 		t.Errorf("headline table wrong:\n%s", out)

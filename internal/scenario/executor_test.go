@@ -54,10 +54,12 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 	s := harness.Scale{TestTiny: true}
 	windowed := func(c *harness.Config) { c.EngineShards = 4 }
 	// closedLoop rewrites a TargetOps config to run to its horizon; it drops
-	// configs that have no target (covered as they are) and wait-die ones
-	// (serial at any width).
+	// configs that have no target (covered as they are), wait-die ones
+	// (serial at any width) and ones with no finite horizon: qp-thrashing
+	// measures over noHorizonNS and stops on TargetOps alone, so without a
+	// target it would run 2^40 virtual ns.
 	closedLoop := func(c *harness.Config) bool {
-		if c.TargetOps == 0 {
+		if c.TargetOps == 0 || c.MeasureNS >= noHorizonNS {
 			return false
 		}
 		c.TargetOps = 0

@@ -102,9 +102,8 @@ func All() []Scenario {
 }
 
 // ByPrefix returns every registered scenario whose name starts with one of
-// the given prefixes, sorted by name. The reader/writer figure driver uses
-// it to sweep whole families (rw/, lease/, fail/) without naming each
-// member.
+// the given prefixes, sorted by name. The reader/writer figure uses it to
+// sweep whole families (rw/, lease/, fail/) without naming each member.
 func ByPrefix(prefixes ...string) []Scenario {
 	var out []Scenario
 	for _, sc := range All() {
@@ -116,18 +115,4 @@ func ByPrefix(prefixes ...string) []Scenario {
 		}
 	}
 	return out
-}
-
-// RWFigureGroups expands the reader/writer figure's scenario families —
-// rw/*, lease/*, fail/*, multi/*, deadlock/* and svc/* — into named config
-// groups at the given scale, ready for harness.FigureRW.
-func RWFigureGroups(s harness.Scale) []harness.RWSweepGroup {
-	var groups []harness.RWSweepGroup
-	for _, sc := range ByPrefix("rw/", "lease/", "fail/", "multi/", "deadlock/", "svc/") {
-		groups = append(groups, harness.RWSweepGroup{
-			Name:    sc.Name,
-			Configs: sc.Configs(s),
-		})
-	}
-	return groups
 }

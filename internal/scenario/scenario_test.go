@@ -20,6 +20,10 @@ func TestRegistryLookup(t *testing.T) {
 		"paper/fig1-loopback",
 		"paper/fig5-high-contention",
 		"paper/fig6-latency",
+		"paper/fig4-budget",
+		"paper/fig5-locality",
+		"ablations",
+		"qp-thrashing",
 		"hotkey-zipf",
 		"bursty-arrivals",
 		"skewed-home",
@@ -148,16 +152,13 @@ func TestByPrefixAndRWFigureGroups(t *testing.T) {
 		t.Errorf("ByPrefix(paper/fig1) = %v", got)
 	}
 
-	groups := RWFigureGroups(harness.Scale{TestTiny: true})
-	if len(groups) != len(fams) {
-		t.Fatalf("groups = %d, want %d", len(groups), len(fams))
-	}
-	for i, g := range groups {
-		if g.Name != fams[i].Name {
-			t.Errorf("group %d = %q, want %q", i, g.Name, fams[i].Name)
+	// The RW figure renders one group per family member, in name order.
+	for i, sc := range fams {
+		if i > 0 && fams[i-1].Name >= sc.Name {
+			t.Errorf("families not sorted: %q before %q", fams[i-1].Name, sc.Name)
 		}
-		if len(g.Configs) == 0 {
-			t.Errorf("group %q expands to nothing", g.Name)
+		if len(sc.Configs(harness.Scale{TestTiny: true})) == 0 {
+			t.Errorf("group %q expands to nothing", sc.Name)
 		}
 	}
 }

@@ -155,19 +155,3 @@ func (r Runner) Run(cfgs []harness.Config) ([]harness.Result, error) {
 	}
 	return results, nil
 }
-
-// MustRun is Run that panics on error, for sweeps whose configs are
-// statically known to be valid (the figure drivers).
-func (r Runner) MustRun(cfgs []harness.Config) []harness.Result {
-	results, err := r.Run(cfgs)
-	if err != nil {
-		panic(err)
-	}
-	return results
-}
-
-// RunMany adapts the runner to the harness.RunMany callback the figure
-// drivers consume.
-func (r Runner) RunMany() harness.RunMany {
-	return func(cfgs []harness.Config) []harness.Result { return r.MustRun(cfgs) }
-}
