@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -270,43 +269,4 @@ func suppressedBy(dirs []allowDirective, analyzer string, pos token.Position) in
 		}
 	}
 	return -1
-}
-
-// Funcs below are shared helpers for the rule implementations.
-
-// EnclosingFuncs walks a file and calls fn for every function declaration
-// and function literal with the node and a printable name
-// ("(*Recv).Method", "Func", or "func literal").
-func EnclosingFuncs(f *ast.File, fn func(name string, body *ast.BlockStmt)) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		fn(FuncDeclName(fd), fd.Body)
-	}
-}
-
-// FuncDeclName renders a function declaration's receiver-qualified name:
-// "Func" for plain functions, "(Recv).Method" or "(*Recv).Method" for
-// methods. The package is deliberately omitted so sanctioned-function
-// allowlists match golden-fixture packages as well as the real tree.
-func FuncDeclName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	star := ""
-	if se, ok := t.(*ast.StarExpr); ok {
-		star = "*"
-		t = se.X
-	}
-	// Strip type parameters (Recv[T]).
-	if ix, ok := t.(*ast.IndexExpr); ok {
-		t = ix.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return "(" + star + id.Name + ")." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

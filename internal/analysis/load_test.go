@@ -52,9 +52,11 @@ func TestRunSuppression(t *testing.T) {
 		Doc:  "flags every function declaration (driver test double)",
 		Run: func(p *Pass) error {
 			for _, f := range p.Files {
-				EnclosingFuncs(f, func(name string, body *ast.BlockStmt) {
-					p.Reportf(body.Pos(), "function body in %s", name)
-				})
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+						p.Reportf(fd.Body.Pos(), "function body in %s", fd.Name.Name)
+					}
+				}
 			}
 			return nil
 		},

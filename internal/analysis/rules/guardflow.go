@@ -13,13 +13,32 @@ import (
 	"alock/internal/analysis/flow"
 )
 
-// Guardflow is the interprocedural upgrade of guardcheck: every api.Guard
-// whose acquisition may have succeeded must reach a Release/Abandon call,
-// or escape to code that owns it (returned, stored, appended, passed to a
-// callee that provably handles its guard parameter), on every CFG path.
-// It flags leak-on-early-return, guards re-acquired while possibly still
-// held, and releases of already-released guards whose ReleaseOutcome is
-// discarded (an intentional double release checks for Fenced).
+// apiPkgPath is the import path of the token-lock API package.
+const apiPkgPath = "alock/internal/api"
+
+// Guardflow enforces the token-API acquisition contract. At every call
+// returning (api.Guard, api.Outcome) — api.TokenLocker.Acquire and any
+// wrapper with the same result shape — the site itself must keep both
+// results:
+//
+//   - the Outcome must not be discarded with the blank identifier, and a
+//     freshly declared outcome variable must actually be read (`_ = out`
+//     is a discard, not a read): a deadline acquisition that never checks
+//     for TimedOut treats a dead guard as live;
+//   - the Guard must not be discarded with the blank identifier, and the
+//     call must not be a statement of its own: if the outcome turns out
+//     Acquired there is no way to Release or Abandon, and the lock leaks.
+//
+// Passing the results straight through (return h.Acquire(...)) is fine —
+// the contract transfers to the caller.
+//
+// Beyond the site, every api.Guard whose acquisition may have succeeded
+// must reach a Release/Abandon call, or escape to code that owns it
+// (returned, stored, appended, passed to a callee that provably handles its
+// guard parameter), on every CFG path. It flags leak-on-early-return,
+// guards re-acquired while possibly still held, and releases of
+// already-released guards whose ReleaseOutcome is discarded (an intentional
+// double release checks for Fenced).
 //
 // Outcome checks refine the path state: on the true edge of
 // `out == api.TimedOut` (or the false edge of out.Granted()) the guard is
@@ -28,8 +47,9 @@ import (
 // possibly live on every path.
 var Guardflow = &analysis.Analyzer{
 	Name: "guardflow",
-	Doc: "an api.Guard that may be live must reach Release/Abandon or escape " +
-		"to its owner on every path; double releases must check the outcome",
+	Doc: "Acquire call sites must check the Outcome and keep the Guard; a Guard that may be " +
+		"live must reach Release/Abandon or escape to its owner on every path; double releases " +
+		"must check the outcome",
 	RunModule: runGuardflow,
 }
 
@@ -150,7 +170,8 @@ func runGuardflow(mp *analysis.ModulePass) error {
 }
 
 // mentionsGuard reports whether the node's body references the api.Guard
-// type anywhere (acquire calls, guard params, guard vars).
+// type anywhere (guard params, guard vars) or makes an acquire-shaped call
+// (a bare Acquire statement names no guard).
 func mentionsGuard(n *callgraph.Node) bool {
 	found := false
 	info := n.Pkg.TypesInfo
@@ -158,16 +179,15 @@ func mentionsGuard(n *callgraph.Node) bool {
 		if found {
 			return false
 		}
-		id, ok := nd.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if obj != nil && isGuardType(obj.Type()) {
-			found = true
+		switch v := nd.(type) {
+		case *ast.CallExpr:
+			found = isAcquireShaped(info, v)
+		case *ast.Ident:
+			obj := info.Uses[v]
+			if obj == nil {
+				obj = info.Defs[v]
+			}
+			found = obj != nil && isGuardType(obj.Type())
 		}
 		return true
 	})
@@ -266,9 +286,11 @@ func (f *guardFn) solve(entry gmap) map[*flow.Block]gmap {
 	})
 }
 
-// check runs the final reporting pass: solve, then replay each reachable
-// block once with reporting enabled, then flag exit leaks.
+// check runs the final reporting pass: the acquire-site checks, then
+// solve, replay each reachable block once with reporting enabled, and flag
+// exit leaks.
 func (f *guardFn) check() {
+	f.checkSites()
 	entry := make(gmap)
 	in := f.solve(entry)
 	reported := make(map[token.Pos]bool)
@@ -306,6 +328,89 @@ func (f *guardFn) check() {
 		}
 		reportOnce(obj.Pos(), "guard %s may leak: acquired but not released or handed off on every path", obj.Name())
 	}
+}
+
+// checkSites reports the acquire calls in the node's own body (a nested
+// literal is a node of its own) that discard a result or never read the
+// outcome they declare.
+func (f *guardFn) checkSites() {
+	body := f.node.Body()
+	shallowInspect(body, func(nd ast.Node) {
+		switch s := nd.(type) {
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isAcquireShaped(f.info, call) {
+				f.report(call.Pos(), "Acquire results discarded: the Guard and Outcome must be handled")
+			}
+		case *ast.AssignStmt:
+			if len(s.Rhs) != 1 || len(s.Lhs) != 2 {
+				return
+			}
+			call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
+			if !ok || !isAcquireShaped(f.info, call) {
+				return
+			}
+			guardE, outE := s.Lhs[0], s.Lhs[1]
+			if isBlank(outE) {
+				f.report(call.Pos(), "Acquire outcome discarded: a TimedOut grant would be treated as held")
+			} else if id, ok := outE.(*ast.Ident); ok && s.Tok == token.DEFINE {
+				if obj := f.info.Defs[id]; obj != nil && !objRead(f.info, body, obj) {
+					f.report(call.Pos(), "Acquire outcome %s is never checked", id.Name)
+				}
+			}
+			if isBlank(guardE) {
+				f.report(call.Pos(), "Acquire guard discarded: an Acquired outcome would leak the lock")
+			}
+		}
+	})
+}
+
+// objRead reports whether obj is genuinely read inside node: an identifier
+// use that is neither the left-hand side of an assignment nor the sole
+// operand of a `_ = x` discard.
+func objRead(info *types.Info, node ast.Node, obj types.Object) bool {
+	excluded := make(map[token.Pos]bool)
+	ast.Inspect(node, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+				excluded[id.Pos()] = true
+			}
+		}
+		// `_ = x` is a discard, not a check.
+		if len(as.Lhs) == 1 && len(as.Rhs) == 1 && isBlank(as.Lhs[0]) {
+			if id, ok := ast.Unparen(as.Rhs[0]).(*ast.Ident); ok {
+				excluded[id.Pos()] = true
+			}
+		}
+		return true
+	})
+	read := false
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj && !excluded[id.Pos()] {
+			read = true
+		}
+		return !read
+	})
+	return read
+}
+
+// isAcquireShaped reports whether call returns exactly
+// (api.Guard, api.Outcome).
+func isAcquireShaped(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call]
+	if !ok {
+		return false
+	}
+	tuple, ok := tv.Type.(*types.Tuple)
+	if !ok || tuple.Len() != 2 {
+		return false
+	}
+	g, _ := tuple.At(0).Type().(*types.Named)
+	o, _ := tuple.At(1).Type().(*types.Named)
+	return isPkgType(g, apiPkgPath, "Guard") && isPkgType(o, apiPkgPath, "Outcome")
 }
 
 // transfer applies one block's statements to the state. report, when

@@ -1,6 +1,6 @@
-// Package rules implements the repo's determinism lint suite: nine
+// Package rules implements the repo's determinism lint suite: seven
 // analyzers that statically enforce the invariants every bit-identity
-// guarantee rests on — five per-package syntactic checks and four
+// guarantee rests on — three per-package syntactic checks and four
 // interprocedural ones built on the callgraph and flow packages. See each
 // analyzer's Doc and the README's "Determinism invariants" section.
 //
@@ -17,11 +17,12 @@ import (
 	"alock/internal/analysis"
 )
 
-// All returns the full suite in reporting order: the five per-package
-// analyzers from PR 8, then the four interprocedural ones built on the
-// callgraph/flow packages.
+// All returns the full suite in reporting order: the three per-package
+// analyzers, then the four interprocedural ones built on the callgraph/flow
+// packages (guardflow and shardflow include the per-site and per-package
+// rules of their invariants).
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder, Shardmem, Guardcheck, Rnggate,
+	return []*analysis.Analyzer{Detrand, Maporder, Rnggate,
 		Allocfree, Guardflow, Lockorder, Shardflow}
 }
 

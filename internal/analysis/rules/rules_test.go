@@ -24,25 +24,17 @@ func TestMaporder(t *testing.T) {
 	analysistest.Run(t, "testdata/src/maporder", "maportest", Maporder)
 }
 
-func TestShardmem(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardmem", "alock/internal/locks", Shardmem)
-}
-
-// TestShardmemOutOfScope checks that the analyzer is silent outside the
-// sim/locks scopes even with direct substrate access present.
-func TestShardmemOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardmem_outofscope", "alock/internal/harness", Shardmem)
-}
-
-func TestGuardcheck(t *testing.T) {
-	analysistest.Run(t, "testdata/src/guardcheck", "guardchecktest", Guardcheck)
-}
-
 func TestRnggate(t *testing.T) {
 	analysistest.Run(t, "testdata/src/rnggate", "rnggatetest", Rnggate)
 }
 
-// TestGuardflow runs the interprocedural guard-lifetime check: leaks on
+// TestGuardcheck runs guardflow's acquire-site rules: discarded results and
+// unread outcomes, pass-through and suppression exempt.
+func TestGuardcheck(t *testing.T) {
+	analysistest.Run(t, "testdata/src/guardcheck", "guardchecktest", Guardflow)
+}
+
+// TestGuardflow runs the interprocedural guard-lifetime rules: leaks on
 // early returns and timeout branches, escapes, delegation through
 // summaries, double release, reacquire-while-held.
 func TestGuardflow(t *testing.T) {
@@ -66,10 +58,24 @@ func TestLockorder(t *testing.T) {
 // TestShardflow runs the dispatch-reachability check: direct substrate
 // access is flagged in anything reachable from the modeled runWindow root
 // or a Spawn-registered thread body (including go and defer edges), and
-// tolerated in the sanctioned accessors and unreachable code.
+// tolerated in the sanctioned accessors and in unreachable code outside the
+// engine and lock packages.
 func TestShardflow(t *testing.T) {
 	analysistest.Run(t, "testdata/src/shardflow", "shardflowtest",
 		NewShardflow([]string{"shardflowtest.(*Engine).runWindow"}))
+}
+
+// TestShardflowScopes checks the package rule under an in-scope import path
+// (the locks scope): with no dispatch root at all, every function outside
+// the sanctioned set that resolves words directly is flagged.
+func TestShardflowScopes(t *testing.T) {
+	analysistest.Run(t, "testdata/src/shardflow/scoped", "alock/internal/locks", NewShardflow(nil))
+}
+
+// TestShardmemOutOfScope checks that the package rule is silent outside the
+// sim/locks scopes even with direct substrate access present.
+func TestShardmemOutOfScope(t *testing.T) {
+	analysistest.Run(t, "testdata/src/shardmem_outofscope", "alock/internal/harness", NewShardflow(nil))
 }
 
 func TestAllRegistered(t *testing.T) {
@@ -86,8 +92,11 @@ func TestAllRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"detrand", "maporder", "shardmem", "guardcheck", "rnggate",
-		"allocfree", "guardflow", "lockorder", "shardflow"} {
+	wantNames := []string{"detrand", "maporder", "rnggate", "allocfree", "guardflow", "lockorder", "shardflow"}
+	if len(names) != len(wantNames) {
+		t.Errorf("All() has %d analyzers, want %d", len(names), len(wantNames))
+	}
+	for _, want := range wantNames {
 		if !names[want] {
 			t.Errorf("All() is missing analyzer %q", want)
 		}

@@ -10,6 +10,29 @@ import (
 	"alock/internal/analysis/callgraph"
 )
 
+// memPkgPath is the import path of the memory substrate package whose
+// accessors shardflow polices.
+const memPkgPath = "alock/internal/mem"
+
+// ShardflowScopes are the package-path prefixes whose every function is
+// checked whether or not dispatch reaches it: the engine and the lock
+// algorithms, where a stray direct word access from the wrong timeline
+// breaks the windowed executor's isolation proof.
+var ShardflowScopes = []string{"alock/internal/sim", "alock/internal/locks"}
+
+// ShardflowSanctioned is the accessor set allowed to resolve memory words
+// through (*mem.Space).WordAddr / (*mem.Space).Region: the engine's verb
+// executor and the step function that applies a thread's posted local
+// operations (Read, Write, CAS, SpinWhile's and SpinUntil's polls and the
+// loopback verbs, torn RCAS included, run by the executor), which are exactly
+// the sites the runtime access audit (sim.WithAccessAudit) instruments. Names
+// are receiver-qualified but package-agnostic so the golden fixtures can model
+// the shape.
+var ShardflowSanctioned = map[string]bool{
+	"(*Engine).execProtocol": true,
+	"(*Thread).step":         true,
+}
+
 // ShardflowRoots name the windowed executor's per-shard dispatch: every
 // function statically reachable from these (or from a thread body handed
 // to Spawn) runs on a shard's private timeline during a parallel window.
@@ -20,31 +43,35 @@ var ShardflowRoots = []string{
 	"alock/internal/sim.(*Engine).runWindowed",
 }
 
-// Shardflow is the interprocedural twin of shardmem and the static twin
-// of the runtime access audit (sim.WithAccessAudit): no function reachable
-// from the per-shard dispatch may resolve memory words directly. Where
-// shardmem checks every function in the sim/locks scopes one body at a
-// time, shardflow follows the call graph — through any package — from the
-// dispatch roots and the thread bodies registered via (*Engine).Spawn /
-// (*Cluster).Spawn, including go and defer edges. Traversal stops at the
-// sanctioned accessor set (ShardmemSanctioned): those functions route
-// every access through mem.Space, whose audit hook enforces shard
-// ownership at runtime. Everything else that touches
-// (*mem.Space).WordAddr / Region or (*mem.Region).WordAddr on a dispatch
-// path is a finding. Test files are skipped.
+// Shardflow is the static twin of the runtime access audit
+// (sim.WithAccessAudit): memory words may be resolved directly — through
+// (*mem.Space).WordAddr / Region or (*mem.Region).WordAddr — only by the
+// sanctioned accessor set (ShardflowSanctioned), which routes every access
+// through mem.Space, whose audit hook enforces shard ownership at runtime.
+// Two sets of functions are checked, test files excepted:
+//
+//   - every function reachable from per-shard dispatch, in any package: the
+//     analyzer follows the call graph, including go and defer edges, from the
+//     dispatch roots and the thread bodies registered via (*Engine).Spawn /
+//     (*Cluster).Spawn, and stops at the sanctioned set;
+//   - every other function declared in the engine and lock packages
+//     (ShardflowScopes) but outside the sanctioned set, reached or not:
+//     there region-level access is never legitimate, and a Space access is
+//     one refactor away from a dispatch path.
 //
 // Functions handed to a WorkLoop or SpinUntil method (ExecutorFuncs) are thread
 // code the engine runs between events, on the executor, bound to the calling
-// thread's node. They are dispatch roots like thread bodies, and they answer
-// to one more rule: nothing reachable from them may call a method of a thread
-// context (any type with one of those methods — the function does not run on
-// the thread's coroutine) or of the engine that owns the dispatch roots (engine
-// state belongs to every node; the function may touch only its own node's).
+// thread's node — never sanctioned, whatever declaration encloses them. They
+// are dispatch roots like thread bodies, and they answer to one more rule:
+// nothing reachable from them may call a method of a thread context (any type
+// with one of those methods — the function does not run on the thread's
+// coroutine) or of the engine that owns the dispatch roots (engine state
+// belongs to every node; the function may touch only its own node's).
 var Shardflow = NewShardflow(ShardflowRoots)
 
 // ExecutorFuncs lists the api.Ctx methods that take thread code for the engine
 // to run off the thread's coroutine, with the position of that argument:
-// WorkLoop's f and SpinUntil's done. shardflow and shardmem both read it.
+// WorkLoop's f and SpinUntil's done.
 var ExecutorFuncs = []struct {
 	Method string
 	Arg    int
@@ -57,8 +84,9 @@ var ExecutorFuncs = []struct {
 // it to model the dispatch shape under a test import path.
 func NewShardflow(roots []string) *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:      "shardflow",
-		Doc:       "code reachable from per-shard dispatch must not resolve memory words outside the sanctioned accessors",
+		Name: "shardflow",
+		Doc: "code reachable from per-shard dispatch, and any engine or lock package code, must not " +
+			"resolve memory words outside the sanctioned accessors",
 		RunModule: func(mp *analysis.ModulePass) error { return runShardflow(mp, roots) },
 	}
 }
@@ -99,24 +127,36 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 	}
 	reached := reachableSharded(rootNodes)
 	for _, n := range g.Nodes() {
-		if !reached[n] || n.Body() == nil || n.Pkg == nil {
-			continue
-		}
-		if shardflowExemptPkgs[n.Pkg.ImportPath] {
+		if n.Body() == nil || n.Pkg == nil || shardflowExemptPkgs[n.Pkg.ImportPath] {
 			continue
 		}
 		if strings.HasSuffix(mp.Fset.Position(n.Pos()).Filename, "_test.go") {
 			continue
 		}
-		scanSubstrateAccess(mp, n)
-		for i, m := range ExecutorFuncs {
-			if ranBy[i][n] {
-				scanLoopCalls(mp, n, rootPkgs, m.Method)
-				break
+		switch {
+		case reached[n]:
+			scanSubstrateAccess(mp, n, "reachable from per-shard dispatch")
+			for i, m := range ExecutorFuncs {
+				if ranBy[i][n] {
+					scanLoopCalls(mp, n, rootPkgs, m.Method)
+					break
+				}
 			}
+		case inShardScope(n.Pkg.ImportPath) && !sanctionedNode(n):
+			scanSubstrateAccess(mp, n, "outside the sanctioned accessor set")
 		}
 	}
 	return nil
+}
+
+// inShardScope reports whether pkgPath is one of ShardflowScopes or below it.
+func inShardScope(pkgPath string) bool {
+	for _, prefix := range ShardflowScopes {
+		if pkgPath == prefix || strings.HasPrefix(pkgPath, prefix+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // threadCode resolves the function values handed, as argument arg, to the
@@ -182,21 +222,21 @@ func reachableSharded(roots []*callgraph.Node) map[*callgraph.Node]bool {
 	return reached
 }
 
-// sanctionedNode matches a node against ShardmemSanctioned by its
-// package-stripped name, keeping the set package-agnostic the same way
-// shardmem's per-body check is.
+// sanctionedNode matches a node against ShardflowSanctioned by its
+// package-stripped name, so the set is package-agnostic. A literal is a
+// node of its own ("...(*Thread).step$lit@N"), never in the set.
 func sanctionedNode(n *callgraph.Node) bool {
 	name := n.Name()
 	if n.Pkg != nil {
 		name = strings.TrimPrefix(name, n.Pkg.ImportPath+".")
 	}
-	return ShardmemSanctioned[name]
+	return ShardflowSanctioned[name]
 }
 
-// scanSubstrateAccess reports direct word resolution inside one reached
-// node. Nested literals are skipped: each is its own node, scanned iff
-// it is itself reachable.
-func scanSubstrateAccess(mp *analysis.ModulePass, n *callgraph.Node) {
+// scanSubstrateAccess reports direct word resolution inside one checked
+// node; why says what put the node in the checked set. Nested literals are
+// skipped: each is its own node, checked on its own account.
+func scanSubstrateAccess(mp *analysis.ModulePass, n *callgraph.Node, why string) {
 	info := n.Pkg.TypesInfo
 	shallowInspect(n.Body(), func(node ast.Node) {
 		sel, ok := node.(*ast.SelectorExpr)
@@ -212,11 +252,12 @@ func scanSubstrateAccess(mp *analysis.ModulePass, n *callgraph.Node) {
 		switch {
 		case isPkgType(recv, memPkgPath, "Region") && method == "WordAddr":
 			mp.Reportf(sel.Pos(),
-				"(*mem.Region).WordAddr on a shard-dispatch path bypasses the Space access audit: resolve through a sanctioned accessor")
+				"(*mem.Region).WordAddr %s (in %s) bypasses the Space access audit: resolve through a sanctioned accessor",
+				why, n.Name())
 		case isPkgType(recv, memPkgPath, "Space") && (method == "WordAddr" || method == "Region"):
 			mp.Reportf(sel.Pos(),
-				"mem.Space.%s reachable from per-shard dispatch (in %s): cross-shard words must go through the verb protocol",
-				method, n.Name())
+				"mem.Space.%s %s (in %s): cross-shard words must go through the verb protocol",
+				method, why, n.Name())
 		}
 	})
 }

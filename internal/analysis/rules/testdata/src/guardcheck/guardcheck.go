@@ -1,5 +1,6 @@
-// Package guardchecktest exercises the guardcheck analyzer over a locker
-// with the TokenLocker Acquire shape.
+// Package guardchecktest exercises the acquire-site rules of the guardflow
+// analyzer over a locker with the TokenLocker Acquire shape: every acquire
+// must keep the guard and check the outcome.
 package guardchecktest
 
 import (
@@ -16,10 +17,13 @@ func (l *locker) Acquire(p ptr.Ptr, m api.Mode, o api.AcquireOpts) (api.Guard, a
 	return l.t.Acquire(p, m, o)
 }
 
-// proper checks the outcome and keeps the guard.
+func (l *locker) Release(g api.Guard) api.ReleaseOutcome { return l.t.Release(g) }
+
+// proper checks the outcome and keeps the guard. (out != api.Acquired
+// would not prove the guard dead: AcquiredLate also grants.)
 func proper(h *locker, p ptr.Ptr) api.Guard {
 	g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{})
-	if out != api.Acquired {
+	if !out.Granted() {
 		return api.Guard{}
 	}
 	return g
@@ -45,7 +49,8 @@ func neverChecks(h *locker, p ptr.Ptr) api.Guard {
 	return g
 }
 
-// dropsEverything ignores both results.
+// dropsEverything ignores both results: the bare call is the function's
+// only contact with a guard.
 func dropsEverything(h *locker, p ptr.Ptr) {
 	h.Acquire(p, api.Exclusive, api.AcquireOpts{}) // want `results discarded`
 }
@@ -53,15 +58,15 @@ func dropsEverything(h *locker, p ptr.Ptr) {
 // suppressed models the blocking-adapter pattern: a deadline-free acquire
 // cannot time out, recorded as an accepted suppression.
 func suppressed(h *locker, p ptr.Ptr) api.Guard {
-	//lint:allow guardcheck fixture: no deadline means the grant is unconditional
+	//lint:allow guardflow fixture: no deadline means the grant is unconditional
 	g, _ := h.Acquire(p, api.Exclusive, api.AcquireOpts{})
 	return g
 }
 
 // checkedInInit checks the outcome inside an if-init clause.
 func checkedInInit(h *locker, p ptr.Ptr) bool {
-	if g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{}); out == api.Acquired {
-		_ = g
+	if g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{}); out.Granted() {
+		h.Release(g)
 		return true
 	}
 	return false

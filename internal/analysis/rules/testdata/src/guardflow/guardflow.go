@@ -1,6 +1,6 @@
-// Package guardflowtest exercises the guardflow analyzer: guards must be
-// released, abandoned, or handed off on every CFG path, with outcome
-// checks refining which paths actually hold the lock.
+// Package guardflowtest exercises the guardflow analyzer's lifetime rules:
+// guards must be released, abandoned, or handed off on every CFG path, with
+// outcome checks refining which paths actually hold the lock.
 package guardflowtest
 
 import (
@@ -8,8 +8,11 @@ import (
 	"alock/internal/ptr"
 )
 
+// locker models any TokenLocker-shaped implementation.
 type locker struct{ t api.TokenLocker }
 
+// Acquire passes the results straight through: the contract transfers to
+// the caller, no finding.
 func (l *locker) Acquire(p ptr.Ptr, m api.Mode, o api.AcquireOpts) (api.Guard, api.Outcome) {
 	return l.t.Acquire(p, m, o)
 }
@@ -129,10 +132,13 @@ func delegatesToDropper(h *locker, p ptr.Ptr) {
 	dropsGuard(h, g)
 }
 
-// deferredRelease registers the release up front: every exit is covered.
+// deferredRelease registers the release once granted: every exit after it
+// is covered.
 func deferredRelease(h *locker, p ptr.Ptr, n int) int {
 	g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{})
-	_ = out
+	if !out.Granted() {
+		return 0
+	}
 	defer h.Release(g)
 	if n > 0 {
 		return n

@@ -1,8 +1,9 @@
-// Package shardmemtest exercises the shardmem analyzer. It is checked
-// under an in-scope import path (the locks scope) and models the
-// engine shape: the sanctioned accessor names resolve words freely, any
-// other function touching the substrate directly is flagged.
-package shardmemtest
+// Package scopedtest exercises shardflow's package rule. It is checked
+// under an in-scope import path (the locks scope) with no dispatch root,
+// and models the engine shape: the sanctioned accessor names resolve words
+// freely, any other function touching the substrate directly is flagged
+// whether or not dispatch reaches it.
+package scopedtest
 
 import (
 	"alock/internal/mem"
@@ -19,7 +20,7 @@ func (e *Engine) execProtocol(p ptr.Ptr) uint64 {
 
 // rogue is not sanctioned.
 func (e *Engine) rogue(p ptr.Ptr) uint64 {
-	return *e.space.WordAddr(p) // want `outside the sanctioned accessor set`
+	return *e.space.WordAddr(p) // want `WordAddr outside the sanctioned accessor set \(in alock/internal/locks\.\(\*Engine\)\.rogue\)`
 }
 
 // regionPeek escapes to region-level access, bypassing the audit hook.
@@ -46,13 +47,13 @@ func (t *Thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64) bool) {
 }
 
 // stepThenIdle is not sanctioned, and neither are the functions it hands to
-// WorkLoop and SpinUntil.
+// WorkLoop and SpinUntil: those are dispatch roots of their own.
 func (t *Thread) stepThenIdle(p ptr.Ptr) {
 	t.WorkLoop(func() bool {
-		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
+		return *t.e.space.WordAddr(p) == 0 // want `reachable from per-shard dispatch \(in .*stepThenIdle\$lit`
 	})
 	t.SpinUntil(p, 0, func(v uint64) bool {
-		return v == *t.e.space.WordAddr(p.Add(1)) // want `outside the sanctioned accessor set \(a SpinUntil function\)`
+		return v == *t.e.space.WordAddr(p.Add(1)) // want `reachable from per-shard dispatch \(in .*stepThenIdle\$lit`
 	})
 }
 
@@ -62,18 +63,18 @@ func (t *Thread) stepThenIdle(p ptr.Ptr) {
 func (t *Thread) step(p ptr.Ptr, ready *bool) uint64 {
 	t.WorkLoop(func() bool { return !*ready })
 	t.WorkLoop(func() bool {
-		return *t.e.space.WordAddr(p) == 0 // want `outside the sanctioned accessor set \(a WorkLoop function\)`
+		return *t.e.space.WordAddr(p) == 0 // want `reachable from per-shard dispatch \(in .*\(\*Thread\)\.step\$lit`
 	})
 	t.SpinUntil(p, 0, func(v uint64) bool { return v != 0 || *ready })
 	t.SpinUntil(p, 0, func(v uint64) bool {
-		return v == *t.e.space.WordAddr(p.Add(1)) // want `outside the sanctioned accessor set \(a SpinUntil function\)`
+		return v == *t.e.space.WordAddr(p.Add(1)) // want `reachable from per-shard dispatch \(in .*\(\*Thread\)\.step\$lit`
 	})
 	return *t.e.space.WordAddr(p)
 }
 
 // helper extends the accessor set explicitly via suppression.
 func (t *Thread) helper(p ptr.Ptr) uint64 {
-	return *t.e.space.WordAddr(p) //lint:allow shardmem fixture: accepted suppression extends the accessor set
+	return *t.e.space.WordAddr(p) //lint:allow shardflow fixture: accepted suppression extends the accessor set
 }
 
 // alloc is fine: allocation is not word resolution.

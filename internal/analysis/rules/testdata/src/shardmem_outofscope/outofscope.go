@@ -1,7 +1,7 @@
-// Package outofscope has the same substrate accesses as the shardmem
-// fixture but is checked under a package path outside the sim/locks
-// scopes: the harness owns the whole space and may peek freely, so no
-// findings are expected.
+// Package outofscope has the same substrate accesses as the shardflow
+// scoped fixture but is checked under a package path outside the sim/locks
+// scopes and with no dispatch root reaching it: the harness owns the whole
+// space and may peek freely, so no findings are expected.
 package outofscope
 
 import (

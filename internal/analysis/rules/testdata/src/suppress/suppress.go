@@ -33,6 +33,12 @@ func unknownName() int {
 	return rand.Int() /*lint:allow nosuchanalyzer a reason does not rescue an unknown name*/ // want `unknown analyzer "nosuchanalyzer"` `rand\.Int is nondeterministic`
 }
 
+// retiredName names an analyzer that no longer exists (its rules live in
+// guardflow now): unknown, like any other name outside the suite.
+func retiredName() int {
+	return rand.Int() /*lint:allow guardcheck the rules moved to guardflow*/ // want `unknown analyzer "guardcheck"` `rand\.Int is nondeterministic`
+}
+
 // missingReason is rejected: the reason is mandatory.
 func missingReason() int {
 	return rand.Int() /*lint:allow detrand*/ // want `requires a reason` `rand\.Int is nondeterministic`

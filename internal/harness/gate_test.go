@@ -43,6 +43,7 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"closed base", closed, func(*Config) {}, ""},
 		{"open base", open, func(*Config) {}, ""},
 		{"txn base", txn, func(*Config) {}, ""},
+		{"small regions", closed, func(c *Config) { c.WordsPerNode, c.Locks = 128, 14 }, ""},
 		{"zero windows take defaults", closed, func(c *Config) { c.WarmupNS, c.MeasureNS, c.TargetOps = 0, 0, 200 }, ""},
 		{"open: every service knob", open, func(c *Config) {
 			c.SvcPlacement, c.SvcAdmission, c.SvcRebalance = "home", "drop-head", true
@@ -59,6 +60,9 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"negative measure window", closed, func(c *Config) { c.MeasureNS = -1 }, "harness: measurement window"},
 		{"home skew 101", closed, func(c *Config) { c.HomeSkewPct = 101 }, "harness: home skew"},
 		{"negative words per node", closed, func(c *Config) { c.WordsPerNode = -1 }, "harness: words per node"},
+		{"lock table larger than a region (was: a panic in prepare)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 100 }, "harness: lock table does not fit"},
+		{"skewed table overloads the hot node", closed, func(c *Config) { c.WordsPerNode, c.Locks, c.HomeSkewPct = 64, 10, 90 }, "harness: lock table does not fit: node 0"},
+		{"one lock past a region (line 0 is reserved)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 15 }, "harness: lock table does not fit: node 0"},
 		{"abandon without timeout", closed, func(c *Config) {
 			c.AbandonProb, c.AbandonHold = 0.1, time.Microsecond
 		}, "harness: AbandonProb requires AcquireTimeout"},
@@ -100,6 +104,9 @@ func TestValidateIsTheGate(t *testing.T) {
 		}, "workload: abandon probability"},
 		{"abandon hold without probability", closed, func(c *Config) { c.AbandonHold = time.Microsecond }, "workload: abandon needs both"},
 		{"pair probability 2", closed, func(c *Config) { c.PairProb = 2 }, "workload: pair probability"},
+		{"pair probability NaN (was: accepted, never paired)", closed, func(c *Config) { c.PairProb = math.NaN() }, "workload: pair probability"},
+		{"abandon probability NaN (was: accepted)", closed, func(c *Config) { c.AbandonProb = math.NaN() }, "workload: abandon probability"},
+		{"lease probability NaN (was: accepted)", closed, func(c *Config) { c.LeaseProb = math.NaN() }, "workload: lease probability"},
 		{"one-lock txn", closed, func(c *Config) { c.TxnLocks = 1 }, "workload: TxnLocks 1"},
 		{"negative txn backoff", txn, func(c *Config) { c.TxnBackoff = -1 }, "workload: negative txn backoff"},
 		{"txn knob without TxnLocks", closed, func(c *Config) { c.TxnRing = true }, "workload: txn knobs set without TxnLocks"},

@@ -17,6 +17,7 @@ import (
 	"alock/internal/core"
 	"alock/internal/locks"
 	"alock/internal/locktable"
+	"alock/internal/mem"
 	"alock/internal/model"
 	"alock/internal/sim"
 	"alock/internal/stats"
@@ -326,6 +327,17 @@ func (c Config) check() (plan, error) {
 	if c.WordsPerNode < 1 {
 		return fail("words per node %d", c.WordsPerNode)
 	}
+	// Each lock is one line of its home node's region, laid out as prepare
+	// lays it out, after the line every region reserves at offset 0.
+	capLines := max(c.WordsPerNode, mem.WordsPerCacheLine)/mem.WordsPerCacheLine - 1
+	perNode, home := make([]int, c.Nodes), c.homeFunc()
+	for i := 0; i < c.Locks; i++ {
+		n := home(i, c.Locks, c.Nodes)
+		if perNode[n]++; perNode[n] > capLines {
+			return fail("lock table does not fit: node %d homes more than the %d lock lines its %d-word region holds",
+				n, capLines, c.WordsPerNode)
+		}
+	}
 	if c.AbandonProb > 0 && c.AcquireTimeout <= 0 {
 		// A wedged lock with unbounded waiters makes no progress at all;
 		// the timeout is the recovery story's other half.
@@ -536,14 +548,18 @@ type simulation struct {
 	ft *locks.FenceTable
 }
 
+// homeFunc is the lock table layout the config asks for.
+func (c Config) homeFunc() locktable.HomeFunc {
+	if c.HomeSkewPct > 0 {
+		return locktable.SkewedHome(0, c.HomeSkewPct)
+	}
+	return locktable.RoundRobinHome
+}
+
 func (p plan) prepare() *simulation {
 	cfg := p.cfg
 	e := newEngine(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
-	layout := locktable.RoundRobinHome
-	if cfg.HomeSkewPct > 0 {
-		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)
-	}
-	table := locktable.NewWithLayout(e.Space(), cfg.Locks, layout)
+	table := locktable.NewWithLayout(e.Space(), cfg.Locks, cfg.homeFunc())
 	p.prov.Prepare(e.Space(), table.All())
 	return &simulation{plan: p, e: e, table: table, ft: locks.NewFenceTable()}
 }

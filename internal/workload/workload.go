@@ -173,7 +173,7 @@ func (s Spec) Validate() error {
 	if s.ReadPct < 0 || s.ReadPct > 100 {
 		return fmt.Errorf("workload: read share %d%% out of range", s.ReadPct)
 	}
-	if s.LeaseProb < 0 || s.LeaseProb > 1 {
+	if !(s.LeaseProb >= 0 && s.LeaseProb <= 1) { // also rejects NaN
 		return fmt.Errorf("workload: lease probability %v out of range", s.LeaseProb)
 	}
 	if s.LeaseHoldNS < 0 || (s.LeaseProb > 0) != (s.LeaseHoldNS > 0) {
@@ -183,14 +183,14 @@ func (s Spec) Validate() error {
 	if s.AcquireTimeoutNS < 0 {
 		return fmt.Errorf("workload: negative acquire timeout %d", s.AcquireTimeoutNS)
 	}
-	if s.AbandonProb < 0 || s.AbandonProb > 1 {
+	if !(s.AbandonProb >= 0 && s.AbandonProb <= 1) { // also rejects NaN
 		return fmt.Errorf("workload: abandon probability %v out of range", s.AbandonProb)
 	}
 	if s.AbandonHoldNS < 0 || (s.AbandonProb > 0) != (s.AbandonHoldNS > 0) {
 		return fmt.Errorf("workload: abandon needs both probability and hold (prob=%v hold=%d)",
 			s.AbandonProb, s.AbandonHoldNS)
 	}
-	if s.PairProb < 0 || s.PairProb > 1 {
+	if !(s.PairProb >= 0 && s.PairProb <= 1) { // also rejects NaN
 		return fmt.Errorf("workload: pair probability %v out of range", s.PairProb)
 	}
 	if s.TxnLocks < 0 || s.TxnLocks == 1 {
