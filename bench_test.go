@@ -44,8 +44,9 @@ func (m *engineMeter) report(b *testing.B) {
 
 // --- Appendix A ---
 
-// BenchmarkAppendixATLACheck exhaustively model-checks the Appendix A
-// specification (3 processes, budget 1) per iteration.
+// BenchmarkAppendixATLACheck exhaustively model-checks internal/core's
+// shipping ALock (3 processes, budget 1) per iteration: the properties of
+// the paper's Appendix A spec, over the code every figure runs.
 func BenchmarkAppendixATLACheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := check.Run(check.Config{Procs: 3, Budget: 1})

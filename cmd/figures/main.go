@@ -12,7 +12,7 @@
 //	            paper)
 //	headlines — the paper's headline ratios, from the Figure 5 runs
 //	qp        — QP context-cache thrashing sweep (beyond the paper)
-//	tla       — exhaustive model check of the Appendix A specification
+//	tla       — exhaustive model check of internal/core's ALock
 //	ablations — budget / cohort-split ablations (beyond the paper)
 //
 // Every figure is a registered scenario (or several) rendered by
@@ -103,6 +103,9 @@ func main() {
 		}
 		sel := func(k string) bool { return len(want) == 0 || want[k] }
 		err = render(out, csv, artifacts(*quick), sel, scale, run)
+		if err == nil && sel("tla") {
+			err = modelCheck(out, *quick)
+		}
 	}
 	if cerr := closeCSV(); err == nil {
 		err = cerr
@@ -137,7 +140,8 @@ func runScenario(out, csv io.Writer, name string, s harness.Scale,
 // artifact is one entry of the figure table: its -only key, the line
 // printed before its scenarios run, the registered scenarios it renders,
 // and its text and (optional) CSV renderers, which get one group per
-// scenario in the listed order. table1 and tla run no scenario.
+// scenario in the listed order. table1 runs no scenario; tla, the model
+// check, is not in the table: main runs it last.
 type artifact struct {
 	key       string
 	progress  string
@@ -182,7 +186,6 @@ func artifacts(quick bool) []artifact {
 			first(report.QPThrashing), nil},
 		{"ablations", "\nrunning ablations...", []string{"ablations"},
 			first(report.Ablations), nil},
-		{key: "tla", text: func(w io.Writer, _ []report.Group) { modelCheck(w, quick) }},
 	}
 }
 
@@ -256,9 +259,10 @@ func render(out, csv io.Writer, arts []artifact, sel func(string) bool, s harnes
 	return nil
 }
 
-// modelCheck runs the Appendix A model check (tla).
-func modelCheck(w io.Writer, quick bool) {
-	fmt.Fprintln(w, "\nmodel-checking the Appendix A specification...")
+// modelCheck explores internal/core's ALock under every interleaving (tla)
+// and fails on the first checker error or violated property.
+func modelCheck(w io.Writer, quick bool) error {
+	fmt.Fprintln(w, "\nmodel-checking internal/core's ALock under every interleaving...")
 	configs := []check.Config{
 		{Procs: 2, Budget: 1}, {Procs: 2, Budget: 2}, {Procs: 3, Budget: 1},
 	}
@@ -268,16 +272,16 @@ func modelCheck(w io.Writer, quick bool) {
 	for _, cfg := range configs {
 		res, err := check.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(w, "  procs=%d budget=%d: %v\n", cfg.Procs, cfg.Budget, err)
-			continue
+			return fmt.Errorf("tla: procs=%d budget=%d: %w", cfg.Procs, cfg.Budget, err)
 		}
-		verdict := "OK (mutual exclusion, deadlock-freedom, starvation-freedom)"
 		if !res.OK() {
-			verdict = "VIOLATION: " + res.String()
+			return fmt.Errorf("tla: procs=%d budget=%d: VIOLATION: %v %s%s", cfg.Procs, cfg.Budget, res,
+				res.MutexWitness, res.DeadlockWitness)
 		}
-		fmt.Fprintf(w, "  procs=%d budget=%d: %d states, %d transitions — %s\n",
-			cfg.Procs, cfg.Budget, res.States, res.Transitions, verdict)
+		fmt.Fprintf(w, "  procs=%d budget=%d: %d states, %d transitions — OK (mutual exclusion, deadlock-freedom, starvation-freedom)\n",
+			cfg.Procs, cfg.Budget, res.States, res.Transitions)
 	}
+	return nil
 }
 
 func listScenarios(w io.Writer) {

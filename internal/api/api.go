@@ -18,10 +18,13 @@
 // test that ALock's discipline — never mixing RMW classes on one word — is
 // load-bearing.
 //
-// The same lock code runs unmodified on the deterministic discrete-event
-// engine (internal/sim, used for every figure) and the real-goroutine
-// engine (internal/rt, used for race-detector correctness tests and the
-// examples), because both implement Ctx.
+// The same lock code runs unmodified on three implementations of Ctx: the
+// deterministic discrete-event engine (internal/sim, used for every
+// figure), the real-goroutine engine (internal/rt, used for race-detector
+// correctness tests and the examples), and the model checker
+// (internal/check), whose synchronous Ctx makes every memory operation a
+// transition it picks and so explores the shipping ALock and MCS code
+// under every interleaving.
 package api
 
 import (

@@ -1,133 +1,86 @@
-// Package check is an explicit-state model checker for the ALock algorithm
-// as specified in the paper's Appendix A (the TLA+/PlusCal "alock" spec).
+// Package check is an explicit-state model checker that runs the shipping
+// ALock of internal/core under every interleaving of its memory operations.
 //
-// The PlusCal algorithm is translated label-for-label into a transition
-// system: NumProcesses processes loop through
+// The lock lives on node 0 and process p (1-based in reports) on node
+// (p-1) % 2, so the cohorts split by parity as in the paper's Appendix A
+// spec; both budgets are Config.Budget. Each process loops forever through
+// AcquireTimed(l, Exclusive, 0), the critical section and ReleaseAcq, from
+// two initial memories: victim 0 and victim 1 (the spec's victim ∈ {1,2}).
 //
-//	ncs → AcquireCohort → (AcquireGlobal if not passed) → cs → ReleaseCohort
+// The checker is the third api.Ctx, after internal/sim and internal/rt. It
+// is synchronous: each Read, Write, CAS, RRead, RWrite and RCAS is one
+// atomic transition the explorer picks (Table 1's torn RCAS is not
+// modelled; ALock never mixes RMW classes on a word), SpinWhile(p, v) is one
+// transition enabled once the word differs from v, and Fence and Pause are
+// no-ops. Two more transitions enter acquire and leave the critical section.
 //
-// with processes assigned to the two cohorts by parity (Us(pid) = pid%2),
-// a shared victim word, the two cohort tail words (0 = NULL, else the
-// pid of the enqueued process, standing in for its descriptor pointer),
-// and per-process descriptors carrying {budget, next}.
+// A state is the words in use plus, per process, an interned local state:
+// its position (idle, acquire, critical section, release) and the Ctx
+// return values since its operation began, which are replayed on a fresh
+// handle to materialise it, once per local state.
 //
-// Exhaustive breadth-first exploration over all interleavings checks:
+// Poll stutter. A hand-written poll (ALock's two-word pReacquire loop with
+// Pause, MCS's bare `for RRead(...) == waiting {}`) would add a local state
+// per poll. The rule: if the transitions since local state A are a
+// read-only block (reads, failed CASes) after which the process issues A's
+// next transition again and, fed the block's results once more, repeats the
+// block, the state after the block is A. A process whose solo run reads its
+// way back to its own local state is blocked until one of those words
+// changes, like SpinWhile and the spec's gwait, so enabledness stays a
+// function of the state and the weak-fairness search needs no change.
 //
-//   - MutualExclusion: no two processes are simultaneously at label cs
-//     (Appendix A, Safety).
-//   - Deadlock-freedom: every reachable state has at least one enabled
-//     transition (the processes loop forever, so quiescence = deadlock).
-//   - Progress-possibility: from every reachable state, every process can
-//     still reach its critical section on some schedule (computed by
-//     backward reachability). This is the possibility core of the spec's
-//     StarvationFree property; inevitability under weak fairness is
-//     established separately by the budget run-length tests in
-//     internal/core.
+// Soundness needs (1) a handle's Go state at the start of an operation to
+// be a fresh handle's — true for untimed, one-lock ALock and MCS, whose
+// pools then hold only their seed descriptors; Run fails on any Alloc after
+// NewHandle — and (2) a poll loop's counters to feed only Pause. The timed
+// protocol (Now, deadlines, zombies), SpinUntil, Work, WorkLoop, Free and
+// Rand are out of scope and panic.
 //
-// A deliberately broken variant (skipping Peterson's wait, or the victim
-// handshake) is also exposed so the tests can verify the checker actually
-// catches violations.
+// Checked: mutual exclusion, deadlock-freedom, progress-possibility (every
+// process can reach its critical section from every state) and starvation-
+// freedom under weak fairness (no cycle keeps a process blocked while every
+// other process steps or is blocked somewhere on it). A witness is the
+// schedule from the initial memory: process, op, word and value.
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-)
+	"maps"
+	"slices"
+	"strings"
 
-// Variant selects the algorithm to check: the faithful translation or a
-// mutation used to validate the checker itself.
-type Variant int
+	"alock/internal/api"
+	"alock/internal/core"
+	"alock/internal/ptr"
+)
 
 const (
-	// Correct is the faithful Appendix A algorithm.
-	Correct Variant = iota
-	// NoPetersonWait makes AcquireGlobal return immediately — cohort
-	// leaders never synchronize, so mutual exclusion must fail.
-	NoPetersonWait
-	// NoVictimWrite skips the victim assignment in AcquireGlobal — the
-	// classic Peterson bug: an arriving leader no longer publishes itself
-	// as the victim, so it can slide past gwait while the other cohort's
-	// leader is already in the critical section.
-	NoVictimWrite
-	// NoBudgetReacquire ignores the budget-exhaustion check (c4 always
-	// proceeds as if budget remained): the cohort lock stays correct, but
-	// a cohort with a steady supply of waiters passes the lock internally
-	// forever and the other cohort's leader starves — precisely the
-	// unfairness the budget exists to prevent (Section 5, "Adding
-	// Fairness").
-	NoBudgetReacquire
+	// MaxProcs bounds the checkable configuration size.
+	MaxProcs = 5
+	// lineWords is a cache line. A node's line 0 is never allocated, so no
+	// allocation is ptr.Null; the lock is the next line of node 0.
+	lineWords = 8
+	maxWords  = 24 // words a run may write (ALock at MaxProcs uses 23)
 )
 
-// Program-counter labels, one per PlusCal label.
-type label uint8
-
-const (
-	lNCS label = iota
-	lEnter
-	lC1
-	lSwap
-	lCWait
-	lC2
-	lC3
-	lC4
-	lC5 // call AcquireGlobal (from cohort reacquire)
-	lC6
-	lC7
-	lC8
-	lC9
-	lC10
-	lP2
-	lG1
-	lGWait
-	lG4
-	lCS
-	lExitCas
-	lR1
-	lR2
-	lR3
-	numLabels
+var (
+	lockAddr = ptr.Pack(0, lineWords)
+	errWords = fmt.Errorf("check: a handle writes more than %d words", maxWords)
 )
-
-// labelNames for diagnostics.
-var labelNames = [numLabels]string{
-	"ncs", "enter", "c1", "swap", "cwait", "c2", "c3", "c4", "c5", "c6",
-	"c7", "c8", "c9", "c10", "p2", "g1", "gwait", "g4", "cs", "cas", "r1",
-	"r2", "r3",
-}
-
-// Return targets for AcquireGlobal (the only procedure called from two
-// sites).
-type gret uint8
-
-const (
-	retNone gret = iota
-	retC6        // called from c5 (budget exhausted during a pass)
-	retCS        // called from p2 (fresh cohort leader)
-)
-
-// MaxProcs bounds the checkable configuration size.
-const MaxProcs = 5
-
-// state is one global state of the transition system. Fixed-size and
-// comparable, so it can key a map directly.
-type state struct {
-	victim int8           // 0 or 1 (cohort index)
-	cohort [2]int8        // 0 = NULL, else pid (1-based)
-	budget [MaxProcs]int8 // descriptor budgets
-	next   [MaxProcs]int8 // descriptor next pointers (0 = NULL, else pid)
-	passed [MaxProcs]bool
-	pred   [MaxProcs]int8 // AcquireCohort's local pred variable
-	ret    [MaxProcs]gret // AcquireGlobal return target
-	pc     [MaxProcs]label
-}
 
 // Config parameterizes a check run.
 type Config struct {
-	Procs   int // NumProcesses (2..MaxProcs)
-	Budget  int // InitialBudget (>= 1)
-	Variant Variant
+	Procs  int // processes (2..MaxProcs)
+	Budget int // both cohort budgets (>= 1)
 	// MaxStates aborts exploration beyond this many states (0 = 50M).
 	MaxStates int
+
+	// newHandle builds one process's handle (nil: core.NewHandle).
+	newHandle func(ctx api.Ctx, budget int) api.Handle
+	// mutate, when set, rewrites every transition: from the op, the word
+	// before it, and what it returns and leaves, the pair to use instead.
+	mutate func(o op, cur, ret, next uint64) (uint64, uint64)
 }
 
 // Result reports what the exploration found.
@@ -135,13 +88,12 @@ type Result struct {
 	States        int64
 	Transitions   int64
 	MutexViolated bool
-	// MutexWitness describes the violating state, if any.
-	MutexWitness string
-	Deadlocked   bool
-	// DeadlockWitness describes the stuck state, if any.
+	MutexWitness  string // the schedule to the violating state, if any
+	Deadlocked    bool
+	// DeadlockWitness is the schedule to the stuck state, or the starvation witness.
 	DeadlockWitness string
 	// StarvedProc is the first process (1-based) that cannot reach cs from
-	// some reachable state, or 0.
+	// some reachable state or that a weakly fair cycle keeps blocked, or 0.
 	StarvedProc int
 }
 
@@ -155,464 +107,341 @@ func (r Result) String() string {
 		r.States, r.Transitions, !r.MutexViolated, r.Deadlocked, r.StarvedProc)
 }
 
-// us returns the cohort index of pid (1-based pid, as in the TLA+ spec:
-// Us(pid) = pid % 2 mapped onto {0,1}).
-func us(pid int) int { return pid % 2 }
+// state is one global state: each process's local state and the words in
+// use, in the order the run first wrote them.
+type state struct {
+	loc [MaxProcs]int32
+	mem [maxWords]uint64
+}
+
+// local is an interned local state: ops are the transitions taken since
+// the operation began and, last, the one it takes next; rets are what the
+// taken ones returned.
+type local struct {
+	parent int32
+	ops    []op
+	rets   []uint64
+}
+
+func (l *local) next() op { return l.ops[len(l.ops)-1] }
+
+// pc names the position: idle, acq(uire), cs (critical section) or rel(ease).
+func (l *local) pc() string {
+	switch {
+	case len(l.ops) == 1:
+		return "idle"
+	case l.next().kind == opExit:
+		return "cs"
+	case slices.ContainsFunc(l.ops, func(o op) bool { return o.kind == opExit }):
+		return "rel"
+	}
+	return "acq"
+}
+
+// checker is one run: the processes and their local states, the words in
+// use, and the reachable graph in breadth-first order.
+type checker struct {
+	cfg     Config
+	brk     [2]uint64          // next free word per node
+	init    map[ptr.Ptr]uint64 // written while the handles were first built
+	threads []*thread
+	locals  [][]local // per process; local 0 is idle
+	kids    map[[3]uint64]int32
+	slot    map[ptr.Ptr]int // word → its index in state.mem
+	addrs   []ptr.Ptr
+	seen    map[state]int32
+	states  []state
+	from    []edge // the state each state was first reached from, and who stepped
+	succs   [][]edge
+	enabled []uint8 // bit p: process p can step
+	inCS    []uint8 // bit p: process p is in the critical section
+}
+
+// set writes v to a in s, giving a a slot on its first nonzero write.
+func (m *checker) set(s *state, a ptr.Ptr, v uint64) {
+	i, ok := m.slot[a]
+	if !ok && v != 0 {
+		if i = len(m.addrs); i == maxWords {
+			panic(errWords)
+		}
+		m.slot[a], m.addrs = i, append(m.addrs, a)
+	}
+	if ok || v != 0 {
+		s.mem[i] = v
+	}
+}
+
+// result executes o in s: what it returns, and the word before and after.
+func (m *checker) result(s *state, o op) (ret, cur, next uint64) {
+	if i, ok := m.slot[o.addr]; ok {
+		cur = s.mem[i]
+	}
+	ret, next = exec(o, cur)
+	if m.cfg.mutate != nil {
+		ret, next = m.cfg.mutate(o, cur, ret, next)
+	}
+	return ret, cur, next
+}
+
+// child is the local state process p reaches from l when its transition
+// returns ret, replayed the first time it is asked for.
+func (m *checker) child(p int, l int32, ret uint64) (c int32) {
+	key := [3]uint64{uint64(p), uint64(l), ret}
+	if c, ok := m.kids[key]; ok {
+		return c
+	}
+	defer func() { m.kids[key] = c }()
+	from := &m.locals[p][l]
+	ops, rets := from.ops, append(slices.Clip(from.rets), ret)
+	t, n := m.threads[p], len(rets)
+	if t.replay(rets); t.next.kind == opBegin {
+		return 0 // the operation ended: idle again
+	}
+	next := t.next
+	for k, a := 1, l; k <= n && readOnly(ops[n-k], rets[n-k]); k, a = k+1, m.locals[p][a].parent {
+		if ops[n-k] != next {
+			continue
+		}
+		if t.replay(append(rets[:n:n], rets[n-k:]...)); t.next == next && slices.Equal(t.seen[n:], ops[n-k:]) {
+			return a // poll stutter: the block led back to its start, local a
+		}
+	}
+	m.locals[p] = append(m.locals[p], local{parent: l, ops: append(slices.Clip(ops), next), rets: rets})
+	return int32(len(m.locals[p]) - 1)
+}
+
+// blocked reports whether process p cannot change s: its SpinWhile still
+// reads v, or its solo run reads its way back to its local state.
+func (m *checker) blocked(p int, s *state) bool {
+	l := s.loc[p]
+	var seen []int32
+	for a := l; ; {
+		o := m.locals[p][a].next()
+		ret, _, _ := m.result(s, o)
+		if o.kind == opSpin && a == l {
+			return ret == o.val
+		} else if !readOnly(o, ret) {
+			return false
+		}
+		if seen, a = append(seen, a), m.child(p, a, ret); a == l || slices.Contains(seen, a) {
+			return a == l
+		}
+	}
+}
 
 // Run explores the full state space of the configuration.
-func Run(cfg Config) (Result, error) {
-	if cfg.Procs < 2 || cfg.Procs > MaxProcs {
-		return Result{}, fmt.Errorf("check: Procs must be in 2..%d", MaxProcs)
+func Run(cfg Config) (res Result, err error) {
+	if cfg.Procs < 2 || cfg.Procs > MaxProcs || cfg.Budget < 1 || cfg.Budget > 120 {
+		return res, fmt.Errorf("check: need Procs in 2..%d and Budget in 1..120", MaxProcs)
 	}
-	if cfg.Budget < 1 || cfg.Budget > 120 {
-		return Result{}, fmt.Errorf("check: Budget must be in 1..120")
+	cfg.MaxStates = cmp.Or(cfg.MaxStates, 50_000_000)
+	defer func() {
+		if r := recover(); r == errAlloc || r == errWords {
+			err = r.(error)
+		} else if r != nil {
+			panic(r)
+		}
+	}()
+	if cfg.newHandle == nil {
+		cfg.newHandle = func(ctx api.Ctx, b int) api.Handle {
+			return core.NewHandle(ctx, core.Config{LocalBudget: int64(b), RemoteBudget: int64(b)})
+		}
 	}
-	maxStates := cfg.MaxStates
-	if maxStates == 0 {
-		maxStates = 50_000_000
+	m := &checker{cfg: cfg, brk: [2]uint64{2 * lineWords, lineWords}, init: map[ptr.Ptr]uint64{},
+		kids: map[[3]uint64]int32{}, slot: map[ptr.Ptr]int{}, seen: map[state]int32{}}
+	for p := 0; p < cfg.Procs; p++ {
+		t := &thread{m: m, id: p}
+		t.replay(nil) // builds the handle: its setup writes are the initial memory
+		m.threads = append(m.threads, t)
+		m.locals = append(m.locals, []local{{ops: []op{{kind: opBegin}}}})
 	}
-
-	// Initial states: victim starts in either cohort (TLA+: victim ∈ {1,2}).
-	var inits []state
-	for _, v := range []int8{0, 1} {
+	victim := core.VictimPtr(lockAddr)
+	m.init[victim] = 0
+	addrs := slices.Sorted(maps.Keys(m.init))
+	for _, v := range []uint64{0, 1} {
 		var s state
-		s.victim = v
-		for p := 0; p < cfg.Procs; p++ {
-			s.budget[p] = -1
-			s.pc[p] = lNCS
+		m.init[victim] = v
+		for _, a := range addrs {
+			m.set(&s, a, m.init[a])
 		}
-		inits = append(inits, s)
+		m.add(s, edge{to: -1})
 	}
 
-	res := Result{}
-	seen := make(map[state]int64) // state -> dense id
-	var states []state            // id -> state
-	var succs [][]sccEdge         // forward edges, labeled with the acting process
-	queue := make([]int32, 0, 1024)
-
-	add := func(s state) (int32, bool) {
-		if id, ok := seen[s]; ok {
-			return int32(id), false
-		}
-		id := int64(len(states))
-		seen[s] = id
-		states = append(states, s)
-		succs = append(succs, nil)
-		return int32(id), true
-	}
-
-	for _, s := range inits {
-		id, fresh := add(s)
-		if fresh {
-			queue = append(queue, id)
-		}
-	}
-
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		s := states[id]
-
-		// Safety: mutual exclusion.
-		inCS := 0
-		for p := 0; p < cfg.Procs; p++ {
-			if s.pc[p] == lCS {
-				inCS++
+	for u := int32(0); int(u) < len(m.states); u++ {
+		s := m.states[u]
+		var enabled, inCS uint8
+		var out []edge
+		for p, l := range s.loc[:cfg.Procs] {
+			o := m.locals[p][l].next()
+			if o.kind == opExit {
+				inCS |= 1 << p
 			}
-		}
-		if inCS > 1 && !res.MutexViolated {
-			res.MutexViolated = true
-			res.MutexWitness = describe(&s, cfg.Procs)
-		}
-
-		anyEnabled := false
-		for p := 1; p <= cfg.Procs; p++ {
-			succ, enabled := step(&s, p, cfg)
-			if !enabled {
+			if m.blocked(p, &s) {
 				continue
 			}
-			anyEnabled = true
-			res.Transitions++
-			sid, fresh := add(succ)
-			succs[id] = append(succs[id], sccEdge{to: sid, actor: uint8(p - 1)})
-			if fresh {
-				queue = append(queue, sid)
-				if len(states) > maxStates {
-					return res, fmt.Errorf("check: state space exceeds %d states", maxStates)
-				}
+			enabled |= 1 << p
+			ret, cur, next := m.result(&s, o)
+			succ := s
+			if succ.loc[p] = m.child(p, l, ret); next != cur {
+				m.set(&succ, o.addr, next)
+			}
+			out = append(out, edge{to: m.add(succ, edge{u, uint8(p)}), actor: uint8(p)})
+			if len(m.states) > cfg.MaxStates {
+				return res, fmt.Errorf("check: state space exceeds %d states", cfg.MaxStates)
 			}
 		}
-		if !anyEnabled && !res.Deadlocked {
-			res.Deadlocked = true
-			res.DeadlockWitness = describe(&s, cfg.Procs)
+		res.Transitions += int64(len(out))
+		m.succs, m.enabled, m.inCS = append(m.succs, out), append(m.enabled, enabled), append(m.inCS, inCS)
+		if inCS&(inCS-1) != 0 && !res.MutexViolated {
+			res.MutexViolated, res.MutexWitness = true, m.witness(u)
 		}
-	}
-	res.States = int64(len(states))
-	if res.MutexViolated || res.Deadlocked {
-		return res, nil
-	}
-
-	// Progress-possibility: every process must be able to reach cs from
-	// every reachable state (backward BFS from {pc[p] == cs}).
-	preds := make([][]int32, len(states))
-	for u := range succs {
-		for _, e := range succs[u] {
-			preds[e.to] = append(preds[e.to], int32(u))
+		if enabled == 0 && !res.Deadlocked {
+			res.Deadlocked, res.DeadlockWitness = true, m.witness(u)
 		}
 	}
-	for p := 0; p < cfg.Procs; p++ {
-		reached := make([]bool, len(states))
-		var bq []int32
-		for i, st := range states {
-			if st.pc[p] == lCS {
-				reached[i] = true
-				bq = append(bq, int32(i))
-			}
-		}
-		for len(bq) > 0 {
-			v := bq[0]
-			bq = bq[1:]
-			for _, u := range preds[v] {
-				if !reached[u] {
-					reached[u] = true
-					bq = append(bq, u)
-				}
-			}
-		}
-		for i := range states {
-			if !reached[i] {
-				res.StarvedProc = p + 1
-				return res, nil
-			}
-		}
-	}
-
-	// Starvation under weak fairness: look for a cycle along which process
-	// p stays blocked while every other process is either taking steps or
-	// disabled at some point of the cycle (so the run violates no weak
-	// fairness assumption). Such a cycle is an admissible infinite run
-	// that starves p — the negation of the spec's StarvationFree property.
-	//
-	// Implementation: for each p, restrict the graph to states where p is
-	// disabled, compute SCCs, and test each nontrivial SCC for the weak
-	// fairness condition above.
-	enabledIn := func(id int32, p int) bool {
-		_, en := step(&states[id], p+1, cfg)
-		return en
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		inSub := make([]bool, len(states))
-		for i := range states {
-			if !enabledIn(int32(i), p) {
-				inSub[i] = true
-			}
-		}
-		comp := sccs(len(states), func(u int) []sccEdge {
-			if !inSub[u] {
-				return nil
-			}
-			var out []sccEdge
-			for _, e := range succs[u] {
-				if inSub[e.to] {
-					out = append(out, e)
-				}
-			}
-			return out
-		})
-		// Group states by component and analyze each nontrivial one.
-		bySCC := map[int32][]int32{}
-		for i, c := range comp {
-			if inSub[i] {
-				bySCC[c] = append(bySCC[c], int32(i))
-			}
-		}
-		// Visit components in sorted-id order, not map order: when more
-		// than one starvation cycle exists, the reported witness must not
-		// depend on map iteration order.
-		ids := make([]int32, 0, len(bySCC))
-		for c := range bySCC {
-			ids = append(ids, c)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, c := range ids {
-			members := bySCC[c]
-			if !sccNontrivial(members, comp, succs, inSub) {
-				continue
-			}
-			if fairCycle(members, comp, succs, inSub, cfg.Procs, p, enabledIn) {
-				res.StarvedProc = p + 1
-				res.DeadlockWitness = "weakly-fair starvation cycle through " +
-					describe(&states[members[0]], cfg.Procs)
-				return res, nil
-			}
-		}
+	res.States = int64(len(m.states))
+	if !res.MutexViolated && !res.Deadlocked {
+		res.StarvedProc, res.DeadlockWitness = m.starvation()
 	}
 	return res, nil
 }
 
-// sccEdge is one labeled transition: target state and acting process.
-type sccEdge struct {
+// edge is one transition: target state and acting process.
+type edge struct {
 	to    int32
-	actor uint8 // 0-based proc index
+	actor uint8
 }
 
-// sccs computes strongly connected components (Tarjan, iterative) over the
-// subgraph induced by the out function. Returns component IDs per node.
-func sccs(n int, out func(int) []sccEdge) []int32 {
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	comp := make([]int32, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
+func (m *checker) add(s state, from edge) int32 {
+	if id, ok := m.seen[s]; ok {
+		return id
 	}
-	var stack []int32
-	var next, nComp int32
+	m.seen[s], m.states, m.from = int32(len(m.states)), append(m.states, s), append(m.from, from)
+	return int32(len(m.states) - 1)
+}
 
-	type frame struct {
-		v  int32
-		ei int
+// witness lists the schedule from an initial memory (its nonzero words) to
+// state u, then every process's position in u.
+func (m *checker) witness(u int32) string {
+	var b strings.Builder
+	m.schedule(&b, u)
+	b.WriteString(" ⇒")
+	for p, l := range m.states[u].loc[:m.cfg.Procs] {
+		fmt.Fprintf(&b, " p%d{pc=%s}", p+1, m.locals[p][l].pc())
 	}
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
-			continue
+	return b.String()
+}
+
+func (m *checker) schedule(b *strings.Builder, u int32) {
+	if f := m.from[u]; f.to >= 0 {
+		m.schedule(b, f.to)
+		s := &m.states[f.to]
+		o := m.locals[f.actor][s.loc[f.actor]].next()
+		ret, _, _ := m.result(s, o)
+		fmt.Fprintf(b, "; p%d %s", f.actor+1, o.format(ret))
+		return
+	}
+	b.WriteString("initial")
+	for i, v := range m.states[u].mem[:len(m.addrs)] {
+		if v != 0 {
+			fmt.Fprintf(b, " %v=%s", m.addrs[i], value(v))
 		}
-		callStack := []frame{{v: int32(start)}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, int32(start))
-		onStack[start] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			edges := out(int(f.v))
-			if f.ei < len(edges) {
-				w := edges[f.ei].to
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] && low[f.v] > index[w] {
-					low[f.v] = index[w]
-				}
-				continue
+	}
+}
+
+// starvation returns the first process that cannot reach its critical
+// section from some state, or that a weakly fair cycle keeps blocked, and
+// the witness.
+func (m *checker) starvation() (int, string) {
+	n := len(m.states)
+	preds := make([][]int32, n)
+	for u, out := range m.succs {
+		for _, ed := range out {
+			preds[ed.to] = append(preds[ed.to], int32(u))
+		}
+	}
+	for p := 0; p < m.cfg.Procs; p++ {
+		reached := make([]bool, n)
+		var q []int32
+		for u := range m.states {
+			if m.inCS[u]&(1<<p) != 0 {
+				reached[u], q = true, append(q, int32(u))
 			}
-			// Done with v.
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].v
-				if low[parent] > low[v] {
-					low[parent] = low[v]
+		}
+		for len(q) > 0 {
+			for _, w := range preds[q[0]] {
+				if !reached[w] {
+					reached[w], q = true, append(q, w)
 				}
 			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
+			q = q[1:]
+		}
+		if u := slices.Index(reached, false); u >= 0 {
+			return p + 1, fmt.Sprintf("p%d cannot reach cs after %s", p+1, m.witness(int32(u)))
+		}
+		// Weak fairness: a component of the states where p is blocked is a
+		// fair cycle if it has an internal edge and every other process
+		// steps on one or is blocked in some member (a run through that
+		// state owes it no step).
+		comp, members := m.sccs(p)
+		for _, ms := range members {
+			var steps, blockedSomewhere uint8
+			for _, u := range ms {
+				blockedSomewhere |= ^m.enabled[u]
+				for _, ed := range m.succs[u] {
+					if comp[ed.to] == comp[u] {
+						steps |= 1 << ed.actor
 					}
 				}
-				nComp++
+			}
+			if all := (uint8(1)<<m.cfg.Procs - 1) &^ (1 << p); steps != 0 && (steps|blockedSomewhere)&all == all {
+				return p + 1, "weakly-fair starvation cycle through " + m.witness(ms[0])
 			}
 		}
 	}
-	return comp
+	return 0, ""
 }
 
-// sccNontrivial reports whether the component has at least one internal
-// transition (a real cycle, not an isolated state).
-func sccNontrivial(members []int32, comp []int32, succs [][]sccEdge, inSub []bool) bool {
-	if len(members) > 1 {
-		return true
-	}
-	u := members[0]
-	for _, e := range succs[u] {
-		if e.to == u && inSub[u] {
-			return true
-		}
-	}
-	return false
-}
-
-// fairCycle decides whether the SCC admits a weakly fair infinite run: for
-// every process j != starved, either j takes a step on some internal edge,
-// or j is disabled in at least one member state (so a run looping through
-// that state does not owe j a step under weak fairness).
-func fairCycle(members []int32, comp []int32, succs [][]sccEdge, inSub []bool,
-	procs, starved int, enabledIn func(int32, int) bool) bool {
-
-	cid := comp[members[0]]
-	steps := make([]bool, procs)
-	for _, u := range members {
-		for _, e := range succs[u] {
-			if inSub[e.to] && comp[e.to] == cid {
-				steps[e.actor] = true
+// sccs computes the strongly connected components (Tarjan) of the states
+// where process p is blocked: each state's component (0 outside), members.
+func (m *checker) sccs(p int) ([]int32, [][]int32) {
+	n := len(m.states)
+	index, low, comp := make([]int32, n), make([]int32, n), make([]int32, n)
+	in := func(v int32) bool { return m.enabled[v]&(1<<p) == 0 }
+	var stack []int32
+	var members [][]int32
+	var next int32
+	var visit func(v int32)
+	visit = func(v int32) {
+		next++
+		index[v], low[v] = next, next
+		stack = append(stack, v)
+		for _, ed := range m.succs[v] {
+			switch w := ed.to; {
+			case !in(w):
+			case index[w] == 0:
+				visit(w)
+				low[v] = min(low[v], low[w])
+			case comp[w] == 0: // on the stack
+				low[v] = min(low[v], index[w])
 			}
 		}
-	}
-	for j := 0; j < procs; j++ {
-		if j == starved || steps[j] {
-			continue
-		}
-		disabledSomewhere := false
-		for _, u := range members {
-			if !enabledIn(u, j) {
-				disabledSomewhere = true
-				break
+		if low[v] == index[v] {
+			i := len(stack) - 1
+			for stack[i] != v {
+				i--
 			}
-		}
-		if !disabledSomewhere {
-			return false // j continuously enabled but never steps: unfair run
+			members = append(members, slices.Clone(stack[i:]))
+			for _, w := range stack[i:] {
+				comp[w] = int32(len(members))
+			}
+			stack = stack[:i]
 		}
 	}
-	return true
-}
-
-// step executes process pid's (1-based) next atomic label from s, returning
-// the successor and whether the process was enabled.
-func step(s *state, pid int, cfg Config) (state, bool) {
-	p := pid - 1
-	n := *s
-	myCohort := us(pid)
-	other := 1 - myCohort
-	B := int8(cfg.Budget)
-
-	switch s.pc[p] {
-	case lNCS:
-		n.pc[p] = lEnter
-	case lEnter:
-		n.pc[p] = lC1
-	case lC1:
-		n.budget[p] = -1
-		n.next[p] = 0
-		n.pc[p] = lSwap
-	case lSwap:
-		n.pred[p] = s.cohort[myCohort]
-		n.cohort[myCohort] = int8(pid)
-		n.pc[p] = lCWait
-	case lCWait:
-		if s.pred[p] != 0 {
-			n.pc[p] = lC2
-		} else {
-			n.pc[p] = lC8
+	for v := range int32(n) {
+		if in(v) && index[v] == 0 {
+			visit(v)
 		}
-	case lC2:
-		n.next[s.pred[p]-1] = int8(pid)
-		n.pc[p] = lC3
-	case lC3:
-		if s.budget[p] < 0 {
-			return n, false // await Budget(self) >= 0
-		}
-		n.pc[p] = lC4
-	case lC4:
-		if s.budget[p] == 0 && cfg.Variant != NoBudgetReacquire {
-			n.pc[p] = lC5
-		} else {
-			n.pc[p] = lC7
-		}
-	case lC5:
-		n.ret[p] = retC6
-		n.pc[p] = gEntry(cfg.Variant)
-	case lC6:
-		n.budget[p] = B
-		n.pc[p] = lC7
-	case lC7:
-		n.passed[p] = true
-		n.pc[p] = lP2 // return from AcquireCohort
-	case lC8:
-		n.budget[p] = B
-		n.pc[p] = lC9
-	case lC9:
-		n.passed[p] = false
-		n.pc[p] = lP2
-	case lC10:
-		n.pc[p] = lP2
-	case lP2:
-		if !s.passed[p] {
-			n.ret[p] = retCS
-			n.pc[p] = gEntry(cfg.Variant)
-		} else {
-			n.pc[p] = lCS
-		}
-	case lG1:
-		if cfg.Variant != NoVictimWrite {
-			n.victim = int8(myCohort)
-		}
-		n.pc[p] = lGWait
-	case lGWait:
-		// g2: if cohort[Them] = 0 goto g4; g3: if victim != us goto g4.
-		if s.cohort[other] == 0 || int(s.victim) != myCohort {
-			n.pc[p] = lG4
-		} else {
-			return n, false // keep waiting (modeled as blocked-until-change)
-		}
-	case lG4:
-		// Return from AcquireGlobal.
-		switch s.ret[p] {
-		case retC6:
-			n.pc[p] = lC6
-		case retCS:
-			n.pc[p] = lCS
-		default:
-			panic("check: g4 without return target")
-		}
-		n.ret[p] = retNone
-	case lCS:
-		n.pc[p] = lExitCas
-	case lExitCas:
-		if s.cohort[myCohort] == int8(pid) {
-			n.cohort[myCohort] = 0
-			n.pc[p] = lR3
-		} else {
-			n.pc[p] = lR1
-		}
-	case lR1:
-		if s.next[p] == 0 {
-			return n, false // await next != 0
-		}
-		n.pc[p] = lR2
-	case lR2:
-		passedBudget := s.budget[p] - 1
-		if cfg.Variant == NoBudgetReacquire && passedBudget < 1 {
-			// Keep the mutated variant passing forever (budgets would
-			// otherwise underflow into the waiting sentinel and change
-			// the failure mode from starvation to a stuck successor).
-			passedBudget = 1
-		}
-		n.budget[s.next[p]-1] = passedBudget
-		n.pc[p] = lR3
-	case lR3:
-		n.pc[p] = lNCS // return; loop
-	default:
-		panic("check: bad pc")
 	}
-	return n, true
-}
-
-// gEntry returns the entry label of AcquireGlobal for the variant.
-func gEntry(v Variant) label {
-	if v == NoPetersonWait {
-		return lG4
-	}
-	return lG1
-}
-
-// describe renders a state for violation messages.
-func describe(s *state, procs int) string {
-	out := fmt.Sprintf("victim=%d cohort=[%d,%d]", s.victim, s.cohort[0], s.cohort[1])
-	for p := 0; p < procs; p++ {
-		out += fmt.Sprintf(" p%d{pc=%s budget=%d next=%d passed=%v}",
-			p+1, labelNames[s.pc[p]], s.budget[p], s.next[p], s.passed[p])
-	}
-	return out
+	return comp, members
 }
