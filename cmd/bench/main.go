@@ -58,8 +58,8 @@ func main() {
 		id = strings.TrimSuffix(filepath.Base(*out), ".json")
 	}
 	rep, err := bench.Run(*suite, id, *reps, *engShards, func(m bench.Measurement) {
-		fmt.Fprintf(os.Stderr, "%-32s %-8s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev\n",
-			m.Name, m.Engine, m.EventsPerSec, m.NSPerEvent, m.AllocsPerEvent)
+		fmt.Fprintf(os.Stderr, "%-32s %-8s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev  %7.1f B/ev\n",
+			m.Name, m.Engine, m.EventsPerSec, m.NSPerEvent, m.AllocsPerEvent, m.BytesPerEvent)
 	})
 	if err != nil {
 		fatal(err)

@@ -4,7 +4,7 @@
 // scenario family — runs each case N times on the engine's executors: the
 // serial one (typed 4-ary event heap, ProcessNextEvent loop) and the
 // conservative windowed one on one worker and on several. It reports
-// events/sec, ns/event and allocs/event in a stable JSON schema
+// events/sec, ns/event, allocs/event and bytes/event in a stable JSON schema
 // (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
 // file in so regressions are diffable in review.
 package bench
@@ -56,8 +56,8 @@ type Case struct {
 }
 
 // Measurement is one case × engine variant, aggregated over reps: rates
-// from the fastest rep (least scheduler noise), allocations from the
-// smallest rep (steady state).
+// from the fastest rep (least scheduler noise), allocation count and bytes
+// from the rep with the fewest mallocs (steady state).
 type Measurement struct {
 	Name           string  `json:"name"`
 	Engine         string  `json:"engine"` // the executor the row reached: Case.label
@@ -68,6 +68,9 @@ type Measurement struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 	NSPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
+	// BytesPerEvent is the heap allocated per event (runtime.MemStats
+	// TotalAlloc), setup included for harness cases.
+	BytesPerEvent float64 `json:"bytes_per_event"`
 	// Window telemetry of the fastest rep (sim.WindowStats), on the windowed
 	// rows of raw-engine cases: safe windows executed, mean events per window,
 	// and how often a helper's spin budget ran out and it parked.
@@ -429,6 +432,7 @@ type rep struct {
 	ops     int64
 	wall    time.Duration
 	mallocs uint64
+	bytes   uint64 // TotalAlloc delta
 	win     sim.WindowStats
 }
 
@@ -465,7 +469,8 @@ func (c Case) runOnce(shards int) (rep, error) {
 		e.Run(c.horizon)
 		wall := time.Since(t0) //lint:allow detrand benchmark harness: measuring real wall time is its job
 		runtime.ReadMemStats(&after)
-		return rep{events: e.Events(), wall: wall, mallocs: after.Mallocs - before.Mallocs, win: e.WindowStats()}, nil
+		return rep{events: e.Events(), wall: wall, mallocs: after.Mallocs - before.Mallocs,
+			bytes: after.TotalAlloc - before.TotalAlloc, win: e.WindowStats()}, nil
 	}
 	cfg := c.cfg
 	cfg.EngineShards = shards
@@ -477,22 +482,23 @@ func (c Case) runOnce(shards int) (rep, error) {
 	if err != nil {
 		return rep{}, fmt.Errorf("bench: %s: %w", c.Name, err)
 	}
-	return rep{events: res.Events, ops: res.Ops, wall: wall, mallocs: after.Mallocs - before.Mallocs}, nil
+	return rep{events: res.Events, ops: res.Ops, wall: wall, mallocs: after.Mallocs - before.Mallocs,
+		bytes: after.TotalAlloc - before.TotalAlloc}, nil
 }
 
 // Measure runs the case `reps` times at one executor width, one of
 // c.widths: 0 is the serial executor, n >= 1 the windowed one on n workers.
 // The row is labelled by the executor the run reached. Rates come from the
-// fastest rep; the allocation figure from the rep with the fewest mallocs
-// (later reps run with warmed allocator state, so the minimum is the
-// steady-state answer).
+// fastest rep; the allocation figures, count and bytes, from the rep with the
+// fewest mallocs (later reps run with warmed allocator state, so the minimum
+// is the steady-state answer).
 func (c Case) Measure(shards, reps int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	m := Measurement{Name: c.Name, Engine: c.label(shards), Reps: reps}
 	var bestWall time.Duration
-	var minAllocs uint64
+	var fewest rep
 	for r := 0; r < reps; r++ {
 		got, err := c.runOnce(shards)
 		if err != nil {
@@ -506,8 +512,8 @@ func (c Case) Measure(shards, reps int) (Measurement, error) {
 				m.EventsPerWindow = float64(got.win.Events) / float64(got.win.Windows)
 			}
 		}
-		if r == 0 || got.mallocs < minAllocs {
-			minAllocs = got.mallocs
+		if r == 0 || got.mallocs < fewest.mallocs {
+			fewest = got
 		}
 	}
 	if m.WallNS > 0 && m.Events > 0 {
@@ -515,7 +521,8 @@ func (c Case) Measure(shards, reps int) (Measurement, error) {
 		m.NSPerEvent = float64(m.WallNS) / float64(m.Events)
 	}
 	if m.Events > 0 {
-		m.AllocsPerEvent = float64(minAllocs) / float64(m.Events)
+		m.AllocsPerEvent = float64(fewest.mallocs) / float64(m.Events)
+		m.BytesPerEvent = float64(fewest.bytes) / float64(m.Events)
 	}
 	return m, nil
 }

@@ -45,6 +45,10 @@ import (
 // from randomness) so service order is a pure function of the schedule.
 const pollNS = 500
 
+// maxQueueCap bounds Spec.QueueCap: each shard allocates its whole admission
+// ring (24 B a request) when the service is installed, 24 MiB at the bound.
+const maxQueueCap = 1 << 20
+
 // Policy selects what a full admission queue does with overflow.
 type Policy uint8
 
@@ -90,7 +94,7 @@ type Spec struct {
 	// RateOPS is the aggregate offered load in operations per second,
 	// split across shards by key-popularity weight (Poisson splitting).
 	RateOPS float64
-	// QueueCap bounds each shard's admission queue.
+	// QueueCap bounds each shard's admission queue (1 to 1 Mi requests).
 	QueueCap int
 	// Policy is the overflow policy of a full queue.
 	Policy Policy
@@ -130,8 +134,8 @@ func (s Spec) Validate() error {
 	if !(s.RateOPS > 0) {
 		return fmt.Errorf("cluster: arrival rate %v ops/s", s.RateOPS)
 	}
-	if s.QueueCap < 1 {
-		return fmt.Errorf("cluster: queue capacity %d", s.QueueCap)
+	if s.QueueCap < 1 || s.QueueCap > maxQueueCap {
+		return fmt.Errorf("cluster: queue capacity %d (want 1 to %d)", s.QueueCap, maxQueueCap)
 	}
 	if s.ReadPct < 0 || s.ReadPct > 100 {
 		return fmt.Errorf("cluster: read share %d%%", s.ReadPct)
@@ -166,8 +170,10 @@ type shard struct {
 
 	meanGapNS float64 // thinned interarrival mean (1e9 / (λ · W_s))
 
-	queue []request
-	head  int
+	// queue is the admission queue: a ring of exactly QueueCap requests
+	// holding n of them, the oldest at head.
+	queue   []request
+	head, n int
 
 	// Whole-run conservation counters: offered == served + shed always
 	// holds after Finalize (timeouts are a subset of shed).
@@ -181,25 +187,36 @@ type shard struct {
 	readE2E, writeE2E                           stats.Hist
 }
 
-func (sh *shard) qlen() int { return len(sh.queue) - sh.head }
+// newShard builds a shard with its admission ring allocated.
+func newShard(id, node int, keys []int32, queueCap int) *shard {
+	return &shard{id: id, node: node, keys: keys, queue: make([]request, queueCap)}
+}
 
+func (sh *shard) qlen() int { return sh.n }
+
+// push appends r at the tail; the caller has made room (admit).
 func (sh *shard) push(r request) {
-	sh.queue = append(sh.queue, r)
-	if sh.qlen() > sh.maxQueueLen {
-		sh.maxQueueLen = sh.qlen()
+	i := sh.head + sh.n
+	if i >= len(sh.queue) {
+		i -= len(sh.queue)
+	}
+	sh.queue[i] = r
+	sh.n++
+	if sh.n > sh.maxQueueLen {
+		sh.maxQueueLen = sh.n
 	}
 }
 
 func (sh *shard) pop() (request, bool) {
-	if sh.head == len(sh.queue) {
+	if sh.n == 0 {
 		return request{}, false
 	}
 	r := sh.queue[sh.head]
 	sh.head++
 	if sh.head == len(sh.queue) {
-		sh.queue = sh.queue[:0]
 		sh.head = 0
 	}
+	sh.n--
 	return r, true
 }
 
@@ -246,7 +263,7 @@ func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 	c := &Cluster{spec: spec, table: table, sh: make([]*shard, spec.Shards)}
 	prng := e.RNG()
 	for s := 0; s < spec.Shards; s++ {
-		sh := &shard{id: s, node: s % nodes, keys: perKeys[s]}
+		sh := newShard(s, s%nodes, perKeys[s], spec.QueueCap)
 		if shardW[s] > 0 {
 			sh.pick = stats.NewWeighted(perW[s])
 			sh.meanGapNS = 1e9 / (spec.RateOPS * shardW[s])

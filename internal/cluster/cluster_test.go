@@ -115,10 +115,9 @@ func TestRebalanceNoopCases(t *testing.T) {
 	}
 }
 
-// TestShardQueueFIFO: push/pop preserves arrival order through slice
-// compaction.
+// TestShardQueueFIFO: push/pop preserves arrival order as the ring wraps.
 func TestShardQueueFIFO(t *testing.T) {
-	sh := &shard{}
+	sh := newShard(0, 0, nil, 16)
 	for round := 0; round < 3; round++ {
 		for i := int64(0); i < 10; i++ {
 			sh.push(request{client: i})
@@ -143,7 +142,7 @@ func TestShardQueueFIFO(t *testing.T) {
 func TestAdmissionPolicies(t *testing.T) {
 	mk := func(policy Policy) (*Cluster, *shard) {
 		c := &Cluster{spec: Spec{QueueCap: 2, Policy: policy, WarmupNS: 0}}
-		sh := &shard{}
+		sh := newShard(0, 0, nil, c.spec.QueueCap)
 		c.sh = []*shard{sh}
 		return c, sh
 	}
@@ -171,11 +170,60 @@ func TestAdmissionPolicies(t *testing.T) {
 	}
 }
 
+// TestAdmissionRingStaysBounded: 10^5 admissions through a full queue, with a
+// pop after every third, keep the admission ring at exactly QueueCap entries
+// under both policies. The survivors leave in arrival order, the queue never
+// reports more than its capacity, and every offered request is served or shed.
+// (The queue never drains here, so an append-only queue whose head resets
+// only on a drain grows by a slot per admitted request.)
+func TestAdmissionRingStaysBounded(t *testing.T) {
+	const queueCap, arrivals = 64, 100_000
+	for _, policy := range []Policy{DropTail, DropHead} {
+		t.Run(policy.String(), func(t *testing.T) {
+			c := &Cluster{spec: Spec{QueueCap: queueCap, Policy: policy}}
+			sh := newShard(0, 0, nil, queueCap)
+			c.sh = []*shard{sh}
+			last := int64(-1)
+			take := func() {
+				r, ok := sh.pop()
+				if !ok {
+					t.Fatal("pop from a queue admit just filled")
+				}
+				if r.client <= last {
+					t.Fatalf("request %d left after %d", r.client, last)
+				}
+				last = r.client
+				sh.served++
+			}
+			for i := int64(0); i < arrivals; i++ {
+				c.admit(sh, request{client: i, arriveNS: i})
+				if i%3 == 2 {
+					take()
+				}
+			}
+			for sh.qlen() > 0 {
+				take()
+			}
+			if len(sh.queue) != queueCap || cap(sh.queue) != queueCap {
+				t.Errorf("admission ring is %d entries (cap %d), want the %d newShard allocated",
+					len(sh.queue), cap(sh.queue), queueCap)
+			}
+			if sh.maxQueueLen != queueCap {
+				t.Errorf("maxQueueLen = %d, want the capacity %d", sh.maxQueueLen, queueCap)
+			}
+			if sh.offered != arrivals || sh.offered != sh.served+sh.shed || sh.shed < arrivals/2 {
+				t.Errorf("offered %d, served %d, shed %d: want %d offered = served + shed, most of them shed",
+					sh.offered, sh.served, sh.shed, arrivals)
+			}
+		})
+	}
+}
+
 // TestFinalizeSweepsQueued: leftover queued requests become shed, making
 // offered == served + shed exact.
 func TestFinalizeSweepsQueued(t *testing.T) {
 	c := &Cluster{spec: Spec{QueueCap: 8, WarmupNS: 100}}
-	sh := &shard{}
+	sh := newShard(0, 0, nil, c.spec.QueueCap)
 	c.sh = []*shard{sh}
 	for i := int64(0); i < 5; i++ {
 		c.admit(sh, request{client: i, arriveNS: i * 50}) // arrivals 0,50,..200: two post-warmup
@@ -204,6 +252,7 @@ func TestSpecValidate(t *testing.T) {
 		{Shards: 2, WorkersPerShard: 2, Clients: 0, RateOPS: 1000, QueueCap: 4},
 		{Shards: 2, WorkersPerShard: 2, Clients: 10, RateOPS: 0, QueueCap: 4},
 		{Shards: 2, WorkersPerShard: 2, Clients: 10, RateOPS: 1000, QueueCap: 0},
+		{Shards: 2, WorkersPerShard: 2, Clients: 10, RateOPS: 1000, QueueCap: maxQueueCap + 1},
 		{Shards: 2, WorkersPerShard: 2, Clients: 10, RateOPS: 1000, QueueCap: 4, ReadPct: 101},
 		{Shards: 2, WorkersPerShard: 2, Clients: 10, RateOPS: 1000, QueueCap: 4, BurstOnNS: 5},
 	}

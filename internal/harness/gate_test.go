@@ -122,6 +122,7 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"open: negative shards", open, func(c *Config) { c.SvcShards = -1 }, "cluster: -1 shards"},
 		{"open: negative clients", open, func(c *Config) { c.Clients = -1 }, "cluster: client population"},
 		{"open: negative queue cap", open, func(c *Config) { c.SvcQueueCap = -1 }, "cluster: queue capacity"},
+		{"open: queue cap past the ring bound", open, func(c *Config) { c.SvcQueueCap = 1<<20 + 1 }, "cluster: queue capacity"},
 		{"open: read share 101", open, func(c *Config) { c.ReadPct = 101 }, "cluster: read share"},
 		{"open: negative timeout", open, func(c *Config) { c.AcquireTimeout = -1 }, "cluster: negative duration"},
 		{"open: burst on without off", open, func(c *Config) { c.BurstOn = time.Microsecond }, "cluster: burst phases"},

@@ -143,7 +143,8 @@ type Config struct {
 	// SvcPlacement maps keys to shards: "hash" (consistent hashing, the
 	// default) or "home" (shard co-located with the lock's home node).
 	SvcPlacement string `json:",omitempty"`
-	// SvcQueueCap bounds each shard's admission queue; 0 defaults to 64.
+	// SvcQueueCap bounds each shard's admission queue; 0 defaults to 64,
+	// and at most 1 Mi (cluster.Spec.QueueCap) is accepted.
 	SvcQueueCap int `json:",omitempty"`
 	// SvcAdmission is the overflow policy: "drop-tail" (default) or
 	// "drop-head".

@@ -3,11 +3,16 @@
 // CDF export, matching what the paper reports (throughput tables for
 // Figure 5, latency CDFs for Figure 6).
 //
-// The histogram is HDR-style: power-of-two major buckets each split into
-// 16 linear sub-buckets, giving a worst-case quantile error of ~6% across
-// a dynamic range from 1 ns to ~146 µs-per-bucket scales — more than
-// enough resolution to distinguish a 60 ns local acquisition from a 2 µs
-// verb or a 400 µs congested tail.
+// The histogram is HDR-style: values below 16 ns get exact buckets, and
+// every power-of-two range above is split into 16 linear sub-buckets, so a
+// quantile is off by at most one sub-bucket (~6%) anywhere from 16 ns to
+// 2^49 ns (~6.5 days) — more than enough resolution to distinguish a 60 ns
+// local acquisition from a 2 µs verb or a 400 µs congested tail.
+//
+// A Hist's 736 bucket counts (5.75 KiB) are allocated on its first sample,
+// so a histogram nothing is recorded into costs only its header. The
+// counts are shared by copies: do not copy a Hist after its first Add;
+// combine histograms with Merge.
 package stats
 
 import (
@@ -29,9 +34,10 @@ const (
 )
 
 // Hist is a streaming histogram of non-negative int64 samples (typically
-// latencies in nanoseconds). The zero value is ready to use.
+// latencies in nanoseconds). The zero value is ready to use and allocates
+// nothing until its first sample.
 type Hist struct {
-	counts [numBuckets]int64
+	counts []int64 // numBuckets entries once a sample is recorded, nil before
 	n      int64
 	sum    int64
 	min    int64
@@ -78,6 +84,9 @@ func (h *Hist) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
+	if h.counts == nil {
+		h.counts = make([]int64, numBuckets)
+	}
 	h.counts[bucketOf(v)]++
 	if h.n == 0 || v < h.min {
 		h.min = v
@@ -89,10 +98,13 @@ func (h *Hist) Add(v int64) {
 	h.sum += v
 }
 
-// Merge adds all of o's samples into h.
+// Merge adds all of o's samples into h; h keeps its own counts.
 func (h *Hist) Merge(o *Hist) {
 	if o.n == 0 {
 		return
+	}
+	if h.counts == nil {
+		h.counts = make([]int64, numBuckets)
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c

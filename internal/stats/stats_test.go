@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyHist(t *testing.T) {
@@ -114,6 +115,45 @@ func TestMergeIntoEmpty(t *testing.T) {
 	a.Merge(&c) // merging empty is a no-op
 	if a.Count() != 2 {
 		t.Fatal("merging empty changed count")
+	}
+}
+
+// TestEmptyHistAllocatesNothing: a histogram nothing was recorded into costs
+// only its header. Reading it and merging another empty one into it must not
+// allocate the bucket counts, and the header must stay small enough that a
+// struct holding several unused histograms stays small too.
+func TestEmptyHistAllocatesNothing(t *testing.T) {
+	var h, empty Hist
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Merge(&empty)
+		_ = h.Summarize()
+		_ = h.CDF()
+	})
+	if allocs != 0 || h.counts != nil {
+		t.Errorf("never-sampled Hist: %.0f allocs per read, counts allocated: %v", allocs, h.counts != nil)
+	}
+	if size := unsafe.Sizeof(Hist{}); size > 64 {
+		t.Errorf("unsafe.Sizeof(Hist{}) = %d B, want at most 64", size)
+	}
+}
+
+// TestMergeCopiesCounts: Merge copies the source's counts instead of taking
+// them over, so a later Add to the source leaves the target as it was — also
+// when the target had no counts of its own before the merge.
+func TestMergeCopiesCounts(t *testing.T) {
+	var src, dst Hist
+	src.Add(100)
+	dst.Merge(&src)
+	for i := 0; i < 1000; i++ {
+		src.Add(5000)
+	}
+	if cdf := dst.CDF(); len(cdf) != 1 || cdf[0] != (Point{ValueNS: 100, F: 1}) {
+		t.Errorf("target CDF = %v after adds to the merge source, want [{100 1}]", cdf)
+	}
+	dst.Add(100)
+	want := []Point{{ValueNS: 100, F: 1.0 / 1001}, {ValueNS: 5000, F: 1}}
+	if cdf := src.CDF(); len(cdf) != 2 || cdf[0] != want[0] || cdf[1] != want[1] {
+		t.Errorf("source CDF = %v after an add to the target, want %v", cdf, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"alock/internal/api"
 	"alock/internal/locks"
@@ -11,6 +12,18 @@ import (
 	"alock/internal/model"
 	"alock/internal/sim"
 )
+
+// TestThreadResultSize: RunEnv returns a ThreadResult by value into the frame
+// of the workload coroutine that calls it, so the struct's size is stack every
+// simulated thread carries. When its six histograms held their bucket counts
+// inline it was about 35 KiB, which forced every workload coroutine onto a
+// 64 KiB stack; with the counts allocated on a histogram's first sample it is
+// a few hundred bytes.
+func TestThreadResultSize(t *testing.T) {
+	if size := unsafe.Sizeof(ThreadResult{}); size > 1024 {
+		t.Errorf("unsafe.Sizeof(ThreadResult{}) = %d B, want at most 1024", size)
+	}
+}
 
 func TestSpecValidate(t *testing.T) {
 	good := Spec{LocalityPct: 90}
