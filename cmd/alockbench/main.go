@@ -22,10 +22,9 @@
 //	alockbench -scenario deadlock/dining -quick -parallel 8
 //	alockbench -scenario paper/fig5-high-contention -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Algorithms: alock, alock-nobudget, alock-symmetric, spinlock, mcs,
-// filter, bakery, rw-budget, rw-wpref, rw-queue. Algorithms without native
-// shared mode run -read-pct workloads with reads degraded to exclusive;
-// algorithms without a native timed path (filter, bakery) overshoot
+// -h lists the algorithms -algo takes: the lock registry's names. Algorithms
+// without native shared mode run -read-pct workloads with reads degraded to
+// exclusive; algorithms without a native timed path (filter, bakery) overshoot
 // -acquire-timeout deadlines — the acquisition completes but is counted as
 // a late acquire (the grant landed past the deadline), and the unordered
 // transaction policies reject them outright since their recovery depends
@@ -37,10 +36,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"alock/internal/bench"
 	"alock/internal/harness"
+	"alock/internal/locks"
 	"alock/internal/report"
 	"alock/internal/scenario"
 	"alock/internal/sweep"
@@ -50,7 +51,7 @@ func main() {
 	// Every experiment axis binds straight into the Config the run uses;
 	// harness.Config.Validate, reached through Run, is the only gate.
 	var cfg harness.Config
-	flag.StringVar(&cfg.Algorithm, "algo", "alock", "lock algorithm")
+	flag.StringVar(&cfg.Algorithm, "algo", "alock", "lock algorithm: "+strings.Join(locks.Names(), ", "))
 	flag.IntVar(&cfg.Nodes, "nodes", 5, "cluster nodes (1..16)")
 	flag.IntVar(&cfg.ThreadsPerNode, "threads", 8, "threads per node")
 	flag.IntVar(&cfg.Locks, "locks", 100, "lock table size (paper: 20/100/1000)")
@@ -115,10 +116,7 @@ func main() {
 	}()
 
 	if *listScens {
-		fmt.Println("registered scenarios:")
-		for _, sc := range scenario.All() {
-			fmt.Printf("  %-28s %s\n", sc.Name, sc.Description)
-		}
+		scenario.List(os.Stdout)
 		return
 	}
 

@@ -75,7 +75,7 @@ func main() {
 	out := os.Stdout
 
 	if *listScens {
-		listScenarios(out)
+		scenario.List(out)
 		return
 	}
 
@@ -282,11 +282,4 @@ func modelCheck(w io.Writer, quick bool) error {
 			cfg.Procs, cfg.Budget, res.States, res.Transitions)
 	}
 	return nil
-}
-
-func listScenarios(w io.Writer) {
-	fmt.Fprintln(w, "registered scenarios:")
-	for _, sc := range scenario.All() {
-		fmt.Fprintf(w, "  %-28s %s\n", sc.Name, sc.Description)
-	}
 }

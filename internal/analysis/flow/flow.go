@@ -1,9 +1,8 @@
 // Package flow builds per-function control-flow graphs from the AST and
-// provides a small forward dataflow solver over them. It exists so the
-// interprocedural determinism analyzers (guardflow, lockorder) can reason
-// about every path through a function — early returns, loop back-edges,
-// select branches — instead of the single statement order the PR 8
-// analyzers walked.
+// provides a small forward dataflow solver over them. Its one client is the
+// guardflow analyzer, which uses it to reason about every path through a
+// function — early returns, loop back-edges, select branches — instead of a
+// single statement order.
 //
 // The CFG covers the control constructs the module uses: if/else, for and
 // range loops (labeled break/continue included), switch and type switch,

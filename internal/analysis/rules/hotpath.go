@@ -19,7 +19,8 @@ package rules
 // the proved set; `go` edges are not followed — the windowed pool's helper
 // startup is per Run, priced separately from the per-event loop.
 var HotPathRoots = []string{
-	// Serial executor: the stepping API; Run is a loop over it.
+	// Serial executor: the stepping API, one turn of the dispatch loop that
+	// Run and the windowed executor's per-shard drain run to the end.
 	"alock/internal/sim.(*Engine).Step",
 	"alock/internal/sim.(*Engine).ProcessNextEvent",
 

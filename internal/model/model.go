@@ -69,13 +69,18 @@ type Params struct {
 	// causing accumulation in the RNIC's RX buffer"). LoopbackRXThreshold
 	// is the backlog (in verbs) past which a loopback verb's service time
 	// inflates by LoopbackAlpha per excess verb, capped at LoopbackCap.
+	// This regime is what collapses the baselines in Figures 1, 5 and 6,
+	// high contention included: with LoopbackCap 1 every Figure 1/4/5/6 row
+	// moves and every headline ratio roughly halves.
 	LoopbackRXThreshold int
 	LoopbackAlpha       float64
 	LoopbackCap         float64
 
 	// Network verbs only suffer once the RX buffer genuinely overflows —
 	// a much deeper backlog, reachable when many nodes converge on one
-	// responder (the high-contention collapse of Figure 5).
+	// responder. Under CX3 no paper figure reaches it: RemoteCap 1 moves no
+	// Figure 1/4/5/6 byte and no headline ratio, only Figure RW rows
+	// (fail/abandoned-holder, svc/*).
 	RemoteRXThreshold int
 	RemoteAlpha       float64
 	RemoteCap         float64
@@ -83,7 +88,9 @@ type Params struct {
 	// --- QP context caching (§2, [21][31]) ---
 
 	// QPCCacheCap is the number of QP contexts the RNIC cache holds before
-	// thrashing. Wang et al. [31] measure degradation past ~450.
+	// thrashing. Wang et al. [31] measure degradation past ~450. Under CX3
+	// no figure reaches it (QPCCacheCap 1<<20 moves no figure byte); the
+	// qp-thrashing sweep sets its own capacities.
 	QPCCacheCap int
 	// QPCMissPenaltyNS is the extra service time of a verb whose QP context
 	// must be fetched from host memory over PCIe.

@@ -9,6 +9,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -99,6 +100,15 @@ func All() []Scenario {
 		out = append(out, registry[n])
 	}
 	return out
+}
+
+// List writes the registry as the CLIs' -list-scenarios prints it: a header,
+// then one line per scenario — name and description — in All's order.
+func List(w io.Writer) {
+	fmt.Fprintln(w, "registered scenarios:")
+	for _, sc := range All() {
+		fmt.Fprintf(w, "  %-28s %s\n", sc.Name, sc.Description)
+	}
 }
 
 // ByPrefix returns every registered scenario whose name starts with one of

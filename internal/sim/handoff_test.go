@@ -46,7 +46,7 @@ type popResumes struct {
 // serialLoop drains e on the ProcessNextEvent loop, logging every pop.
 func (l *runLog) serialLoop(e *Engine) {
 	for e.HasPendingEvents() {
-		ev := e.q.min()
+		ev := e.tl.q.min()
 		l.pops[ev.dest()] = append(l.pops[ev.dest()], popSeen{ev.at, ev.seq, ev.th.id, ev.kind})
 		l.resumes = append(l.resumes, popResumes{ev.at, e.Resumes()})
 		e.ProcessNextEvent()

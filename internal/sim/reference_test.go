@@ -50,18 +50,18 @@ func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 	mirrored := map[uint64]bool{} // by seq, which is unique
 	e.SetHorizon(stopAt)
 	for e.HasPendingEvents() {
-		for _, ev := range e.q.pending() {
+		for _, ev := range e.tl.q.pending() {
 			if !mirrored[ev.seq] {
 				mirrored[ev.seq] = true
 				heap.Push(&mirror, ev)
 			}
 		}
-		if e.q.len() != mirror.Len() {
-			t.Fatalf("after %d pops: production queue holds %d events, reference %d", pops, e.q.len(), mirror.Len())
+		if e.tl.q.len() != mirror.Len() {
+			t.Fatalf("after %d pops: production queue holds %d events, reference %d", pops, e.tl.q.len(), mirror.Len())
 		}
 		want := heap.Pop(&mirror).(event)
 		delete(mirrored, want.seq)
-		if got := *e.q.min(); got != want {
+		if got := *e.tl.q.min(); got != want {
 			t.Fatalf("pop %d diverged: production (at=%d seq=%d), reference (at=%d seq=%d)",
 				pops, got.at, got.seq, want.at, want.seq)
 		}

@@ -2,16 +2,16 @@
 // parallel executor.
 //
 // Every node of the simulated cluster owns a shard: its sequence counter,
-// its clock, its torn-RMW book, and — through event destinations
-// (event.dest) — its NIC and in-flight congestion counters and its region
-// of cluster memory. Under both executors the shards are where sequence
-// numbers are issued and torn state lives. The shard's event queue (one
-// typed 4-ary heap) belongs to the windowed executor alone: runWindowed
-// scatters the engine's global queue onto the owning shards at entry and
-// returns with every shard queue empty — drained, or handed back to the
-// global queue when the stop guard ends the windows early — so outside a
-// windowed Run all pending events are on the global queue (where Step and
-// the serial Run pop them).
+// its torn-RMW book, a pointer to the timeline it runs on, and — through
+// event destinations (event.dest) — its NIC and in-flight congestion counters
+// and its region of cluster memory. Under both executors the shards are where
+// sequence numbers are issued and torn state lives. Each shard also owns a
+// timeline (shard.own) that only the windowed executor runs it on: at entry
+// runWindowed scatters the engine's timeline onto the shards' own — clock,
+// and each shard's pending events — and every way out gathers them back,
+// drained, or with what is left when the stop guard ends the windows early.
+// Outside a windowed Run every shard runs on the engine's timeline (where
+// Step and the serial Run pop), and its own is empty.
 //
 // The windowed executor is classic conservative parallel discrete-event
 // simulation. Nodes interact only through verbs with a hard latency floor
@@ -20,16 +20,16 @@
 // before minHead+lookahead. Everything in [minHead, minHead+lookahead) is
 // therefore safe to execute, per shard, concurrently:
 //
-//	entry:    scatter the global queue onto the owning shards' queues
+//	entry:    scatter the engine's timeline onto the shards' own
 //	barrier:  drain cross-shard outboxes into owning shards' queues
 //	window:   wend = min(shard heads) + lookahead
-//	guard:    if the stop guard says a stop could land in the window, move
-//	          every shard queue back to the global queue and return: Run
-//	          finishes on the serial loop
+//	guard:    if the stop guard says a stop could land in the window, return:
+//	          Run finishes on the serial loop
 //	execute:  each shard pops (at, seq) order while head < wend, on the
 //	          worker that owns it — one of up to `workers` goroutines (slots
 //	          permitting); cross-shard sends buffer in the sender's outbox
 //	repeat    until no events remain
+//	exit:     gather the shards' timelines back onto the engine's
 //
 // Threads switch exactly as they do under the serial executor: the worker
 // that owns a shard is the resumer (Thread.resume) of that shard's
@@ -60,6 +60,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -83,8 +84,11 @@ type shard struct {
 	e    *Engine
 	node int
 
-	seqCtr uint64     // local issue counter (low bits of seq)
-	q      eventQueue // this node's pending events (during a windowed Run only)
+	seqCtr uint64 // local issue counter (low bits of seq)
+	// tl is the timeline the shard's events run on: the engine's, which every
+	// shard shares, except during a windowed Run, when it is own.
+	tl  *timeline
+	own timeline
 
 	// loopInFlight / remoteInFlight count the operations of each class
 	// currently occupying this node's NIC; the congestion model inflates verb
@@ -103,17 +107,10 @@ type shard struct {
 	// this shard's timeline under both executors.
 	tornHeld []ptr.Ptr
 
-	// Windowed-executor state. now is the shard clock (threads observe it
-	// via Ctx.Now while windowed); wend is the current window's exclusive
-	// end; events counts dispatches since Run began, folded into the
-	// engine counter at the final barrier. outbox buffers cross-shard
-	// sends until the next barrier. active marks the shard as executing the
-	// current window, for the access auditor. trap carries a dispatch
-	// failure or a thread body's panic to the barrier, which re-panics it
-	// on the Run caller.
-	now    int64
-	wend   int64
-	events uint64
+	// Windowed-executor state. outbox buffers cross-shard sends until the
+	// next barrier. active marks the shard as executing the current window,
+	// for the access auditor. trap carries a dispatch failure or a thread
+	// body's panic to the barrier, which re-panics it on the Run caller.
 	outbox []event
 	active atomic.Bool
 	trap   error
@@ -128,7 +125,7 @@ type tornWrite struct {
 }
 
 func newShard(e *Engine, node int) *shard {
-	return &shard{e: e, node: node}
+	return &shard{e: e, node: node, tl: &e.tl}
 }
 
 // holdTorn marks the word at p as mid-tear for the remote RMW whose read half
@@ -163,43 +160,13 @@ func (s *shard) nextSeq() uint64 {
 	return seq
 }
 
-// runWindow executes this shard's events with at < s.wend in (at, seq)
-// order, on the worker that owns the shard: wake-ups and
-// completions resume their thread until it suspends again or exits;
-// protocol events execute inline. A time regression, a blown event budget
-// or a thread body's panic traps (recorded in s.trap; the barrier
-// re-panics it) — the engine is unusable afterwards.
+// runWindow executes this shard's events before the window end in (at, seq)
+// order, on the worker that owns the shard — dispatch on the shard's own
+// timeline. A trap is recorded in s.trap for the barrier to re-panic; the
+// engine is unusable afterwards.
 func (s *shard) runWindow() {
 	defer s.active.Store(false)
-	for s.q.len() > 0 {
-		if s.q.min().at >= s.wend {
-			return
-		}
-		ev := s.q.pop()
-		if ev.at < s.now {
-			s.trap = fmt.Errorf("sim: shard %d: time went backwards (%dns after %dns)", s.node, ev.at, s.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
-			return
-		}
-		s.now = ev.at
-		s.events++
-		if s.events > s.e.maxEvents {
-			s.trap = fmt.Errorf("sim: shard %d: exceeded %d events at t=%dns — livelock?", s.node, s.e.maxEvents, s.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
-			return
-		}
-		if hook := s.e.onWindowEvent; hook != nil {
-			hook(s, ev)
-		}
-		if ev.kind == evWake || ev.kind == evComplete {
-			if ev.th.nops != 0 && !ev.th.step() {
-				continue // the thread's next local op is under way: it stays parked
-			}
-			if s.trap = ev.th.resume(); s.trap != nil {
-				return
-			}
-			continue
-		}
-		s.e.execProtocol(s, ev)
-	}
+	s.trap = s.e.dispatch(&s.own, math.MaxInt)
 }
 
 // cacheLine separates words that different workers write, so that a worker
@@ -427,7 +394,7 @@ func (p *windowPool) yield() {
 
 // activate hands shard s to its owner for the window ending at wend.
 func (p *windowPool) activate(s *shard, wend int64) {
-	s.wend = wend
+	s.own.wend = wend
 	p.assigned[s.node%p.width]++
 	s.active.Store(true)
 }
@@ -536,8 +503,9 @@ type WindowStats struct {
 // zero value if there was none).
 func (e *Engine) WindowStats() WindowStats { return e.winStats }
 
-// clearWindowed is runWindowed's deferred exit hook.
-func (e *Engine) clearWindowed() { e.windowed = false }
+// windowed reports whether a windowed Run is in progress: whether the shards
+// run on timelines of their own.
+func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 
 // runWindowed is Run's windowed driver. Concurrency is governed by
 // the process-wide execution-slot budget (internal/slots): the Run caller
@@ -548,7 +516,8 @@ func (e *Engine) clearWindowed() { e.windowed = false }
 // coordinator owning every shard. The window structure (and therefore every
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
-// guard asked for the serial loop, with the rest of them on the global queue.
+// guard asked for the serial loop, with the rest of them on the engine's
+// timeline.
 func (e *Engine) runWindowed() {
 	want := e.workers
 	if n := len(e.shards); want > n {
@@ -557,111 +526,101 @@ func (e *Engine) runWindowed() {
 	extra := slots.TryAcquire(want - 1)
 	defer slots.Release(extra)
 
-	e.windowed = true
-	defer e.clearWindowed()
 	if e.audit {
 		e.curShard.Store(auditParallel)
 		defer e.curShard.Store(auditIdle)
 	}
-	for _, s := range e.shards {
-		s.now = e.now
-		s.events = 0
-	}
-	// Hand the pending events over to their owning shards; the loop below
-	// ends only when every shard queue has drained again.
-	for e.q.len() > 0 {
-		ev := e.q.pop()
-		e.shards[ev.dest()].q.push(ev)
-	}
+	e.scatter()
+	defer e.gather() // drained or handed off; the trap paths gather first
 
 	pool := newWindowPool(e, extra)
 	defer pool.close()
-	total := e.events // dispatched so far, as of the last barrier
+	total := e.tl.events // dispatched so far, as of the last barrier
 	for {
 		// Barrier: deliver cross-shard sends to their owning shards.
 		for _, s := range e.shards {
 			for _, ev := range s.outbox {
-				e.shards[ev.dest()].q.push(ev)
+				e.shards[ev.dest()].own.q.push(ev)
 			}
 			s.outbox = s.outbox[:0]
 		}
 		// Global minimum head; done when every queue is empty.
 		minHead, any := int64(0), false
 		for _, s := range e.shards {
-			if s.q.len() == 0 {
+			if s.own.q.len() == 0 {
 				continue
 			}
-			if h := s.q.min().at; !any || h < minHead {
+			if h := s.own.q.min().at; !any || h < minHead {
 				minHead, any = h, true
 			}
 		}
 		if !any {
-			break
+			return
 		}
-		// Aggregate event budget (per-shard overshoot traps in runWindow).
+		// Aggregate event budget (per-shard overshoot traps in dispatch).
 		if total > e.maxEvents {
-			e.foldShards()
+			e.gather()
 			e.stopThreads()
-			panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now))
+			panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.tl.now))
 		}
 		if hook := e.onBarrier; hook != nil {
 			hook()
 		}
 		if guard := e.stopGuard; guard != nil && guard(e.lookahead) {
 			pool.stats.HandoffAt = minHead
-			e.handOff()
 			return
 		}
 		// The safe window: nothing can cross shards before minHead+lookahead.
 		wend := minHead + e.lookahead
 		for _, s := range e.shards {
-			if s.q.len() > 0 && s.q.min().at < wend {
+			if s.own.q.len() > 0 && s.own.q.min().at < wend {
 				pool.activate(s, wend)
 			}
 		}
 		pool.runWindow()
 		before := total
-		total = e.events
+		total = e.tl.events
 		for _, s := range e.shards {
 			if s.trap != nil {
-				e.foldShards()
+				e.gather()
 				e.stopThreads()
 				panic(s.trap)
 			}
-			total += s.events
+			total += s.own.events
 		}
 		pool.recordWindow(total - before)
 	}
-	e.foldShards()
 }
 
-// handOff ends a windowed Run at a barrier with events still pending: it moves
-// every shard queue back onto the global queue and folds the shards, leaving
-// the engine as the serial executor would have it at the same point — every
-// pending event lies at or after the last window's end, so nothing the serial
-// loop pops next is behind the folded clock.
-func (e *Engine) handOff() {
+// scatter moves the engine's timeline onto the shards' own: each starts at
+// the engine's clock with no events counted, and takes the pending events it
+// owns.
+func (e *Engine) scatter() {
 	for _, s := range e.shards {
-		for s.q.len() > 0 {
-			e.q.push(s.q.pop())
-		}
+		s.own.now, s.own.events = e.tl.now, 0
+		s.tl = &s.own
 	}
-	e.foldShards()
+	for e.tl.q.len() > 0 {
+		ev := e.tl.q.pop()
+		e.shards[ev.dest()].own.q.push(ev)
+	}
 }
 
-// foldShards commits the windowed run's per-shard state back to the
-// engine: the clock advances to the latest shard clock, the per-shard
-// event counts fold into the engine counter, and the stop flag is
-// recomputed for the serial Stopped path.
-func (e *Engine) foldShards() {
+// gather is scatter's inverse, at the end of a windowed Run or at the barrier
+// where the stop guard hands it to the serial loop: every shard's pending
+// events move back onto the engine's timeline, whose clock advances to the
+// latest shard clock and whose counter takes the shards' events, and the
+// shards run on it again. Every pending event lies at or after the last
+// window's end, so nothing the serial loop pops next is behind the clock. A
+// second gather changes nothing.
+func (e *Engine) gather() {
 	for _, s := range e.shards {
-		if s.now > e.now {
-			e.now = s.now
+		for s.own.q.len() > 0 {
+			e.tl.q.push(s.own.q.pop())
 		}
-		e.events += s.events
-		s.events = 0
-	}
-	if e.stopRequested || e.now >= e.stopAt {
-		e.stopped = true
+		e.tl.now = max(e.tl.now, s.own.now)
+		e.tl.events += s.own.events
+		s.own.events = 0
+		s.tl = &e.tl
 	}
 }

@@ -108,7 +108,7 @@ func TestShardedSerialBitIdentical(t *testing.T) {
 // empty — the invariant outside a windowed Run.
 func shardQueuesEmpty(e *Engine) bool {
 	for _, s := range e.shards {
-		if s.q.len() > 0 || len(s.outbox) > 0 {
+		if s.own.q.len() > 0 || len(s.outbox) > 0 {
 			return false
 		}
 	}
@@ -320,8 +320,8 @@ func TestWindowStatsAccounting(t *testing.T) {
 		var mu sync.Mutex
 		e.onWindowEvent = func(s *shard, _ event) {
 			mu.Lock()
-			if s.wend != lastWend[s.node] {
-				lastWend[s.node] = s.wend
+			if s.own.wend != lastWend[s.node] {
+				lastWend[s.node] = s.own.wend
 				shardWindows[s.node]++
 			}
 			mu.Unlock()
@@ -426,9 +426,9 @@ func TestWindowSafetyProperty(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		dispatched++
-		if ev.at >= s.wend {
+		if ev.at >= s.own.wend {
 			violations = append(violations,
-				fmt.Sprintf("shard %d dispatched t=%d beyond window end %d", s.node, ev.at, s.wend))
+				fmt.Sprintf("shard %d dispatched t=%d beyond window end %d", s.node, ev.at, s.own.wend))
 		}
 		if ev.at < lastAt[s.node] {
 			violations = append(violations,

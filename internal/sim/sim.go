@@ -16,27 +16,37 @@
 // its region of memory, the torn-RMW book-keeping for words it homes — and
 // all cross-node interaction is routed as events on the owning shard's
 // timeline through the verb protocol (evArrive/evExec/evComplete below).
-// Two executors share that one event protocol, with one queue
-// representation each:
 //
-//   - serial (an engine built without WithShards): one flat event queue
-//     (e.q), drained by ProcessNextEvent on the caller's goroutine — Run is
-//     that loop, Step is one turn of it at any width.
+// A timeline is one event loop's state — pending-event queue, clock, event
+// count, window end — and dispatch is the loop: pop, advance, count, then
+// step, resume or run the protocol handler, until the window ends. Two
+// executors share the event protocol, the timeline type and dispatch; they
+// differ only in which timeline a shard runs on:
+//
+//   - serial (an engine built without WithShards): every shard runs on the
+//     engine's timeline (e.tl), whose window never ends, drained by dispatch
+//     on the caller's goroutine — Run is that loop, Step (ProcessNextEvent)
+//     is one turn of it at any width.
 //   - windowed (WithShards(n), n >= 1): the conservative executor in
-//     shard.go. For the duration of a Run it moves the pending events onto
-//     per-shard queues and runs each shard's events inside the safe window
-//     [window start, min(shard heads) + lookahead) on the pool worker that
-//     owns the shard for the Run, barriers, repeats. Lookahead is the
-//     minimum cross-node verb latency (model.Params.RemoteWireNS), and every
-//     cross-shard event is sent at least one lookahead ahead of the
-//     sender's clock, so no shard can receive anything that lands inside
-//     the window it is executing — results are bit-identical to serial. One
-//     worker is the coordinator alone: no helper, no barrier wait, and a
-//     node's threads run through a window without popping past any other
-//     node's events, which is what the lookahead buys on one core. A stop
-//     guard (SetStopGuard) can hand a Run back to the serial loop at a
-//     barrier, with every pending event on e.q again. The shard queues are
-//     empty whenever no windowed Run is in progress.
+//     shard.go. For the duration of a Run each shard runs on a timeline of
+//     its own, which takes the shard's pending events, and executes them
+//     inside the safe window [window start, min(shard heads) + lookahead)
+//     on the pool worker that owns the shard for the Run, barriers, repeats.
+//     Lookahead is the minimum cross-node verb latency
+//     (model.Params.RemoteWireNS), and every cross-shard event is sent at
+//     least one lookahead ahead of the sender's clock, so no shard can
+//     receive anything that lands inside the window it is executing —
+//     results are bit-identical to serial. One worker is the coordinator
+//     alone: no helper, no barrier wait, and a node's threads run through a
+//     window without popping past any other node's events, which is what
+//     the lookahead buys on one core. A stop guard (SetStopGuard) can hand a
+//     Run back to the serial loop at a barrier. Either way the Run ends with
+//     the shards back on the engine's timeline and every pending event on
+//     it.
+//
+// Everything a thread does to the clock — read it, schedule on it, advance it
+// in place — goes to the timeline its shard currently runs on, so no thread
+// operation asks which executor is running.
 //
 // Determinism: given the same seed, workload and model, every run produces
 // bit-identical schedules, throughputs and latencies under either executor.
@@ -49,13 +59,14 @@
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no interface
 // boxing, zero allocations per event in steady state, and a pop that leaves
 // the root open for the popped event's own successor to fill — and there is
-// one thread-switch primitive. The executor (ProcessNextEvent, or
-// shard.runWindow on the shard's worker) is always the resumer: it pops an
-// event and, for a wake-up or completion, calls Thread.resume, which runs the
-// thread's coroutine until Thread.suspend yields back. A coroutine switch is a
-// direct goroutine-to-goroutine transfer inside the runtime — no channel, no
-// scheduler pass — and still the dearest thing an event can do, so an event
-// pays for one only when the thread's code has something to learn from it.
+// one thread-switch primitive. The executor (dispatch, run by Run and
+// ProcessNextEvent or by shard.runWindow on the shard's worker) is always the
+// resumer: it pops an event and, for a wake-up or completion, calls
+// Thread.resume, which runs the thread's coroutine until Thread.suspend yields
+// back. A coroutine switch is a direct goroutine-to-goroutine transfer inside
+// the runtime — no channel, no scheduler pass — and still the dearest thing an
+// event can do, so an event pays for one only when the thread's code has
+// something to learn from it.
 // Local operations (and the legs of a loopback verb, the three of a torn RCAS
 // included) are posted: the call appends the operation to a small per-thread
 // FIFO (Thread.post) and Write, Fence and Pause, which return nothing, return
@@ -114,6 +125,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync/atomic"
@@ -163,6 +175,19 @@ func destFor(kind uint8, t *Thread) int16 {
 	}
 }
 
+// timeline is one event loop's state: the pending events, the clock, the
+// events dispatched on it and the end of the window the loop may run to. The
+// engine's timeline carries every node (its window never ends); during a
+// windowed Run each shard runs on one of its own (shard.go). Everything that
+// reads the clock, queues an event or advances in place does it on the
+// timeline of the thread's shard, whichever that is.
+type timeline struct {
+	q      eventQueue
+	now    int64
+	events uint64
+	wend   int64 // exclusive: the loop dispatches only events before it
+}
+
 // curShard sentinels for the access auditor.
 const (
 	auditIdle     int32 = -1 // no run in progress: setup/teardown may touch anything
@@ -177,11 +202,11 @@ type Engine struct {
 	seed  int64
 	rngs  PartitionedRNG
 
-	// q is the global event queue: it holds every pending event except
-	// during a windowed Run, which scatters it onto the shard queues at
-	// entry and leaves it (and them) empty at exit. shards always exist:
-	// they own seq issue and torn-RMW state under both executors.
-	q      eventQueue
+	// tl is the engine's timeline: it holds every pending event except during
+	// a windowed Run, which scatters its queue onto the shards' own timelines
+	// at entry and gathers them back at exit. shards always exist: they own
+	// seq issue and torn-RMW state under both executors.
+	tl     timeline
 	shards []*shard
 	// workers is WithShards' executor width: 0 (unset) = the serial
 	// executor, n >= 1 = the conservative windowed executor on n workers for
@@ -198,22 +223,16 @@ type Engine struct {
 	// engine when that Run's worker pool is (WindowStats).
 	winStats WindowStats
 
-	now    int64
-	stopAt int64
-	// stopped is what Thread.Stopped reports on the serial paths; it is
-	// raised by the clock crossing stopAt or by RequestStop. stopRequested
-	// records an explicit RequestStop so a later SetHorizon cannot un-stop
-	// the run. RequestStop never runs inside a window, so threads on parallel
-	// shards read it with the window barrier ordering them after the write.
-	stopped       bool
+	// The run is stopped once a timeline's clock reaches stopAt, or from an
+	// explicit RequestStop on (stopRequested, sticky: a later SetHorizon
+	// cannot un-stop the run). RequestStop never runs inside a window, so
+	// threads on parallel shards read it with the window barrier ordering
+	// them after the write.
+	stopAt        int64
 	stopRequested bool
 
 	threads []*Thread
-	// windowed marks a parallel Run in progress: events queue on the shards
-	// and threads read their shard's clock (shard.go).
-	windowed bool
 
-	events    uint64
 	maxEvents uint64
 
 	// audit enables the debug access-audit mode: curShard tracks which
@@ -284,7 +303,8 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:      make([]*nic.NIC, nodes),
 		seed:      seed,
 		rngs:      NewPartitionedRNG(seed),
-		stopAt:    1<<63 - 1,
+		tl:        timeline{wend: math.MaxInt64},
+		stopAt:    math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
 	}
@@ -323,14 +343,6 @@ func (e *Engine) auditAccess(node int) {
 	}
 }
 
-// setCurShard records which shard's timeline the next dispatch executes on,
-// for the access auditor. No-op (no atomic traffic) when auditing is off.
-func (e *Engine) setCurShard(ev event) {
-	if e.audit {
-		e.curShard.Store(int32(ev.dest()))
-	}
-}
-
 // Space exposes the cluster memory for setup code (e.g. allocating a lock
 // table before threads start). It must not be touched while Run is active.
 func (e *Engine) Space() *mem.Space { return e.space }
@@ -342,7 +354,7 @@ func (e *Engine) Model() model.Params { return e.p }
 func (e *Engine) NIC(i int) *nic.NIC { return e.nics[i] }
 
 // Now returns the current virtual time in nanoseconds.
-func (e *Engine) Now() int64 { return e.now }
+func (e *Engine) Now() int64 { return e.tl.now }
 
 // RequestStop makes Stopped() return true from this point on, regardless
 // of the time horizon. It may be called from inside a simulated thread
@@ -354,28 +366,29 @@ func (e *Engine) Now() int64 { return e.now }
 // first; a RequestStop inside a window panics — no guard, or one whose bound
 // is unsound.
 func (e *Engine) RequestStop() {
-	if e.windowed {
+	if e.windowed() {
 		panic("sim: RequestStop inside a window: the stop guard is missing or its bound is unsound")
 	}
 	e.stopRequested = true
-	e.stopped = true
 }
 
 // SetStopGuard installs the windowed executor's stop guard: at every barrier
 // of a windowed Run, before a window of `window` ns is handed out, guard is
 // asked whether a RequestStop could land inside it, and the first true hands
-// the rest of the Run to the serial ProcessNextEvent loop — the global order a
-// mid-run stop needs. guard runs on the Run caller with no thread running; it
-// must answer from state the threads leave behind at a barrier. Set it before
-// Run.
+// the rest of the Run to the serial loop — the global order a mid-run stop
+// needs. guard runs on the Run caller with no thread running; it must answer
+// from state the threads leave behind at a barrier. Set it before Run.
 func (e *Engine) SetStopGuard(guard func(window int64) bool) { e.stopGuard = guard }
 
 // Stopped reports whether threads currently observe Stopped() == true —
 // either the clock passed the horizon or RequestStop was called.
-func (e *Engine) Stopped() bool { return e.stopped }
+func (e *Engine) Stopped() bool { return e.stoppedAt(e.tl.now) }
+
+// stoppedAt is the stop as a thread whose clock reads now observes it.
+func (e *Engine) stoppedAt(now int64) bool { return e.stopRequested || now >= e.stopAt }
 
 // Events returns the number of events processed so far.
-func (e *Engine) Events() uint64 { return e.events }
+func (e *Engine) Events() uint64 { return e.tl.events }
 
 // Resumes returns how many times the executor has switched into a simulated
 // thread's coroutine so far: the events that cost a thread switch, out of
@@ -409,65 +422,90 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 	}
 	t.next, t.stop = iter.Pull(t.run)
 	e.threads = append(e.threads, t)
-	e.scheduleEv(t.shard, e.now, evWake, t) // start at the current virtual time
+	e.scheduleEv(t.shard, e.tl.now, evWake, t) // start at the current virtual time
 	return t
 }
 
 // scheduleEv creates an event on `from`'s timeline (consuming one of its
-// sequence numbers) and queues it: on the global queue, or — during a
-// windowed Run — on its destination shard's queue. There a cross-shard send
-// is deferred to the sender's outbox, which the barrier drains; the
-// conservative contract that makes this safe — nothing may cross shards
-// with less than one lookahead of slack — is asserted here.
+// sequence numbers) and queues it there when its destination shard runs on
+// the same timeline — always, outside a windowed Run. A send to a shard on
+// another timeline is deferred to the sender's outbox, which the barrier
+// drains; the conservative contract that makes this safe — nothing may cross
+// shards with less than one lookahead of slack — is asserted here.
 func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 	ev := event{at: at, seq: from.nextSeq(), th: t, kind: kind, dst: destFor(kind, t)}
-	if e.windowed {
-		dst := e.shards[ev.dest()]
-		if dst == from {
-			dst.q.push(ev)
-			return
-		}
-		if at < from.now+e.lookahead {
-			panic(fmt.Sprintf(
-				"sim: lookahead violation: shard %d sent a t=%dns event to shard %d at t=%dns (lookahead %dns)",
-				from.node, at, dst.node, from.now, e.lookahead))
-		}
-		from.outbox = append(from.outbox, ev)
+	tl, dst := from.tl, e.shards[ev.dest()]
+	if dst.tl == tl {
+		tl.q.push(ev)
 		return
 	}
-	e.q.push(ev)
+	if at < tl.now+e.lookahead {
+		panic(fmt.Sprintf(
+			"sim: lookahead violation: shard %d sent a t=%dns event to shard %d at t=%dns (lookahead %dns)",
+			from.node, at, dst.node, tl.now, e.lookahead))
+	}
+	from.outbox = append(from.outbox, ev)
 }
 
-// pending reports the number of scheduled events.
-func (e *Engine) pending() int { return e.q.len() }
+// pending reports the number of events scheduled on the engine's timeline.
+func (e *Engine) pending() int { return e.tl.q.len() }
 
-// pop removes and returns the earliest event; the queue must be non-empty.
-func (e *Engine) pop() event { return e.q.pop() }
-
-// minAt returns the earliest scheduled time; ok is false on an empty queue.
-func (e *Engine) minAt() (at int64, ok bool) {
-	if e.q.len() == 0 {
-		return 0, false
+// dispatch is the event loop both executors run: while the earliest of tl's
+// events lies before tl's window end, and for at most limit of them, it pops
+// the event, advances tl's clock to it, counts it and processes it — a thread
+// wake-up or verb completion steps the thread's posted operations and resumes
+// the thread once they are done, a verb-protocol event executes inline. It
+// returns the trap that makes the engine unusable — time going backwards, the
+// event budget blown (a livelock in the simulated system) or the resumed
+// thread's body panicking — for the caller to raise on the goroutine driving
+// the Run.
+//
+// The loop is the shared unit, not one event's body: a coroutine switch leaves
+// the CPU's return-address prediction in the thread's stack, so every return
+// between a resume and the next pop mispredicts. A per-event function costs
+// one such return per resume — about a fifth more host time per event on
+// fail/timeout-recovery, whose threads are resumed often.
+func (e *Engine) dispatch(tl *timeline, limit int) error {
+	for n := 0; n < limit && tl.q.len() > 0 && tl.q.min().at < tl.wend; n++ {
+		ev := tl.q.pop()
+		if ev.at < tl.now {
+			return fmt.Errorf("sim: time went backwards (%dns after %dns)", ev.at, tl.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
+		}
+		tl.now = ev.at
+		tl.events++
+		if tl.events > e.maxEvents {
+			return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, tl.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
+		}
+		if e.audit || e.onWindowEvent != nil {
+			e.observe(tl, ev)
+		}
+		if ev.kind == evWake || ev.kind == evComplete {
+			if ev.th.nops != 0 && !ev.th.step() {
+				continue // the thread's next local op is under way: it stays parked
+			}
+			if err := ev.th.resume(); err != nil {
+				return err
+			}
+			continue
+		}
+		e.execProtocol(e.shards[ev.dest()], ev)
 	}
-	return e.q.min().at, true
+	return nil
 }
 
-// account applies one event dispatch's bookkeeping: clock advance, horizon
-// check, event counting and the runaway guard. It runs on the driving
-// goroutine only, so its failures panic right there.
-func (e *Engine) account(at int64) {
-	if at < e.now {
-		e.stopThreads()
-		panic(fmt.Errorf("sim: time went backwards (%dns after %dns)", at, e.now))
+// observe is dispatch's debug and test bookkeeping. On the engine's timeline
+// the access auditor checks every touch against the event's shard exactly; on
+// a shard's own timeline the per-shard active flags carry that check, and the
+// window hook sees the event.
+func (e *Engine) observe(tl *timeline, ev event) {
+	if tl == &e.tl {
+		if e.audit {
+			e.curShard.Store(int32(ev.dest()))
+		}
+		return
 	}
-	e.now = at
-	if e.now >= e.stopAt {
-		e.stopped = true
-	}
-	e.events++
-	if e.events > e.maxEvents {
-		e.stopThreads()
-		panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now))
+	if hook := e.onWindowEvent; hook != nil {
+		hook(e.shards[ev.dest()], ev)
 	}
 }
 
@@ -486,10 +524,7 @@ func (e *Engine) stopThreads() {
 // in place of Run's stopAt argument. Extending the horizon un-stops a run
 // that had merely crossed the previous horizon, but never one that called
 // RequestStop — an explicit stop is sticky.
-func (e *Engine) SetHorizon(stopAt int64) {
-	e.stopAt = stopAt
-	e.stopped = e.stopRequested || e.now >= stopAt
-}
+func (e *Engine) SetHorizon(stopAt int64) { e.stopAt = stopAt }
 
 // HasPendingEvents reports whether any event remains scheduled.
 func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
@@ -497,7 +532,10 @@ func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
 // PeekNextEventTime returns the virtual time of the earliest pending event
 // without processing it; ok is false when no event is pending.
 func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
-	return e.minAt()
+	if e.pending() == 0 {
+		return 0, false
+	}
+	return e.tl.q.min().at, true
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -565,31 +603,19 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 }
 
 // ProcessNextEvent pops the earliest pending event, advances the virtual
-// clock to it, and processes it on the calling goroutine: a thread wake-up
-// or verb completion resumes its thread until that thread suspends again or
-// exits; a verb-protocol event executes inline. It reports whether an event
-// was processed (false means the queue is empty). Panics on time regression,
-// when the event budget is exceeded (a livelock in the simulated system),
-// or when the resumed thread's body panicked; the engine is unusable
-// afterwards.
+// clock to it, and processes it on the calling goroutine (one turn of dispatch
+// on the engine's timeline). It reports whether an event was processed (false means
+// the queue is empty). Panics on time regression, when the event budget is
+// exceeded, or when the resumed thread's body panicked, after every thread has
+// been unwound; the engine is unusable afterwards.
 func (e *Engine) ProcessNextEvent() bool {
 	if e.pending() == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.account(ev.at)
-	e.setCurShard(ev)
-	if ev.kind == evWake || ev.kind == evComplete {
-		if ev.th.nops != 0 && !ev.th.step() {
-			return true // the thread's next local op is under way: it stays parked
-		}
-		if err := ev.th.resume(); err != nil {
-			e.stopThreads()
-			panic(err)
-		}
-		return true
+	if err := e.dispatch(&e.tl, 1); err != nil {
+		e.stopThreads()
+		panic(err)
 	}
-	e.execProtocol(e.shards[ev.dest()], ev)
 	return true
 }
 
@@ -605,16 +631,16 @@ func (e *Engine) Step() bool {
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
 //
-// The serial executor is the ProcessNextEvent loop, nothing more;
-// WithShards engages the conservative windowed executor in shard.go, which
-// returns with every event dispatched — or, when its stop guard says a stop
-// could land in the next window, with the rest of them back on the global
-// queue for the same loop to finish. Semantics are identical in every mode:
-// event order, the events counter and all memory effects come from the same
-// total order. A dispatch failure (time regression, event-budget livelock)
-// or a panic in a thread's body panics on the caller's goroutine in all
-// modes, after every other thread has been unwound; the engine is unusable
-// afterwards.
+// The serial executor is dispatch on the engine's timeline, nothing more
+// (ProcessNextEvent is one turn of it); WithShards engages the conservative
+// windowed executor in shard.go, which returns with every event dispatched —
+// or, when its stop guard says a stop could land in the next window, with the
+// rest of them back on the engine's timeline for the serial loop to finish.
+// Semantics are identical in every mode: event order, the events counter and
+// all memory effects come from the same total order. A dispatch failure (time
+// regression, event-budget livelock) or a panic in a thread's body panics on
+// the caller's goroutine in all modes, after every other thread has been
+// unwound; the engine is unusable afterwards.
 //
 // The closing "blocked forever" check is an internal invariant of the
 // engine, not a workload-reachable outcome: every api.Ctx call that
@@ -631,11 +657,13 @@ func (e *Engine) Run(stopAt int64) {
 	if windowed {
 		e.runWindowed()
 	}
-	handoff := e.events
-	for e.ProcessNextEvent() {
+	handoff := e.tl.events
+	if err := e.dispatch(&e.tl, math.MaxInt); err != nil {
+		e.stopThreads()
+		panic(err)
 	}
 	if windowed {
-		e.winStats.SerialEvents = e.events - handoff
+		e.winStats.SerialEvents = e.tl.events - handoff
 	}
 	for _, t := range e.threads {
 		if !t.exited {
@@ -786,11 +814,11 @@ func (t *Thread) run(yield func(struct{}) bool) {
 }
 
 // resume runs the thread on the calling goroutine's time until it suspends
-// again or exits, and returns the body's panic, if it raised one. The
-// executor — ProcessNextEvent, or shard.runWindow on the worker that owns
-// the thread's shard — is the only caller, and for a thread with local ops
-// posted it calls step first and resume only once that emptied the FIFO.
-// (Small enough to inline into both pop loops; keep it so.)
+// again or exits, and returns the body's panic, if it raised one. dispatch —
+// on the Run caller, or on the worker that owns the thread's shard — is the
+// only caller, and for a thread with local ops posted it calls step first and
+// resume only once that emptied the FIFO. (Small enough to inline into
+// dispatch; keep it so.)
 func (t *Thread) resume() error {
 	t.resumes++
 	t.next()
@@ -806,14 +834,9 @@ func (t *Thread) suspend() {
 	}
 }
 
-// now is the thread's view of the virtual clock: its shard's clock under
-// the windowed executor, the global clock otherwise.
-func (t *Thread) now() int64 {
-	if t.e.windowed {
-		return t.shard.now
-	}
-	return t.e.now
-}
+// now is the thread's view of the virtual clock: the clock of the timeline
+// its shard runs on.
+func (t *Thread) now() int64 { return t.shard.tl.now }
 
 // post issues a local operation: it appends op to the thread's FIFO (waiting
 // for the FIFO to drain first if it is full) and returns. An op that is alone
@@ -848,7 +871,7 @@ func (t *Thread) drain() {
 // empty — the executor then resumes the coroutine — and false when it has
 // scheduled the evWake of the entry now at the head. It runs on whichever side
 // of the thread switch got there: the coroutine for an op that completes at
-// issue, ProcessNextEvent or shard.runWindow when they pop the thread's evWake.
+// issue, dispatch when it pops the thread's evWake.
 //
 // A SpinWhile entry is the loop
 //
@@ -946,42 +969,27 @@ func (t *Thread) step() bool {
 }
 
 // tryAdvance moves the thread to virtual time `at` (clamped to the clock). It
-// reports true when the move is complete: no event that could observably run
-// before `at` is scheduled — on the global queue under the serial executor;
-// on the thread's own shard, within the safe window, under the windowed one
-// (no other shard can affect this one inside the window, by the lookahead
-// contract) — so the clock advanced in place. Otherwise it has scheduled the
-// thread's evWake at `at` and reports false: the caller carries on with the
-// thread's code (post, on the coroutine) or returns to its pop loop (step, on
-// the executor). Exactly one event is counted either way, so the events
-// counter is mode-independent; a blown budget always takes the scheduled path,
-// where the pop traps it.
+// reports true when the move is complete: `at` lies inside the window of the
+// timeline the thread's shard runs on and no event on that timeline could
+// observably run before it — under the windowed executor no other shard can
+// affect this one inside the window, by the lookahead contract — so the clock
+// advanced in place. Otherwise it has scheduled the thread's evWake at `at`
+// and reports false: the caller carries on with the thread's code (post, on
+// the coroutine) or returns to the event loop (step, on the executor).
+// Exactly one event is counted either way, so the events counter is
+// mode-independent; a blown budget always takes the scheduled path, where the
+// pop traps it.
 func (t *Thread) tryAdvance(at int64) bool {
-	e := t.e
-	if e.windowed {
-		s := t.shard
-		if at < s.now {
-			at = s.now
-		}
-		if at < s.wend && (s.q.len() == 0 || s.q.min().at > at) && s.events <= e.maxEvents {
-			s.now = at
-			s.events++
-			return true
-		}
-	} else {
-		if at < e.now {
-			at = e.now
-		}
-		if min, ok := e.minAt(); (!ok || min > at) && e.events <= e.maxEvents {
-			e.now = at
-			if e.now >= e.stopAt {
-				e.stopped = true
-			}
-			e.events++
-			return true
-		}
+	tl := t.shard.tl
+	if at < tl.now {
+		at = tl.now
 	}
-	e.scheduleEv(t.shard, at, evWake, t)
+	if at < tl.wend && (tl.q.len() == 0 || tl.q.min().at > at) && tl.events <= t.e.maxEvents {
+		tl.now = at
+		tl.events++
+		return true
+	}
+	t.e.scheduleEv(t.shard, at, evWake, t)
 	return false
 }
 
@@ -1003,16 +1011,9 @@ func (t *Thread) Stopped() bool {
 	return t.stopped()
 }
 
-// stopped is the thread's view of the stop: an explicit request or its shard's
-// clock reaching the horizon under the windowed executor, the engine's flag
-// otherwise.
-func (t *Thread) stopped() bool {
-	e := t.e
-	if e.windowed {
-		return e.stopRequested || t.shard.now >= e.stopAt
-	}
-	return e.stopped
-}
+// stopped is the thread's view of the stop: an explicit request or the clock
+// of its shard's timeline reaching the horizon.
+func (t *Thread) stopped() bool { return t.e.stoppedAt(t.now()) }
 
 // Rand implements api.Ctx.
 func (t *Thread) Rand() *rand.Rand { return t.rng }

@@ -158,7 +158,7 @@ func drivePops(e *Engine, horizon int64) [][]popSeen {
 	var pops []popSeen
 	e.SetHorizon(horizon)
 	for e.HasPendingEvents() {
-		ev := e.q.min()
+		ev := e.tl.q.min()
 		pops = append(pops, popSeen{ev.at, ev.seq, ev.th.id, ev.kind})
 		e.ProcessNextEvent()
 	}
