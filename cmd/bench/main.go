@@ -58,8 +58,16 @@ func main() {
 		id = strings.TrimSuffix(filepath.Base(*out), ".json")
 	}
 	rep, err := bench.Run(*suite, id, *reps, *engShards, func(m bench.Measurement) {
-		fmt.Fprintf(os.Stderr, "%-32s %-8s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev  %7.1f B/ev\n",
+		fmt.Fprintf(os.Stderr, "%-32s %-8s %9.0f ev/s  %7.1f ns/ev  %.4f allocs/ev  %7.1f B/ev",
 			m.Name, m.Engine, m.EventsPerSec, m.NSPerEvent, m.AllocsPerEvent, m.BytesPerEvent)
+		if m.Windows > 0 {
+			fmt.Fprintf(os.Stderr, "  %.0f ns/window", m.NSPerEvent*m.EventsPerWindow)
+		}
+		if m.WideWindows > 0 {
+			fmt.Fprintf(os.Stderr, "  wide %d  serial %.2fms  spin %s  park %s  outbox %d",
+				m.WideWindows, float64(m.SerialNS)/1e6, millis(m.SpinNS), millis(m.ParkNS), m.MaxOutbox)
+		}
+		fmt.Fprintln(os.Stderr)
 	})
 	if err != nil {
 		fatal(err)
@@ -92,6 +100,15 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "\nwrote %s (%d cases, %d comparisons)\n",
 		*out, len(rep.Cases), len(rep.Comparisons))
+}
+
+// millis formats per-worker host ns as milliseconds.
+func millis(ns []int64) string {
+	ms := make([]string, len(ns))
+	for i, n := range ns {
+		ms[i] = fmt.Sprintf("%.2f", float64(n)/1e6)
+	}
+	return "[" + strings.Join(ms, " ") + "]ms"
 }
 
 // cell formats a comparison entry, "-" where the case has no such row.

@@ -56,7 +56,7 @@ func main() {
 		scenName  = flag.String("scenario", "", "run a named scenario from the registry instead of the figures")
 		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		progress  = flag.Bool("progress", false, "print per-run completion progress to stderr")
-		engShards = flag.Int("engine-shards", 0, "per-run workers of the windowed executor (0 or 1 = the calling goroutine alone, >1 = parallel windows; wait-die configs run serial, and a TargetOps run finishes its last window's worth of ops serially)")
+		engShards = flag.Int("engine-shards", 0, "per-run workers of the windowed executor (0 = auto: the calling goroutine alone until the windows pay for a second worker, then as many as GOMAXPROCS allows; 1 = the calling goroutine alone; >1 = parallel windows; wait-die configs run serial, and a TargetOps run finishes its last window's worth of ops serially)")
 	)
 	flag.Parse()
 

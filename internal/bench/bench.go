@@ -77,6 +77,27 @@ type Measurement struct {
 	Windows         uint64  `json:"windows,omitempty"`
 	EventsPerWindow float64 `json:"events_per_window,omitempty"`
 	Parks           uint64  `json:"parks,omitempty"`
+	// The barrier's time split of the same rep, on rows that ran on more than
+	// one worker: windows published to helpers, the coordinator's barrier
+	// phase, each worker's wait spinning and parked (host ns), and the
+	// deepest outbox a barrier delivered.
+	WideWindows uint64  `json:"wide_windows,omitempty"`
+	SerialNS    int64   `json:"serial_ns,omitempty"`
+	SpinNS      []int64 `json:"spin_ns,omitempty"`
+	ParkNS      []int64 `json:"park_ns,omitempty"`
+	MaxOutbox   int     `json:"max_outbox,omitempty"`
+}
+
+// window copies the window telemetry of a rep onto the row.
+func (m *Measurement) window(win sim.WindowStats) {
+	m.Windows, m.Parks, m.EventsPerWindow = win.Windows, win.Parks, 0
+	if win.Windows > 0 {
+		m.EventsPerWindow = float64(win.Events) / float64(win.Windows)
+	}
+	m.WideWindows, m.SerialNS, m.SpinNS, m.ParkNS, m.MaxOutbox = 0, 0, nil, nil, 0
+	if win.Width > 1 {
+		m.WideWindows, m.SerialNS, m.SpinNS, m.ParkNS, m.MaxOutbox = win.WideWindows, win.SerialNS, win.SpinNS, win.ParkNS, win.MaxOutbox
+	}
 }
 
 // Comparison sets one case's executors side by side. A rate is absent when
@@ -146,6 +167,25 @@ func contendedEngine(threads int, opts ...sim.Option) *sim.Engine {
 					}
 				}
 				ctx.Work(50 * time.Nanosecond)
+			}
+		})
+	}
+	return e
+}
+
+// barrierEngine is the barrier round trip: on each of `nodes` nodes one
+// thread does one lookahead of Work at a time, so every safe window holds
+// exactly one event per node and a window costs its barrier and little else.
+// Its windowed-2 row against windowed-1, per window, is what a second worker
+// adds to each window before it saves anything — the cost the auto width's
+// crossover (internal/sim crossoverEvents) has to earn back.
+func barrierEngine(nodes int, opts ...sim.Option) *sim.Engine {
+	p := model.CX3()
+	e := sim.New(nodes, 1024, p, 5, opts...)
+	for n := 0; n < nodes; n++ {
+		e.Spawn(n, func(ctx api.Ctx) {
+			for !ctx.Stopped() {
+				ctx.Work(time.Duration(p.RemoteWireNS))
 			}
 		})
 	}
@@ -364,6 +404,8 @@ func Suite(name string) ([]Case, error) {
 				build: func(o ...sim.Option) *sim.Engine { return tornLoopbackEngine(2, 4, o...) }},
 			Case{Name: "engine/contended-rmw", Suite: "tiny", horizon: 4_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(4, o...) }},
+			Case{Name: "engine/barrier", Suite: "tiny", horizon: 20_000_000,
+				build: func(o ...sim.Option) *sim.Engine { return barrierEngine(2, o...) }},
 		)
 		for _, name := range familyReps {
 			sc, ok := scenario.Get(name)
@@ -507,10 +549,7 @@ func (c Case) Measure(shards, reps int) (Measurement, error) {
 		if r == 0 || got.wall < bestWall {
 			bestWall = got.wall
 			m.Events, m.Ops, m.WallNS = got.events, got.ops, got.wall.Nanoseconds()
-			m.Windows, m.Parks, m.EventsPerWindow = got.win.Windows, got.win.Parks, 0
-			if got.win.Windows > 0 {
-				m.EventsPerWindow = float64(got.win.Events) / float64(got.win.Windows)
-			}
+			m.window(got.win)
 		}
 		if r == 0 || got.mallocs < fewest.mallocs {
 			fewest = got

@@ -62,8 +62,18 @@ func TestTargetOpsHandoffMatchesSerial(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("result diverged from the serial executor's (ops %d / %d, events %d / %d)", got.Ops, want.Ops, got.Events, want.Events)
 				}
-				if width := min(max(1, shards), c.Nodes); ws.Width != width {
-					t.Errorf("ran on %d workers, want %d", ws.Width, width)
+				// 0 is auto: one worker unless the first windows paid for the
+				// slot budget's capacity (8), capped by the CPU and node counts
+				// (2 nodes).
+				width := min(shards, c.Nodes)
+				if shards == 0 {
+					width = 1
+					if ws.WideAt > 0 {
+						width = c.Nodes
+					}
+				}
+				if ws.Width != width {
+					t.Errorf("ran on %d workers (wide after window %d), want %d", ws.Width, ws.WideAt, width)
 				}
 				if ws.Events == 0 || ws.Events >= got.Events || ws.Events+ws.SerialEvents != got.Events {
 					t.Errorf("%d events in windows, %d after the handoff, %d in all: the handoff did not land mid-run", ws.Events, ws.SerialEvents, got.Events)

@@ -161,9 +161,12 @@ type Config struct {
 	// for the 32 KiB pages a run touches, not 8 MiB per node.
 	WordsPerNode int
 	// EngineShards is the engine's worker count for the conservative
-	// windowed executor: 0 and 1 both run it on the Run caller alone, 2 or
-	// more on that many workers (capped by the process execution-slot
-	// budget). Schedules are bit-identical at any value. Wait-die configs,
+	// windowed executor: 0 is auto — the Run caller alone until the run's
+	// first windows carry enough events to pay for a barrier, then as many
+	// workers as the process execution-slot budget grants (up to GOMAXPROCS
+	// or the CPU count, whichever is lower) for as long as they pay — 1 the
+	// Run caller alone, 2 or more that many workers (capped by the budget).
+	// Schedules are bit-identical at any value. Wait-die configs,
 	// whose age table is cross-thread Go state, run the serial executor at
 	// any value — RunsWindowed reports the decision; a TargetOps run hands
 	// over to the serial executor for the windows its stop could land in.
@@ -226,7 +229,7 @@ func (c Config) engineOptions() []sim.Option {
 	if !c.RunsWindowed() {
 		return nil
 	}
-	return []sim.Option{sim.WithShards(max(1, c.EngineShards))}
+	return []sim.Option{sim.WithShards(c.EngineShards)}
 }
 
 // newEngine builds every run's engine. It is a variable for tests alone:

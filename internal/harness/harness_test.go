@@ -509,8 +509,8 @@ func TestQuickRunAccounting(t *testing.T) {
 
 // TestEngineShardsBitIdentical: a harness run must be bit-identical to the
 // serial executor's at every engine width, modulo the knob itself. Every
-// config but wait-die runs the windowed executor (RunsWindowed) — on the Run
-// caller alone at 0 and 1 — and the TargetOps variant hands its last windows
+// config but wait-die runs the windowed executor (RunsWindowed) — at auto
+// width at 0, on the Run caller alone at 1 — and the TargetOps variant hands its last windows
 // to the serial loop; a wait-die config runs the serial executor at any width.
 func TestEngineShardsBitIdentical(t *testing.T) {
 	for _, algo := range []string{"alock", "mcs"} {

@@ -28,9 +28,9 @@ func serialEngine(nodes, wordsPerNode int, p model.Params, seed int64, _ ...sim.
 // TestTypedEngineMatchesOracleEveryScenario is the executor acceptance gate:
 // every registered scenario, expanded at smoke scale, must produce
 // bit-identical results on the serial executor (typed 4-ary event heap, the
-// ProcessNextEvent loop) and on the conservative windowed executor — on the
-// Run caller alone (EngineShards 0, what every harness run gets by default)
-// and on four workers. Closed-loop scenarios carry TargetOps, so those runs
+// ProcessNextEvent loop) and on the conservative windowed executor — at auto
+// width (EngineShards 0, what every harness run gets by default), on the Run
+// caller alone and on four workers. Closed-loop scenarios carry TargetOps, so those runs
 // hand their last windows to the serial loop through the stop guard; the
 // windowed-closed-loop variant clears TargetOps — on the serial side too — to
 // drive the windowed executor with closed-loop traffic to the end. The
@@ -71,7 +71,8 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 		closed   bool // run on the closedLoop rewrite of the scenario's configs
 		mutate   func(*harness.Config)
 	}{
-		{"one-worker", 2, false, func(*harness.Config) {}},
+		{"auto", 2, false, func(*harness.Config) {}},
+		{"one-worker", 2, false, func(c *harness.Config) { c.EngineShards = 1 }},
 		{"windowed", 2, false, windowed},
 		{"windowed-closed-loop", 2, true, windowed},
 	}

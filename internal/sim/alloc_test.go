@@ -8,6 +8,7 @@ import (
 	"alock/internal/api"
 	"alock/internal/model"
 	"alock/internal/ptr"
+	"alock/internal/slots"
 )
 
 // TestScheduleStepZeroAllocs is the allocation guard on the engine's
@@ -137,11 +138,16 @@ func TestDirectRunNearZeroAllocs(t *testing.T) {
 // TestWindowPoolDispatchZeroAllocs guards the windowed executor's
 // per-window cost: handing every shard to its owner, publishing the window
 // to two helpers and collecting their done words must not allocate. The
-// helper count is explicit — the test does not depend on the slot budget.
+// test sets the slot budget, so the pool gets both helpers on any host.
 func TestWindowPoolDispatchZeroAllocs(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
 	e := New(4, 64, model.Uniform(10), 1)
-	pool := newWindowPool(e, 2)
+	pool := newWindowPool(e, 3, false)
 	defer pool.close()
+	if pool.width != 3 {
+		t.Fatalf("pool of %d workers, want 3", pool.width)
+	}
 	window := func() {
 		for _, s := range e.shards { // queues empty: dispatch cost only
 			pool.activate(s, 0)

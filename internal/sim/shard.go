@@ -27,7 +27,8 @@
 //	          Run finishes on the serial loop
 //	execute:  each shard pops (at, seq) order while head < wend, on the
 //	          worker that owns it — one of up to `workers` goroutines (slots
-//	          permitting); cross-shard sends buffer in the sender's outbox
+//	          and, at auto width, window sizes permitting); cross-shard sends
+//	          buffer in the sender's outbox
 //	repeat    until no events remain
 //	exit:     gather the shards' timelines back onto the engine's
 //
@@ -38,7 +39,10 @@
 // node % width == w (windowPool) — so a shard's heap, its threads and their
 // coroutine stacks are only ever touched from one goroutine between entry and
 // exit, and stay in one core's cache; two Runs of one engine may give a shard
-// different owners, and the join at the end of the first orders them.
+// different owners, and the join at the end of the first orders them. An
+// auto-width Run that goes wide changes owners once, at a barrier: the
+// coordinator, which owned every shard, starts the helpers there, and the go
+// statement orders what it did before them.
 //
 // The windows pay before any second core does. Inside one a node's threads
 // run ahead of every other node's events, so a local op is popped from a
@@ -47,8 +51,19 @@
 // 2-CPU host the repo is measured on, the paper-scale corner (16 nodes x 12
 // threads, ~1 000 events and 16 active shards per window) costs about 112
 // host ns per event on one worker against 151 on the serial executor. A
-// second worker on a second core splits each window further; see windowPool
-// for what that took, and WindowStats for how to read a Run's windows.
+// second worker on a second core splits each window further, at the price of
+// a barrier round trip per window; see windowPool for what that took, and
+// WindowStats for how to read a Run's windows.
+//
+// When the pool goes wide: at an explicit width (WithShards(n), n >= 2) from
+// the first window to the last, with as many helpers as the slot budget
+// grants; at auto width (WithShards(0), the harness default) only once the
+// Run's first windows carry crossoverEvents events each on average — then
+// with as many helpers as the budget grants, up to its capacity or the CPU
+// count — and never if they carry fewer (widen). A wide auto pool whose
+// windows shrink, or whose helpers turn out to have no core of their own,
+// goes back to one worker (check). Small-window Runs stay on one worker,
+// where a barrier costs no round trip.
 //
 // Cross-shard sends are asserted (panic) to be at least one lookahead
 // ahead of the sending shard's clock, so no shard ever receives an event
@@ -175,7 +190,7 @@ const cacheLine = 64
 
 // spinBudget is how long a pool worker polls for the word it waits on before
 // it parks on its wake channel, and spinPolls how many polls it makes between
-// two reads of the host clock. On the paper-scale corner (16 nodes x 12
+// two reads of the host clock (each followed by a yield of its P: await). On the paper-scale corner (16 nodes x 12
 // threads, two workers) a window is ~150us of work; a worker waits for the
 // other through the tail of its share and the coordinator's barrier phase:
 // under 32us nine times in ten, under 128us 98 times in a hundred, the rest a
@@ -184,6 +199,32 @@ const cacheLine = 64
 const (
 	spinBudget = 200 * time.Microsecond
 	spinPolls  = 256
+)
+
+// An auto-width Run (WithShards(0)) starts on the coordinator alone and goes
+// wide only when its windows pay for the barrier. Every probeWindows windows,
+// while it is still one worker, it looks at the mean events per window since
+// its last look (widen): at crossoverEvents or more it asks the slot budget
+// for helpers — asking again at the next look if it was granted none — and
+// below it stays one worker to the end. Once wide, it looks every checkNS
+// whether going wide still pays (check), and gives the helpers back if not.
+//
+// crossoverEvents is where a second worker starts to pay on the 2-vCPU host
+// the repo is measured on. cmd/bench's engine/barrier case prices what a
+// second worker adds to every window before it saves anything: a window of
+// two events costs ~0.9us more on two workers than on one (BENCH_0021.json).
+// A paper-scale event costs 110-170 host ns and two workers save at most half
+// of that, so the floor is ~15 events per window; the measured crossover is
+// ten times that, because a window's work splits unevenly between the
+// workers and the barrier delivers cross-shard sends into queues the other
+// core last touched. On Figure 5's high-contention sweep (45 configs, three
+// alternations of one worker against two) configs under 80 events per window
+// lose up to 1.9x on two workers, 126-158 break even, and 254 and up gain
+// 13-32 %.
+const (
+	probeWindows    = 64
+	crossoverEvents = 160
+	checkNS         = int64(20 * time.Millisecond)
 )
 
 // retired is the epoch that tells the helpers the Run is over.
@@ -219,12 +260,32 @@ func (k *parker) cancel() {
 	}
 }
 
+// waits is one worker's account of its barrier waits: how many ended in a
+// park, and host ns spent waiting in all and parked. The worker's caller
+// times each wait; await times the parks inside it.
+type waits struct {
+	parks  uint64
+	waitNS int64
+	parkNS int64
+}
+
 // await returns word's value once it has reached want: it polls for at most
-// budget, then parks on k — counted in *parks — until unparked, and looks
-// again. Sequentially consistent atomics close the window between the second
-// look and the block: the waiter stores parked then loads word, the signaller
-// stores word then loads parked, so one of them sees the other.
-func await(word *atomic.Uint64, want uint64, budget time.Duration, k *parker, parks *uint64) uint64 {
+// budget, then parks on k — counted and timed in w — until unparked, and
+// looks again. Sequentially consistent atomics close the window between the
+// second look and the block: the waiter stores parked then loads word, the
+// signaller stores word then loads parked, so one of them sees the other.
+//
+// A spinning waiter gives up its P at every clock read (runtime.Gosched). A
+// woken partner is queued on the P of the goroutine that woke it; when that
+// is the waiter's P and every other P's thread is asleep, the partner runs
+// only once a sleeping thread wakes to steal it — 75us to 1.7ms on a 2-vCPU
+// VM, past the spin budget. A waiter that held its P through the budget then
+// parked, woke the partner on its own P in turn, and the two stayed on one P
+// from then on: the bimodal 16x12 runs, 0.42-0.49s on two workers eight
+// times in ten and 1.28-1.39s, parked in 57-59 % of windows, the other two.
+// Yielding lets the partner run at once, and each yield (which queues the
+// waiter globally and wakes an idle P) gets the second P back.
+func await(word *atomic.Uint64, want uint64, budget time.Duration, k *parker, w *waits) uint64 {
 	for {
 		var start time.Time // read at the first checkpoint: most waits end before it
 		for i := 1; budget > 0; i++ {
@@ -239,24 +300,27 @@ func await(word *atomic.Uint64, want uint64, budget time.Duration, k *parker, pa
 			} else if time.Since(start) > budget {
 				break
 			}
+			runtime.Gosched()
 		}
-		*parks++
+		w.parks++
 		k.parked.Store(1)
 		if v := word.Load(); v >= want {
 			k.cancel()
 			return v
 		}
+		parked := time.Now()
 		<-k.wake
+		w.parkNS += int64(time.Since(parked))
 	}
 }
 
 // worker is what the coordinator and every helper have alike: the shards the
-// worker owns for the whole Run (node % width, in node order) and its
-// telemetry, which nobody else reads before the pool is closed.
+// worker owns (node % width, in node order, from the pool's widest point on)
+// and its telemetry, which nobody else reads before the pool is closed.
 type worker struct {
 	own          []*shard
 	shardWindows uint64
-	parks        uint64
+	waits        waits
 }
 
 // runOwn executes the current window on the worker's active shards.
@@ -284,13 +348,15 @@ type helper struct {
 
 // windowPool is the worker set of one windowed Run: the coordinator (the
 // Run caller, worker 0) and one helper goroutine per execution slot the
-// caller acquired, spawned once and joined by close.
+// Run acquired — spawned when the pool is built for an explicit width, or at
+// a barrier where widen decides to for an auto one, and joined by close or,
+// when going wide stops paying, by check.
 //
-// Ownership is fixed: worker w of width runs exactly the shards with
-// node % width == w, every window, so a shard's heap, its threads' FIFOs and
-// their coroutine stacks stay in one core's cache. A shard is handed over by
-// raising its active flag (activate), and that flag is all a helper reads to
-// find its work.
+// Ownership is fixed once the helpers exist: worker w of width runs exactly
+// the shards with node % width == w, every window, so a shard's heap, its
+// threads' FIFOs and their coroutine stacks stay in one core's cache. A shard
+// is handed over by raising its active flag (activate), and that flag is all
+// a helper reads to find its work.
 //
 // The barrier is two waits of the same shape (await). The coordinator
 // publishes a window by storing the next epoch; a helper polls the epoch,
@@ -310,42 +376,192 @@ type windowPool struct {
 	e     *Engine
 	width int
 	// Coordinator-only state: its worker half, the last epoch published, the
-	// active shards counted per worker for the window being set up, and the
-	// telemetry closed into Engine.winStats.
+	// active shards counted per worker for the window being set up, the
+	// telemetry closed into Engine.winStats, and the host clock's origin and
+	// its reading when the last window on a wide pool ended.
 	coord    worker
 	window   uint64
 	assigned []int
 	stats    WindowStats
+	start    time.Time
+	lastEnd  int64
 	helpers  []helper
 	joined   sync.WaitGroup
+	// slots is the extra execution slots the helpers hold, and widest the
+	// most workers the pool has had at once. An auto pool may grow to limit
+	// workers: nextLook is the window count at which it looks next (never,
+	// for an explicit width), retires how often it has given its helpers
+	// back, wideAfter the host clock before which it may not take them
+	// again, and lookEvents, lookWindows, lookClock and lookCPU where the
+	// last look left off.
+	slots                   int
+	widest                  int
+	limit                   int
+	retires                 int
+	wideAfter               int64
+	nextLook                uint64
+	lookEvents, lookWindows uint64
+	lookClock, lookCPU      int64
 	// spin is how long a worker polls before it parks: spinBudget, or zero
 	// when the process cannot run all the workers at the same time.
 	spin time.Duration
 
 	// What the helpers read every window, on a line the coordinator writes
-	// once per window: the epoch, and the coordinator's own park path.
+	// once per window: the epoch, the host clock at which it was published,
+	// and the coordinator's own park path.
 	_         [cacheLine]byte
 	epoch     atomic.Uint64
+	published atomic.Int64
 	coordPark parker
 	_         [cacheLine]byte
 }
 
-func newWindowPool(e *Engine, helpers int) *windowPool {
-	width := 1 + helpers
-	p := &windowPool{e: e, width: width, assigned: make([]int, width), stats: WindowStats{Width: width, ShardWindows: make([]uint64, width)}, helpers: make([]helper, helpers), coordPark: parker{wake: make(chan struct{}, 1)}} //lint:allow allocfree pool construction runs once per windowed Run, not per window
-	if width <= runtime.GOMAXPROCS(0) && width <= runtime.NumCPU() {
-		p.spin = spinBudget
-	}
-	for _, s := range e.shards {
-		w := p.worker(s.node % width)
-		w.own = append(w.own, s)
-	}
-	p.joined.Add(helpers)
-	for i := range p.helpers {
-		go p.helperLoop(&p.helpers[i]) //lint:allow allocfree helpers are spawned once per Run and joined when it ends
+// newWindowPool builds the pool of a Run that may use up to limit workers:
+// with as many as it wins slots for at once, or, for an auto Run, the
+// coordinator alone until widen says the windows pay.
+func newWindowPool(e *Engine, limit int, auto bool) *windowPool {
+	limit = max(1, limit)
+	p := &windowPool{e: e, width: 1, widest: 1, limit: limit, nextLook: math.MaxUint64, assigned: make([]int, 1, limit), start: time.Now(), coordPark: parker{wake: make(chan struct{}, 1)}} //lint:allow allocfree pool construction runs once per windowed Run, not per window
+	p.stats.ShardWindows, p.stats.SpinNS, p.stats.ParkNS = make([]uint64, limit), make([]int64, limit), make([]int64, limit)                                                                 //lint:allow allocfree pool construction runs once per windowed Run, not per window
+	p.coord.own = append([]*shard(nil), e.shards...)
+	switch {
+	case limit < 2:
+	case auto:
+		p.nextLook = probeWindows
+	default:
+		if extra := slots.TryAcquire(limit - 1); extra > 0 {
+			p.spawn(extra)
+		}
 	}
 	return p
 }
+
+// spawn widens the pool to the coordinator plus helpers, each of which holds
+// an execution slot, at a barrier: it deals the shards out by node % width
+// and starts the helper goroutines, which wait for the window after the last
+// one published.
+func (p *windowPool) spawn(helpers int) {
+	p.slots, p.width = helpers, 1+helpers
+	p.widest = max(p.widest, p.width)
+	p.assigned = p.assigned[:p.width]
+	p.helpers = make([]helper, helpers) //lint:allow allocfree the pool widens at most a few times per windowed Run, not per window
+	p.coord.own = p.coord.own[:0]
+	for _, s := range p.e.shards {
+		w := p.worker(s.node % p.width)
+		w.own = append(w.own, s)
+	}
+	if p.width <= runtime.GOMAXPROCS(0) && p.width <= runtime.NumCPU() {
+		p.spin = spinBudget
+	}
+	p.lastEnd = p.clock()
+	p.joined.Add(helpers)
+	for i := range p.helpers {
+		go p.helperLoop(&p.helpers[i], p.window) //lint:allow allocfree helpers are spawned once per widening, at most a few times per windowed Run
+	}
+}
+
+// widen spawns as many helpers as the slot budget grants, up to limit-1, if
+// the windows since the last look carried crossoverEvents events each on
+// average; it stops looking for the rest of the Run if they did not, and
+// looks again probeWindows later if the budget had no slot to give.
+func (p *windowPool) widen() {
+	events, windows := p.stats.Events-p.lookEvents, p.stats.Windows-p.lookWindows
+	p.lookEvents, p.lookWindows = p.stats.Events, p.stats.Windows
+	if events < crossoverEvents*windows {
+		p.nextLook = math.MaxUint64
+		return
+	}
+	p.nextLook = p.stats.Windows + probeWindows
+	if p.retires > 0 && p.clock() < p.wideAfter {
+		return
+	}
+	if extra := slots.TryAcquire(p.limit - 1); extra > 0 {
+		p.spawn(extra)
+		if p.stats.WideAt == 0 {
+			p.stats.WideAt = p.stats.Windows
+		}
+		p.lookClock, p.lookCPU = p.lastEnd, processCPU()
+	}
+}
+
+// check is a wide auto pool's look at whether going wide still pays, over
+// at least checkNS of wide windows since the last look. It pays while the
+// windows carry crossoverEvents events each on average and the workers have
+// a core each: every worker runs or spins through a window, so the process
+// then burns about a CPU per worker, and half a CPU short means a helper
+// shares a core — on a host that has lent the other one out, or queued
+// behind the coordinator on one P — and the pool pays every barrier while
+// splitting nothing. When it does not pay, check retires the helpers, and
+// widen may spawn them again once the pool has run on one worker for twice
+// checkNS, twice as long again after every further retirement (up to 64
+// times checkNS): a host that has lost a core for good costs one stint of
+// checkNS per doubling.
+func (p *windowPool) check() {
+	p.nextLook = p.stats.Windows + probeWindows
+	wall := p.lastEnd - p.lookClock
+	if wall < checkNS {
+		return
+	}
+	cpu := processCPU()
+	used := cpu - p.lookCPU
+	events, windows := p.stats.Events-p.lookEvents, p.stats.Windows-p.lookWindows
+	p.lookClock, p.lookCPU = p.lastEnd, cpu
+	p.lookEvents, p.lookWindows = p.stats.Events, p.stats.Windows
+	cored := cpu < 0 || 2*used >= int64(2*p.width-1)*wall
+	if cored && events >= crossoverEvents*windows {
+		return
+	}
+	p.retire()
+	p.retires++
+	p.stats.Retires++
+	p.stats.RetiredAt = p.stats.Windows
+	p.wideAfter = p.lastEnd + checkNS<<min(p.retires, 6)
+}
+
+// retire joins the helpers and hands every shard back to the coordinator:
+// the pool is one worker again, and helpers spawned later wait for the
+// window after the last one published.
+func (p *windowPool) retire() {
+	p.join()
+	p.width, p.assigned = 1, p.assigned[:1]
+	p.coord.own = p.coord.own[:len(p.e.shards)]
+	copy(p.coord.own, p.e.shards)
+	p.epoch.Store(p.window)
+}
+
+// join tells the helpers to return and waits until they have, then — a
+// helper's counters are its own until it has — folds their telemetry into
+// the Run's and gives their slots back.
+func (p *windowPool) join() {
+	p.epoch.Store(retired)
+	for i := range p.helpers {
+		p.helpers[i].park.unpark()
+	}
+	p.joined.Wait()
+	for i := range p.helpers {
+		p.fold(i+1, &p.helpers[i].worker)
+	}
+	p.helpers = nil
+	slots.Release(p.slots)
+	p.slots = 0
+}
+
+// fold adds worker w's telemetry to the Run's.
+func (p *windowPool) fold(w int, wk *worker) {
+	st := &p.stats
+	st.ShardWindows[w] += wk.shardWindows
+	st.SpinNS[w] += wk.waits.waitNS - wk.waits.parkNS
+	st.ParkNS[w] += wk.waits.parkNS
+	if w == 0 {
+		st.CoordParks += wk.waits.parks
+	} else {
+		st.Parks += wk.waits.parks
+	}
+}
+
+// clock reads the host clock, in ns since the pool was built. A wide pool
+// reads it a few times per window, never per event.
+func (p *windowPool) clock() int64 { return int64(time.Since(p.start)) }
 
 // worker returns worker w's common half: the coordinator is worker 0.
 func (p *windowPool) worker(w int) *worker {
@@ -355,37 +571,36 @@ func (p *windowPool) worker(w int) *worker {
 	return &p.helpers[w-1].worker
 }
 
-// helperLoop is a helper's life: wait for an epoch it has not seen, run the
+// helperLoop is a helper's life: wait for an epoch after seen, run the
 // active shards it owns, say so, and tell the coordinator if that is parked.
-func (p *windowPool) helperLoop(h *helper) {
+func (p *windowPool) helperLoop(h *helper, seen uint64) {
 	defer p.joined.Done()
 	h.park.wake = make(chan struct{}, 1) // before the first park, which is what publishes it
-	seen := uint64(0)
+	idle := p.clock()
 	for {
-		seen = await(&p.epoch, seen+1, p.spin, &h.park, &h.parks)
+		seen = await(&p.epoch, seen+1, p.spin, &h.park, &h.waits)
 		if seen == retired {
 			return
 		}
+		// The wait ended when the window was published; no clock read
+		// between the epoch and the shards.
+		h.waits.waitNS += max(0, p.published.Load()-idle)
 		h.runOwn()
 		h.done.Store(seen)
 		if p.coordPark.unpark() {
 			p.yield()
 		}
+		idle = p.clock()
 	}
 }
 
 // yield is what a worker does between waking another and waiting for it: it
 // gives up its P. The woken goroutine is queued behind the waker, on a P the
-// waker is about to hold for a spin budget, and the only other way it gets
-// to run is an idle OS thread waking up to steal it — 75us on the 2-vCPU host
-// this was written on when that thread has only just gone to sleep, 1.7ms
-// when its core has gone idle. A waker that spins through that runs out of
-// budget and parks, the partner wakes it in turn, and one lost time slice has
-// become a park per window for the rest of the Run (measured: 71 % of windows
-// parked on the paper-scale corner at a 50us budget; 9 400 host ns per event
-// against 60 serial on windows of 35 events at 200us). Yielding lets the
-// woken worker start now, and the waker — which had nothing to do but wait
-// for it — is the one that takes the thread wake-up.
+// waker is about to hold, and the only other way it gets to run is an idle OS
+// thread waking up to steal it — 75us on the 2-vCPU host this was written on
+// when that thread has only just gone to sleep, 1.7ms when its core has gone
+// idle. Yielding lets the woken worker start now, and the waker — which had
+// nothing to do but wait for it — is the one that takes the thread wake-up.
 func (p *windowPool) yield() {
 	if p.spin > 0 {
 		runtime.Gosched()
@@ -401,7 +616,9 @@ func (p *windowPool) activate(s *shard, wend int64) {
 
 // runWindow executes the window activate has set up and returns when every
 // activated shard has run: it publishes the window if a helper owns any of
-// it, runs the coordinator's shards, and waits for those helpers.
+// it, runs the coordinator's shards, and waits for those helpers. On a wide
+// pool it also books the coordinator's time: the barrier phase since the last
+// window ended, and the wait for the helpers.
 func (p *windowPool) runWindow() {
 	active, helping := p.assigned[0], false
 	for i := range p.helpers {
@@ -412,9 +629,18 @@ func (p *windowPool) runWindow() {
 	if active == 1 {
 		p.stats.SingleShard++
 	}
+	if p.width == 1 {
+		p.coord.runOwn()
+		p.assigned[0] = 0
+		return
+	}
+	now := p.clock()
+	p.stats.SerialNS += now - p.lastEnd
 	woke := false
 	if helping {
+		p.stats.WideWindows++
 		p.window++
+		p.published.Store(now)
 		p.epoch.Store(p.window)
 		for i := range p.helpers {
 			if p.assigned[i+1] > 0 && p.helpers[i].park.unpark() {
@@ -425,15 +651,22 @@ func (p *windowPool) runWindow() {
 	}
 	p.coord.runOwn()
 	p.assigned[0] = 0
+	if !helping {
+		p.lastEnd = p.clock()
+		return
+	}
 	if woke {
 		p.yield()
 	}
+	waited := p.clock()
 	for i := range p.helpers {
 		if p.assigned[i+1] > 0 {
-			await(&p.helpers[i].done, p.window, p.spin, &p.coordPark, &p.coord.parks)
+			await(&p.helpers[i].done, p.window, p.spin, &p.coordPark, &p.coord.waits)
 			p.assigned[i+1] = 0
 		}
 	}
+	p.lastEnd = p.clock()
+	p.coord.waits.waitNS += p.lastEnd - waited
 }
 
 // recordWindow books the events the window just executed dispatched.
@@ -446,30 +679,24 @@ func (p *windowPool) recordWindow(events uint64) {
 	p.stats.EventsLog2[b]++
 }
 
-// close retires the helpers, waits for them to return, and only then — a
-// helper's counters are its own until it has — closes the Run's telemetry
-// into the engine. It runs on every way out of runWindowed, traps included.
+// close joins the helpers and closes the Run's telemetry into the engine. It
+// runs on every way out of runWindowed, traps included.
 func (p *windowPool) close() {
-	p.epoch.Store(retired)
-	for i := range p.helpers {
-		p.helpers[i].park.unpark()
-	}
-	p.joined.Wait()
+	p.join()
+	p.fold(0, &p.coord)
 	st := &p.stats
-	st.CoordParks = p.coord.parks
-	st.ShardWindows[0] = p.coord.shardWindows
-	for i := range p.helpers {
-		st.ShardWindows[i+1] = p.helpers[i].shardWindows
-		st.Parks += p.helpers[i].parks
-	}
+	st.Width, st.WallNS = p.widest, p.clock()
+	st.ShardWindows, st.SpinNS, st.ParkNS = st.ShardWindows[:p.widest], st.SpinNS[:p.widest], st.ParkNS[:p.widest]
 	p.e.winStats = *st
 }
 
 // WindowStats is the windowed executor's account of one Run: exact counts,
-// taken per window and per shard-window, never per event.
+// taken per window and per shard-window, never per event, and host times
+// read a few times per window on a wide pool.
 type WindowStats struct {
-	// Width is the number of workers the Run executed on: the coordinator
-	// plus the helpers the slot budget granted.
+	// Width is the most workers the Run executed on at once: the coordinator
+	// plus the helpers the slot budget granted (for an auto Run, 1 unless it
+	// went wide).
 	Width int
 	// Windows is the number of safe windows executed, SingleShard how many of
 	// them had one active shard, and ShardWindows[w] how many shard-windows
@@ -491,6 +718,31 @@ type WindowStats struct {
 	Parks      uint64
 	Wakes      uint64
 	CoordParks uint64
+	// WideWindows is the number of windows published to helpers. WideAt is
+	// the number of windows an auto Run (WithShards(0)) ran on one worker
+	// before it first went wide — 0 if it never did, or its width was
+	// explicit — Retires how often it gave its helpers back because going
+	// wide stopped paying, and RetiredAt the window at which it last did.
+	WideWindows uint64
+	WideAt      uint64
+	Retires     uint64
+	RetiredAt   uint64
+	// The barrier's time split, in host ns. WallNS is the windowed part of the
+	// Run, from the pool's construction to its close. Once the pool is wide,
+	// SerialNS is the coordinator's barrier phase (outbox delivery, the next
+	// window's bounds, the stop guard) between the end of one window and the
+	// start of the next, and SpinNS[w] and ParkNS[w] are worker w's time spent
+	// waiting — for the helpers, for the coordinator's next window; for the
+	// coordinator, for the helpers it gave work to — spinning and parked. A
+	// pool that is one worker reads no clock per window and books none of
+	// them.
+	WallNS   int64
+	SerialNS int64
+	SpinNS   []int64
+	ParkNS   []int64
+	// MaxOutbox is the most cross-shard events one shard sent in one window:
+	// the deepest outbox a barrier delivered.
+	MaxOutbox int
 	// HandoffAt is the virtual time at which the stop guard handed the Run to
 	// the serial loop — the head of the window it did not run — and 0 if it
 	// never did; SerialEvents is the number of events the serial loop then
@@ -510,21 +762,24 @@ func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 // runWindowed is Run's windowed driver. Concurrency is governed by
 // the process-wide execution-slot budget (internal/slots): the Run caller
 // owns one implicit slot, and each helper goroutine beyond it needs an
-// extra slot, capped by the configured worker count and the node count —
-// which is what entitles a helper to spin: a slot is a P nobody else was
-// promised. One worker, asked for or all the budget granted, is the
+// extra slot, capped by the configured worker count — for an auto Run the
+// slot budget's capacity or the CPU count, if lower — and the node count,
+// which is what entitles a
+// helper to spin: a slot is a P nobody else was promised. One worker, asked
+// for, all the budget granted or all an auto Run's windows warrant, is the
 // coordinator owning every shard. The window structure (and therefore every
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
 // guard asked for the serial loop, with the rest of them on the engine's
 // timeline.
 func (e *Engine) runWindowed() {
-	want := e.workers
-	if n := len(e.shards); want > n {
-		want = n
+	limit := e.workers
+	if e.auto {
+		// Never wider than the workers can spin at: a pool wider than the
+		// CPUs parks at every wait (windowPool.spin).
+		limit = min(slots.Capacity(), runtime.NumCPU())
 	}
-	extra := slots.TryAcquire(want - 1)
-	defer slots.Release(extra)
+	limit = min(limit, len(e.shards))
 
 	if e.audit {
 		e.curShard.Store(auditParallel)
@@ -533,7 +788,7 @@ func (e *Engine) runWindowed() {
 	e.scatter()
 	defer e.gather() // drained or handed off; the trap paths gather first
 
-	pool := newWindowPool(e, extra)
+	pool := newWindowPool(e, limit, e.auto)
 	defer pool.close()
 	total := e.tl.events // dispatched so far, as of the last barrier
 	for {
@@ -542,6 +797,7 @@ func (e *Engine) runWindowed() {
 			for _, ev := range s.outbox {
 				e.shards[ev.dest()].own.q.push(ev)
 			}
+			pool.stats.MaxOutbox = max(pool.stats.MaxOutbox, len(s.outbox))
 			s.outbox = s.outbox[:0]
 		}
 		// Global minimum head; done when every queue is empty.
@@ -589,6 +845,15 @@ func (e *Engine) runWindowed() {
 			total += s.own.events
 		}
 		pool.recordWindow(total - before)
+		// An auto pool's periodic look: widen while it is one worker, check
+		// once it is wide.
+		if pool.stats.Windows >= pool.nextLook {
+			if pool.width == 1 {
+				pool.widen()
+			} else {
+				pool.check()
+			}
+		}
 	}
 }
 

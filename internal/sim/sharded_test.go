@@ -306,6 +306,203 @@ func TestWindowedParkPath(t *testing.T) {
 	t.Errorf("%d helper parks and %d coordinator parks in %d windows, three times over: the spin budget is not holding", ws.Parks, ws.CoordParks, ws.Windows)
 }
 
+// denseWorkload is local work with a little cross-node traffic: on each of
+// `nodes` nodes, `tpn` threads do 20 ns of Work at a time and every 64th
+// step read a word of the next node, so a safe window carries ~40 events per
+// thread — windows large enough for the auto width to go wide.
+func denseWorkload(nodes, tpn int, opts ...Option) (*Engine, []ptr.Ptr) {
+	e := New(nodes, 4096, model.CX3(), 7, opts...)
+	words := make([]ptr.Ptr, nodes)
+	for n := range words {
+		words[n] = e.Space().AllocLine(n)
+	}
+	for n := 0; n < nodes; n++ {
+		for k := 0; k < tpn; k++ {
+			next := words[(n+1)%nodes]
+			e.Spawn(n, func(ctx api.Ctx) {
+				for i := 0; !ctx.Stopped(); i++ {
+					if i%64 == 0 {
+						ctx.RWrite(next.Add(uint64(1+ctx.ThreadID()%7)), ctx.RRead(next)+uint64(i))
+					}
+					ctx.Work(20 * time.Nanosecond)
+				}
+			})
+		}
+	}
+	return e, words
+}
+
+// TestAutoWidthStaysNarrowOnSmallWindows: at auto width (WithShards(0)) a
+// Run whose windows are too small to pay for a barrier never spawns a
+// helper or takes a slot, whatever the budget, and lands where the serial
+// executor does.
+func TestAutoWidthStaysNarrowOnSmallWindows(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const horizon = 300_000
+	serial := runMode(t, 4, 3, horizon)
+	e, words := shardedWorkload(4, 3, WithShards(0))
+	e.Run(horizon)
+	if got := fingerprint(e, words); got != serial {
+		t.Errorf("auto width diverged from serial:\n serial: %s\n auto:   %s", serial, got)
+	}
+	ws := e.WindowStats()
+	if epw := ws.Events / ws.Windows; epw >= crossoverEvents {
+		t.Fatalf("%d events per window: the workload is not a small-window one", epw)
+	}
+	if ws.Width != 1 || ws.WideAt != 0 || ws.WideWindows != 0 || slots.Peak() != 0 {
+		t.Errorf("small windows went wide: width %d after window %d, %d wide windows, %d slots at peak",
+			ws.Width, ws.WideAt, ws.WideWindows, slots.Peak())
+	}
+}
+
+// TestAutoWidthGoesWideOnDenseWindows: at auto width a Run whose windows pay
+// goes wide at the first look, to as many workers as the budget has slots
+// (capped by the CPU and node counts), and gives the slots back at the end; with no slot to give at the first look it asks again at the
+// next; with a budget of one it stays one worker. Every run lands where the
+// serial executor does.
+func TestAutoWidthGoesWideOnDenseWindows(t *testing.T) {
+	const horizon = 300_000
+	e, words := denseWorkload(4, 4)
+	e.Run(horizon)
+	serial := fingerprint(e, words)
+	cases := []struct {
+		name      string
+		capacity  int
+		heldUntil int // barriers during which the test holds every slot
+		looks     uint64
+	}{
+		{"budget-3", 3, 0, 1},
+		{"budget-8", 8, 0, 1},
+		{"budget-taken-at-first-look", 3, probeWindows + 8, 2},
+		{"budget-1", 1, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			width := min(c.capacity, runtime.NumCPU(), 4)
+			if width == 1 && c.looks > 0 {
+				t.Skip("one CPU: the auto width never goes wide")
+			}
+			restore := slots.SetCapacity(c.capacity)
+			defer restore()
+			e, words := denseWorkload(4, 4, WithShards(0))
+			held, barriers := slots.TryAcquire(c.capacity-1), 0
+			if c.heldUntil == 0 {
+				slots.Release(held)
+				held = 0
+			}
+			e.onBarrier = func() {
+				if barriers++; barriers == c.heldUntil {
+					slots.Release(held)
+				}
+			}
+			e.Run(horizon)
+			if got := fingerprint(e, words); got != serial {
+				t.Errorf("auto width diverged from serial:\n serial: %s\n auto:   %s", serial, got)
+			}
+			ws := e.WindowStats()
+			if ws.Width != width || ws.WideAt != c.looks*probeWindows {
+				t.Errorf("ran on %d workers, wide after window %d; want %d workers, wide after window %d",
+					ws.Width, ws.WideAt, width, c.looks*probeWindows)
+			}
+			if width > 1 && (ws.WideWindows == 0 || ws.WideWindows > ws.Windows-ws.WideAt || ws.Events/ws.Windows < crossoverEvents) {
+				t.Errorf("%d wide windows of %d, %d events per window", ws.WideWindows, ws.Windows, ws.Events/ws.Windows)
+			}
+			if n := slots.InUse(); n != 0 {
+				t.Errorf("%d slots still held after the Run", n)
+			}
+		})
+	}
+}
+
+// TestAutoWidthRetiresHelpersWithoutACore: a wide auto pool whose helper has
+// no core of its own — here GOMAXPROCS 1 under a two-slot budget, so the two
+// workers take turns on one P and park at every wait — burns one CPU where
+// two workers should burn two; at its first check it gives the helper back,
+// and it stays on one worker for longer after every retirement, still
+// bit-identical to serial.
+func TestAutoWidthRetiresHelpersWithoutACore(t *testing.T) {
+	if runtime.NumCPU() < 2 || processCPU() < 0 {
+		t.Skip("needs two CPUs and the process's CPU time")
+	}
+	const horizon = 2_000_000
+	e, words := denseWorkload(4, 4)
+	e.Run(horizon)
+	serial := fingerprint(e, words)
+	restore := slots.SetCapacity(2)
+	defer restore()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e, words = denseWorkload(4, 4, WithShards(0))
+	e.Run(horizon)
+	if got := fingerprint(e, words); got != serial {
+		t.Errorf("a retiring pool diverged from serial:\n serial: %s\n auto:   %s", serial, got)
+	}
+	ws := e.WindowStats()
+	t.Logf("%d windows: wide after %d, %d retirements, the last at %d, %d wide; parks %d/%d", ws.Windows, ws.WideAt, ws.Retires, ws.RetiredAt, ws.WideWindows, ws.Parks, ws.CoordParks)
+	if ws.Width != 2 || ws.WideAt != probeWindows || ws.Retires == 0 || ws.RetiredAt <= ws.WideAt {
+		t.Errorf("width %d, wide after window %d, %d retirements, the last at %d: want two workers from the first look, then one", ws.Width, ws.WideAt, ws.Retires, ws.RetiredAt)
+	}
+	// Each stint wide lasts checkNS and the next one waits twice as long:
+	// most of the run is on one worker.
+	if ws.WideWindows*2 > ws.Windows {
+		t.Errorf("%d of %d windows wide", ws.WideWindows, ws.Windows)
+	}
+	if n := slots.InUse(); n != 0 {
+		t.Errorf("%d slots still held after the Run", n)
+	}
+}
+
+// TestWindowedParksStopAfterSlowBarriers: a coordinator that overruns the
+// helpers' spin budget at every barrier for a stretch makes them park in
+// every window of it; once it stops, the pool must go back to spinning
+// rather than go on parking window after window, with both workers queued
+// on one P (await's yield). The run stays bit-identical throughout. The
+// bound is TestWindowedParkPath's — each side parks in fewer than half of
+// the ~2 300 windows after the stretch, the best of three runs — because the
+// race detector's slower windows, or another test binary on the same cores,
+// make a healthy pool park in up to a fifth of them; a pool that keeps
+// parking after the stretch parks in most.
+func TestWindowedParksStopAfterSlowBarriers(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const (
+		horizon = 2_000_000
+		from    = 64
+		stretch = 32
+	)
+	e, words := denseWorkload(4, 4)
+	e.Run(horizon)
+	serial := fingerprint(e, words)
+	cores := runtime.GOMAXPROCS(0) >= 2 && runtime.NumCPU() >= 2
+	var ws WindowStats
+	for try := 0; try < 3; try++ {
+		e, words := denseWorkload(4, 4, WithShards(2))
+		barriers := 0
+		e.onBarrier = func() {
+			if barriers++; barriers > from && barriers <= from+stretch {
+				time.Sleep(2 * spinBudget)
+			}
+		}
+		e.Run(horizon)
+		if got := fingerprint(e, words); got != serial {
+			t.Fatalf("slow barriers diverged from serial:\n serial:   %s\n windowed: %s", serial, got)
+		}
+		ws = e.WindowStats()
+		t.Logf("%d windows, %d helper parks, %d coordinator parks, %d wake-ups; spin %v ns, parked %v ns", ws.Windows, ws.Parks, ws.CoordParks, ws.Wakes, ws.SpinNS, ws.ParkNS)
+		if ws.Width != 2 || ws.Parks < stretch/2 {
+			t.Fatalf("%d workers, %d helper parks: the stretch did not make the helper park", ws.Width, ws.Parks)
+		}
+		if !cores {
+			t.Skip("one core: two workers never spin, every wait parks")
+		}
+		after := ws.Windows - from - stretch
+		if ws.Parks < stretch+after/2 && ws.CoordParks < after/2 {
+			return
+		}
+	}
+	t.Errorf("%d helper and %d coordinator parks in %d windows, %d of them after the stretch, three times over: the pool kept parking", ws.Parks, ws.CoordParks, ws.Windows, ws.Windows-from-stretch)
+}
+
 // TestWindowStatsAccounting: the telemetry is exact — every event of a
 // windowed Run is in some window, every window in the histogram, every
 // shard-window on its owner's count — and a Run on one worker publishes
@@ -398,15 +595,15 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 	}
 }
 
-// TestWithShardsRejectsZeroWorkers: worker counts below 1 are a
-// configuration error.
-func TestWithShardsRejectsZeroWorkers(t *testing.T) {
+// TestWithShardsRejectsNegativeWorkers: a negative worker count is a
+// configuration error (0 is auto width: TestAutoWidth*).
+func TestWithShardsRejectsNegativeWorkers(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WithShards(0) accepted")
+			t.Fatal("WithShards(-1) accepted")
 		}
 	}()
-	WithShards(0)
+	WithShards(-1)
 }
 
 // TestWindowSafetyProperty: the conservative invariant — the windowed

@@ -27,11 +27,12 @@
 //     engine's timeline (e.tl), whose window never ends, drained by dispatch
 //     on the caller's goroutine — Run is that loop, Step (ProcessNextEvent)
 //     is one turn of it at any width.
-//   - windowed (WithShards(n), n >= 1): the conservative executor in
-//     shard.go. For the duration of a Run each shard runs on a timeline of
-//     its own, which takes the shard's pending events, and executes them
-//     inside the safe window [window start, min(shard heads) + lookahead)
-//     on the pool worker that owns the shard for the Run, barriers, repeats.
+//   - windowed (WithShards(n), n >= 1 workers or 0 for auto width): the
+//     conservative executor in shard.go. For the duration of a Run each shard
+//     runs on a timeline of its own, which takes the shard's pending events,
+//     and executes them inside the safe window [window start, min(shard
+//     heads) + lookahead) on the pool worker that owns the shard, barriers,
+//     repeats.
 //     Lookahead is the minimum cross-node verb latency
 //     (model.Params.RemoteWireNS), and every cross-shard event is sent at
 //     least one lookahead ahead of the sender's clock, so no shard can
@@ -210,9 +211,12 @@ type Engine struct {
 	shards []*shard
 	// workers is WithShards' executor width: 0 (unset) = the serial
 	// executor, n >= 1 = the conservative windowed executor on n workers for
-	// Run. lookahead is the windowed executor's safety margin: the minimum
-	// cross-node verb latency, below which no shard can affect another.
+	// Run; auto (WithShards(0)) is the windowed executor on one worker that
+	// goes as wide as the slot budget once the windows pay (widen). lookahead
+	// is the windowed executor's safety margin: the minimum cross-node verb
+	// latency, below which no shard can affect another.
 	workers   int
+	auto      bool
 	lookahead int64
 	// stopGuard, when set (SetStopGuard), is asked at every barrier of a
 	// windowed Run whether a RequestStop could land inside a window of the
@@ -268,15 +272,18 @@ func WithMaxEvents(n uint64) Option {
 // with no helper goroutine and no execution slot: windows still pay on one
 // core, since a node's local events run without being ordered against every
 // other node's. More workers run up to that many shards' windows
-// concurrently. Worker counts above the node count or the process's
-// execution-slot budget (internal/slots) are clamped at Run time; results
-// never depend on the effective width. Step always advances serially, at any
-// width.
+// concurrently. 0 is auto: each Run starts on one worker and, once its first
+// windows carry enough events to pay for the barrier, takes as many helpers
+// as the execution-slot budget (internal/slots) grants, up to its capacity
+// or the CPU count, and gives them back if they stop paying.
+// Worker counts above the node count or the budget are clamped at Run time;
+// results never depend on the effective width. Step always advances
+// serially, at any width.
 func WithShards(workers int) Option {
-	if workers < 1 {
-		panic(fmt.Sprintf("sim: WithShards(%d): need at least one worker", workers))
+	if workers < 0 {
+		panic(fmt.Sprintf("sim: WithShards(%d): negative worker count", workers))
 	}
-	return func(e *Engine) { e.workers = workers }
+	return func(e *Engine) { e.workers, e.auto = max(1, workers), workers == 0 }
 }
 
 // WithAccessAudit enables the debug access-audit mode: every mem.Space

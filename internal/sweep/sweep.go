@@ -12,9 +12,11 @@
 //
 // Concurrency composes through the process-wide execution-slot budget
 // (internal/slots): each worker beyond the first needs an extra slot, so a
-// parallel sweep of configs that themselves run the windowed executor
-// (Config.EngineShards > 1) multiplies to at most GOMAXPROCS running
-// goroutines — the sweep layer and the engines draw from one pool.
+// parallel sweep of configs that themselves run the windowed executor on
+// several workers multiplies to at most GOMAXPROCS running goroutines — the
+// sweep layer and the engines draw from one pool. A worker gives its slot
+// back as soon as it finds no config left, so the runs still going in a
+// sweep's tail can widen onto the cores it frees (Config.EngineShards 0).
 package sweep
 
 import (
@@ -30,8 +32,9 @@ import (
 
 // WithEngineShards stamps the engine worker count onto every config of a
 // sweep, so a whole scenario or figure runs the windowed executor on that
-// many workers (0 leaves the configs alone, at one worker; a negative count
-// is stamped like any other, for harness.Config.Validate to reject). Configs
+// many workers (0 leaves the configs alone, at auto width — one worker until
+// a run's windows pay for more, then what the slot budget grants; a negative
+// count is stamped like any other, for harness.Config.Validate to reject). Configs
 // that ask for more than one worker but run serial (wait-die;
 // harness.Config.RunsWindowed) are counted in one line on warn: results are
 // bit-identical either way, the wall clock is not.
@@ -110,7 +113,6 @@ func (r Runner) Run(cfgs []harness.Config) ([]harness.Result, error) {
 	)
 
 	worker := func() {
-		defer wg.Done()
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= len(cfgs) {
@@ -134,17 +136,19 @@ func (r Runner) Run(cfgs []harness.Config) ([]harness.Result, error) {
 
 	// The Run caller's goroutine is one implicit execution slot; every
 	// additional worker must win an extra slot so nested parallel layers
-	// (sweep workers x engine shards) never oversubscribe the host. Winning
-	// zero extras degrades to a serial sweep on this goroutine — results
-	// are identical either way.
+	// (sweep workers x engine shards) never oversubscribe the host, and
+	// releases it when it runs out of configs. Winning zero extras degrades
+	// to a serial sweep on this goroutine — results are identical either way.
 	want := r.workers(len(cfgs))
 	extra := slots.TryAcquire(want - 1)
-	defer slots.Release(extra)
 	wg.Add(extra)
 	for i := 0; i < extra; i++ {
-		go worker()
+		go func() {
+			defer wg.Done()
+			defer slots.Release(1)
+			worker()
+		}()
 	}
-	wg.Add(1)
 	worker() // the caller works too, slot-free
 	wg.Wait()
 

@@ -3,6 +3,7 @@ package sweep
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,6 +192,50 @@ func TestSlotBudgetComposition(t *testing.T) {
 	}
 	if res[0].Ops == 0 {
 		t.Fatal("slot-starved sweep produced no work")
+	}
+}
+
+// TestFinishedWorkerReturnsItsSlot: a sweep worker that finds no config
+// left gives its slot back at once, not when the last config finishes, so the
+// runs still going in a sweep's tail can widen onto the core it freed. One
+// long config and two short ones on three workers: whichever worker takes
+// the long one, some helper runs out of configs while it still runs. The
+// engines run on one worker each, so only the sweep holds slots.
+func TestFinishedWorkerReturnsItsSlot(t *testing.T) {
+	restore := slots.SetCapacity(3)
+	defer restore()
+	short := harness.Config{Algorithm: "alock", Nodes: 2, ThreadsPerNode: 1, Locks: 4,
+		WarmupNS: 10_000, MeasureNS: 20_000, Seed: 1, EngineShards: 1}
+	long := short
+	long.Nodes, long.ThreadsPerNode, long.Locks, long.MeasureNS = 8, 4, 20, 4_000_000
+	cfgs := []harness.Config{long, short, short}
+
+	var done atomic.Int32
+	finished := make(chan error, 1)
+	go func() {
+		_, err := Runner{Parallel: 3, OnResult: func(Progress) { done.Add(1) }}.Run(cfgs)
+		finished <- err
+	}()
+	returned := false
+	for !returned {
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Fatal("every config finished before a worker gave its slot back")
+		default:
+		}
+		// Peak 2: both helpers were granted; InUse below it: one is back, and
+		// the long config has not reported.
+		returned = slots.Peak() == 2 && slots.InUse() < 2 && done.Load() < int32(len(cfgs))
+		time.Sleep(20 * time.Microsecond)
+	}
+	if err := <-finished; err != nil {
+		t.Fatal(err)
+	}
+	if u := slots.InUse(); u != 0 {
+		t.Fatalf("%d slots leaked", u)
 	}
 }
 
