@@ -166,12 +166,6 @@ func Build(pkgs []*analysis.Package) *Graph {
 // Nodes returns every node in deterministic (position) order.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// NodeOf returns the node for a declared function object, or nil.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFn[origin(fn)] }
-
-// LitOf returns the node for a function literal, or nil.
-func (g *Graph) LitOf(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // Lookup resolves a package-qualified name ("path.(*Recv).Method",
 // "path.Func") to its node, or nil if the module declares no such
 // function.
@@ -188,9 +182,8 @@ func (g *Graph) ValuesOf(pkg *analysis.Package, expr ast.Expr) []*Node {
 }
 
 // Reachable returns the set of nodes reachable from roots over call and
-// defer edges; includeGo additionally follows `go` edges. Roots are
-// included.
-func Reachable(roots []*Node, includeGo bool) map[*Node]bool {
+// defer edges; `go` edges are not followed. Roots are included.
+func Reachable(roots []*Node) map[*Node]bool {
 	seen := make(map[*Node]bool)
 	var stack []*Node
 	for _, r := range roots {
@@ -203,10 +196,7 @@ func Reachable(roots []*Node, includeGo bool) map[*Node]bool {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range n.Out {
-			if e.Kind == KindGo && !includeGo {
-				continue
-			}
-			if e.To != nil && !seen[e.To] {
+			if e.Kind != KindGo && e.To != nil && !seen[e.To] {
 				seen[e.To] = true
 				stack = append(stack, e.To)
 			}

@@ -108,29 +108,25 @@ func TestLiteralNode(t *testing.T) {
 	if n == nil {
 		t.Fatal("no literalCaller node")
 	}
-	reach := callgraph.Reachable([]*callgraph.Node{n}, false)
+	reach := callgraph.Reachable([]*callgraph.Node{n})
 	if d := g.Lookup("graphtest.direct"); !reach[d] {
 		t.Fatal("direct not reachable through the literal")
 	}
 }
 
-// TestReachableGoGate checks that `go` edges are followed only on request
-// while defer edges always count.
+// TestReachableGoGate checks that `go` edges are never followed while defer
+// edges always count.
 func TestReachableGoGate(t *testing.T) {
 	g := fixtureGraph(t)
 	spawns := g.Lookup("graphtest.spawns")
 	direct := g.Lookup("graphtest.direct")
 	helper := g.Lookup("graphtest.helper")
 
-	sync := callgraph.Reachable([]*callgraph.Node{spawns}, false)
-	if sync[direct] {
-		t.Fatal("go callee reachable without includeGo")
+	reach := callgraph.Reachable([]*callgraph.Node{spawns})
+	if reach[direct] {
+		t.Fatal("go callee reachable")
 	}
-	if !sync[helper] {
+	if !reach[helper] {
 		t.Fatal("defer callee should always be reachable")
-	}
-	async := callgraph.Reachable([]*callgraph.Node{spawns}, true)
-	if !async[direct] {
-		t.Fatal("go callee not reachable with includeGo")
 	}
 }

@@ -53,7 +53,7 @@ func runAllocfree(mp *analysis.ModulePass, roots []string) {
 		}
 		rootNodes = append(rootNodes, n)
 	}
-	reach := callgraph.Reachable(rootNodes, false)
+	reach := callgraph.Reachable(rootNodes)
 	for _, n := range g.Nodes() {
 		if !reach[n] || n.Body() == nil {
 			continue

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -80,18 +81,6 @@ func (m gmap) clone() gmap {
 		c[k] = v
 	}
 	return c
-}
-
-func gmapEqual(a, b gmap) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false //lint:allow maporder early exit from an equality check: the verdict is the same whichever mismatch is seen first
-		}
-	}
-	return true
 }
 
 func gmapJoin(a, b gmap) gmap {
@@ -282,7 +271,7 @@ func (f *guardFn) solve(entry gmap) map[*flow.Block]gmap {
 		Transfer: func(b *flow.Block, in gmap) gmap { return f.transfer(b, in, nil) },
 		Branch:   f.refine,
 		Join:     gmapJoin,
-		Equal:    gmapEqual,
+		Equal:    maps.Equal[gmap, gmap],
 	})
 }
 

@@ -1,8 +1,9 @@
-// Package rules implements the repo's determinism lint suite: seven
-// analyzers that statically enforce the invariants every bit-identity
-// guarantee rests on — three per-package syntactic checks and four
-// interprocedural ones built on the callgraph and flow packages. See each
-// analyzer's Doc and the README's "Determinism invariants" section.
+// Package rules implements the repo's determinism lint suite: five
+// analyzers — two per-package syntactic checks and three interprocedural
+// ones built on the callgraph and flow packages. An analyzer stays while it
+// catches a bug that no test or runtime gate fails on; see each analyzer's
+// Doc and the README's "Determinism invariants" section, which maps each
+// analyzer to that bug.
 //
 // Findings are suppressed per site with `//lint:allow <analyzer> <reason>`
 // (the reason is mandatory; the driver rejects directives naming analyzers
@@ -17,13 +18,12 @@ import (
 	"alock/internal/analysis"
 )
 
-// All returns the full suite in reporting order: the three per-package
-// analyzers, then the four interprocedural ones built on the callgraph/flow
+// All returns the full suite in reporting order: the two per-package
+// analyzers, then the three interprocedural ones built on the callgraph/flow
 // packages (guardflow and shardflow include the per-site and per-package
 // rules of their invariants).
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder, Rnggate,
-		Allocfree, Guardflow, Lockorder, Shardflow}
+	return []*analysis.Analyzer{Detrand, Maporder, Allocfree, Guardflow, Shardflow}
 }
 
 // --- shared helpers ---
@@ -112,6 +112,21 @@ func objOf(info *types.Info, e ast.Expr) types.Object {
 func isBuiltin(info *types.Info, id *ast.Ident) bool {
 	_, ok := info.Uses[id].(*types.Builtin)
 	return ok
+}
+
+// shallowInspect walks body in source order without descending into
+// function literals: a literal is a callgraph node of its own and is
+// checked against its own body.
+func shallowInspect(body *ast.BlockStmt, f func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			f(n)
+		}
+		return true
+	})
 }
 
 // isBlank reports whether e is the blank identifier.

@@ -24,10 +24,6 @@ func TestMaporder(t *testing.T) {
 	analysistest.Run(t, "testdata/src/maporder", "maportest", Maporder)
 }
 
-func TestRnggate(t *testing.T) {
-	analysistest.Run(t, "testdata/src/rnggate", "rnggatetest", Rnggate)
-}
-
 // TestGuardcheck runs guardflow's acquire-site rules: discarded results and
 // unread outcomes, pass-through and suppression exempt.
 func TestGuardcheck(t *testing.T) {
@@ -47,12 +43,6 @@ func TestGuardflow(t *testing.T) {
 func TestAllocfree(t *testing.T) {
 	analysistest.Run(t, "testdata/src/allocfree", "allocfreetest",
 		NewAllocfree([]string{"allocfreetest.(*Engine).Step"}))
-}
-
-// TestLockorder runs the acquisition-order check: constant, if-swap, and
-// sorted-slice evidence, with alias tracing and producer sorts.
-func TestLockorder(t *testing.T) {
-	analysistest.Run(t, "testdata/src/lockorder", "lockordertest", Lockorder)
 }
 
 // TestShardflow runs the dispatch-reachability check: direct substrate
@@ -92,7 +82,7 @@ func TestAllRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	wantNames := []string{"detrand", "maporder", "rnggate", "allocfree", "guardflow", "lockorder", "shardflow"}
+	wantNames := []string{"detrand", "maporder", "allocfree", "guardflow", "shardflow"}
 	if len(names) != len(wantNames) {
 		t.Errorf("All() has %d analyzers, want %d", len(names), len(wantNames))
 	}

@@ -25,10 +25,12 @@ type Engine struct {
 	h   handler
 	buf []int
 	n   int
+	t   thread
 }
 
 // Step is the fixture root.
 func (e *Engine) Step() {
+	e.t.loop(5)
 	e.process(1)
 	e.h.handle(2)
 	e.spawnHelpers()
@@ -85,6 +87,25 @@ func (e *Engine) trap(x int) {
 	if x > 10 {
 		panic(append(e.buf, x)) // allocation feeding panic is exempt: no finding
 	}
+}
+
+// thread models the engine's thread: WorkLoop parks its function in a
+// field and Step calls it between events, so the function is on the proved
+// path although the thread code that hands it over is not.
+type thread struct{ loop func(now int64) bool }
+
+func (t *thread) WorkLoop(f func(now int64) bool) { t.loop = f }
+
+type request struct{ client, arriveNS int64 }
+
+// generate is thread code, unreachable from Step: only the body of the
+// function it hands to WorkLoop is checked, and there the request is boxed.
+func generate(t *thread, client int64) {
+	t.WorkLoop(func(now int64) bool {
+		r := request{client: client, arriveNS: now}
+		sink(r) // want `boxed into interface parameter`
+		return true
+	})
 }
 
 // cold is unreachable from Step: its allocations produce no findings.

@@ -190,3 +190,39 @@ func reacquireWhileHeld(h *locker, p, q ptr.Ptr) {
 		}
 	}
 }
+
+// pairLeaksFirst is the workload's two-lock shape. When the second acquire
+// times out, the loop moves on with the first guard still held, so the
+// guard leaks when the loop ends and the next iteration's acquire
+// overwrites it.
+func pairLeaksFirst(h *locker, p, q ptr.Ptr, n int) {
+	for i := 0; i < n; i++ {
+		g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{DeadlineNS: 10}) // want `guard g may leak` `guard g reacquired while the previous acquisition may still be held`
+		if out == api.TimedOut {
+			continue
+		}
+		g2, out2 := h.Acquire(q, api.Exclusive, api.AcquireOpts{DeadlineNS: 10})
+		if out2 == api.TimedOut {
+			continue // g is still held here
+		}
+		h.Release(g2)
+		h.Release(g)
+	}
+}
+
+// pairBacksOut releases the first guard before moving on: no finding.
+func pairBacksOut(h *locker, p, q ptr.Ptr, n int) {
+	for i := 0; i < n; i++ {
+		g, out := h.Acquire(p, api.Exclusive, api.AcquireOpts{DeadlineNS: 10})
+		if out == api.TimedOut {
+			continue
+		}
+		g2, out2 := h.Acquire(q, api.Exclusive, api.AcquireOpts{DeadlineNS: 10})
+		if out2 == api.TimedOut {
+			h.Release(g)
+			continue
+		}
+		h.Release(g2)
+		h.Release(g)
+	}
+}

@@ -84,7 +84,8 @@ func (p Policy) String() string {
 // Spec configures one lock-service deployment.
 type Spec struct {
 	// Shards is the number of service shards; shard s is homed on node
-	// s % nodes, so shards beyond the node count stack round-robin.
+	// ShardNode(s, nodes), so shards beyond the node count stack
+	// round-robin.
 	Shards int
 	// WorkersPerShard is each shard's worker-pool size.
 	WorkersPerShard int
@@ -187,6 +188,10 @@ type shard struct {
 	readE2E, writeE2E                           stats.Hist
 }
 
+// ShardNode is the node service shard s is homed on, in a cluster of nodes:
+// its arrival generator and its workers run there.
+func ShardNode(s, nodes int) int { return s % nodes }
+
 // newShard builds a shard with its admission ring allocated.
 func newShard(id, node int, keys []int32, queueCap int) *shard {
 	return &shard{id: id, node: node, keys: keys, queue: make([]request, queueCap)}
@@ -263,7 +268,7 @@ func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 	c := &Cluster{spec: spec, table: table, sh: make([]*shard, spec.Shards)}
 	prng := e.RNG()
 	for s := 0; s < spec.Shards; s++ {
-		sh := newShard(s, s%nodes, perKeys[s], spec.QueueCap)
+		sh := newShard(s, ShardNode(s, nodes), perKeys[s], spec.QueueCap)
 		if shardW[s] > 0 {
 			sh.pick = stats.NewWeighted(perW[s])
 			sh.meanGapNS = 1e9 / (spec.RateOPS * shardW[s])

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"alock/internal/locks"
 	"alock/internal/model"
 )
 
@@ -63,6 +64,8 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"lock table larger than a region (was: a panic in prepare)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 100 }, "harness: lock table does not fit"},
 		{"skewed table overloads the hot node", closed, func(c *Config) { c.WordsPerNode, c.Locks, c.HomeSkewPct = 64, 10, 90 }, "harness: lock table does not fit: node 0"},
 		{"one lock past a region (line 0 is reserved)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 15 }, "harness: lock table does not fit: node 0"},
+		{"descriptors past a full region (was: a panic in the run)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 14 }, "harness: node 0 region does not fit the run"},
+		{"open: workers' descriptors past a region", open, func(c *Config) { c.WordsPerNode, c.Locks, c.SvcShards = 64, 8, 3 }, "harness: node 0 region does not fit the run"},
 		{"abandon without timeout", closed, func(c *Config) {
 			c.AbandonProb, c.AbandonHold = 0.1, time.Microsecond
 		}, "harness: AbandonProb requires AcquireTimeout"},
@@ -154,6 +157,31 @@ func TestValidateIsTheGate(t *testing.T) {
 			t.Errorf("%s: accepted", row.name)
 		case row.want != "" && (!strings.Contains(vErr.Error(), row.want) || vErr.Error() != rErr.Error()):
 			t.Errorf("%s: Validate %q, Run %q, want both to mention %q", row.name, vErr, rErr, row.want)
+		}
+	}
+}
+
+// TestRegionFitIsExact holds Validate's region check to what runs allocate
+// before their first acquire: for every algorithm, closed and open loop, the
+// smallest region Validate accepts runs without exhausting it, and one line
+// less is rejected.
+func TestRegionFitIsExact(t *testing.T) {
+	for _, alg := range locks.Names() {
+		for _, open := range []bool{false, true} {
+			c := Config{Algorithm: alg, Nodes: 2, ThreadsPerNode: 3, Locks: 5,
+				LocalityPct: 90, WarmupNS: 5_000, MeasureNS: 20_000, Seed: 3}
+			if open {
+				c.ArrivalRate, c.SvcShards = 1_000_000, 3
+			}
+			c.WordsPerNode = 16
+			for c.Validate() != nil && c.WordsPerNode < 1024 {
+				c.WordsPerNode += 8
+			}
+			MustRun(c)
+			c.WordsPerNode -= 8
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "does not fit") {
+				t.Errorf("%s open=%v: %d words: %v, want a fit error", alg, open, c.WordsPerNode, err)
+			}
 		}
 	}
 }

@@ -396,7 +396,9 @@ func (c Config) check() (plan, error) {
 		if _, err = cluster.NewPlacement(c.SvcPlacement, c.SvcShards, nil); err != nil {
 			return plan{}, err
 		}
-		threads = c.SvcShards * c.ThreadsPerNode
+		// Thread IDs count each shard's arrival generator as well as its
+		// workers, and the filter and bakery arrays are indexed by them.
+		threads = c.SvcShards * (c.ThreadsPerNode + 1)
 	} else {
 		if c.ThreadsPerNode < 1 {
 			return fail("threads per node %d", c.ThreadsPerNode)
@@ -438,6 +440,27 @@ func (c Config) check() (plan, error) {
 		if _, ok := p.prov.(locks.AbortableTimedProvider); !ok {
 			return fail("txn policy %q needs a fully abortable timed path, which algorithm %q lacks",
 				c.TxnPolicy, c.Algorithm)
+		}
+	}
+	if f, ok := p.prov.(locks.Footprint); ok {
+		// Past its lock lines, a node's region takes the provider's side
+		// state for each lock it homes (Prepare) and the first descriptors
+		// of each thread it runs (NewHandle), all before the first acquire.
+		perThread, perLock := f.Lines()
+		workers := make([]int, c.Nodes) // open loop: ThreadsPerNode per shard homed
+		for s := 0; s < c.SvcShards; s++ {
+			workers[cluster.ShardNode(s, c.Nodes)] += c.ThreadsPerNode
+		}
+		for n, homed := range perNode {
+			threads := c.ThreadsPerNode
+			if c.OpenLoop() {
+				threads = workers[n]
+			}
+			if need := homed*(1+perLock) + threads*perThread; need > capLines {
+				return fail("node %d region does not fit the run: its %d words hold %d lines past the reserved one, "+
+					"and %s needs %d (%d lock lines, %d per lock and %d per thread for %d threads)",
+					n, c.WordsPerNode, capLines, c.Algorithm, need, homed, perLock, perThread, threads)
+			}
 		}
 	}
 	if err = c.Model.Validate(); err != nil {

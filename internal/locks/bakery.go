@@ -41,6 +41,10 @@ func NewBakeryProvider(nThreads int) *BakeryProvider {
 // Name implements Provider.
 func (p *BakeryProvider) Name() string { return "bakery" }
 
+// Lines implements Footprint: the choosing and number arrays, one word per
+// thread each, line-aligned.
+func (p *BakeryProvider) Lines() (perThread, perLock int) { return 0, 2 * threadLines(p.nThreads) }
+
 // Prepare allocates each lock's arrays on the lock's home node.
 func (p *BakeryProvider) Prepare(space *mem.Space, locks []ptr.Ptr) {
 	p.mu.Lock()

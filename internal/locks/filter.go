@@ -58,6 +58,15 @@ func (p *FilterProvider) Prepare(space *mem.Space, locks []ptr.Ptr) {
 	}
 }
 
+// Lines implements Footprint: the level and victim arrays, one word per
+// thread each, line-aligned.
+func (p *FilterProvider) Lines() (perThread, perLock int) { return 0, 2 * threadLines(p.nThreads) }
+
+// threadLines is the whole lines an array of one word per thread takes.
+func threadLines(nThreads int) int {
+	return (nThreads + mem.WordsPerCacheLine - 1) / mem.WordsPerCacheLine
+}
+
 // NewHandle implements Provider.
 func (p *FilterProvider) NewHandle(ctx api.Ctx) api.Handle {
 	if ctx.ThreadID() >= p.nThreads {

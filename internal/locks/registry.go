@@ -28,6 +28,16 @@ type Provider interface {
 	NewHandle(ctx api.Ctx) api.Handle
 }
 
+// Footprint is implemented by providers that allocate simulated memory
+// beyond the lock lines, so a config's regions can be checked before its
+// run: Lines returns the cache lines NewHandle allocates on each thread's
+// node and the lines Prepare allocates on each lock's home node. Every such
+// allocation is whole lines. Descriptors a handle adds later, for
+// overlapping holds or abandoned waiters, are not counted.
+type Footprint interface {
+	Lines() (perThread, perLock int)
+}
+
 // ALockProvider supplies the paper's ALock under a given budget
 // configuration. It retains every handle it creates (O(threads) appends) so
 // the algorithm's counters can be harvested after a run (StatsAggregator).
@@ -54,6 +64,11 @@ func (p *ALockProvider) Name() string {
 // Prepare implements Provider (no shared per-lock state: an ALock is fully
 // contained in its 64-byte line).
 func (p *ALockProvider) Prepare(*mem.Space, []ptr.Ptr) {}
+
+// Lines implements Footprint: one seed descriptor per cohort.
+func (p *ALockProvider) Lines() (perThread, perLock int) {
+	return 2 * core.DescWords / mem.WordsPerCacheLine, 0
+}
 
 // NewHandle implements Provider.
 func (p *ALockProvider) NewHandle(ctx api.Ctx) api.Handle {
@@ -112,6 +127,9 @@ func (MCSProvider) Name() string { return "mcs" }
 
 // Prepare implements Provider.
 func (MCSProvider) Prepare(*mem.Space, []ptr.Ptr) {}
+
+// Lines implements Footprint: the thread's first queue descriptor.
+func (MCSProvider) Lines() (perThread, perLock int) { return MCSDescWords / mem.WordsPerCacheLine, 0 }
 
 // NewHandle implements Provider.
 func (p MCSProvider) NewHandle(ctx api.Ctx) api.Handle {

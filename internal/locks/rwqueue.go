@@ -865,6 +865,11 @@ func (*RWQueueProvider) Name() string { return "rw-queue" }
 // are per-thread and allocated by NewHandle on each thread's own node).
 func (*RWQueueProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
+// Lines implements Footprint: the thread's first queue descriptor.
+func (*RWQueueProvider) Lines() (perThread, perLock int) {
+	return RWQDescWords / mem.WordsPerCacheLine, 0
+}
+
 // NewHandle implements Provider.
 func (p *RWQueueProvider) NewHandle(ctx api.Ctx) api.Handle {
 	h := NewRWQueueHandle(ctx, p.Cfg)

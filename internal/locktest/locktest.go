@@ -290,14 +290,21 @@ func CheckOverlappingHolds(t *testing.T, prov locks.Provider, cfg OverlapConfig)
 					if b < a {
 						a, b = b, a
 					}
-					ga, out := h.Acquire(lockPtrs[a], api.Exclusive, api.AcquireOpts{}) //lint:allow guardflow a blocking acquire cannot time out; the bail-out only fires on a broken lock, where the trample counter already fails the test
-					if out != api.Acquired {
-						tl.tramples++ // blocking acquire must not time out
-						continue
-					}
-					gb, out := h.Acquire(lockPtrs[b], api.Exclusive, api.AcquireOpts{}) //lint:allow guardflow a blocking acquire cannot time out; the bail-out only fires on a broken lock, where the trample counter already fails the test
+					// A blocking acquire neither times out nor runs late; if a
+					// broken lock says otherwise, count it and back out.
+					ga, out := h.Acquire(lockPtrs[a], api.Exclusive, api.AcquireOpts{})
 					if out != api.Acquired {
 						tl.tramples++
+					}
+					if !out.Granted() {
+						continue
+					}
+					gb, out := h.Acquire(lockPtrs[b], api.Exclusive, api.AcquireOpts{})
+					if out != api.Acquired {
+						tl.tramples++
+					}
+					if !out.Granted() {
+						h.Release(ga)
 						continue
 					}
 					// Doubly-held section: the handshake on both locks'

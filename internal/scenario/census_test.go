@@ -19,9 +19,10 @@ func engineRun(t *testing.T, cfg harness.Config, serial bool) (harness.Result, *
 	defer func() { newEngine = build }()
 	newEngine = func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine {
 		if serial {
-			opts = nil
+			e = serialEngine(nodes, wordsPerNode, p, seed)
+		} else {
+			e = build(nodes, wordsPerNode, p, seed, opts...)
 		}
-		e = sim.New(nodes, wordsPerNode, p, seed, opts...)
 		return e
 	}
 	res, err := harness.Run(cfg)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,9 +21,25 @@ import (
 //go:linkname newEngine alock/internal/harness.newEngine
 var newEngine func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine
 
-// serialEngine is sim.New without the options: no WithShards.
+// testMaxEvents caps every engine this package's tests build, as the
+// harness tests do: a deadlocked run panics with "exceeded N events —
+// livelock?" in seconds instead of hanging until the go test timeout. The
+// largest healthy run here (TestEngineCensus) takes between 2^22 and 2^23
+// events.
+const testMaxEvents = 1 << 26
+
+func TestMain(m *testing.M) {
+	build := newEngine
+	newEngine = func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine {
+		return build(nodes, wordsPerNode, p, seed, append(opts, sim.WithMaxEvents(testMaxEvents))...)
+	}
+	os.Exit(m.Run())
+}
+
+// serialEngine is sim.New without the options (no WithShards), capped at
+// testMaxEvents.
 func serialEngine(nodes, wordsPerNode int, p model.Params, seed int64, _ ...sim.Option) *sim.Engine {
-	return sim.New(nodes, wordsPerNode, p, seed)
+	return sim.New(nodes, wordsPerNode, p, seed, sim.WithMaxEvents(testMaxEvents))
 }
 
 // TestTypedEngineMatchesOracleEveryScenario is the executor acceptance gate:
