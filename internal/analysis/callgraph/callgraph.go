@@ -171,16 +171,6 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // function.
 func (g *Graph) Lookup(name string) *Node { return g.byName[name] }
 
-// ValuesOf returns every function the lattice believes expr may evaluate
-// to. pkg must be the package owning expr. Shard-dispatch analyses use
-// this to resolve function-valued arguments (e.g. the body passed to
-// Engine.Spawn) into roots.
-func (g *Graph) ValuesOf(pkg *analysis.Package, expr ast.Expr) []*Node {
-	b := &builder{g: g}
-	set := b.funcValues(pkg, expr)
-	return sortedNodes(set)
-}
-
 // Reachable returns the set of nodes reachable from roots over call and
 // defer edges; `go` edges are not followed. Roots are included.
 func Reachable(roots []*Node) map[*Node]bool {

@@ -7,7 +7,7 @@ import (
 	"alock/internal/analysis/callgraph"
 )
 
-// graphCache memoizes the call graph per loaded package set, so the four
+// graphCache memoizes the call graph per loaded package set, so the two
 // interprocedural analyzers share one build instead of each paying the
 // fixpoint cost. The key is the identity of the package set (first
 // package pointer + length): within one process a given set is loaded

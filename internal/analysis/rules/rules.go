@@ -1,6 +1,6 @@
-// Package rules implements the repo's determinism lint suite: five
-// analyzers — two per-package syntactic checks and three interprocedural
-// ones built on the callgraph and flow packages. An analyzer stays while it
+// Package rules implements the repo's determinism lint suite: four
+// analyzers — two per-package syntactic checks and two interprocedural ones
+// built on the callgraph and flow packages. An analyzer stays while it
 // catches a bug that no test or runtime gate fails on; see each analyzer's
 // Doc and the README's "Determinism invariants" section, which maps each
 // analyzer to that bug.
@@ -19,11 +19,10 @@ import (
 )
 
 // All returns the full suite in reporting order: the two per-package
-// analyzers, then the three interprocedural ones built on the callgraph/flow
-// packages (guardflow and shardflow include the per-site and per-package
-// rules of their invariants).
+// analyzers, then the two interprocedural ones built on the callgraph/flow
+// packages (guardflow includes the per-site rules of its invariant).
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder, Allocfree, Guardflow, Shardflow}
+	return []*analysis.Analyzer{Detrand, Maporder, Allocfree, Guardflow}
 }
 
 // --- shared helpers ---
@@ -40,31 +39,6 @@ func funcOf(info *types.Info, e ast.Expr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// namedRecv returns the named type of a method selection's receiver with
-// pointers dereferenced, or nil.
-func namedRecv(sel *types.Selection) *types.Named {
-	t := sel.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// methodCall resolves a call of the form x.M(...) where M is a method: its
-// selector and selection, nil for any other call.
-func methodCall(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, *types.Selection) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil
-	}
-	selection := info.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal {
-		return nil, nil
-	}
-	return sel, selection
 }
 
 // isPkgType reports whether n is the named type pkgPath.name.

@@ -45,29 +45,6 @@ func TestAllocfree(t *testing.T) {
 		NewAllocfree([]string{"allocfreetest.(*Engine).Step"}))
 }
 
-// TestShardflow runs the dispatch-reachability check: direct substrate
-// access is flagged in anything reachable from the modeled runWindow root
-// or a Spawn-registered thread body (including go and defer edges), and
-// tolerated in the sanctioned accessors and in unreachable code outside the
-// engine and lock packages.
-func TestShardflow(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardflow", "shardflowtest",
-		NewShardflow([]string{"shardflowtest.(*Engine).runWindow"}))
-}
-
-// TestShardflowScopes checks the package rule under an in-scope import path
-// (the locks scope): with no dispatch root at all, every function outside
-// the sanctioned set that resolves words directly is flagged.
-func TestShardflowScopes(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardflow/scoped", "alock/internal/locks", NewShardflow(nil))
-}
-
-// TestShardmemOutOfScope checks that the package rule is silent outside the
-// sim/locks scopes even with direct substrate access present.
-func TestShardmemOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardmem_outofscope", "alock/internal/harness", NewShardflow(nil))
-}
-
 func TestAllRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range All() {
@@ -82,7 +59,7 @@ func TestAllRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	wantNames := []string{"detrand", "maporder", "allocfree", "guardflow", "shardflow"}
+	wantNames := []string{"detrand", "maporder", "allocfree", "guardflow"}
 	if len(names) != len(wantNames) {
 		t.Errorf("All() has %d analyzers, want %d", len(names), len(wantNames))
 	}

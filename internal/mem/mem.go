@@ -227,7 +227,7 @@ type Space struct {
 	regions []*Region
 	// audit, when set, observes every access through the Space before it
 	// happens, keyed by the node whose region is touched. The simulation
-	// engine's debug access-audit mode uses it to panic on out-of-protocol
+	// engine installs it in test binaries to panic on out-of-protocol
 	// cross-shard touches (a word owned by node A mutated from node B's
 	// timeline without going through the verb protocol).
 	audit func(node int)
@@ -248,15 +248,17 @@ func NewSpace(nodes, wordsPerNode int) *Space {
 // SetAudit installs fn as the access auditor: it is called with the target
 // node before every WordAddr resolution and allocator operation routed
 // through the Space. Install before any concurrent use (the field is read
-// unsynchronized on the access hot path); pass nil to disable. Direct
-// Region method calls bypass the auditor — engines resolve through Space.
+// unsynchronized on the access hot path); pass nil to disable. A Space's
+// regions are reachable from other packages only through these accessors,
+// so nothing outside this package can bypass the auditor.
 func (s *Space) SetAudit(fn func(node int)) { s.audit = fn }
 
 // Nodes returns the number of nodes in the space.
 func (s *Space) Nodes() int { return len(s.regions) }
 
-// Region returns node `id`'s region.
-func (s *Space) Region(id int) *Region {
+// region returns node `id`'s region. It is unexported so that the audited
+// accessors below are the only way into a Space from another package.
+func (s *Space) region(id int) *Region {
 	if id < 0 || id >= len(s.regions) {
 		panic(fmt.Sprintf("mem: node %d out of range (space has %d nodes)", id, len(s.regions)))
 	}
@@ -268,7 +270,7 @@ func (s *Space) WordAddr(p ptr.Ptr) *uint64 {
 	if s.audit != nil {
 		s.audit(p.NodeID())
 	}
-	return s.Region(p.NodeID()).WordAddr(p.Offset())
+	return s.region(p.NodeID()).WordAddr(p.Offset())
 }
 
 // Alloc allocates on the given node. See Region.Alloc.
@@ -276,7 +278,7 @@ func (s *Space) Alloc(node, words, alignWords int) ptr.Ptr {
 	if s.audit != nil {
 		s.audit(node)
 	}
-	return s.Region(node).Alloc(words, alignWords)
+	return s.region(node).Alloc(words, alignWords)
 }
 
 // AllocLine allocates one cache line on the given node. See Region.AllocLine.
@@ -284,7 +286,7 @@ func (s *Space) AllocLine(node int) ptr.Ptr {
 	if s.audit != nil {
 		s.audit(node)
 	}
-	return s.Region(node).AllocLine()
+	return s.region(node).AllocLine()
 }
 
 // Free releases p back to its node's region.
@@ -292,5 +294,5 @@ func (s *Space) Free(p ptr.Ptr) {
 	if s.audit != nil {
 		s.audit(p.NodeID())
 	}
-	s.Region(p.NodeID()).Free(p)
+	s.region(p.NodeID()).Free(p)
 }

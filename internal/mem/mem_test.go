@@ -148,7 +148,7 @@ func TestSpaceResolution(t *testing.T) {
 		t.Fatalf("AllocLine(3) on node %d", p.NodeID())
 	}
 	*s.WordAddr(p) = 42
-	if *s.Region(3).WordAddr(p.Offset()) != 42 {
+	if *s.region(3).WordAddr(p.Offset()) != 42 {
 		t.Fatal("WordAddr did not resolve to node 3's region")
 	}
 	s.Free(p)
@@ -255,7 +255,7 @@ func TestQuickReuseZeroed(t *testing.T) {
 
 // TestAuditObservesSpaceAccesses: the auditor sees the target node of every
 // Space-routed access — word resolution, allocation, free — and can veto by
-// panicking. Direct Region calls bypass it (engines resolve through Space).
+// panicking. Region-level access bypasses it, and only this package has it.
 func TestAuditObservesSpaceAccesses(t *testing.T) {
 	s := NewSpace(3, 64)
 	var seen []int
@@ -279,7 +279,7 @@ func TestAuditObservesSpaceAccesses(t *testing.T) {
 
 	// Region-level access bypasses the auditor.
 	seen = seen[:0]
-	_ = s.Region(0).WordAddr(8)
+	_ = s.region(0).WordAddr(8)
 	if len(seen) != 0 {
 		t.Fatalf("Region access reached the auditor: %v", seen)
 	}
@@ -290,7 +290,7 @@ func TestAuditObservesSpaceAccesses(t *testing.T) {
 }
 
 // TestAuditPanicPropagates: a vetoing auditor turns an access into a panic
-// at the access site — the mechanism the engine's access-audit mode uses to
+// at the access site — the mechanism the engine's access audit uses to
 // catch out-of-protocol cross-shard touches.
 func TestAuditPanicPropagates(t *testing.T) {
 	s := NewSpace(2, 64)

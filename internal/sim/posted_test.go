@@ -112,7 +112,8 @@ func postedWorld(seed int64, wrap ctxWrap, opts ...Option) (*Engine, []ptr.Ptr, 
 // TestPostedOpsMatchSynchronous: random programs with posted local ops
 // against the same programs completing every op before the next — final
 // clock, Events, memory image, NIC stats and every thread's (value, time)
-// observations equal, under both executors, with strictly fewer resumes.
+// observations equal, under both executors, with the access audit on and, in
+// the audit row, off; with strictly fewer resumes.
 func TestPostedOpsMatchSynchronous(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -122,7 +123,7 @@ func TestPostedOpsMatchSynchronous(t *testing.T) {
 	}{
 		{"serial", nil},
 		{"windowed", []Option{WithShards(4)}},
-		{"audit", []Option{WithAccessAudit()}},
+		{"audit", []Option{withoutAudit}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -330,7 +331,7 @@ func TestPostedOpsStopAtTheSameEvent(t *testing.T) {
 func TestPostedCrossNodeWritePanicsAtIssue(t *testing.T) {
 	for _, d := range trapDrivers {
 		t.Run(d.name, func(t *testing.T) {
-			e := New(2, 1024, model.CX3(), 1, append([]Option{WithAccessAudit()}, d.opts...)...)
+			e := New(2, 1024, model.CX3(), 1, d.opts...)
 			mine, theirs := e.Space().AllocLine(0), e.Space().AllocLine(1)
 			busy(e, 2_000)
 			var atIssue any
@@ -347,7 +348,6 @@ func TestPostedCrossNodeWritePanicsAtIssue(t *testing.T) {
 			if atIssue != want {
 				t.Fatalf("the Write call panicked with %q, want %q", atIssue, want)
 			}
-			e.curShard.Store(auditIdle) // Step, unlike Run, leaves the auditor armed
 			if got := *e.Space().WordAddr(mine); got != 5 {
 				t.Errorf("the Write posted ahead of the bad one left %d, want 5", got)
 			}
@@ -456,8 +456,9 @@ func tornWorld(seed int64, rcas rcasFn, opts ...Option) (*Engine, []ptr.Ptr, [][
 // TestTornLoopbackRCASMatchesLegs: the torn loopback RCAS the executor carries
 // against the same verb with the thread resumed after every leg — final clock,
 // Events, memory image, NIC stats, every event popped and every thread's
-// (value, time) observations equal, under both executors and the audit, with
-// fewer resumes; and the worlds do make read halves wait for a held word.
+// (value, time) observations equal, under both executors, with the access
+// audit on and, in the audit row, off; with fewer resumes; and the worlds do
+// make read halves wait for a held word.
 func TestTornLoopbackRCASMatchesLegs(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -468,7 +469,7 @@ func TestTornLoopbackRCASMatchesLegs(t *testing.T) {
 		{"serial", nil},
 		{"windowed-2", []Option{WithShards(2)}},
 		{"windowed-4", []Option{WithShards(4)}},
-		{"audit-windowed", []Option{WithAccessAudit(), WithShards(2)}},
+		{"audit-windowed", []Option{withoutAudit, WithShards(2)}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

@@ -552,15 +552,31 @@ func TestWindowStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestWindowedWithAudit: the access-audit mode must pass cleanly on a
-// protocol-respecting workload in every mode (it would panic on an
-// out-of-protocol cross-shard touch).
+// withoutAudit turns the access audit off, as it is in every built binary.
+func withoutAudit(e *Engine) { e.audit = false }
+
+// TestWindowedWithAudit: the access audit, on in every test binary, must pass
+// cleanly on a protocol-respecting workload under either executor (it would
+// panic on an out-of-protocol cross-shard touch).
 func TestWindowedWithAudit(t *testing.T) {
 	const horizon = 200_000
-	serial := runMode(t, 3, 2, horizon, WithAccessAudit())
-	windowed := runMode(t, 3, 2, horizon, WithShards(3), WithAccessAudit())
+	serial := runMode(t, 3, 2, horizon)
+	windowed := runMode(t, 3, 2, horizon, WithShards(3))
 	if serial != windowed {
-		t.Errorf("audit-mode windowed diverged from serial:\n serial:   %s\n windowed: %s", serial, windowed)
+		t.Errorf("audited windowed diverged from serial:\n serial:   %s\n windowed: %s", serial, windowed)
+	}
+}
+
+// TestWindowedWithoutAudit: the path built binaries take, with no auditor on
+// the Space and no per-event curShard store, lands where the audited runs do
+// under either executor.
+func TestWindowedWithoutAudit(t *testing.T) {
+	const horizon = 200_000
+	audited := runMode(t, 3, 2, horizon)
+	serial := runMode(t, 3, 2, horizon, withoutAudit)
+	windowed := runMode(t, 3, 2, horizon, withoutAudit, WithShards(3))
+	if serial != audited || windowed != audited {
+		t.Errorf("unaudited runs diverged:\n audited:  %s\n serial:   %s\n windowed: %s", audited, serial, windowed)
 	}
 }
 
@@ -572,8 +588,8 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"serial", []Option{WithAccessAudit()}},
-		{"windowed", []Option{WithShards(2), WithAccessAudit()}},
+		{"serial", nil},
+		{"windowed", []Option{WithShards(2)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e := New(2, 1024, model.CX3(), 1, mode.opts...)

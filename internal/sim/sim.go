@@ -130,6 +130,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"alock/internal/api"
@@ -239,11 +240,11 @@ type Engine struct {
 
 	maxEvents uint64
 
-	// audit enables the debug access-audit mode: curShard tracks which
-	// shard's timeline is executing (serial modes) and the mem.Space hook
-	// panics on touches of another shard's region; under the windowed
-	// executor the per-shard active flags catch touches of idle shards and
-	// the race detector covers the rest.
+	// audit is the access audit, on in every test binary and off in every
+	// built one (New): curShard tracks which shard's timeline is executing
+	// (serial executor) and the mem.Space hook panics on touches of another
+	// shard's region; under the windowed executor the per-shard active flags
+	// catch touches of idle shards and the race detector covers the rest.
 	audit    bool
 	curShard atomic.Int32
 
@@ -286,20 +287,18 @@ func WithShards(workers int) Option {
 	return func(e *Engine) { e.workers, e.auto = max(1, workers), workers == 0 }
 }
 
-// WithAccessAudit enables the debug access-audit mode: every mem.Space
-// access is checked against the shard model, and a word touched from
-// another shard's timeline outside the verb protocol panics instead of
-// silently racing. The serial modes enforce the check exactly (and any
-// violation occurs at the same virtual point in every mode, so a serial
-// audit run certifies the schedule for the parallel one); the windowed
-// executor catches touches of idle shards and leaves concurrent-touch
-// detection to the race detector.
-func WithAccessAudit() Option {
-	return func(e *Engine) { e.audit = true }
-}
-
 // New creates an engine for a cluster of `nodes` nodes, each with
 // wordsPerNode words of RDMA-accessible memory, under cost model p.
+//
+// In a test binary (testing.Testing) the engine runs the access audit: every
+// mem.Space access is checked against the shard model, and a word touched
+// from another shard's timeline outside the verb protocol, or a local
+// operation on another node's word, panics at the access instead of silently
+// racing. The serial executor enforces the check exactly (and any violation
+// occurs at the same virtual point under either executor, so a serial run
+// certifies the schedule for the windowed one); the windowed executor
+// catches touches of idle shards and leaves concurrent-touch detection to
+// the race detector. Built binaries never pay for it.
 func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *Engine {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: invalid model: %v", err))
@@ -314,6 +313,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		stopAt:    math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
+		audit:     testing.Testing(),
 	}
 	e.shards = make([]*shard, nodes)
 	for i := range e.shards {
@@ -332,7 +332,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 	return e
 }
 
-// auditAccess is the mem.Space hook installed by WithAccessAudit.
+// auditAccess is the mem.Space hook New installs in test binaries.
 func (e *Engine) auditAccess(node int) {
 	switch cur := e.curShard.Load(); cur {
 	case auditIdle:
@@ -500,10 +500,10 @@ func (e *Engine) dispatch(tl *timeline, limit int) error {
 	return nil
 }
 
-// observe is dispatch's debug and test bookkeeping. On the engine's timeline
-// the access auditor checks every touch against the event's shard exactly; on
-// a shard's own timeline the per-shard active flags carry that check, and the
-// window hook sees the event.
+// observe is dispatch's audit and test-hook bookkeeping. On the engine's
+// timeline the access auditor checks every touch against the event's shard
+// exactly; on a shard's own timeline the per-shard active flags carry that
+// check, and the window hook sees the event.
 func (e *Engine) observe(tl *timeline, ev event) {
 	if tl == &e.tl {
 		if e.audit {
@@ -618,6 +618,10 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 func (e *Engine) ProcessNextEvent() bool {
 	if e.pending() == 0 {
 		return false
+	}
+	if e.audit {
+		// A driver may inspect memory between steps, as after a Run.
+		defer e.curShard.Store(auditIdle)
 	}
 	if err := e.dispatch(&e.tl, 1); err != nil {
 		e.stopThreads()
@@ -1037,10 +1041,10 @@ func (t *Thread) Free(p ptr.Ptr) {
 	t.e.space.Free(p)
 }
 
-// auditLocal rejects shared-memory operations on another node's words when
-// the access audit is on: a thread's local loads and stores reach only its
-// own node's region; everything else must go through verbs. (This is the
-// exact per-access check; it holds in every mode, including windowed.)
+// auditLocal rejects shared-memory operations on another node's words under
+// the access audit (test binaries): a thread's local loads and stores reach
+// only its own node's region; everything else must go through verbs. (This
+// is the exact per-access check; it holds in every mode, including windowed.)
 func (t *Thread) auditLocal(p ptr.Ptr) {
 	if t.e.audit && p.NodeID() != t.node {
 		panic(fmt.Sprintf(

@@ -116,8 +116,8 @@ func sameOutcome(t *testing.T, loop, method *Engine) {
 
 // TestSpinWhileMatchesLoop: SpinWhile against the literal Read/Pause loop on
 // twin engines — every wait's return value and return time, Events() and
-// Now() — under Run, Step (compared after every single step), the windowed
-// executor and the access audit.
+// Now() — under Run, Step (compared after every single step) and the windowed
+// executor, with the access audit on and, in the audit rows, off.
 func TestSpinWhileMatchesLoop(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -129,8 +129,8 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 		{"run", nil, false},
 		{"step", nil, true},
 		{"windowed", []Option{WithShards(2)}, false},
-		{"audit", []Option{WithAccessAudit()}, false},
-		{"audit-windowed", []Option{WithAccessAudit(), WithShards(2)}, false},
+		{"audit", []Option{withoutAudit}, false},
+		{"audit-windowed", []Option{withoutAudit, WithShards(2)}, false},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

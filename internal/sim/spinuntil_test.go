@@ -185,7 +185,8 @@ func untilWorld(seed int64, until untilFn, stopper bool, opts ...Option) (e *Eng
 // (time, seq, thread, kind), every (v, now) handed to every done with its
 // answer, every returned value and iterOut — under the serial executor with the
 // horizon and with a RequestStop landing mid-wait, the windowed executor at two
-// and four workers, and the access audit; with fewer coroutine resumes.
+// and four workers, with the access audit on and, in the audit row, off; with
+// fewer coroutine resumes.
 func TestSpinUntilMatchesLoop(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -198,7 +199,7 @@ func TestSpinUntilMatchesLoop(t *testing.T) {
 		{"request-stop", nil, true},
 		{"windowed-2", []Option{WithShards(2)}, false},
 		{"windowed-4", []Option{WithShards(4)}, false},
-		{"audit-windowed", []Option{WithAccessAudit(), WithShards(2)}, false},
+		{"audit-windowed", []Option{withoutAudit, WithShards(2)}, false},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

@@ -170,7 +170,8 @@ func drivePops(e *Engine, horizon int64) [][]popSeen {
 // seq, thread, kind), and every call of every loop's function with the time and
 // stop flag it was handed — under the serial executor with the horizon and
 // with a RequestStop landing between turns, the windowed executor at two and
-// four workers, and the access audit; with fewer coroutine resumes.
+// four workers, with the access audit on and, in the audit row, off; with fewer
+// coroutine resumes.
 func TestWorkLoopMatchesLoop(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -183,7 +184,7 @@ func TestWorkLoopMatchesLoop(t *testing.T) {
 		{"request-stop", nil, true},
 		{"windowed-2", []Option{WithShards(2)}, false},
 		{"windowed-4", []Option{WithShards(4)}, false},
-		{"audit-windowed", []Option{WithAccessAudit(), WithShards(2)}, false},
+		{"audit-windowed", []Option{withoutAudit, WithShards(2)}, false},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
