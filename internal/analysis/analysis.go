@@ -10,10 +10,10 @@
 // The suite exists because every bit-identity guarantee the repo ships
 // rests on conventions — all randomness via sim.PartitionedRNG, no
 // wall-clock on simulated paths, cross-shard memory only through the verb
-// protocol, every Acquired guard released — that runtime checks only catch
-// when a test happens to exercise the bad path. The analyzers in
-// internal/analysis/rules enforce them at review time. See the README's
-// "Determinism invariants" section for the rules and the allowlist policy.
+// protocol, every Acquired guard released — and tests and runtime gates
+// hold most of them. The analyzers in internal/analysis/rules enforce the
+// few that no test can see. See the README's "Determinism invariants"
+// section for the rules and the allowlist policy.
 package analysis
 
 import (
@@ -25,9 +25,7 @@ import (
 
 // An Analyzer is one static check. It mirrors x/tools' analysis.Analyzer:
 // Run inspects a single type-checked package through the Pass and reports
-// findings via Pass.Report. Interprocedural analyzers set RunModule instead
-// and see every loaded package at once — call graphs and dataflow summaries
-// don't stop at package boundaries.
+// findings via Pass.Report.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// `//lint:allow <name> <reason>` suppression comments. It must be a
@@ -37,15 +35,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 
-	// Run applies the check to one package. Exactly one of Run and
-	// RunModule must be set.
+	// Run applies the check to one package.
 	Run func(*Pass) error
-
-	// RunModule applies the check to the whole loaded package set in one
-	// invocation. The driver calls it once per Run, after the per-package
-	// analyzers; diagnostics are attributed to files by position and flow
-	// through the same `//lint:allow` suppression policy.
-	RunModule func(*ModulePass) error
 }
 
 // A Pass provides one analyzer with one type-checked package and a sink
@@ -65,25 +56,6 @@ func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// A ModulePass provides one module-level analyzer with every loaded
-// package and a sink for its diagnostics. All packages share one file set
-// (the loader's), so a single Fset resolves every position.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-
-	report func(Diagnostic)
-}
-
-// Report emits one diagnostic.
-func (p *ModulePass) Report(d Diagnostic) { p.report(d) }
-
-// Reportf emits a diagnostic at pos with a formatted message.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 

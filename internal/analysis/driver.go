@@ -73,10 +73,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // RunWith applies every analyzer to every package, filters diagnostics
 // through the packages' `//lint:allow <analyzer> <reason>` suppression
 // comments, and returns the surviving findings sorted by position.
-// Per-package analyzers (Analyzer.Run) see one package at a time;
-// module-level analyzers (Analyzer.RunModule) see the whole set once. A
-// directive suppresses diagnostics from exactly one named analyzer, on the
-// directive's own line or on the first line after its comment group.
+// Analyzers see one package at a time. A directive suppresses diagnostics
+// from exactly one named analyzer, on the directive's own line or on the
+// first line after its comment group.
 // Directives missing a reason, or naming an analyzer outside the known
 // set, are findings in their own right (analyzer "lint"), as are — under
 // Options.ReportStale — directives that suppressed nothing.
@@ -99,25 +98,9 @@ func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Finding, e
 		perPkg[pkg] = directives
 	}
 
-	// filter routes one analyzer's diagnostics on one package through the
-	// package's directives, marking the directives it consumes.
-	filter := func(pkg *Package, name string, diags []Diagnostic) {
-		directives := perPkg[pkg]
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			if i := suppressedBy(directives, name, pos); i >= 0 {
-				directives[i].used = true
-				continue
-			}
-			findings = append(findings, Finding{Analyzer: name, Pos: pos, Message: d.Message})
-		}
-	}
-
 	for _, pkg := range pkgs {
+		directives := perPkg[pkg]
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			var diags []Diagnostic
 			pass := &Pass{
 				Analyzer:  a,
@@ -130,50 +113,13 @@ func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Finding, e
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
-			filter(pkg, a.Name, diags)
-		}
-	}
-
-	// Module-level analyzers run once over the whole set; their
-	// diagnostics are attributed to packages by filename so the owning
-	// package's directives apply.
-	fileOwner := make(map[string]*Package)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			fileOwner[pkg.Fset.Position(f.Pos()).Filename] = pkg
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		var diags []Diagnostic
-		var fset *token.FileSet
-		if len(pkgs) > 0 {
-			fset = pkgs[0].Fset
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Pkgs:     pkgs,
-			report:   func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("analysis: %s (module): %w", a.Name, err)
-		}
-		byPkg := make(map[*Package][]Diagnostic)
-		for _, d := range diags {
-			pkg := fileOwner[fset.Position(d.Pos).Filename]
-			if pkg == nil {
-				pos := fset.Position(d.Pos)
+			for _, d := range diags {
+				pos := pkg.Fset.Position(d.Pos)
+				if i := suppressedBy(directives, a.Name, pos); i >= 0 {
+					directives[i].used = true
+					continue
+				}
 				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-				continue
-			}
-			byPkg[pkg] = append(byPkg[pkg], d)
-		}
-		for _, pkg := range pkgs { // stable package order
-			if ds := byPkg[pkg]; len(ds) > 0 {
-				filter(pkg, a.Name, ds)
 			}
 		}
 	}

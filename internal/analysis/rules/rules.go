@@ -1,9 +1,9 @@
-// Package rules implements the repo's determinism lint suite: four
-// analyzers — two per-package syntactic checks and two interprocedural ones
-// built on the callgraph and flow packages. An analyzer stays while it
-// catches a bug that no test or runtime gate fails on; see each analyzer's
-// Doc and the README's "Determinism invariants" section, which maps each
-// analyzer to that bug.
+// Package rules implements the repo's determinism lint suite: three
+// per-package analyzers — two syntactic checks and one flow-sensitive rule
+// built on the flow package. An analyzer stays while it catches a bug that
+// no test or runtime gate fails on; see each analyzer's Doc and the
+// README's "Determinism invariants" section, which maps each analyzer to
+// that bug.
 //
 // Findings are suppressed per site with `//lint:allow <analyzer> <reason>`
 // (the reason is mandatory; the driver rejects directives naming analyzers
@@ -18,11 +18,9 @@ import (
 	"alock/internal/analysis"
 )
 
-// All returns the full suite in reporting order: the two per-package
-// analyzers, then the two interprocedural ones built on the callgraph/flow
-// packages (guardflow includes the per-site rules of its invariant).
+// All returns the full suite in reporting order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder, Allocfree, Guardflow}
+	return []*analysis.Analyzer{Detrand, Maporder, Guardflow}
 }
 
 // --- shared helpers ---
@@ -86,25 +84,4 @@ func objOf(info *types.Info, e ast.Expr) types.Object {
 func isBuiltin(info *types.Info, id *ast.Ident) bool {
 	_, ok := info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// shallowInspect walks body in source order without descending into
-// function literals: a literal is a callgraph node of its own and is
-// checked against its own body.
-func shallowInspect(body *ast.BlockStmt, f func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
-}
-
-// isBlank reports whether e is the blank identifier.
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
 }

@@ -24,25 +24,12 @@ func TestMaporder(t *testing.T) {
 	analysistest.Run(t, "testdata/src/maporder", "maportest", Maporder)
 }
 
-// TestGuardcheck runs guardflow's acquire-site rules: discarded results and
-// unread outcomes, pass-through and suppression exempt.
-func TestGuardcheck(t *testing.T) {
-	analysistest.Run(t, "testdata/src/guardcheck", "guardchecktest", Guardflow)
-}
-
-// TestGuardflow runs the interprocedural guard-lifetime rules: leaks on
-// early returns and timeout branches, escapes, delegation through
-// summaries, double release, reacquire-while-held.
+// TestGuardflow runs the double-release rule: bare repeat releases on
+// straight-line paths, after an abandon, deferred, on one branch of a
+// join, inside a literal; not across a continue, a reassignment, a range
+// rebinding, or when the second outcome is checked for Fenced.
 func TestGuardflow(t *testing.T) {
 	analysistest.Run(t, "testdata/src/guardflow", "guardflowtest", Guardflow)
-}
-
-// TestAllocfree runs the interprocedural allocation check over a fixture
-// root set; the slow-handler case proves call-through-interface
-// reachability.
-func TestAllocfree(t *testing.T) {
-	analysistest.Run(t, "testdata/src/allocfree", "allocfreetest",
-		NewAllocfree([]string{"allocfreetest.(*Engine).Step"}))
 }
 
 func TestAllRegistered(t *testing.T) {
@@ -51,15 +38,15 @@ func TestAllRegistered(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %q incomplete: Name or Doc missing", a.Name)
 		}
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %q must set exactly one of Run and RunModule", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %q has no Run", a.Name)
 		}
 		if names[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		names[a.Name] = true
 	}
-	wantNames := []string{"detrand", "maporder", "allocfree", "guardflow"}
+	wantNames := []string{"detrand", "maporder", "guardflow"}
 	if len(names) != len(wantNames) {
 		t.Errorf("All() has %d analyzers, want %d", len(names), len(wantNames))
 	}

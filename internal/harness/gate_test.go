@@ -65,6 +65,8 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"skewed table overloads the hot node", closed, func(c *Config) { c.WordsPerNode, c.Locks, c.HomeSkewPct = 64, 10, 90 }, "harness: lock table does not fit: node 0"},
 		{"one lock past a region (line 0 is reserved)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 15 }, "harness: lock table does not fit: node 0"},
 		{"descriptors past a full region (was: a panic in the run)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 14 }, "harness: node 0 region does not fit the run"},
+		{"pair's second descriptor past a region (was: a panic in the run)", closed, func(c *Config) { c.WordsPerNode, c.PairProb = 64, 0.5 }, "harness: node 0 region does not fit the run"},
+		{"txn's third descriptor past a region (was: a panic in the run)", txn, func(c *Config) { c.WordsPerNode, c.TxnLocks = 64, 3 }, "harness: node 0 region does not fit the run"},
 		{"open: workers' descriptors past a region", open, func(c *Config) { c.WordsPerNode, c.Locks, c.SvcShards = 64, 8, 3 }, "harness: node 0 region does not fit the run"},
 		{"abandon without timeout", closed, func(c *Config) {
 			c.AbandonProb, c.AbandonHold = 0.1, time.Microsecond

@@ -444,9 +444,15 @@ func (c Config) check() (plan, error) {
 	}
 	if f, ok := p.prov.(locks.Footprint); ok {
 		// Past its lock lines, a node's region takes the provider's side
-		// state for each lock it homes (Prepare) and the first descriptors
-		// of each thread it runs (NewHandle), all before the first acquire.
+		// state for each lock it homes (Prepare) and each thread's
+		// descriptors (NewHandle's, then one set more per hold the thread
+		// overlaps: a pair's second lock, a transaction's further ones).
 		perThread, perLock := f.Lines()
+		holds := max(1, c.TxnLocks)
+		if c.PairProb > 0 {
+			holds = max(holds, 2)
+		}
+		perThread *= holds
 		workers := make([]int, c.Nodes) // open loop: ThreadsPerNode per shard homed
 		for s := 0; s < c.SvcShards; s++ {
 			workers[cluster.ShardNode(s, c.Nodes)] += c.ThreadsPerNode
@@ -557,10 +563,20 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	s := p.prepare()
+	var res Result
 	if p.cfg.OpenLoop() {
-		return s.runService()
+		res, err = s.runService()
+	} else {
+		res = s.runClosedLoop()
 	}
-	return s.runClosedLoop(), nil
+	if err == nil {
+		// Every thread has exited, so a token still live is a guard its
+		// holder neither released nor abandoned.
+		if err = s.ft.Drained(); err != nil {
+			return Result{}, fmt.Errorf("harness: %w", err)
+		}
+	}
+	return res, err
 }
 
 // simulation is one prepared run: the engine, the lock table laid out and

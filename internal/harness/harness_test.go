@@ -379,8 +379,8 @@ func TestReadWriteWorkloadConfigs(t *testing.T) {
 
 // TestTokenAxisConfigs pins the acquisition-token plumbing end to end:
 // deadlines produce timeout counts with their own latency digest, abandons
-// produce matching fenced releases, pair ops complete, and the validator
-// rejects half-set failure knobs.
+// produce matching fenced releases, pair ops complete (timed ones too), and
+// the validator rejects half-set failure knobs.
 func TestTokenAxisConfigs(t *testing.T) {
 	cfg := quickCfg("mcs")
 	cfg.Locks = 3 // hot enough that a tight deadline fires
@@ -418,6 +418,21 @@ func TestTokenAxisConfigs(t *testing.T) {
 	}
 	if rp.Timeouts != 0 || rp.FencedReleases != 0 {
 		t.Errorf("pair-only config leaked failure outcomes: %+v", rp)
+	}
+
+	// Timed pairs: a pair whose second acquire times out backs out of the
+	// first lock. A back-out that forgets it leaves a guard live at run end,
+	// which Run reports as an error.
+	timedPair := quickCfg("mcs")
+	timedPair.Locks = 3
+	timedPair.PairProb = 0.5
+	timedPair.AcquireTimeout = 10 * time.Microsecond
+	rt, err := Run(timedPair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.PairOps == 0 || rt.Timeouts == 0 {
+		t.Errorf("timed pairs: %d pair ops, %d timeouts, want both non-zero", rt.PairOps, rt.Timeouts)
 	}
 
 	bad := quickCfg("mcs")

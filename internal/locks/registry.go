@@ -32,8 +32,11 @@ type Provider interface {
 // beyond the lock lines, so a config's regions can be checked before its
 // run: Lines returns the cache lines NewHandle allocates on each thread's
 // node and the lines Prepare allocates on each lock's home node. Every such
-// allocation is whole lines. Descriptors a handle adds later, for
-// overlapping holds or abandoned waiters, are not counted.
+// allocation is whole lines. A thread that holds k locks at once needs at
+// most k times its perThread lines (a descriptor per acquisition; ALock's
+// two cohort seeds make that a bound, not an exact count), and the gate
+// counts them so. Descriptors a handle adds for abandoned waiters are not
+// counted.
 type Footprint interface {
 	Lines() (perThread, perLock int)
 }

@@ -14,6 +14,8 @@
 package locks
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"alock/internal/api"
@@ -67,6 +69,32 @@ func (t *FenceTable) Retire(l ptr.Ptr, token uint64) bool {
 	}
 	delete(set, token)
 	return true
+}
+
+// Drained reports an error if any token is still live: a grant that no
+// Release or Abandon retired. Once every thread of a run has exited, a live
+// token is a guard its holder dropped, so run harnesses call this after the
+// run and fail it; the error names the count and the lowest-addressed lock
+// still held. It walks every lock the run granted, once.
+func (t *FenceTable) Drained() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var held []uint64
+	for w, set := range t.live {
+		if len(set) > 0 {
+			held = append(held, w)
+		}
+	}
+	if len(held) == 0 {
+		return nil
+	}
+	slices.Sort(held)
+	n := 0
+	for _, w := range held {
+		n += len(t.live[w])
+	}
+	return fmt.Errorf("%d guards still live at run end, %d of them on lock %v",
+		n, len(t.live[held[0]]), ptr.FromWord(held[0]))
 }
 
 // AbortableTimedProvider marks providers whose exclusive-mode timed

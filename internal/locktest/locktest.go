@@ -85,7 +85,8 @@ type mutexTally struct {
 
 // RunMutex executes the mutual-exclusion workload and returns observations
 // without judging them (used by both the positive checks and the negative
-// Table 1 demonstrations).
+// Table 1 demonstrations). The one thing it does judge is the token layer's
+// books: a guard still live after every thread exits panics the run.
 func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 	var opts []sim.Option
 	if cfg.EngineShards > 0 {
@@ -149,6 +150,9 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 		}
 	}
 	e.Run(1 << 62)
+	if err := ft.Drained(); err != nil {
+		panic("locktest: " + err.Error())
+	}
 
 	res := Result{Entries: make([][]int, cfg.Locks)}
 	for i := range tallies {
@@ -243,7 +247,8 @@ func DefaultOverlapConfig() OverlapConfig {
 // odd). A lock algorithm that still ties one descriptor to the thread —
 // rather than to the acquisition — corrupts its queue on the second
 // acquire and loses increments or tramples ownership; a correct run also
-// sees every release accepted by its fencing token.
+// sees every release accepted by its fencing token and, once every thread
+// has exited, no guard still live (a back-out that forgets the first lock).
 func CheckOverlappingHolds(t *testing.T, prov locks.Provider, cfg OverlapConfig) {
 	t.Helper()
 	if cfg.Locks < 2 {
@@ -340,6 +345,9 @@ func CheckOverlappingHolds(t *testing.T, prov locks.Provider, cfg OverlapConfig)
 		}
 	}
 	e.Run(1 << 62)
+	if err := ft.Drained(); err != nil {
+		t.Fatalf("%s: %v", prov.Name(), err)
+	}
 
 	var totalOps, tramples, fenced int64
 	for i := range tallies {

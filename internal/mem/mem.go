@@ -120,7 +120,7 @@ func (r *Region) WordAddr(offset uint64) *uint64 {
 // firstTouch materialises the page behind slot. Racing callers each bring a
 // fresh page; the compare-and-swap keeps one and the losers adopt it.
 func firstTouch(slot *atomic.Pointer[page]) *page {
-	pg := new(page) //lint:allow allocfree first touch of a page: once per page per run, never in steady state
+	pg := new(page)
 	if slot.CompareAndSwap(nil, pg) {
 		return pg
 	}

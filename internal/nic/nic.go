@@ -194,7 +194,9 @@ func (c *lru) grow() {
 	if rem := c.cap - c.pool; k > rem {
 		k = rem
 	}
-	nodes := make([]lruNode, k) //lint:allow allocfree amortized pool growth: O(log cap) slabs per run, steady-state misses recycle evicted nodes
+	// Amortized growth: O(log cap) slabs per run; steady-state misses
+	// recycle evicted nodes.
+	nodes := make([]lruNode, k)
 	for i := range nodes {
 		nodes[i].next = c.free
 		c.free = &nodes[i]

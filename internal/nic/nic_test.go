@@ -260,7 +260,7 @@ func TestQuickLRU(t *testing.T) {
 // Regression: the QPC miss path used to allocate a node per miss. With
 // the free-list pool, cycling a working set larger than capacity must
 // allocate nothing once the pool is warm — QPC checks sit on the verb
-// hot path and the allocfree analyzer assumes this.
+// hot path, which harness.TestSteadyStateAllocsPerOp bounds per operation.
 func TestLRUSteadyStateMissesAllocationFree(t *testing.T) {
 	c := newLRU(8)
 	keys := make([]uint64, 16) // working set 2x capacity: every access misses

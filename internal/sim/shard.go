@@ -421,8 +421,8 @@ type windowPool struct {
 // coordinator alone until widen says the windows pay.
 func newWindowPool(e *Engine, limit int, auto bool) *windowPool {
 	limit = max(1, limit)
-	p := &windowPool{e: e, width: 1, widest: 1, limit: limit, nextLook: math.MaxUint64, assigned: make([]int, 1, limit), start: time.Now(), coordPark: parker{wake: make(chan struct{}, 1)}} //lint:allow allocfree pool construction runs once per windowed Run, not per window
-	p.stats.ShardWindows, p.stats.SpinNS, p.stats.ParkNS = make([]uint64, limit), make([]int64, limit), make([]int64, limit)                                                                 //lint:allow allocfree pool construction runs once per windowed Run, not per window
+	p := &windowPool{e: e, width: 1, widest: 1, limit: limit, nextLook: math.MaxUint64, assigned: make([]int, 1, limit), start: time.Now(), coordPark: parker{wake: make(chan struct{}, 1)}}
+	p.stats.ShardWindows, p.stats.SpinNS, p.stats.ParkNS = make([]uint64, limit), make([]int64, limit), make([]int64, limit)
 	p.coord.own = append([]*shard(nil), e.shards...)
 	switch {
 	case limit < 2:
@@ -439,12 +439,12 @@ func newWindowPool(e *Engine, limit int, auto bool) *windowPool {
 // spawn widens the pool to the coordinator plus helpers, each of which holds
 // an execution slot, at a barrier: it deals the shards out by node % width
 // and starts the helper goroutines, which wait for the window after the last
-// one published.
+// one published. A Run widens at most a few times, never per window.
 func (p *windowPool) spawn(helpers int) {
 	p.slots, p.width = helpers, 1+helpers
 	p.widest = max(p.widest, p.width)
 	p.assigned = p.assigned[:p.width]
-	p.helpers = make([]helper, helpers) //lint:allow allocfree the pool widens at most a few times per windowed Run, not per window
+	p.helpers = make([]helper, helpers)
 	p.coord.own = p.coord.own[:0]
 	for _, s := range p.e.shards {
 		w := p.worker(s.node % p.width)
@@ -456,7 +456,7 @@ func (p *windowPool) spawn(helpers int) {
 	p.lastEnd = p.clock()
 	p.joined.Add(helpers)
 	for i := range p.helpers {
-		go p.helperLoop(&p.helpers[i], p.window) //lint:allow allocfree helpers are spawned once per widening, at most a few times per windowed Run
+		go p.helperLoop(&p.helpers[i], p.window)
 	}
 }
 

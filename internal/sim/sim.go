@@ -476,12 +476,12 @@ func (e *Engine) dispatch(tl *timeline, limit int) error {
 	for n := 0; n < limit && tl.q.len() > 0 && tl.q.min().at < tl.wend; n++ {
 		ev := tl.q.pop()
 		if ev.at < tl.now {
-			return fmt.Errorf("sim: time went backwards (%dns after %dns)", ev.at, tl.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
+			return fmt.Errorf("sim: time went backwards (%dns after %dns)", ev.at, tl.now)
 		}
 		tl.now = ev.at
 		tl.events++
 		if tl.events > e.maxEvents {
-			return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, tl.now) //lint:allow allocfree trap path: the engine is unusable after this, rate is zero in a healthy run
+			return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, tl.now)
 		}
 		if e.audit || e.onWindowEvent != nil {
 			e.observe(tl, ev)

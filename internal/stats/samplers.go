@@ -94,9 +94,9 @@ func (w *Weighted) Pick(rng *rand.Rand) int {
 	// zero-weight index (an empty interval) is never picked and u == 0
 	// lands on the first positive-weight index. Float round-off on the
 	// final cumulative sum could leave u >= cum[last]; clamp. (The binary
-	// search is spelled out — sort.Search's predicate would be a capturing
-	// closure, and arrival generators pick from their executor-run loop
-	// function, which allocfree holds to zero allocations.)
+	// search is spelled out, with no predicate closure: arrival generators
+	// pick from their executor-run loop function, which must not allocate;
+	// harness.TestSteadyStateAllocsPerOp's service rows hold it to that.)
 	i, end := 0, len(w.cum)
 	for i < end {
 		if mid := int(uint(i+end) >> 1); w.cum[mid] > u {

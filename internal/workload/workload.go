@@ -395,9 +395,9 @@ func RunEnv(ctx api.Ctx, h api.TokenLocker, table *locktable.Table, spec Spec,
 		if out == api.AcquiredLate && start >= spec.WarmupNS {
 			res.LateAcquires++
 		}
-		var g2 api.Guard //lint:allow guardflow every path that acquires g2 releases it: the acquire and the release sit behind the same pairIdx >= 0 test, and the abandon exit is drawn only when pairIdx < 0 — branch correlation the per-path analysis cannot see
+		var g2 api.Guard
 		if pairIdx >= 0 {
-			g2, out = h.Acquire(table.Ptr(pairIdx), api.Exclusive, opt) //lint:allow guardflow loop back-edge imprecision: last iteration's g2 was released (or never acquired) before every continue
+			g2, out = h.Acquire(table.Ptr(pairIdx), api.Exclusive, opt)
 			if out == api.TimedOut {
 				// The transaction cannot complete: back out of the first
 				// lock and record the whole operation as a timeout.
