@@ -135,14 +135,17 @@ type Ctx interface {
 	//		Pause(iter)
 	//	}
 	//
-	// and costs exactly what that loop costs; engines may run it without
-	// returning to the caller between polls. p must be a word on the
-	// caller's own node — the poll is a local Read; remote and loopback
-	// (RRead) spins keep their loops. The result is the first value read
-	// that differs from v. A result of v means no poll saw the word change
-	// and the last one found deadlineNS (> 0) already passed: the word may
-	// change at any moment after, so a caller that gives up must retract
-	// its wait with a CAS against v. deadlineNS <= 0 spins without bound.
+	// and costs exactly what that loop costs — in virtual time and in events
+	// counted; engines may run it without returning to the caller between
+	// polls, and the simulator parks the caller on the word between them, so
+	// that a wait costs it host work per store to the word, not per poll.
+	// p must be a word on the caller's own node — the poll is a local
+	// Read; remote and loopback (RRead) spins keep their loops. The result
+	// is the first value read that differs from v. A result of v means no
+	// poll saw the word change and the last one found deadlineNS (> 0)
+	// already passed: the word may change at any moment after, so a caller
+	// that gives up must retract its wait with a CAS against v.
+	// deadlineNS <= 0 spins without bound.
 	SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64
 
 	// SpinUntil is the poll loop for waits SpinWhile's compare cannot state: a

@@ -12,8 +12,9 @@
 // cache-missing level hops, which wins for the engine's queue sizes (one
 // pending event per suspended thread).
 //
-// Ordering is the engine's total event order — (at, seq) with seq unique —
-// so pop order is independent of heap shape and bit-identical to the
+// Ordering is the engine's total event order — (at, seq), where seq packs the
+// event's issue time, thread and kind and is unique among pending events — so
+// pop order is independent of heap shape and bit-identical to the
 // standard-library heap the tests replay it against (reference_test.go).
 // eventLess is that order's definition.
 //
@@ -59,8 +60,10 @@ type eventQueue struct {
 	child int
 }
 
-// eventLess is the engine's total event order: virtual time, then insertion
-// sequence. seq is unique, so there are no incomparable pairs.
+// eventLess is the engine's total event order: virtual time, then the key
+// (issue time, thread, kind). Pending keys are unique, so there are no
+// incomparable pairs (the one exception, a stale SpinWhile deadline read equal
+// in every field to a live wake-up, is interchangeable with it).
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at

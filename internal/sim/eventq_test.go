@@ -25,8 +25,9 @@ import (
 // cross every state of the open root — filled by the next push, closed by the
 // next pop, looked under by min (whose answer the fill or the close then
 // starts from) and len, emptied, refilled from empty, and scattered onto a
-// second queue as runWindowed does. seq carries a shard tag in its high bits
-// as the windowed executor's does, node 128 and up setting bit 63.
+// second queue as runWindowed does. seq is an event key (eventSeq) whose issue
+// time is drawn from small values and from the top of its range, which sets
+// bit 63.
 func TestEventQueueMatchesOracle(t *testing.T) {
 	// o pops, u pushes, m and l compare min and len; every script is balanced.
 	// D drains to empty and refills; S scatters onto the spare queue, which
@@ -53,9 +54,13 @@ func TestEventQueueMatchesOracle(t *testing.T) {
 		pops := 0
 		push := func() {
 			ctr++
-			shard := uint64(rng.Intn(4)) * 85 // 0, 85, 170, 255
-			// Clustered times force plenty of exact ties broken by seq.
-			ev := event{at: int64(rng.Intn(64)), seq: shard<<seqShardShift | ctr}
+			issue := int64(rng.Intn(64))
+			if rng.Intn(4) == 0 {
+				issue = maxIssue - int64(rng.Intn(64))
+			}
+			// Clustered times force plenty of exact ties broken by seq; the
+			// thread field keeps every key unique.
+			ev := event{at: int64(rng.Intn(64)), seq: eventSeq(issue, int(ctr%maxThreads), uint8(ctr%5))}
 			q.push(ev)
 			heap.Push(&o, ev)
 		}
@@ -151,13 +156,13 @@ func TestEventQueueMatchesOracle(t *testing.T) {
 
 // TestLessBitEqualsEventLess holds the branch-free comparison to its
 // definition on the pairs where an unsigned borrow chain could go wrong:
-// equal at (seq decides), seq with shard bits up to and past bit 63, at
+// equal at (seq decides), seq with issue-time bits up to and past bit 63, at
 // negative (a past-dated event must sort first so that it pops and trips
 // the time-regression trap), zero and MaxInt64.
 func TestLessBitEqualsEventLess(t *testing.T) {
 	ats := []int64{math.MinInt64, -1 << 40, -1, 0, 1, 780, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
-	seqs := []uint64{0, 1, 2, 1<<seqShardShift - 1, 1 << seqShardShift, 1<<seqShardShift | 1,
-		127<<seqShardShift | 5, 1 << 63, 128<<seqShardShift | 5, 255<<seqShardShift | 1, math.MaxUint64}
+	seqs := []uint64{0, 1, 2, eventSeq(0, maxThreads-1, 7), eventSeq(1, 0, 0), eventSeq(1, 0, 1),
+		eventSeq(1<<43-1, 5, 0), 1 << 63, eventSeq(1<<44, 5, 0), eventSeq(maxIssue, 1, 0), math.MaxUint64}
 	var evs []event
 	for _, at := range ats {
 		for _, seq := range seqs {
@@ -188,12 +193,12 @@ func TestPastDatedEventPopsFirst(t *testing.T) {
 		q.push(event{at: int64(1000 + i), seq: uint64(i + 1)})
 	}
 	q.pop() // re-seat the last entry through full groups
-	q.push(event{at: -5, seq: 3<<seqShardShift | 99})
+	q.push(event{at: -5, seq: eventSeq(3, 99, 0)})
 	if got := q.pop(); got.at != -5 {
 		t.Fatalf("popped at=%d before the past-dated event", got.at)
 	}
 	// Sift a large last entry down past a negative child.
-	q.push(event{at: -7, seq: 200<<seqShardShift | 1})
+	q.push(event{at: -7, seq: eventSeq(maxIssue-5, 1, 0)})
 	q.push(event{at: -6, seq: 100})
 	if a, b := q.pop(), q.pop(); a.at != -7 || b.at != -6 {
 		t.Fatalf("negative times popped as %d, %d; want -7, -6", a.at, b.at)

@@ -85,19 +85,13 @@ func drive(e *Engine, horizon int64) *runLog {
 	return l
 }
 
-// splitAt cuts a shard's pops at the first one at or after at; the tail's
-// sequence numbers are dropped. (An executor that advanced a thread in place
-// where the other scheduled it consumed one sequence number fewer on that
-// shard: the numbers differ from there on, their order does not.)
+// splitAt cuts a shard's pops at the first one at or after at. (An event's
+// key is its issue time, thread and kind, so the tail's keys are the serial
+// loop's whichever executor scheduled what.)
 func splitAt(pops []popSeen, at int64) (before, after []popSeen) {
 	for i, p := range pops {
 		if p.at >= at {
-			before = pops[:i]
-			for _, q := range pops[i:] {
-				q.seq = 0
-				after = append(after, q)
-			}
-			return before, after
+			return pops[:i], pops[i:]
 		}
 	}
 	return pops, nil

@@ -47,12 +47,18 @@ func (q *eventQueue) pending() []event {
 func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 	t.Helper()
 	var mirror eventHeap
-	mirrored := map[uint64]bool{} // by seq, which is unique
+	// By (at, seq): seq alone repeats across time (a thread's wake-ups issued at
+	// one instant share it), but a thread has one pending event of each kind.
+	type key struct {
+		at  int64
+		seq uint64
+	}
+	mirrored := map[key]bool{}
 	e.SetHorizon(stopAt)
 	for e.HasPendingEvents() {
 		for _, ev := range e.tl.q.pending() {
-			if !mirrored[ev.seq] {
-				mirrored[ev.seq] = true
+			if k := (key{ev.at, ev.seq}); !mirrored[k] {
+				mirrored[k] = true
 				heap.Push(&mirror, ev)
 			}
 		}
@@ -60,7 +66,7 @@ func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 			t.Fatalf("after %d pops: production queue holds %d events, reference %d", pops, e.tl.q.len(), mirror.Len())
 		}
 		want := heap.Pop(&mirror).(event)
-		delete(mirrored, want.seq)
+		delete(mirrored, key{want.at, want.seq})
 		if got := *e.tl.q.min(); got != want {
 			t.Fatalf("pop %d diverged: production (at=%d seq=%d), reference (at=%d seq=%d)",
 				pops, got.at, got.seq, want.at, want.seq)

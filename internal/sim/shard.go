@@ -1,11 +1,11 @@
 // shard.go is the engine's per-node layer and the conservative windowed
 // parallel executor.
 //
-// Every node of the simulated cluster owns a shard: its sequence counter,
-// its torn-RMW book, a pointer to the timeline it runs on, and — through
-// event destinations (event.dest) — its NIC and in-flight congestion counters
-// and its region of cluster memory. Under both executors the shards are where
-// sequence numbers are issued and torn state lives. Each shard also owns a
+// Every node of the simulated cluster owns a shard: its torn-RMW book, its
+// threads parked in SpinWhile, a pointer to the timeline it runs on, and —
+// through event destinations (event.dest) — its NIC and in-flight congestion
+// counters and its region of cluster memory. Under both executors the shards
+// are where torn state and parked spinners live. Each shard also owns a
 // timeline (shard.own) that only the windowed executor runs it on: at entry
 // runWindowed scatters the engine's timeline onto the shards' own — clock,
 // and each shard's pending events — and every way out gathers them back,
@@ -44,6 +44,12 @@
 // coordinator, which owned every shard, starts the helpers there, and the go
 // statement orders what it did before them.
 //
+// A thread parked in SpinWhile costs its shard nothing per poll: a store to
+// its word pushes the one poll that sees it, and the polls between are
+// credited, not dispatched (spin.go) — a wait costs events per store, not per
+// poll. Near the event budget the barrier hands the Run to the serial loop
+// (nearBudget), so that the budget traps where the serial loop's would.
+//
 // The windows pay before any second core does. Inside one a node's threads
 // run ahead of every other node's events, so a local op is popped from a
 // heap of its own node's events only, and is more often advanced in place
@@ -74,7 +80,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -86,24 +91,23 @@ import (
 	"alock/internal/slots"
 )
 
-// seqShardShift positions the issuing shard's node ID in the high bits of
-// every sequence number: ties on the virtual clock break first by issuing
-// node, then by that shard's local issue order. Both components are
-// mode-independent — local issue order is preserved per shard even when
-// shards run concurrently — which is what makes tie-breaking (and hence
-// the whole schedule) identical across engines.
-const seqShardShift = 56
-
 // shard is one node's slice of the engine.
 type shard struct {
 	e    *Engine
 	node int
 
-	seqCtr uint64 // local issue counter (low bits of seq)
 	// tl is the timeline the shard's events run on: the engine's, which every
 	// shard shares, except during a windowed Run, when it is own.
-	tl  *timeline
-	own timeline
+	tl *timeline
+	// parked lists the node's threads parked in SpinWhile (spin.go), with
+	// room for all nthreads of them — every store on the node looks at it —
+	// and parkedSince sums the instants they parked at (parkedBound); alone
+	// is the shard as a one-shard list.
+	parked      []*Thread
+	parkedSince int64
+	nthreads    int
+	alone       []*shard
+	own         timeline
 
 	// loopInFlight / remoteInFlight count the operations of each class
 	// currently occupying this node's NIC; the congestion model inflates verb
@@ -140,7 +144,9 @@ type tornWrite struct {
 }
 
 func newShard(e *Engine, node int) *shard {
-	return &shard{e: e, node: node, tl: &e.tl}
+	s := &shard{e: e, node: node, tl: &e.tl}
+	s.own.owner, s.alone = s, []*shard{s}
+	return s
 }
 
 // holdTorn marks the word at p as mid-tear for the remote RMW whose read half
@@ -166,13 +172,6 @@ func (s *shard) releaseTorn(p ptr.Ptr) {
 			return
 		}
 	}
-}
-
-// nextSeq issues the next sequence number on this shard's timeline.
-func (s *shard) nextSeq() uint64 {
-	seq := uint64(s.node)<<seqShardShift | s.seqCtr
-	s.seqCtr++
-	return seq
 }
 
 // runWindow executes this shard's events before the window end in (at, seq)
@@ -609,7 +608,7 @@ func (p *windowPool) yield() {
 
 // activate hands shard s to its owner for the window ending at wend.
 func (p *windowPool) activate(s *shard, wend int64) {
-	s.own.wend = wend
+	s.own.wend, s.own.until = wend, min(wend, s.own.limit)
 	p.assigned[s.node%p.width]++
 	s.active.Store(true)
 }
@@ -708,7 +707,8 @@ type WindowStats struct {
 	// Events is the number of events dispatched inside windows, and
 	// EventsLog2[i] the number of windows that dispatched n of them with
 	// bits.Len64(n) == i: bucket 0 is no event, bucket i is [2^(i-1), 2^i),
-	// the last bucket is open-ended.
+	// the last bucket is open-ended. These are what the workers ran, and what
+	// auto width prices (widen, check).
 	Events     uint64
 	EventsLog2 [20]uint64
 	// Parks counts the times a helper's spin budget ran out waiting for a
@@ -745,10 +745,14 @@ type WindowStats struct {
 	MaxOutbox int
 	// HandoffAt is the virtual time at which the stop guard handed the Run to
 	// the serial loop — the head of the window it did not run — and 0 if it
-	// never did; SerialEvents is the number of events the serial loop then
-	// dispatched. Events + SerialEvents is everything the Run dispatched.
+	// never did. SerialEvents is the number of the Run's events counted
+	// outside windows: those the serial loop dispatched after a hand-off, and
+	// the Credited ones — SpinWhile blocks that parked threads skipped
+	// (spin.go), which count in Engine.Events but no executor dispatched.
+	// Events + SerialEvents is the Run's share of Engine.Events.
 	HandoffAt    int64
 	SerialEvents uint64
+	Credited     uint64
 }
 
 // WindowStats returns the telemetry of the engine's last windowed Run (the
@@ -770,8 +774,9 @@ func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 // coordinator owning every shard. The window structure (and therefore every
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
-// guard asked for the serial loop, with the rest of them on the engine's
-// timeline.
+// guard asked for the serial loop, or where the event budget has too little
+// room left to share among the shards (share), with the rest of them on the
+// engine's timeline.
 func (e *Engine) runWindowed() {
 	limit := e.workers
 	if e.auto {
@@ -786,11 +791,18 @@ func (e *Engine) runWindowed() {
 		defer e.curShard.Store(auditIdle)
 	}
 	e.scatter()
-	defer e.gather() // drained or handed off; the trap paths gather first
+	frontier := e.tl.now                  // where every shard stands: the last window's end
+	defer func() { e.gather(frontier) }() // drained or handed off; the trap paths gather first
 
 	pool := newWindowPool(e, limit, e.auto)
 	defer pool.close()
 	total := e.tl.events // dispatched so far, as of the last barrier
+	// The event budget: the serial loop takes over while the room left is
+	// more than a few windows' worth (nearBudget); a window's worth is what
+	// the largest window so far counted, plus the most blocks the threads'
+	// parked loops could run in one.
+	counted, widest := e.Events(), uint64(0)
+	perWindow := uint64(len(e.threads)) * uint64(2*e.lookahead/(e.p.LocalReadNS+e.p.SpinPollMinNS)+2)
 	for {
 		// Barrier: deliver cross-shard sends to their owning shards.
 		for _, s := range e.shards {
@@ -813,11 +825,8 @@ func (e *Engine) runWindowed() {
 		if !any {
 			return
 		}
-		// Aggregate event budget (per-shard overshoot traps in dispatch).
-		if total > e.maxEvents {
-			e.gather()
-			e.stopThreads()
-			panic(fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.tl.now))
+		if e.nearBudget(frontier, counted, 4*(widest+perWindow)) {
+			return
 		}
 		if hook := e.onBarrier; hook != nil {
 			hook()
@@ -834,16 +843,19 @@ func (e *Engine) runWindowed() {
 			}
 		}
 		pool.runWindow()
-		before := total
-		total = e.tl.events
+		frontier = wend
+		before, last := total, counted
+		total, counted = e.tl.events, e.tl.events+e.tl.credited
 		for _, s := range e.shards {
 			if s.trap != nil {
-				e.gather()
+				e.gather(frontier)
 				e.stopThreads()
 				panic(s.trap)
 			}
 			total += s.own.events
+			counted += s.own.events + s.own.credited
 		}
+		widest = max(widest, counted-last)
 		pool.recordWindow(total - before)
 		// An auto pool's periodic look: widen while it is one worker, check
 		// once it is wide.
@@ -857,14 +869,43 @@ func (e *Engine) runWindowed() {
 	}
 }
 
+// nearBudget reports whether the event budget has at most margin events of
+// room left at the frontier — the count there includes the skipped blocks of
+// parked loops before it — and the Run must go on on the serial loop, which
+// traps at the written-out loops' count and clock. Windows count as they go:
+// one that carried more than the margin could take the count past the budget
+// before a barrier sees it, and the serial loop would then trap on its first
+// event. The cheap bound on the skipped blocks (parkedBound) settles the
+// question unless the budget is close.
+func (e *Engine) nearBudget(frontier int64, counted, margin uint64) bool {
+	var n, since int64
+	for _, s := range e.shards {
+		n += int64(len(s.parked))
+		since += s.parkedSince
+	}
+	if counted+e.parkedBound(n, since, frontier)+margin <= e.maxEvents {
+		return false
+	}
+	for _, s := range e.shards {
+		counted += s.uncredited(frontier)
+	}
+	return counted+margin > e.maxEvents
+}
+
 // scatter moves the engine's timeline onto the shards' own: each starts at
 // the engine's clock with no events counted, and takes the pending events it
 // owns.
 func (e *Engine) scatter() {
 	for _, s := range e.shards {
-		s.own.now, s.own.events = e.tl.now, 0
-		s.tl = &s.own
+		o := &s.own
+		o.now, o.events, o.credited, o.stale = e.tl.now, 0, 0, 0
+		o.limit, o.until, o.budget, o.exact = math.MaxInt64, math.MaxInt64, 0, false
+		s.tl = o
 	}
+	for _, th := range e.threads { // a thread's queued deadline reads are on its shard
+		e.shards[th.node].own.stale += len(th.stales)
+	}
+	e.tl.stale = 0
 	for e.tl.q.len() > 0 {
 		ev := e.tl.q.pop()
 		e.shards[ev.dest()].own.q.push(ev)
@@ -872,20 +913,26 @@ func (e *Engine) scatter() {
 }
 
 // gather is scatter's inverse, at the end of a windowed Run or at the barrier
-// where the stop guard hands it to the serial loop: every shard's pending
-// events move back onto the engine's timeline, whose clock advances to the
-// latest shard clock and whose counter takes the shards' events, and the
-// shards run on it again. Every pending event lies at or after the last
-// window's end, so nothing the serial loop pops next is behind the clock. A
-// second gather changes nothing.
-func (e *Engine) gather() {
+// where the stop guard or the event budget hands it to the serial loop: every
+// shard's pending events move back onto the engine's timeline, whose clock
+// advances to the latest shard clock and whose counters take the shards', and
+// the shards run on it again. The skipped blocks of parked loops before the
+// frontier — the last window's end — are credited, as the loops would have run
+// them in that window. Every pending event lies at or after the frontier, so
+// nothing the serial loop runs next is behind the clock. A second gather
+// changes nothing.
+func (e *Engine) gather(frontier int64) {
 	for _, s := range e.shards {
-		for s.own.q.len() > 0 {
-			e.tl.q.push(s.own.q.pop())
+		o := &s.own
+		for o.q.len() > 0 {
+			e.tl.q.push(o.q.pop())
 		}
-		e.tl.now = max(e.tl.now, s.own.now)
-		e.tl.events += s.own.events
-		s.own.events = 0
+		e.tl.now = max(e.tl.now, o.now, s.credit(o, frontier))
+		e.tl.events += o.events
+		e.tl.credited += o.credited
+		e.tl.stale += o.stale
+		o.events, o.credited, o.stale = 0, 0, 0
 		s.tl = &e.tl
 	}
+	e.tl.exact, e.tl.budget = false, 0
 }

@@ -12,8 +12,8 @@
 // place (§5.2).
 //
 // Layering (this file + shard.go): the engine is partitioned by node. Each
-// node owns a shard — its sequence counter, its NIC, its threads' wakeups,
-// its region of memory, the torn-RMW book-keeping for words it homes — and
+// node owns a shard — its NIC, its threads' wakeups and parked spinners, its
+// region of memory, the torn-RMW book-keeping for words it homes — and
 // all cross-node interaction is routed as events on the owning shard's
 // timeline through the verb protocol (evArrive/evExec/evComplete below).
 //
@@ -51,11 +51,12 @@
 //
 // Determinism: given the same seed, workload and model, every run produces
 // bit-identical schedules, throughputs and latencies under either executor.
-// Ties on the virtual clock are broken by event sequence number; seq is
-// issued per-shard (issuing shard in the high bits, that shard's counter
-// below), so tie order depends only on the issuing shard and its
-// deterministic local push order — never on cross-shard execution
-// interleaving.
+// Ties on the virtual clock are broken by the event's own fields — its issue
+// time, then its thread, then its kind (eventSeq) — so the order is a
+// function of the event, never of the order in which events were pushed or
+// of cross-shard execution interleaving. That is also what lets a parked
+// SpinWhile skip its polls (spin.go): the place a skipped poll would have had
+// among same-instant events is a function of its own times.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no interface
 // boxing, zero allocations per event in steady state, and a pop that leaves
@@ -74,15 +75,16 @@
 // at once. The executor that pops the head operation's wake-up completes it —
 // applies the store, reads the word — and starts the next one itself
 // (Thread.step), exactly as the resumed thread would have: same event, same
-// instant, same seq, same place in the shard's push order, because between two
-// api.Ctx calls a thread can schedule nothing. The coroutine is resumed when
+// instant, same issue time and so the same key. The coroutine is resumed when
 // the FIFO is empty, which is when a call that returns a value or the time,
 // touches a NIC or the allocator, or burns Work has what it waited for
 // (Thread.drain); `Write; Write; CAS` is three events and one resume, and
 // api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one FIFO
-// entry however many polls it takes, and so is api.Ctx.SpinUntil, the same
-// loop with the caller's predicate over the polled value and the time in place
-// of the compare (the rw locks' descriptor, group-word and state-word waits).
+// entry however many polls it takes, and parks the thread on its word between
+// them, so that it costs events when the word changes, not per poll (spin.go).
+// So is api.Ctx.SpinUntil one entry, the same loop with the caller's predicate
+// over the polled value and the time in place of the compare (the rw locks'
+// descriptor, group-word and state-word waits), which polls on.
 // So is api.Ctx.WorkLoop, the loop that waits on Go state (`look; Work(d);
 // look again`: the lock service's idle workers and arrival generators): when a
 // turn's Work has elapsed, step calls the loop's function on the executor
@@ -96,7 +98,8 @@
 // bare Write returning). The package's tests replay the ProcessNextEvent loop
 // against the standard-library heap as the bit-exact reference
 // (reference_test.go), SpinWhile, SpinUntil and WorkLoop against the loops
-// they are defined as (spin_test.go, spinuntil_test.go, workloop_test.go) and
+// they are defined as (spin_test.go and FuzzSpinWhileMatchesLoop,
+// spinuntil_test.go, workloop_test.go) and
 // posted operations against the same programs with every operation completed
 // before the next is issued, the torn loopback RCAS against its legs with the
 // thread resumed after each (posted_test.go).
@@ -151,9 +154,18 @@ const (
 )
 
 // event is one scheduled occurrence on a shard's timeline.
+//
+// seq is the tie-breaker on the virtual clock: the event's issue time, thread
+// and kind packed into one word (eventSeq), so that (at, seq) orders events by
+// their own fields. It is unique among pending events because a thread has at
+// most one pending event of each kind: one local operation's wake-up (its
+// FIFO's head), one verb's protocol step or completion (a torn RCAS's write
+// half is a kind of its own). The one exception is a parked SpinWhile's
+// deadline read gone stale (spin.go), which pops to nothing; a live wake-up
+// equal to it in every field is interchangeable with it.
 type event struct {
-	at   int64  // virtual time
-	seq  uint64 // tie-breaker: issuing shard in the high bits, then push order
+	at   int64 // virtual time
+	seq  uint64
 	th   *Thread
 	kind uint8
 	dst  int16 // owning shard, frozen at schedule time (see destFor)
@@ -183,11 +195,28 @@ func destFor(kind uint8, t *Thread) int16 {
 // windowed Run each shard runs on one of its own (shard.go). Everything that
 // reads the clock, queues an event or advances in place does it on the
 // timeline of the thread's shard, whichever that is.
+//
+// events counts what the loop dispatched (popped, or advanced in place), and
+// credited the SpinWhile blocks that parked threads skipped (spin.go): the two
+// together are the loop's Events. The rest is the event budget's plan: the
+// loop dispatches events before until — the window end or the plan's limit,
+// whichever is first — while fewer than budget are dispatched, without a
+// closer look (closer), and in exact mode it runs the skipped blocks one by
+// one, limit being the next of them. stale
+// counts the queued deadline reads that pop to nothing.
 type timeline struct {
-	q      eventQueue
-	now    int64
-	events uint64
-	wend   int64 // exclusive: the loop dispatches only events before it
+	// What every dispatch and tryAdvance reads, first.
+	q        eventQueue
+	now      int64
+	events   uint64
+	until    int64
+	budget   uint64
+	stale    int
+	wend     int64 // exclusive: the loop dispatches only events before it
+	credited uint64
+	limit    int64
+	exact    bool
+	owner    *shard // the shard whose own timeline this is; nil for the engine's
 }
 
 // curShard sentinels for the access auditor.
@@ -239,6 +268,10 @@ type Engine struct {
 	threads []*Thread
 
 	maxEvents uint64
+	// stepping is set while the engine is driven by Step, ProcessNextEvent
+	// or PeekNextEventTime, which run a parked SpinWhile's skipped blocks one
+	// by one, and cleared by Run.
+	stepping bool
 
 	// audit is the access audit, on in every test binary and off in every
 	// built one (New): curShard tracks which shard's timeline is executing
@@ -309,7 +342,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:      make([]*nic.NIC, nodes),
 		seed:      seed,
 		rngs:      NewPartitionedRNG(seed),
-		tl:        timeline{wend: math.MaxInt64},
+		tl:        timeline{wend: math.MaxInt64, until: math.MaxInt64, limit: math.MaxInt64},
 		stopAt:    math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
@@ -394,8 +427,10 @@ func (e *Engine) Stopped() bool { return e.stoppedAt(e.tl.now) }
 // stoppedAt is the stop as a thread whose clock reads now observes it.
 func (e *Engine) stoppedAt(now int64) bool { return e.stopRequested || now >= e.stopAt }
 
-// Events returns the number of events processed so far.
-func (e *Engine) Events() uint64 { return e.tl.events }
+// Events returns the number of events processed so far: every block of a
+// parked SpinWhile loop counts, skipped or not, once the poll that ends the
+// skip has run (and at once between Steps, which run the skipped blocks).
+func (e *Engine) Events() uint64 { return e.tl.events + e.tl.credited }
 
 // Resumes returns how many times the executor has switched into a simulated
 // thread's coroutine so far: the events that cost a thread switch, out of
@@ -418,6 +453,9 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 		panic(fmt.Sprintf("sim: Spawn on node %d of %d", node, e.space.Nodes()))
 	}
 	id := len(e.threads)
+	if id >= maxThreads {
+		panic(fmt.Sprintf("sim: Spawn of thread %d: at most %d threads", id, maxThreads))
+	}
 	t := &Thread{
 		e:      e,
 		shard:  e.shards[node],
@@ -429,19 +467,26 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 	}
 	t.next, t.stop = iter.Pull(t.run)
 	e.threads = append(e.threads, t)
-	e.scheduleEv(t.shard, e.tl.now, evWake, t) // start at the current virtual time
+	s := t.shard
+	s.nthreads++
+	s.parked = append(make([]*Thread, 0, s.nthreads), s.parked...) // room for every thread to park
+	e.scheduleEv(s, e.tl.now, evWake, t)                           // start at the current virtual time
 	return t
 }
 
-// scheduleEv creates an event on `from`'s timeline (consuming one of its
-// sequence numbers) and queues it there when its destination shard runs on
-// the same timeline — always, outside a windowed Run. A send to a shard on
-// another timeline is deferred to the sender's outbox, which the barrier
-// drains; the conservative contract that makes this safe — nothing may cross
-// shards with less than one lookahead of slack — is asserted here.
+// scheduleEv creates an event issued now on `from`'s timeline and queues it
+// there when its destination shard runs on the same timeline — always,
+// outside a windowed Run. A send to a shard on another timeline is deferred to
+// the sender's outbox, which the barrier drains; the conservative contract that
+// makes this safe — nothing may cross shards with less than one lookahead of
+// slack — is asserted here.
 func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
-	ev := event{at: at, seq: from.nextSeq(), th: t, kind: kind, dst: destFor(kind, t)}
-	tl, dst := from.tl, e.shards[ev.dest()]
+	tl := from.tl
+	if e.audit {
+		checkSeq(tl.now, t.id, kind)
+	}
+	ev := event{at: at, seq: eventSeq(tl.now, t.id, kind), th: t, kind: kind, dst: destFor(kind, t)}
+	dst := e.shards[ev.dest()]
 	if dst.tl == tl {
 		tl.q.push(ev)
 		return
@@ -454,18 +499,20 @@ func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 	from.outbox = append(from.outbox, ev)
 }
 
-// pending reports the number of events scheduled on the engine's timeline.
-func (e *Engine) pending() int { return e.tl.q.len() }
+// pending reports the number of events scheduled on the engine's timeline
+// that will run (stale deadline reads left out).
+func (e *Engine) pending() int { return e.tl.q.len() - e.tl.stale }
 
 // dispatch is the event loop both executors run: while the earliest of tl's
 // events lies before tl's window end, and for at most limit of them, it pops
 // the event, advances tl's clock to it, counts it and processes it — a thread
 // wake-up or verb completion steps the thread's posted operations and resumes
-// the thread once they are done, a verb-protocol event executes inline. It
-// returns the trap that makes the engine unusable — time going backwards, the
-// event budget blown (a livelock in the simulated system) or the resumed
-// thread's body panicking — for the caller to raise on the goroutine driving
-// the Run.
+// the thread once they are done, a verb-protocol event executes inline. Past
+// its plan it looks closer (closer), which may run a parked SpinWhile's
+// skipped block in the event's stead. It returns the trap that makes the
+// engine unusable — time going backwards, the event budget blown (a livelock
+// in the simulated system) or the resumed thread's body panicking — for the
+// caller to raise on the goroutine driving the Run.
 //
 // The loop is the shared unit, not one event's body: a coroutine switch leaves
 // the CPU's return-address prediction in the thread's stack, so every return
@@ -473,16 +520,33 @@ func (e *Engine) pending() int { return e.tl.q.len() }
 // one such return per resume — about a fifth more host time per event on
 // fail/timeout-recovery, whose threads are resumed often.
 func (e *Engine) dispatch(tl *timeline, limit int) error {
-	for n := 0; n < limit && tl.q.len() > 0 && tl.q.min().at < tl.wend; n++ {
+	for n := 0; n < limit; n++ {
+		if tl.q.len() == 0 || tl.q.min().at >= tl.until || tl.events >= tl.budget {
+			if !tl.exact && (tl.q.len() == 0 && tl.owner != nil || tl.q.len() != 0 && tl.q.min().at >= tl.wend) {
+				return nil // a shard's window is over: nothing past it needs a plan
+			}
+			next, err := e.closer(tl)
+			if err != nil {
+				return err
+			}
+			if next == goStop {
+				return nil
+			}
+			if next == goOn {
+				continue
+			}
+		}
 		ev := tl.q.pop()
+		if tl.stale != 0 && ev.kind == evWake && ev.th.takeStale(ev.at, ev.seq) {
+			tl.stale-- // a deadline read whose wait a store ended: nothing ran
+			n--
+			continue
+		}
 		if ev.at < tl.now {
 			return fmt.Errorf("sim: time went backwards (%dns after %dns)", ev.at, tl.now)
 		}
 		tl.now = ev.at
 		tl.events++
-		if tl.events > e.maxEvents {
-			return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, tl.now)
-		}
 		if e.audit || e.onWindowEvent != nil {
 			e.observe(tl, ev)
 		}
@@ -533,16 +597,36 @@ func (e *Engine) stopThreads() {
 // RequestStop — an explicit stop is sticky.
 func (e *Engine) SetHorizon(stopAt int64) { e.stopAt = stopAt }
 
-// HasPendingEvents reports whether any event remains scheduled.
-func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
+// HasPendingEvents reports whether any event remains scheduled, a parked
+// SpinWhile's next block included.
+func (e *Engine) HasPendingEvents() bool {
+	if e.pending() > 0 {
+		return true
+	}
+	th, _, _ := e.nextVirtual(&e.tl, nil)
+	return th != nil
+}
 
 // PeekNextEventTime returns the virtual time of the earliest pending event
 // without processing it; ok is false when no event is pending.
 func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
-	if e.pending() == 0 {
-		return 0, false
+	e.stepwise()
+	e.tl.dropStale()
+	th, at, _ := e.nextVirtual(&e.tl, nil)
+	if e.tl.q.len() > 0 && (th == nil || e.tl.q.min().at < at) {
+		return e.tl.q.min().at, true
 	}
-	return e.tl.q.min().at, true
+	return at, th != nil
+}
+
+// stepwise puts the engine's timeline in exact mode, where a parked
+// SpinWhile's skipped blocks run one by one: a driver that steps the engine
+// sees every event the written-out loop would make.
+func (e *Engine) stepwise() {
+	e.stepping = true
+	if !e.tl.exact {
+		e.exactFrom(&e.tl)
+	}
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -588,10 +672,16 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 			v.result = *addr
 		case verbWrite:
 			*addr = v.val
+			if len(s.parked) != 0 {
+				s.stored(v.p, v.val, ev.at, ev.seq)
+			}
 		case verbCAS:
 			prev := *addr
 			if prev == v.old {
 				*addr = v.val
+				if len(s.parked) != 0 {
+					s.stored(v.p, v.val, ev.at, ev.seq)
+				}
 			}
 			v.result = prev
 		}
@@ -603,6 +693,9 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 		tw := t.torn
 		if tw.read == tw.old {
 			*e.space.WordAddr(tw.p) = tw.val
+			if len(s.parked) != 0 {
+				s.stored(tw.p, tw.val, ev.at, ev.seq)
+			}
 		}
 		s.releaseTorn(tw.p)
 		s.remoteInFlight--
@@ -616,9 +709,10 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 // exceeded, or when the resumed thread's body panicked, after every thread has
 // been unwound; the engine is unusable afterwards.
 func (e *Engine) ProcessNextEvent() bool {
-	if e.pending() == 0 {
+	if !e.HasPendingEvents() {
 		return false
 	}
+	e.stepwise()
 	if e.audit {
 		// A driver may inspect memory between steps, as after a Run.
 		defer e.curShard.Store(auditIdle)
@@ -664,17 +758,19 @@ func (e *Engine) Run(stopAt int64) {
 		// as far as the auditor is concerned.
 		defer e.curShard.Store(auditIdle)
 	}
+	e.tl.exact, e.tl.budget, e.stepping = false, 0, false // a Run plans afresh (dispatch's closer)
 	windowed := e.workers > 0 && e.pending() > 0
+	start, credited := e.Events(), e.tl.credited
 	if windowed {
 		e.runWindowed()
 	}
-	handoff := e.tl.events
 	if err := e.dispatch(&e.tl, math.MaxInt); err != nil {
 		e.stopThreads()
 		panic(err)
 	}
 	if windowed {
-		e.winStats.SerialEvents = e.tl.events - handoff
+		e.winStats.Credited = e.tl.credited - credited
+		e.winStats.SerialEvents = e.Events() - start - e.winStats.Events
 	}
 	for _, t := range e.threads {
 		if !t.exited {
@@ -762,6 +858,10 @@ type Thread struct {
 	until     func(v uint64, now int64) bool
 	spinIter  int
 	loopPanic any
+	// spin is the thread's parked SpinWhile, and stales its deadline reads
+	// still queued after a store ended their waits (spin.go).
+	spin   spinWait
+	stales []wakeID
 }
 
 // Local operation kinds: what step does when a FIFO entry's latency has
@@ -771,7 +871,7 @@ const (
 	opWrite                  // store val to p
 	opRead                   // result = the word at p
 	opCAS                    // result = the word at p, which becomes val if it was old
-	opSpin                   // one block of a SpinWhile loop, see step
+	opSpin                   // a SpinWhile loop: its poll's read, see step
 	opUntil                  // one block of a SpinUntil loop, see step
 	opLoop                   // one Work of a WorkLoop loop, see tick
 	opTornRead               // a torn loopback RCAS reaches the word: its read half, see step
@@ -783,11 +883,12 @@ const (
 // node that costs d of virtual time from the moment the entry before it
 // completed (or from its issue, on an empty FIFO) and takes effect when that
 // has elapsed. An opSpin entry holds the SpinWhile loop's registers: old is
-// the value waited on, iter the failed polls so far, and read tells which of
-// the loop's two blocks is elapsing — the poll's read latency (true: the word
-// is read next) or the Pause after a failed poll (false: the next read is
-// issued). An opUntil entry uses read the same way; its iter is the caller's
-// and lives in Thread.spinIter. A torn loopback RCAS is one entry that moves
+// the value waited on, iter the failed polls so far; between polls the thread
+// is parked (Thread.spin). An opUntil entry's read tells which of the loop's
+// two blocks is elapsing — the poll's read latency (true: the word is read
+// next) or the Pause after a failed poll (false: the next read is issued); its
+// iter is the caller's and lives in Thread.spinIter. A torn loopback RCAS is
+// one entry that moves
 // through opTornRead, opTornWrite and opLoopDone, deadline holding the verb's
 // completion time.
 type localOp struct {
@@ -855,7 +956,7 @@ func (t *Thread) now() int64 { return t.shard.tl.now }
 // one behind others is started by step when its predecessor completes. The
 // thread's code runs on either way: between two api.Ctx calls a thread can
 // schedule nothing, so whether it or the executor starts the next op, the same
-// event takes the same seq at the same point of the shard's push order.
+// event is issued at the same instant and takes the same key.
 func (t *Thread) post(op localOp) {
 	if t.nops == len(t.ops) {
 		t.drain()
@@ -884,17 +985,14 @@ func (t *Thread) drain() {
 // of the thread switch got there: the coroutine for an op that completes at
 // issue, dispatch when it pops the thread's evWake.
 //
-// A SpinWhile entry is the loop
-//
-//	for iter := 0; ; iter++ {
-//		if got := Read(p); got != old { return got }
-//		if deadline > 0 && Now() >= deadline { return old }
-//		Pause(iter)
-//	}
-//
-// taken one block at a time: it stays at the head until a poll ends the loop.
-// A SpinUntil entry is the same two blocks with the caller's done(got, Now())
-// as the test and the caller's iter as the back-off (unresolved). A WorkLoop
+// A SpinWhile entry is the loop in spin.go's comment: its first poll's read is
+// a block like any other, and a poll that fails parks the thread on the word
+// (park) until a store's wake or the deadline's brings the read of a later
+// poll — step credits the blocks skipped before it (wake) and reads the word
+// again. A SpinUntil entry is the loop's two blocks, a poll's read and the
+// Pause after it, with the caller's done(got, Now()) as the test and the
+// caller's iter as the back-off (unresolved), taken one block at a time: it
+// stays at the head until a poll ends the loop. A WorkLoop
 // entry stays at the head the same way, one Work of its loop after another,
 // until its function ends the loop (tick).
 //
@@ -908,8 +1006,8 @@ func (t *Thread) drain() {
 // lands, so starting an entry stays `now + d` for every kind.
 //
 // Every block of every kind goes through tryAdvance exactly as it would with
-// the thread resumed in between, so the events counted, the sequence numbers
-// consumed and the push order on the shard are those of that program.
+// the thread resumed in between — or, skipped by a parked SpinWhile, is
+// credited — so the events counted and their keys are those of that program.
 func (t *Thread) step() bool {
 	e := t.e
 	for {
@@ -918,6 +1016,11 @@ func (t *Thread) step() bool {
 		switch op.kind {
 		case opWrite:
 			*e.space.WordAddr(op.p) = op.val
+			// A parked SpinWhile on the word may see the store: its block's
+			// key is the one it was issued with, op.d before it ended.
+			if len(t.shard.parked) != 0 {
+				t.shard.stored(op.p, op.val, t.now(), eventSeq(t.now()-op.d, t.id, evWake))
+			}
 		case opRead:
 			t.result = *e.space.WordAddr(op.p)
 		case opCAS:
@@ -928,14 +1031,26 @@ func (t *Thread) step() bool {
 			t.result = *addr
 			if t.result == op.old {
 				*addr = op.val
+				if len(t.shard.parked) != 0 {
+					t.shard.stored(op.p, op.val, t.now(), eventSeq(t.now()-op.d, t.id, evWake))
+				}
 			}
 		case opSpin:
-			if !op.read { // the Pause has elapsed: issue the next poll
-				op.read, op.d, more = true, e.p.LocalReadNS, true
-			} else if t.result = *e.space.WordAddr(op.p); t.result == op.old &&
-				(op.deadline <= 0 || t.now() < op.deadline) { // a failed poll: back off
-				op.read, op.d, more = false, e.spinBackoff(int(op.iter)), true
-				op.iter++
+			t.wake(op)
+			for t.result = *e.space.WordAddr(op.p); t.result == op.old &&
+				(op.deadline <= 0 || t.now() < op.deadline); t.result = *e.space.WordAddr(op.p) {
+				// A failed poll: park — on an exact timeline the loop may run on
+				// in place to its queued poll, which is due now.
+				if t.park(op); !t.spinOn() {
+					return false
+				}
+				tl := t.shard.tl
+				tl.now = tl.q.pop().at
+				tl.events++
+				t.wake(op)
+			}
+			if t.spin.parked {
+				t.unpark()
 			}
 		case opUntil:
 			if !op.read {
@@ -960,6 +1075,9 @@ func (t *Thread) step() bool {
 			// CAS stored since the read half is overwritten.
 			if t.result == op.old {
 				*e.space.WordAddr(op.p) = op.val
+				if len(t.shard.parked) != 0 {
+					t.shard.stored(op.p, op.val, t.now(), eventSeq(t.now()-op.d, t.id, evWake))
+				}
 			}
 			t.shard.releaseTorn(op.p)
 			op.kind, op.d, more = opLoopDone, max(op.deadline-t.now(), 0), true
@@ -988,14 +1106,18 @@ func (t *Thread) step() bool {
 // and reports false: the caller carries on with the thread's code (post, on
 // the coroutine) or returns to the event loop (step, on the executor).
 // Exactly one event is counted either way, so the events counter is
-// mode-independent; a blown budget always takes the scheduled path, where the
-// pop traps it.
+// mode-independent; an event past the budget's plan always takes the
+// scheduled path, where dispatch looks closer (closer), and so does one at or
+// after an exact timeline's next skipped SpinWhile block.
 func (t *Thread) tryAdvance(at int64) bool {
 	tl := t.shard.tl
 	if at < tl.now {
 		at = tl.now
 	}
-	if at < tl.wend && (tl.q.len() == 0 || tl.q.min().at > at) && tl.events <= t.e.maxEvents {
+	if tl.stale != 0 {
+		tl.dropStale()
+	}
+	if at < tl.until && (tl.q.len() == 0 || tl.q.min().at > at) && tl.events < tl.budget {
 		tl.now = at
 		tl.events++
 		return true
@@ -1105,12 +1227,13 @@ func (t *Thread) Pause(iter int) {
 	t.post(localOp{d: t.e.spinBackoff(iter)})
 }
 
-// SpinWhile implements api.Ctx: the loop in step's comment, as one FIFO entry
-// that the executor takes block by block, switching to the coroutine only
-// when the wait is over.
+// SpinWhile implements api.Ctx: the loop in spin.go's comment, as one FIFO
+// entry that parks the thread on the word between polls — a wait costs events
+// when the word changes, not per poll — switching to the coroutine only when
+// the wait is over.
 func (t *Thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 	t.auditLocal(p)
-	t.post(localOp{kind: opSpin, read: true, p: p, old: v, d: t.e.p.LocalReadNS, deadline: deadlineNS})
+	t.post(localOp{kind: opSpin, p: p, old: v, d: t.e.p.LocalReadNS, deadline: deadlineNS})
 	t.drain()
 	return t.result
 }

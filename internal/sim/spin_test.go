@@ -162,7 +162,7 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 
 // TestSpinWhileWriterOnPollInstant sweeps a single write across a waiter's
 // poll schedule, one nanosecond at a time, so that it lands on the exact
-// instant of a poll with its event pushed after the poll's (a 7 ns Write
+// instant of a poll with its event issued after the poll's (a 7 ns Write
 // against the 10 ns Read) and before it (a 45 ns CAS), under both spawn
 // orders: the poll that ties with the write must see what the loop's sees.
 func TestSpinWhileWriterOnPollInstant(t *testing.T) {
@@ -230,7 +230,7 @@ func TestSpinWhileWriterOnPollInstant(t *testing.T) {
 		}
 	}
 	if ties[false] == 0 || ties[true] == 0 {
-		t.Fatalf("sweep never put the write on a poll's instant in both push orders: %v", ties)
+		t.Fatalf("sweep never put the write on a poll's instant in both issue orders: %v", ties)
 	}
 }
 
@@ -303,6 +303,32 @@ func TestSpinWhileTripsEventBudgetLikeLoop(t *testing.T) {
 	}
 }
 
+// TestSpinWhileDrainedTrapsLikeLoop: spinners that nobody will ever release
+// and nothing else left to run — the queue drains around the parked threads —
+// trap at the loop's event count and clock too, however long the budget: the
+// parked engine gets there without running the blocks one by one.
+func TestSpinWhileDrainedTrapsLikeLoop(t *testing.T) {
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			trapped := func(spin spinFn) *Engine {
+				e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(1 << 20)}, d.opts...)...)
+				for n := 0; n < 2; n++ {
+					w := e.Space().AllocLine(n)
+					e.Spawn(n, func(ctx api.Ctx) {
+						ctx.Work(time.Duration(100 * (n + 1)))
+						spin(ctx, w, 0, 0)
+					})
+				}
+				if r := recovered(func() { d.drive(e) }); r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+					t.Fatalf("runaway spin did not trap: %v", r)
+				}
+				return e
+			}
+			sameOutcome(t, trapped(spinLoop), trapped(spinMethod))
+		})
+	}
+}
+
 // TestSpinWhileStaysInExecutor is the test that the mechanism is taken at
 // all: a wait of a thousand failed polls, every one of them a scheduled
 // event (the noise thread keeps the queue ahead of each block), switches
@@ -343,6 +369,58 @@ func TestSpinWhileStaysInExecutor(t *testing.T) {
 			sameOutcome(t, loop, method)
 			if waiter.resumes > 2 {
 				t.Errorf("a %d-poll wait resumed its coroutine %d times, want <= 2", polls, waiter.resumes)
+			}
+		})
+	}
+}
+
+// TestSpinWhileParks is TestSpinWhileStaysInExecutor's twin for the events: a
+// wait of a thousand failed polls beside a noise thread that keeps the queue
+// busy dispatches a handful of events — its first poll, the poll the write
+// wakes it for — and credits the rest, so Events still counts every block of
+// the loop. A SpinWhile that fell back to polling would pass every
+// equivalence test and fail here with two dispatched events per poll.
+func TestSpinWhileParks(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			world := func(spin spinFn) *Engine {
+				e := New(2, 1024, model.CX3(), 1, d.opts...)
+				w := e.Space().AllocLine(0)
+				e.Spawn(0, func(ctx api.Ctx) { spin(ctx, w, 0, 0) })
+				e.Spawn(0, func(ctx api.Ctx) {
+					for ctx.Now() < 500_000 {
+						ctx.Work(5)
+					}
+					ctx.Write(w, 1)
+				})
+				d.drive(e)
+				return e
+			}
+			polls := 0
+			loop := world(func(ctx api.Ctx, p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
+				for ; ; polls++ {
+					if got := ctx.Read(p); got != v {
+						return got
+					}
+					ctx.Pause(polls)
+				}
+			})
+			if polls < 1000 {
+				t.Fatalf("wait ended after %d failed polls; the test needs 1000", polls)
+			}
+			method := world(spinMethod)
+			sameOutcome(t, loop, method)
+			// Every block the loop ran is an event of the loop's engine; the
+			// parked wait's engine dispatched the noise thread's alone, but for
+			// a handful.
+			waitBlocks := 2*uint64(polls) + 1
+			if extra := method.tl.events - (loop.tl.events - waitBlocks); extra > 4 {
+				t.Errorf("a %d-poll wait dispatched %d events, want <= 4", polls, extra)
+			}
+			if method.tl.credited < waitBlocks-4 {
+				t.Errorf("a %d-poll wait credited %d blocks, want >= %d", polls, method.tl.credited, waitBlocks-4)
 			}
 		})
 	}
