@@ -774,9 +774,9 @@ func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 // coordinator owning every shard. The window structure (and therefore every
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
-// guard asked for the serial loop, or where the event budget has too little
-// room left to share among the shards (share), with the rest of them on the
-// engine's timeline.
+// guard asked for the serial loop, or where a few windows' worth of the event
+// budget is left (nearBudget), with the rest of them on the engine's
+// timeline.
 func (e *Engine) runWindowed() {
 	limit := e.workers
 	if e.auto {
