@@ -75,8 +75,8 @@ func TestTargetOpsHandoffMatchesSerial(t *testing.T) {
 				if ws.Width != width {
 					t.Errorf("ran on %d workers (wide after window %d), want %d", ws.Width, ws.WideAt, width)
 				}
-				if ws.Events == 0 || ws.Events >= got.Events || ws.Events+ws.SerialEvents != got.Events {
-					t.Errorf("%d events in windows, %d after the handoff, %d in all: the handoff did not land mid-run", ws.Events, ws.SerialEvents, got.Events)
+				if ws.Events == 0 || ws.SerialEvents == 0 || ws.Events+ws.SerialEvents+ws.Credited != got.Events {
+					t.Errorf("%d events in windows, %d after the handoff, %d credited blocks, %d in all: the handoff did not land mid-run", ws.Events, ws.SerialEvents, ws.Credited, got.Events)
 				}
 				if ws.HandoffAt <= c.WarmupNS {
 					t.Errorf("handed off at %d ns, inside the %d ns warm-up", ws.HandoffAt, c.WarmupNS)

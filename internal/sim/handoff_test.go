@@ -206,13 +206,13 @@ func TestStopGuardHandoffMatchesSerial(t *testing.T) {
 					t.Fatalf("seed %d, flip at barrier %d: %d resumes, want %d (windowed up to the handoff, serial after it) plus at most %d", seed, k, r, wantResumes, boundary)
 				}
 
-				if ws.Events+ws.SerialEvents != run.Events() {
-					t.Errorf("seed %d: %d windowed + %d serial events, the run counted %d", seed, ws.Events, ws.SerialEvents, run.Events())
+				if ws.Events+ws.SerialEvents+ws.Credited != run.Events() {
+					t.Errorf("seed %d: %d windowed + %d serial events + %d credited blocks, the run counted %d", seed, ws.Events, ws.SerialEvents, ws.Credited, run.Events())
 				}
 				switch {
 				case k == 0:
-					if ws.Windows != 0 || ws.SerialEvents != run.Events() {
-						t.Errorf("seed %d: a guard that says yes at once still ran %d windows (%d serial events of %d)", seed, ws.Windows, ws.SerialEvents, run.Events())
+					if ws.Windows != 0 || ws.SerialEvents+ws.Credited != run.Events() {
+						t.Errorf("seed %d: a guard that says yes at once still ran %d windows (%d serial events and %d credited blocks of %d)", seed, ws.Windows, ws.SerialEvents, ws.Credited, run.Events())
 					}
 				case ws.SerialEvents > 0: // the guard said yes with events pending
 					if ws.Windows != uint64(k) || ws.HandoffAt <= 0 {

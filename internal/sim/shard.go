@@ -745,11 +745,12 @@ type WindowStats struct {
 	MaxOutbox int
 	// HandoffAt is the virtual time at which the stop guard handed the Run to
 	// the serial loop — the head of the window it did not run — and 0 if it
-	// never did. SerialEvents is the number of the Run's events counted
-	// outside windows: those the serial loop dispatched after a hand-off, and
-	// the Credited ones — SpinWhile blocks that parked threads skipped
-	// (spin.go), which count in Engine.Events but no executor dispatched.
-	// Events + SerialEvents is the Run's share of Engine.Events.
+	// never did. SerialEvents is the number of events the serial loop
+	// dispatched after a hand-off, by the stop guard or near the event budget.
+	// Credited is the number of the Run's SpinWhile blocks that parked threads
+	// skipped (spin.go): they count in Engine.Events, but no executor
+	// dispatched them. Events + SerialEvents + Credited is the Run's share of
+	// Engine.Events.
 	HandoffAt    int64
 	SerialEvents uint64
 	Credited     uint64
@@ -774,9 +775,9 @@ func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 // coordinator owning every shard. The window structure (and therefore every
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
-// guard asked for the serial loop, or where a few windows' worth of the event
-// budget is left (nearBudget), with the rest of them on the engine's
-// timeline.
+// guard asked for the serial loop, where a few windows' worth of the event
+// budget is left (nearBudget), or where the next window would pass maxIssue,
+// with the rest of them on the engine's timeline.
 func (e *Engine) runWindowed() {
 	limit := e.workers
 	if e.auto {
@@ -825,7 +826,9 @@ func (e *Engine) runWindowed() {
 		if !any {
 			return
 		}
-		if e.nearBudget(frontier, counted, 4*(widest+perWindow)) {
+		// The serial loop also takes over where the next window would pass
+		// maxIssue, so the trap there (pastIssue) is at its clock too.
+		if e.nearBudget(frontier, counted, 4*(widest+perWindow)) || minHead+e.lookahead > maxIssue {
 			return
 		}
 		if hook := e.onBarrier; hook != nil {
@@ -876,7 +879,9 @@ func (e *Engine) runWindowed() {
 // one that carried more than the margin could take the count past the budget
 // before a barrier sees it, and the serial loop would then trap on its first
 // event. The cheap bound on the skipped blocks (parkedBound) settles the
-// question unless the budget is close.
+// question unless the budget is close: the exact count walks every parked
+// loop, and doing that at every barrier made the benchmark's fig5-windowed
+// and svc-open workloads about 15 % slower on a 2-vCPU host.
 func (e *Engine) nearBudget(frontier int64, counted, margin uint64) bool {
 	var n, since int64
 	for _, s := range e.shards {

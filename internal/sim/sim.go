@@ -770,7 +770,7 @@ func (e *Engine) Run(stopAt int64) {
 	}
 	if windowed {
 		e.winStats.Credited = e.tl.credited - credited
-		e.winStats.SerialEvents = e.Events() - start - e.winStats.Events
+		e.winStats.SerialEvents = e.Events() - start - e.winStats.Events - e.winStats.Credited
 	}
 	for _, t := range e.threads {
 		if !t.exited {

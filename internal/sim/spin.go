@@ -65,12 +65,20 @@ const (
 	seqThreadBits = 16
 	seqIssueShift = seqKindBits + seqThreadBits
 	maxThreads    = 1 << seqThreadBits
-	maxIssue      = 1<<(64-seqIssueShift) - 1 // ~9.7 hours of virtual time
+	maxIssue      = 1<<(64-seqIssueShift) - 1 // ~9.8 hours of virtual time; past it a timeline traps (pastIssue)
 )
 
 // eventSeq is the key of th's event of the given kind issued at issue.
 func eventSeq(issue int64, th int, kind uint8) uint64 {
 	return uint64(issue)<<seqIssueShift | uint64(th)<<seqKindBits | uint64(kind)
+}
+
+// pastIssue is the trap of a timeline whose next event lies past maxIssue:
+// events issued after it would not fit their keys, and their ties would break
+// in the wrong order. Every plan ends at maxIssue, so dispatch looks no closer
+// before it.
+func pastIssue(tl *timeline) error {
+	return fmt.Errorf("sim: virtual time past %dns at t=%dns, the latest instant an event key holds", maxIssue, tl.now)
 }
 
 // checkSeq is the test binaries' check that an event's fields fit its key.
@@ -147,13 +155,15 @@ func (e *Engine) skip(pos *spinPos, before int64) (n uint64) {
 
 // pollAfter returns the end and issue time of the first poll of the loop at
 // pos that comes after the point (at, seq) of the event order: the poll that
-// sees a store made there.
+// sees a store made there. Both poll finders give an issue past maxIssue as
+// maxIssue: the poll then ends past it too, where every timeline traps before
+// it runs (pastIssue), so its key need only fit.
 func (e *Engine) pollAfter(pos spinPos, th int, at int64, seq uint64) (int64, int64) {
 	e.skip(&pos, at)
 	for {
 		done, next := e.nextBlock(pos)
 		if !pos.poll && (done > at || eventSeq(pos.at, th, evWake) > seq) {
-			return done, pos.at
+			return done, min(pos.at, maxIssue)
 		}
 		pos = next
 	}
@@ -166,7 +176,7 @@ func (e *Engine) pollAt(pos spinPos, t int64) (int64, int64) {
 	for {
 		done, next := e.nextBlock(pos)
 		if !pos.poll {
-			return done, pos.at
+			return done, min(pos.at, maxIssue)
 		}
 		pos = next
 	}
@@ -439,7 +449,7 @@ func (e *Engine) plan(tl *timeline) bool {
 		span = int64((per - 2) * block / 2)
 	}
 	tl.budget = tl.events + room/8
-	tl.limit = tl.now + min(span, math.MaxInt64-tl.now)
+	tl.limit = min(tl.now+min(span, math.MaxInt64-tl.now), maxIssue+1)
 	tl.until = min(tl.wend, tl.limit)
 	return true
 }
@@ -457,9 +467,9 @@ func (e *Engine) exactFrom(tl *timeline) {
 // refresh re-aims an exact timeline at its next skipped block: dispatch, and
 // tryAdvance's in-place test, stop short of it.
 func (e *Engine) refresh(tl *timeline) {
-	tl.limit = math.MaxInt64
+	tl.limit = maxIssue + 1
 	if th, at, _ := e.nextVirtual(tl, nil); th != nil {
-		tl.limit = at
+		tl.limit = min(at, tl.limit)
 	}
 	tl.until = min(tl.wend, tl.limit)
 	tl.budget = 0
@@ -491,6 +501,9 @@ func (e *Engine) exactNext(tl *timeline) (int, error) {
 	if !skipped && (head == nil || head.at >= tl.wend) {
 		return goStop, nil
 	}
+	if !skipped && head.at > maxIssue || skipped && vat > maxIssue {
+		return goStop, pastIssue(tl)
+	}
 	if tl.events+tl.credited >= e.maxEvents {
 		if skipped {
 			tl.now = vat
@@ -509,6 +522,9 @@ func (e *Engine) exactNext(tl *timeline) (int, error) {
 		e.leap(tl)
 		if th, vat, _ = e.nextVirtual(tl, nil); th == nil || vat >= tl.wend {
 			return goStop, nil
+		}
+		if vat > maxIssue {
+			return goStop, pastIssue(tl)
 		}
 	}
 	_, th.spin.pos = e.nextBlock(th.spin.pos)
@@ -536,7 +552,7 @@ func (e *Engine) leap(tl *timeline) {
 	if room <= 2*parked+1 {
 		return
 	}
-	lo, hi := tl.now, min(tl.wend, math.MaxInt64/2) // nothing reaches a drained shard before its window end
+	lo, hi := tl.now, min(tl.wend, maxIssue+1) // nothing reaches a drained shard before its window end
 	if per := uint64(e.p.SpinPollMaxNS + e.p.LocalReadNS); room < uint64(hi-lo)/per {
 		hi = lo + int64(room+1)*int64(per) // every loop runs a block per per ns at least
 	}
@@ -567,7 +583,7 @@ func (t *Thread) spinOn() bool {
 	}
 	for tl.events+tl.credited < e.maxEvents {
 		done, next := e.nextBlock(w.pos)
-		if done >= tl.wend {
+		if done >= tl.wend || done > maxIssue {
 			return false
 		}
 		if o, at, _ := e.nextVirtual(tl, t); o != nil && at <= done {

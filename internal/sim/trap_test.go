@@ -10,6 +10,7 @@ import (
 
 	"alock/internal/api"
 	"alock/internal/model"
+	"alock/internal/ptr"
 	"alock/internal/slots"
 )
 
@@ -377,6 +378,52 @@ func TestWindowedTrapJoinsHelpers(t *testing.T) {
 				}
 				if after > before {
 					t.Errorf("%d goroutines before New, %d after Run: a helper or a thread outlived it", before, after)
+				}
+			})
+		}
+	}
+}
+
+// TestTrapPastLatestIssue: a run whose clock would pass maxIssue, the latest
+// issue time an event key holds, traps there with a plain message, clock not
+// past it, instead of packing keys whose ties break in the wrong order —
+// threads stepping past it by Work, and SpinWhile waits whose deadline lies
+// past it — at the same event count and clock under every driver.
+func TestTrapPastLatestIssue(t *testing.T) {
+	bodies := []struct {
+		name string
+		body func(ctx api.Ctx, w ptr.Ptr)
+	}{
+		{"work", func(ctx api.Ctx, _ ptr.Ptr) {
+			for {
+				ctx.Work(1 << 40)
+			}
+		}},
+		{"spin-deadline", func(ctx api.Ctx, w ptr.Ptr) {
+			ctx.Work(maxIssue - 1000)
+			ctx.SpinWhile(w, 0, maxIssue+1<<20)
+		}},
+	}
+	for _, b := range bodies {
+		var first *Engine
+		for _, d := range trapDrivers {
+			t.Run(b.name+"/"+d.name, func(t *testing.T) {
+				e := New(2, 1024, model.CX3(), 1, d.opts...)
+				for n := 0; n < 2; n++ {
+					w := e.Space().AllocLine(n)
+					e.Spawn(n, func(ctx api.Ctx) { b.body(ctx, w) })
+				}
+				r := recovered(func() { d.drive(e) })
+				if r == nil || !strings.Contains(fmt.Sprint(r), "latest instant an event key holds") {
+					t.Fatalf("a run past the latest issue time did not trap: %v", r)
+				}
+				if now := e.Now(); now > maxIssue {
+					t.Errorf("trapped at t=%dns, past %dns", now, int64(maxIssue))
+				}
+				if first == nil {
+					first = e
+				} else if first.Events() != e.Events() || first.Now() != e.Now() {
+					t.Errorf("trapped at t=%dns after %d events, %s at t=%dns after %d", e.Now(), e.Events(), trapDrivers[0].name, first.Now(), first.Events())
 				}
 			})
 		}
