@@ -138,7 +138,10 @@ type Ctx interface {
 	// and costs exactly what that loop costs — in virtual time and in events
 	// counted; engines may run it without returning to the caller between
 	// polls, and the simulator parks the caller on the word between them, so
-	// that a wait costs it host work per store to the word, not per poll.
+	// that a wait costs it host work per store to the word, not per poll. A
+	// parked wait spends none of the simulator's event budget, which counts
+	// the events it dispatches; a wait that nothing is left to end is
+	// reported as waiting forever, not as a livelock.
 	// p must be a word on the caller's own node — the poll is a local
 	// Read; remote and loopback (RRead) spins keep their loops. The result
 	// is the first value read that differs from v. A result of v means no

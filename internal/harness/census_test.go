@@ -92,7 +92,7 @@ func TestTimedRWResumeCensus(t *testing.T) {
 			grid = append(grid, c)
 		}
 	}
-	var events, resumes uint64
+	var events, dispatched, resumes uint64
 	for _, c := range grid {
 		p, err := c.withDefaults().check()
 		if err != nil {
@@ -100,12 +100,15 @@ func TestTimedRWResumeCensus(t *testing.T) {
 		}
 		s := p.prepare()
 		res := s.runClosedLoop()
-		t.Logf("%-9s reads %2d%% timeout %-4v: %8d events, %7d resumes, %6d ops, %5d timeouts",
-			c.Algorithm, c.ReadPct, c.AcquireTimeout, res.Events, s.e.Resumes(), res.Ops, res.Timeouts)
+		run := res.Events - s.e.Credited()
+		t.Logf("%-9s reads %2d%% timeout %-4v: %8d events, %8d dispatched, %7d resumes, %6d ops (%.2f dispatched per op), %5d timeouts",
+			c.Algorithm, c.ReadPct, c.AcquireTimeout, res.Events, run, s.e.Resumes(), res.Ops, float64(run)/float64(res.Ops), res.Timeouts)
 		events += res.Events
+		dispatched += run
 		resumes += s.e.Resumes()
 	}
-	t.Logf("reduced rw/storm-tails + fail/timeout-recovery: %d events, %d resumes (%.3f per event)", events, resumes, float64(resumes)/float64(events))
+	t.Logf("reduced rw/storm-tails + fail/timeout-recovery: %d events, %d dispatched, %d resumes (%.3f per event)",
+		events, dispatched, resumes, float64(resumes)/float64(events))
 	// The bound is the reduced grid's: -short's tiny targets hand over at once.
 	if !testing.Short() && resumes*100 >= events*20 {
 		t.Errorf("%d resumes over %d events: waits on local words are switching threads again", resumes, events)

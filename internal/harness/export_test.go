@@ -8,13 +8,16 @@ import (
 	"alock/internal/sim"
 )
 
-// testMaxEvents caps every engine this package's tests build, serial or
-// windowed, so a run that deadlocks (two threads each holding the lock the
-// other waits for, spinning forever) panics with "exceeded N events —
-// livelock?" in seconds instead of hanging until the go test timeout. The
-// largest healthy run here (TestSteadyStateAllocsPerOp) takes between 2^22
-// and 2^23 events, so the cap leaves 8x headroom; internal/scenario keeps
-// the same cap.
+// testMaxEvents caps the events every engine this package's tests build
+// dispatches, serial or windowed, so a run that deadlocks (two threads each
+// holding the lock the other waits for, spinning forever) fails in seconds
+// instead of hanging until the go test timeout: with "exceeded N events —
+// livelock?" while anything still polls, works or sends verbs, or with
+// "thread N waits forever in SpinWhile on <word>" once every live thread is
+// parked on a local word (a parked wait spends no budget). The largest
+// healthy run here (TestSteadyStateAllocsPerOp) takes between 2^22 and 2^23
+// events, so the cap leaves 8x headroom; internal/scenario keeps the same
+// cap.
 const testMaxEvents = 1 << 26
 
 func TestMain(m *testing.M) {

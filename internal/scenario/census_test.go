@@ -45,9 +45,14 @@ func engineRun(t *testing.T, cfg harness.Config, serial bool) (harness.Result, *
 // reach their targets here) — and resume threads less often per event than
 // the serial executor does, which queues every local op of a thread with
 // another node's event ahead of it instead of advancing it in place.
-// deadlock/dining's wait-die configs must run no window at all. (The full
-// grids, seed 1: fig5 36.05 M events, 0.948 windowed, 7.83 M resumes against
-// 11.08 M serial; timeout-recovery 19.36 M, 0.955, 3.64 M against 5.69 M.)
+// It then runs the benchmark's timed-rw-txn pass (rw/storm-tails,
+// fail/timeout-recovery, deadlock/policy-compare, deadlock/dining) at full
+// scale, seed 1, and logs its events per op, counted and dispatched — exact
+// on both executors (Engine.Credited) — where no wait-die config may run a
+// window at all. (The full grids, seed 1: fig5 36.05 M events, 0.948
+// windowed, 7.83 M resumes against 11.08 M serial; timeout-recovery 19.36 M,
+// 0.955, 3.64 M against 5.69 M; timed-rw-txn 72.77 counted, 58.04 dispatched
+// per op.)
 func TestEngineCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the census is of full-scale targets")
@@ -70,7 +75,7 @@ func TestEngineCensus(t *testing.T) {
 				t.Fatalf("%s %s: %d events / %d ops, the serial executor %d / %d", name, cfg.Algorithm, res.Events, res.Ops, want.Events, want.Ops)
 			}
 			ws := e.WindowStats()
-			run := res.Events - ws.Credited
+			run := res.Events - e.Credited()
 			t.Logf("%-9s %2dx%-2d timeout %-5v: %8d events, %8d dispatched, %.3f windowed, %7d resumes (serial %7d), handoff at %7d ns",
 				cfg.Algorithm, cfg.Nodes, cfg.ThreadsPerNode, cfg.AcquireTimeout, res.Events, run,
 				float64(ws.Events)/float64(run), e.Resumes(), se.Resumes(), ws.HandoffAt)
@@ -97,16 +102,24 @@ func TestEngineCensus(t *testing.T) {
 		}
 	}
 
-	dining, ok := Get("deadlock/dining")
-	if !ok {
-		t.Fatal("deadlock/dining not registered")
-	}
-	for _, cfg := range dining.Configs(harness.Scale{TestTiny: true}) {
-		if cfg.RunsWindowed() {
-			continue // the ordered and timeout-backoff cells
+	var events, dispatched, ops uint64
+	for _, name := range []string{"rw/storm-tails", "fail/timeout-recovery", "deadlock/policy-compare", "deadlock/dining"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
 		}
-		if _, e := engineRun(t, cfg, false); e.WindowStats().Windows != 0 {
-			t.Errorf("deadlock/dining %s %s: a wait-die run executed %d windows", cfg.Algorithm, cfg.TxnPolicy, e.WindowStats().Windows)
+		var ev, run, op uint64
+		for _, cfg := range sc.Configs(harness.Scale{}) {
+			res, e := engineRun(t, cfg, false)
+			if !cfg.RunsWindowed() && e.WindowStats().Windows != 0 {
+				t.Errorf("%s %s %s: a wait-die run executed %d windows", name, cfg.Algorithm, cfg.TxnPolicy, e.WindowStats().Windows)
+			}
+			ev, run, op = ev+res.Events, run+res.Events-e.Credited(), op+uint64(res.Ops)
 		}
+		t.Logf("%-23s: %8d events, %8d dispatched, %6d ops: %.2f counted, %.2f dispatched per op",
+			name, ev, run, op, float64(ev)/float64(op), float64(run)/float64(op))
+		events, dispatched, ops = events+ev, dispatched+run, ops+op
 	}
+	t.Logf("timed-rw-txn: %d events, %d dispatched, %d ops: %.2f counted, %.2f dispatched per op",
+		events, dispatched, ops, float64(events)/float64(ops), float64(dispatched)/float64(ops))
 }

@@ -21,11 +21,12 @@ import (
 //go:linkname newEngine alock/internal/harness.newEngine
 var newEngine func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine
 
-// testMaxEvents caps every engine this package's tests build, as the
-// harness tests do: a deadlocked run panics with "exceeded N events —
-// livelock?" in seconds instead of hanging until the go test timeout. The
-// largest healthy run here (TestEngineCensus) takes between 2^22 and 2^23
-// events.
+// testMaxEvents caps the events every engine this package's tests build
+// dispatches, as the harness tests do: a deadlocked run fails in seconds
+// instead of hanging until the go test timeout, with "exceeded N events —
+// livelock?" or, once every live thread is parked in SpinWhile with nothing
+// left to run, "thread N waits forever in SpinWhile on <word>". The largest
+// healthy run here (TestEngineCensus) takes between 2^22 and 2^23 events.
 const testMaxEvents = 1 << 26
 
 func TestMain(m *testing.M) {

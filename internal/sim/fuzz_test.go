@@ -67,14 +67,15 @@ func FuzzExecutorsAgree(f *testing.F) {
 // writers on its node that Write or CAS it, and one on node 1 that RWrites
 // it, every delay drawn from 0-64 ns so that stores and polls often share an
 // instant. Values stay in 0..3, so stores often leave the word as it was or
-// change it back before a poll. The spinner waits on its own when the writers
-// are done, until the event budget traps it — the budget's count and clock are
-// part of the outcome too. It returns a func that runs the world and
-// fingerprints the run: Events, clock, the trap, every thread's return values
-// and instants, and the word.
-func spinRace(seed int64, spin spinFn, opts ...Option) func() string {
+// change it back before a poll. The spinner often waits on its own once the
+// writers are done: the written-out loop then polls into the event budget
+// (raceBudget) and traps, SpinWhile ends the run at once (waits forever). It
+// returns a func that runs the world and reports the run: its fingerprint
+// (Events, clock, the trap, every thread's return values and instants, and
+// the word), its Events, and whether it trapped.
+func spinRace(seed int64, spin spinFn, opts ...Option) func() (string, uint64, bool) {
 	setup := rand.New(rand.NewSource(seed))
-	e := New(2, 1024, model.CX3(), seed, append([]Option{WithMaxEvents(1 << 16)}, opts...)...)
+	e := New(2, 1024, model.CX3(), seed, append([]Option{WithMaxEvents(raceBudget)}, opts...)...)
 	w := e.Space().AllocLine(0)
 	var logs [10][]string // per thread: threads on different shards run concurrently
 	note := func(id int64, v uint64, at int64) { logs[id] = append(logs[id], fmt.Sprintf("%d@%d", v, at)) }
@@ -117,15 +118,21 @@ func spinRace(seed int64, spin spinFn, opts ...Option) func() string {
 		writer(0, int64(2+k))
 	}
 	writer(1, 9)
-	return func() string {
-		trap := fmt.Sprint(recovered(func() { e.Run(1 << 40) }))
-		return fmt.Sprintf("events=%d now=%d word=%d trap=%q %v", e.Events(), e.Now(), *e.Space().WordAddr(w), trap, logs)
+	return func() (string, uint64, bool) {
+		trap := recovered(func() { e.Run(1 << 40) })
+		return fmt.Sprintf("events=%d now=%d word=%d trap=%q %v", e.Events(), e.Now(), *e.Space().WordAddr(w), fmt.Sprint(trap), logs), e.Events(), trap != nil
 	}
 }
 
+// raceBudget is spinRace's event budget.
+const raceBudget = 1 << 16
+
 // FuzzSpinWhileMatchesLoop: a parked SpinWhile ends every run of spinRace
-// exactly as the written-out Read/Pause loop does — on the serial executor
-// and on one and two windowed workers, which must also agree with each other.
+// the same way, trap included, on the serial executor and on one and two
+// windowed workers, and so does the written-out Read/Pause loop. Where the
+// loop does not trap, SpinWhile ends as it does; the loop traps exactly when
+// SpinWhile does (a wait nothing ends) or counts more events than the budget
+// (SpinWhile's skipped polls spend none of it).
 //
 //	go test ./internal/sim -run '^$' -fuzz '^FuzzSpinWhileMatchesLoop$' -fuzztime 15s
 func FuzzSpinWhileMatchesLoop(f *testing.F) {
@@ -135,14 +142,27 @@ func FuzzSpinWhileMatchesLoop(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		want := spinRace(seed, spinLoop)()
+		loop, _, loopTrapped := spinRace(seed, spinLoop)()
+		var spin string
+		var events uint64
+		var trapped bool
 		for workers, opts := range [][]Option{nil, {WithShards(1)}, {WithShards(2)}} {
-			for name, spin := range map[string]spinFn{"loop": spinLoop, "SpinWhile": spinMethod} {
-				if got := spinRace(seed, spin, opts...)(); got != want {
-					t.Fatalf("seed %d, %d windowed workers, %s: runs ended differently\nserial loop: %s\ngot:         %s",
-						seed, workers, name, want, got)
-				}
+			if got, _, _ := spinRace(seed, spinLoop, opts...)(); got != loop {
+				t.Fatalf("seed %d, %d windowed workers, loop: runs ended differently\nserial: %s\ngot:    %s", seed, workers, loop, got)
 			}
+			got, n, tr := spinRace(seed, spinMethod, opts...)()
+			if workers == 0 {
+				spin, events, trapped = got, n, tr
+			} else if got != spin {
+				t.Fatalf("seed %d, %d windowed workers, SpinWhile: runs ended differently\nserial: %s\ngot:    %s", seed, workers, spin, got)
+			}
+		}
+		if !loopTrapped && spin != loop {
+			t.Fatalf("seed %d: SpinWhile ended unlike the loop\nloop:      %s\nSpinWhile: %s", seed, loop, spin)
+		}
+		if loopTrapped != (trapped || events > raceBudget) {
+			t.Fatalf("seed %d: the loop trapped=%v, SpinWhile trapped=%v after %d events (budget %d)\nloop:      %s\nSpinWhile: %s",
+				seed, loopTrapped, trapped, events, raceBudget, loop, spin)
 		}
 	})
 }

@@ -47,8 +47,9 @@
 // A thread parked in SpinWhile costs its shard nothing per poll: a store to
 // its word pushes the one poll that sees it, and the polls between are
 // credited, not dispatched (spin.go) — a wait costs events per store, not per
-// poll. Near the event budget the barrier hands the Run to the serial loop
-// (nearBudget), so that the budget traps where the serial loop's would.
+// poll. Near the event budget, which counts dispatched events only, the
+// barrier hands the Run to the serial loop (nearBudget), so that the budget
+// traps where the serial loop's would.
 //
 // The windows pay before any second core does. Inside one a node's threads
 // run ahead of every other node's events, so a local op is popped from a
@@ -100,14 +101,10 @@ type shard struct {
 	// shard shares, except during a windowed Run, when it is own.
 	tl *timeline
 	// parked lists the node's threads parked in SpinWhile (spin.go), with
-	// room for all nthreads of them — every store on the node looks at it —
-	// and parkedSince sums the instants they parked at (parkedBound); alone
-	// is the shard as a one-shard list.
-	parked      []*Thread
-	parkedSince int64
-	nthreads    int
-	alone       []*shard
-	own         timeline
+	// room for all nthreads of them — every store on the node looks at it.
+	parked   []*Thread
+	nthreads int
+	own      timeline
 
 	// loopInFlight / remoteInFlight count the operations of each class
 	// currently occupying this node's NIC; the congestion model inflates verb
@@ -144,9 +141,7 @@ type tornWrite struct {
 }
 
 func newShard(e *Engine, node int) *shard {
-	s := &shard{e: e, node: node, tl: &e.tl}
-	s.own.owner, s.alone = s, []*shard{s}
-	return s
+	return &shard{e: e, node: node, tl: &e.tl}
 }
 
 // holdTorn marks the word at p as mid-tear for the remote RMW whose read half
@@ -608,7 +603,7 @@ func (p *windowPool) yield() {
 
 // activate hands shard s to its owner for the window ending at wend.
 func (p *windowPool) activate(s *shard, wend int64) {
-	s.own.wend, s.own.until = wend, min(wend, s.own.limit)
+	s.own.wend, s.own.until = wend, min(wend, maxIssue+1)
 	p.assigned[s.node%p.width]++
 	s.active.Store(true)
 }
@@ -746,7 +741,8 @@ type WindowStats struct {
 	// HandoffAt is the virtual time at which the stop guard handed the Run to
 	// the serial loop — the head of the window it did not run — and 0 if it
 	// never did. SerialEvents is the number of events the serial loop
-	// dispatched after a hand-off, by the stop guard or near the event budget.
+	// dispatched after a hand-off, by the stop guard or near the event budget
+	// (or past maxIssue).
 	// Credited is the number of the Run's SpinWhile blocks that parked threads
 	// skipped (spin.go): they count in Engine.Events, but no executor
 	// dispatched them. Events + SerialEvents + Credited is the Run's share of
@@ -792,18 +788,14 @@ func (e *Engine) runWindowed() {
 		defer e.curShard.Store(auditIdle)
 	}
 	e.scatter()
-	frontier := e.tl.now                  // where every shard stands: the last window's end
-	defer func() { e.gather(frontier) }() // drained or handed off; the trap paths gather first
+	defer e.gather() // drained or handed off; the trap paths gather first
 
 	pool := newWindowPool(e, limit, e.auto)
 	defer pool.close()
-	total := e.tl.events // dispatched so far, as of the last barrier
-	// The event budget: the serial loop takes over while the room left is
-	// more than a few windows' worth (nearBudget); a window's worth is what
-	// the largest window so far counted, plus the most blocks the threads'
-	// parked loops could run in one.
-	counted, widest := e.Events(), uint64(0)
-	perWindow := uint64(len(e.threads)) * uint64(2*e.lookahead/(e.p.LocalReadNS+e.p.SpinPollMinNS)+2)
+	// Dispatched so far, as of the last barrier, and the most one window
+	// dispatched: the serial loop takes over where the budget has no more
+	// than a few windows' worth of room left (nearBudget).
+	total, widest := e.tl.events, uint64(0)
 	for {
 		// Barrier: deliver cross-shard sends to their owning shards.
 		for _, s := range e.shards {
@@ -828,7 +820,7 @@ func (e *Engine) runWindowed() {
 		}
 		// The serial loop also takes over where the next window would pass
 		// maxIssue, so the trap there (pastIssue) is at its clock too.
-		if e.nearBudget(frontier, counted, 4*(widest+perWindow)) || minHead+e.lookahead > maxIssue {
+		if e.nearBudget(total, 4*widest) || minHead+e.lookahead > maxIssue {
 			return
 		}
 		if hook := e.onBarrier; hook != nil {
@@ -846,19 +838,17 @@ func (e *Engine) runWindowed() {
 			}
 		}
 		pool.runWindow()
-		frontier = wend
-		before, last := total, counted
-		total, counted = e.tl.events, e.tl.events+e.tl.credited
+		before := total
+		total = e.tl.events
 		for _, s := range e.shards {
 			if s.trap != nil {
-				e.gather(frontier)
+				e.gather()
 				e.stopThreads()
 				panic(s.trap)
 			}
 			total += s.own.events
-			counted += s.own.events + s.own.credited
 		}
-		widest = max(widest, counted-last)
+		widest = max(widest, total-before)
 		pool.recordWindow(total - before)
 		// An auto pool's periodic look: widen while it is one worker, check
 		// once it is wide.
@@ -873,38 +863,21 @@ func (e *Engine) runWindowed() {
 }
 
 // nearBudget reports whether the event budget has at most margin events of
-// room left at the frontier — the count there includes the skipped blocks of
-// parked loops before it — and the Run must go on on the serial loop, which
-// traps at the written-out loops' count and clock. Windows count as they go:
-// one that carried more than the margin could take the count past the budget
-// before a barrier sees it, and the serial loop would then trap on its first
-// event. The cheap bound on the skipped blocks (parkedBound) settles the
-// question unless the budget is close: the exact count walks every parked
-// loop, and doing that at every barrier made the benchmark's fig5-windowed
-// and svc-open workloads about 15 % slower on a 2-vCPU host.
-func (e *Engine) nearBudget(frontier int64, counted, margin uint64) bool {
-	var n, since int64
-	for _, s := range e.shards {
-		n += int64(len(s.parked))
-		since += s.parkedSince
-	}
-	if counted+e.parkedBound(n, since, frontier)+margin <= e.maxEvents {
-		return false
-	}
-	for _, s := range e.shards {
-		counted += s.uncredited(frontier)
-	}
-	return counted+margin > e.maxEvents
-}
+// room left after total dispatched ones, and the Run must go on on the serial
+// loop, which traps at the budget's (n+1)th dispatched event in the event
+// order. Windows count as they go: one that dispatched more than the margin
+// could take the count past the budget before a barrier sees it, and the
+// serial loop then traps at once, at that count.
+func (e *Engine) nearBudget(total, margin uint64) bool { return total+margin > e.maxEvents }
 
 // scatter moves the engine's timeline onto the shards' own: each starts at
-// the engine's clock with no events counted, and takes the pending events it
-// owns.
+// the engine's clock with no events counted and the budget's room left as its
+// own, and takes the pending events it owns.
 func (e *Engine) scatter() {
 	for _, s := range e.shards {
 		o := &s.own
 		o.now, o.events, o.credited, o.stale = e.tl.now, 0, 0, 0
-		o.limit, o.until, o.budget, o.exact = math.MaxInt64, math.MaxInt64, 0, false
+		o.budget = e.maxEvents - e.tl.events
 		s.tl = o
 	}
 	for _, th := range e.threads { // a thread's queued deadline reads are on its shard
@@ -918,26 +891,23 @@ func (e *Engine) scatter() {
 }
 
 // gather is scatter's inverse, at the end of a windowed Run or at the barrier
-// where the stop guard or the event budget hands it to the serial loop: every
-// shard's pending events move back onto the engine's timeline, whose clock
-// advances to the latest shard clock and whose counters take the shards', and
-// the shards run on it again. The skipped blocks of parked loops before the
-// frontier — the last window's end — are credited, as the loops would have run
-// them in that window. Every pending event lies at or after the frontier, so
-// nothing the serial loop runs next is behind the clock. A second gather
-// changes nothing.
-func (e *Engine) gather(frontier int64) {
+// where the stop guard, the event budget or maxIssue hands it to the serial
+// loop: every shard's pending events move back onto the engine's timeline,
+// whose clock advances to the latest shard clock and whose counters take the
+// shards', and the shards run on it again. Every pending event lies at or
+// after the last window's end, and every shard clock before it, so nothing the
+// serial loop runs next is behind the clock. A second gather changes nothing.
+func (e *Engine) gather() {
 	for _, s := range e.shards {
 		o := &s.own
 		for o.q.len() > 0 {
 			e.tl.q.push(o.q.pop())
 		}
-		e.tl.now = max(e.tl.now, o.now, s.credit(o, frontier))
+		e.tl.now = max(e.tl.now, o.now)
 		e.tl.events += o.events
 		e.tl.credited += o.credited
 		e.tl.stale += o.stale
 		o.events, o.credited, o.stale = 0, 0, 0
 		s.tl = &e.tl
 	}
-	e.tl.exact, e.tl.budget = false, 0
 }

@@ -26,7 +26,8 @@
 //   - serial (an engine built without WithShards): every shard runs on the
 //     engine's timeline (e.tl), whose window never ends, drained by dispatch
 //     on the caller's goroutine — Run is that loop, Step (ProcessNextEvent)
-//     is one turn of it at any width.
+//     is one turn of it at any width: one event popped, and what its thread
+//     then runs in place (a parked SpinWhile's skipped polls take no turn).
 //   - windowed (WithShards(n), n >= 1 workers or 0 for auto width): the
 //     conservative executor in shard.go. For the duration of a Run each shard
 //     runs on a timeline of its own, which takes the shard's pending events,
@@ -81,7 +82,8 @@
 // (Thread.drain); `Write; Write; CAS` is three events and one resume, and
 // api.Ctx.SpinWhile — the local poll loop ALock's waiters sit in — is one FIFO
 // entry however many polls it takes, and parks the thread on its word between
-// them, so that it costs events when the word changes, not per poll (spin.go).
+// them, so that it costs events when the word changes, not per poll (spin.go);
+// the event budget counts what is dispatched, so a parked wait spends none.
 // So is api.Ctx.SpinUntil one entry, the same loop with the caller's predicate
 // over the polled value and the time in place of the compare (the rw locks'
 // descriptor, group-word and state-word waits), which polls on.
@@ -124,6 +126,12 @@
 // stop could land inside the next window, and the first "yes" hands the rest
 // of the Run to the serial loop, where the stop lands in the global order. A
 // RequestStop inside a window panics.
+//
+// Blocked forever: a Run (or Step) whose queues drain around a live thread
+// ends with a panic. A thread parked in SpinWhile then waits forever — nothing
+// is left to store to its word — and the panic names it and the word; that is
+// a workload's bug, such as a lock handed to nobody. Any other live thread is
+// "blocked forever", which only an engine that lost an event can cause.
 package sim
 
 import (
@@ -198,12 +206,11 @@ func destFor(kind uint8, t *Thread) int16 {
 //
 // events counts what the loop dispatched (popped, or advanced in place), and
 // credited the SpinWhile blocks that parked threads skipped (spin.go): the two
-// together are the loop's Events. The rest is the event budget's plan: the
-// loop dispatches events before until — the window end or the plan's limit,
-// whichever is first — while fewer than budget are dispatched, without a
-// closer look (closer), and in exact mode it runs the skipped blocks one by
-// one, limit being the next of them. stale
-// counts the queued deadline reads that pop to nothing.
+// together are the loop's Events. The loop dispatches events before until —
+// the window end or maxIssue+1, whichever is first — while fewer than budget
+// are dispatched: the event budget on the engine's timeline, what was left of
+// it when the Run began on a shard's own. stale counts the queued deadline
+// reads that pop to nothing.
 type timeline struct {
 	// What every dispatch and tryAdvance reads, first.
 	q        eventQueue
@@ -214,9 +221,6 @@ type timeline struct {
 	stale    int
 	wend     int64 // exclusive: the loop dispatches only events before it
 	credited uint64
-	limit    int64
-	exact    bool
-	owner    *shard // the shard whose own timeline this is; nil for the engine's
 }
 
 // curShard sentinels for the access auditor.
@@ -268,10 +272,6 @@ type Engine struct {
 	threads []*Thread
 
 	maxEvents uint64
-	// stepping is set while the engine is driven by Step, ProcessNextEvent
-	// or PeekNextEventTime, which run a parked SpinWhile's skipped blocks one
-	// by one, and cleared by Run.
-	stepping bool
 
 	// audit is the access audit, on in every test binary and off in every
 	// built one (New): curShard tracks which shard's timeline is executing
@@ -294,7 +294,10 @@ type Engine struct {
 // Option configures a new Engine.
 type Option func(*Engine)
 
-// WithMaxEvents overrides the runaway-simulation guard (default 2^33).
+// WithMaxEvents overrides the runaway-simulation guard (default 2^33): the
+// number of events the executors may dispatch — pop, or advance in place —
+// before the engine traps as a livelock. The SpinWhile polls a parked thread
+// skips are credited to Events but spend none of it.
 func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
@@ -342,7 +345,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:      make([]*nic.NIC, nodes),
 		seed:      seed,
 		rngs:      NewPartitionedRNG(seed),
-		tl:        timeline{wend: math.MaxInt64, until: math.MaxInt64, limit: math.MaxInt64},
+		tl:        timeline{wend: math.MaxInt64, until: maxIssue + 1},
 		stopAt:    math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
@@ -358,6 +361,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 	for _, o := range opts {
 		o(e)
 	}
+	e.tl.budget = e.maxEvents
 	e.curShard.Store(auditIdle)
 	if e.audit {
 		e.space.SetAudit(e.auditAccess)
@@ -429,8 +433,13 @@ func (e *Engine) stoppedAt(now int64) bool { return e.stopRequested || now >= e.
 
 // Events returns the number of events processed so far: every block of a
 // parked SpinWhile loop counts, skipped or not, once the poll that ends the
-// skip has run (and at once between Steps, which run the skipped blocks).
+// skip has run.
 func (e *Engine) Events() uint64 { return e.tl.events + e.tl.credited }
+
+// Credited returns how many of Events() are SpinWhile blocks that parked
+// threads skipped (spin.go): counted, never dispatched. Like Events it is for
+// use between Steps or after Run.
+func (e *Engine) Credited() uint64 { return e.tl.credited }
 
 // Resumes returns how many times the executor has switched into a simulated
 // thread's coroutine so far: the events that cost a thread switch, out of
@@ -507,12 +516,11 @@ func (e *Engine) pending() int { return e.tl.q.len() - e.tl.stale }
 // events lies before tl's window end, and for at most limit of them, it pops
 // the event, advances tl's clock to it, counts it and processes it — a thread
 // wake-up or verb completion steps the thread's posted operations and resumes
-// the thread once they are done, a verb-protocol event executes inline. Past
-// its plan it looks closer (closer), which may run a parked SpinWhile's
-// skipped block in the event's stead. It returns the trap that makes the
-// engine unusable — time going backwards, the event budget blown (a livelock
-// in the simulated system) or the resumed thread's body panicking — for the
-// caller to raise on the goroutine driving the Run.
+// the thread once they are done, a verb-protocol event executes inline. It
+// returns the trap that makes the engine unusable — time going backwards, the
+// event budget blown (a livelock in the simulated system), a clock past
+// maxIssue or the resumed thread's body panicking — for the caller to raise
+// on the goroutine driving the Run.
 //
 // The loop is the shared unit, not one event's body: a coroutine switch leaves
 // the CPU's return-address prediction in the thread's stack, so every return
@@ -522,18 +530,20 @@ func (e *Engine) pending() int { return e.tl.q.len() - e.tl.stale }
 func (e *Engine) dispatch(tl *timeline, limit int) error {
 	for n := 0; n < limit; n++ {
 		if tl.q.len() == 0 || tl.q.min().at >= tl.until || tl.events >= tl.budget {
-			if !tl.exact && (tl.q.len() == 0 && tl.owner != nil || tl.q.len() != 0 && tl.q.min().at >= tl.wend) {
-				return nil // a shard's window is over: nothing past it needs a plan
+			tl.dropStale()
+			if tl.events > tl.budget {
+				return e.exceeded(tl) // a windowed Run's last windows took the count past it
 			}
-			next, err := e.closer(tl)
-			if err != nil {
-				return err
-			}
-			if next == goStop {
+			if tl.q.len() == 0 || tl.q.min().at >= tl.wend {
 				return nil
 			}
-			if next == goOn {
-				continue
+			if tl.q.min().at > maxIssue {
+				return pastIssue(tl)
+			}
+			if tl.events == tl.budget {
+				tl.now = max(tl.now, tl.q.pop().at)
+				tl.events++
+				return e.exceeded(tl)
 			}
 		}
 		ev := tl.q.pop()
@@ -562,6 +572,12 @@ func (e *Engine) dispatch(tl *timeline, limit int) error {
 		e.execProtocol(e.shards[ev.dest()], ev)
 	}
 	return nil
+}
+
+// exceeded is the event budget's trap on tl: the sign of a livelock in the
+// simulated system.
+func (e *Engine) exceeded(tl *timeline) error {
+	return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, tl.now)
 }
 
 // observe is dispatch's audit and test-hook bookkeeping. On the engine's
@@ -597,36 +613,16 @@ func (e *Engine) stopThreads() {
 // RequestStop — an explicit stop is sticky.
 func (e *Engine) SetHorizon(stopAt int64) { e.stopAt = stopAt }
 
-// HasPendingEvents reports whether any event remains scheduled, a parked
-// SpinWhile's next block included.
-func (e *Engine) HasPendingEvents() bool {
-	if e.pending() > 0 {
-		return true
-	}
-	th, _, _ := e.nextVirtual(&e.tl, nil)
-	return th != nil
-}
+// HasPendingEvents reports whether any event remains scheduled.
+func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
 
 // PeekNextEventTime returns the virtual time of the earliest pending event
 // without processing it; ok is false when no event is pending.
 func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
-	e.stepwise()
-	e.tl.dropStale()
-	th, at, _ := e.nextVirtual(&e.tl, nil)
-	if e.tl.q.len() > 0 && (th == nil || e.tl.q.min().at < at) {
-		return e.tl.q.min().at, true
+	if e.tl.dropStale(); e.tl.q.len() == 0 {
+		return 0, false
 	}
-	return at, th != nil
-}
-
-// stepwise puts the engine's timeline in exact mode, where a parked
-// SpinWhile's skipped blocks run one by one: a driver that steps the engine
-// sees every event the written-out loop would make.
-func (e *Engine) stepwise() {
-	e.stepping = true
-	if !e.tl.exact {
-		e.exactFrom(&e.tl)
-	}
+	return e.tl.q.min().at, true
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -706,18 +702,22 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 // clock to it, and processes it on the calling goroutine (one turn of dispatch
 // on the engine's timeline). It reports whether an event was processed (false means
 // the queue is empty). Panics on time regression, when the event budget is
-// exceeded, or when the resumed thread's body panicked, after every thread has
-// been unwound; the engine is unusable afterwards.
+// exceeded, when the resumed thread's body panicked, or when the event leaves
+// the queue drained around a parked SpinWhile (waitsForever), after every
+// thread has been unwound; the engine is unusable afterwards.
 func (e *Engine) ProcessNextEvent() bool {
 	if !e.HasPendingEvents() {
 		return false
 	}
-	e.stepwise()
 	if e.audit {
 		// A driver may inspect memory between steps, as after a Run.
 		defer e.curShard.Store(auditIdle)
 	}
-	if err := e.dispatch(&e.tl, 1); err != nil {
+	err := e.dispatch(&e.tl, 1)
+	if err == nil && !e.HasPendingEvents() {
+		err = e.waitsForever()
+	}
+	if err != nil {
 		e.stopThreads()
 		panic(err)
 	}
@@ -743,14 +743,17 @@ func (e *Engine) Step() bool {
 // rest of them back on the engine's timeline for the serial loop to finish.
 // Semantics are identical in every mode: event order, the events counter and
 // all memory effects come from the same total order. A dispatch failure (time
-// regression, event-budget livelock) or a panic in a thread's body panics on
-// the caller's goroutine in all modes, after every other thread has been
-// unwound; the engine is unusable afterwards.
+// regression, event-budget livelock, a clock past maxIssue) or a panic in a
+// thread's body panics on the caller's goroutine in all modes, after every
+// other thread has been unwound; the engine is unusable afterwards.
 //
-// The closing "blocked forever" check is an internal invariant of the
-// engine, not a workload-reachable outcome: every api.Ctx call that
-// suspends a thread has its wake-up or completion already scheduled, so the
-// queues cannot drain around a live thread unless the engine lost an event.
+// The closing checks run once the queues have drained. A thread parked in
+// SpinWhile then waits forever — nothing is left to store to its word — and
+// the Run panics naming it (waitsForever). Any other live thread is "blocked
+// forever", which is an internal invariant of the engine, not a
+// workload-reachable outcome: every other api.Ctx call that suspends a thread
+// has its wake-up or completion already scheduled, so the queues cannot drain
+// around such a thread unless the engine lost an event.
 func (e *Engine) Run(stopAt int64) {
 	e.SetHorizon(stopAt)
 	if e.audit {
@@ -758,19 +761,22 @@ func (e *Engine) Run(stopAt int64) {
 		// as far as the auditor is concerned.
 		defer e.curShard.Store(auditIdle)
 	}
-	e.tl.exact, e.tl.budget, e.stepping = false, 0, false // a Run plans afresh (dispatch's closer)
 	windowed := e.workers > 0 && e.pending() > 0
-	start, credited := e.Events(), e.tl.credited
+	start, credited := e.tl.events, e.tl.credited
 	if windowed {
 		e.runWindowed()
 	}
-	if err := e.dispatch(&e.tl, math.MaxInt); err != nil {
+	err := e.dispatch(&e.tl, math.MaxInt)
+	if err == nil {
+		err = e.waitsForever()
+	}
+	if err != nil {
 		e.stopThreads()
 		panic(err)
 	}
 	if windowed {
 		e.winStats.Credited = e.tl.credited - credited
-		e.winStats.SerialEvents = e.Events() - start - e.winStats.Events - e.winStats.Credited
+		e.winStats.SerialEvents = e.tl.events - start - e.winStats.Events
 	}
 	for _, t := range e.threads {
 		if !t.exited {
@@ -1037,17 +1043,9 @@ func (t *Thread) step() bool {
 			}
 		case opSpin:
 			t.wake(op)
-			for t.result = *e.space.WordAddr(op.p); t.result == op.old &&
-				(op.deadline <= 0 || t.now() < op.deadline); t.result = *e.space.WordAddr(op.p) {
-				// A failed poll: park — on an exact timeline the loop may run on
-				// in place to its queued poll, which is due now.
-				if t.park(op); !t.spinOn() {
-					return false
-				}
-				tl := t.shard.tl
-				tl.now = tl.q.pop().at
-				tl.events++
-				t.wake(op)
+			if t.result = *e.space.WordAddr(op.p); t.result == op.old && (op.deadline <= 0 || t.now() < op.deadline) {
+				t.park(op) // a failed poll: the thread waits on the word
+				return false
 			}
 			if t.spin.parked {
 				t.unpark()
@@ -1106,9 +1104,8 @@ func (t *Thread) step() bool {
 // and reports false: the caller carries on with the thread's code (post, on
 // the coroutine) or returns to the event loop (step, on the executor).
 // Exactly one event is counted either way, so the events counter is
-// mode-independent; an event past the budget's plan always takes the
-// scheduled path, where dispatch looks closer (closer), and so does one at or
-// after an exact timeline's next skipped SpinWhile block.
+// mode-independent; once the budget is spent, or for an event past
+// maxIssue, it always takes the scheduled path, where dispatch traps.
 func (t *Thread) tryAdvance(at int64) bool {
 	tl := t.shard.tl
 	if at < tl.now {

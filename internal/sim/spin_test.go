@@ -116,8 +116,11 @@ func sameOutcome(t *testing.T, loop, method *Engine) {
 
 // TestSpinWhileMatchesLoop: SpinWhile against the literal Read/Pause loop on
 // twin engines — every wait's return value and return time, Events() and
-// Now() — under Run, Step (compared after every single step) and the windowed
-// executor, with the access audit on and, in the audit rows, off.
+// Now() — under Run, Step and the windowed executor, with the access audit on
+// and, in the audit rows, off. Step drains both engines and compares them at
+// the end (a parked wait's skipped polls are no steps of their own, so the
+// two engines take different numbers of steps), and holds the SpinWhile
+// engine to its own Run.
 func TestSpinWhileMatchesLoop(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -138,14 +141,16 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 				loop, want := spinWorld(seed, spinLoop, d.opts...)
 				method, got := spinWorld(seed, spinMethod, d.opts...)
 				if d.step {
-					loop.SetHorizon(1 << 40)
-					method.SetHorizon(1 << 40)
-					for more := true; more; {
-						more = loop.Step()
-						if method.Step() != more {
-							t.Fatalf("seed %d: engines drained at different steps", seed)
+					for _, e := range []*Engine{loop, method} {
+						e.SetHorizon(1 << 40)
+						for e.Step() {
 						}
-						sameOutcome(t, loop, method)
+					}
+					run, ran := spinWorld(seed, spinMethod, d.opts...)
+					run.Run(1 << 40)
+					sameOutcome(t, run, method)
+					if !reflect.DeepEqual(ran, got) {
+						t.Fatalf("seed %d: waits ended differently\nRun:  %v\nStep: %v", seed, ran, got)
 					}
 				} else {
 					loop.Run(1 << 40)
@@ -277,9 +282,54 @@ func TestSpinWhileDeadline(t *testing.T) {
 	}
 }
 
-// TestSpinWhileTripsEventBudgetLikeLoop: a spinner nobody releases runs into
-// maxEvents at the same event count and virtual time as the loop does.
-func TestSpinWhileTripsEventBudgetLikeLoop(t *testing.T) {
+// TestSpinWhileBudgetCountsDispatched: the event budget bounds the events an
+// engine dispatches, and a parked wait dispatches next to none. A wait of
+// ~10 000 polls, ended by a late remote write, completes under a budget of 64
+// — the written-out loop traps under it — and ends where the loop ends under
+// no budget worth the name, with every poll counted in Events, at the same
+// count and clock on every driver.
+func TestSpinWhileBudgetCountsDispatched(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	const budget = 64
+	world := func(spin spinFn, maxEvents uint64, opts ...Option) *Engine {
+		e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(maxEvents)}, opts...)...)
+		w := e.Space().AllocLine(0)
+		e.Spawn(0, func(ctx api.Ctx) { spin(ctx, w, 0, 0) })
+		e.Spawn(1, func(ctx api.Ctx) {
+			ctx.Work(4300 * time.Microsecond)
+			ctx.RWrite(w, 1)
+		})
+		return e
+	}
+	loop := world(spinLoop, 1<<33)
+	loop.Run(1 << 40)
+	if polls := loop.Events() / 2; polls < 9000 {
+		t.Fatalf("the loop's wait took %d polls; the test needs ~10 000", polls)
+	}
+	if r := recovered(func() { world(spinLoop, budget).Run(1 << 40) }); r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+		t.Fatalf("the written-out loop did not trap under a budget of %d: %v", budget, r)
+	}
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			e := world(spinMethod, budget, d.opts...)
+			if r := recovered(func() { d.drive(e) }); r != nil {
+				t.Fatalf("a parked wait spent the budget: %v", r)
+			}
+			if e.Events() <= budget {
+				t.Fatalf("%d events counted, want more than the budget of %d", e.Events(), budget)
+			}
+			sameOutcome(t, loop, e)
+		})
+	}
+}
+
+// TestSpinWhileBesideLivelockTraps: a spinner nobody releases, beside threads
+// that Work forever, traps as a livelock like the loop does — not at the
+// loop's count, since its skipped polls spend no budget, but at the same
+// count and clock on every driver.
+func TestSpinWhileBesideLivelockTraps(t *testing.T) {
+	var first *Engine
 	for _, d := range trapDrivers {
 		t.Run(d.name, func(t *testing.T) {
 			trapped := func(spin spinFn) *Engine {
@@ -298,33 +348,48 @@ func TestSpinWhileTripsEventBudgetLikeLoop(t *testing.T) {
 				}
 				return e
 			}
-			sameOutcome(t, trapped(spinLoop), trapped(spinMethod))
+			trapped(spinLoop)
+			e := trapped(spinMethod)
+			if first == nil {
+				first = e
+			} else if first.Events() != e.Events() || first.Now() != e.Now() {
+				t.Errorf("trapped at t=%dns after %d events, %s at t=%dns after %d", e.Now(), e.Events(), trapDrivers[0].name, first.Now(), first.Events())
+			}
 		})
 	}
 }
 
-// TestSpinWhileDrainedTrapsLikeLoop: spinners that nobody will ever release
-// and nothing else left to run — the queue drains around the parked threads —
-// trap at the loop's event count and clock too, however long the budget: the
-// parked engine gets there without running the blocks one by one.
-func TestSpinWhileDrainedTrapsLikeLoop(t *testing.T) {
+// TestSpinWhileNeverReleasedWaitsForever: spinners that nobody will ever
+// release, with nothing else left to run — the queue drains around the parked
+// threads — end the run at once with a panic that names the first of them and
+// its word, where the loop would poll on into the event budget: at the same
+// count and clock, the last spinner's failed poll, on every driver.
+func TestSpinWhileNeverReleasedWaitsForever(t *testing.T) {
+	var first *Engine
 	for _, d := range trapDrivers {
 		t.Run(d.name, func(t *testing.T) {
-			trapped := func(spin spinFn) *Engine {
-				e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(1 << 20)}, d.opts...)...)
-				for n := 0; n < 2; n++ {
-					w := e.Space().AllocLine(n)
-					e.Spawn(n, func(ctx api.Ctx) {
-						ctx.Work(time.Duration(100 * (n + 1)))
-						spin(ctx, w, 0, 0)
-					})
-				}
-				if r := recovered(func() { d.drive(e) }); r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
-					t.Fatalf("runaway spin did not trap: %v", r)
-				}
-				return e
+			e := New(2, 1024, model.CX3(), 1, d.opts...)
+			var words []ptr.Ptr
+			for n := 0; n < 2; n++ {
+				w := e.Space().AllocLine(n)
+				words = append(words, w)
+				e.Spawn(n, func(ctx api.Ctx) {
+					ctx.Work(time.Duration(100 * (n + 1)))
+					ctx.SpinWhile(w, 0, 0)
+				})
 			}
-			sameOutcome(t, trapped(spinLoop), trapped(spinMethod))
+			r := recovered(func() { d.drive(e) })
+			if want := fmt.Sprintf("thread 0 waits forever in SpinWhile on %v", words[0]); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("a spinner nobody releases did not end the run with %q: %v", want, r)
+			}
+			if last := int64(200 + model.CX3().LocalReadNS); e.Now() != last {
+				t.Errorf("trapped at t=%dns, want the last spinner's failed poll at t=%dns", e.Now(), last)
+			}
+			if first == nil {
+				first = e
+			} else if first.Events() != e.Events() || first.Now() != e.Now() {
+				t.Errorf("trapped at t=%dns after %d events, %s at t=%dns after %d", e.Now(), e.Events(), trapDrivers[0].name, first.Now(), first.Events())
+			}
 		})
 	}
 }

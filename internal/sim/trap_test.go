@@ -384,6 +384,27 @@ func TestWindowedTrapJoinsHelpers(t *testing.T) {
 	}
 }
 
+// TestTrapPastBudgetAfterDrain: a windowed Run whose windows dispatch more
+// events than the budget and drain the queue still traps, as the serial loop
+// does — at the count it reached, since no barrier saw the budget near.
+func TestTrapPastBudgetAfterDrain(t *testing.T) {
+	for _, d := range trapDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(40)}, d.opts...)...)
+			for n := 0; n < 2; n++ {
+				e.Spawn(n, func(ctx api.Ctx) { // 31 events in 300 ns: one window
+					for i := 0; i < 30; i++ {
+						ctx.Work(10)
+					}
+				})
+			}
+			if r := recovered(func() { d.drive(e) }); r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+				t.Fatalf("62 events under a budget of 40 did not trap: %v", r)
+			}
+		})
+	}
+}
+
 // TestTrapPastLatestIssue: a run whose clock would pass maxIssue, the latest
 // issue time an event key holds, traps there with a plain message, clock not
 // past it, instead of packing keys whose ties break in the wrong order —
