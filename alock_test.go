@@ -1,11 +1,38 @@
 package alock_test
 
 import (
+	"os"
 	"sync/atomic"
 	"testing"
+	_ "unsafe" // go:linkname, for the harness's engine constructor
 
 	"alock"
+	"alock/internal/model"
+	"alock/internal/sim"
 )
+
+// newEngine is the harness's engine constructor (the variable of the same
+// name in internal/harness), which TestMain wraps as internal/scenario's
+// tests do.
+//
+//go:linkname newEngine alock/internal/harness.newEngine
+var newEngine func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine
+
+// testMaxEvents caps the events every engine this package's experiments build
+// dispatches, so a run that deadlocks fails in seconds — "exceeded N events —
+// livelock?", or "thread N waits forever in SpinWhile on <word>" once every
+// live thread is parked on a local word — instead of hanging until the go
+// test timeout. The largest healthy run here (TestRunExperimentPublic, and
+// BenchmarkSimulatorEventRate per iteration) takes under 2^17 events.
+const testMaxEvents = 1 << 22
+
+func TestMain(m *testing.M) {
+	build := newEngine
+	newEngine = func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...sim.Option) *sim.Engine {
+		return build(nodes, wordsPerNode, p, seed, append(opts, sim.WithMaxEvents(testMaxEvents))...)
+	}
+	os.Exit(m.Run())
+}
 
 func TestClusterCounter(t *testing.T) {
 	c := alock.NewCluster(alock.ClusterConfig{Nodes: 2})

@@ -157,25 +157,33 @@ type Ctx interface {
 	//
 	//	for {
 	//		v := Read(p)
-	//		if done(v, Now()) { return v, iter }
+	//		if done(v, deadlineNS > 0 && Now() >= deadlineNS) { return v, iter }
 	//		Pause(iter)
 	//		iter++
 	//	}
 	//
-	// and costs exactly what that loop costs; engines may run it without
-	// returning to the caller between polls, so done may be called off the
-	// caller's goroutine. p must be a word on the caller's own node, as for
-	// SpinWhile. iter is the back-off to resume from and comes back as the
-	// loop left it: a caller that re-enters the wait (after a retraction CAS
-	// that lost, say) keeps its back-off, and a pause-first loop — `Pause(i);
-	// i++; v = Read(p)` — is Pause(i) followed by SpinUntil(p, i+1, done).
-	// done answers to WorkLoop's rules for f: it is the caller's own code,
-	// it sees the value just read and the time of that read and may read Go
-	// state its thread owns (a deadline kept in the lock handle), and it must
-	// not call any method of this Ctx or of the engine, touch memory words, or
-	// allocate — bind it once (a method value made with the handle), never per
-	// call. A panic in done is the caller's panic.
-	SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (v uint64, iterOut int)
+	// and costs exactly what that loop costs, in virtual time and in events
+	// counted. done is a function of the value read, of whether that read
+	// came at or past deadlineNS (expired; never with deadlineNS <= 0), and
+	// of Go state its thread owns that the wait does not change (a handle's
+	// mode or budget), so whether a poll fails is decided by its value and
+	// one time threshold: engines may run the loop without returning to the
+	// caller between polls, and the simulator parks the caller on the word
+	// after a failed poll, as for SpinWhile, until a store leaves the word
+	// different from what that poll read or the deadline's poll comes round.
+	// done is asked only on the polls an engine runs — a subsequence of the
+	// loop's calls, with the same answers, ending at the same call — and may
+	// be asked off the caller's goroutine. p must be a word on the caller's
+	// own node, as for SpinWhile. iter is the back-off to resume from and
+	// comes back as the loop left it: a caller that re-enters the wait (after
+	// a retraction CAS that lost, say) keeps its back-off, and a pause-first
+	// loop — `Pause(i); i++; v = Read(p)` — is Pause(i) followed by
+	// SpinUntil(p, i+1, deadlineNS, done). done answers to WorkLoop's rules
+	// for f: it is the caller's own code, it must not call any method of this
+	// Ctx or of the engine, touch memory words, or allocate — bind it once (a
+	// method value made with the handle), never per call. A panic in done is
+	// the caller's panic.
+	SpinUntil(p ptr.Ptr, iter int, deadlineNS int64, done func(v uint64, expired bool) bool) (v uint64, iterOut int)
 
 	// Work burns d of engine time, modeling a critical-section body or
 	// think time between operations. It returns when the time is burnt:

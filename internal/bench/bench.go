@@ -279,17 +279,20 @@ func spinPollEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
 // api.Ctx.SpinUntil asks of lock handles.
 type descWaiter struct {
 	seen uint64
-	done func(v uint64, now int64) bool
+	done func(v uint64, expired bool) bool
 }
 
-func (w *descWaiter) resolved(v uint64, _ int64) bool { return v != w.seen && v%3 != 1 }
+func (w *descWaiter) resolved(v uint64, _ bool) bool { return v != w.seen && v%3 != 1 }
 
 // descWaitEngine is the multi-state local-spin case: on every node, `waiters`
 // threads each wait on a word of their own with SpinUntil while one granter
 // steps all of them through claimed, granted, promoted every 20 us — the
-// rw-queue descriptor wait with nothing else around it. Nearly every event is
-// a poll whose done says "not yet", so ns/event here prices the executor's
-// asking a caller's predicate, against engine/spin-poll's built-in compare.
+// rw-queue descriptor wait with nothing else around it. A waiter is parked on
+// its word between stores, its skipped polls credited, so this case no longer
+// prices a dispatched poll: what it dispatches is the granter's stores, each
+// store's wake of every waiter, and at each wake the executor's asking the
+// caller's predicate — a third of them "not yet" (claimed), after which the
+// waiter parks on the new value.
 func descWaitEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
 	e := sim.New(nodes, 1024, model.CX3(), 19, opts...)
 	for n := 0; n < nodes; n++ {
@@ -301,7 +304,7 @@ func descWaitEngine(nodes, waiters int, opts ...sim.Option) *sim.Engine {
 				wait := &descWaiter{}
 				wait.done = wait.resolved
 				for !ctx.Stopped() {
-					wait.seen, _ = ctx.SpinUntil(w, 0, wait.done)
+					wait.seen, _ = ctx.SpinUntil(w, 0, 0, wait.done)
 				}
 			})
 		}

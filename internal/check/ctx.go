@@ -166,6 +166,6 @@ func (t *thread) Now() int64                                       { panic("Now"
 func (t *thread) Work(time.Duration)                               { panic("Work" + outOfScope) }
 func (t *thread) WorkLoop(func(int64, bool) (time.Duration, bool)) { panic("WorkLoop" + outOfScope) }
 func (t *thread) Rand() *rand.Rand                                 { panic("Rand" + outOfScope) }
-func (t *thread) SpinUntil(ptr.Ptr, int, func(uint64, int64) bool) (uint64, int) {
+func (t *thread) SpinUntil(ptr.Ptr, int, int64, func(uint64, bool) bool) (uint64, int) {
 	panic("SpinUntil" + outOfScope)
 }

@@ -87,12 +87,10 @@ type RWHandle struct {
 	ctx      api.Ctx
 	budgeted bool
 	cfg      RWConfig
-	// deadline is the deadline of the acquisition in progress, where the two
-	// waits' done functions find it (0 = none). They are method values bound
-	// once by newRWHandle: api.Ctx.SpinUntil may call them off the thread, and
-	// wants no closure made per wait.
-	deadline             int64
-	sharedDone, exclDone func(s uint64, now int64) bool
+	// sharedDone and exclDone are the two waits' done functions, method
+	// values bound once by newRWHandle: api.Ctx.SpinUntil may call them off
+	// the thread, and wants no closure made per wait.
+	sharedDone, exclDone func(s uint64, expired bool) bool
 }
 
 var _ api.Handle = (*RWHandle)(nil)
@@ -133,28 +131,22 @@ func (h *RWHandle) poll(l ptr.Ptr) uint64 {
 // says there is something to act on (api.Ctx.SpinUntil: the polls in between
 // never reach the caller); elsewhere it is one verb, and the caller's loop
 // comes round again.
-func (h *RWHandle) repoll(l ptr.Ptr, iter int, done func(s uint64, now int64) bool) (uint64, int) {
+func (h *RWHandle) repoll(l ptr.Ptr, iter int, deadlineNS int64, done func(s uint64, expired bool) bool) (uint64, int) {
 	h.ctx.Pause(iter)
 	if l.NodeID() == h.ctx.NodeID() {
-		return h.ctx.SpinUntil(l, iter+1, done)
+		return h.ctx.SpinUntil(l, iter+1, deadlineNS, done)
 	}
 	return h.ctx.RRead(l), iter + 1
 }
 
-// expired reports whether the acquisition in progress has a deadline and now
-// is past it.
-func (h *RWHandle) expired(now int64) bool {
-	return h.deadline > 0 && now >= h.deadline
-}
-
 // readerOpen is a registered reader's wait: over when it may enter, or at the
 // deadline. writerOpen is the writer's.
-func (h *RWHandle) readerOpen(s uint64, now int64) bool {
-	return h.readerEligible(s) || h.expired(now)
+func (h *RWHandle) readerOpen(s uint64, expired bool) bool {
+	return h.readerEligible(s) || expired
 }
 
-func (h *RWHandle) writerOpen(s uint64, now int64) bool {
-	return h.writerEligible(s) || h.expired(now)
+func (h *RWHandle) writerOpen(s uint64, expired bool) bool {
+	return h.writerEligible(s) || expired
 }
 
 // readerEligible reports whether a reader may enter under state s.
@@ -267,7 +259,6 @@ func (h *RWHandle) acquireShared(l ptr.Ptr, deadlineNS int64) bool {
 		h.ctx.Fence()
 		return true
 	}
-	h.deadline = deadlineNS
 	registered := false
 	iter := 0
 	for {
@@ -303,7 +294,7 @@ func (h *RWHandle) acquireShared(l ptr.Ptr, deadlineNS int64) bool {
 			}
 			continue
 		}
-		s, iter = h.repoll(l, iter, h.sharedDone)
+		s, iter = h.repoll(l, iter, deadlineNS, h.sharedDone)
 	}
 }
 
@@ -354,7 +345,6 @@ func (h *RWHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
 		}
 		s = prev
 	}
-	h.deadline = deadlineNS
 	iter := 0
 	for {
 		if h.writerEligible(s) {
@@ -376,7 +366,7 @@ func (h *RWHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (uint64, bool) {
 				s = prev
 			}
 		}
-		s, iter = h.repoll(l, iter, h.exclDone)
+		s, iter = h.repoll(l, iter, deadlineNS, h.exclDone)
 	}
 }
 

@@ -155,12 +155,10 @@ type RWQueueHandle struct {
 	// must agree). Off, handoff is the plain-write protocol.
 	timed bool
 	pool  api.DescPool
-	// deadline is the deadline of the acquisition in progress, where the
-	// waits' done functions below find it (0 = none). They are method values
-	// bound once here: api.Ctx.SpinUntil may call them off the thread, and
-	// wants no closure made per wait.
-	deadline                       int64
-	descDone, grantDone, groupDone func(v uint64, now int64) bool
+	// descDone, grantDone and groupDone are the waits' done functions, method
+	// values bound once by NewRWQueueHandle: api.Ctx.SpinUntil may call them
+	// off the thread, and wants no closure made per wait.
+	descDone, grantDone, groupDone func(v uint64, expired bool) bool
 }
 
 var _ api.Handle = (*RWQueueHandle)(nil)
@@ -201,39 +199,33 @@ func (h *RWQueueHandle) write(p ptr.Ptr, v uint64) {
 	h.ctx.RWrite(p, v)
 }
 
-// expired reports whether the acquisition in progress has a deadline and now
-// is past it.
-func (h *RWQueueHandle) expired(now int64) bool {
-	return h.deadline > 0 && now >= h.deadline
-}
-
 // repoll is the back-off and next look of a wait on the group word at p. On
 // the lock's home node the look is a shared-memory spin that returns once
 // groupDone says there is something to act on (api.Ctx.SpinUntil: the polls
 // in between never reach the caller); elsewhere it is one verb, and the
 // caller's loop comes round again.
-func (h *RWQueueHandle) repoll(p ptr.Ptr, iter int) (uint64, int) {
+func (h *RWQueueHandle) repoll(p ptr.Ptr, iter int, deadlineNS int64) (uint64, int) {
 	h.ctx.Pause(iter)
 	if p.NodeID() == h.ctx.NodeID() {
-		return h.ctx.SpinUntil(p, iter+1, h.groupDone)
+		return h.ctx.SpinUntil(p, iter+1, deadlineNS, h.groupDone)
 	}
 	return h.ctx.RRead(p), iter + 1
 }
 
 // groupOpen is the queue head's wait on the group word: over when no writer
 // holds the lock or awaits the drain, or at the deadline.
-func (h *RWQueueHandle) groupOpen(s uint64, now int64) bool {
-	return !rwqWrActive(s) && !rwqWrWaiting(s) || h.expired(now)
+func (h *RWQueueHandle) groupOpen(s uint64, expired bool) bool {
+	return !rwqWrActive(s) && !rwqWrWaiting(s) || expired
 }
 
 // descResolved is spinDescTimed's wait: over when a granter has resolved the
 // descriptor, or at the deadline if it is still merely waiting.
-func (h *RWQueueHandle) descResolved(v uint64, now int64) bool {
-	return v == rwqSpinGranted || v == rwqSpinHead || v == rwqSpinWait && h.expired(now)
+func (h *RWQueueHandle) descResolved(v uint64, expired bool) bool {
+	return v == rwqSpinGranted || v == rwqSpinHead || v == rwqSpinWait && expired
 }
 
 // descGranted is spinDescWait's wait.
-func (h *RWQueueHandle) descGranted(v uint64, _ int64) bool { return v == rwqSpinGranted }
+func (h *RWQueueHandle) descGranted(v uint64, _ bool) bool { return v == rwqSpinGranted }
 
 // spinDescTimed waits on the acquisition's own descriptor — a shared-memory
 // spin, the MCS property that keeps waiting off the fabric entirely — until
@@ -243,10 +235,9 @@ func (h *RWQueueHandle) descGranted(v uint64, _ int64) bool { return v == rwqSpi
 // applies and the only exits are granted or head.
 func (h *RWQueueHandle) spinDescTimed(d ptr.Ptr, deadlineNS int64) int {
 	spin := d.Add(rwqSpin)
-	h.deadline = deadlineNS
 	v, iter := uint64(0), 0
 	for {
-		switch v, iter = h.ctx.SpinUntil(spin, iter, h.descDone); v {
+		switch v, iter = h.ctx.SpinUntil(spin, iter, deadlineNS, h.descDone); v {
 		case rwqSpinGranted:
 			return rwqSpinOutGranted
 		case rwqSpinHead:
@@ -488,7 +479,6 @@ func (h *RWQueueHandle) rlockQueued(l ptr.Ptr, deadlineNS int64) (api.AcqState, 
 // wrActive.) On deadline the head position is passed on via abandonHead.
 func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *api.AcqState, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
-	h.deadline = deadlineNS
 	s := h.poll(group)
 	iter := 0
 	for {
@@ -511,7 +501,7 @@ func (h *RWQueueHandle) readerHeadLoop(l ptr.Ptr, a *api.AcqState, deadlineNS in
 			h.abandonHead(l, a.Desc.Word())
 			return false
 		}
-		s, iter = h.repoll(group, iter)
+		s, iter = h.repoll(group, iter, deadlineNS)
 	}
 }
 
@@ -710,7 +700,6 @@ func (h *RWQueueHandle) acquireExcl(l ptr.Ptr, deadlineNS int64) (api.AcqState, 
 // own deadline CAS can no longer win and the drain wake always lands.
 func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, d ptr.Ptr, deadlineNS int64) bool {
 	group := l.Add(rwqGroup)
-	h.deadline = deadlineNS
 	s := h.poll(group)
 	iter := 0
 	for {
@@ -745,14 +734,14 @@ func (h *RWQueueHandle) writerHeadLoop(l ptr.Ptr, d ptr.Ptr, deadlineNS int64) b
 		}
 		// A departing writer is between its dequeue and clearing wrActive
 		// (narrow race window): back off and re-poll.
-		s, iter = h.repoll(group, iter)
+		s, iter = h.repoll(group, iter, deadlineNS)
 	}
 }
 
 // spinDescWait waits for the granted value on a committed descriptor (the
 // registered drain-wake target: no timeout can apply).
 func (h *RWQueueHandle) spinDescWait(d ptr.Ptr) {
-	h.ctx.SpinUntil(d.Add(rwqSpin), 0, h.grantDone)
+	h.ctx.SpinUntil(d.Add(rwqSpin), 0, 0, h.grantDone)
 }
 
 // releaseIdle is the writer's release-to-idle transition: one rCAS

@@ -201,10 +201,10 @@ func (t *thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 }
 
 // SpinUntil is the loop api.Ctx defines it as.
-func (t *thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (uint64, int) {
+func (t *thread) SpinUntil(p ptr.Ptr, iter int, deadlineNS int64, done func(v uint64, expired bool) bool) (uint64, int) {
 	for {
 		v := t.Read(p)
-		if done(v, t.Now()) {
+		if done(v, deadlineNS > 0 && t.Now() >= deadlineNS) {
 			return v, iter
 		}
 		t.Pause(iter)

@@ -38,9 +38,9 @@ func engineRun(t *testing.T, cfg harness.Config, serial bool) (harness.Result, *
 // fail/timeout-recovery one (its 30 us cells, 16x8), at full-scale targets and
 // windows, seed 1, against the same configs on the serial executor. Run with
 // -v to read it; it logs the events each run counted and how many of them were
-// dispatched (the rest are SpinWhile blocks parked threads skipped). It pins
-// that the grids dispatch at least 90 % of their events inside windows — the
-// warm-up never moves a TargetOps countdown, and the stop
+// dispatched (the rest are SpinWhile and SpinUntil blocks parked threads
+// skipped). It pins that the grids dispatch at least 90 % of their events
+// inside windows — the warm-up never moves a TargetOps countdown, and the stop
 // guard hands over only the last window's worth of operations (alock's cells
 // reach their targets here) — and resume threads less often per event than
 // the serial executor does, which queues every local op of a thread with
@@ -51,7 +51,7 @@ func engineRun(t *testing.T, cfg harness.Config, serial bool) (harness.Result, *
 // on both executors (Engine.Credited) — where no wait-die config may run a
 // window at all. (The full grids, seed 1: fig5 36.05 M events, 0.948
 // windowed, 7.83 M resumes against 11.08 M serial; timeout-recovery 19.36 M,
-// 0.955, 3.64 M against 5.69 M; timed-rw-txn 72.77 counted, 58.04 dispatched
+// 0.955, 3.64 M against 5.69 M; timed-rw-txn 72.77 counted, 41.05 dispatched
 // per op.)
 func TestEngineCensus(t *testing.T) {
 	if testing.Short() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -76,38 +77,59 @@ func TestWorkLoopTickZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSpinUntilPollZeroAllocs: a failed SpinUntil poll — pop, the read, done's
-// look on the executor, the back-off's re-arm, its pop, the next read's —
-// allocates nothing and switches to no thread.
+// TestSpinUntilPollZeroAllocs: a woken SpinUntil poll — a store's wake of the
+// parked waiter, its pop, the skipped blocks' credit, the read, done's look on
+// the executor and the park on the value it read — allocates nothing and
+// switches to no waiter. A writer keeps storing values done turns down.
 func TestSpinUntilPollZeroAllocs(t *testing.T) {
+	const end = math.MaxUint64 // the one value done takes
 	e := New(1, 1024, model.Uniform(10), 1)
 	var words []ptr.Ptr
+	var waiters []*Thread
 	for i := 0; i < 4; i++ {
 		w := e.Space().AllocLine(0)
 		words = append(words, w)
-		e.Spawn(0, func(ctx api.Ctx) {
-			ctx.SpinUntil(w, 0, func(v uint64, _ int64) bool { return v != 0 })
-		})
+		waiters = append(waiters, e.Spawn(0, func(ctx api.Ctx) {
+			ctx.SpinUntil(w, 0, 0, func(v uint64, _ bool) bool { return v == end })
+		}))
 	}
+	e.Spawn(0, func(ctx api.Ctx) {
+		for v := uint64(1); !ctx.Stopped(); v++ {
+			for _, w := range words {
+				ctx.Write(w, v)
+			}
+			ctx.Work(300 * time.Nanosecond)
+		}
+		for _, w := range words {
+			ctx.Write(w, end)
+		}
+	})
 	e.SetHorizon(1 << 40)
 	for i := 0; i < 256; i++ {
 		e.Step()
 	}
-	resumes := e.Resumes()
+	resumes := func() (n uint64) {
+		for _, th := range waiters {
+			n += th.resumes
+		}
+		return n
+	}
+	before, credited := resumes(), e.Credited()
 	avg := testing.AllocsPerRun(2000, func() {
 		if !e.ProcessNextEvent() {
 			t.Fatal("engine drained mid-measurement")
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("a SpinUntil poll allocates %.3f allocs/event, want 0", avg)
+		t.Fatalf("a woken SpinUntil poll allocates %.3f allocs/event, want 0", avg)
 	}
-	if got := e.Resumes(); got != resumes {
-		t.Fatalf("2000 poll events resumed coroutines %d times, want 0", got-resumes)
+	if got := resumes(); got != before {
+		t.Fatalf("2000 events resumed the waiters %d times, want 0", got-before)
 	}
-	for _, w := range words { // between Steps the memory is the driver's: end the waits
-		*e.Space().WordAddr(w) = 1
+	if e.Credited() == credited {
+		t.Fatal("2000 events credited no skipped block: the waiters did not park")
 	}
+	e.RequestStop()
 	for e.Step() {
 	}
 }

@@ -62,8 +62,8 @@ type eventQueue struct {
 
 // eventLess is the engine's total event order: virtual time, then the key
 // (issue time, thread, kind). Pending keys are unique, so there are no
-// incomparable pairs (the one exception, a stale SpinWhile deadline read equal
-// in every field to a live wake-up, is interchangeable with it).
+// incomparable pairs (the one exception, a parked wait's stale deadline read
+// equal in every field to a live wake-up, is interchangeable with it).
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -2,9 +2,9 @@
 // parallel executor.
 //
 // Every node of the simulated cluster owns a shard: its torn-RMW book, its
-// threads parked in SpinWhile, a pointer to the timeline it runs on, and —
-// through event destinations (event.dest) — its NIC and in-flight congestion
-// counters and its region of cluster memory. Under both executors the shards
+// threads parked in SpinWhile or SpinUntil, a pointer to the timeline it runs
+// on, and — through event destinations (event.dest) — its NIC and in-flight
+// congestion counters and its region of cluster memory. Under both executors the shards
 // are where torn state and parked spinners live. Each shard also owns a
 // timeline (shard.own) that only the windowed executor runs it on: at entry
 // runWindowed scatters the engine's timeline onto the shards' own — clock,
@@ -44,10 +44,10 @@
 // coordinator, which owned every shard, starts the helpers there, and the go
 // statement orders what it did before them.
 //
-// A thread parked in SpinWhile costs its shard nothing per poll: a store to
-// its word pushes the one poll that sees it, and the polls between are
-// credited, not dispatched (spin.go) — a wait costs events per store, not per
-// poll. Near the event budget, which counts dispatched events only, the
+// A thread parked in SpinWhile or SpinUntil costs its shard nothing per poll:
+// a store to its word pushes the one poll that sees it, and the polls between
+// are credited, not dispatched (spin.go) — a wait costs events per store, not
+// per poll. Near the event budget, which counts dispatched events only, the
 // barrier hands the Run to the serial loop (nearBudget), so that the budget
 // traps where the serial loop's would.
 //
@@ -100,7 +100,7 @@ type shard struct {
 	// tl is the timeline the shard's events run on: the engine's, which every
 	// shard shares, except during a windowed Run, when it is own.
 	tl *timeline
-	// parked lists the node's threads parked in SpinWhile (spin.go), with
+	// parked lists the node's threads parked in a wait loop (spin.go), with
 	// room for all nthreads of them — every store on the node looks at it.
 	parked   []*Thread
 	nthreads int
@@ -743,7 +743,7 @@ type WindowStats struct {
 	// never did. SerialEvents is the number of events the serial loop
 	// dispatched after a hand-off, by the stop guard or near the event budget
 	// (or past maxIssue).
-	// Credited is the number of the Run's SpinWhile blocks that parked threads
+	// Credited is the number of the Run's wait-loop blocks that parked threads
 	// skipped (spin.go): they count in Engine.Events, but no executor
 	// dispatched them. Events + SerialEvents + Credited is the Run's share of
 	// Engine.Events.

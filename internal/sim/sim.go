@@ -27,7 +27,7 @@
 //     engine's timeline (e.tl), whose window never ends, drained by dispatch
 //     on the caller's goroutine — Run is that loop, Step (ProcessNextEvent)
 //     is one turn of it at any width: one event popped, and what its thread
-//     then runs in place (a parked SpinWhile's skipped polls take no turn).
+//     then runs in place (a parked wait's skipped polls take no turn).
 //   - windowed (WithShards(n), n >= 1 workers or 0 for auto width): the
 //     conservative executor in shard.go. For the duration of a Run each shard
 //     runs on a timeline of its own, which takes the shard's pending events,
@@ -56,7 +56,7 @@
 // time, then its thread, then its kind (eventSeq) — so the order is a
 // function of the event, never of the order in which events were pushed or
 // of cross-shard execution interleaving. That is also what lets a parked
-// SpinWhile skip its polls (spin.go): the place a skipped poll would have had
+// wait skip its polls (spin.go): the place a skipped poll would have had
 // among same-instant events is a function of its own times.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no interface
@@ -84,9 +84,10 @@
 // entry however many polls it takes, and parks the thread on its word between
 // them, so that it costs events when the word changes, not per poll (spin.go);
 // the event budget counts what is dispatched, so a parked wait spends none.
-// So is api.Ctx.SpinUntil one entry, the same loop with the caller's predicate
-// over the polled value and the time in place of the compare (the rw locks'
-// descriptor, group-word and state-word waits), which polls on.
+// So is api.Ctx.SpinUntil, the same loop and the same parked wait with the
+// caller's predicate over the polled value and the deadline's verdict in place
+// of the compare (the rw locks' descriptor, group-word and state-word waits):
+// its thread parks on the value its last poll read.
 // So is api.Ctx.WorkLoop, the loop that waits on Go state (`look; Work(d);
 // look again`: the lock service's idle workers and arrival generators): when a
 // turn's Work has elapsed, step calls the loop's function on the executor
@@ -101,7 +102,7 @@
 // against the standard-library heap as the bit-exact reference
 // (reference_test.go), SpinWhile, SpinUntil and WorkLoop against the loops
 // they are defined as (spin_test.go and FuzzSpinWhileMatchesLoop,
-// spinuntil_test.go, workloop_test.go) and
+// spinuntil_test.go and FuzzSpinUntilMatchesLoop, workloop_test.go) and
 // posted operations against the same programs with every operation completed
 // before the next is issued, the torn loopback RCAS against its legs with the
 // thread resumed after each (posted_test.go).
@@ -128,10 +129,11 @@
 // RequestStop inside a window panics.
 //
 // Blocked forever: a Run (or Step) whose queues drain around a live thread
-// ends with a panic. A thread parked in SpinWhile then waits forever — nothing
-// is left to store to its word — and the panic names it and the word; that is
-// a workload's bug, such as a lock handed to nobody. Any other live thread is
-// "blocked forever", which only an engine that lost an event can cause.
+// ends with a panic. A thread parked in SpinWhile or SpinUntil then waits
+// forever — nothing is left to store to its word — and the panic names it, the
+// call and the word; that is a workload's bug, such as a lock handed to nobody.
+// Any other live thread is "blocked forever", which only an engine that lost
+// an event can cause.
 package sim
 
 import (
@@ -168,7 +170,7 @@ const (
 // their own fields. It is unique among pending events because a thread has at
 // most one pending event of each kind: one local operation's wake-up (its
 // FIFO's head), one verb's protocol step or completion (a torn RCAS's write
-// half is a kind of its own). The one exception is a parked SpinWhile's
+// half is a kind of its own). The one exception is a parked wait's
 // deadline read gone stale (spin.go), which pops to nothing; a live wake-up
 // equal to it in every field is interchangeable with it.
 type event struct {
@@ -205,7 +207,7 @@ func destFor(kind uint8, t *Thread) int16 {
 // timeline of the thread's shard, whichever that is.
 //
 // events counts what the loop dispatched (popped, or advanced in place), and
-// credited the SpinWhile blocks that parked threads skipped (spin.go): the two
+// credited the wait-loop blocks that parked threads skipped (spin.go): the two
 // together are the loop's Events. The loop dispatches events before until —
 // the window end or maxIssue+1, whichever is first — while fewer than budget
 // are dispatched: the event budget on the engine's timeline, what was left of
@@ -296,8 +298,8 @@ type Option func(*Engine)
 
 // WithMaxEvents overrides the runaway-simulation guard (default 2^33): the
 // number of events the executors may dispatch — pop, or advance in place —
-// before the engine traps as a livelock. The SpinWhile polls a parked thread
-// skips are credited to Events but spend none of it.
+// before the engine traps as a livelock. The polls a thread parked in
+// SpinWhile or SpinUntil skips are credited to Events but spend none of it.
 func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
@@ -432,11 +434,11 @@ func (e *Engine) Stopped() bool { return e.stoppedAt(e.tl.now) }
 func (e *Engine) stoppedAt(now int64) bool { return e.stopRequested || now >= e.stopAt }
 
 // Events returns the number of events processed so far: every block of a
-// parked SpinWhile loop counts, skipped or not, once the poll that ends the
-// skip has run.
+// parked wait loop counts, skipped or not, once the poll that ends the skip
+// has run.
 func (e *Engine) Events() uint64 { return e.tl.events + e.tl.credited }
 
-// Credited returns how many of Events() are SpinWhile blocks that parked
+// Credited returns how many of Events() are wait-loop blocks that parked
 // threads skipped (spin.go): counted, never dispatched. Like Events it is for
 // use between Steps or after Run.
 func (e *Engine) Credited() uint64 { return e.tl.credited }
@@ -703,7 +705,7 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 // on the engine's timeline). It reports whether an event was processed (false means
 // the queue is empty). Panics on time regression, when the event budget is
 // exceeded, when the resumed thread's body panicked, or when the event leaves
-// the queue drained around a parked SpinWhile (waitsForever), after every
+// the queue drained around a parked wait (waitsForever), after every
 // thread has been unwound; the engine is unusable afterwards.
 func (e *Engine) ProcessNextEvent() bool {
 	if !e.HasPendingEvents() {
@@ -748,9 +750,9 @@ func (e *Engine) Step() bool {
 // other thread has been unwound; the engine is unusable afterwards.
 //
 // The closing checks run once the queues have drained. A thread parked in
-// SpinWhile then waits forever — nothing is left to store to its word — and
-// the Run panics naming it (waitsForever). Any other live thread is "blocked
-// forever", which is an internal invariant of the engine, not a
+// SpinWhile or SpinUntil then waits forever — nothing is left to store to its
+// word — and the Run panics naming it (waitsForever). Any other live thread is
+// "blocked forever", which is an internal invariant of the engine, not a
 // workload-reachable outcome: every other api.Ctx call that suspends a thread
 // has its wake-up or completion already scheduled, so the queues cannot drain
 // around such a thread unless the engine lost an event.
@@ -856,16 +858,15 @@ type Thread struct {
 	// are always separated by a window barrier.
 	torn tornWrite
 	// loop is the function of the thread's WorkLoop call (the FIFO's opLoop
-	// entry runs it, see tick) and until the done of its SpinUntil call (the
-	// opUntil entry asks it, see unresolved), with spinIter that loop's iter;
-	// loopPanic is what either panicked with, for the call to raise from the
-	// thread's body.
+	// entry runs it, see tick), and spinIter the iter the thread's last
+	// SpinWhile or SpinUntil loop ended with; loopPanic is what WorkLoop's
+	// function or SpinUntil's done panicked with, for the call to raise from
+	// the thread's body.
 	loop      func(now int64, stopped bool) (time.Duration, bool)
-	until     func(v uint64, now int64) bool
-	spinIter  int
+	spinIter  int64
 	loopPanic any
-	// spin is the thread's parked SpinWhile, and stales its deadline reads
-	// still queued after a store ended their waits (spin.go).
+	// spin is the thread's parked wait, and stales its deadline reads still
+	// queued after a store ended their waits (spin.go).
 	spin   spinWait
 	stales []wakeID
 }
@@ -877,8 +878,7 @@ const (
 	opWrite                  // store val to p
 	opRead                   // result = the word at p
 	opCAS                    // result = the word at p, which becomes val if it was old
-	opSpin                   // a SpinWhile loop: its poll's read, see step
-	opUntil                  // one block of a SpinUntil loop, see step
+	opSpin                   // a SpinWhile or SpinUntil loop: its poll's read, see step
 	opLoop                   // one Work of a WorkLoop loop, see tick
 	opTornRead               // a torn loopback RCAS reaches the word: its read half, see step
 	opTornWrite              // the write half, TornGapNS later
@@ -888,23 +888,21 @@ const (
 // localOp is one entry of a thread's FIFO: an operation on the thread's own
 // node that costs d of virtual time from the moment the entry before it
 // completed (or from its issue, on an empty FIFO) and takes effect when that
-// has elapsed. An opSpin entry holds the SpinWhile loop's registers: old is
-// the value waited on, iter the failed polls so far; between polls the thread
-// is parked (Thread.spin). An opUntil entry's read tells which of the loop's
-// two blocks is elapsing — the poll's read latency (true: the word is read
-// next) or the Pause after a failed poll (false: the next read is issued); its
-// iter is the caller's and lives in Thread.spinIter. A torn loopback RCAS is
-// one entry that moves
-// through opTornRead, opTornWrite and opLoopDone, deadline holding the verb's
-// completion time.
+// has elapsed. An opSpin entry holds the wait loop's registers: iter is the
+// back-off of its next Pause, deadline its deadline, done SpinUntil's
+// predicate (nil for SpinWhile, whose test is the compare with old), and old
+// the value the thread is parked on between polls (Thread.spin) — SpinWhile's
+// value waited out, the value SpinUntil's last poll read. A torn loopback RCAS
+// is one entry that moves through opTornRead, opTornWrite and opLoopDone,
+// deadline holding the verb's completion time.
 type localOp struct {
 	kind     uint8
-	read     bool
-	iter     int32
+	iter     int64
 	p        ptr.Ptr
 	old, val uint64
 	d        int64
 	deadline int64
+	done     func(v uint64, expired bool) bool
 }
 
 var _ api.Ctx = (*Thread)(nil)
@@ -991,16 +989,12 @@ func (t *Thread) drain() {
 // of the thread switch got there: the coroutine for an op that completes at
 // issue, dispatch when it pops the thread's evWake.
 //
-// A SpinWhile entry is the loop in spin.go's comment: its first poll's read is
-// a block like any other, and a poll that fails parks the thread on the word
-// (park) until a store's wake or the deadline's brings the read of a later
-// poll — step credits the blocks skipped before it (wake) and reads the word
-// again. A SpinUntil entry is the loop's two blocks, a poll's read and the
-// Pause after it, with the caller's done(got, Now()) as the test and the
-// caller's iter as the back-off (unresolved), taken one block at a time: it
-// stays at the head until a poll ends the loop. A WorkLoop
-// entry stays at the head the same way, one Work of its loop after another,
-// until its function ends the loop (tick).
+// A SpinWhile or SpinUntil entry is the loop in spin.go's comment: its first
+// poll's read is a block like any other, and a poll that fails parks the
+// thread on the word (park) until a store's wake or the deadline's brings the
+// read of a later poll — step credits the blocks skipped before it (wake) and
+// reads the word again. A WorkLoop entry stays at the head, one Work of its
+// loop after another, until its function ends the loop (tick).
 //
 // A torn loopback RCAS is one entry, three legs, each a wait the thread used
 // to be resumed from: to the verb's execution, where the read half finds the
@@ -1012,8 +1006,8 @@ func (t *Thread) drain() {
 // lands, so starting an entry stays `now + d` for every kind.
 //
 // Every block of every kind goes through tryAdvance exactly as it would with
-// the thread resumed in between — or, skipped by a parked SpinWhile, is
-// credited — so the events counted and their keys are those of that program.
+// the thread resumed in between — or, skipped by a parked wait, is credited —
+// so the events counted and their keys are those of that program.
 func (t *Thread) step() bool {
 	e := t.e
 	for {
@@ -1022,8 +1016,8 @@ func (t *Thread) step() bool {
 		switch op.kind {
 		case opWrite:
 			*e.space.WordAddr(op.p) = op.val
-			// A parked SpinWhile on the word may see the store: its block's
-			// key is the one it was issued with, op.d before it ended.
+			// A wait parked on the word may see the store: its block's key is
+			// the one it was issued with, op.d before it ended.
 			if len(t.shard.parked) != 0 {
 				t.shard.stored(op.p, op.val, t.now(), eventSeq(t.now()-op.d, t.id, evWake))
 			}
@@ -1043,20 +1037,15 @@ func (t *Thread) step() bool {
 			}
 		case opSpin:
 			t.wake(op)
-			if t.result = *e.space.WordAddr(op.p); t.result == op.old && (op.deadline <= 0 || t.now() < op.deadline) {
+			if t.result = *e.space.WordAddr(op.p); !t.spinOver(op) {
+				op.old = t.result
 				t.park(op) // a failed poll: the thread waits on the word
 				return false
 			}
 			if t.spin.parked {
 				t.unpark()
 			}
-		case opUntil:
-			if !op.read {
-				op.read, op.d, more = true, e.p.LocalReadNS, true
-			} else if t.result = *e.space.WordAddr(op.p); t.unresolved(t.result) {
-				op.read, op.d, more = false, e.spinBackoff(t.spinIter), true
-				t.spinIter++
-			}
+			t.spinIter = op.iter
 		case opLoop:
 			if d := t.tick(); d > 0 { // the loop goes on: its next Work
 				op.d, more = d, true
@@ -1174,7 +1163,7 @@ func (t *Thread) auditLocal(p ptr.Ptr) {
 
 // --- Local (shared-memory) operations ---
 //
-// Write, Fence and Pause return once posted; Read, CAS, SpinWhile, Work and
+// Write, Fence and Pause return once posted; Read, CAS, SpinWhile,
 // SpinUntil, Work and WorkLoop post and wait, so a run of them costs one
 // resume, not one each.
 
@@ -1235,35 +1224,37 @@ func (t *Thread) SpinWhile(p ptr.Ptr, v uint64, deadlineNS int64) uint64 {
 	return t.result
 }
 
-// SpinUntil implements api.Ctx: the loop
-//
-//	for {
-//		v := Read(p)
-//		if done(v, Now()) { return v, iter }
-//		Pause(iter)
-//		iter++
-//	}
-//
-// as one FIFO entry, stepped like SpinWhile's. Whoever finds a poll's read
-// elapsed calls done — the coroutine for one that advances the clock in place,
-// the executor when it pops the read's evWake — so the thread is switched to
-// once, when done says the wait is over.
-func (t *Thread) SpinUntil(p ptr.Ptr, iter int, done func(v uint64, now int64) bool) (uint64, int) {
+// SpinUntil implements api.Ctx: SpinWhile's entry with done as the test.
+// Whoever finds a poll's read elapsed asks done — the coroutine for one that
+// advances the clock in place, the executor when it pops the read's evWake —
+// and a poll done fails parks the thread on the value it read.
+func (t *Thread) SpinUntil(p ptr.Ptr, iter int, deadlineNS int64, done func(v uint64, expired bool) bool) (uint64, int) {
 	t.auditLocal(p)
-	t.until, t.spinIter = done, iter
-	t.post(localOp{kind: opUntil, read: true, p: p, d: t.e.p.LocalReadNS})
+	t.post(localOp{kind: opSpin, p: p, iter: int64(iter), d: t.e.p.LocalReadNS, deadline: deadlineNS, done: done})
 	t.drain()
 	t.raise("SpinUntil")
-	return t.result, t.spinIter
+	return t.result, int(t.spinIter)
 }
 
-// unresolved asks the SpinUntil call's done about the value a poll read and
-// reports whether the loop goes on. done is thread code, and its panic must
-// unwind the thread's body, not the executor: like tick, unresolved ends the
-// loop and leaves the value for SpinUntil to raise on the coroutine.
-func (t *Thread) unresolved(v uint64) (again bool) {
+// spinOver reports whether the poll of op that read t.result ends the loop:
+// SpinWhile's compare, or SpinUntil's done with the deadline's verdict at the
+// poll's read.
+func (t *Thread) spinOver(op *localOp) bool {
+	expired := op.deadline > 0 && t.now() >= op.deadline
+	if op.done == nil {
+		return t.result != op.old || expired
+	}
+	return t.askDone(op.done, expired)
+}
+
+// askDone asks SpinUntil's done about the value a poll read. done is thread
+// code, and its panic must unwind the thread's body, not the executor: like
+// tick, askDone ends the loop and leaves the value for SpinUntil to raise on the
+// coroutine.
+func (t *Thread) askDone(done func(v uint64, expired bool) bool, expired bool) (over bool) {
 	defer t.trapLoop()
-	return !t.until(v, t.now())
+	over = true
+	return done(t.result, expired)
 }
 
 // Work implements api.Ctx. It returns when the time has been burnt: callers
@@ -1325,7 +1316,7 @@ func (t *Thread) tick() int64 {
 	}
 }
 
-// trapLoop is tick's and unresolved's deferred recover: a method, not a
+// trapLoop is tick's and askDone's deferred recover: a method, not a
 // closure, so that the executor's path through them stays provably
 // allocation-free.
 func (t *Thread) trapLoop() {

@@ -1,38 +1,48 @@
-// spin.go is api.Ctx.SpinWhile's parked wait.
+// spin.go is the parked wait of api.Ctx.SpinWhile and api.Ctx.SpinUntil.
 //
-// SpinWhile is the loop
+// Both are the loop
 //
-//	for iter := 0; ; iter++ {
-//		if got := Read(p); got != old { return got }
-//		if deadline > 0 && Now() >= deadline { return old }
+//	for ; ; iter++ {
+//		v := Read(p)
+//		if done(v, deadline > 0 && Now() >= deadline) { return v, iter }
 //		Pause(iter)
 //	}
 //
-// and every Read and Pause is a block of virtual time that counts as one event.
-// A poll that finds the word unchanged learns nothing, and neither do the
-// polls after it until something stores to the word — so a failed poll parks
-// the thread on the word (park) instead of scheduling its Pause. Where the
-// loop stands is a function of its own times: the instant its last block
-// ended, whether that was a poll or a Pause, and the failed polls so far
-// (spinPos). The blocks after it follow from the back-off alone (nextBlock),
-// each at the key the loop would have given it (eventSeq: its issue time, the
-// thread, evWake). Two kinds of poll are events in the queue:
+// with SpinWhile's done the compare `v != old || expired` and its iter
+// starting at 0, and every Read and Pause is a block of virtual time that
+// counts as one event. Whether a poll fails depends only on the value it reads
+// and on which side of the deadline its read lands: done is a function of
+// (v, expired) and of thread state the wait does not change. So a poll that
+// fails learns nothing, and neither do the polls after it that read the same
+// value on the same side of the deadline — a failed poll parks the thread on
+// the word (park), with the value it read as the one it waits out (op.old),
+// instead of scheduling its Pause. Where the loop stands is a function of its
+// own times: the instant its last block ended, whether that was a poll or a
+// Pause, and the failed polls so far (spinPos). The blocks after it follow
+// from the back-off alone (nextBlock), each at the key the loop would have
+// given it (eventSeq: its issue time, the thread, evWake). Two kinds of poll
+// are events in the queue:
 //
 //   - a store's wake. A store that leaves a parked word different from the
-//     value waited on (stored) pushes the spinner's read at the first of its
+//     value waited out (stored) pushes the spinner's read at the first of its
 //     polls that comes after the store in the event order (pollAfter) — the
 //     poll of the loop that would have seen it first. Stores before it, that
 //     change the word back, are seen by that poll just as they are by the
-//     loop's; if it fails, the thread parks again there.
-//   - the deadline's. A timed wait pushes, at its first park, the read of the
-//     poll that finds the deadline passed (pollAt). If a store's wake ends the
-//     wait first, the deadline's read is stale: it pops to nothing, uncounted
-//     and without moving the clock (Thread.stales).
+//     loop's; if it fails, the thread parks again there, on what it read.
+//   - the deadline's. A wait's first park, if it comes before the deadline,
+//     queues the read of the poll that finds the deadline passed (pollAt).
+//     If a store's wake ends the wait first, the deadline's read is stale: it
+//     pops to nothing, uncounted and without moving the clock
+//     (Thread.stales). If it pops and done still fails, the thread parks again
+//     past the deadline, where only a store can end the wait.
 //
 // The blocks in between are skipped, and credited to the timeline's event
 // count (timeline.credited) when the poll that ends them pops (wake), so
-// Events counts every block of the loop. The windowed executor's telemetry
-// keeps them apart from the events it dispatched.
+// Events counts every block of the loop, and the loop's iter comes back as
+// the loop would leave it. done is asked only on the polls that run: a
+// subsequence of the loop's calls, with the same answers, ending at the same
+// call. The windowed executor's telemetry keeps the skipped blocks apart from
+// the events it dispatched.
 //
 // The event budget (WithMaxEvents) bounds what the executors dispatch, so a
 // parked wait, which does no work, spends none of it. A wait that nothing is
@@ -78,13 +88,13 @@ func checkSeq(issue int64, th int, kind uint8) {
 	}
 }
 
-// spinPos is where a parked SpinWhile loop stands: the instant its last block
-// ended (ran, or was credited), whether that block was a failed poll (the
-// Pause comes next) or a Pause (the poll's read comes next), and its failed
-// polls so far (the back-off of its next Pause).
+// spinPos is where a parked wait loop stands: the instant its last block ended
+// (ran, or was credited), whether that block was a failed poll (the Pause
+// comes next) or a Pause (the poll's read comes next), and its iter (the
+// back-off of its next Pause).
 type spinPos struct {
 	at   int64
-	iter int32
+	iter int64
 	poll bool
 }
 
@@ -94,9 +104,9 @@ type wakeID struct {
 	seq uint64
 }
 
-// spinWait is a thread's parked SpinWhile: where its loop stands, and which of
-// its polls are events in the queue — woken says that a store's wake is, dl is
-// the deadline's (at 0 when the wait has none).
+// spinWait is a thread's parked wait: where its loop stands, and which of its
+// polls are events in the queue — woken says that a store's wake is, dl is the
+// deadline's (at 0 when none is queued).
 type spinWait struct {
 	pos    spinPos
 	dl     wakeID
@@ -104,16 +114,12 @@ type spinWait struct {
 	woken  bool
 }
 
-// iterCap bounds a parked loop's failed-poll count: far past where the back-off
-// stops growing, so the saturation changes no Pause.
-const iterCap = 1 << 30
-
 // nextBlock returns when the block after pos ends, and pos moved past it. The
 // block is issued at pos.at.
 func (e *Engine) nextBlock(pos spinPos) (int64, spinPos) {
 	if pos.poll {
 		d := e.spinBackoff(int(pos.iter))
-		return pos.at + d, spinPos{at: pos.at + d, iter: min(pos.iter+1, iterCap)}
+		return pos.at + d, spinPos{at: pos.at + d, iter: pos.iter + 1}
 	}
 	done := pos.at + e.p.LocalReadNS
 	return done, spinPos{at: done, iter: pos.iter, poll: true}
@@ -128,7 +134,7 @@ func (e *Engine) skip(pos *spinPos, before int64) (n uint64) {
 			cycle := e.p.SpinPollMaxNS + e.p.LocalReadNS
 			if c := (before - 1 - pos.at) / cycle; c > 0 {
 				pos.at += c * cycle
-				pos.iter = int32(min(int64(pos.iter)+c, iterCap))
+				pos.iter += c
 				n += 2 * uint64(c)
 			}
 		}
@@ -174,9 +180,9 @@ func (e *Engine) pushWake(th *Thread, w wakeID) {
 	th.shard.tl.q.push(event{at: w.at, seq: w.seq, th: th, kind: evWake, dst: int16(th.node)})
 }
 
-// wake is step's first look at a SpinWhile entry whose poll has just read: if
+// wake is step's first look at a wait entry whose poll's read is due: if
 // the thread was parked, the blocks its loop skipped up to this poll are
-// credited and the loop's failed-poll count catches up.
+// credited and the loop's iter catches up.
 func (t *Thread) wake(op *localOp) {
 	if w := &t.spin; w.parked {
 		t.shard.tl.credited += t.e.skip(&w.pos, t.now())
@@ -185,18 +191,22 @@ func (t *Thread) wake(op *localOp) {
 }
 
 // park parks the thread on op's word after a failed poll, where the loop would
-// schedule its Pause: at its first park, a timed wait queues the read of the
-// poll that finds the deadline passed.
+// schedule its Pause: a park at the deadline's read forgets it, and a first
+// park before the deadline queues the read of the poll that finds it passed.
+// (A later park finds that read queued, or comes after the deadline too.)
 func (t *Thread) park(op *localOp) {
-	e, w := t.e, &t.spin
-	w.pos = spinPos{at: t.now(), iter: op.iter, poll: true}
+	e, w, now := t.e, &t.spin, t.now()
+	w.pos = spinPos{at: now, iter: op.iter, poll: true}
 	w.woken = false
+	if w.dl.at == now {
+		w.dl = wakeID{} // this poll was the deadline's
+	}
 	if w.parked {
 		return
 	}
 	w.parked = true
 	t.shard.parked = append(t.shard.parked, t)
-	if op.deadline > 0 {
+	if op.deadline > now {
 		at, issue := e.pollAt(w.pos, op.deadline)
 		w.dl = wakeID{at, eventSeq(issue, t.id, evWake)}
 		if e.audit {
@@ -276,12 +286,16 @@ func (tl *timeline) dropStale() {
 }
 
 // waitsForever is the trap of an engine whose queue has drained around a
-// parked SpinWhile: no event is left that could store to its word, so the
-// wait never ends (nil if no thread is parked).
+// parked wait: no event is left that could store to its word, so the wait
+// never ends (nil if no thread is parked).
 func (e *Engine) waitsForever() error {
 	for _, t := range e.threads {
 		if t.spin.parked {
-			return fmt.Errorf("sim: thread %d waits forever in SpinWhile on %v", t.id, t.ops[t.head].p)
+			op, call := &t.ops[t.head], "SpinWhile"
+			if op.done != nil {
+				call = "SpinUntil"
+			}
+			return fmt.Errorf("sim: thread %d waits forever in %s on %v", t.id, call, op.p)
 		}
 	}
 	return nil
