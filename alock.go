@@ -134,7 +134,9 @@ type TokenLocker = api.TokenLocker
 
 // FenceTable is a run's fencing authority: it mints monotonically
 // increasing tokens at grant time and invalidates them at release or
-// recovery. Share one table among all handles of a cluster.
+// recovery. Share one table among all handles of a cluster; after the run,
+// Drained reports guards never given back and releases of guards no longer
+// held.
 type FenceTable = locks.FenceTable
 
 // NewFenceTable returns an empty fencing authority.

@@ -1,6 +1,6 @@
 // Command bench runs the repo's standing performance suite and writes a
 // BENCH_*.json trajectory file: every raw-engine case measured on the serial
-// executor (typed event heap, ProcessNextEvent loop) and on the windowed one
+// executor (typed event heap, serial dispatch loop) and on the windowed one
 // at one worker and at -engine-shards workers, every harness case at the
 // widths its config reaches, each row labelled by the executor it ran on,
 // with events/sec, ns/event and allocs/event per row plus the one-worker vs

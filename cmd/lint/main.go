@@ -1,7 +1,6 @@
 // Lint runs the repo's determinism analyzer suite (internal/analysis/rules)
 // over the named packages and exits non-zero on any unsuppressed finding.
-// The suite is three analyzers: detrand, maporder and guardflow (-list
-// prints them). The README's "Determinism invariants" table names,
+// The suite is two analyzers: detrand and maporder (-list prints them). The README's "Determinism invariants" table names,
 // for each, a bug it catches that no test fails on, and the runtime gate
 // that took over from each deleted analyzer.
 //
@@ -11,7 +10,7 @@
 //	go run ./cmd/lint -github ./...      # GitHub Actions ::error annotations
 //	go run ./cmd/lint -json ./...        # machine-readable findings
 //	go run ./cmd/lint -only detrand,maporder ./...
-//	go run ./cmd/lint -skip guardflow ./...
+//	go run ./cmd/lint -skip maporder ./...
 //	go run ./cmd/lint -list              # describe the analyzers and exit
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load errors.

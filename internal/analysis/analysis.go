@@ -9,11 +9,12 @@
 //
 // The suite exists because every bit-identity guarantee the repo ships
 // rests on conventions — all randomness via sim.PartitionedRNG, no
-// wall-clock on simulated paths, cross-shard memory only through the verb
-// protocol, every Acquired guard released — and tests and runtime gates
-// hold most of them. The analyzers in internal/analysis/rules enforce the
-// few that no test can see. See the README's "Determinism invariants"
-// section for the rules and the allowlist policy.
+// wall-clock on simulated paths, no map-order effects, cross-shard memory
+// only through the verb protocol, every granted guard released exactly
+// once — and tests and runtime gates hold most of them. The analyzers in
+// internal/analysis/rules (detrand, maporder) enforce the two that no test
+// can see. See the README's "Determinism invariants" section for the rules
+// and the allowlist policy.
 package analysis
 
 import (

@@ -1,9 +1,8 @@
-// Package rules implements the repo's determinism lint suite: three
-// per-package analyzers — two syntactic checks and one flow-sensitive rule
-// built on the flow package. An analyzer stays while it catches a bug that
-// no test or runtime gate fails on; see each analyzer's Doc and the
-// README's "Determinism invariants" section, which maps each analyzer to
-// that bug.
+// Package rules implements the repo's determinism lint suite: two
+// per-package syntactic analyzers, detrand and maporder. An analyzer stays
+// while it catches a bug that no test or runtime gate fails on; see each
+// analyzer's Doc and the README's "Determinism invariants" section, which
+// maps each analyzer to that bug.
 //
 // Findings are suppressed per site with `//lint:allow <analyzer> <reason>`
 // (the reason is mandatory; the driver rejects directives naming analyzers
@@ -20,7 +19,7 @@ import (
 
 // All returns the full suite in reporting order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder, Guardflow}
+	return []*analysis.Analyzer{Detrand, Maporder}
 }
 
 // --- shared helpers ---
@@ -37,15 +36,6 @@ func funcOf(info *types.Info, e ast.Expr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// isPkgType reports whether n is the named type pkgPath.name.
-func isPkgType(n *types.Named, pkgPath, name string) bool {
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // isTestFile reports whether the position's file is a _test.go file.
@@ -66,18 +56,6 @@ func mentionsObj(info *types.Info, node ast.Node, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// objOf resolves an identifier expression (ident or selector) to its
-// object, or nil for anything more complex.
-func objOf(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
 }
 
 // isBuiltin reports whether id resolves to a language builtin.

@@ -24,14 +24,6 @@ func TestMaporder(t *testing.T) {
 	analysistest.Run(t, "testdata/src/maporder", "maportest", Maporder)
 }
 
-// TestGuardflow runs the double-release rule: bare repeat releases on
-// straight-line paths, after an abandon, deferred, on one branch of a
-// join, inside a literal; not across a continue, a reassignment, a range
-// rebinding, or when the second outcome is checked for Fenced.
-func TestGuardflow(t *testing.T) {
-	analysistest.Run(t, "testdata/src/guardflow", "guardflowtest", Guardflow)
-}
-
 func TestAllRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range All() {
@@ -46,7 +38,7 @@ func TestAllRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	wantNames := []string{"detrand", "maporder", "guardflow"}
+	wantNames := []string{"detrand", "maporder"}
 	if len(names) != len(wantNames) {
 		t.Errorf("All() has %d analyzers, want %d", len(names), len(wantNames))
 	}

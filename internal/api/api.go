@@ -320,7 +320,8 @@ const (
 	// Acquired: the lock was granted; the returned Guard is live.
 	Acquired Outcome = iota
 	// TimedOut: the deadline passed before the grant; nothing is held and
-	// the returned Guard is dead (its release is rejected as Fenced).
+	// the returned Guard is dead (its release is rejected as Fenced, and
+	// the run's fencing authority counts it as a stray release).
 	TimedOut
 	// AcquiredLate: the lock was granted — the Guard is live, exactly as
 	// for Acquired — but only after the requested deadline had already
@@ -347,7 +348,8 @@ const (
 	// Fenced: the guard's fencing token was no longer live — a double
 	// release, a timed-out acquire's guard, or the late release of an
 	// abandoned hold that recovery already reclaimed. The lock state is
-	// untouched.
+	// untouched. Only the last is expected: the run's fencing authority
+	// counts the others as stray releases and fails the run at its end.
 	Fenced
 )
 

@@ -2,7 +2,7 @@
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
 // scenario family — runs each case N times on the engine's executors: the
-// serial one (typed 4-ary event heap, ProcessNextEvent loop) and the
+// serial one (typed 4-ary event heap, serial dispatch loop) and the
 // conservative windowed one on one worker and on several. It reports
 // events/sec, ns/event, allocs/event and bytes/event in a stable JSON schema
 // (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
@@ -31,7 +31,7 @@ import (
 const Schema = "alock-bench/v4"
 
 // EngineSerial labels rows run on the serial executor (typed 4-ary heap,
-// ProcessNextEvent loop); a row on the windowed executor is labelled
+// serial dispatch loop); a row on the windowed executor is labelled
 // windowed-N, N its worker count (Case.label).
 const EngineSerial = "serial"
 

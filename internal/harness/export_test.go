@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 }
 
 // onSerialExecutor runs f with every engine Run builds left without its
-// options but the event cap: the plain ProcessNextEvent loop, the reference
+// options but the event cap: the plain serial dispatch loop, the reference
 // the windowed executor and its stop-guard handoff are held to, which no
 // config value selects. Tests calling it must not run in parallel with
 // others.

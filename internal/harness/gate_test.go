@@ -8,6 +8,7 @@ import (
 
 	"alock/internal/locks"
 	"alock/internal/model"
+	"alock/internal/sim"
 )
 
 // TestValidateIsTheGate walks every rule that can reject a config — the
@@ -59,6 +60,8 @@ func TestValidateIsTheGate(t *testing.T) {
 		{"threads 0", closed, func(c *Config) { c.ThreadsPerNode = 0 }, "harness: threads"},
 		{"locks 0", closed, func(c *Config) { c.Locks = 0 }, "harness: lock table"},
 		{"negative measure window", closed, func(c *Config) { c.MeasureNS = -1 }, "harness: measurement window"},
+		{"horizon 1 ns past the event key (was: a panic in the run)", closed, func(c *Config) { c.MeasureNS = sim.MaxIssueNS - c.WarmupNS + 1 }, "harness: warmup 10000 ns + measurement window"},
+		{"horizon overflowing int64", closed, func(c *Config) { c.WarmupNS, c.MeasureNS = sim.MaxIssueNS, math.MaxInt64 }, "past the engine's 35184372088831 ns horizon"},
 		{"home skew 101", closed, func(c *Config) { c.HomeSkewPct = 101 }, "harness: home skew"},
 		{"negative words per node", closed, func(c *Config) { c.WordsPerNode = -1 }, "harness: words per node"},
 		{"lock table larger than a region (was: a panic in prepare)", closed, func(c *Config) { c.WordsPerNode, c.Locks = 64, 100 }, "harness: lock table does not fit"},

@@ -233,7 +233,7 @@ func (c Config) engineOptions() []sim.Option {
 }
 
 // newEngine builds every run's engine. It is a variable for tests alone:
-// they swap it to build the serial executor — the plain ProcessNextEvent
+// they swap it to build the serial executor — the plain serial dispatch
 // loop, which no config value selects — or to keep the engines a sweep ran
 // and read what Result does not carry.
 var newEngine = sim.New
@@ -324,6 +324,12 @@ func (c Config) check() (plan, error) {
 	}
 	if c.MeasureNS <= 0 {
 		return fail("measurement window %d ns", c.MeasureNS)
+	}
+	// The run's horizon, WarmupNS + MeasureNS, must be an instant an event
+	// key holds; the compare is written so that the sum cannot overflow.
+	if c.WarmupNS > sim.MaxIssueNS || c.MeasureNS > sim.MaxIssueNS-max(c.WarmupNS, 0) {
+		return fail("warmup %d ns + measurement window %d ns past the engine's %d ns horizon",
+			c.WarmupNS, c.MeasureNS, int64(sim.MaxIssueNS))
 	}
 	if c.HomeSkewPct < 0 || c.HomeSkewPct > 100 {
 		return fail("home skew %d%%", c.HomeSkewPct)

@@ -14,8 +14,10 @@
 package locks
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"alock/internal/api"
@@ -27,8 +29,15 @@ import (
 // grants, the later one carries the larger token, so downstream systems
 // can reject writes guarded by a superseded grant — the classic
 // fencing-token contract. A token is live from grant until its first
-// retire; a second retire (double release, a timed-out guard, the late
+// retire; a later retire (double release, a timed-out guard, the late
 // release of an abandoned hold) reports false and must not touch the lock.
+//
+// Of those fenced releases, only the abandoned holder's one late Release
+// is expected. Any other — a second release of the same guard, or a
+// release of a guard that was never granted, such as a timed-out
+// acquire's — is a stray: the lock is unharmed, but the caller has lost
+// track of what it holds. The table counts strays, and Drained reports
+// them.
 //
 // Safe for concurrent use (the real-goroutine engine shares one table);
 // under the deterministic simulator the mutex is uncontended and the grant
@@ -37,6 +46,11 @@ type FenceTable struct {
 	mu   sync.Mutex
 	next uint64
 	live map[uint64]map[uint64]struct{} // lock word -> live token set
+	// abandoned holds the tokens Abandon retired whose holder has not yet
+	// made its one late Release. Only Abandon and fenced releases touch it.
+	abandoned map[uint64]struct{}
+	strays    int    // fenced releases of tokens neither live nor abandoned
+	strayLock uint64 // the lowest lock word among the strays
 }
 
 // NewFenceTable returns an empty fencing authority.
@@ -58,11 +72,44 @@ func (t *FenceTable) Grant(l ptr.Ptr) uint64 {
 	return t.next
 }
 
-// Retire ends the token's life. It reports whether the token was live —
-// false means the release it guards must be fenced off.
+// Retire ends the token's life at a Release. It reports whether the token
+// was live — false means the release it guards must be fenced off. A
+// fenced release that is not the late release of an abandoned hold is
+// counted as a stray.
 func (t *FenceTable) Retire(l ptr.Ptr, token uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.drop(l, token) {
+		return true
+	}
+	if _, ok := t.abandoned[token]; ok {
+		delete(t.abandoned, token) // the crashed holder's one late release
+		return false
+	}
+	if t.strays == 0 || l.Word() < t.strayLock {
+		t.strayLock = l.Word()
+	}
+	t.strays++
+	return false
+}
+
+// revoke ends the token's life at an Abandon and expects one late Release
+// of it. It reports whether the token was live.
+func (t *FenceTable) revoke(l ptr.Ptr, token uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.drop(l, token) {
+		return false
+	}
+	if t.abandoned == nil {
+		t.abandoned = make(map[uint64]struct{})
+	}
+	t.abandoned[token] = struct{}{}
+	return true
+}
+
+// drop removes a live token; t.mu is held.
+func (t *FenceTable) drop(l ptr.Ptr, token uint64) bool {
 	set := t.live[l.Word()]
 	if _, ok := set[token]; !ok {
 		return false
@@ -71,30 +118,39 @@ func (t *FenceTable) Retire(l ptr.Ptr, token uint64) bool {
 	return true
 }
 
-// Drained reports an error if any token is still live: a grant that no
-// Release or Abandon retired. Once every thread of a run has exited, a live
-// token is a guard its holder dropped, so run harnesses call this after the
-// run and fail it; the error names the count and the lowest-addressed lock
-// still held. It walks every lock the run granted, once.
+// Drained reports an error if the run gave a guard back wrongly: a token
+// still live — a grant that no Release or Abandon retired — or a stray
+// release. Once every thread of a run has exited, a live token is a guard
+// its holder dropped, so run harnesses call this after the run and fail
+// it. The error names each count and the lowest-addressed lock it
+// concerns. It walks every lock the run granted, once.
 func (t *FenceTable) Drained() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var msgs []string
+	if t.strays > 0 {
+		msgs = append(msgs, fmt.Sprintf("%d releases of guards no longer held, the lowest on lock %v",
+			t.strays, ptr.FromWord(t.strayLock)))
+	}
 	var held []uint64
 	for w, set := range t.live {
 		if len(set) > 0 {
 			held = append(held, w)
 		}
 	}
-	if len(held) == 0 {
+	if len(held) > 0 {
+		slices.Sort(held)
+		n := 0
+		for _, w := range held {
+			n += len(t.live[w])
+		}
+		msgs = append(msgs, fmt.Sprintf("%d guards still live at run end, %d of them on lock %v",
+			n, len(t.live[held[0]]), ptr.FromWord(held[0])))
+	}
+	if len(msgs) == 0 {
 		return nil
 	}
-	slices.Sort(held)
-	n := 0
-	for _, w := range held {
-		n += len(t.live[w])
-	}
-	return fmt.Errorf("%d guards still live at run end, %d of them on lock %v",
-		n, len(t.live[held[0]]), ptr.FromWord(held[0]))
+	return errors.New(strings.Join(msgs, "; "))
 }
 
 // AbortableTimedProvider marks providers whose exclusive-mode timed
@@ -162,7 +218,7 @@ func (h *tokenHandle) Release(g api.Guard) api.ReleaseOutcome {
 }
 
 func (h *tokenHandle) Abandon(g api.Guard) {
-	if h.ft.Retire(g.Lock, g.Token) {
+	if h.ft.revoke(g.Lock, g.Token) {
 		// Recovery physically reclaims the crashed holder's lock; the
 		// retired token fences the holder's own late Release off.
 		h.alg.ReleaseAcq(g.Lock, g.Mode, g.State)

@@ -1,6 +1,7 @@
 package locks_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -332,6 +333,87 @@ func TestSharedTimeoutOnRWLocks(t *testing.T) {
 			}
 			if !readersAfter {
 				t.Error("shared mode dead after a reader timeout")
+			}
+		})
+	}
+}
+
+// TestDrainedCountsStrayReleases pins the run-end gate on releases: a
+// release of a guard no longer held — a second release, or the release of
+// a guard that was never granted — is fenced off and counted, and Drained
+// fails the run with the count and the lowest lock. The abandoned holder's
+// one late release is expected and is not counted.
+func TestDrainedCountsStrayReleases(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(t *testing.T, h api.TokenLocker, l ptr.Ptr)
+		want string // "" = Drained returns nil; {l} is the lock
+	}{
+		{"release-twice", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			h.Release(g)
+			if h.Release(g) != api.Fenced {
+				t.Error("second release not fenced")
+			}
+		}, "1 releases of guards no longer held, the lowest on lock {l}"},
+		{"abandon-then-checked-release", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			h.Abandon(g)
+			if h.Release(g) != api.Fenced {
+				t.Error("late release after abandon not fenced")
+			}
+		}, ""},
+		{"abandon-then-two-releases", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			h.Abandon(g)
+			h.Release(g)
+			h.Release(g)
+		}, "1 releases of guards no longer held, the lowest on lock {l}"},
+		{"abandon-twice", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			h.Abandon(g)
+			h.Abandon(g) // a no-op on a dead guard
+			h.Release(g)
+		}, ""},
+		// A timed-out acquire returns the zero Guard: it was never granted,
+		// so releasing it is a stray on the null lock.
+		{"release-timed-out-guard", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			dead, out := h.Acquire(l, api.Exclusive, api.AcquireOpts{DeadlineNS: 1})
+			if out != api.TimedOut {
+				t.Fatalf("second acquire = %v, want TimedOut", out)
+			}
+			if h.Release(dead) != api.Fenced {
+				t.Error("timed-out guard's release not fenced")
+			}
+			h.Release(g)
+		}, "1 releases of guards no longer held, the lowest on lock null"},
+		{"stray-and-leak", func(t *testing.T, h api.TokenLocker, l ptr.Ptr) {
+			g, _ := h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+			h.Release(g)
+			h.Release(g)
+			h.Release(g)
+			h.Acquire(l, api.Exclusive, api.AcquireOpts{})
+		}, "2 releases of guards no longer held, the lowest on lock {l}; " +
+			"1 guards still live at run end, 1 of them on lock {l}"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.New(1, 1<<18, model.Uniform(10), 1)
+			e.Space().AllocLine(0)
+			l := e.Space().AllocLine(0)
+			prov := providerFor(t, "spinlock", true, 1)
+			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			ft := locks.NewFenceTable()
+			e.Spawn(0, func(ctx api.Ctx) { tc.body(t, locks.TokenHandleFor(prov, ctx, ft), l) })
+			e.Run(1 << 40)
+			err := ft.Drained()
+			want := strings.ReplaceAll(tc.want, "{l}", l.String())
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("Drained = %v, want nil", err)
+			case want != "" && (err == nil || err.Error() != want):
+				t.Errorf("Drained = %v, want %q", err, want)
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func serialEngine(nodes, wordsPerNode int, p model.Params, seed int64, _ ...sim.
 // TestTypedEngineMatchesOracleEveryScenario is the executor acceptance gate:
 // every registered scenario, expanded at smoke scale, must produce
 // bit-identical results on the serial executor (typed 4-ary event heap, the
-// ProcessNextEvent loop) and on the conservative windowed executor — at auto
+// serial dispatch loop) and on the conservative windowed executor — at auto
 // width (EngineShards 0, what every harness run gets by default), on the Run
 // caller alone and on four workers. Closed-loop scenarios carry TargetOps, so those runs
 // hand their last windows to the serial loop through the stop guard; the

@@ -27,13 +27,13 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-	e.SetHorizon(1 << 40)
+	e.setHorizon(1 << 40)
 	// Warm up: launch goroutines, grow the event slice to steady state.
 	for i := 0; i < 256; i++ {
-		e.Step()
+		e.processNextEvent()
 	}
 	avg := testing.AllocsPerRun(2000, func() {
-		if !e.ProcessNextEvent() {
+		if !e.processNextEvent() {
 			t.Fatal("engine drained mid-measurement")
 		}
 	})
@@ -41,7 +41,7 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		t.Fatalf("schedule/pop path allocates %.3f allocs/event, want 0", avg)
 	}
 	e.RequestStop()
-	for e.Step() {
+	for e.processNextEvent() {
 	}
 }
 
@@ -56,13 +56,13 @@ func TestWorkLoopTickZeroAllocs(t *testing.T) {
 			})
 		})
 	}
-	e.SetHorizon(1 << 40)
+	e.setHorizon(1 << 40)
 	for i := 0; i < 256; i++ {
-		e.Step()
+		e.processNextEvent()
 	}
 	resumes := e.Resumes()
 	avg := testing.AllocsPerRun(2000, func() {
-		if !e.ProcessNextEvent() {
+		if !e.processNextEvent() {
 			t.Fatal("engine drained mid-measurement")
 		}
 	})
@@ -73,7 +73,7 @@ func TestWorkLoopTickZeroAllocs(t *testing.T) {
 		t.Fatalf("2000 turns resumed coroutines %d times, want 0", got-resumes)
 	}
 	e.RequestStop()
-	for e.Step() {
+	for e.processNextEvent() {
 	}
 }
 
@@ -104,9 +104,9 @@ func TestSpinUntilPollZeroAllocs(t *testing.T) {
 			ctx.Write(w, end)
 		}
 	})
-	e.SetHorizon(1 << 40)
+	e.setHorizon(1 << 40)
 	for i := 0; i < 256; i++ {
-		e.Step()
+		e.processNextEvent()
 	}
 	resumes := func() (n uint64) {
 		for _, th := range waiters {
@@ -116,7 +116,7 @@ func TestSpinUntilPollZeroAllocs(t *testing.T) {
 	}
 	before, credited := resumes(), e.Credited()
 	avg := testing.AllocsPerRun(2000, func() {
-		if !e.ProcessNextEvent() {
+		if !e.processNextEvent() {
 			t.Fatal("engine drained mid-measurement")
 		}
 	})
@@ -130,11 +130,11 @@ func TestSpinUntilPollZeroAllocs(t *testing.T) {
 		t.Fatal("2000 events credited no skipped block: the waiters did not park")
 	}
 	e.RequestStop()
-	for e.Step() {
+	for e.processNextEvent() {
 	}
 }
 
-// TestDirectRunNearZeroAllocs bounds Run, the ProcessNextEvent loop: a
+// TestDirectRunNearZeroAllocs bounds Run, the processNextEvent loop: a
 // contended run processing tens of thousands of events may allocate only
 // its fixed setup (goroutine launches) — not per event.
 func TestDirectRunNearZeroAllocs(t *testing.T) {

@@ -56,7 +56,7 @@ func TestEventQueueMatchesOracle(t *testing.T) {
 			ctr++
 			issue := int64(rng.Intn(64))
 			if rng.Intn(4) == 0 {
-				issue = maxIssue - int64(rng.Intn(64))
+				issue = MaxIssueNS - int64(rng.Intn(64))
 			}
 			// Clustered times force plenty of exact ties broken by seq; the
 			// thread field keeps every key unique.
@@ -162,7 +162,7 @@ func TestEventQueueMatchesOracle(t *testing.T) {
 func TestLessBitEqualsEventLess(t *testing.T) {
 	ats := []int64{math.MinInt64, -1 << 40, -1, 0, 1, 780, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
 	seqs := []uint64{0, 1, 2, eventSeq(0, maxThreads-1, 7), eventSeq(1, 0, 0), eventSeq(1, 0, 1),
-		eventSeq(1<<43-1, 5, 0), 1 << 63, eventSeq(1<<44, 5, 0), eventSeq(maxIssue, 1, 0), math.MaxUint64}
+		eventSeq(1<<43-1, 5, 0), 1 << 63, eventSeq(1<<44, 5, 0), eventSeq(MaxIssueNS, 1, 0), math.MaxUint64}
 	var evs []event
 	for _, at := range ats {
 		for _, seq := range seqs {
@@ -186,7 +186,7 @@ func TestLessBitEqualsEventLess(t *testing.T) {
 
 // TestPastDatedEventPopsFirst: behind a full group of future events, an
 // event dated before the clock is still the next pop — which is what lets
-// ProcessNextEvent see it and trap.
+// processNextEvent see it and trap.
 func TestPastDatedEventPopsFirst(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 21; i++ {
@@ -198,7 +198,7 @@ func TestPastDatedEventPopsFirst(t *testing.T) {
 		t.Fatalf("popped at=%d before the past-dated event", got.at)
 	}
 	// Sift a large last entry down past a negative child.
-	q.push(event{at: -7, seq: eventSeq(maxIssue-5, 1, 0)})
+	q.push(event{at: -7, seq: eventSeq(MaxIssueNS-5, 1, 0)})
 	q.push(event{at: -6, seq: 100})
 	if a, b := q.pop(), q.pop(); a.at != -7 || b.at != -6 {
 		t.Fatalf("negative times popped as %d, %d; want -7, -6", a.at, b.at)

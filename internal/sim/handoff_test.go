@@ -43,13 +43,13 @@ type popResumes struct {
 	resumes uint64
 }
 
-// serialLoop drains e on the ProcessNextEvent loop, logging every pop.
+// serialLoop drains e on the processNextEvent loop, logging every pop.
 func (l *runLog) serialLoop(e *Engine) {
-	for e.HasPendingEvents() {
+	for e.pending() > 0 {
 		ev := e.tl.q.min()
 		l.pops[ev.dest()] = append(l.pops[ev.dest()], popSeen{ev.at, ev.seq, ev.th.id, ev.kind})
 		l.resumes = append(l.resumes, popResumes{ev.at, e.Resumes()})
-		e.ProcessNextEvent()
+		e.processNextEvent()
 	}
 }
 
@@ -68,7 +68,7 @@ func (l *runLog) resumesBefore(at int64, final uint64) uint64 {
 // It panics like Run if a thread is left.
 func drive(e *Engine, horizon int64) *runLog {
 	l := &runLog{pops: make([][]popSeen, len(e.shards))}
-	e.SetHorizon(horizon)
+	e.setHorizon(horizon)
 	if e.workers > 0 {
 		e.onWindowEvent = func(s *shard, ev event) { // each shard's list is its owner's alone
 			l.pops[s.node] = append(l.pops[s.node], popSeen{ev.at, ev.seq, ev.th.id, ev.kind})
@@ -131,7 +131,7 @@ func boundaryPops(after, want []popSeen) int {
 //
 //   - the clock, Events, the memory image, NIC stats and every call of every
 //     WorkLoop function (the instants the threads saw) equal the plain
-//     ProcessNextEvent loop's;
+//     processNextEvent loop's;
 //   - every event popped before the handoff, on every shard, is the one the
 //     guard-free windowed run popped, and every event popped after it is the
 //     one the serial loop popped from that instant on (time, thread, kind, in

@@ -290,12 +290,12 @@ func TestPostedOpsStopAtTheSameEvent(t *testing.T) {
 	}
 	run := func(e *Engine) { e.Run(7_013) }
 	shorten := func(e *Engine) {
-		e.SetHorizon(1 << 40)
+		e.setHorizon(1 << 40)
 		for e.Now() < 5_000 {
-			e.Step()
+			e.processNextEvent()
 		}
-		e.SetHorizon(7_013)
-		for e.Step() {
+		e.setHorizon(7_013)
+		for e.processNextEvent() {
 		}
 	}
 	forever := func(e *Engine) { e.Run(1 << 40) }

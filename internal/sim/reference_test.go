@@ -38,10 +38,10 @@ func (q *eventQueue) pending() []event {
 }
 
 // runReference is Run on the reference semantics: it drives e to completion
-// with the same ProcessNextEvent loop while replaying every push and pop of
+// with the same processNextEvent loop while replaying every push and pop of
 // the production queue through a container/heap mirror, and fails on the
 // first pop that is not the mirror's minimum. The queue is popped once per
-// ProcessNextEvent and pushed to in between, so
+// processNextEvent and pushed to in between, so
 // the events that appeared since the last step are exactly the pushes. It
 // returns the number of pops verified.
 func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
@@ -54,8 +54,8 @@ func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 		seq uint64
 	}
 	mirrored := map[key]bool{}
-	e.SetHorizon(stopAt)
-	for e.HasPendingEvents() {
+	e.setHorizon(stopAt)
+	for e.pending() > 0 {
 		for _, ev := range e.tl.q.pending() {
 			if k := (key{ev.at, ev.seq}); !mirrored[k] {
 				mirrored[k] = true
@@ -71,7 +71,7 @@ func runReference(t *testing.T, e *Engine, stopAt int64) (pops int) {
 			t.Fatalf("pop %d diverged: production (at=%d seq=%d), reference (at=%d seq=%d)",
 				pops, got.at, got.seq, want.at, want.seq)
 		}
-		e.ProcessNextEvent()
+		e.processNextEvent()
 		pops++
 	}
 	for _, th := range e.threads {

@@ -11,7 +11,7 @@
 // and each shard's pending events — and every way out gathers them back,
 // drained, or with what is left when the stop guard ends the windows early.
 // Outside a windowed Run every shard runs on the engine's timeline (where
-// Step and the serial Run pop), and its own is empty.
+// processNextEvent and the serial Run pop), and its own is empty.
 //
 // The windowed executor is classic conservative parallel discrete-event
 // simulation. Nodes interact only through verbs with a hard latency floor
@@ -603,7 +603,7 @@ func (p *windowPool) yield() {
 
 // activate hands shard s to its owner for the window ending at wend.
 func (p *windowPool) activate(s *shard, wend int64) {
-	s.own.wend, s.own.until = wend, min(wend, maxIssue+1)
+	s.own.wend, s.own.until = wend, min(wend, MaxIssueNS+1)
 	p.assigned[s.node%p.width]++
 	s.active.Store(true)
 }
@@ -742,7 +742,7 @@ type WindowStats struct {
 	// the serial loop — the head of the window it did not run — and 0 if it
 	// never did. SerialEvents is the number of events the serial loop
 	// dispatched after a hand-off, by the stop guard or near the event budget
-	// (or past maxIssue).
+	// (or past MaxIssueNS).
 	// Credited is the number of the Run's wait-loop blocks that parked threads
 	// skipped (spin.go): they count in Engine.Events, but no executor
 	// dispatched them. Events + SerialEvents + Credited is the Run's share of
@@ -772,7 +772,7 @@ func (e *Engine) windowed() bool { return e.shards[0].tl != &e.tl }
 // result) is identical at any width; only wall-clock time changes. It
 // returns with every event dispatched, or at the barrier where the stop
 // guard asked for the serial loop, where a few windows' worth of the event
-// budget is left (nearBudget), or where the next window would pass maxIssue,
+// budget is left (nearBudget), or where the next window would pass MaxIssueNS,
 // with the rest of them on the engine's timeline.
 func (e *Engine) runWindowed() {
 	limit := e.workers
@@ -819,8 +819,8 @@ func (e *Engine) runWindowed() {
 			return
 		}
 		// The serial loop also takes over where the next window would pass
-		// maxIssue, so the trap there (pastIssue) is at its clock too.
-		if e.nearBudget(total, 4*widest) || minHead+e.lookahead > maxIssue {
+		// MaxIssueNS, so the trap there (pastIssue) is at its clock too.
+		if e.nearBudget(total, 4*widest) || minHead+e.lookahead > MaxIssueNS {
 			return
 		}
 		if hook := e.onBarrier; hook != nil {
@@ -891,7 +891,7 @@ func (e *Engine) scatter() {
 }
 
 // gather is scatter's inverse, at the end of a windowed Run or at the barrier
-// where the stop guard, the event budget or maxIssue hands it to the serial
+// where the stop guard, the event budget or MaxIssueNS hands it to the serial
 // loop: every shard's pending events move back onto the engine's timeline,
 // whose clock advances to the latest shard clock and whose counters take the
 // shards', and the shards run on it again. Every pending event lies at or

@@ -115,7 +115,7 @@ func shardQueuesEmpty(e *Engine) bool {
 	return true
 }
 
-// TestStepThenWindowedRun: Step advances a WithShards(4) engine serially on
+// TestStepThenWindowedRun: step advances a WithShards(4) engine serially on
 // the global queue; a following Run must scatter whatever is pending onto
 // the shards, finish on the windowed executor, and land on the serial
 // fingerprint — with the shard queues empty whenever no windowed Run is in
@@ -132,9 +132,9 @@ func TestStepThenWindowedRun(t *testing.T) {
 		windowEvents++
 		mu.Unlock()
 	}
-	e.SetHorizon(horizon)
+	e.setHorizon(horizon)
 	for i := 0; i < 2000; i++ {
-		if !e.Step() {
+		if !e.processNextEvent() {
 			t.Fatalf("run drained after %d steps; the hand-over was not exercised", i)
 		}
 		if !shardQueuesEmpty(e) {
@@ -152,7 +152,7 @@ func TestStepThenWindowedRun(t *testing.T) {
 		t.Error("window hook saw no events — Run did not reach the windowed executor")
 	}
 	if got := fingerprint(e, words); got != serial {
-		t.Errorf("Step-then-Run diverged from serial:\n serial: %s\n got:    %s", serial, got)
+		t.Errorf("step-then-Run diverged from serial:\n serial: %s\n got:    %s", serial, got)
 	}
 }
 

@@ -25,9 +25,10 @@
 //
 //   - serial (an engine built without WithShards): every shard runs on the
 //     engine's timeline (e.tl), whose window never ends, drained by dispatch
-//     on the caller's goroutine — Run is that loop, Step (ProcessNextEvent)
-//     is one turn of it at any width: one event popped, and what its thread
-//     then runs in place (a parked wait's skipped polls take no turn).
+//     on the caller's goroutine — Run is that loop, the engine's only
+//     exported one, and processNextEvent (the tests' single step) is one turn
+//     of it at any width: one event popped, and what its thread then runs in
+//     place (a parked wait's skipped polls take no turn).
 //   - windowed (WithShards(n), n >= 1 workers or 0 for auto width): the
 //     conservative executor in shard.go. For the duration of a Run each shard
 //     runs on a timeline of its own, which takes the shard's pending events,
@@ -63,7 +64,7 @@
 // boxing, zero allocations per event in steady state, and a pop that leaves
 // the root open for the popped event's own successor to fill — and there is
 // one thread-switch primitive. The executor (dispatch, run by Run and
-// ProcessNextEvent or by shard.runWindow on the shard's worker) is always the
+// processNextEvent or by shard.runWindow on the shard's worker) is always the
 // resumer: it pops an event and, for a wake-up or completion, calls
 // Thread.resume, which runs the thread's coroutine until Thread.suspend yields
 // back. A coroutine switch is a direct goroutine-to-goroutine transfer inside
@@ -98,7 +99,7 @@
 // tryAdvance, the test for whether an operation can advance the clock in place
 // instead of scheduling. api.Ctx states the contract this puts on callers (Go
 // state shared between threads is ordered by a completing call, never by a
-// bare Write returning). The package's tests replay the ProcessNextEvent loop
+// bare Write returning). The package's tests replay the processNextEvent loop
 // against the standard-library heap as the bit-exact reference
 // (reference_test.go), SpinWhile, SpinUntil and WorkLoop against the loops
 // they are defined as (spin_test.go and FuzzSpinWhileMatchesLoop,
@@ -115,11 +116,11 @@
 // owning shard.
 //
 // Stop/horizon contract: threads observe Stopped() == true as soon as the
-// virtual clock reaches the horizon armed by SetHorizon/Run, or immediately
-// after RequestStop. SetHorizon may be re-issued at any point to shorten or
-// extend the horizon — extending it un-stops a run that had merely crossed
-// the previous horizon — but an explicit RequestStop is sticky: once
-// requested, no later SetHorizon call makes Stopped() return false again.
+// virtual clock reaches the horizon Run arms (setHorizon), or immediately
+// after RequestStop. A later Run may shorten or extend the horizon —
+// extending it un-stops a run that had merely crossed the previous horizon —
+// but an explicit RequestStop is sticky: once requested, no later horizon
+// makes Stopped() return false again.
 // Workload loops rely on this to wind down exactly once. Inside a window a
 // RequestStop would be observed by other shards without a deterministic
 // cross-shard order, so a caller that stops mid-run (the harness's TargetOps
@@ -128,10 +129,11 @@
 // of the Run to the serial loop, where the stop lands in the global order. A
 // RequestStop inside a window panics.
 //
-// Blocked forever: a Run (or Step) whose queues drain around a live thread
-// ends with a panic. A thread parked in SpinWhile or SpinUntil then waits
-// forever — nothing is left to store to its word — and the panic names it, the
-// call and the word; that is a workload's bug, such as a lock handed to nobody.
+// Blocked forever: a Run (or processNextEvent) whose queues drain around a
+// live thread ends with a panic. A thread parked in SpinWhile or SpinUntil
+// then waits forever — nothing is left to store to its word — and the panic
+// names it, the call and the word; that is a workload's bug, such as a lock
+// handed to nobody.
 // Any other live thread is "blocked forever", which only an engine that lost
 // an event can cause.
 package sim
@@ -209,7 +211,7 @@ func destFor(kind uint8, t *Thread) int16 {
 // events counts what the loop dispatched (popped, or advanced in place), and
 // credited the wait-loop blocks that parked threads skipped (spin.go): the two
 // together are the loop's Events. The loop dispatches events before until —
-// the window end or maxIssue+1, whichever is first — while fewer than budget
+// the window end or MaxIssueNS+1, whichever is first — while fewer than budget
 // are dispatched: the event budget on the engine's timeline, what was left of
 // it when the Run began on a shard's own. stale counts the queued deadline
 // reads that pop to nothing.
@@ -264,7 +266,7 @@ type Engine struct {
 	winStats WindowStats
 
 	// The run is stopped once a timeline's clock reaches stopAt, or from an
-	// explicit RequestStop on (stopRequested, sticky: a later SetHorizon
+	// explicit RequestStop on (stopRequested, sticky: a later setHorizon
 	// cannot un-stop the run). RequestStop never runs inside a window, so
 	// threads on parallel shards read it with the window barrier ordering
 	// them after the write.
@@ -316,8 +318,8 @@ func WithMaxEvents(n uint64) Option {
 // as the execution-slot budget (internal/slots) grants, up to its capacity
 // or the CPU count, and gives them back if they stop paying.
 // Worker counts above the node count or the budget are clamped at Run time;
-// results never depend on the effective width. Step always advances
-// serially, at any width.
+// results never depend on the effective width. processNextEvent always
+// advances serially, at any width.
 func WithShards(workers int) Option {
 	if workers < 0 {
 		panic(fmt.Sprintf("sim: WithShards(%d): negative worker count", workers))
@@ -347,7 +349,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:      make([]*nic.NIC, nodes),
 		seed:      seed,
 		rngs:      NewPartitionedRNG(seed),
-		tl:        timeline{wend: math.MaxInt64, until: maxIssue + 1},
+		tl:        timeline{wend: math.MaxInt64, until: MaxIssueNS + 1},
 		stopAt:    math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
@@ -405,7 +407,7 @@ func (e *Engine) Now() int64 { return e.tl.now }
 // RequestStop makes Stopped() return true from this point on, regardless
 // of the time horizon. It may be called from inside a simulated thread
 // (e.g. by a measurement harness once it has collected enough operations).
-// An explicit stop is sticky: no subsequent SetHorizon re-arms the run.
+// An explicit stop is sticky: no subsequent setHorizon re-arms the run.
 // Inside a window other shards would observe the stop without a
 // deterministic cross-shard order, so a thread that may stop a windowed Run
 // needs a stop guard (SetStopGuard) that hands the Run to the serial loop
@@ -521,7 +523,7 @@ func (e *Engine) pending() int { return e.tl.q.len() - e.tl.stale }
 // the thread once they are done, a verb-protocol event executes inline. It
 // returns the trap that makes the engine unusable — time going backwards, the
 // event budget blown (a livelock in the simulated system), a clock past
-// maxIssue or the resumed thread's body panicking — for the caller to raise
+// MaxIssueNS or the resumed thread's body panicking — for the caller to raise
 // on the goroutine driving the Run.
 //
 // The loop is the shared unit, not one event's body: a coroutine switch leaves
@@ -539,7 +541,7 @@ func (e *Engine) dispatch(tl *timeline, limit int) error {
 			if tl.q.len() == 0 || tl.q.min().at >= tl.wend {
 				return nil
 			}
-			if tl.q.min().at > maxIssue {
+			if tl.q.min().at > MaxIssueNS {
 				return pastIssue(tl)
 			}
 			if tl.events == tl.budget {
@@ -608,24 +610,12 @@ func (e *Engine) stopThreads() {
 	}
 }
 
-// SetHorizon (re)arms the measurement horizon: Stopped() returns true from
-// the moment the virtual clock reaches stopAt. Step-driving callers use it
-// in place of Run's stopAt argument. Extending the horizon un-stops a run
-// that had merely crossed the previous horizon, but never one that called
-// RequestStop — an explicit stop is sticky.
-func (e *Engine) SetHorizon(stopAt int64) { e.stopAt = stopAt }
-
-// HasPendingEvents reports whether any event remains scheduled.
-func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
-
-// PeekNextEventTime returns the virtual time of the earliest pending event
-// without processing it; ok is false when no event is pending.
-func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
-	if e.tl.dropStale(); e.tl.q.len() == 0 {
-		return 0, false
-	}
-	return e.tl.q.min().at, true
-}
+// setHorizon (re)arms the measurement horizon: Stopped() returns true from
+// the moment the virtual clock reaches stopAt. Run arms it with its stopAt
+// argument; tests that drive processNextEvent arm it directly. Extending the
+// horizon un-stops a run that had merely crossed the previous horizon, but
+// never one that called RequestStop — an explicit stop is sticky.
+func (e *Engine) setHorizon(stopAt int64) { e.stopAt = stopAt }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
 // destination shard, whose timeline ev.at lies on; every piece of state the
@@ -700,15 +690,15 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 	}
 }
 
-// ProcessNextEvent pops the earliest pending event, advances the virtual
+// processNextEvent pops the earliest pending event, advances the virtual
 // clock to it, and processes it on the calling goroutine (one turn of dispatch
 // on the engine's timeline). It reports whether an event was processed (false means
 // the queue is empty). Panics on time regression, when the event budget is
 // exceeded, when the resumed thread's body panicked, or when the event leaves
 // the queue drained around a parked wait (waitsForever), after every
 // thread has been unwound; the engine is unusable afterwards.
-func (e *Engine) ProcessNextEvent() bool {
-	if !e.HasPendingEvents() {
+func (e *Engine) processNextEvent() bool {
+	if e.pending() == 0 {
 		return false
 	}
 	if e.audit {
@@ -716,7 +706,7 @@ func (e *Engine) ProcessNextEvent() bool {
 		defer e.curShard.Store(auditIdle)
 	}
 	err := e.dispatch(&e.tl, 1)
-	if err == nil && !e.HasPendingEvents() {
+	if err == nil && e.pending() == 0 {
 		err = e.waitsForever()
 	}
 	if err != nil {
@@ -726,26 +716,18 @@ func (e *Engine) ProcessNextEvent() bool {
 	return true
 }
 
-// Step advances the simulation by exactly one event and reports whether
-// more events remain pending — `for e.Step() {}` drains the run. It is
-// ProcessNextEvent with a continuation-friendly return value for callers
-// that interleave their own logic between events.
-func (e *Engine) Step() bool {
-	return e.ProcessNextEvent() && e.HasPendingEvents()
-}
-
 // Run drives the simulation until every thread has exited. Threads observe
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
 //
 // The serial executor is dispatch on the engine's timeline, nothing more
-// (ProcessNextEvent is one turn of it); WithShards engages the conservative
+// (processNextEvent is one turn of it); WithShards engages the conservative
 // windowed executor in shard.go, which returns with every event dispatched —
 // or, when its stop guard says a stop could land in the next window, with the
 // rest of them back on the engine's timeline for the serial loop to finish.
 // Semantics are identical in every mode: event order, the events counter and
 // all memory effects come from the same total order. A dispatch failure (time
-// regression, event-budget livelock, a clock past maxIssue) or a panic in a
+// regression, event-budget livelock, a clock past MaxIssueNS) or a panic in a
 // thread's body panics on the caller's goroutine in all modes, after every
 // other thread has been unwound; the engine is unusable afterwards.
 //
@@ -757,7 +739,7 @@ func (e *Engine) Step() bool {
 // has its wake-up or completion already scheduled, so the queues cannot drain
 // around such a thread unless the engine lost an event.
 func (e *Engine) Run(stopAt int64) {
-	e.SetHorizon(stopAt)
+	e.setHorizon(stopAt)
 	if e.audit {
 		// Post-run inspection (fingerprints, stats readers) is setup/teardown
 		// as far as the auditor is concerned.
@@ -1094,7 +1076,7 @@ func (t *Thread) step() bool {
 // the coroutine) or returns to the event loop (step, on the executor).
 // Exactly one event is counted either way, so the events counter is
 // mode-independent; once the budget is spent, or for an event past
-// maxIssue, it always takes the scheduled path, where dispatch traps.
+// MaxIssueNS, it always takes the scheduled path, where dispatch traps.
 func (t *Thread) tryAdvance(at int64) bool {
 	tl := t.shard.tl
 	if at < tl.now {

@@ -191,7 +191,7 @@ func TestStoppedFlag(t *testing.T) {
 }
 
 func TestRequestStopSurvivesSetHorizon(t *testing.T) {
-	// Regression: SetHorizon used to recompute e.stopped from the clock
+	// Regression: setHorizon used to recompute e.stopped from the clock
 	// alone, silently un-stopping a run whose harness had called
 	// RequestStop. An explicit stop must be sticky across re-arms.
 	p := model.Uniform(10)
@@ -205,8 +205,8 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 			}
 		}
 	})
-	e.SetHorizon(1 << 40)
-	for e.Step() {
+	e.setHorizon(1 << 40)
+	for e.processNextEvent() {
 	}
 	if iters != 50 {
 		t.Fatalf("RequestStop did not cut the run short: %d iterations", iters)
@@ -214,9 +214,9 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 	if !e.Stopped() {
 		t.Fatal("RequestStop did not stop the engine")
 	}
-	e.SetHorizon(1 << 41) // re-arm further out: must NOT un-stop the run
+	e.setHorizon(1 << 41) // re-arm further out: must NOT un-stop the run
 	if !e.Stopped() {
-		t.Fatal("SetHorizon after RequestStop un-stopped the run")
+		t.Fatal("setHorizon after RequestStop un-stopped the run")
 	}
 	var extra int
 	e.Spawn(0, func(ctx api.Ctx) {
@@ -225,7 +225,7 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 			extra++
 		}
 	})
-	for e.Step() {
+	for e.processNextEvent() {
 	}
 	if extra != 0 {
 		t.Fatalf("thread ran %d iterations after a sticky stop", extra)
@@ -236,14 +236,14 @@ func TestSetHorizonRearmsWithoutRequestStop(t *testing.T) {
 	// The flip side of the sticky-stop contract: with no explicit stop,
 	// extending the horizon past the clock un-stops the run.
 	e := New(1, 1024, model.Uniform(10), 1)
-	e.SetHorizon(5)
+	e.setHorizon(5)
 	e.Spawn(0, func(ctx api.Ctx) { ctx.Work(100 * time.Nanosecond) })
-	for e.Step() {
+	for e.processNextEvent() {
 	}
 	if !e.Stopped() {
 		t.Fatal("run past horizon not stopped")
 	}
-	e.SetHorizon(1 << 40)
+	e.setHorizon(1 << 40)
 	if e.Stopped() {
 		t.Fatal("extending the horizon did not re-arm a horizon-only stop")
 	}
@@ -423,6 +423,15 @@ func TestVerbJitterInjectsDelay(t *testing.T) {
 	}
 }
 
+// peekNextEventTime returns the virtual time of the earliest pending event
+// without processing it; ok is false when no event is pending.
+func (e *Engine) peekNextEventTime() (at int64, ok bool) {
+	if e.tl.dropStale(); e.tl.q.len() == 0 {
+		return 0, false
+	}
+	return e.tl.q.min().at, true
+}
+
 func TestStepPrimitivesMatchRun(t *testing.T) {
 	// Driving the engine event by event through the step primitives must
 	// produce exactly the run Run produces: same final time, same event
@@ -451,20 +460,20 @@ func TestStepPrimitivesMatchRun(t *testing.T) {
 	ref.Run(200_000)
 
 	e, w := build()
-	e.SetHorizon(200_000)
+	e.setHorizon(200_000)
 	steps := 0
 	var lastPeek int64 = -1
-	for e.HasPendingEvents() {
-		at, ok := e.PeekNextEventTime()
+	for e.pending() > 0 {
+		at, ok := e.peekNextEventTime()
 		if !ok {
-			t.Fatal("HasPendingEvents true but PeekNextEventTime not ok")
+			t.Fatal("events pending but peekNextEventTime not ok")
 		}
 		if at < lastPeek {
 			t.Fatalf("event times regressed: %d after %d", at, lastPeek)
 		}
 		lastPeek = at
-		if !e.ProcessNextEvent() {
-			t.Fatal("ProcessNextEvent found no event despite pending")
+		if !e.processNextEvent() {
+			t.Fatal("processNextEvent found no event despite pending")
 		}
 		steps++
 	}
@@ -497,11 +506,11 @@ func TestStepDrainsRun(t *testing.T) {
 			iters++
 		}
 	})
-	e.SetHorizon(10_000)
-	for e.Step() {
+	e.setHorizon(10_000)
+	for e.processNextEvent() {
 	}
-	if e.HasPendingEvents() {
-		t.Fatal("Step loop left pending events")
+	if e.pending() > 0 {
+		t.Fatal("step loop left pending events")
 	}
 	if iters < 90 || iters > 110 {
 		t.Fatalf("iterations before stop = %d, want ~100", iters)

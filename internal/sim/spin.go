@@ -65,25 +65,29 @@ const (
 	seqThreadBits = 16
 	seqIssueShift = seqKindBits + seqThreadBits
 	maxThreads    = 1 << seqThreadBits
-	maxIssue      = 1<<(64-seqIssueShift) - 1 // ~9.8 hours of virtual time; past it a timeline traps (pastIssue)
 )
+
+// MaxIssueNS is the latest virtual instant an event key holds, ~9.8 hours:
+// a run whose clock would pass it traps (pastIssue), so harnesses refuse a
+// horizon past it.
+const MaxIssueNS = 1<<(64-seqIssueShift) - 1
 
 // eventSeq is the key of th's event of the given kind issued at issue.
 func eventSeq(issue int64, th int, kind uint8) uint64 {
 	return uint64(issue)<<seqIssueShift | uint64(th)<<seqKindBits | uint64(kind)
 }
 
-// pastIssue is the trap of a timeline whose next event lies past maxIssue:
+// pastIssue is the trap of a timeline whose next event lies past MaxIssueNS:
 // events issued after it would not fit their keys, and their ties would break
-// in the wrong order. A timeline's until ends at maxIssue, so dispatch looks
+// in the wrong order. A timeline's until ends at MaxIssueNS, so dispatch looks
 // at it only there.
 func pastIssue(tl *timeline) error {
-	return fmt.Errorf("sim: virtual time past %dns at t=%dns, the latest instant an event key holds", maxIssue, tl.now)
+	return fmt.Errorf("sim: virtual time past %dns at t=%dns, the latest instant an event key holds", MaxIssueNS, tl.now)
 }
 
 // checkSeq is the test binaries' check that an event's fields fit its key.
 func checkSeq(issue int64, th int, kind uint8) {
-	if issue < 0 || issue > maxIssue || th < 0 || th >= maxThreads || kind >= 1<<seqKindBits {
+	if issue < 0 || issue > MaxIssueNS || th < 0 || th >= maxThreads || kind >= 1<<seqKindBits {
 		panic(fmt.Sprintf("sim: event key overflow (issue %dns, thread %d, kind %d)", issue, th, kind))
 	}
 }
@@ -148,15 +152,15 @@ func (e *Engine) skip(pos *spinPos, before int64) (n uint64) {
 
 // pollAfter returns the end and issue time of the first poll of the loop at
 // pos that comes after the point (at, seq) of the event order: the poll that
-// sees a store made there. Both poll finders give an issue past maxIssue as
-// maxIssue: the poll then ends past it too, where every timeline traps before
+// sees a store made there. Both poll finders give an issue past MaxIssueNS as
+// MaxIssueNS: the poll then ends past it too, where every timeline traps before
 // it runs (pastIssue), so its key need only fit.
 func (e *Engine) pollAfter(pos spinPos, th int, at int64, seq uint64) (int64, int64) {
 	e.skip(&pos, at)
 	for {
 		done, next := e.nextBlock(pos)
 		if !pos.poll && (done > at || eventSeq(pos.at, th, evWake) > seq) {
-			return done, min(pos.at, maxIssue)
+			return done, min(pos.at, MaxIssueNS)
 		}
 		pos = next
 	}
@@ -169,7 +173,7 @@ func (e *Engine) pollAt(pos spinPos, t int64) (int64, int64) {
 	for {
 		done, next := e.nextBlock(pos)
 		if !pos.poll {
-			return done, min(pos.at, maxIssue)
+			return done, min(pos.at, MaxIssueNS)
 		}
 		pos = next
 	}

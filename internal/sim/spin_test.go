@@ -116,8 +116,8 @@ func sameOutcome(t *testing.T, loop, method *Engine) {
 
 // TestSpinWhileMatchesLoop: SpinWhile against the literal Read/Pause loop on
 // twin engines — every wait's return value and return time, Events() and
-// Now() — under Run, Step and the windowed executor, with the access audit on
-// and, in the audit rows, off. Step drains both engines and compares them at
+// Now() — under Run, step and the windowed executor, with the access audit on
+// and, in the audit rows, off. step drains both engines and compares them at
 // the end (a parked wait's skipped polls are no steps of their own, so the
 // two engines take different numbers of steps), and holds the SpinWhile
 // engine to its own Run.
@@ -142,8 +142,8 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 				method, got := spinWorld(seed, spinMethod, d.opts...)
 				if d.step {
 					for _, e := range []*Engine{loop, method} {
-						e.SetHorizon(1 << 40)
-						for e.Step() {
+						e.setHorizon(1 << 40)
+						for e.processNextEvent() {
 						}
 					}
 					run, ran := spinWorld(seed, spinMethod, d.opts...)

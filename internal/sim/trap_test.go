@@ -23,8 +23,8 @@ var trapDrivers = []struct {
 }{
 	{"serial-run", nil, func(e *Engine) { e.Run(1 << 40) }},
 	{"step", nil, func(e *Engine) {
-		e.SetHorizon(1 << 40)
-		for e.Step() {
+		e.setHorizon(1 << 40)
+		for e.processNextEvent() {
 		}
 	}},
 	{"windowed-run", []Option{WithShards(2)}, func(e *Engine) { e.Run(1 << 40) }},
@@ -405,7 +405,7 @@ func TestTrapPastBudgetAfterDrain(t *testing.T) {
 	}
 }
 
-// TestTrapPastLatestIssue: a run whose clock would pass maxIssue, the latest
+// TestTrapPastLatestIssue: a run whose clock would pass MaxIssueNS, the latest
 // issue time an event key holds, traps there with a plain message, clock not
 // past it, instead of packing keys whose ties break in the wrong order —
 // threads stepping past it by Work, and SpinWhile waits whose deadline lies
@@ -421,8 +421,8 @@ func TestTrapPastLatestIssue(t *testing.T) {
 			}
 		}},
 		{"spin-deadline", func(ctx api.Ctx, w ptr.Ptr) {
-			ctx.Work(maxIssue - 1000)
-			ctx.SpinWhile(w, 0, maxIssue+1<<20)
+			ctx.Work(MaxIssueNS - 1000)
+			ctx.SpinWhile(w, 0, MaxIssueNS+1<<20)
 		}},
 	}
 	for _, b := range bodies {
@@ -438,8 +438,8 @@ func TestTrapPastLatestIssue(t *testing.T) {
 				if r == nil || !strings.Contains(fmt.Sprint(r), "latest instant an event key holds") {
 					t.Fatalf("a run past the latest issue time did not trap: %v", r)
 				}
-				if now := e.Now(); now > maxIssue {
-					t.Errorf("trapped at t=%dns, past %dns", now, int64(maxIssue))
+				if now := e.Now(); now > MaxIssueNS {
+					t.Errorf("trapped at t=%dns, past %dns", now, int64(MaxIssueNS))
 				}
 				if first == nil {
 					first = e

@@ -156,11 +156,11 @@ func drivePops(e *Engine, horizon int64) [][]popSeen {
 		return pops
 	}
 	var pops []popSeen
-	e.SetHorizon(horizon)
-	for e.HasPendingEvents() {
+	e.setHorizon(horizon)
+	for e.pending() > 0 {
 		ev := e.tl.q.min()
 		pops = append(pops, popSeen{ev.at, ev.seq, ev.th.id, ev.kind})
-		e.ProcessNextEvent()
+		e.processNextEvent()
 	}
 	return [][]popSeen{pops}
 }
