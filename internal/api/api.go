@@ -206,11 +206,17 @@ type Ctx interface {
 	// f is the caller's own code all the same, bound to the caller's node: it
 	// may read and write only Go state that node's threads own (an idle
 	// worker's queue, an arrival generator's next gap), must not call any
-	// method of this Ctx or of the engine, and must not allocate. Every call
-	// of f, and WorkLoop's return, is a completing call in the sense above:
-	// Go state f wrote is ordered before whatever the caller does next, and
-	// before later calls of f on the same node. A panic in f is the caller's
-	// panic. Loops that wait on a memory word use SpinWhile or SpinUntil.
+	// method of this Ctx or of the engine — save the one an engine offers to
+	// announce a change to Go state that other loops wait on (internal/sim's
+	// Signal.Raise) — and must not allocate. Every call of f, and WorkLoop's
+	// return, is a completing call in the sense above: Go state f wrote is
+	// ordered before whatever the caller does next, and before later calls of
+	// f on the same node. A panic in f is the caller's panic. An engine may
+	// also skip turns whose answer cannot have changed — a loop registered
+	// with internal/sim as a waiter on such state, whose f looks at the state
+	// at a fixed d and changes nothing, is called only at the turns a change
+	// or the stop can end — still counting every turn's Work as the loop
+	// would. Loops that wait on a memory word use SpinWhile or SpinUntil.
 	WorkLoop(f func(now int64, stopped bool) (d time.Duration, again bool))
 
 	// Now returns nanoseconds of engine time since the run began

@@ -42,7 +42,8 @@ import (
 )
 
 // pollNS is the idle worker's re-check quantum. A constant (never drawn
-// from randomness) so service order is a pure function of the schedule.
+// from randomness) so service order is a pure function of the schedule, and
+// so that the engine can skip the looks that find the queue empty (serve).
 const pollNS = 500
 
 // maxQueueCap bounds Spec.QueueCap: each shard allocates its whole admission
@@ -172,9 +173,11 @@ type shard struct {
 	meanGapNS float64 // thinned interarrival mean (1e9 / (λ · W_s))
 
 	// queue is the admission queue: a ring of exactly QueueCap requests
-	// holding n of them, the oldest at head.
+	// holding n of them, the oldest at head. ready is the signal its idle
+	// workers wait on: admit raises it once per admitted request.
 	queue   []request
 	head, n int
+	ready   *sim.Signal
 
 	// Whole-run conservation counters: offered == served + shed always
 	// holds after Finalize (timeouts are a subset of shed).
@@ -238,9 +241,18 @@ type Cluster struct {
 // and spawns every shard's generator and worker threads on the shard's
 // home node. weights must have one non-negative entry per lock (see
 // KeyWeights); a shard whose keys carry zero total weight receives no
-// generator (its thinned rate is zero) but keeps its workers.
+// generator (its thinned rate is zero) but keeps its workers. Each shard's
+// workers wait on its admission queue's signal while they are idle.
 func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 	ft *locks.FenceTable, place Placement, weights []float64, spec Spec) (*Cluster, error) {
+	return install(e, table, prov, ft, place, weights, spec, true)
+}
+
+// install is Install; with parkIdle false the idle workers look at their
+// queue every pollNS as the written-out loop does, which is what the tests
+// hold the parked wait to.
+func install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
+	ft *locks.FenceTable, place Placement, weights []float64, spec Spec, parkIdle bool) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -269,6 +281,7 @@ func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 	prng := e.RNG()
 	for s := 0; s < spec.Shards; s++ {
 		sh := newShard(s, ShardNode(s, nodes), perKeys[s], spec.QueueCap)
+		sh.ready = e.NewSignal(sh.node)
 		if shardW[s] > 0 {
 			sh.pick = stats.NewWeighted(perW[s])
 			sh.meanGapNS = 1e9 / (spec.RateOPS * shardW[s])
@@ -279,7 +292,10 @@ func Install(e *sim.Engine, table *locktable.Table, prov locks.Provider,
 			e.Spawn(sh.node, func(ctx api.Ctx) { c.generate(ctx, sh, rng) })
 		}
 		for w := 0; w < spec.WorkersPerShard; w++ {
-			e.Spawn(sh.node, func(ctx api.Ctx) { c.serve(ctx, sh, prov, ft) })
+			th := e.Spawn(sh.node, func(ctx api.Ctx) { c.serve(ctx, sh, prov, ft) })
+			if parkIdle {
+				sh.ready.Wait(th)
+			}
 		}
 	}
 	return c, nil
@@ -339,7 +355,10 @@ func (c *Cluster) generate(ctx api.Ctx, sh *shard, rng *rand.Rand) {
 	})
 }
 
-// admit applies the shard's admission control to one arrival.
+// admit applies the shard's admission control to one arrival. It runs in a
+// turn of the generator's WorkLoop, where an admitted request raises the
+// queue's signal: of the idle workers, the one whose next look would have
+// seen it first looks.
 func (c *Cluster) admit(sh *shard, r request) {
 	sh.offered++
 	if r.arriveNS >= c.spec.WarmupNS {
@@ -355,6 +374,7 @@ func (c *Cluster) admit(sh *shard, r request) {
 		}
 	}
 	sh.push(r)
+	sh.ready.Raise()
 }
 
 func (c *Cluster) shedOne(sh *shard, r request) {
@@ -371,9 +391,12 @@ func (c *Cluster) serve(ctx api.Ctx, sh *shard, prov locks.Provider, ft *locks.F
 	spec := c.spec
 	h := locks.TokenHandleFor(prov, ctx, ft)
 	cs := time.Duration(spec.CSWorkNS)
-	// An idle worker looks at the queue every pollNS; the look is Go state
-	// only, so the wait is one WorkLoop and costs the worker's thread nothing
-	// until there is a request to take or the run stops.
+	// An idle worker looks at the queue every pollNS. The look is Go state
+	// only, so the wait is one WorkLoop, and one that waits on the queue's
+	// signal (Install): the worker parks between looks, and costs events only
+	// when an admitted request wakes the look that would have seen it first,
+	// or at the horizon. That look takes the request before anything else
+	// runs, so each admission ends at most one wait.
 	idle := func(_ int64, stopped bool) (time.Duration, bool) {
 		return pollNS * time.Nanosecond, !stopped && sh.qlen() == 0
 	}

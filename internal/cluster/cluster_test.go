@@ -277,7 +277,8 @@ func TestParsePolicy(t *testing.T) {
 
 // tinyService installs a two-shard service over an eight-lock ALock table on
 // a two-node engine, runs it to the horizon and returns the engine and the
-// service's metrics.
+// service's metrics, failing the test if a guard was leaked or released twice
+// (locks.FenceTable.Drained) or a request was lost.
 func tinyService(t *testing.T, horizonNS int64, spec Spec, opts ...sim.Option) (*sim.Engine, Metrics) {
 	t.Helper()
 	e := sim.New(2, 1<<16, model.CX3(), 1, opts...)
@@ -289,11 +290,15 @@ func tinyService(t *testing.T, horizonNS int64, spec Spec, opts ...sim.Option) (
 		t.Fatal(err)
 	}
 	spec.Shards, spec.Clients = 2, 1000
-	c, err := Install(e, table, prov, locks.NewFenceTable(), place, KeyWeights(8, 0), spec)
+	ft := locks.NewFenceTable()
+	c, err := Install(e, table, prov, ft, place, KeyWeights(8, 0), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run(horizonNS)
+	if err := ft.Drained(); err != nil {
+		t.Fatal(err)
+	}
 	m := c.Metrics()
 	if m.Offered != m.Served+m.Shed {
 		t.Fatalf("conservation violated: offered %d != served %d + shed %d", m.Offered, m.Served, m.Shed)
@@ -302,12 +307,14 @@ func tinyService(t *testing.T, horizonNS int64, spec Spec, opts ...sim.Option) (
 }
 
 // TestWaitingServiceCostsNoResumes: what the service's threads do while they
-// wait is Go state only, so it must not cost a thread switch. Idle workers (no
-// arrival ever comes) poll their queues three times as often over three times
-// the horizon and are switched to exactly as often; generators whose arrivals
-// all find the workers busy admit and shed hundreds of requests between their
-// two switches, to start and to stop. Under both executors, with conservation
-// exact.
+// wait is Go state only, so it must not cost a thread switch, and an idle
+// worker parks on its queue's signal, so its looks cost no dispatched event
+// either. Idle workers (no arrival ever comes) count three times as many looks
+// over three times the horizon, and are switched to exactly as often and
+// dispatch the same events (Events less Credited) — a start, the horizon's
+// look, a stop; generators whose arrivals all find the workers busy admit and
+// shed hundreds of requests between their two switches, to start and to stop.
+// Under both executors, with conservation exact.
 func TestWaitingServiceCostsNoResumes(t *testing.T) {
 	restore := slots.SetCapacity(8)
 	defer restore()
@@ -329,6 +336,11 @@ func TestWaitingServiceCostsNoResumes(t *testing.T) {
 				t.Errorf("idle service: %d resumes to the horizon, %d to three times it; want the same handful (8 threads start and stop)",
 					short.Resumes(), long.Resumes())
 			}
+			shortRun, longRun := short.Events()-short.Credited(), long.Events()-long.Credited()
+			if shortRun != longRun || shortRun > 8*8 {
+				t.Errorf("idle service: %d events dispatched to the horizon, %d to three times it; want the same handful (8 threads start, look at the horizon and stop)",
+					shortRun, longRun)
+			}
 
 			// Each shard's one worker takes the first request and holds its lock
 			// past the horizon: every later arrival is queued or shed by the
@@ -343,8 +355,30 @@ func TestWaitingServiceCostsNoResumes(t *testing.T) {
 			if got := e.Resumes(); got > 4+2*16 {
 				t.Errorf("busy service: %d arrivals cost %d resumes; the generators' share must not grow with arrivals", m.Offered, got)
 			}
-			t.Logf("idle: %d events, %d resumes; busy: %d arrivals, %d events, %d resumes",
-				long.Events(), long.Resumes(), m.Offered, e.Events(), e.Resumes())
+			t.Logf("idle: %d events, %d dispatched, %d resumes; busy: %d arrivals, %d events, %d resumes",
+				long.Events(), longRun, long.Resumes(), m.Offered, e.Events(), e.Resumes())
+		})
+	}
+}
+
+// TestCriticalSectionReleasesOnce: a worker that serves a request with a
+// critical section (CSWorkNS > 0) releases its guard exactly once, after the
+// section — a second release, on that branch or after it, is a stray that the
+// fence table reports — under both executors, with every served request held
+// at least the section's length.
+func TestCriticalSectionReleasesOnce(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	for _, exec := range []struct {
+		name string
+		opts []sim.Option
+	}{{"serial", nil}, {"windowed", []sim.Option{sim.WithShards(2)}}} {
+		t.Run(exec.name, func(t *testing.T) {
+			const cs = 700
+			_, m := tinyService(t, 200_000, Spec{WorkersPerShard: 2, RateOPS: 2e6, QueueCap: 4, CSWorkNS: cs}, exec.opts...)
+			if m.Served < 100 || m.Hold.Min() < cs {
+				t.Fatalf("served %d, shortest hold %d ns; want a hundred or more, each held at least %d ns", m.Served, m.Hold.Min(), cs)
+			}
 		})
 	}
 }

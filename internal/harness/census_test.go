@@ -8,24 +8,28 @@ import (
 )
 
 // TestServiceResumeCensus counts what the open-loop lock service costs in
-// coroutine switches: the svc/open-loop grid (alock, mcs, spinlock at 0.3-1.2x
-// of nominal capacity; 16 nodes x 12 workers, seed 1) over an eighth of the
-// full-scale measurement window, events and sim.Engine.Resumes summed over the
-// configs. Run with -v to read the census; the assertion pins that a service
-// whose threads mostly wait — idle workers polling their queue, generators
-// between arrivals — switches to a thread on under 0.11 of its events. (Over
-// the full window the grid is 20.74 M events and 2.83 M resumes, 0.14 per
-// event, on the serial executor; before the waits moved into api.Ctx.WorkLoop
-// it was 9.05 M, 0.44. This reduced grid reads 0.136 on the serial executor
-// and 0.103 on the windowed one, where a thread's next operation advances in
-// place whenever its own node has nothing earlier.)
+// dispatched events and coroutine switches: the svc/open-loop grid (alock,
+// mcs, spinlock at 0.3-1.2x of nominal capacity; 16 nodes x 12 workers, seed
+// 1) over an eighth of the full-scale measurement window, events, dispatched
+// events (Events less sim.Engine.Credited) and sim.Engine.Resumes summed over
+// the configs. Run with -v to read the census. The assertions pin that a
+// service whose threads mostly wait — idle workers parked on their queue's
+// signal, generators between arrivals — dispatches under 0.60 of the events
+// it counts and switches to a thread on under 0.11 of them. (Over the full
+// window the grid is 20.74 M events and 2.83 M resumes, 0.14 per event, on the
+// serial executor; before the waits moved into api.Ctx.WorkLoop it was
+// 9.05 M, 0.44. This reduced grid reads 0.136 resumes per event on the serial
+// executor and 0.103 on the windowed one, where a thread's next operation
+// advances in place whenever its own node has nothing earlier. See CHANGES.md
+// for the dispatched share before and after idle workers parked.)
 func TestServiceResumeCensus(t *testing.T) {
 	scale := Scale{TestTiny: testing.Short()}
 	warm, meas := scale.Windows()
 	meas /= 8
 	nodes, threads := scale.BigClusterNodes(), scale.ThreadCounts()
 	workers := threads[len(threads)-1]
-	var events, resumes uint64
+	var events, dispatched, resumes uint64
+	var served int64
 	for _, algo := range []string{"alock", "mcs", "spinlock"} {
 		for _, load := range []float64{0.3, 0.6, 0.9, 1.2} {
 			p, err := Config{
@@ -42,13 +46,21 @@ func TestServiceResumeCensus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%-8s load %.1f: %8d events, %7d resumes, %6d served", algo, load, res.Events, s.e.Resumes(), res.Svc.TotalServed)
+			run := res.Events - s.e.Credited()
+			t.Logf("%-8s load %.1f: %8d events, %8d dispatched, %7d resumes, %6d served (%.1f dispatched per op)",
+				algo, load, res.Events, run, s.e.Resumes(), res.Svc.TotalServed, float64(run)/float64(res.Svc.TotalServed))
 			events += res.Events
+			dispatched += run
 			resumes += s.e.Resumes()
+			served += res.Svc.TotalServed
 		}
 	}
-	t.Logf("svc/open-loop: %d events, %d resumes (%.3f per event)", events, resumes, float64(resumes)/float64(events))
-	// The bound is the reduced grid's: -short's tiny one reads more.
+	t.Logf("svc/open-loop: %d events, %d dispatched (%.3f per event, %.1f per op), %d resumes (%.3f per event)",
+		events, dispatched, float64(dispatched)/float64(events), float64(dispatched)/float64(served), resumes, float64(resumes)/float64(events))
+	// The bounds are the reduced grid's: -short's tiny one reads more.
+	if !testing.Short() && dispatched*100 > events*60 {
+		t.Errorf("%d of %d events dispatched: idle workers are looking at their queues again", dispatched, events)
+	}
 	if !testing.Short() && resumes*100 > events*11 {
 		t.Errorf("%d resumes over %d events: the service's waits are switching threads again", resumes, events)
 	}

@@ -190,3 +190,22 @@ func TestRegionFitIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestThinkPastHorizonIsRefused is `alockbench -nodes 1 -threads 1 -locks 1
+// -think 2h -measure 9h`: the horizon (9 h and the 400 us warm-up) fits an
+// event key, but the think time a thread starts just before it ends past
+// sim.MaxIssueNS. The gate refuses it with one line naming the wait, where
+// the run used to panic with a stack trace when its clock got there.
+func TestThinkPastHorizonIsRefused(t *testing.T) {
+	cfg := Config{Algorithm: "alock", Nodes: 1, ThreadsPerNode: 1, Locks: 1,
+		Think: 2 * time.Hour, WarmupNS: 400_000, MeasureNS: (9 * time.Hour).Nanoseconds()}
+	_, err := Run(cfg)
+	want := "harness: warmup 400000 ns + measurement window 32400000000000 ns + the longest wait begun before them, 7200000000000 ns, past the engine's 35184372088831 ns horizon"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+	cfg.Think = time.Hour / 2 // 9.5 h in all, under the 9.77 h an event key holds
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a half-hour think before a 9 h horizon refused: %v", err)
+	}
+}

@@ -62,7 +62,7 @@ func TestTargetOpsHandoffMatchesSerial(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("result diverged from the serial executor's (ops %d / %d, events %d / %d)", got.Ops, want.Ops, got.Events, want.Events)
 				}
-				// 0 is auto: one worker unless the first windows paid for the
+				// 0 is auto: one worker unless the windows paid for the
 				// slot budget's capacity (8), capped by the CPU and node counts
 				// (2 nodes).
 				width := min(shards, c.Nodes)

@@ -162,7 +162,7 @@ type Config struct {
 	WordsPerNode int
 	// EngineShards is the engine's worker count for the conservative
 	// windowed executor: 0 is auto — the Run caller alone until the run's
-	// first windows carry enough events to pay for a barrier, then as many
+	// windows carry enough events to pay for a barrier, then as many
 	// workers as the process execution-slot budget grants (up to GOMAXPROCS
 	// or the CPU count, whichever is lower) for as long as they pay — 1 the
 	// Run caller alone, 2 or more that many workers (capped by the budget).
@@ -209,6 +209,18 @@ func (c Config) withDefaults() Config {
 		c.TxnBackoff = c.AcquireTimeout
 	}
 	return c
+}
+
+// tailNS is how long a thread may run past the horizon before it next looks
+// at the stop: a burst's off phase or a transaction's longest back-off, then
+// an acquire's deadline, the longest hold (critical section, lease or
+// abandoned hold) and the think time. Each term is clamped to [0,
+// MaxIssueNS+1], so the sum cannot overflow; a negative duration is the
+// workload gate's to reject.
+func (c Config) tailNS() int64 {
+	d := func(x time.Duration) int64 { return min(max(int64(x), 0), sim.MaxIssueNS+1) }
+	pause := max(d(c.BurstOff), d(c.TxnBackoff)<<workload.TxnBackoffCapExp)
+	return pause + d(c.AcquireTimeout) + max(d(c.CSWork), d(c.LeaseHold), d(c.AbandonHold)) + d(c.Think)
 }
 
 // OpenLoop reports whether the config runs the open-loop lock service
@@ -325,11 +337,13 @@ func (c Config) check() (plan, error) {
 	if c.MeasureNS <= 0 {
 		return fail("measurement window %d ns", c.MeasureNS)
 	}
-	// The run's horizon, WarmupNS + MeasureNS, must be an instant an event
-	// key holds; the compare is written so that the sum cannot overflow.
-	if c.WarmupNS > sim.MaxIssueNS || c.MeasureNS > sim.MaxIssueNS-max(c.WarmupNS, 0) {
-		return fail("warmup %d ns + measurement window %d ns past the engine's %d ns horizon",
-			c.WarmupNS, c.MeasureNS, int64(sim.MaxIssueNS))
+	// The run's horizon, WarmupNS + MeasureNS, and the longest wait a thread
+	// may begin before it and end after it must be instants an event key
+	// holds; the compares are written so that the sums cannot overflow.
+	if tail := c.tailNS(); c.WarmupNS > sim.MaxIssueNS || c.MeasureNS > sim.MaxIssueNS-max(c.WarmupNS, 0) ||
+		tail > sim.MaxIssueNS-max(c.WarmupNS, 0)-c.MeasureNS {
+		return fail("warmup %d ns + measurement window %d ns + the longest wait begun before them, %d ns, past the engine's %d ns horizon",
+			c.WarmupNS, c.MeasureNS, tail, int64(sim.MaxIssueNS))
 	}
 	if c.HomeSkewPct < 0 || c.HomeSkewPct > 100 {
 		return fail("home skew %d%%", c.HomeSkewPct)

@@ -122,4 +122,25 @@ func TestEngineCensus(t *testing.T) {
 	}
 	t.Logf("timed-rw-txn: %d events, %d dispatched, %d ops: %.2f counted, %.2f dispatched per op",
 		events, dispatched, ops, float64(events)/float64(ops), float64(dispatched)/float64(ops))
+
+	// The benchmark's svc-open pass, each config with the width auto width took
+	// it to (WindowStats Width, and WideAt: the windows it ran before it went
+	// wide).
+	events, dispatched, ops = 0, 0, 0
+	for _, name := range []string{"svc/open-loop", "svc/shed-overload"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		for _, cfg := range sc.Configs(harness.Scale{}) {
+			res, e := engineRun(t, cfg, false)
+			ws, run := e.WindowStats(), res.Events-e.Credited()
+			t.Logf("%-17s %-8s %9.0f ops/s %-9s: %8d events, %8d dispatched (%.1f per op), %5.0f per window, width %d from window %d of %d",
+				name, cfg.Algorithm, cfg.ArrivalRate, cfg.SvcAdmission, res.Events, run, float64(run)/float64(res.Svc.TotalServed),
+				float64(ws.Events)/float64(ws.Windows), ws.Width, ws.WideAt, ws.Windows)
+			events, dispatched, ops = events+res.Events, dispatched+run, ops+uint64(res.Svc.TotalServed)
+		}
+	}
+	t.Logf("svc-open: %d events, %d dispatched, %d ops served: %.2f counted, %.2f dispatched per op",
+		events, dispatched, ops, float64(events)/float64(ops), float64(dispatched)/float64(ops))
 }

@@ -379,7 +379,11 @@ func rcasByLegs(rearms *atomic.Int64) rcasFn {
 		}
 		execAt, doneAt := t.loopVerbTimes(p)
 		wait(execAt)
-		for !t.shard.holdTorn(p) {
+		for {
+			// The write half ends the tear TornGapNS on, at its block's key.
+			if _, ok := t.shard.holdTorn(p, wakeID{t.now() + t.e.p.TornGapNS, eventSeq(t.now(), t.id, evWake)}); ok {
+				break
+			}
 			rearms.Add(1) // threads of several shards count here, in parallel windows
 			wait(t.now() + t.e.p.SpinPollMinNS)
 		}
@@ -408,12 +412,17 @@ func rcasByLegs(rearms *atomic.Int64) rcasFn {
 // and write halves land after doneAt. Two worlds built from one seed differ
 // only in rcas.
 func tornWorld(seed int64, rcas rcasFn, opts ...Option) (*Engine, []ptr.Ptr, [][]seen) {
-	setup := rand.New(rand.NewSource(seed))
-	nodes := 2 + setup.Intn(3)
 	p := model.CX3()
 	if seed%2 == 1 {
 		p.TornGapNS = 700
 	}
+	return tornWorldOn(seed, rcas, p, opts...)
+}
+
+// tornWorldOn is tornWorld under the cost model p.
+func tornWorldOn(seed int64, rcas rcasFn, p model.Params, opts ...Option) (*Engine, []ptr.Ptr, [][]seen) {
+	setup := rand.New(rand.NewSource(seed))
+	nodes := 2 + setup.Intn(3)
 	// A world is some ten thousand events; the budget turns a word that is
 	// never released into a trap instead of a read half that polls for ever.
 	e := New(nodes, 1<<12, p, seed, append([]Option{WithMaxEvents(1 << 20)}, opts...)...)
@@ -608,5 +617,94 @@ func TestTornLoopbackRCASTearsAgainstLocalCAS(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lost[0], lost[1]) {
 		t.Fatalf("the tear is open at different instants\nRCAS:    %v\nby legs: %v", lost[0], lost[1])
+	}
+}
+
+// withStepTorn makes a torn read half that finds its word held retry every
+// SpinPollMinNS, the loop retryTorn's leap is held to.
+func withStepTorn(e *Engine) { e.stepTorn = true }
+
+// hotWordWorld spawns six threads on each of three nodes that aim 200 remote
+// RCASes each at one word of node 0, under the cost model p, and records what
+// every RCAS returned and when.
+func hotWordWorld(p model.Params, opts ...Option) (*Engine, []ptr.Ptr, [][]seen) {
+	e := New(4, 1024, p, 1, opts...)
+	w := e.Space().AllocLine(0)
+	var log [][]seen
+	for n := 1; n < 4; n++ {
+		for k := 0; k < 6; k++ {
+			id := len(log)
+			log = append(log, nil)
+			e.Spawn(n, func(ctx api.Ctx) {
+				for i := 0; i < 200; i++ {
+					v := ctx.RCAS(w, uint64(i%3), uint64(i%2))
+					log[id] = append(log[id], seen{v, ctx.Now()})
+					ctx.Work(time.Duration(i % 7))
+				}
+			})
+		}
+	}
+	return e, []ptr.Ptr{w}, log
+}
+
+// TestTornRetryLeapMatchesLoop: a remote torn RCAS whose read half finds its
+// word held leaps to the first retry after the hold's release, against the
+// same worlds retrying every SpinPollMinNS — final clock, Events, memory
+// image, NIC stats and every thread's (value, time) observations equal, under
+// both executors. The worlds are tornWorld's under CX3 and under a 2 ns NIC,
+// whose verbs queue up behind tears, and a hot word that eighteen remote
+// threads hammer; tears run from shorter than one retry to longer than the
+// verb, and a tear of exactly one retry under the fast NIC makes retries land
+// on the release's instant, where the event order decides. The leap must
+// dispatch no more events, and must skip retries.
+func TestTornRetryLeapMatchesLoop(t *testing.T) {
+	restore := slots.SetCapacity(8)
+	defer restore()
+	type world func(opts ...Option) (*Engine, []ptr.Ptr, [][]seen)
+	var worlds []world
+	for _, gap := range []int64{6, 12, 13, 24, 180, 700} {
+		p, fast := model.CX3(), model.CX3()
+		p.TornGapNS, fast.TornGapNS = gap, gap
+		fast.NICServiceNS, fast.QPCMissPenaltyNS = 2, 0
+		worlds = append(worlds, func(opts ...Option) (*Engine, []ptr.Ptr, [][]seen) { return hotWordWorld(fast, opts...) })
+		for seed := int64(1); seed <= 4; seed++ {
+			worlds = append(worlds,
+				func(opts ...Option) (*Engine, []ptr.Ptr, [][]seen) { return tornWorldOn(seed, rcasMethod, p, opts...) },
+				func(opts ...Option) (*Engine, []ptr.Ptr, [][]seen) {
+					return tornWorldOn(seed, rcasMethod, fast, opts...)
+				})
+		}
+	}
+	drivers := []struct {
+		name string
+		opts []Option
+	}{
+		{"serial", nil},
+		{"windowed-2", []Option{WithShards(2)}},
+		{"windowed-4", []Option{WithShards(4)}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var leapt uint64
+			for i, w := range worlds {
+				want, words, wantLog := w(append([]Option{withStepTorn}, d.opts...)...)
+				got, _, gotLog := w(d.opts...)
+				want.Run(1 << 40)
+				got.Run(1 << 40)
+				if w, g := fingerprint(want, words), fingerprint(got, words); w != g {
+					t.Fatalf("world %d: runs ended differently\nloop: %s\nleap: %s", i, w, g)
+				}
+				if !reflect.DeepEqual(wantLog, gotLog) {
+					t.Fatalf("world %d: threads observed different values or times", i)
+				}
+				if w, g := want.Events()-want.Credited(), got.Events()-got.Credited(); g > w {
+					t.Fatalf("world %d: the leap dispatched %d events, the loop %d", i, g, w)
+				}
+				leapt += got.Credited() - want.Credited()
+			}
+			if leapt < 1000 {
+				t.Fatalf("the leaps skipped %d retries: too few to mean anything", leapt)
+			}
+		})
 	}
 }

@@ -47,9 +47,13 @@
 // A thread parked in SpinWhile or SpinUntil costs its shard nothing per poll:
 // a store to its word pushes the one poll that sees it, and the polls between
 // are credited, not dispatched (spin.go) — a wait costs events per store, not
-// per poll. Near the event budget, which counts dispatched events only, the
-// barrier hands the Run to the serial loop (nearBudget), so that the budget
-// traps where the serial loop's would.
+// per poll. So does a WorkLoop waiting on a Signal, per raise, and the barrier
+// queues its horizon's look before the first window that could reach the
+// horizon (armHorizon). A torn read half that finds its word held retries once
+// the tear is over (retryTorn), with the retries in between credited. Near the
+// event budget, which counts dispatched events only, the barrier hands the
+// Run to the serial loop (nearBudget), so that the budget traps where the
+// serial loop's would.
 //
 // The windows pay before any second core does. Inside one a node's threads
 // run ahead of every other node's events, so a local op is popped from a
@@ -64,10 +68,10 @@
 //
 // When the pool goes wide: at an explicit width (WithShards(n), n >= 2) from
 // the first window to the last, with as many helpers as the slot budget
-// grants; at auto width (WithShards(0), the harness default) only once the
-// Run's first windows carry crossoverEvents events each on average — then
-// with as many helpers as the budget grants, up to its capacity or the CPU
-// count — and never if they carry fewer (widen). A wide auto pool whose
+// grants; at auto width (WithShards(0), the harness default) only once
+// probeWindows windows in a row carry crossoverEvents events each on average —
+// then with as many helpers as the budget grants, up to its capacity or the
+// CPU count — and never while they carry fewer (widen). A wide auto pool whose
 // windows shrink, or whose helpers turn out to have no core of their own,
 // goes back to one worker (check). Small-window Runs stay on one worker,
 // where a barrier costs no round trip.
@@ -116,12 +120,20 @@ type shard struct {
 	remoteInFlight int
 
 	// tornHeld lists the words on this node currently mid-tear under a remote
-	// RMW (model.TornRCAS): the responder serializes remote atomics, so
-	// other remote RMWs on the word stall until the write half lands. A tear
-	// lasts TornGapNS, so a handful of words at most are in it at once and a
-	// linear scan beats hashing the pointer (holdTorn, releaseTorn). Owned by
-	// this shard's timeline under both executors.
-	tornHeld []ptr.Ptr
+	// RMW (model.TornRCAS), each with the point of the event order where the
+	// tear's write half releases it: the holder's evTornWrite, or a loopback
+	// tear's opTornWrite block. The responder serializes remote atomics, so
+	// other remote RMWs on the word stall until the release, and a remote
+	// read half that finds its word held retries at the first of its
+	// SpinPollMinNS polls after it (retryTorn). A tear lasts TornGapNS, so a
+	// handful of words at most are in it at once and a linear scan beats
+	// hashing the pointer (holdTorn, releaseTorn). Owned by this shard's
+	// timeline under both executors.
+	tornHeld []tornHold
+
+	// ticker is the thread whose WorkLoop turn is running on the shard, if
+	// one is (Signal.Raise reads where it stands).
+	ticker *Thread
 
 	// Windowed-executor state. outbox buffers cross-shard sends until the
 	// next barrier. active marks the shard as executing the current window,
@@ -130,6 +142,13 @@ type shard struct {
 	outbox []event
 	active atomic.Bool
 	trap   error
+}
+
+// tornHold is a word mid-tear and the point of the event order at which the
+// tear's write half releases it.
+type tornHold struct {
+	p   ptr.Ptr
+	rel wakeID
 }
 
 // tornWrite is the write half of a torn remote CAS, captured at read-half
@@ -145,22 +164,45 @@ func newShard(e *Engine, node int) *shard {
 }
 
 // holdTorn marks the word at p as mid-tear for the remote RMW whose read half
-// is executing, and reports whether it could: false means another remote RMW
-// holds the word and the caller must look again later.
-func (s *shard) holdTorn(p ptr.Ptr) bool {
-	for _, held := range s.tornHeld {
-		if held == p {
-			return false
+// is executing, until its write half at rel, and reports whether it could:
+// false means another remote RMW holds the word, until the release it
+// returns, and the caller must look again later.
+func (s *shard) holdTorn(p ptr.Ptr, rel wakeID) (wakeID, bool) {
+	for _, h := range s.tornHeld {
+		if h.p == p {
+			return h.rel, false
 		}
 	}
-	s.tornHeld = append(s.tornHeld, p)
-	return true
+	s.tornHeld = append(s.tornHeld, tornHold{p, rel})
+	return rel, true
+}
+
+// retryTorn queues the retry of t's torn RCAS, whose read half found its word
+// held at x: the retries on the verb's SpinPollMinNS grid after x that come
+// before the hold's release rel in the event order would find the word held
+// too, so only the first one after it is queued — at the key it would have
+// had, its issue capped at MaxIssueNS as pollAfter's is — and the rest are
+// credited when it pops.
+func (e *Engine) retryTorn(s *shard, t *Thread, x int64, rel wakeID) {
+	poll := e.p.SpinPollMinNS
+	k := max(1, (rel.at-x+poll-1)/poll)
+	if e.stepTorn {
+		k = 1
+	} else if x+k*poll == rel.at && eventSeq(min(x+(k-1)*poll, MaxIssueNS), t.id, evExec) < rel.seq {
+		k++
+	}
+	issue := min(x+(k-1)*poll, MaxIssueNS)
+	if e.audit {
+		checkSeq(issue, t.id, evExec)
+	}
+	t.verb.skipped = uint64(k - 1)
+	s.tl.q.push(event{at: x + k*poll, seq: eventSeq(issue, t.id, evExec), th: t, kind: evExec, dst: int16(s.node)})
 }
 
 // releaseTorn ends the tear holdTorn began on p: its write half has landed.
 func (s *shard) releaseTorn(p ptr.Ptr) {
 	for i, held := range s.tornHeld {
-		if held == p {
+		if held.p == p {
 			last := len(s.tornHeld) - 1
 			s.tornHeld[i] = s.tornHeld[last]
 			s.tornHeld = s.tornHeld[:last]
@@ -200,8 +242,9 @@ const (
 // while it is still one worker, it looks at the mean events per window since
 // its last look (widen): at crossoverEvents or more it asks the slot budget
 // for helpers — asking again at the next look if it was granted none — and
-// below it stays one worker to the end. Once wide, it looks every checkNS
-// whether going wide still pays (check), and gives the helpers back if not.
+// below it stays one worker until a later look finds more. Once wide, it looks
+// every checkNS whether going wide still pays (check), and gives the helpers
+// back if not.
 //
 // crossoverEvents is where a second worker starts to pay on the 2-vCPU host
 // the repo is measured on. cmd/bench's engine/barrier case prices what a
@@ -456,17 +499,14 @@ func (p *windowPool) spawn(helpers int) {
 
 // widen spawns as many helpers as the slot budget grants, up to limit-1, if
 // the windows since the last look carried crossoverEvents events each on
-// average; it stops looking for the rest of the Run if they did not, and
-// looks again probeWindows later if the budget had no slot to give.
+// average, and looks again probeWindows later if they did not or the budget
+// had no slot to give: a Run's first windows need not be its typical ones (a
+// lock service's start, before its queues fill, dispatches little).
 func (p *windowPool) widen() {
 	events, windows := p.stats.Events-p.lookEvents, p.stats.Windows-p.lookWindows
 	p.lookEvents, p.lookWindows = p.stats.Events, p.stats.Windows
-	if events < crossoverEvents*windows {
-		p.nextLook = math.MaxUint64
-		return
-	}
 	p.nextLook = p.stats.Windows + probeWindows
-	if p.retires > 0 && p.clock() < p.wideAfter {
+	if events < crossoverEvents*windows || p.retires > 0 && p.clock() < p.wideAfter {
 		return
 	}
 	if extra := slots.TryAcquire(p.limit - 1); extra > 0 {
@@ -805,15 +845,14 @@ func (e *Engine) runWindowed() {
 			pool.stats.MaxOutbox = max(pool.stats.MaxOutbox, len(s.outbox))
 			s.outbox = s.outbox[:0]
 		}
-		// Global minimum head; done when every queue is empty.
-		minHead, any := int64(0), false
-		for _, s := range e.shards {
-			if s.own.q.len() == 0 {
-				continue
-			}
-			if h := s.own.q.min().at; !any || h < minHead {
-				minHead, any = h, true
-			}
+		// Global minimum head; done when every queue is empty. The horizon
+		// looks of parked WorkLoop waits are queued before the first window
+		// that could reach the horizon, or once nothing else is left: they lie
+		// at or past it, and no window before has run past it.
+		minHead, any := e.minHead()
+		if e.hzAt != math.MaxInt64 && (!any || minHead+e.lookahead > e.hzAt) {
+			e.armHorizon()
+			minHead, any = e.minHead()
 		}
 		if !any {
 			return
@@ -860,6 +899,20 @@ func (e *Engine) runWindowed() {
 			}
 		}
 	}
+}
+
+// minHead returns the earliest head of the shards' own queues, and false if
+// every queue is empty.
+func (e *Engine) minHead() (minHead int64, any bool) {
+	for _, s := range e.shards {
+		if s.own.q.len() == 0 {
+			continue
+		}
+		if h := s.own.q.min().at; !any || h < minHead {
+			minHead, any = h, true
+		}
+	}
+	return minHead, any
 }
 
 // nearBudget reports whether the event budget has at most margin events of

@@ -93,9 +93,14 @@
 // look again`: the lock service's idle workers and arrival generators): when a
 // turn's Work has elapsed, step calls the loop's function on the executor
 // (Thread.tick) and re-arms the entry, and the coroutine runs again only when
-// the function ends the loop. That function and SpinUntil's predicate are
-// thread code that happens to run off the coroutine — bound to the thread's
-// node, Go state only, its panic the thread's panic. post and step share
+// the function ends the loop. A thread registered as a waiter on a Signal
+// (the service's admission queue) parks between its loop's looks the way a
+// spinner parks on its word, and costs events when the Signal is raised or the
+// run stops, not per look (spin.go). A torn remote RCAS whose read half finds
+// its word mid-tear retries at the first of its SpinPollMinNS polls after the
+// tear's write half, not at each of them (retryTorn). The loop's function and
+// SpinUntil's predicate are thread code that happens to run off the coroutine
+// — bound to the thread's node, Go state only, its panic the thread's panic. post and step share
 // tryAdvance, the test for whether an operation can advance the clock in place
 // instead of scheduling. api.Ctx states the contract this puts on callers (Go
 // state shared between threads is ordered by a completing call, never by a
@@ -133,7 +138,8 @@
 // live thread ends with a panic. A thread parked in SpinWhile or SpinUntil
 // then waits forever — nothing is left to store to its word — and the panic
 // names it, the call and the word; that is a workload's bug, such as a lock
-// handed to nobody.
+// handed to nobody. So does a WorkLoop parked on a Signal with no horizon
+// left to end it.
 // Any other live thread is "blocked forever", which only an engine that lost
 // an event can cause.
 package sim
@@ -209,12 +215,15 @@ func destFor(kind uint8, t *Thread) int16 {
 // timeline of the thread's shard, whichever that is.
 //
 // events counts what the loop dispatched (popped, or advanced in place), and
-// credited the wait-loop blocks that parked threads skipped (spin.go): the two
-// together are the loop's Events. The loop dispatches events before until —
-// the window end or MaxIssueNS+1, whichever is first — while fewer than budget
-// are dispatched: the event budget on the engine's timeline, what was left of
-// it when the Run began on a shard's own. stale counts the queued deadline
-// reads that pop to nothing.
+// credited the wait-loop blocks that parked threads skipped (spin.go) and the
+// torn read-half retries a leap skipped (retryTorn): the two together are the
+// loop's Events. The loop dispatches events before until — the window end or
+// MaxIssueNS+1, whichever is first, and on the engine's timeline the instant
+// at which the horizon's looks of parked WorkLoop waits are still to be queued
+// (Engine.hzAt) — while fewer than budget are dispatched: the event budget on
+// the engine's timeline, what was left of it when the Run began on a shard's
+// own. stale counts the queued deadline reads and horizon looks that pop to
+// nothing.
 type timeline struct {
 	// What every dispatch and tryAdvance reads, first.
 	q        eventQueue
@@ -274,6 +283,13 @@ type Engine struct {
 	stopRequested bool
 
 	threads []*Thread
+	// loopers are the threads that wait on a Signal, and hzAt the instant at
+	// which the executor queues their horizon looks (armHorizon): the horizon
+	// itself until it has, MaxInt64 after — or when no thread waits on a
+	// Signal, or the horizon lies past MaxIssueNS. The serial loop's until
+	// stops at it; the windowed executor's barrier arms it.
+	loopers []*Thread
+	hzAt    int64
 
 	maxEvents uint64
 
@@ -289,6 +305,9 @@ type Engine struct {
 	// executor dispatches, on the worker that owns the shard. Test hook (the
 	// safe-window and ownership tests); nil in production.
 	onWindowEvent func(s *shard, ev event)
+	// stepTorn, a test hook, makes retryTorn queue every retry of a torn read
+	// half, SpinPollMinNS apart: the loop its leap is held to.
+	stepTorn bool
 	// onBarrier, when non-nil, runs on the coordinator at every barrier of a
 	// windowed Run, before the window is handed out. Test hook (a coordinator
 	// slower than the helpers' spin budget); nil in production.
@@ -301,7 +320,8 @@ type Option func(*Engine)
 // WithMaxEvents overrides the runaway-simulation guard (default 2^33): the
 // number of events the executors may dispatch — pop, or advance in place —
 // before the engine traps as a livelock. The polls a thread parked in
-// SpinWhile or SpinUntil skips are credited to Events but spend none of it.
+// SpinWhile or SpinUntil skips, the looks of a WorkLoop parked on a Signal and
+// the torn retries a leap skips are credited to Events but spend none of it.
 func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
@@ -313,7 +333,7 @@ func WithMaxEvents(n uint64) Option {
 // with no helper goroutine and no execution slot: windows still pay on one
 // core, since a node's local events run without being ordered against every
 // other node's. More workers run up to that many shards' windows
-// concurrently. 0 is auto: each Run starts on one worker and, once its first
+// concurrently. 0 is auto: each Run starts on one worker and, once its
 // windows carry enough events to pay for the barrier, takes as many helpers
 // as the execution-slot budget (internal/slots) grants, up to its capacity
 // or the CPU count, and gives them back if they stop paying.
@@ -351,6 +371,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		rngs:      NewPartitionedRNG(seed),
 		tl:        timeline{wend: math.MaxInt64, until: MaxIssueNS + 1},
 		stopAt:    math.MaxInt64,
+		hzAt:      math.MaxInt64,
 		maxEvents: 1 << 33,
 		lookahead: p.RemoteWireNS,
 		audit:     testing.Testing(),
@@ -407,15 +428,21 @@ func (e *Engine) Now() int64 { return e.tl.now }
 // RequestStop makes Stopped() return true from this point on, regardless
 // of the time horizon. It may be called from inside a simulated thread
 // (e.g. by a measurement harness once it has collected enough operations).
-// An explicit stop is sticky: no subsequent setHorizon re-arms the run.
-// Inside a window other shards would observe the stop without a
-// deterministic cross-shard order, so a thread that may stop a windowed Run
-// needs a stop guard (SetStopGuard) that hands the Run to the serial loop
-// first; a RequestStop inside a window panics — no guard, or one whose bound
-// is unsound.
+// An explicit stop is sticky: no subsequent setHorizon re-arms the run. It
+// panics while a WorkLoop is parked on a Signal (Signal.Wait), which would see
+// the stop only at the horizon. Inside a window other shards would observe the
+// stop without a deterministic cross-shard order, so a thread that may stop a
+// windowed Run needs a stop guard (SetStopGuard) that hands the Run to the
+// serial loop first; a RequestStop inside a window panics — no guard, or one
+// whose bound is unsound.
 func (e *Engine) RequestStop() {
 	if e.windowed() {
 		panic("sim: RequestStop inside a window: the stop guard is missing or its bound is unsound")
+	}
+	for _, t := range e.loopers {
+		if t.spin.inLoop() {
+			panic(fmt.Sprintf("sim: RequestStop while thread %d is parked in a WorkLoop on a Signal", t.id))
+		}
 	}
 	e.stopRequested = true
 }
@@ -436,13 +463,14 @@ func (e *Engine) Stopped() bool { return e.stoppedAt(e.tl.now) }
 func (e *Engine) stoppedAt(now int64) bool { return e.stopRequested || now >= e.stopAt }
 
 // Events returns the number of events processed so far: every block of a
-// parked wait loop counts, skipped or not, once the poll that ends the skip
-// has run.
+// parked wait loop and every torn retry counts, skipped or not, once the poll,
+// look or retry that ends the skip has run.
 func (e *Engine) Events() uint64 { return e.tl.events + e.tl.credited }
 
 // Credited returns how many of Events() are wait-loop blocks that parked
-// threads skipped (spin.go): counted, never dispatched. Like Events it is for
-// use between Steps or after Run.
+// threads skipped (spin.go) and torn retries a leap skipped (retryTorn):
+// counted, never dispatched. Like Events it is for use between Steps or after
+// Run.
 func (e *Engine) Credited() uint64 { return e.tl.credited }
 
 // Resumes returns how many times the executor has switched into a simulated
@@ -538,6 +566,11 @@ func (e *Engine) dispatch(tl *timeline, limit int) error {
 			if tl.events > tl.budget {
 				return e.exceeded(tl) // a windowed Run's last windows took the count past it
 			}
+			if tl == &e.tl && e.hzAt != math.MaxInt64 && (tl.q.len() == 0 || tl.q.min().at >= e.hzAt) {
+				e.armHorizon() // nothing before the horizon is left
+				n--
+				continue
+			}
 			if tl.q.len() == 0 || tl.q.min().at >= tl.wend {
 				return nil
 			}
@@ -615,7 +648,13 @@ func (e *Engine) stopThreads() {
 // argument; tests that drive processNextEvent arm it directly. Extending the
 // horizon un-stops a run that had merely crossed the previous horizon, but
 // never one that called RequestStop — an explicit stop is sticky.
-func (e *Engine) setHorizon(stopAt int64) { e.stopAt = stopAt }
+func (e *Engine) setHorizon(stopAt int64) {
+	e.stopAt, e.hzAt = stopAt, math.MaxInt64
+	if len(e.loopers) > 0 && stopAt <= MaxIssueNS {
+		e.hzAt = stopAt
+	}
+	e.tl.until = min(MaxIssueNS+1, e.hzAt)
+}
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
 // destination shard, whose timeline ev.at lies on; every piece of state the
@@ -635,10 +674,16 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 		e.scheduleEv(s, rxDone, evExec, t)
 	case evExec:
 		if v.op == verbCAS && e.p.TornRCAS {
-			if !s.holdTorn(v.p) {
+			if v.skipped != 0 {
+				s.tl.credited += v.skipped
+				v.skipped = 0
+			}
+			rel := wakeID{ev.at + e.p.TornGapNS, eventSeq(ev.at, t.id, evTornWrite)}
+			if held, ok := s.holdTorn(v.p, rel); !ok {
 				// The responder serializes remote atomics: another remote
-				// RMW holds the word mid-tear, so this one re-polls.
-				e.scheduleEv(s, ev.at+e.p.SpinPollMinNS, evExec, t)
+				// RMW holds the word mid-tear, so this one re-polls once the
+				// tear is over (retryTorn).
+				e.retryTorn(s, t, ev.at, held)
 				return
 			}
 			v.result = *e.space.WordAddr(v.p) // read half
@@ -718,7 +763,9 @@ func (e *Engine) processNextEvent() bool {
 
 // Run drives the simulation until every thread has exited. Threads observe
 // Stopped() == true once the virtual clock reaches stopAt and are expected
-// to wind down (finishing in-flight critical sections so queues drain).
+// to wind down (finishing in-flight critical sections so queues drain); a
+// WorkLoop parked on a Signal sees it at its first look at or past stopAt,
+// which the executor queues once it gets there (armHorizon).
 //
 // The serial executor is dispatch on the engine's timeline, nothing more
 // (processNextEvent is one turn of it); WithShards engages the conservative
@@ -779,14 +826,18 @@ const (
 )
 
 // verbState is the in-flight remote verb: target, operation, this verb's
-// wire latency (jitter included — the completion leg reuses it), and the
-// slot the responder-side handlers fill for the requester to read back.
+// wire latency (jitter included — the completion leg reuses it), the slot the
+// responder-side handlers fill for the requester to read back, and the
+// responder's count of skipped retries.
 type verbState struct {
 	p        ptr.Ptr
 	op       uint8
 	old, val uint64
 	wire     int64
 	result   uint64
+	// skipped counts the torn read-half retries the verb's queued evExec
+	// leapt over (retryTorn), credited when it pops.
+	skipped uint64
 }
 
 // Thread is one simulated thread; it implements api.Ctx.
@@ -848,9 +899,11 @@ type Thread struct {
 	spinIter  int64
 	loopPanic any
 	// spin is the thread's parked wait, and stales its deadline reads still
-	// queued after a store ended their waits (spin.go).
+	// queued after a store ended their waits (spin.go). signal is the Signal
+	// the thread's WorkLoops wait on, if it waits on one (Signal.Wait).
 	spin   spinWait
 	stales []wakeID
+	signal *Signal
 }
 
 // Local operation kinds: what step does when a FIFO entry's latency has
@@ -1029,11 +1082,23 @@ func (t *Thread) step() bool {
 			}
 			t.spinIter = op.iter
 		case opLoop:
-			if d := t.tick(); d > 0 { // the loop goes on: its next Work
+			t.wake(op)
+			t.shard.ticker = t
+			d := t.tick()
+			t.shard.ticker = nil
+			switch {
+			case d > 0 && t.signal != nil:
+				if t.parkLoop(d) { // a look that learnt nothing: the thread waits on its signal
+					return false
+				}
+			case d > 0: // the loop goes on: its next Work
 				op.d, more = d, true
+			case t.spin.parked:
+				t.unpark()
 			}
 		case opTornRead:
-			if t.shard.holdTorn(op.p) {
+			// The write half ends the tear TornGapNS on, at its block's key.
+			if _, ok := t.shard.holdTorn(op.p, wakeID{t.now() + e.p.TornGapNS, eventSeq(t.now(), t.id, evWake)}); ok {
 				t.result = *e.space.WordAddr(op.p)
 				op.kind, op.d, more = opTornWrite, e.p.TornGapNS, true
 			} else { // another remote RMW holds the word mid-tear: look again
@@ -1266,7 +1331,12 @@ func (t *Thread) WorkLoop(f func(now int64, stopped bool) (time.Duration, bool))
 	t.drain() // Now() and Stopped() complete what is posted
 	t.loop = f
 	if d := t.tick(); d > 0 {
-		t.post(localOp{kind: opLoop, d: d})
+		switch {
+		case t.signal == nil:
+			t.post(localOp{kind: opLoop, d: d})
+		case t.parkLoop(d): // parked from the first look: no Work runs until a wake
+			t.ops[0], t.nops = localOp{kind: opLoop, d: d}, 1
+		}
 		t.drain()
 	}
 	t.raise("WorkLoop")

@@ -1,6 +1,7 @@
-// spin.go is the parked wait of api.Ctx.SpinWhile and api.Ctx.SpinUntil.
+// spin.go is the parked wait of api.Ctx.SpinWhile and api.Ctx.SpinUntil, and
+// of a WorkLoop that waits on a Signal.
 //
-// Both are the loop
+// SpinWhile and SpinUntil are the loop
 //
 //	for ; ; iter++ {
 //		v := Read(p)
@@ -44,6 +45,25 @@
 // call. The windowed executor's telemetry keeps the skipped blocks apart from
 // the events it dispatched.
 //
+// A WorkLoop waits the same way when its thread waits on a Signal (Go state of
+// its node, such as a lock service's admission queue): every turn is a look of
+// the same length (spinPos.period), whose answer changes only when the state
+// is raised or the run stops. A look that goes on parks the thread (parkLoop)
+// instead of scheduling its Work, and two kinds of look are events:
+//
+//   - a raise's wake. Raise pushes the look, among those of the signal's
+//     parked waiters not woken already, that comes first after the raise in
+//     the event order — one waiter per raise. If that look finds the state
+//     taken by then, the thread parks again there.
+//   - the horizon's, the first look that finds the run stopped. It is queued
+//     once the executor reaches the horizon (armHorizon): the serial loop
+//     when the next event lies at or past it, the windowed executor at the
+//     barrier of the window that could reach it. A wait that parks after that
+//     queues it at once, and it goes stale, as a deadline's read does, if a
+//     raise's wake ends the wait first.
+//
+// The skipped looks are credited the same way.
+//
 // The event budget (WithMaxEvents) bounds what the executors dispatch, so a
 // parked wait, which does no work, spends none of it. A wait that nothing is
 // left to end — the queue has drained around it — is a trap of its own
@@ -52,6 +72,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"alock/internal/ptr"
 )
@@ -95,11 +116,13 @@ func checkSeq(issue int64, th int, kind uint8) {
 // spinPos is where a parked wait loop stands: the instant its last block ended
 // (ran, or was credited), whether that block was a failed poll (the Pause
 // comes next) or a Pause (the poll's read comes next), and its iter (the
-// back-off of its next Pause).
+// back-off of its next Pause). A WorkLoop wait has a period instead: every
+// block is a look of that length, and poll stays false.
 type spinPos struct {
-	at   int64
-	iter int64
-	poll bool
+	at     int64
+	iter   int64
+	period int64
+	poll   bool
 }
 
 // wakeID names one queued evWake of a thread: its time and key.
@@ -118,9 +141,16 @@ type spinWait struct {
 	woken  bool
 }
 
+// inLoop reports whether the wait is a WorkLoop parked on its signal.
+func (w *spinWait) inLoop() bool { return w.parked && w.pos.period > 0 }
+
 // nextBlock returns when the block after pos ends, and pos moved past it. The
 // block is issued at pos.at.
 func (e *Engine) nextBlock(pos spinPos) (int64, spinPos) {
+	if pos.period > 0 {
+		pos.at += pos.period
+		return pos.at, pos
+	}
 	if pos.poll {
 		d := e.spinBackoff(int(pos.iter))
 		return pos.at + d, spinPos{at: pos.at + d, iter: pos.iter + 1}
@@ -130,9 +160,16 @@ func (e *Engine) nextBlock(pos spinPos) (int64, spinPos) {
 }
 
 // skip moves pos across every block that ends before `before` and returns how
-// many it crossed. Once the back-off is at its cap the loop is periodic, and
-// whole Pause-and-poll cycles are crossed at once.
+// many it crossed. A WorkLoop wait is periodic, and so is a spin loop once its
+// back-off is at its cap: whole periods are crossed at once.
 func (e *Engine) skip(pos *spinPos, before int64) (n uint64) {
+	if pos.period > 0 {
+		if c := (before - 1 - pos.at) / pos.period; c > 0 {
+			pos.at += c * pos.period
+			n = uint64(c)
+		}
+		return n
+	}
 	for {
 		if pos.poll && e.spinBackoff(int(pos.iter)) == e.p.SpinPollMaxNS {
 			cycle := e.p.SpinPollMaxNS + e.p.LocalReadNS
@@ -220,21 +257,26 @@ func (t *Thread) park(op *localOp) {
 	}
 }
 
-// unpark ends the thread's parked wait at the poll that ended the loop. A
-// deadline read still queued behind it has become stale.
+// unpark ends the thread's parked wait at the poll or look that ended the
+// loop. A deadline read or horizon look still queued behind it has become
+// stale.
 func (t *Thread) unpark() {
 	w, s := &t.spin, t.shard
 	if w.dl.at != 0 && w.dl.at != t.now() {
 		t.stales = append(t.stales, w.dl)
 		s.tl.stale++
 	}
-	for i, th := range s.parked {
-		if th == t {
-			last := len(s.parked) - 1
-			s.parked[i] = s.parked[last]
-			s.parked[last] = nil
-			s.parked = s.parked[:last]
-			break
+	if w.pos.period > 0 { // a WorkLoop wait is on its signal's list, not the shard's
+		t.signal.parked--
+	} else {
+		for i, th := range s.parked {
+			if th == t {
+				last := len(s.parked) - 1
+				s.parked[i] = s.parked[last]
+				s.parked[last] = nil
+				s.parked = s.parked[:last]
+				break
+			}
 		}
 	}
 	*w = spinWait{}
@@ -296,11 +338,147 @@ func (e *Engine) waitsForever() error {
 	for _, t := range e.threads {
 		if t.spin.parked {
 			op, call := &t.ops[t.head], "SpinWhile"
-			if op.done != nil {
+			switch {
+			case op.kind == opLoop:
+				return fmt.Errorf("sim: thread %d waits forever in WorkLoop on a Signal of node %d", t.id, t.node)
+			case op.done != nil:
 				call = "SpinUntil"
 			}
 			return fmt.Errorf("sim: thread %d waits forever in %s on %v", t.id, call, op.p)
 		}
 	}
 	return nil
+}
+
+// Signal is Go state of one node that threads of the node wait on in
+// api.Ctx.WorkLoop — a lock service's admission queue, which its idle workers
+// look at every so often — and that a WorkLoop of the node changes (an arrival
+// generator admitting a request). A thread registered with Wait parks between
+// its loop's looks, and costs events only when Raise wakes it or the run
+// stops (spin.go's header). Build signals and register their waiters before
+// Run.
+type Signal struct {
+	s       *shard
+	waiters []*Thread
+	parked  int // how many of the waiters are parked in their loop
+}
+
+// NewSignal returns a signal on Go state of the given node.
+func (e *Engine) NewSignal(node int) *Signal { return &Signal{s: e.shards[node]} }
+
+// Wait registers th, a thread of the signal's node, as a waiter: every
+// WorkLoop it runs from then on waits on the signal. Its function must go on
+// with the same Work on every turn, change nothing, and answer from the
+// signal's state and the stop alone, ending the loop at the first turn that
+// finds the run stopped; a turn that ends the loop must take what ended it
+// before the thread calls anything that can advance the clock, so that each
+// Raise ends at most one wait. A loop that changes its Work or goes on past
+// the stop panics in the thread. RequestStop panics while a waiter is parked:
+// the stop would reach it only at the horizon's look.
+func (sg *Signal) Wait(th *Thread) {
+	if th.shard != sg.s {
+		panic(fmt.Sprintf("sim: thread %d on node %d waits on a Signal of node %d", th.id, th.node, sg.s.node))
+	}
+	th.signal = sg
+	sg.waiters = append(sg.waiters, th)
+	sg.s.e.loopers = append(sg.s.e.loopers, th)
+}
+
+// Raise tells the signal that its state changed, in the turn of a WorkLoop of
+// its node that is running now (as Wait's rules require, from no other code):
+// of the waiters that are parked and not woken already, it wakes the one whose
+// next look comes first after this point of the event order, if that look
+// comes before the horizon — the look of the written-out loops that sees the
+// change first. One raise is one change that can end one wait. A nil signal
+// ignores it.
+func (sg *Signal) Raise() {
+	if sg == nil {
+		return
+	}
+	s := sg.s
+	src := s.ticker
+	if src == nil {
+		panic("sim: Signal.Raise outside a turn of a WorkLoop of its node")
+	}
+	if sg.parked == 0 {
+		return
+	}
+	e, at := s.e, s.tl.now
+	seq := eventSeq(at-src.ops[src.head].d, src.id, evWake) // the turn's Work ends now
+	var best *Thread
+	var first wakeID
+	for _, th := range sg.waiters {
+		if w := &th.spin; !w.inLoop() || w.woken {
+			continue // busy, in another wait (a lock's SpinWhile), or woken
+		}
+		done, issue := e.pollAfter(th.spin.pos, th.id, at, seq)
+		if done >= e.stopAt {
+			continue // the horizon's look sees the stop first
+		}
+		if e.audit {
+			checkSeq(issue, th.id, evWake)
+		}
+		id := wakeID{done, eventSeq(issue, th.id, evWake)}
+		if best == nil || id.at < first.at || id.at == first.at && id.seq < first.seq {
+			best, first = th, id
+		}
+	}
+	if best != nil {
+		best.spin.woken = true
+		e.pushWake(best, first)
+	}
+}
+
+// parkLoop parks the thread after a turn of its WorkLoop, a waiter on its
+// signal, that goes on with a Work of d, where the loop would schedule that
+// Work. A first park queues the horizon's look once armHorizon has run. A loop
+// that breaks Wait's rules ends, with the panic left for WorkLoop to raise.
+func (t *Thread) parkLoop(d int64) bool {
+	e, w := t.e, &t.spin
+	switch {
+	case t.stopped():
+		t.loopPanic = "sim: a WorkLoop waiting on a Signal went on past the stop"
+	case w.parked && d != w.pos.period:
+		t.loopPanic = fmt.Sprintf("sim: a WorkLoop waiting on a Signal changed its Work from %dns to %dns", w.pos.period, d)
+	}
+	if t.loopPanic != nil {
+		if w.parked {
+			t.unpark()
+		}
+		return false
+	}
+	w.pos, w.woken = spinPos{at: t.now(), period: d}, false
+	if !w.parked {
+		w.parked = true
+		t.signal.parked++
+		if e.hzAt == math.MaxInt64 && e.stopAt <= MaxIssueNS {
+			t.queueHorizon()
+		}
+	}
+	return true
+}
+
+// queueHorizon queues the parked WorkLoop's look that finds the run stopped.
+func (t *Thread) queueHorizon() {
+	e, w := t.e, &t.spin
+	at, issue := e.pollAt(w.pos, e.stopAt)
+	w.dl = wakeID{at, eventSeq(issue, t.id, evWake)}
+	if e.audit {
+		checkSeq(issue, t.id, evWake)
+	}
+	e.pushWake(t, w.dl)
+}
+
+// armHorizon queues the horizon's look of every parked WorkLoop wait, at the
+// point where nothing earlier than the horizon is left for the executor to
+// dispatch (the serial loop) or before the window that could reach it (the
+// windowed executor's barrier). Waits that park from then on queue it at once.
+func (e *Engine) armHorizon() {
+	e.hzAt = math.MaxInt64
+	e.tl.until = MaxIssueNS + 1
+	for _, t := range e.loopers {
+		if w := &t.spin; w.inLoop() && w.dl.at == 0 {
+			t.queueHorizon()
+		}
+	}
 }

@@ -134,9 +134,9 @@ func (e Env) validateFor(s Spec) {
 	}
 }
 
-// txnBackoffCapExp caps the exponential backoff growth: retry r draws from
-// a window of TxnBackoffNS << min(r, txnBackoffCapExp).
-const txnBackoffCapExp = 6
+// TxnBackoffCapExp caps the exponential backoff growth: retry r draws from
+// a window of TxnBackoffNS << min(r, TxnBackoffCapExp).
+const TxnBackoffCapExp = 6
 
 // TxnConfig summarizes the run-wide wiring a spec's transaction policy
 // needs; the harness uses it to build Env and to reject algorithms whose
@@ -327,8 +327,8 @@ func runTxnLoop(ctx api.Ctx, h api.TokenLocker, table *locktable.Table,
 					}
 					if spec.TxnBackoffNS > 0 {
 						shift := retries
-						if shift > txnBackoffCapExp {
-							shift = txnBackoffCapExp
+						if shift > TxnBackoffCapExp {
+							shift = TxnBackoffCapExp
 						}
 						window := spec.TxnBackoffNS << uint(shift)
 						ctx.Work(time.Duration(1 + env.Backoff.Int63n(window)))
