@@ -22,8 +22,8 @@ var newEngine func(nodes, wordsPerNode int, p model.Params, seed int64, opts ...
 // dispatches, so a run that deadlocks fails in seconds — "exceeded N events —
 // livelock?", or "thread N waits forever in SpinWhile on <word>" once every
 // live thread is parked on a local word — instead of hanging until the go
-// test timeout. The largest healthy run here (TestRunExperimentPublic, and
-// BenchmarkSimulatorEventRate per iteration) takes under 2^17 events.
+// test timeout. The largest healthy run here (TestRunExperimentPublic) takes
+// under 2^17 events.
 const testMaxEvents = 1 << 22
 
 func TestMain(m *testing.M) {

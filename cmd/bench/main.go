@@ -1,13 +1,13 @@
-// Command bench runs the repo's standing performance suite and writes a
-// BENCH_*.json trajectory file: every raw-engine case measured on the serial
-// executor (typed event heap, serial dispatch loop) and on the windowed one
-// at one worker and at -engine-shards workers, every harness case at the
-// widths its config reaches, each row labelled by the executor it ran on,
-// with events/sec, ns/event and allocs/event per row plus the one-worker vs
-// serial and wide vs one-worker speedups. Perf PRs check the next trajectory
-// file in (see the README's Benchmarking section), so the sequence
-// BENCH_0001.json, BENCH_0002.json, ... records the engine's performance
-// history alongside the code that produced it.
+// Command bench runs the repo's engine-layer micro suite and writes a
+// BENCH_*.json trajectory file: every raw-engine case (internal/bench) measured
+// on the serial executor (typed event heap, serial dispatch loop) and on the
+// windowed one at one worker and at -engine-shards workers, each row labelled
+// by the executor it ran on, with events/sec, ns/event and allocs/event per
+// row plus the one-worker vs serial and wide vs one-worker speedups. -suite
+// tiny runs every case at its small size, paper at its larger one (all but
+// engine/barrier have one). PRs that claim an engine-layer speedup check the
+// next trajectory file in (see the README's Benchmarking section); scenarios
+// are timed end to end by ./benchmark.
 //
 // Usage:
 //

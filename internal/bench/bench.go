@@ -1,12 +1,12 @@
-// Package bench is the repo's standing performance-measurement layer. It
-// defines a fixed suite of benchmark cases — raw-engine microbenchmarks
-// that isolate the event loop, plus one representative configuration per
-// scenario family — runs each case N times on the engine's executors: the
-// serial one (typed 4-ary event heap, serial dispatch loop) and the
-// conservative windowed one on one worker and on several. It reports
-// events/sec, ns/event, allocs/event and bytes/event in a stable JSON schema
-// (BENCH_*.json). cmd/bench is the CLI; perf PRs check the next trajectory
-// file in so regressions are diffable in review.
+// Package bench is the repo's engine-layer micro suite. It defines a fixed
+// set of raw-engine cases, each isolating one layer of internal/sim (thread
+// switch, Go-state wait, parked spin, posted local ops, torn loopback verb,
+// verb protocol, window barrier), at two sizes, and runs each case N times on
+// the engine's executors: the serial one (typed 4-ary event heap, serial
+// dispatch loop) and the conservative windowed one on one worker and on
+// several. It reports events/sec, ns/event, allocs/event and bytes/event in a
+// stable JSON schema (BENCH_*.json). cmd/bench is the CLI. Scenarios are timed
+// end to end by benchmark/, not here.
 package bench
 
 import (
@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"alock/internal/api"
-	"alock/internal/harness"
 	"alock/internal/model"
 	"alock/internal/ptr"
-	"alock/internal/scenario"
 	"alock/internal/sim"
 )
 
@@ -32,7 +30,7 @@ const Schema = "alock-bench/v4"
 
 // EngineSerial labels rows run on the serial executor (typed 4-ary heap,
 // serial dispatch loop); a row on the windowed executor is labelled
-// windowed-N, N its worker count (Case.label).
+// windowed-N, N its worker count (label).
 const EngineSerial = "serial"
 
 // defaultWorkers is the wide windowed row's worker count when the caller
@@ -40,19 +38,17 @@ const EngineSerial = "serial"
 // are bit-identical at any count; only throughput changes.
 const defaultWorkers = 2
 
-// Case is one benchmark workload. Exactly one of engine/config drives it:
-// an engine case builds a raw simulator and runs it to Horizon; a scenario
-// case goes through harness.Run.
+// Case is one benchmark workload: build makes a raw simulator, which the
+// case runs to horizon.
 type Case struct {
-	// Name is stable across trajectory files ("engine/..." for raw-engine
-	// microbenchmarks, the scenario name for harness cases).
+	// Name is stable across trajectory files ("engine/<layer>", with
+	// "@paper" on the larger size).
 	Name string
 	// Suite tags the case "tiny" or "paper"; -suite all runs both.
 	Suite string
 
-	build   func(opts ...sim.Option) *sim.Engine // engine cases
+	build   func(opts ...sim.Option) *sim.Engine
 	horizon int64
-	cfg     harness.Config // scenario cases (zero build)
 }
 
 // Measurement is one case × engine variant, aggregated over reps: rates
@@ -60,20 +56,19 @@ type Case struct {
 // from the rep with the fewest mallocs (steady state).
 type Measurement struct {
 	Name           string  `json:"name"`
-	Engine         string  `json:"engine"` // the executor the row reached: Case.label
+	Engine         string  `json:"engine"` // the executor the row ran on: label
 	Reps           int     `json:"reps"`
 	Events         uint64  `json:"events"`
-	Ops            int64   `json:"ops,omitempty"`
 	WallNS         int64   `json:"wall_ns"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	NSPerEvent     float64 `json:"ns_per_event"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	// BytesPerEvent is the heap allocated per event (runtime.MemStats
-	// TotalAlloc), setup included for harness cases.
+	// TotalAlloc) while the engine runs; building it is not counted.
 	BytesPerEvent float64 `json:"bytes_per_event"`
 	// Window telemetry of the fastest rep (sim.WindowStats), on the windowed
-	// rows of raw-engine cases: safe windows executed, mean events per window,
-	// and how often a helper's spin budget ran out and it parked.
+	// rows: safe windows executed, mean events per window, and how often a
+	// helper's spin budget ran out and it parked.
 	Windows         uint64  `json:"windows,omitempty"`
 	EventsPerWindow float64 `json:"events_per_window,omitempty"`
 	Parks           uint64  `json:"parks,omitempty"`
@@ -100,10 +95,8 @@ func (m *Measurement) window(win sim.WindowStats) {
 	}
 }
 
-// Comparison sets one case's executors side by side. A rate is absent when
-// the case has no such row: harness cases cannot reach the serial executor
-// (every config but wait-die runs windowed), and wait-die ones reach nothing
-// else.
+// Comparison sets one case's executors side by side. The wide rate is absent
+// when the run has no wide row (-engine-shards 1).
 type Comparison struct {
 	Name                  string  `json:"name"`
 	SerialEventsPerSec    float64 `json:"serial_events_per_sec,omitempty"`
@@ -369,19 +362,6 @@ func localChainEngine(nodes, threads int, opts ...sim.Option) *sim.Engine {
 	return e
 }
 
-// familyReps maps each scenario family to its representative member; the
-// suite runs the first config of each expansion.
-var familyReps = []string{
-	"paper/fig5-high-contention", // paper/: the event-densest figure sweep
-	"hotkey-zipf",                // bare extensions
-	"rw/mixed",                   // reader/writer family
-	"lease/holders",              // lease extension
-	"fail/timeout-recovery",      // failure/recovery extension
-	"multi/two-lock",             // two-lock transactions
-	"deadlock/dining",            // k-lock transaction policies
-	"svc/open-loop",              // sharded lock service, open-loop arrivals
-}
-
 // Suite expands the standing case list for the given suite name ("tiny",
 // "paper" or "all").
 func Suite(name string) ([]Case, error) {
@@ -410,14 +390,6 @@ func Suite(name string) ([]Case, error) {
 			Case{Name: "engine/barrier", Suite: "tiny", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return barrierEngine(2, o...) }},
 		)
-		for _, name := range familyReps {
-			sc, ok := scenario.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("bench: scenario %q not registered", name)
-			}
-			cfgs := sc.Configs(harness.Scale{TestTiny: true})
-			cases = append(cases, Case{Name: sc.Name + "@tiny", Suite: "tiny", cfg: cfgs[0]})
-		}
 	}
 	if paper {
 		cases = append(cases,
@@ -436,122 +408,78 @@ func Suite(name string) ([]Case, error) {
 			Case{Name: "engine/contended-rmw@paper", Suite: "paper", horizon: 40_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(8, o...) }},
 		)
-		for _, name := range familyReps {
-			sc, ok := scenario.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("bench: scenario %q not registered", name)
-			}
-			cfgs := sc.Configs(harness.Scale{})
-			cases = append(cases, Case{Name: sc.Name + "@paper", Suite: "paper", cfg: cfgs[0]})
-		}
 	}
 	return cases, nil
 }
 
-// widths lists the executor widths Run measures the case at, each once:
-// engine cases on the serial executor, on one windowed worker and on
-// `workers`; harness cases on EngineShards 1 and `workers` — the serial
-// executor is not a config value — unless the harness keeps the config serial
-// (harness.Config.RunsWindowed), when the one row is the serial executor's.
-func (c Case) widths(workers int) []int {
+// widths lists the executor widths Run measures every case at, each once:
+// the serial executor (0), one windowed worker and `workers` of them.
+func widths(workers int) []int {
 	if workers == 0 {
 		workers = defaultWorkers
 	}
-	ws := []int{1}
-	if c.build != nil {
-		ws = []int{0, 1}
-	} else if !c.cfg.RunsWindowed() {
-		return []int{0}
-	}
+	ws := []int{0, 1}
 	if workers > 1 {
 		ws = append(ws, workers)
 	}
 	return ws
 }
 
-// rep is what one repetition measured. win is the window telemetry of an
-// engine case on the windowed executor, zero when the rep ran serial or
-// through the harness.
+// rep is what one repetition measured. win is the window telemetry, zero
+// when the rep ran serial.
 type rep struct {
 	events  uint64
-	ops     int64
 	wall    time.Duration
 	mallocs uint64
 	bytes   uint64 // TotalAlloc delta
 	win     sim.WindowStats
 }
 
-// label names the executor a run of the case at this width reaches: width 0
-// is the serial executor for an engine case, n >= 1 the windowed one on n
-// workers; a harness config runs windowed at max(1, width) workers — or
-// serial at any width, if the harness keeps it so.
-func (c Case) label(width int) string {
-	if c.build == nil {
-		if !c.cfg.RunsWindowed() {
-			return EngineSerial
-		}
-		width = max(1, width)
-	}
+// label names the executor a run at this width reaches: width 0 is the
+// serial executor, n >= 1 the windowed one on n workers.
+func label(width int) string {
 	if width == 0 {
 		return EngineSerial
 	}
 	return fmt.Sprintf("windowed-%d", width)
 }
 
-// runOnce executes one rep at the given executor width (0 = serial; for a
-// harness case, the config's EngineShards).
-func (c Case) runOnce(shards int) (rep, error) {
+// runOnce executes one rep at the given executor width (0 = serial).
+func (c Case) runOnce(shards int) rep {
 	runtime.GC()
-	var before, after runtime.MemStats
-	if c.build != nil {
-		var opts []sim.Option
-		if shards > 0 {
-			opts = append(opts, sim.WithShards(shards))
-		}
-		e := c.build(opts...)
-		runtime.ReadMemStats(&before)
-		t0 := time.Now() //lint:allow detrand benchmark harness: measuring real wall time is its job
-		e.Run(c.horizon)
-		wall := time.Since(t0) //lint:allow detrand benchmark harness: measuring real wall time is its job
-		runtime.ReadMemStats(&after)
-		return rep{events: e.Events(), wall: wall, mallocs: after.Mallocs - before.Mallocs,
-			bytes: after.TotalAlloc - before.TotalAlloc, win: e.WindowStats()}, nil
+	var opts []sim.Option
+	if shards > 0 {
+		opts = append(opts, sim.WithShards(shards))
 	}
-	cfg := c.cfg
-	cfg.EngineShards = shards
+	e := c.build(opts...)
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now() //lint:allow detrand benchmark harness: measuring real wall time is its job
-	res, err := harness.Run(cfg)
+	e.Run(c.horizon)
 	wall := time.Since(t0) //lint:allow detrand benchmark harness: measuring real wall time is its job
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		return rep{}, fmt.Errorf("bench: %s: %w", c.Name, err)
-	}
-	return rep{events: res.Events, ops: res.Ops, wall: wall, mallocs: after.Mallocs - before.Mallocs,
-		bytes: after.TotalAlloc - before.TotalAlloc}, nil
+	return rep{events: e.Events(), wall: wall, mallocs: after.Mallocs - before.Mallocs,
+		bytes: after.TotalAlloc - before.TotalAlloc, win: e.WindowStats()}
 }
 
 // Measure runs the case `reps` times at one executor width, one of
-// c.widths: 0 is the serial executor, n >= 1 the windowed one on n workers.
-// The row is labelled by the executor the run reached. Rates come from the
-// fastest rep; the allocation figures, count and bytes, from the rep with the
-// fewest mallocs (later reps run with warmed allocator state, so the minimum
-// is the steady-state answer).
-func (c Case) Measure(shards, reps int) (Measurement, error) {
+// widths: 0 is the serial executor, n >= 1 the windowed one on n workers.
+// The row is labelled by that executor. Rates come from the fastest rep; the
+// allocation figures, count and bytes, from the rep with the fewest mallocs
+// (later reps run with warmed allocator state, so the minimum is the
+// steady-state answer).
+func (c Case) Measure(shards, reps int) Measurement {
 	if reps < 1 {
 		reps = 1
 	}
-	m := Measurement{Name: c.Name, Engine: c.label(shards), Reps: reps}
+	m := Measurement{Name: c.Name, Engine: label(shards), Reps: reps}
 	var bestWall time.Duration
 	var fewest rep
 	for r := 0; r < reps; r++ {
-		got, err := c.runOnce(shards)
-		if err != nil {
-			return Measurement{}, err
-		}
+		got := c.runOnce(shards)
 		if r == 0 || got.wall < bestWall {
 			bestWall = got.wall
-			m.Events, m.Ops, m.WallNS = got.events, got.ops, got.wall.Nanoseconds()
+			m.Events, m.WallNS = got.events, got.wall.Nanoseconds()
 			m.window(got.win)
 		}
 		if r == 0 || got.mallocs < fewest.mallocs {
@@ -566,7 +494,7 @@ func (c Case) Measure(shards, reps int) (Measurement, error) {
 		m.AllocsPerEvent = float64(fewest.mallocs) / float64(m.Events)
 		m.BytesPerEvent = float64(fewest.bytes) / float64(m.Events)
 	}
-	return m, nil
+	return m
 }
 
 // Progress receives one line per finished measurement; nil is silent.
@@ -593,11 +521,8 @@ func Run(suiteName, id string, reps, workers int, progress Progress) (*Report, e
 	}
 	for _, c := range cases {
 		cmp := Comparison{Name: c.Name}
-		for _, width := range c.widths(workers) {
-			m, err := c.Measure(width, reps)
-			if err != nil {
-				return nil, err
-			}
+		for _, width := range widths(workers) {
+			m := c.Measure(width, reps)
 			if progress != nil {
 				progress(m)
 			}

@@ -34,8 +34,8 @@ func TestSuiteExpands(t *testing.T) {
 			t.Errorf("duplicate case name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if c.build == nil && c.cfg.Algorithm == "" {
-			t.Errorf("case %q drives neither an engine nor a scenario config", c.Name)
+		if !strings.HasPrefix(c.Name, "engine/") || c.build == nil || c.horizon <= 0 {
+			t.Errorf("case %q is not an engine/* case with a builder and a horizon", c.Name)
 		}
 	}
 	if _, err := Suite("nope"); err == nil {
@@ -55,10 +55,7 @@ func TestMeasureEngineCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cases[0] // engine/work-loop
-	serial, err := c.Measure(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := c.Measure(0, 1)
 	if serial.Events == 0 || serial.EventsPerSec <= 0 || serial.NSPerEvent <= 0 || serial.Engine != EngineSerial {
 		t.Fatalf("serial measurement not populated: %+v", serial)
 	}
@@ -67,10 +64,7 @@ func TestMeasureEngineCase(t *testing.T) {
 			serial.AllocsPerEvent, serial.BytesPerEvent)
 	}
 	for _, width := range []int{1, 2} {
-		windowed, err := c.Measure(width, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		windowed := c.Measure(width, 1)
 		if serial.Events != windowed.Events || windowed.Engine != fmt.Sprintf("windowed-%d", width) {
 			t.Fatalf("%s: %d events, serial %d", windowed.Engine, windowed.Events, serial.Events)
 		}
@@ -99,74 +93,23 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestShardedVariantOnlyWhereWindowed: a row is labelled by the executor it
-// reaches. Raw engine cases run serial, on one windowed worker and on the
-// wide width; harness cases cannot reach the serial executor — a closed-loop
-// config with TargetOps runs windowed until its stop guard hands over, the
-// open-loop service runs windowed throughout — except wait-die ones, which
-// reach nothing else and get one serial row. A one-worker wide width adds no
-// row.
+// TestShardedVariantOnlyWhereWindowed: Run measures every case on the serial
+// executor, on one windowed worker and on the wide width, and labels each row
+// by the executor it reaches. A one-worker wide width adds no row.
 func TestShardedVariantOnlyWhereWindowed(t *testing.T) {
-	cases, err := Suite("tiny")
-	if err != nil {
-		t.Fatal(err)
+	want := [2][]int{{0, 1, 2}, {0, 1}} // at the default wide width, and with -engine-shards 1
+	if got := [2][]int{widths(0), widths(1)}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("widths %v, want %v", got, want)
 	}
-	want := map[string][2][]int{ // widths at the default wide width, and with -engine-shards 1
-		"engine/contended-rmw":            {{0, 1, 2}, {0, 1}},
-		"svc/open-loop@tiny":              {{1, 2}, {1}},
-		"paper/fig5-high-contention@tiny": {{1, 2}, {1}},
-		"deadlock/dining@tiny":            {{0}, {0}},
-	}
-	for _, c := range cases {
-		if w, ok := want[c.Name]; ok {
-			if got := [2][]int{c.widths(0), c.widths(1)}; fmt.Sprint(got) != fmt.Sprint(w) {
-				t.Errorf("%s: widths %v, want %v", c.Name, got, w)
-			}
+	for _, width := range widths(4) {
+		want := fmt.Sprintf("windowed-%d", width)
+		if width == 0 {
+			want = EngineSerial
 		}
-		delete(want, c.Name)
-	}
-	if len(want) > 0 {
-		t.Errorf("cases missing from the tiny suite: %v", want)
-	}
-	for _, c := range cases {
-		if c.build != nil {
-			continue
-		}
-		for _, width := range c.widths(0) {
-			cfg := c.cfg
-			cfg.EngineShards = width
-			if (c.label(width) == EngineSerial) == cfg.RunsWindowed() {
-				t.Errorf("%s at width %d: labelled %s, but RunsWindowed = %v", c.Name, width, c.label(width), cfg.RunsWindowed())
-			}
+		if got := label(width); got != want {
+			t.Errorf("width %d labelled %s, want %s", width, got, want)
 		}
 	}
-}
-
-// TestMeasureScenarioCase runs one harness-backed case end to end.
-func TestMeasureScenarioCase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cases, err := Suite("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cases {
-		if c.build != nil {
-			continue
-		}
-		m, err := c.Measure(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A harness run allocates its engine and tables inside the timed
-		// region, so its bytes per event are never zero.
-		if m.Events == 0 || m.Ops == 0 || m.BytesPerEvent <= 0 || m.Engine != "windowed-1" {
-			t.Fatalf("%s: empty measurement %+v", c.Name, m)
-		}
-		return // one scenario case keeps the test cheap
-	}
-	t.Fatal("tiny suite has no scenario case")
 }
 
 func TestReportMarshals(t *testing.T) {

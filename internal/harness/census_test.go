@@ -15,7 +15,11 @@ import (
 // the configs. Run with -v to read the census. The assertions pin that a
 // service whose threads mostly wait — idle workers parked on their queue's
 // signal, generators between arrivals — dispatches under 0.60 of the events
-// it counts and switches to a thread on under 0.11 of them. (Over the full
+// it counts and switches to a thread on under 0.11 of them, and that each
+// config serves and counts what it did when the pins were recorded: a change
+// that moves the service's schedule at full scale fails here even where the
+// quick-scale digests (internal/scenario) do not see it, and a change that
+// moves schedules on purpose re-records the pins with the digests. (Over the full
 // window the grid is 20.74 M events and 2.83 M resumes, 0.14 per event, on the
 // serial executor; before the waits moved into api.Ctx.WorkLoop it was
 // 9.05 M, 0.44. This reduced grid reads 0.136 resumes per event on the serial
@@ -28,10 +32,16 @@ func TestServiceResumeCensus(t *testing.T) {
 	meas /= 8
 	nodes, threads := scale.BigClusterNodes(), scale.ThreadCounts()
 	workers := threads[len(threads)-1]
+	// Served ops and counted events per config, at loads 0.3, 0.6, 0.9, 1.2.
+	pinned := map[string][4][2]int64{
+		"alock":    {{4878, 415728}, {5368, 551128}, {5408, 571359}, {5408, 578922}},
+		"mcs":      {{4540, 326899}, {2468, 171229}, {2859, 206700}, {2126, 173137}},
+		"spinlock": {{5256, 316784}, {5950, 245783}, {6625, 291019}, {6368, 306516}},
+	}
 	var events, dispatched, resumes uint64
 	var served int64
 	for _, algo := range []string{"alock", "mcs", "spinlock"} {
-		for _, load := range []float64{0.3, 0.6, 0.9, 1.2} {
+		for i, load := range []float64{0.3, 0.6, 0.9, 1.2} {
 			p, err := Config{
 				Algorithm: algo, Nodes: nodes, ThreadsPerNode: workers,
 				Locks:       locktable.MediumContentionLocks,
@@ -49,6 +59,10 @@ func TestServiceResumeCensus(t *testing.T) {
 			run := res.Events - s.e.Credited()
 			t.Logf("%-8s load %.1f: %8d events, %8d dispatched, %7d resumes, %6d served (%.1f dispatched per op)",
 				algo, load, res.Events, run, s.e.Resumes(), res.Svc.TotalServed, float64(run)/float64(res.Svc.TotalServed))
+			if want := pinned[algo][i]; !testing.Short() && (res.Svc.TotalServed != want[0] || int64(res.Events) != want[1]) {
+				t.Errorf("%s load %.1f: %d served, %d events; pinned %d served, %d events: the service's schedule moved",
+					algo, load, res.Svc.TotalServed, res.Events, want[0], want[1])
+			}
 			events += res.Events
 			dispatched += run
 			resumes += s.e.Resumes()
