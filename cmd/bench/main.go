@@ -50,7 +50,7 @@ func main() {
 
 	stopProfiles, err := bench.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("bench: %w", err))
 	}
 
 	id := "bench"
@@ -75,7 +75,7 @@ func main() {
 	rep.Created = time.Now().UTC().Format(time.RFC3339)
 
 	if err := stopProfiles(); err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("bench: %w", err))
 	}
 
 	fmt.Fprintln(os.Stderr)
@@ -88,7 +88,7 @@ func main() {
 
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("bench: encode report: %w", err))
 	}
 	b = append(b, '\n')
 	if *out == "" {
@@ -96,7 +96,7 @@ func main() {
 		return
 	}
 	if err := os.WriteFile(*out, b, 0o644); err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("bench: %w", err))
 	}
 	fmt.Fprintf(os.Stderr, "\nwrote %s (%d cases, %d comparisons)\n",
 		*out, len(rep.Cases), len(rep.Comparisons))
@@ -119,7 +119,9 @@ func cell(v float64, format string) string {
 	return fmt.Sprintf(format, v)
 }
 
+// fatal prints err, which already names the command ("bench: ..."), and
+// exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bench:", err)
+	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }

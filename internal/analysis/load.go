@@ -29,10 +29,11 @@ type Package struct {
 
 // A Loader type-checks packages of the enclosing module plus their
 // standard-library dependencies. Module packages are enumerated with
-// `go list -json` (no network: everything resolves inside the module and
-// GOROOT) and checked in dependency order; stdlib imports are satisfied by
-// the go/importer source importer, which compiles them from GOROOT source.
-// A Loader is not safe for concurrent use.
+// `go list -deps -json` (no network: everything resolves inside the module
+// and GOROOT), which lists each package after its dependencies, and are
+// checked in that order; stdlib imports are satisfied by the go/importer
+// source importer, which compiles them from GOROOT source. A Loader is not
+// safe for concurrent use.
 type Loader struct {
 	fset   *token.FileSet
 	std    types.ImporterFrom
@@ -53,62 +54,22 @@ func NewLoader() *Loader {
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 }
 
-// Load enumerates the packages matching patterns (relative to dir, e.g.
-// "./...") and type-checks them in dependency order. Test files are not
-// loaded: the invariants the suite enforces govern the simulator and its
-// tools, and test code deliberately probes the forbidden paths.
-func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(dir, patterns)
+// Load enumerates every package of the module rooted at dir (`./...`)
+// and type-checks them in dependency order. Test files are not loaded: the
+// invariants the checks enforce govern the simulator and its tools, and
+// test code deliberately probes the forbidden paths.
+func (l *Loader) Load(dir string) ([]*Package, error) {
+	listed, err := goList(dir)
 	if err != nil {
 		return nil, err
 	}
-	inSet := make(map[string]*listedPackage, len(listed))
-	for i := range listed {
-		inSet[listed[i].ImportPath] = &listed[i]
-	}
-
-	// Dependency-order the listed packages (imports restricted to the
-	// listed set; stdlib imports are handled lazily by the importer).
-	var order []*listedPackage
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *listedPackage) error
-	visit = func(p *listedPackage) error {
-		switch state[p.ImportPath] {
-		case 1:
-			return fmt.Errorf("analysis: import cycle through %s", p.ImportPath)
-		case 2:
-			return nil
-		}
-		state[p.ImportPath] = 1
-		for _, imp := range p.Imports {
-			if dep, ok := inSet[imp]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.ImportPath] = 2
-		order = append(order, p)
-		return nil
-	}
-	for i := range listed {
-		if err := visit(&listed[i]); err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]*Package, 0, len(order))
-	for _, lp := range order {
-		if lp.Name == "" || len(lp.GoFiles) == 0 {
+	var out []*Package
+	for _, lp := range listed {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := l.check(lp.Dir, lp.ImportPath, lp.GoFiles)
@@ -118,8 +79,6 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 		l.byPath[lp.ImportPath] = pkg
 		out = append(out, pkg)
 	}
-	// Return in a stable order independent of traversal details.
-	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	return out, nil
 }
 
@@ -146,9 +105,6 @@ func (l *Loader) CheckDir(dir, importPath string) (*Package, error) {
 	sort.Strings(files)
 	return l.check(dir, importPath, files)
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // check parses and type-checks one package.
 func (l *Loader) check(dir, importPath string, fileNames []string) (*Package, error) {
@@ -202,16 +158,16 @@ func (im loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode) 
 	return im.l.std.ImportFrom(path, srcDir, mode)
 }
 
-// goList runs `go list -json` and decodes the package stream.
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -deps -json ./...` in dir and decodes the package
+// stream.
+func goList(dir string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
 	}
 	var pkgs []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -221,9 +177,6 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
-		}
-		if p.Standard {
-			continue
 		}
 		pkgs = append(pkgs, p)
 	}

@@ -10,7 +10,7 @@ import (
 // module (and, transitively, its stdlib imports) without network access.
 func TestLoadModule(t *testing.T) {
 	l := NewLoader()
-	pkgs, err := l.Load("../..", "./...")
+	pkgs, err := l.Load("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,39 +40,31 @@ func TestLoadModule(t *testing.T) {
 }
 
 // TestRunSuppression exercises the driver's directive handling end to end
-// with a throwaway analyzer that flags every function declaration.
+// with a throwaway check that flags every function declaration.
 func TestRunSuppression(t *testing.T) {
 	l := NewLoader()
 	pkg, err := l.CheckDir("testdata/src/driver", "drivertest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagFuncs := &Analyzer{
-		Name: "flagfuncs",
-		Doc:  "flags every function declaration (driver test double)",
-		Run: func(p *Pass) error {
-			for _, f := range p.Files {
-				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-						p.Reportf(fd.Body.Pos(), "function body in %s", fd.Name.Name)
-					}
+	flagFuncs := Check{Name: "flagfuncs", Run: func(pkg *Package, report Report) {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					report(fd.Body.Pos(), "function body in %s", fd.Name.Name)
 				}
 			}
-			return nil
-		},
-	}
-	findings, err := Run([]*Package{pkg}, []*Analyzer{flagFuncs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byAnalyzer := map[string]int{}
+		}
+	}}
+	findings := Run([]*Package{pkg}, []Check{flagFuncs})
+	byCheck := map[string]int{}
 	for _, f := range findings {
-		byAnalyzer[f.Analyzer]++
+		byCheck[f.Check]++
 	}
 	// driver.go fixture: one unsuppressed function, two suppressed ones
 	// (same-line and line-above directives), one directive missing its
-	// reason, one naming an unknown analyzer.
-	if byAnalyzer["flagfuncs"] != 2 || byAnalyzer[DirectiveName] != 2 {
+	// reason, one naming an unknown check.
+	if byCheck["flagfuncs"] != 2 || byCheck[DirectiveName] != 2 {
 		var got []string
 		for _, f := range findings {
 			got = append(got, f.String())

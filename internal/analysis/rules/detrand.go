@@ -34,18 +34,14 @@ var detrandBannedTime = map[string]bool{"Now": true, "Since": true, "Until": tru
 // methods on *rand.Rand values (drawing from a stream you were handed is
 // the sanctioned pattern). time.Now/Since/Until are likewise flagged:
 // simulated paths must use engine time. _test.go files are exempt.
-var Detrand = &analysis.Analyzer{
-	Name: "detrand",
-	Doc:  "forbid ambient randomness (math/rand top-level funcs) and wall-clock reads (time.Now/Since/Until) outside the allowlist",
-	Run:  runDetrand,
-}
+var Detrand = analysis.Check{Name: "detrand", Run: runDetrand}
 
-func runDetrand(pass *analysis.Pass) error {
-	if DetrandAllowedPkgs[pass.Pkg.Path()] {
-		return nil
+func runDetrand(pkg *analysis.Package, report analysis.Report) {
+	if DetrandAllowedPkgs[pkg.Types.Path()] {
+		return
 	}
-	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
+	for _, f := range pkg.Files {
+		if isTestFile(pkg, f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,7 +49,7 @@ func runDetrand(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			fn, _ := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -65,12 +61,12 @@ func runDetrand(pass *analysis.Pass) error {
 				if fn.Name() == "NewZipf" {
 					return true
 				}
-				pass.Reportf(sel.Pos(),
+				report(sel.Pos(),
 					"%s.%s is nondeterministic: draw from a sim.PartitionedRNG stream instead",
 					fn.Pkg().Name(), fn.Name())
 			case "time":
 				if detrandBannedTime[fn.Name()] {
-					pass.Reportf(sel.Pos(),
+					report(sel.Pos(),
 						"time.%s reads the wall clock: simulated paths must use engine time (Ctx.Now)",
 						fn.Name())
 				}
@@ -78,5 +74,4 @@ func runDetrand(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

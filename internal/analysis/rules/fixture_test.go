@@ -1,25 +1,21 @@
-// Package analysistest is a golden-file test harness for the determinism
-// lint suite, mirroring golang.org/x/tools/go/analysis/analysistest on the
-// repo's stdlib-only framework.
-//
-// A fixture is a directory of Go files (under testdata, invisible to the
-// go tool) checked as one package. Expected findings are written as
-// trailing comments on the offending line:
+package rules
+
+// A golden-file harness for the checks. A fixture is a directory of Go
+// files (under testdata, invisible to the go tool) checked as one package.
+// Expected findings are written as trailing comments on the offending line:
 //
 //	rand.Intn(10) // want `rand\.Intn is nondeterministic`
 //
 // Each `want` takes one or more quoted or backquoted regular expressions;
 // every expectation must be matched by a distinct finding on that line and
 // every finding must match an expectation. Driver-level findings
-// (malformed //lint:allow directives) participate like any other, so
-// suppression behavior is testable. Fixtures may import real module
+// (malformed or stale //lint:allow directives) participate like any other,
+// so suppression behavior is testable. Fixtures may import real module
 // packages (alock/internal/api, ...): the harness type-checks the whole
 // module once per process and resolves fixture imports against it.
-package analysistest
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -32,63 +28,39 @@ import (
 )
 
 var (
-	loadOnce sync.Once
-	loader   *analysis.Loader
-	loadErr  error
+	loadOnce   sync.Once
+	loader     *analysis.Loader
+	modulePkgs []*analysis.Package
+	loadErr    error
 )
 
-// sharedLoader type-checks the module once per process so every fixture
-// run reuses the same dependency packages.
-func sharedLoader() (*analysis.Loader, error) {
-	loadOnce.Do(func() {
-		root, err := moduleRoot()
-		if err != nil {
-			loadErr = err
-			return
-		}
-		loader = analysis.NewLoader()
-		_, loadErr = loader.Load(root, "./...")
-	})
-	return loader, loadErr
-}
-
-// moduleRoot walks up from the working directory to the enclosing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("analysistest: no go.mod above working directory")
-		}
-		dir = parent
-	}
-}
-
-// Run checks the fixture package in dir (typed under importPath, which
-// analyzers see as the package path — pick one inside or outside their
-// scopes/allowlists as the case requires) against its want comments,
-// running the given analyzers through the full driver, suppression
-// handling included.
-func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) {
+// sharedModule type-checks the module once per process, so every fixture
+// run reuses the same dependency packages and TestModuleIsLintClean checks
+// the packages the fixtures resolved against.
+func sharedModule(t *testing.T) (*analysis.Loader, []*analysis.Package) {
 	t.Helper()
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
+	loadOnce.Do(func() {
+		loader = analysis.NewLoader()
+		modulePkgs, loadErr = loader.Load("../../..")
+	})
+	if loadErr != nil {
+		t.Fatal(loadErr)
 	}
+	return loader, modulePkgs
+}
+
+// runFixture checks the fixture package in dir (typed under importPath,
+// which checks see as the package path — pick one inside or outside their
+// allowlists as the case requires) against its want comments, running the
+// given checks through the full driver, suppression handling included.
+func runFixture(t *testing.T, dir, importPath string, checks ...analysis.Check) {
+	t.Helper()
+	l, _ := sharedModule(t)
 	pkg, err := l.CheckDir(dir, importPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := analysis.Run([]*analysis.Package{pkg}, checks)
 	wants := collectWants(t, pkg)
 
 	// Match findings against expectations line by line.
@@ -104,7 +76,7 @@ func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) 
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected finding: %s [%s]", key.file, key.line, f.Message, f.Analyzer)
+			t.Errorf("%s:%d: unexpected finding: %s [%s]", key.file, key.line, f.Message, f.Check)
 		}
 	}
 	keys := make([]lineKey, 0, len(wants))

@@ -26,15 +26,11 @@ import (
 // += -= |= &= ^= *= and ++/--, and control flow composed of those.
 // Float accumulation is NOT accepted: float addition is not associative,
 // and this repo's guarantees are bit-level.
-var Maporder = &analysis.Analyzer{
-	Name: "maporder",
-	Doc:  "flag map iteration with order-dependent effects lacking the sorted-keys idiom",
-	Run:  runMaporder,
-}
+var Maporder = analysis.Check{Name: "maporder", Run: runMaporder}
 
-func runMaporder(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
+func runMaporder(pkg *analysis.Package, report analysis.Report) {
+	for _, f := range pkg.Files {
+		if isTestFile(pkg, f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -54,28 +50,27 @@ func runMaporder(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				if _, isMap := pass.TypesInfo.Types[rs.X].Type.Underlying().(*types.Map); !isMap {
+				if _, isMap := pkg.TypesInfo.Types[rs.X].Type.Underlying().(*types.Map); !isMap {
 					continue
 				}
-				checkMapRange(pass, rs, stmts[i+1:])
+				checkMapRange(pkg.TypesInfo, report, rs, stmts[i+1:])
 			}
 			return true
 		})
 	}
-	return nil
 }
 
 // checkMapRange validates one map-range statement. following holds the
 // statements after it in the enclosing block, searched for the sort half
 // of the collect-keys idiom.
-func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, following []ast.Stmt) {
+func checkMapRange(info *types.Info, report analysis.Report, rs *ast.RangeStmt, following []ast.Stmt) {
 	v := &rangeValidator{
-		pass:   pass,
-		keyObj: rangeVarObj(pass.TypesInfo, rs, rs.Key),
+		info:   info,
+		keyObj: rangeVarObj(info, rs, rs.Key),
 	}
 	v.stmts(rs.Body.List)
 	if v.badPos.IsValid() {
-		pass.Reportf(v.badPos, "map iteration has order-dependent effects (%s): iterate sorted keys instead", v.badWhat)
+		report(v.badPos, "map iteration has order-dependent effects (%s): iterate sorted keys instead", v.badWhat)
 		return
 	}
 	collected := make([]types.Object, 0, len(v.collected))
@@ -84,8 +79,8 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, following []ast.Stmt)
 	}
 	sort.Slice(collected, func(i, j int) bool { return collected[i].Pos() < collected[j].Pos() })
 	for _, obj := range collected {
-		if !sortedLater(pass.TypesInfo, following, obj) {
-			pass.Reportf(rs.Pos(), "map keys collected into %s are never sorted: order-dependent result", obj.Name())
+		if !sortedLater(info, following, obj) {
+			report(rs.Pos(), "map keys collected into %s are never sorted: order-dependent result", obj.Name())
 		}
 	}
 }
@@ -107,7 +102,7 @@ func rangeVarObj(info *types.Info, rs *ast.RangeStmt, e ast.Expr) types.Object {
 // statement is recorded in badPos/badWhat; key-collect appends land in
 // collected for the later sort check.
 type rangeValidator struct {
-	pass      *analysis.Pass
+	info      *types.Info
 	keyObj    types.Object
 	collected map[types.Object]bool
 	badPos    token.Pos
@@ -156,9 +151,9 @@ func (v *rangeValidator) stmt(s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && isBuiltin(v.pass.TypesInfo, id) {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && isBuiltin(v.info, id) {
 				// delete(m2, k): removal keyed by the loop key commutes.
-				if len(call.Args) == 2 && mentionsObj(v.pass.TypesInfo, call.Args[1], v.keyObj) {
+				if len(call.Args) == 2 && mentionsObj(v.info, call.Args[1], v.keyObj) {
 					return
 				}
 			}
@@ -200,15 +195,15 @@ func (v *rangeValidator) assign(s *ast.AssignStmt) {
 	case token.ASSIGN, token.DEFINE:
 		// s = append(s, key): the collect half of the sorted-keys idiom.
 		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && isBuiltin(v.pass.TypesInfo, id) {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && isBuiltin(v.info, id) {
 				v.appendStmt(s, lhs, call)
 				return
 			}
 		}
 		// m2[k] = ...: keyed by the loop key, writes commute.
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-			if _, isMap := v.pass.TypesInfo.Types[ix.X].Type.Underlying().(*types.Map); isMap {
-				if mentionsObj(v.pass.TypesInfo, ix.Index, v.keyObj) {
+			if _, isMap := v.info.Types[ix.X].Type.Underlying().(*types.Map); isMap {
+				if mentionsObj(v.info, ix.Index, v.keyObj) {
 					return
 				}
 				v.bad(s.Pos(), "map write not keyed by the loop key (same-key collisions resolve in map order)")
@@ -217,7 +212,7 @@ func (v *rangeValidator) assign(s *ast.AssignStmt) {
 		}
 		v.bad(s.Pos(), "assignment per iteration")
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN, token.MUL_ASSIGN:
-		t := v.pass.TypesInfo.Types[lhs].Type
+		t := v.info.Types[lhs].Type
 		if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
 			return // integer accumulation commutes
 		}
@@ -238,21 +233,21 @@ func (v *rangeValidator) appendStmt(s *ast.AssignStmt, lhs ast.Expr, call *ast.C
 	}
 	var lhsObj types.Object
 	if s.Tok == token.DEFINE {
-		lhsObj = v.pass.TypesInfo.Defs[lhsID]
+		lhsObj = v.info.Defs[lhsID]
 	} else {
-		lhsObj = v.pass.TypesInfo.Uses[lhsID]
+		lhsObj = v.info.Uses[lhsID]
 	}
 	if len(call.Args) < 2 || call.Ellipsis.IsValid() {
 		v.bad(s.Pos(), "append of map contents in iteration order")
 		return
 	}
-	if first, ok := ast.Unparen(call.Args[0]).(*ast.Ident); !ok || v.pass.TypesInfo.Uses[first] != lhsObj {
+	if first, ok := ast.Unparen(call.Args[0]).(*ast.Ident); !ok || v.info.Uses[first] != lhsObj {
 		v.bad(s.Pos(), "append into a different slice per iteration")
 		return
 	}
 	for _, arg := range call.Args[1:] {
 		id, ok := ast.Unparen(arg).(*ast.Ident)
-		if !ok || v.keyObj == nil || v.pass.TypesInfo.Uses[id] != v.keyObj {
+		if !ok || v.keyObj == nil || v.info.Uses[id] != v.keyObj {
 			v.bad(arg.Pos(), "appends map values in iteration order (only bare keys, sorted afterwards, are deterministic)")
 			return
 		}

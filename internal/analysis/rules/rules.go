@@ -1,12 +1,13 @@
-// Package rules implements the repo's determinism lint suite: two
-// per-package syntactic analyzers, detrand and maporder. An analyzer stays
-// while it catches a bug that no test or runtime gate fails on; see each
-// analyzer's Doc and the README's "Determinism invariants" section, which
-// maps each analyzer to that bug.
+// Package rules implements the repo's two determinism checks, detrand and
+// maporder: per-package syntactic rules over a loaded *analysis.Package. A
+// check stays while it catches a bug that no other test or runtime gate
+// fails on; the README's "Determinism invariants" section maps each check
+// to that bug. TestModuleIsLintClean runs both over every package of the
+// module.
 //
 // Findings are suppressed per site with `//lint:allow <analyzer> <reason>`
-// (the reason is mandatory; the driver rejects directives naming analyzers
-// that are not part of the run).
+// (the reason is mandatory; the driver rejects directives naming checks
+// that are not part of the run, and reports waivers that suppress nothing).
 package rules
 
 import (
@@ -17,9 +18,9 @@ import (
 	"alock/internal/analysis"
 )
 
-// All returns the full suite in reporting order.
-func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Detrand, Maporder}
+// All returns both checks in reporting order.
+func All() []analysis.Check {
+	return []analysis.Check{Detrand, Maporder}
 }
 
 // --- shared helpers ---
@@ -38,9 +39,9 @@ func funcOf(info *types.Info, e ast.Expr) *types.Func {
 	return nil
 }
 
-// isTestFile reports whether the position's file is a _test.go file.
-func isTestFile(pass *analysis.Pass, f *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
+// isTestFile reports whether f is a _test.go file.
+func isTestFile(pkg *analysis.Package, f *ast.File) bool {
+	return strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // mentionsObj reports whether node references obj anywhere.

@@ -44,8 +44,6 @@ type Case struct {
 	// Name is stable across trajectory files ("engine/<layer>", with
 	// "@paper" on the larger size).
 	Name string
-	// Suite tags the case "tiny" or "paper"; -suite all runs both.
-	Suite string
 
 	build   func(opts ...sim.Option) *sim.Engine
 	horizon int64
@@ -373,39 +371,39 @@ func Suite(name string) ([]Case, error) {
 	}
 	if tiny {
 		cases = append(cases,
-			Case{Name: "engine/work-loop", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/work-loop", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(4, o...) }},
-			Case{Name: "engine/idle-loop", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/idle-loop", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(2, 4, o...) }},
-			Case{Name: "engine/spin-poll", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/spin-poll", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(2, 4, o...) }},
-			Case{Name: "engine/desc-wait", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/desc-wait", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return descWaitEngine(2, 4, o...) }},
-			Case{Name: "engine/local-chain", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/local-chain", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(2, 4, o...) }},
-			Case{Name: "engine/torn-loopback", Suite: "tiny", horizon: 2_000_000,
+			Case{Name: "engine/torn-loopback", horizon: 2_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return tornLoopbackEngine(2, 4, o...) }},
-			Case{Name: "engine/contended-rmw", Suite: "tiny", horizon: 4_000_000,
+			Case{Name: "engine/contended-rmw", horizon: 4_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(4, o...) }},
-			Case{Name: "engine/barrier", Suite: "tiny", horizon: 20_000_000,
+			Case{Name: "engine/barrier", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return barrierEngine(2, o...) }},
 		)
 	}
 	if paper {
 		cases = append(cases,
-			Case{Name: "engine/work-loop@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/work-loop@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return workLoopEngine(8, o...) }},
-			Case{Name: "engine/idle-loop@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/idle-loop@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return idleLoopEngine(4, 8, o...) }},
-			Case{Name: "engine/spin-poll@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/spin-poll@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return spinPollEngine(4, 8, o...) }},
-			Case{Name: "engine/desc-wait@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/desc-wait@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return descWaitEngine(4, 8, o...) }},
-			Case{Name: "engine/local-chain@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/local-chain@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return localChainEngine(4, 8, o...) }},
-			Case{Name: "engine/torn-loopback@paper", Suite: "paper", horizon: 20_000_000,
+			Case{Name: "engine/torn-loopback@paper", horizon: 20_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return tornLoopbackEngine(4, 8, o...) }},
-			Case{Name: "engine/contended-rmw@paper", Suite: "paper", horizon: 40_000_000,
+			Case{Name: "engine/contended-rmw@paper", horizon: 40_000_000,
 				build: func(o ...sim.Option) *sim.Engine { return contendedEngine(8, o...) }},
 		)
 	}

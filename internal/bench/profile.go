@@ -17,29 +17,29 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
 		if err != nil {
-			return nil, fmt.Errorf("bench: create cpu profile: %w", err)
+			return nil, fmt.Errorf("create cpu profile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
 			cpuFile.Close()
-			return nil, fmt.Errorf("bench: start cpu profile: %w", err)
+			return nil, fmt.Errorf("start cpu profile: %w", err)
 		}
 	}
 	return func() error {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				return fmt.Errorf("bench: close cpu profile: %w", err)
+				return fmt.Errorf("close cpu profile: %w", err)
 			}
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				return fmt.Errorf("bench: create mem profile: %w", err)
+				return fmt.Errorf("create mem profile: %w", err)
 			}
 			defer f.Close()
 			runtime.GC() // report live objects, not garbage
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				return fmt.Errorf("bench: write mem profile: %w", err)
+				return fmt.Errorf("write mem profile: %w", err)
 			}
 		}
 		return nil
