@@ -1,44 +1,62 @@
 // Package locktest provides shared correctness harnesses for every lock
 // algorithm in the repository. It is imported only by test files.
 //
-// The central check is mutual exclusion under the deterministic simulator
-// with Table 1 tearing enabled: threads repeatedly acquire a lock and
-// perform a deliberately non-atomic read-modify-write on a counter plus an
-// ownership handshake. Any interleaving of two critical sections loses an
+// The central check is mutual exclusion: threads repeatedly acquire a lock
+// and perform a deliberately non-atomic read-modify-write on a counter plus
+// an ownership handshake. Any interleaving of two critical sections loses an
 // increment or trips the ownership check, so a correct run proves the lock
-// serialized every critical section under that schedule. Acquisitions go
-// through the token layer (locks.TokenHandleFor), the path every workload
-// uses. CheckOverlappingHolds extends the same idea to two locks held at once
-// through the acquisition-token API, proving descriptor-per-acquisition
-// correctness and fencing-token acceptance of every valid release.
+// serialized every critical section. One run body serves two backends: the
+// deterministic simulator with Table 1 tearing enabled, and (with
+// MutexConfig.RealTime) internal/rt's goroutines in real parallel, where a
+// plain Go counter bumped inside each critical section is the race
+// detector's witness. Acquisitions go through the token layer
+// (locks.TokenHandleFor), the path every workload uses. CheckOverlappingHolds
+// runs the same body with two locks held at once, proving
+// descriptor-per-acquisition correctness and fencing-token acceptance of
+// every valid release.
 package locktest
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"alock/internal/api"
 	"alock/internal/locks"
+	"alock/internal/mem"
 	"alock/internal/model"
 	"alock/internal/ptr"
+	"alock/internal/rt"
 	"alock/internal/sim"
 )
 
-// MutexConfig parameterizes CheckMutualExclusion.
+// MutexConfig parameterizes CheckMutualExclusion and CheckOverlappingHolds.
 type MutexConfig struct {
 	Nodes          int
 	ThreadsPerNode int
 	Locks          int
-	Iters          int // lock/unlock pairs per thread
-	LocalityPct    int // percentage of operations targeting the own node
+	Iters          int // ops per thread
+	LocalityPct    int // percentage of one-lock ops targeting the own node
 	Seed           int64
 	Model          model.Params
 	// EngineShards is the engine's worker count (0 = serial executor, n >= 1
 	// = conservative windowed executor on n workers). The schedule — and
 	// therefore every observation — is bit-identical at any setting.
 	EngineShards int
+	// Holds is how many distinct locks an op holds at once (0 means 1).
+	// Above one, an op draws them uniformly, acquires them in ascending
+	// index order (the deadlock-avoiding discipline) and releases them in
+	// both orders: ascending on even iterations, descending on odd.
+	Holds int
+	// RealTime runs the threads as internal/rt goroutines instead of under
+	// the simulator; Model and EngineShards are then unused.
+	RealTime bool
 }
+
+// OverlapConfig is the MutexConfig of CheckOverlappingHolds.
+type OverlapConfig = MutexConfig
 
 // DefaultMutexConfig returns a small-but-contended configuration with
 // tearing enabled.
@@ -57,43 +75,73 @@ func DefaultMutexConfig() MutexConfig {
 	}
 }
 
+// DefaultOverlapConfig returns a small-but-contended two-lock configuration
+// with tearing enabled.
+func DefaultOverlapConfig() OverlapConfig {
+	cfg := DefaultMutexConfig()
+	cfg.ThreadsPerNode = 2
+	cfg.Locks = 3
+	cfg.Iters = 60
+	cfg.LocalityPct = 0
+	cfg.Holds = 2
+	return cfg
+}
+
 // Result reports what the harness observed.
 type Result struct {
 	TotalOps      int64
 	CounterSum    int64
-	OwnerTramples int64
+	OwnerTramples int64   // includes grants that were not Acquired and fenced live releases
 	Entries       [][]int // per lock: sequence of acquiring thread IDs
 }
 
-// mutexEntry is one critical-section completion, stamped with its virtual
-// time so per-thread logs can be merged back into the global serialization
-// order (critical sections on one lock never overlap, so stamps on a lock
-// are strictly increasing).
+// mutexEntry is one critical-section completion, stamped with its time so
+// per-thread logs can be merged back into the global serialization order
+// (critical sections on one lock never overlap, so stamps on a lock are
+// strictly increasing).
 type mutexEntry struct {
 	at  int64
 	tid int
 }
 
-// mutexTally is one thread's private observations. Threads on different
-// shards run concurrently under the windowed executor, so shared tallies
-// would race; each thread owns a slot and the merge happens after Run.
+// mutexTally is one thread's private observations. Threads run
+// concurrently under rt and on different shards of the windowed executor,
+// so shared tallies would race; each thread owns a slot and the merge
+// happens after the run.
 type mutexTally struct {
 	ops      int64
 	tramples int64
 	entries  [][]mutexEntry // per lock
 }
 
-// RunMutex executes the mutual-exclusion workload and returns observations
-// without judging them (used by both the positive checks and the negative
-// Table 1 demonstrations). The one thing it does judge is the token layer's
-// books: a guard still live after every thread exits panics the run.
-func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
+// backend builds the run's engine: its memory, a spawn, and a wait until
+// every thread spawned since the last wait has returned. rt's threads are
+// held at a gate the wait opens, so they start together: one spawned alone
+// could finish its ops before the next goroutine runs.
+func backend(cfg MutexConfig) (*mem.Space, func(int, func(api.Ctx)), func()) {
+	if cfg.RealTime {
+		e := rt.New(cfg.Nodes, 1<<20, rt.Config{}, cfg.Seed)
+		gate := make(chan struct{})
+		spawn := func(node int, fn func(api.Ctx)) {
+			g := gate
+			e.Spawn(node, func(ctx api.Ctx) { <-g; fn(ctx) })
+		}
+		return e.Space(), spawn, func() { close(gate); e.Wait(); gate = make(chan struct{}) }
+	}
 	var opts []sim.Option
 	if cfg.EngineShards > 0 {
 		opts = append(opts, sim.WithShards(cfg.EngineShards))
 	}
 	e := sim.New(cfg.Nodes, 1<<20, cfg.Model, cfg.Seed, opts...)
-	space := e.Space()
+	return e.Space(), func(node int, fn func(api.Ctx)) { e.Spawn(node, fn) }, func() { e.Run(1 << 62) }
+}
+
+// run executes the workload and returns its observations, the sum of the
+// plain Go counters, and the token layer's books (a guard still live after
+// every thread exits, or a release of one no longer held).
+func run(prov locks.Provider, cfg MutexConfig) (Result, int64, error) {
+	holds := max(cfg.Holds, 1)
+	space, spawn, wait := backend(cfg)
 
 	lockPtrs := make([]ptr.Ptr, cfg.Locks)
 	counterPtrs := make([]ptr.Ptr, cfg.Locks)
@@ -108,53 +156,81 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 
 	ft := locks.NewFenceTable()
 	tallies := make([]mutexTally, cfg.Nodes*cfg.ThreadsPerNode)
+	// plain is bumped only inside a critical section: under rt a lost
+	// update or a -race report is the lock's failure, not the test's.
+	plain := make([]int64, cfg.Locks)
 	slot := 0
 	for n := 0; n < cfg.Nodes; n++ {
 		for k := 0; k < cfg.ThreadsPerNode; k++ {
-			node := n
 			tl := &tallies[slot]
 			slot++
-			e.Spawn(node, func(ctx api.Ctx) {
+			spawn(n, func(ctx api.Ctx) {
 				tl.entries = make([][]mutexEntry, cfg.Locks)
 				h := locks.TokenHandleFor(prov, ctx, ft)
 				rw := rwFor(ctx)
+				held := make([]int, holds)
+				guards := make([]api.Guard, 0, holds)
 				for it := 0; it < cfg.Iters; it++ {
-					li := pickLock(ctx, cfg, lockPtrs)
-					g, out := h.Acquire(lockPtrs[li], api.Exclusive, api.AcquireOpts{})
-					if !out.Granted() {
-						tl.tramples++ // a blocking acquire must not time out
+					pick(ctx, cfg, lockPtrs, held)
+					guards = guards[:0]
+					for _, li := range held {
+						g, out := h.Acquire(lockPtrs[li], api.Exclusive, api.AcquireOpts{})
+						if out != api.Acquired {
+							tl.tramples++ // a blocking acquire neither times out nor runs late
+						}
+						if !out.Granted() {
+							break
+						}
+						guards = append(guards, g)
+					}
+					if len(guards) < holds {
+						for _, g := range guards {
+							h.Release(g) // back out of what was granted
+						}
 						continue
 					}
 					// Critical section: ownership handshake plus a torn
-					// counter increment. Data accesses use the thread's
-					// own access class, like real protected data would.
+					// counter increment on every held lock. Data accesses
+					// use the thread's own access class, like real
+					// protected data would.
 					tag := uint64(ctx.ThreadID()) + 1
-					if rw.read(ctx, ownerPtrs[li]) != 0 {
-						tl.tramples++
+					for _, li := range held {
+						if rw.read(ctx, ownerPtrs[li]) != 0 {
+							tl.tramples++
+						}
+						rw.write(ctx, ownerPtrs[li], tag)
 					}
-					rw.write(ctx, ownerPtrs[li], tag)
-					c := rw.read(ctx, counterPtrs[li])
-					rw.write(ctx, counterPtrs[li], c+1)
-					if rw.read(ctx, ownerPtrs[li]) != tag {
-						tl.tramples++
+					for _, li := range held {
+						c := rw.read(ctx, counterPtrs[li])
+						rw.write(ctx, counterPtrs[li], c+1)
+						plain[li]++
+						if rw.read(ctx, ownerPtrs[li]) != tag {
+							tl.tramples++
+						}
+						rw.write(ctx, ownerPtrs[li], 0)
+						tl.entries[li] = append(tl.entries[li],
+							mutexEntry{at: ctx.Now(), tid: ctx.ThreadID()})
 					}
-					rw.write(ctx, ownerPtrs[li], 0)
-					tl.entries[li] = append(tl.entries[li],
-						mutexEntry{at: ctx.Now(), tid: ctx.ThreadID()})
-					if h.Release(g) != api.Released {
-						tl.tramples++ // a live guard's release must not be fenced
+					if it%2 == 1 {
+						slices.Reverse(guards) // release in both orders
+					}
+					for _, g := range guards {
+						if h.Release(g) != api.Released {
+							tl.tramples++ // a live guard's release must not be fenced
+						}
 					}
 					tl.ops++
 				}
 			})
 		}
 	}
-	e.Run(1 << 62)
+	wait()
 	if err := ft.Drained(); err != nil {
-		panic("locktest: " + err.Error())
+		return Result{}, 0, err
 	}
 
 	res := Result{Entries: make([][]int, cfg.Locks)}
+	var plainSum int64
 	for i := range tallies {
 		res.TotalOps += tallies[i].ops
 		res.OwnerTramples += tallies[i].tramples
@@ -162,6 +238,7 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 	// Merge the per-thread entry logs back into the global serialization
 	// order per lock.
 	for li := 0; li < cfg.Locks; li++ {
+		plainSum += plain[li]
 		var merged []mutexEntry
 		for i := range tallies {
 			if tallies[i].entries != nil {
@@ -182,202 +259,71 @@ func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
 
 	// Sum the counters after all threads exit, routing each read through
 	// the verb protocol the word's placement demands.
-	e.Spawn(0, func(ctx api.Ctx) {
+	spawn(0, func(ctx api.Ctx) {
 		rw := rwFor(ctx)
 		for i := range counterPtrs {
 			res.CounterSum += int64(rw.read(ctx, counterPtrs[i]))
 		}
 	})
-	e.Run(1 << 62)
+	wait()
+	return res, plainSum, nil
+}
+
+// RunMutex executes the mutual-exclusion workload and returns observations
+// without judging them (used by both the positive checks and the negative
+// Table 1 demonstrations). The one thing it does judge is the token layer's
+// books: a guard still live after every thread exits panics the run.
+func RunMutex(prov locks.Provider, cfg MutexConfig) Result {
+	res, _, err := run(prov, cfg)
+	if err != nil {
+		panic("locktest: " + err.Error())
+	}
 	return res
 }
 
 // CheckMutualExclusion fails t unless every critical section was perfectly
-// serialized.
+// serialized, every grant and valid release was accepted, and no guard was
+// left live or released twice.
 func CheckMutualExclusion(t *testing.T, prov locks.Provider, cfg MutexConfig) {
 	t.Helper()
-	res := RunMutex(prov, cfg)
+	holds := max(cfg.Holds, 1)
+	if cfg.Locks < holds {
+		t.Fatalf("%d locks held at once need as many locks, got %d", holds, cfg.Locks)
+	}
+	res, plain, err := run(prov, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", prov.Name(), err)
+	}
+	shape := ""
+	if holds > 1 {
+		shape = fmt.Sprintf(" holding %d locks at once", holds)
+	}
 	want := int64(cfg.Nodes * cfg.ThreadsPerNode * cfg.Iters)
 	if res.TotalOps != want {
-		t.Fatalf("%s: completed %d ops, want %d", prov.Name(), res.TotalOps, want)
+		t.Fatalf("%s: completed %d ops%s, want %d", prov.Name(), res.TotalOps, shape, want)
 	}
-	if res.CounterSum != want {
-		t.Errorf("%s: lost updates — counter sum %d, want %d (mutual exclusion violated)",
-			prov.Name(), res.CounterSum, want)
+	if want *= int64(holds); res.CounterSum != want || plain != want {
+		t.Errorf("%s: lost updates%s — counter sum %d, plain counter sum %d, want %d (mutual exclusion violated)",
+			prov.Name(), shape, res.CounterSum, plain, want)
 	}
 	if res.OwnerTramples != 0 {
-		t.Errorf("%s: %d ownership violations (overlapping critical sections)",
-			prov.Name(), res.OwnerTramples)
-	}
-}
-
-// OverlapConfig parameterizes CheckOverlappingHolds.
-type OverlapConfig struct {
-	Nodes          int
-	ThreadsPerNode int
-	Locks          int // must be >= 2
-	Iters          int // two-lock transactions per thread
-	Seed           int64
-	Model          model.Params
-	// EngineShards is the engine's worker count, as in MutexConfig.
-	EngineShards int
-}
-
-// DefaultOverlapConfig returns a small-but-contended configuration with
-// tearing enabled.
-func DefaultOverlapConfig() OverlapConfig {
-	m := model.Uniform(7)
-	m.TornRCAS = true
-	m.TornGapNS = 90
-	return OverlapConfig{
-		Nodes:          3,
-		ThreadsPerNode: 2,
-		Locks:          3,
-		Iters:          60,
-		Seed:           1,
-		Model:          m,
+		t.Errorf("%s: %d ownership violations%s (overlapping critical sections, late grants or fenced releases)",
+			prov.Name(), res.OwnerTramples, shape)
 	}
 }
 
 // CheckOverlappingHolds proves descriptor-per-acquisition correctness
-// under the token API: every thread repeatedly acquires two distinct locks
-// (in ascending index order, the deadlock-avoiding discipline), mutates
-// both locks' protected counters inside the doubly-held section, and
-// releases in both orders (ascending on even iterations, descending on
-// odd). A lock algorithm that still ties one descriptor to the thread —
-// rather than to the acquisition — corrupts its queue on the second
-// acquire and loses increments or tramples ownership; a correct run also
-// sees every release accepted by its fencing token and, once every thread
-// has exited, no guard still live (a back-out that forgets the first lock).
+// under the token API: CheckMutualExclusion with every op holding two
+// distinct locks (cfg.Holds, at least 2). A lock algorithm that still ties
+// one descriptor to the thread — rather than to the acquisition — corrupts
+// its queue on the second acquire and loses increments or tramples
+// ownership; a correct run also sees every release accepted by its fencing
+// token and, once every thread has exited, no guard still live (a back-out
+// that forgets the first lock).
 func CheckOverlappingHolds(t *testing.T, prov locks.Provider, cfg OverlapConfig) {
 	t.Helper()
-	if cfg.Locks < 2 {
-		t.Fatalf("CheckOverlappingHolds needs >= 2 locks, got %d", cfg.Locks)
-	}
-	var opts []sim.Option
-	if cfg.EngineShards > 0 {
-		opts = append(opts, sim.WithShards(cfg.EngineShards))
-	}
-	e := sim.New(cfg.Nodes, 1<<20, cfg.Model, cfg.Seed, opts...)
-	space := e.Space()
-
-	lockPtrs := make([]ptr.Ptr, cfg.Locks)
-	counterPtrs := make([]ptr.Ptr, cfg.Locks)
-	ownerPtrs := make([]ptr.Ptr, cfg.Locks)
-	for i := range lockPtrs {
-		node := i % cfg.Nodes
-		lockPtrs[i] = space.AllocLine(node)
-		counterPtrs[i] = space.AllocLine(node)
-		ownerPtrs[i] = space.AllocLine(node)
-	}
-	prov.Prepare(space, lockPtrs)
-
-	ft := locks.NewFenceTable()
-	// Per-thread tallies: threads on different shards run concurrently
-	// under the windowed executor, so shared counters would race.
-	type overlapTally struct{ ops, tramples, fenced int64 }
-	tallies := make([]overlapTally, cfg.Nodes*cfg.ThreadsPerNode)
-	slot := 0
-	for n := 0; n < cfg.Nodes; n++ {
-		for k := 0; k < cfg.ThreadsPerNode; k++ {
-			node := n
-			tl := &tallies[slot]
-			slot++
-			e.Spawn(node, func(ctx api.Ctx) {
-				h := locks.TokenHandleFor(prov, ctx, ft)
-				rw := rwFor(ctx)
-				for it := 0; it < cfg.Iters; it++ {
-					a := ctx.Rand().Intn(cfg.Locks)
-					b := ctx.Rand().Intn(cfg.Locks - 1)
-					if b >= a {
-						b++
-					}
-					if b < a {
-						a, b = b, a
-					}
-					// A blocking acquire neither times out nor runs late; if a
-					// broken lock says otherwise, count it and back out.
-					ga, out := h.Acquire(lockPtrs[a], api.Exclusive, api.AcquireOpts{})
-					if out != api.Acquired {
-						tl.tramples++
-					}
-					if !out.Granted() {
-						continue
-					}
-					gb, out := h.Acquire(lockPtrs[b], api.Exclusive, api.AcquireOpts{})
-					if out != api.Acquired {
-						tl.tramples++
-					}
-					if !out.Granted() {
-						h.Release(ga)
-						continue
-					}
-					// Doubly-held section: the handshake on both locks'
-					// data trips if any other critical section overlaps.
-					tag := uint64(ctx.ThreadID()) + 1
-					for _, li := range []int{a, b} {
-						if rw.read(ctx, ownerPtrs[li]) != 0 {
-							tl.tramples++
-						}
-						rw.write(ctx, ownerPtrs[li], tag)
-					}
-					for _, li := range []int{a, b} {
-						c := rw.read(ctx, counterPtrs[li])
-						rw.write(ctx, counterPtrs[li], c+1)
-						if rw.read(ctx, ownerPtrs[li]) != tag {
-							tl.tramples++
-						}
-						rw.write(ctx, ownerPtrs[li], 0)
-					}
-					first, second := ga, gb
-					if it%2 == 1 {
-						first, second = gb, ga // release in both orders
-					}
-					if h.Release(first) != api.Released {
-						tl.fenced++
-					}
-					if h.Release(second) != api.Released {
-						tl.fenced++
-					}
-					tl.ops++
-				}
-			})
-		}
-	}
-	e.Run(1 << 62)
-	if err := ft.Drained(); err != nil {
-		t.Fatalf("%s: %v", prov.Name(), err)
-	}
-
-	var totalOps, tramples, fenced int64
-	for i := range tallies {
-		totalOps += tallies[i].ops
-		tramples += tallies[i].tramples
-		fenced += tallies[i].fenced
-	}
-	var counterSum int64
-	e.Spawn(0, func(ctx api.Ctx) {
-		rw := rwFor(ctx)
-		for i := range counterPtrs {
-			counterSum += int64(rw.read(ctx, counterPtrs[i]))
-		}
-	})
-	e.Run(1 << 62)
-
-	want := int64(cfg.Nodes * cfg.ThreadsPerNode * cfg.Iters)
-	if totalOps != want {
-		t.Fatalf("%s: completed %d two-lock ops, want %d", prov.Name(), totalOps, want)
-	}
-	if counterSum != 2*want {
-		t.Errorf("%s: lost updates under overlapping holds — counter sum %d, want %d",
-			prov.Name(), counterSum, 2*want)
-	}
-	if tramples != 0 {
-		t.Errorf("%s: %d ownership violations under overlapping holds", prov.Name(), tramples)
-	}
-	if fenced != 0 {
-		t.Errorf("%s: %d valid releases rejected by fencing tokens", prov.Name(), fenced)
-	}
+	cfg.Holds = max(cfg.Holds, 2)
+	CheckMutualExclusion(t, prov, cfg)
 }
 
 // CheckZombieDrain proves the descriptor pools recycle abandoned
@@ -533,6 +479,28 @@ func (r rw) write(ctx api.Ctx, p ptr.Ptr, v uint64) {
 		return
 	}
 	ctx.RWrite(p, v)
+}
+
+// pick fills held with an op's locks: one drawn by locality, or
+// len(held) distinct ones drawn uniformly, in ascending index order.
+func pick(ctx api.Ctx, cfg MutexConfig, lockPtrs []ptr.Ptr, held []int) {
+	if len(held) == 1 {
+		held[0] = pickLock(ctx, cfg, lockPtrs)
+		return
+	}
+	for j := range held {
+		// The x-th index not drawn yet: step over the earlier draws in
+		// ascending order.
+		x := ctx.Rand().Intn(cfg.Locks - j)
+		slices.Sort(held[:j])
+		for _, d := range held[:j] {
+			if x >= d {
+				x++
+			}
+		}
+		held[j] = x
+	}
+	slices.Sort(held)
 }
 
 func pickLock(ctx api.Ctx, cfg MutexConfig, lockPtrs []ptr.Ptr) int {

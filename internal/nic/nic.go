@@ -109,7 +109,10 @@ func (n *NIC) Submit(now int64, qp QP, loopback bool, inFlight int) int64 {
 		threshold, alpha, capF = n.p.LoopbackRXThreshold, n.p.LoopbackAlpha, n.p.LoopbackCap
 	}
 	if excess := inFlight - threshold; excess > 0 {
-		factor := 1 + alpha*float64(excess)
+		// The explicit conversion rounds the product before the add: the
+		// Go spec lets arm64 fuse x*y+z into one FMA, which rounds once
+		// and could move a schedule between hosts.
+		factor := 1 + float64(alpha*float64(excess))
 		if factor > capF {
 			factor = capF
 		}

@@ -6,8 +6,9 @@
 //
 //  1. Correctness. The discrete-event engine (internal/sim) interleaves at
 //     event granularity; rt exposes the lock algorithms to genuine
-//     parallelism, preemption, and the Go race detector. Every algorithm's
-//     mutual-exclusion tests run here.
+//     parallelism, preemption, and the Go race detector. Every registered
+//     algorithm runs internal/locktest's checks here (MutexConfig.RealTime),
+//     the same run body the simulator's tests use.
 //
 //  2. Usability. The examples run the public API on this engine, so a
 //     downstream user gets a real working lock library, not only a
@@ -119,6 +120,12 @@ type thread struct {
 	id   int
 	node int
 	rng  *rand.Rand
+
+	// The thread's last remote read and how many reads in a row returned
+	// it (RRead's pacing).
+	lastRead ptr.Ptr
+	lastVal  uint64
+	rereads  int
 }
 
 var _ api.Ctx = (*thread)(nil)
@@ -250,9 +257,20 @@ func (t *thread) remoteDelay() {
 	}
 }
 
+// RRead paces a poll: a read that returns what the thread's previous
+// remote read of the same word returned escalates through Pause's tiers, so
+// a waiter whose releaser's goroutine is descheduled yields its P instead
+// of spinning until preemption (MCS's wait loops call no Pause).
 func (t *thread) RRead(p ptr.Ptr) uint64 {
 	t.remoteDelay()
-	return atomic.LoadUint64(t.addr(p))
+	v := atomic.LoadUint64(t.addr(p))
+	if p == t.lastRead && v == t.lastVal {
+		t.Pause(t.rereads)
+		t.rereads++
+	} else {
+		t.lastRead, t.lastVal, t.rereads = p, v, 0
+	}
+	return v
 }
 
 func (t *thread) RWrite(p ptr.Ptr, v uint64) {

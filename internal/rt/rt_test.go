@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 	"alock/internal/api"
 	"alock/internal/core"
 	"alock/internal/locks"
-	"alock/internal/ptr"
+	"alock/internal/locktest"
 	"alock/internal/rt"
 )
 
@@ -160,160 +161,82 @@ func TestTornRemoteRemoteAtomic(t *testing.T) {
 	}
 }
 
-// mutexRun exercises a lock provider on the rt engine with real
-// parallelism; the plain (non-atomic) counter relies on the lock for both
-// mutual exclusion and the happens-before edges the race detector checks.
-func mutexRun(t *testing.T, prov locks.Provider, nodes, threadsPerNode, iters int) {
-	t.Helper()
-	e := rt.New(nodes, 1<<18, rt.Config{}, 7)
-	lockP := e.Space().AllocLine(0)
-	prov.Prepare(e.Space(), []ptr.Ptr{lockP})
-	counter := 0 // deliberately unsynchronized: protected only by the lock
-	for n := 0; n < nodes; n++ {
-		for k := 0; k < threadsPerNode; k++ {
-			e.Spawn(n, func(ctx api.Ctx) {
-				h := api.NewBlocking(prov.NewHandle(ctx))
-				for i := 0; i < iters; i++ {
-					h.Lock(lockP)
-					counter++
-					h.Unlock(lockP)
-				}
-			})
-		}
-	}
-	e.Wait()
-	if want := nodes * threadsPerNode * iters; counter != want {
-		t.Fatalf("%s: counter = %d, want %d", prov.Name(), counter, want)
-	}
+// rtConfig is a locktest run on real goroutines: every thread takes one
+// lock (on node 0) per op, tearing off.
+func rtConfig(nodes, threadsPerNode, iters int) locktest.MutexConfig {
+	return locktest.MutexConfig{Nodes: nodes, ThreadsPerNode: threadsPerNode,
+		Locks: 1, Iters: iters, Seed: 7, RealTime: true}
 }
 
 func TestALockRealParallelism(t *testing.T) {
-	mutexRun(t, locks.NewALockProvider(), 2, 4, 800)
+	locktest.CheckMutualExclusion(t, locks.NewALockProvider(), rtConfig(2, 4, 800))
 }
 
 func TestALockRealParallelismSingleNode(t *testing.T) {
-	mutexRun(t, locks.NewALockProvider(), 1, 8, 800)
+	locktest.CheckMutualExclusion(t, locks.NewALockProvider(), rtConfig(1, 8, 800))
 }
 
 func TestALockRealParallelismTinyBudgets(t *testing.T) {
 	prov := &locks.ALockProvider{Cfg: core.Config{LocalBudget: 1, RemoteBudget: 1}}
-	mutexRun(t, prov, 2, 3, 500)
+	locktest.CheckMutualExclusion(t, prov, rtConfig(2, 3, 500))
 }
 
 func TestMCSRealParallelism(t *testing.T) {
-	mutexRun(t, locks.MCSProvider{}, 2, 4, 800)
+	locktest.CheckMutualExclusion(t, locks.MCSProvider{}, rtConfig(2, 4, 800))
 }
 
 func TestSpinlockRealParallelism(t *testing.T) {
-	mutexRun(t, locks.SpinProvider{}, 2, 4, 500)
-}
-
-// tokenMutexRun is mutexRun through the acquisition-token API: the shared
-// FenceTable and the per-acquisition descriptor paths run under real
-// goroutines, so the race detector checks the whole token layer.
-func tokenMutexRun(t *testing.T, prov locks.Provider, nodes, threadsPerNode, iters int) {
-	t.Helper()
-	e := rt.New(nodes, 1<<18, rt.Config{}, 7)
-	lockP := e.Space().AllocLine(0)
-	prov.Prepare(e.Space(), []ptr.Ptr{lockP})
-	ft := locks.NewFenceTable()
-	counter := 0 // deliberately unsynchronized: protected only by the lock
-	fenced := uint64(0)
-	for n := 0; n < nodes; n++ {
-		for k := 0; k < threadsPerNode; k++ {
-			e.Spawn(n, func(ctx api.Ctx) {
-				h := locks.TokenHandleFor(prov, ctx, ft)
-				for i := 0; i < iters; i++ {
-					g, _ := h.Acquire(lockP, api.Exclusive, api.AcquireOpts{})
-					counter++
-					if h.Release(g) != api.Released {
-						atomic.AddUint64(&fenced, 1)
-					}
-				}
-			})
-		}
-	}
-	e.Wait()
-	if want := nodes * threadsPerNode * iters; counter != want {
-		t.Fatalf("%s: counter = %d, want %d", prov.Name(), counter, want)
-	}
-	if fenced != 0 {
-		t.Fatalf("%s: %d live releases fenced", prov.Name(), fenced)
-	}
+	locktest.CheckMutualExclusion(t, locks.SpinProvider{}, rtConfig(2, 4, 500))
 }
 
 func TestTokenAPIRealParallelism(t *testing.T) {
-	tokenMutexRun(t, locks.NewALockProvider(), 2, 4, 600)
+	locktest.CheckMutualExclusion(t, locks.NewALockProvider(), rtConfig(2, 4, 600))
 }
 
 func TestTokenAPIRealParallelismTimedMCS(t *testing.T) {
-	tokenMutexRun(t, locks.MCSProvider{Timed: true}, 2, 4, 600)
+	locktest.CheckMutualExclusion(t, locks.MCSProvider{Timed: true}, rtConfig(2, 4, 600))
 }
 
-// TestTokenOverlapRealParallelism: overlapping holds of two locks under
-// real goroutines — per-acquisition descriptors with the race detector
-// watching the protected counters.
+// TestTokenOverlapRealParallelism: every op holds both locks (one per
+// node) — per-acquisition descriptors with the race detector watching.
 func TestTokenOverlapRealParallelism(t *testing.T) {
-	e := rt.New(2, 1<<18, rt.Config{}, 11)
-	la := e.Space().AllocLine(0)
-	lb := e.Space().AllocLine(1)
-	prov := locks.NewALockProvider()
-	prov.Prepare(e.Space(), []ptr.Ptr{la, lb})
-	ft := locks.NewFenceTable()
-	ca, cb := 0, 0
-	const threads, iters = 6, 400
-	for i := 0; i < threads; i++ {
-		e.Spawn(i%2, func(ctx api.Ctx) {
-			h := locks.TokenHandleFor(prov, ctx, ft)
-			for k := 0; k < iters; k++ {
-				ga, _ := h.Acquire(la, api.Exclusive, api.AcquireOpts{})
-				gb, _ := h.Acquire(lb, api.Exclusive, api.AcquireOpts{})
-				ca++
-				cb++
-				if k%2 == 0 {
-					h.Release(gb)
-					h.Release(ga)
-				} else {
-					h.Release(ga)
-					h.Release(gb)
-				}
-			}
-		})
-	}
-	e.Wait()
-	if want := threads * iters; ca != want || cb != want {
-		t.Fatalf("counters = %d/%d, want %d", ca, cb, want)
-	}
+	cfg := rtConfig(2, 3, 400)
+	cfg.Locks = 2
+	locktest.CheckOverlappingHolds(t, locks.NewALockProvider(), cfg)
 }
 
 func TestALockManyLocksRealParallelism(t *testing.T) {
-	e := rt.New(2, 1<<18, rt.Config{}, 9)
-	const nLocks = 16
-	lockPs := make([]ptr.Ptr, nLocks)
-	counters := make([]int, nLocks)
-	for i := range lockPs {
-		lockPs[i] = e.Space().AllocLine(i % 2)
-	}
-	prov := locks.NewALockProvider()
-	const threads, iters = 8, 600
-	for i := 0; i < threads; i++ {
-		e.Spawn(i%2, func(ctx api.Ctx) {
-			h := api.NewBlocking(prov.NewHandle(ctx))
-			for k := 0; k < iters; k++ {
-				li := ctx.Rand().Intn(nLocks)
-				h.Lock(lockPs[li])
-				counters[li]++
-				h.Unlock(lockPs[li])
+	cfg := rtConfig(2, 4, 600)
+	cfg.Locks = 16
+	cfg.LocalityPct = 50
+	locktest.CheckMutualExclusion(t, locks.NewALockProvider(), cfg)
+}
+
+// TestAllAlgorithmsRealParallelism runs every registered algorithm through
+// both locktest checks on real goroutines: untimed, and with the timed
+// handoff protocol for the queued algorithms.
+func TestAllAlgorithmsRealParallelism(t *testing.T) {
+	for _, name := range locks.Names() {
+		for _, timed := range []bool{false, true} {
+			if timed && name != "alock" && name != "mcs" && name != "rw-queue" {
+				continue
 			}
-		})
-	}
-	e.Wait()
-	total := 0
-	for _, c := range counters {
-		total += c
-	}
-	if total != threads*iters {
-		t.Fatalf("total = %d, want %d", total, threads*iters)
+			cfg := rtConfig(2, 4, 300)
+			cfg.Locks = 3
+			cfg.LocalityPct = 50
+			if name == "filter" || name == "bakery" {
+				// O(threads) per op: the simulator's rows' size.
+				cfg.ThreadsPerNode, cfg.Iters = 2, 25
+			}
+			prov, err := locks.ByName(name, locks.Options{Threads: cfg.Nodes * cfg.ThreadsPerNode, Timed: timed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/timed=%v", name, timed), func(t *testing.T) {
+				locktest.CheckMutualExclusion(t, prov, cfg)
+				locktest.CheckOverlappingHolds(t, prov, cfg)
+			})
+		}
 	}
 }
 

@@ -21,8 +21,10 @@ func ExpGapNS(rng *rand.Rand, meanNS float64) int64 {
 		return 1
 	}
 	// Inversion: -mean * ln(U) with U in (0, 1]. rand.Float64 returns
-	// [0, 1), so flip it to (0, 1] to keep the log finite.
-	gap := -meanNS * math.Log(1-rng.Float64())
+	// [0, 1), so flip it to (0, 1] to keep the log finite. The explicit
+	// conversion keeps the flip from fusing with Float64's scaling into one
+	// FMA, as arm64 would (math.Log itself still fuses there).
+	gap := -meanNS * math.Log(1-float64(rng.Float64()))
 	if gap < 1 {
 		return 1
 	}
