@@ -281,8 +281,9 @@ func (lt *LockTable) Pick(rng *rand.Rand, node, localityPct int) int {
 // --- Experiments (deterministic simulator) ---
 
 // ExperimentConfig configures one simulated experiment; see
-// internal/harness for field semantics. Algorithm is one of: alock,
-// alock-nobudget, alock-symmetric, spinlock, mcs, filter, bakery.
+// internal/harness for field semantics. Algorithm is one of the eight
+// registered names: alock, alock-nobudget, alock-symmetric, spinlock, mcs,
+// rw-budget, rw-wpref, rw-queue.
 type ExperimentConfig = harness.Config
 
 // ExperimentResult is one experiment's measured outcome.

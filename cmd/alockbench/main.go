@@ -24,11 +24,11 @@
 //
 // -h lists the algorithms -algo takes: the lock registry's names. Algorithms
 // without native shared mode run -read-pct workloads with reads degraded to
-// exclusive; algorithms without a native timed path (filter, bakery) overshoot
-// -acquire-timeout deadlines — the acquisition completes but is counted as
-// a late acquire (the grant landed past the deadline), and the unordered
-// transaction policies reject them outright since their recovery depends
-// on real timeouts.
+// exclusive. A grant that lands past its -acquire-timeout deadline (its last
+// verb in flight at the deadline, or a committed waiter's) completes and is
+// counted as a late acquire. The unordered transaction policies reject the
+// alock variants, whose committed cohort leaders cannot abandon an acquire,
+// since their recovery depends on real timeouts.
 package main
 
 import (

@@ -331,11 +331,10 @@ const (
 	TimedOut
 	// AcquiredLate: the lock was granted — the Guard is live, exactly as
 	// for Acquired — but only after the requested deadline had already
-	// passed. This is the best-effort-deadline detail: algorithms without
-	// a native timed path (filter, bakery) block straight through any
-	// deadline, and committed queued waiters (ALock cohort leaders,
-	// registered drain-wake writers) overshoot by design because grants
-	// always win timeout races. Callers that ignore the distinction may
+	// passed: the grant's last verb was issued before the deadline but
+	// completed after it, or a committed queued waiter (an ALock cohort
+	// leader, a registered drain-wake writer) overshot by design because
+	// grants always win timeout races. Callers that ignore the distinction may
 	// treat it as Acquired; callers that promised the deadline to someone
 	// else must not pretend it was honored.
 	AcquiredLate

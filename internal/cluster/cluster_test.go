@@ -284,7 +284,6 @@ func tinyService(t *testing.T, horizonNS int64, spec Spec, opts ...sim.Option) (
 	e := sim.New(2, 1<<16, model.CX3(), 1, opts...)
 	table := locktable.New(e.Space(), 8)
 	prov := locks.NewALockProvider()
-	prov.Prepare(e.Space(), table.All())
 	place, err := NewPlacement("home", 2, table)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,6 @@ func idleWorld(seed int64, parkIdle bool, opts ...sim.Option) idleRun {
 			panic(err)
 		}
 	}
-	prov.Prepare(e.Space(), table.All())
 	place, err := NewPlacement([]string{"hash", "home"}[rng.Intn(2)], spec.Shards, table)
 	if err != nil {
 		panic(err)

@@ -209,3 +209,29 @@ func TestThinkPastHorizonIsRefused(t *testing.T) {
 		t.Fatalf("a half-hour think before a 9 h horizon refused: %v", err)
 	}
 }
+
+// TestTxnDeadlinesPastHorizonAreRefused: a transaction sets a fresh deadline
+// for each of its locks, so one begun just before the horizon can wait
+// TxnLocks deadlines past it. With 1 h deadlines and three locks that is 3 h:
+// past the 9.77 h an event key holds after a 7 h 30 m window, inside it after
+// a 6 h one. Both configs go through Validate only; neither is ever run.
+func TestTxnDeadlinesPastHorizonAreRefused(t *testing.T) {
+	rows := []struct {
+		measure time.Duration
+		want    string
+	}{
+		{7*time.Hour + 30*time.Minute, "the longest wait begun before them, 10800000000000 ns"},
+		{6 * time.Hour, ""},
+	}
+	for _, row := range rows {
+		cfg := Config{Algorithm: "mcs", Nodes: 1, ThreadsPerNode: 1, Locks: 3, TxnLocks: 3,
+			AcquireTimeout: time.Hour, WarmupNS: 400_000, MeasureNS: row.measure.Nanoseconds()}
+		err := cfg.Validate()
+		switch {
+		case row.want == "" && err != nil:
+			t.Errorf("%v window: refused: %v", row.measure, err)
+		case row.want != "" && (err == nil || !strings.Contains(err.Error(), row.want)):
+			t.Errorf("%v window: Validate = %v, want it to mention %q", row.measure, err, row.want)
+		}
+	}
+}

@@ -113,8 +113,9 @@ type Config struct {
 	// AcquireTimeout, LIFO rollback, randomized capped exponential
 	// backoff), or "wait-die" (age = first fencing token; younger waiters
 	// self-abort against older holders). The unordered policies need an
-	// algorithm with a native timed path — filter and bakery block through
-	// deadlines and would genuinely deadlock, so Validate rejects them.
+	// algorithm whose every waiter can abandon its acquire — alock's
+	// committed cohort leaders cannot, so Validate rejects the alock
+	// variants.
 	TxnPolicy string
 	// TxnBackoff is the base backoff window for transaction retries
 	// (required by timeout-backoff; optional die padding for wait-die).
@@ -213,14 +214,21 @@ func (c Config) withDefaults() Config {
 
 // tailNS is how long a thread may run past the horizon before it next looks
 // at the stop: a burst's off phase or a transaction's longest back-off, then
-// an acquire's deadline, the longest hold (critical section, lease or
-// abandoned hold) and the think time. Each term is clamped to [0,
-// MaxIssueNS+1], so the sum cannot overflow; a negative duration is the
-// workload gate's to reject.
+// an acquire's deadline for each lock the operation takes in turn (a
+// transaction sets a fresh one per lock; a pair's two acquires share one),
+// the longest hold (critical section, lease or abandoned hold) and the think
+// time. Each term is clamped to [0, MaxIssueNS+1], so the sum cannot
+// overflow; a negative duration is the workload gate's to reject.
 func (c Config) tailNS() int64 {
 	d := func(x time.Duration) int64 { return min(max(int64(x), 0), sim.MaxIssueNS+1) }
 	pause := max(d(c.BurstOff), d(c.TxnBackoff)<<workload.TxnBackoffCapExp)
-	return pause + d(c.AcquireTimeout) + max(d(c.CSWork), d(c.LeaseHold), d(c.AbandonHold)) + d(c.Think)
+	wait := d(c.AcquireTimeout)
+	if k := int64(max(1, c.TxnLocks)); wait <= (sim.MaxIssueNS+1)/k {
+		wait *= k
+	} else {
+		wait = sim.MaxIssueNS + 1
+	}
+	return pause + wait + max(d(c.CSWork), d(c.LeaseHold), d(c.AbandonHold)) + d(c.Think)
 }
 
 // OpenLoop reports whether the config runs the open-loop lock service
@@ -385,7 +393,6 @@ func (c Config) check() (plan, error) {
 	}
 
 	p := plan{cfg: c, work: c.workloadSpec()}
-	threads := c.Nodes * c.ThreadsPerNode
 	var err error
 	if c.OpenLoop() {
 		// TargetOps is a global countdown shared across every thread, and
@@ -416,9 +423,6 @@ func (c Config) check() (plan, error) {
 		if _, err = cluster.NewPlacement(c.SvcPlacement, c.SvcShards, nil); err != nil {
 			return plan{}, err
 		}
-		// Thread IDs count each shard's arrival generator as well as its
-		// workers, and the filter and bakery arrays are indexed by them.
-		threads = c.SvcShards * (c.ThreadsPerNode + 1)
 	} else {
 		if c.ThreadsPerNode < 1 {
 			return fail("threads per node %d", c.ThreadsPerNode)
@@ -442,7 +446,6 @@ func (c Config) check() (plan, error) {
 			ReadBudget:  c.ReadBudget,
 			WriteBudget: c.WriteBudget,
 		},
-		Threads: threads,
 		// Deadlines need the abandonment-tolerant handoff protocol; every
 		// other config keeps the paper-exact paths (bit-identical replay).
 		Timed: c.AcquireTimeout > 0,
@@ -452,10 +455,9 @@ func (c Config) check() (plan, error) {
 	}
 	// The unordered deadlock policies recover through real timeouts, so
 	// every participant of a conflict cycle must be able to abandon its
-	// acquire: algorithms whose deadlines are best-effort (filter, bakery
-	// block straight through them) or whose waiters can commit while the
-	// grant still depends on another holder (alock's cohort leaders) would
-	// deadlock — reject them up front instead of wedging the simulation.
+	// acquire: algorithms whose waiters can commit while the grant still
+	// depends on another holder (alock's cohort leaders) would deadlock —
+	// reject them up front instead of wedging the simulation.
 	if workload.TxnConfigOf(p.work).NeedsTimedPath {
 		if _, ok := p.prov.(locks.AbortableTimedProvider); !ok {
 			return fail("txn policy %q needs a fully abortable timed path, which algorithm %q lacks",
@@ -463,11 +465,10 @@ func (c Config) check() (plan, error) {
 		}
 	}
 	if f, ok := p.prov.(locks.Footprint); ok {
-		// Past its lock lines, a node's region takes the provider's side
-		// state for each lock it homes (Prepare) and each thread's
+		// Past its lock lines, a node's region takes each thread's
 		// descriptors (NewHandle's, then one set more per hold the thread
 		// overlaps: a pair's second lock, a transaction's further ones).
-		perThread, perLock := f.Lines()
+		perThread := f.Lines()
 		holds := max(1, c.TxnLocks)
 		if c.PairProb > 0 {
 			holds = max(holds, 2)
@@ -482,10 +483,10 @@ func (c Config) check() (plan, error) {
 			if c.OpenLoop() {
 				threads = workers[n]
 			}
-			if need := homed*(1+perLock) + threads*perThread; need > capLines {
+			if need := homed + threads*perThread; need > capLines {
 				return fail("node %d region does not fit the run: its %d words hold %d lines past the reserved one, "+
-					"and %s needs %d (%d lock lines, %d per lock and %d per thread for %d threads)",
-					n, c.WordsPerNode, capLines, c.Algorithm, need, homed, perLock, perThread, threads)
+					"and %s needs %d (%d lock lines and %d per thread for %d threads)",
+					n, c.WordsPerNode, capLines, c.Algorithm, need, homed, perThread, threads)
 			}
 		}
 	}
@@ -541,11 +542,11 @@ type Result struct {
 	Abandons       int64
 	FencedReleases int64
 	PairOps        int64
-	// LateAcquires counts grants that landed past their requested deadline
-	// (best-effort timed paths: the filter/bakery blocking fallback, and
-	// committed queued waiters whose grant won the timeout race late). The
-	// operations completed and are in Ops; this is how often the deadline
-	// was overshot rather than honored.
+	// LateAcquires counts grants that landed past their requested deadline:
+	// a grant whose last verb was issued before the deadline but completed
+	// after it, or a committed queued waiter's grant winning the timeout
+	// race late. The operations completed and are in Ops; this is how often
+	// the deadline was overshot rather than honored.
 	LateAcquires int64
 	// Transaction-layer outcomes (TxnLocks >= 2). TxnCommits counts
 	// committed transactions; TxnAborts counts attempts the deadlock
@@ -599,8 +600,8 @@ func Run(cfg Config) (Result, error) {
 	return res, err
 }
 
-// simulation is one prepared run: the engine, the lock table laid out and
-// registered with the provider, and the fencing authority.
+// simulation is one prepared run: the engine, the lock table laid out, and
+// the fencing authority.
 type simulation struct {
 	plan
 	e     *sim.Engine
@@ -623,7 +624,6 @@ func (p plan) prepare() *simulation {
 	cfg := p.cfg
 	e := newEngine(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, cfg.engineOptions()...)
 	table := locktable.NewWithLayout(e.Space(), cfg.Locks, cfg.homeFunc())
-	p.prov.Prepare(e.Space(), table.All())
 	return &simulation{plan: p, e: e, table: table, ft: locks.NewFenceTable()}
 }
 

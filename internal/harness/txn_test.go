@@ -36,7 +36,7 @@ func diningConfig(algo, policy string) Config {
 // policy.
 var (
 	abortableAlgos = []string{"mcs", "rw-budget", "rw-queue", "rw-wpref", "spinlock"}
-	blockingOnly   = []string{"alock", "alock-nobudget", "alock-symmetric", "filter", "bakery"}
+	blockingOnly   = []string{"alock", "alock-nobudget", "alock-symmetric"}
 )
 
 // TestDiningCompletesUnderEveryPolicy: the dining ring — the canonical
@@ -68,9 +68,9 @@ func TestDiningCompletesUnderEveryPolicy(t *testing.T) {
 }
 
 // TestUnorderedPoliciesRejectNonAbortableAlgorithms: algorithms that
-// cannot always abandon a timed acquire (blocking fallback, committed
-// cohort leaders) would genuinely deadlock inside a conflict cycle, so the
-// harness must refuse to run them rather than wedge the simulation.
+// cannot always abandon a timed acquire (committed cohort leaders) would
+// genuinely deadlock inside a conflict cycle, so the harness must refuse to
+// run them rather than wedge the simulation.
 func TestUnorderedPoliciesRejectNonAbortableAlgorithms(t *testing.T) {
 	for _, algo := range blockingOnly {
 		for _, policy := range []string{"timeout-backoff", "wait-die"} {
@@ -82,7 +82,7 @@ func TestUnorderedPoliciesRejectNonAbortableAlgorithms(t *testing.T) {
 	}
 	// The marker set matches expectations: exactly the abortable five.
 	for _, algo := range abortableAlgos {
-		prov, err := locks.ByName(algo, locks.Options{Threads: 4, Timed: true})
+		prov, err := locks.ByName(algo, locks.Options{Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}

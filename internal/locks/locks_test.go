@@ -48,26 +48,6 @@ func TestMCSFIFOUnderSingleQueue(t *testing.T) {
 	locktest.CheckMutualExclusion(t, locks.MCSProvider{}, cfg)
 }
 
-func TestFilterMutualExclusion(t *testing.T) {
-	cfg := locktest.DefaultMutexConfig()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cfg.Locks = 1
-	cfg.Iters = 25 // O(n) remote ops per acquire: keep it small
-	prov := locks.NewFilterProvider(cfg.Nodes * cfg.ThreadsPerNode)
-	locktest.CheckMutualExclusion(t, prov, cfg)
-}
-
-func TestBakeryMutualExclusion(t *testing.T) {
-	cfg := locktest.DefaultMutexConfig()
-	cfg.Nodes = 2
-	cfg.ThreadsPerNode = 2
-	cfg.Locks = 1
-	cfg.Iters = 25
-	prov := locks.NewBakeryProvider(cfg.Nodes * cfg.ThreadsPerNode)
-	locktest.CheckMutualExclusion(t, prov, cfg)
-}
-
 // TestNaiveMixedLockViolatesTable1 is the negative control: a lock that
 // mixes local CAS and remote rCAS on one word MUST break once remote RMW
 // tearing is modeled. If this test ever "fails" (the naive lock staying
@@ -113,12 +93,11 @@ func TestALockImmuneToTearing(t *testing.T) {
 
 func TestRegistryNames(t *testing.T) {
 	names := locks.Names()
-	if len(names) != 10 {
+	if len(names) != 8 {
 		t.Fatalf("Names() = %v", names)
 	}
 	for _, name := range names {
-		opts := locks.Options{Threads: 4}
-		p, err := locks.ByName(name, opts)
+		p, err := locks.ByName(name, locks.Options{})
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 			continue
@@ -133,15 +112,6 @@ func TestRegistryUnknown(t *testing.T) {
 	_, err := locks.ByName("ticket", locks.Options{})
 	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRegistryFilterNeedsThreads(t *testing.T) {
-	if _, err := locks.ByName("filter", locks.Options{}); err == nil {
-		t.Fatal("filter without thread count should error")
-	}
-	if _, err := locks.ByName("bakery", locks.Options{}); err == nil {
-		t.Fatal("bakery without thread count should error")
 	}
 }
 
@@ -166,7 +136,6 @@ func runRW(t *testing.T, prov locks.Provider, readers, writers int, csNS int64, 
 	m.TornGapNS = 90
 	e := sim.New(2, 1<<18, m, 1)
 	l := e.Space().AllocLine(0)
-	prov.Prepare(e.Space(), []ptr.Ptr{l})
 
 	var st rwStats
 	var readersIn, writersIn int
@@ -268,7 +237,6 @@ func TestRWUncontendedWriteSingleCAS(t *testing.T) {
 			}
 			e := sim.New(2, 1<<18, model.Uniform(7), 1)
 			l := e.Space().AllocLine(0)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
 			e.Spawn(1, func(ctx api.Ctx) { // remote thread, idle lock
 				h := api.NewBlocking(prov.NewHandle(ctx))
 				h.Lock(l)
@@ -337,7 +305,6 @@ func TestRWExclusiveDegradationAdapter(t *testing.T) {
 	m := model.Uniform(7)
 	e := sim.New(2, 1<<18, m, 1)
 	l := e.Space().AllocLine(0)
-	prov.Prepare(e.Space(), []ptr.Ptr{l})
 	var readersIn, maxReaders int
 	var ops int64
 	for i := 0; i < 4; i++ {
@@ -373,15 +340,10 @@ func TestAllCorrectAlgorithmsUnderOneConfig(t *testing.T) {
 	cfg := locktest.DefaultMutexConfig()
 	cfg.Locks = 1
 	cfg.Iters = 40
-	threads := cfg.Nodes * cfg.ThreadsPerNode
 	for _, name := range locks.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			if name == "filter" || name == "bakery" {
-				// O(n) algorithms get a smaller dose elsewhere.
-				t.Skip("covered by dedicated smaller tests")
-			}
-			prov, err := locks.ByName(name, locks.Options{Threads: threads})
+			prov, err := locks.ByName(name, locks.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,7 +358,7 @@ func TestAllCorrectAlgorithmsUnderOneConfig(t *testing.T) {
 func TestZombieDrainRecycles(t *testing.T) {
 	for _, name := range []string{"alock", "mcs", "rw-queue"} {
 		t.Run(name, func(t *testing.T) {
-			prov, err := locks.ByName(name, locks.Options{Threads: 3, Timed: true})
+			prov, err := locks.ByName(name, locks.Options{Timed: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,19 +367,29 @@ func TestZombieDrainRecycles(t *testing.T) {
 	}
 }
 
+// untimedSpin is a spinlock handle that blocks straight through any
+// deadline: a grant that lands past it, as a committed waiter's does.
+type untimedSpin struct{ api.Handle }
+
+func (h untimedSpin) AcquireTimed(l ptr.Ptr, mode api.Mode, _ int64) (api.AcqState, bool) {
+	return h.Handle.AcquireTimed(l, mode, 0)
+}
+
+type untimedSpinProvider struct{}
+
+func (untimedSpinProvider) Name() string { return "untimed-spin" }
+func (untimedSpinProvider) NewHandle(ctx api.Ctx) api.Handle {
+	return untimedSpin{locks.NewSpinHandle(ctx)}
+}
+
 // TestBestEffortDeadlineReportsLateAcquire pins the overshoot-honesty fix:
-// an algorithm without a native timed path (filter) blocks straight
-// through a deadline — the grant must be reported as AcquiredLate, not
-// Acquired, while an in-deadline grant stays Acquired and the guard is
+// a grant that lands past its deadline must be reported as AcquiredLate,
+// not Acquired, while an in-deadline grant stays Acquired and the guard is
 // live either way.
 func TestBestEffortDeadlineReportsLateAcquire(t *testing.T) {
-	prov, err := locks.ByName("filter", locks.Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prov := untimedSpinProvider{}
 	e := sim.New(1, 1<<18, model.Uniform(10), 1)
 	l := e.Space().AllocLine(0)
-	prov.Prepare(e.Space(), []ptr.Ptr{l})
 	ft := locks.NewFenceTable()
 
 	var inTime, late api.Outcome
@@ -463,8 +435,7 @@ func TestShardedEngineInvariants(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := locktest.DefaultMutexConfig()
 			cfg.Iters = 40
-			threads := cfg.Nodes * cfg.ThreadsPerNode
-			prov, err := locks.ByName(name, locks.Options{Threads: threads})
+			prov, err := locks.ByName(name, locks.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +462,7 @@ func TestShardedEngineOverlappingHolds(t *testing.T) {
 	cfg := locktest.DefaultOverlapConfig()
 	cfg.Iters = 30
 	cfg.EngineShards = 4
-	prov, err := locks.ByName("mcs", locks.Options{Threads: cfg.Nodes * cfg.ThreadsPerNode})
+	prov, err := locks.ByName("mcs", locks.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package locks
 
 import (
 	"alock/internal/api"
-	"alock/internal/mem"
 	"alock/internal/ptr"
 )
 
@@ -25,9 +24,6 @@ type NaiveMixedProvider struct{}
 
 // Name implements Provider.
 func (NaiveMixedProvider) Name() string { return "naive-mixed" }
-
-// Prepare implements Provider.
-func (NaiveMixedProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
 func (NaiveMixedProvider) NewHandle(ctx api.Ctx) api.Handle {

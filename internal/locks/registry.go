@@ -12,33 +12,26 @@ import (
 	"alock/internal/api"
 	"alock/internal/core"
 	"alock/internal/mem"
-	"alock/internal/ptr"
 )
 
 // Provider constructs per-thread lock handles for one algorithm. A single
-// Provider instance is shared by all threads of one experiment.
-//
-// Prepare runs once, before any thread starts, and may allocate per-lock
-// side state (the filter and bakery baselines need O(threads) words per
-// lock). NewHandle runs inside each thread and may allocate per-thread
-// descriptors via the thread's own Ctx.
+// Provider instance is shared by all threads of one experiment. Every lock's
+// state fits its own line; NewHandle runs inside each thread and may
+// allocate per-thread descriptors via the thread's own Ctx.
 type Provider interface {
 	Name() string
-	Prepare(space *mem.Space, locks []ptr.Ptr)
 	NewHandle(ctx api.Ctx) api.Handle
 }
 
-// Footprint is implemented by providers that allocate simulated memory
-// beyond the lock lines, so a config's regions can be checked before its
-// run: Lines returns the cache lines NewHandle allocates on each thread's
-// node and the lines Prepare allocates on each lock's home node. Every such
-// allocation is whole lines. A thread that holds k locks at once needs at
-// most k times its perThread lines (a descriptor per acquisition; ALock's
-// two cohort seeds make that a bound, not an exact count), and the gate
-// counts them so. Descriptors a handle adds for abandoned waiters are not
-// counted.
+// Footprint is implemented by providers whose handles allocate simulated
+// memory beyond the lock lines, so a config's regions can be checked before
+// its run: Lines returns the whole cache lines NewHandle allocates on each
+// thread's node. A thread that holds k locks at once needs at most k times
+// that (a descriptor per acquisition; ALock's two cohort seeds make that a
+// bound, not an exact count), and the gate counts them so. Descriptors a
+// handle adds for abandoned waiters are not counted.
 type Footprint interface {
-	Lines() (perThread, perLock int)
+	Lines() int
 }
 
 // ALockProvider supplies the paper's ALock under a given budget
@@ -64,14 +57,8 @@ func (p *ALockProvider) Name() string {
 	return p.name
 }
 
-// Prepare implements Provider (no shared per-lock state: an ALock is fully
-// contained in its 64-byte line).
-func (p *ALockProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
 // Lines implements Footprint: one seed descriptor per cohort.
-func (p *ALockProvider) Lines() (perThread, perLock int) {
-	return 2 * core.DescWords / mem.WordsPerCacheLine, 0
-}
+func (p *ALockProvider) Lines() int { return 2 * core.DescWords / mem.WordsPerCacheLine }
 
 // NewHandle implements Provider.
 func (p *ALockProvider) NewHandle(ctx api.Ctx) api.Handle {
@@ -111,9 +98,6 @@ type SpinProvider struct{}
 // Name implements Provider.
 func (SpinProvider) Name() string { return "spinlock" }
 
-// Prepare implements Provider.
-func (SpinProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
 // NewHandle implements Provider.
 func (SpinProvider) NewHandle(ctx api.Ctx) api.Handle { return NewSpinHandle(ctx) }
 
@@ -128,11 +112,8 @@ type MCSProvider struct{ Timed bool }
 // Name implements Provider.
 func (MCSProvider) Name() string { return "mcs" }
 
-// Prepare implements Provider.
-func (MCSProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
 // Lines implements Footprint: the thread's first queue descriptor.
-func (MCSProvider) Lines() (perThread, perLock int) { return MCSDescWords / mem.WordsPerCacheLine, 0 }
+func (MCSProvider) Lines() int { return MCSDescWords / mem.WordsPerCacheLine }
 
 // NewHandle implements Provider.
 func (p MCSProvider) NewHandle(ctx api.Ctx) api.Handle {
@@ -155,9 +136,6 @@ type Options struct {
 	// rw-queue. Zero value means DefaultRWConfig(); a partially-set
 	// config is rejected by RWConfig.Validate.
 	RW RWConfig
-	// Threads is the total thread count, required by the filter and
-	// bakery baselines.
-	Threads int
 	// Timed puts the queued algorithms (alock, mcs, rw-queue) into the
 	// abandonment-tolerant handoff protocol required for token-API
 	// deadlines. It is a run-wide mode: granters and waiters must speak
@@ -166,14 +144,12 @@ type Options struct {
 	Timed bool
 }
 
-// algorithms is the registry, in documentation order. needsThreads marks
-// the O(threads)-state baselines that require Options.Threads; build
-// receives the options with defaults applied and budgets validated
-// (ALockConfig.Timed already mirrors Timed).
+// algorithms is the registry, in documentation order. build receives the
+// options with defaults applied and budgets validated (ALockConfig.Timed
+// already mirrors Timed).
 var algorithms = []struct {
-	name, doc    string
-	needsThreads bool
-	build        func(o Options) Provider
+	name, doc string
+	build     func(o Options) Provider
 }{
 	{name: "alock", doc: "the paper's ALock (budgets from opts, default 5/20)",
 		build: func(o Options) Provider { return &ALockProvider{Cfg: o.ALockConfig} }},
@@ -193,10 +169,6 @@ var algorithms = []struct {
 		build: func(Options) Provider { return SpinProvider{} }},
 	{name: "mcs", doc: "competitor: RDMA MCS queue lock (all RDMA)",
 		build: func(o Options) Provider { return MCSProvider{Timed: o.Timed} }},
-	{name: "filter", doc: "related work: n-thread Peterson filter over RDMA", needsThreads: true,
-		build: func(o Options) Provider { return NewFilterProvider(o.Threads) }},
-	{name: "bakery", doc: "related work: Lamport's bakery over RDMA", needsThreads: true,
-		build: func(o Options) Provider { return NewBakeryProvider(o.Threads) }},
 	{name: "rw-budget", doc: "reader/writer lock with ALock-style phase budgets",
 		build: func(o Options) Provider { return &RWBudgetProvider{Cfg: o.RW} }},
 	{name: "rw-wpref", doc: "reader/writer lock, writer-preference baseline",
@@ -241,13 +213,9 @@ func ByName(name string, opts Options) (Provider, error) {
 		return nil, err
 	}
 	for _, a := range algorithms {
-		if a.name != name {
-			continue
+		if a.name == name {
+			return a.build(opts), nil
 		}
-		if a.needsThreads && opts.Threads < 1 {
-			return nil, fmt.Errorf("locks: %q requires Options.Threads", name)
-		}
-		return a.build(opts), nil
 	}
 	return nil, fmt.Errorf("locks: unknown algorithm %q (have %v)", name, Names())
 }

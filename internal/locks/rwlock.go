@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"alock/internal/api"
-	"alock/internal/mem"
 	"alock/internal/ptr"
 )
 
@@ -399,9 +398,6 @@ func NewRWBudgetProvider() *RWBudgetProvider {
 // Name implements Provider.
 func (*RWBudgetProvider) Name() string { return "rw-budget" }
 
-// Prepare implements Provider (state is fully contained in the lock line).
-func (*RWBudgetProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
 // NewHandle implements Provider.
 func (p *RWBudgetProvider) NewHandle(ctx api.Ctx) api.Handle {
 	return NewRWBudgetHandle(ctx, p.Cfg)
@@ -416,9 +412,6 @@ type RWPrefProvider struct{}
 
 // Name implements Provider.
 func (RWPrefProvider) Name() string { return "rw-wpref" }
-
-// Prepare implements Provider.
-func (RWPrefProvider) Prepare(*mem.Space, []ptr.Ptr) {}
 
 // NewHandle implements Provider.
 func (RWPrefProvider) NewHandle(ctx api.Ctx) api.Handle { return NewRWPrefHandle(ctx) }

@@ -850,14 +850,8 @@ type RWQueueProvider struct {
 // Name implements Provider.
 func (*RWQueueProvider) Name() string { return "rw-queue" }
 
-// Prepare implements Provider (lock state fits the lock line; descriptors
-// are per-thread and allocated by NewHandle on each thread's own node).
-func (*RWQueueProvider) Prepare(*mem.Space, []ptr.Ptr) {}
-
 // Lines implements Footprint: the thread's first queue descriptor.
-func (*RWQueueProvider) Lines() (perThread, perLock int) {
-	return RWQDescWords / mem.WordsPerCacheLine, 0
-}
+func (*RWQueueProvider) Lines() int { return RWQDescWords / mem.WordsPerCacheLine }
 
 // NewHandle implements Provider.
 func (p *RWQueueProvider) NewHandle(ctx api.Ctx) api.Handle {

@@ -196,10 +196,10 @@ func (h *tokenHandle) Acquire(l ptr.Ptr, mode api.Mode, opt api.AcquireOpts) (ap
 	}
 	out := api.Acquired
 	if opt.DeadlineNS > 0 && h.ctx.Now() > opt.DeadlineNS {
-		// The grant landed past the deadline: an algorithm without a timed
-		// path (filter, bakery) blocked straight through it, or a committed
-		// waiter's grant won the timeout race late. Report the overshoot
-		// instead of pretending the deadline was honored.
+		// The grant landed past the deadline: its last verb was issued in
+		// time but completed late, or a committed waiter's grant won the
+		// timeout race late. Report the overshoot instead of pretending the
+		// deadline was honored.
 		out = api.AcquiredLate
 	}
 	// The grant is logged as soon as the lock is held: with no deadline (no
@@ -226,9 +226,9 @@ func (h *tokenHandle) Abandon(g api.Guard) {
 }
 
 // TokenHandleFor returns a token-API handle for any provider. Deadlines are
-// honored as far as the algorithm's own timed path goes: filter and bakery
-// block through them and report AcquiredLate, but fencing-token semantics
-// hold in full for every algorithm.
+// honored as far as the algorithm's own timed path goes (a grant that lands
+// past one reports AcquiredLate); fencing-token semantics hold in full for
+// every algorithm.
 func TokenHandleFor(p Provider, ctx api.Ctx, ft *FenceTable) api.TokenLocker {
 	return &tokenHandle{ft: ft, ctx: ctx, alg: p.NewHandle(ctx)}
 }

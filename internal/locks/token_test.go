@@ -14,9 +14,9 @@ import (
 )
 
 // providerFor builds a registered algorithm with the given protocol mode.
-func providerFor(t *testing.T, name string, timed bool, threads int) locks.Provider {
+func providerFor(t *testing.T, name string, timed bool) locks.Provider {
 	t.Helper()
-	p, err := locks.ByName(name, locks.Options{Threads: threads, Timed: timed})
+	p, err := locks.ByName(name, locks.Options{Timed: timed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,27 +29,13 @@ var timedAlgos = []string{"spinlock", "mcs", "alock", "rw-budget", "rw-wpref", "
 // queuedAlgos park waiters on queue descriptors (abandonment + patching).
 var queuedAlgos = []string{"mcs", "alock", "rw-queue"}
 
-// overlapConfigFor shrinks the overlap check for the O(threads)-per-op
-// related-work baselines.
-func overlapConfigFor(name string) locktest.OverlapConfig {
-	cfg := locktest.DefaultOverlapConfig()
-	if name == "filter" || name == "bakery" {
-		cfg.Nodes = 2
-		cfg.ThreadsPerNode = 2
-		cfg.Iters = 10
-	}
-	return cfg
-}
-
 // TestOverlappingHoldsAllAlgorithms proves descriptor-per-acquisition
 // correctness for every registered algorithm: hold two locks at once,
 // release in both orders, under contention with Table 1 tearing on.
 func TestOverlappingHoldsAllAlgorithms(t *testing.T) {
 	for _, name := range locks.Names() {
 		t.Run(name, func(t *testing.T) {
-			cfg := overlapConfigFor(name)
-			prov := providerFor(t, name, false, cfg.Nodes*cfg.ThreadsPerNode)
-			locktest.CheckOverlappingHolds(t, prov, cfg)
+			locktest.CheckOverlappingHolds(t, providerFor(t, name, false), locktest.DefaultOverlapConfig())
 		})
 	}
 }
@@ -59,9 +45,7 @@ func TestOverlappingHoldsAllAlgorithms(t *testing.T) {
 func TestOverlappingHoldsTimedProtocol(t *testing.T) {
 	for _, name := range queuedAlgos {
 		t.Run(name, func(t *testing.T) {
-			cfg := overlapConfigFor(name)
-			prov := providerFor(t, name, true, cfg.Nodes*cfg.ThreadsPerNode)
-			locktest.CheckOverlappingHolds(t, prov, cfg)
+			locktest.CheckOverlappingHolds(t, providerFor(t, name, true), locktest.DefaultOverlapConfig())
 		})
 	}
 }
@@ -72,15 +56,7 @@ func TestOverlappingHoldsTimedProtocol(t *testing.T) {
 func TestMutualExclusionUnderTokenAPI(t *testing.T) {
 	for _, name := range locks.Names() {
 		t.Run(name, func(t *testing.T) {
-			cfg := locktest.DefaultMutexConfig()
-			if name == "filter" || name == "bakery" {
-				cfg.Nodes = 2
-				cfg.ThreadsPerNode = 2
-				cfg.Locks = 1
-				cfg.Iters = 25
-			}
-			prov := providerFor(t, name, false, cfg.Nodes*cfg.ThreadsPerNode)
-			locktest.CheckMutualExclusion(t, prov, cfg)
+			locktest.CheckMutualExclusion(t, providerFor(t, name, false), locktest.DefaultMutexConfig())
 		})
 	}
 }
@@ -92,7 +68,7 @@ func TestMutualExclusionTimedProtocol(t *testing.T) {
 	for _, name := range queuedAlgos {
 		t.Run(name, func(t *testing.T) {
 			cfg := locktest.DefaultMutexConfig()
-			prov := providerFor(t, name, true, cfg.Nodes*cfg.ThreadsPerNode)
+			prov := providerFor(t, name, true)
 			locktest.CheckMutualExclusion(t, prov, cfg)
 		})
 	}
@@ -108,8 +84,7 @@ func TestTimeoutOutcomeAndDeadGuard(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := sim.New(2, 1<<18, model.Uniform(10), 1)
 			l := e.Space().AllocLine(0)
-			prov := providerFor(t, name, true, 2)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			prov := providerFor(t, name, true)
 			ft := locks.NewFenceTable()
 
 			var waiterOut api.Outcome
@@ -159,8 +134,7 @@ func TestAbandonRecoveryAndFencedLateRelease(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := sim.New(2, 1<<18, model.Uniform(10), 1)
 			l := e.Space().AllocLine(0)
-			prov := providerFor(t, name, true, 2)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			prov := providerFor(t, name, true)
 			ft := locks.NewFenceTable()
 
 			const wedge = 30 * time.Microsecond
@@ -210,8 +184,7 @@ func TestSuccessorPatchingSkipsAbandonedWaiter(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := sim.New(2, 1<<18, model.Uniform(10), 1)
 			l := e.Space().AllocLine(0)
-			prov := providerFor(t, name, true, 3)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			prov := providerFor(t, name, true)
 			ft := locks.NewFenceTable()
 
 			var bOut api.Outcome
@@ -273,8 +246,7 @@ func TestSuccessorPatchingSkipsAbandonedWaiter(t *testing.T) {
 func TestFencingTokensMonotonic(t *testing.T) {
 	e := sim.New(1, 1<<18, model.Uniform(10), 1)
 	l := e.Space().AllocLine(0)
-	prov := providerFor(t, "spinlock", true, 1)
-	prov.Prepare(e.Space(), []ptr.Ptr{l})
+	prov := providerFor(t, "spinlock", true)
 	ft := locks.NewFenceTable()
 	e.Spawn(0, func(ctx api.Ctx) {
 		h := locks.TokenHandleFor(prov, ctx, ft)
@@ -304,8 +276,7 @@ func TestSharedTimeoutOnRWLocks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := sim.New(2, 1<<18, model.Uniform(10), 1)
 			l := e.Space().AllocLine(0)
-			prov := providerFor(t, name, true, 2)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			prov := providerFor(t, name, true)
 			ft := locks.NewFenceTable()
 
 			var out api.Outcome
@@ -402,8 +373,7 @@ func TestDrainedCountsStrayReleases(t *testing.T) {
 			e := sim.New(1, 1<<18, model.Uniform(10), 1)
 			e.Space().AllocLine(0)
 			l := e.Space().AllocLine(0)
-			prov := providerFor(t, "spinlock", true, 1)
-			prov.Prepare(e.Space(), []ptr.Ptr{l})
+			prov := providerFor(t, "spinlock", true)
 			ft := locks.NewFenceTable()
 			e.Spawn(0, func(ctx api.Ctx) { tc.body(t, locks.TokenHandleFor(prov, ctx, ft), l) })
 			e.Run(1 << 40)

@@ -108,10 +108,6 @@ func (t *Table) Nodes() int { return t.nodes }
 // Ptr returns the RDMA pointer of lock i.
 func (t *Table) Ptr(i int) ptr.Ptr { return t.locks[i] }
 
-// All returns the pointers of every lock (in index order). The returned
-// slice is shared; callers must not modify it.
-func (t *Table) All() []ptr.Ptr { return t.locks }
-
 // HomeNode returns the node that stores lock i.
 func (t *Table) HomeNode(i int) int { return t.locks[i].NodeID() }
 

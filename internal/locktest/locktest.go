@@ -152,7 +152,6 @@ func run(prov locks.Provider, cfg MutexConfig) (Result, int64, error) {
 		counterPtrs[i] = space.AllocLine(node)
 		ownerPtrs[i] = space.AllocLine(node)
 	}
-	prov.Prepare(space, lockPtrs)
 
 	ft := locks.NewFenceTable()
 	tallies := make([]mutexTally, cfg.Nodes*cfg.ThreadsPerNode)
@@ -345,7 +344,6 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 	// release is on the LOCAL one — the drain must sweep across cohorts.
 	lockA := space.AllocLine(0)
 	lockB := space.AllocLine(1)
-	prov.Prepare(space, []ptr.Ptr{lockA, lockB})
 
 	const (
 		us            = 1_000

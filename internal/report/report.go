@@ -450,7 +450,7 @@ func Summary(w io.Writer, r harness.Result) {
 			r.Timeouts, ns(r.TimeoutLatency.P50NS), r.Abandons, r.FencedReleases)
 	}
 	if r.LateAcquires > 0 {
-		fmt.Fprintf(w, "late acquires  : %d grants landed past their deadline (best-effort timed path)\n",
+		fmt.Fprintf(w, "late acquires  : %d grants landed past their deadline (a grant in flight at it, or a committed waiter's)\n",
 			r.LateAcquires)
 	}
 	if r.PairOps > 0 {

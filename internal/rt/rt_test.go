@@ -224,11 +224,7 @@ func TestAllAlgorithmsRealParallelism(t *testing.T) {
 			cfg := rtConfig(2, 4, 300)
 			cfg.Locks = 3
 			cfg.LocalityPct = 50
-			if name == "filter" || name == "bakery" {
-				// O(threads) per op: the simulator's rows' size.
-				cfg.ThreadsPerNode, cfg.Iters = 2, 25
-			}
-			prov, err := locks.ByName(name, locks.Options{Threads: cfg.Nodes * cfg.ThreadsPerNode, Timed: timed})
+			prov, err := locks.ByName(name, locks.Options{Timed: timed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -543,9 +543,9 @@ func init() {
 	// The transaction scenarios sweep the algorithms with a fully
 	// abortable timed path: the unordered policies recover through real
 	// timeouts, so every participant of a conflict cycle must be able to
-	// abandon its acquire. filter/bakery (blocking fallback) and the
-	// alock variants (committed cohort leaders) are rejected by the
-	// harness for these policies; they still run the ordered policy.
+	// abandon its acquire. The alock variants (committed cohort leaders)
+	// are rejected by the harness for these policies; they still run the
+	// ordered policy.
 
 	txnAlgorithms := []string{"mcs", "rw-budget", "rw-queue", "rw-wpref", "spinlock"}
 	txnBase := func(c *harness.Config) {

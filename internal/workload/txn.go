@@ -140,13 +140,13 @@ const TxnBackoffCapExp = 6
 
 // TxnConfig summarizes the run-wide wiring a spec's transaction policy
 // needs; the harness uses it to build Env and to reject algorithms whose
-// deadlines are best-effort only.
+// waiters cannot all abandon an acquire.
 type TxnConfig struct {
 	// NeedsTimedPath: the policy recovers through real timeouts, so the
 	// algorithm's timed path must be fully abortable
-	// (locks.AbortableTimedProvider) — a best-effort deadline (filter,
-	// bakery) or a committed waiter whose grant depends on another holder
-	// (alock's cohort leaders) blocks forever inside a conflict cycle.
+	// (locks.AbortableTimedProvider) — a committed waiter whose grant
+	// depends on another holder (alock's cohort leaders) blocks forever
+	// inside a conflict cycle.
 	NeedsTimedPath bool
 	// NeedsAges: the policy consults the wait-die age registry.
 	NeedsAges bool

@@ -95,11 +95,10 @@ func txnRig(t *testing.T, spec Spec, threads int,
 	t.Helper()
 	e := sim.New(2, 1<<18, model.Uniform(10), 7)
 	table := locktable.New(e.Space(), threads) // one fork per philosopher
-	prov, err := locks.ByName("mcs", locks.Options{Threads: threads, Timed: true})
+	prov, err := locks.ByName("mcs", locks.Options{Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov.Prepare(e.Space(), table.All())
 
 	ft := locks.NewFenceTable()
 	ages := NewAgeTable()

@@ -267,9 +267,9 @@ type ThreadResult struct {
 	Abandons       int64
 	FencedReleases int64
 	// LateAcquires counts grants that landed after their requested
-	// deadline (api.AcquiredLate): the blocking fallback of algorithms
-	// without a native timed path, or a committed waiter's grant winning
-	// the timeout race late. The operation still completes and is counted
+	// deadline (api.AcquiredLate): a grant whose last verb was issued
+	// before the deadline but completed after it, or a committed waiter's
+	// grant winning the timeout race late. The operation still completes and is counted
 	// in Ops; this counter is the honesty line — how often the deadline
 	// was overshot rather than honored.
 	LateAcquires int64

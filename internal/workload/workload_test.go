@@ -61,7 +61,6 @@ func runLoopWith(t *testing.T, prov locks.Provider, spec Spec, horizon int64) Th
 	t.Helper()
 	e := sim.New(2, 1<<18, model.Uniform(10), 1)
 	table := locktable.New(e.Space(), 10)
-	prov.Prepare(e.Space(), table.All())
 	var res ThreadResult
 	ft := locks.NewFenceTable()
 	e.Spawn(0, func(ctx api.Ctx) {
@@ -222,7 +221,6 @@ func TestReadHeavyOutpacesExclusiveOnRWLock(t *testing.T) {
 		e := sim.New(2, 1<<18, model.Uniform(10), 1)
 		table := locktable.New(e.Space(), 1)
 		prov := locks.NewRWBudgetProvider()
-		prov.Prepare(e.Space(), table.All())
 		var total int64
 		ft := locks.NewFenceTable()
 		for i := 0; i < 4; i++ {
@@ -287,7 +285,6 @@ func TestTimeoutsRecordedUnderContention(t *testing.T) {
 	e := sim.New(2, 1<<18, model.Uniform(10), 1)
 	table := locktable.New(e.Space(), 1)
 	prov := timedProv(t)
-	prov.Prepare(e.Space(), table.All())
 	ft := locks.NewFenceTable()
 	results := make([]ThreadResult, 4)
 	for i := 0; i < 4; i++ {
